@@ -17,7 +17,6 @@ from .errors import (  # noqa: F401
 from .matrices import SmallMatrix  # noqa: F401
 from .series import (  # noqa: F401
     MatSeries,
-    series_arith,
     series_inverse,
     series_mul,
     series_project,
@@ -28,7 +27,6 @@ from .hierarchy import (  # noqa: F401
     Dressing,
     HierarchyState,
     Resolvent,
-    commutator_d,
     commutator_with_l,
     dressing_residual,
     flow_field,
@@ -60,5 +58,5 @@ from .baker import (  # noqa: F401
     tau_lambda_consistent,
 )
 from .config import ExperimentConfig, parse_config  # noqa: F401
-from .persist import export_table, load_state, save_state  # noqa: F401
+from .persist import load_state, save_state  # noqa: F401
 from .verify import VerificationReport, run_verify_suite  # noqa: F401

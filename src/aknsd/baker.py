@@ -70,9 +70,6 @@ class TimePoint:
     def as_dict(self) -> dict:
         return {label: v for label, v in self.entries}
 
-    def k_support(self) -> int:
-        return max((k for (k, _), _ in self.entries), default=0)
-
 
 def make_word(*flows) -> tuple:
     """A derivative word: an ordered tuple of FlowIndex, length <= 2."""
@@ -313,14 +310,6 @@ class TauExpSum:
                 )
         return total
 
-    def to_float(self) -> "TauExpSum":
-        conv = tuple(
-            TauTerm(float(t.c), float(t.offset),
-                    tuple((la, float(v)) for la, v in t.p))
-            for t in self.terms
-        )
-        return TauExpSum(scalars.FLOAT, conv)
-
     def to_json(self) -> dict:
         return {
             "mode": self.mode,
@@ -392,18 +381,14 @@ def tau_lambda_consistent(tau: TauExpSum, data, n: int) -> bool:
 
 
 def baker_from_tau(tau_d: TauExpSum, companions: dict, n: int, t: TimePoint,
-                   data: AknsData, depth: int, *,
-                   miwa_on: str = "column") -> MatSeries:
+                   data: AknsData, depth: int) -> MatSeries:
     """Assemble the dressing-shaped candidate from tau data at site n.
 
     Diagonal entries are Miwa-shifted-over-unshifted ratios of the scalar
     tau; off-diagonal entries (alpha, beta) carry the explicit z^-1 prefactor
-    and the companion tau_{alpha beta}.  The Miwa shift is applied in the
-    column index (gamma = beta) by default; ``miwa_on="row"`` switches the
-    convention to gamma = alpha.
+    and the companion tau_{alpha beta}, Miwa-shifted in the column index
+    (gamma = beta).
     """
-    if miwa_on not in ("column", "row"):
-        raise ValueError(f"unknown Miwa convention {miwa_on!r}")
     if depth < 1:
         raise ValidityError("candidate depth must be >= 1")
     m = data.m
@@ -421,8 +406,7 @@ def baker_from_tau(tau_d: TauExpSum, companions: dict, n: int, t: TimePoint,
     for (alpha, beta), tau_ab in companions.items():
         if alpha == beta:
             raise InstanceError("companions are indexed by off-diagonal pairs")
-        gamma = beta if miwa_on == "column" else alpha
-        shifted = miwa_shift(tau_ab.discrete_shift(n, data), gamma, depth - 1, t)
+        shifted = miwa_shift(tau_ab.discrete_shift(n, data), beta, depth - 1, t)
         entry_series[(alpha, beta)] = {
             d - 1: shifted.get(d).get(1, 1) / denom for d in range(-(depth - 1), 1)
         }
@@ -462,21 +446,24 @@ def _hat_derivative_analytic(state: HierarchyState, k: int, alpha: int) -> Latti
     return bbar.zip_with(state.hat, lambda b, w: -series_mul(b, w))
 
 
+def _stepped_states(state: HierarchyState, flow: FlowIndex, fd_step: float) -> list:
+    """The states one RK4 step of +fd_step and of -fd_step along ``flow`` away."""
+    if state.mode != scalars.FLOAT:
+        raise ModeError("the finite-difference path requires float mode")
+    field_fn = make_field_fn(state.data, state.window, state.depth, flow, 1e-6)
+    return [
+        HierarchyState.solve(state.data, rk4_step(state.U, sign * fd_step, field_fn),
+                             state.window, state.depth, validate=False)
+        for sign in (1.0, -1.0)
+    ]
+
+
 def _hat_derivative_numeric(state: HierarchyState, k: int, alpha: int,
                             fd_step: float) -> LatticeFn:
     """Centered difference of the re-solved dressing along the (k, alpha) flow."""
-    if state.mode != scalars.FLOAT:
-        raise ModeError("the finite-difference path requires float mode")
-    field_fn = make_field_fn(state.data, state.window, state.depth,
-                             FlowIndex(k, alpha), 1e-6)
-    hats = []
-    for sign in (1.0, -1.0):
-        u = rk4_step(state.U, sign * fd_step, field_fn)
-        solved = HierarchyState.solve(state.data, u, state.window, state.depth,
-                                      validate=False)
-        hats.append(solved.hat)
+    plus, minus = _stepped_states(state, FlowIndex(k, alpha), fd_step)
     inv = 1.0 / (2.0 * fd_step)
-    return hats[0].zip_with(hats[1], lambda a, b: (a - b).scale(inv))
+    return plus.hat.zip_with(minus.hat, lambda a, b: (a - b).scale(inv))
 
 
 def _displacement_polynomial(state: HierarchyState, k: int, alpha: int,
@@ -506,15 +493,9 @@ def _mixed_word_expression(state: HierarchyState, k1: int, alpha1: int,
     the (k1, alpha1) flow is divided by w(t) on the right, leaving evolved
     dressing factors and the exact displacement polynomial.
     """
-    if state.mode != scalars.FLOAT:
-        raise ModeError("the finite-difference path requires float mode")
-    field_fn = make_field_fn(state.data, state.window, state.depth,
-                             FlowIndex(k1, alpha1), 1e-6)
+    stepped = _stepped_states(state, FlowIndex(k1, alpha1), fd_step)
     legs = []
-    for sign in (1.0, -1.0):
-        u = rk4_step(state.U, sign * fd_step, field_fn)
-        solved = HierarchyState.solve(state.data, u, state.window, state.depth,
-                                      validate=False)
+    for sign, solved in zip((1.0, -1.0), stepped):
         b, _ = projector_b(solved.resolvent(alpha2), k2)
         disp = _displacement_polynomial(state, k1, alpha1, sign * fd_step)
         leg = b.zip_with(solved.hat, series_mul).map(
@@ -525,14 +506,18 @@ def _mixed_word_expression(state: HierarchyState, k1: int, alpha1: int,
     return diff.zip_with(state.hat_inverse.restrict(diff.lo, diff.hi), series_mul)
 
 
-def _transfer(state: HierarchyState) -> LatticeFn:
-    """T(n) = w_hat(n+1) (1 + eps z A) w_hat(n)^{-1} = I + eps (z A - U(n))."""
-    eps = state.step
-    mid = MatSeries.from_coeffs(
+def _step_polynomial(state: HierarchyState) -> MatSeries:
+    """The exact polynomial I + eps z A, the one-site ratio of the g-factor."""
+    return MatSeries.from_coeffs(
         {0: SmallMatrix.identity(state.data.m, state.mode),
-         1: state.data.matrix.scale(eps)},
+         1: state.data.matrix.scale(state.step)},
         state.data.m, state.mode,
     )
+
+
+def _transfer(state: HierarchyState) -> LatticeFn:
+    """T(n) = w_hat(n+1) (1 + eps z A) w_hat(n)^{-1} = I + eps (z A - U(n))."""
+    mid = _step_polynomial(state)
     lam_hat = shift_apply(state.hat, 1)
     return lam_hat.zip_with(
         state.hat_inverse.restrict(lam_hat.lo, lam_hat.hi),
@@ -574,11 +559,7 @@ def bilinear_expression(state: HierarchyState, m_delta: int, word: tuple, *,
             return big_d.zip_with(state.hat_inverse, series_mul)
         # Delta(D g)(n) g(n)^{-1} w_hat(n)^{-1} reduces to
         # [D(n+1) (1 + eps z A) - D(n)] w_hat(n)^{-1} / eps
-        mid = MatSeries.from_coeffs(
-            {0: SmallMatrix.identity(state.data.m, state.mode),
-             1: state.data.matrix.scale(state.step)},
-            state.data.m, state.mode,
-        )
+        mid = _step_polynomial(state)
         lam_d = shift_apply(big_d, 1)
         diff = lam_d.zip_with(
             big_d.restrict(lam_d.lo, lam_d.hi),
@@ -639,18 +620,16 @@ def bilinear_l_capacity(depth: int, word: tuple, m_delta: int) -> int:
 
 def bilinear_residual(state: HierarchyState, l_max: int, m_delta: int,
                       word: tuple = (), *, path: str = "analytic",
-                      fd_step: float = 1e-5, window_only: bool = True):
+                      fd_step: float = 1e-5):
     """Residues res_z(z^l (Delta^m d^word w) w^{-1}) plus negative-degree mass.
 
     Returns a :class:`BilinearCheck`; its ``value`` is the sum of the maximum
     residue magnitude over l <= l_max and the maximum absolute coefficient
-    over all valid negative degrees (the sharper no-negative-powers claim).
+    over all valid negative degrees (the sharper no-negative-powers claim),
+    both over the window's region of interest.
     """
     expr = bilinear_expression(state, m_delta, word, path=path, fd_step=fd_step)
-    if window_only:
-        lo = max(expr.lo, state.window.n_min)
-        hi = min(expr.hi, state.window.n_max)
-        expr = expr.restrict(lo, hi)
+    expr = expr.restrict(state.window.n_min, state.window.n_max)
     res_max = scalars.zero(state.mode)
     neg_max = scalars.zero(state.mode)
     for n in expr.sites():
@@ -664,8 +643,7 @@ def bilinear_residual(state: HierarchyState, l_max: int, m_delta: int,
             v = s.get(-1 - l).max_abs()
             if v > res_max:
                 res_max = v
-        scan_lo = s.lo if s.exact_below else s.valid_lo
-        for d in range(min(scan_lo, 0), 0):
+        for d in range(min(s.valid_degrees().start, 0), 0):
             v = s.get(d).max_abs()
             if v > neg_max:
                 neg_max = v
@@ -690,10 +668,10 @@ def adjoint_check(state: HierarchyState, f: LatticeFn, g: LatticeFn):
     a_mat = state.data.matrix
     u = state.U
 
-    lf0 = delta_apply(f, "forward", use_eps=True) + \
+    lf0 = delta_apply(f, "forward") + \
         u.zip_with(f, lambda uu, ff: uu @ ff).restrict(f.lo, f.hi - 1)
     lf1 = f.map(lambda v: -(a_mat @ v))
-    rg0 = delta_apply(g, "dual", use_eps=True) + \
+    rg0 = delta_apply(g, "dual") + \
         g.zip_with(u, lambda gg, uu: gg @ uu).restrict(g.lo + 1, g.hi)
     rg1 = g.map(lambda v: -(v @ a_mat))
     pair0 = inner_product(lf0, g.restrict(lf0.lo, lf0.hi)) - \
@@ -702,31 +680,14 @@ def adjoint_check(state: HierarchyState, f: LatticeFn, g: LatticeFn):
     pairing_residual = max(scalars.scalar_abs(pair0), scalars.scalar_abs(pair1))
 
     eps = state.step
-    m = state.data.m
-    left = MatSeries.from_coeffs(
-        {0: SmallMatrix.identity(m, state.mode), 1: a_mat.scale(eps)},
-        m, state.mode,
-    )
+    left = _step_polynomial(state)
     lam_inv = shift_apply(state.hat_inverse, 1)
 
-    def kernel(wi_next, u_here, wi_here):
-        right = MatSeries.from_coeffs(
-            {0: SmallMatrix.identity(m, state.mode) - u_here.scale(eps),
-             1: a_mat.scale(eps)},
-            m, state.mode,
-        )
-        return series_mul(left, wi_here) - series_mul(wi_next, right)
+    def kernel(n):
+        right = left - MatSeries.constant(u.at(n).scale(eps))
+        return series_mul(left, state.hat_inverse.at(n)) - \
+            series_mul(lam_inv.at(n), right)
 
-    lo, hi = lam_inv.lo, lam_inv.hi
-    vals = tuple(
-        kernel(lam_inv.at(n), u.at(n), state.hat_inverse.at(n))
-        for n in range(lo, hi + 1)
-    )
-    kern = LatticeFn(lo, hi, vals, MatSeries.zero(m, state.mode),
-                     MatSeries.zero(m, state.mode), u.step, state.mode)
-    kernel_residual = scalars.zero(state.mode)
-    for n in kern.sites():
-        v = kern.at(n).max_abs()
-        if v > kernel_residual:
-            kernel_residual = v
+    kernel_residual = scalars.max_of(
+        (kernel(n).max_abs() for n in lam_inv.sites()), state.mode)
     return pairing_residual, kernel_residual

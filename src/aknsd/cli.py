@@ -20,9 +20,14 @@ import sys
 from . import scalars
 from .baker import TauExpSum, TimePoint, baker_from_tau, tau_lambda_consistent
 from .config import ExperimentConfig, parse_config
-from .dynamics import FlowIndex, continuum_scan, gaussian_bump_profile, rk4_evolve
+from .dynamics import FlowIndex, rk4_evolve
 from .errors import AknsdError, ConfigError, ConsistencyError, SchemaError
-from .hierarchy import HierarchyState, dressing_residual, flow_field, resolvent_direct
+from .hierarchy import (
+    cross_solver_difference,
+    diagonal_drift,
+    dressing_residual,
+    flow_field,
+)
 from .matrices import SmallMatrix
 from .persist import (
     export_json,
@@ -32,7 +37,8 @@ from .persist import (
     load_state,
     save_state,
 )
-from .verify import SUITES, run_verify_suite
+from .series import MatSeries, series_diff_max
+from .verify import SUITES, limit_scan, run_verify_suite
 
 ENV_PREFIX = "AKNSD_"
 
@@ -41,8 +47,31 @@ EXIT_CHECK_FAILED = 1
 EXIT_INPUT_ERROR = 2
 
 
-def _env(name: str):
-    return os.environ.get(ENV_PREFIX + name.upper())
+def _parse_flag(text: str) -> bool:
+    value = text.strip().lower()
+    if value in ("1", "true", "yes", "on"):
+        return True
+    if value in ("0", "false", "no", "off"):
+        return False
+    raise ValueError(f"not a boolean: {text!r}")
+
+
+# shared flags that the environment can supply, with the parser of their text
+_ENV_FLAGS = (("config", str), ("out", str), ("format", str), ("mode", str),
+              ("tol", float), ("seed", int), ("verbose", _parse_flag))
+
+
+def _apply_env(args) -> None:
+    """Fill each shared flag left unset on the command line from AKNSD_<NAME>."""
+    for name, parse in _ENV_FLAGS:
+        text = os.environ.get(ENV_PREFIX + name.upper())
+        if getattr(args, name) is not None or not text:
+            continue
+        try:
+            setattr(args, name, parse(text))
+        except ValueError:
+            raise ConfigError(
+                f"bad value {text!r} in {ENV_PREFIX}{name.upper()}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -92,124 +121,93 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config(args) -> ExperimentConfig:
-    path = args.config or _env("config")
-    if not path:
+    if not args.config:
         raise ConfigError("no configuration given (use --config or AKNSD_CONFIG)")
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(args.config, encoding="utf-8") as fh:
             config = parse_config(fh.read())
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from None
-    if args.mode or _env("mode"):
-        config = dataclasses.replace(config, mode=args.mode or _env("mode"))
-    if args.tol is not None or _env("tol"):
-        config = dataclasses.replace(
-            config, tol=args.tol if args.tol is not None else float(_env("tol")))
-    if args.seed is not None or _env("seed"):
-        config = dataclasses.replace(
-            config, seed=args.seed if args.seed is not None else int(_env("seed")))
-    return config
+    overrides = {name: getattr(args, name) for name in ("mode", "tol", "seed")
+                 if getattr(args, name) is not None}
+    return dataclasses.replace(config, **overrides)
 
 
 def _out_path(args, config) -> str | None:
-    return args.out or _env("out") or config.out
+    return args.out or config.out
 
 
-def _fmt(args) -> str:
-    return args.format or _env("format") or "json"
+def _wrote(args, path: str) -> None:
+    if args.verbose:
+        print(f"wrote {path}")
 
 
-def _emit(doc: dict, path: str | None, verbose: bool) -> None:
+def _emit(args, doc: dict, path: str | None) -> None:
     if path:
         export_json(doc, path)
-        if verbose:
-            print(f"wrote {path}")
+        _wrote(args, path)
     else:
         print(json.dumps(doc, indent=1, sort_keys=True))
 
 
-def _solve(config: ExperimentConfig) -> HierarchyState:
-    return HierarchyState.solve(config.data(), config.build_potential(),
-                                config.window, config.depth, validate=False)
-
-
 def cmd_dress(args) -> int:
     config = _load_config(args)
-    if args.state:
-        state = load_state(args.state)
-        tol = 0 if state.mode == scalars.RATIONAL else config.tol
-    else:
-        state = _solve(config)
-        tol = 0 if config.mode == scalars.RATIONAL else config.tol
+    state = load_state(args.state) if args.state else config.solve()
     residual = dressing_residual(state)
     print(f"dressing residual: {scalars.format_scalar(residual)}")
     out = _out_path(args, config)
     if out and not args.state:
         save_state(state, out)
-        if args.verbose:
-            print(f"wrote {out}")
-    return EXIT_OK if residual <= tol else EXIT_CHECK_FAILED
+        _wrote(args, out)
+    return EXIT_OK if residual <= config.tolerance(state.mode) else EXIT_CHECK_FAILED
 
 
 def cmd_resolvent(args) -> int:
     config = _load_config(args)
-    state = _solve(config)
-    alpha = args.alpha
-    dressed = state.resolvent(alpha)
-    direct = resolvent_direct(state.data, state.U, alpha, state.depth)
-    worst = 0
-    for n in dressed.series.sites():
-        for d in range(-state.depth, 1):
-            v = (dressed.series.at(n).get(d) - direct.series.at(n).get(d)).max_abs()
-            worst = max(worst, v)
-    tol = 0 if config.mode == scalars.RATIONAL else config.tol
+    state = config.solve()
+    worst = cross_solver_difference(state, args.alpha)
+    ok = worst <= config.tolerance()
     doc = {
-        "alpha": alpha,
+        "alpha": args.alpha,
         "depth": state.depth,
         "cross_solver_difference": scalars.format_scalar(worst),
-        "pass": bool(worst <= tol),
+        "pass": bool(ok),
     }
-    _emit(doc, _out_path(args, config), bool(args.verbose))
-    return EXIT_OK if worst <= tol else EXIT_CHECK_FAILED
+    _emit(args, doc, _out_path(args, config))
+    return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
 def cmd_flow(args) -> int:
     config = _load_config(args)
-    state = _solve(config)
-    k, alpha = config.flows[0] if config.flows else (1, 1)
+    state = config.solve()
+    k, alpha = config.first_flow
     if args.k is not None:
         k = args.k
     if args.alpha is not None:
         alpha = args.alpha
-    tol = 0 if config.mode == scalars.RATIONAL else config.tol
-    field = flow_field(state, k, alpha, tol=tol, on_diagonal="keep")
-    drift = max(field.at(n).diagonal_part().max_abs() for n in field.sites())
+    field = flow_field(state, k, alpha, tol=config.tolerance(), on_diagonal="keep")
     doc = {
         "k": k,
         "alpha": alpha,
-        "diagonal_drift": scalars.format_scalar(drift),
+        "diagonal_drift": scalars.format_scalar(diagonal_drift(field)),
         "field": lattice_to_json(field),
     }
-    _emit(doc, _out_path(args, config), bool(args.verbose))
+    _emit(args, doc, _out_path(args, config))
     return EXIT_OK
 
 
 def cmd_evolve(args) -> int:
     config = _load_config(args)
-    data = config.data(scalars.FLOAT)
-    u = config.build_potential(scalars.FLOAT)
-    state = HierarchyState.solve(data, u, config.window, config.depth,
-                                 validate=False)
-    flow = FlowIndex(*config.flows[0]) if config.flows else FlowIndex(1, 1)
+    state = config.solve(mode=scalars.FLOAT)
+    flow = FlowIndex(*config.first_flow)
     traj = rk4_evolve(state, flow, config.h, config.steps)
     out = _out_path(args, config)
     if out:
-        if _fmt(args) == "csv":
+        if args.format == "csv":
             export_trajectory_csv(traj, out)
         else:
             export_trajectory_json(traj, out)
-        if args.verbose:
-            print(f"wrote {out}")
+        _wrote(args, out)
     print(f"evolved {config.steps} steps of h={config.h} along flow "
           f"({flow.k},{flow.alpha}); {len(traj.warnings)} leakage warning(s)")
     return EXIT_OK
@@ -222,6 +220,7 @@ def cmd_verify(args) -> int:
     out = _out_path(args, config)
     if out:
         export_json(doc, out)
+        _wrote(args, out)
     print(f"suite {args.suite}: {report.verdict} "
           f"({sum(c['pass'] for c in report.checks)}/{len(report.checks)} checks)")
     return EXIT_OK if report.verdict == "pass" else EXIT_CHECK_FAILED
@@ -229,16 +228,9 @@ def cmd_verify(args) -> int:
 
 def cmd_limit(args) -> int:
     config = _load_config(args)
-    data = config.data(scalars.FLOAT)
-    profile = gaussian_bump_profile(config.m, amplitude=0.4, sigma=1.0)
-    scan = continuum_scan(data, profile, list(config.eps_list), k=1,
-                          x_span=4.0, depth=min(config.depth, 4),
-                          halo=min(config.window.halo, 6))
-    doc = scan.to_json()
-    _emit(doc, _out_path(args, config), bool(args.verbose))
-    ok = all(o >= 1.0 for o in scan.cauchy_orders) and \
-        all(o >= 1.0 for o in scan.dx_orders)
-    return EXIT_OK if ok else EXIT_CHECK_FAILED
+    scan = limit_scan(config)
+    _emit(args, scan.to_json(), _out_path(args, config))
+    return EXIT_OK if scan.passed else EXIT_CHECK_FAILED
 
 
 def cmd_tau(args) -> int:
@@ -247,18 +239,17 @@ def cmd_tau(args) -> int:
     tau = TauExpSum.one(config.mode)
     t0 = TimePoint(config.mode)
     consistent = all(tau_lambda_consistent(tau, data, n) for n in (-2, 0, 3))
-    worst = scalars.zero(config.mode)
-    for n in (config.window.n_min, 0, config.window.n_max):
-        w = baker_from_tau(tau, {}, n, t0, data, config.depth)
-        for d in range(-config.depth, 1):
-            target = SmallMatrix.identity(config.m, config.mode) if d == 0 \
-                else SmallMatrix.zero(config.m, config.mode)
-            worst = max(worst, (w.get(d) - target).max_abs())
+    ident = MatSeries.constant(SmallMatrix.identity(config.m, config.mode))
+    worst = scalars.max_of(
+        (series_diff_max(baker_from_tau(tau, {}, n, t0, data, config.depth), ident,
+                         range(-config.depth, 1))
+         for n in (config.window.n_min, 0, config.window.n_max)),
+        config.mode)
     doc = {
         "vacuum_candidate_error": scalars.format_scalar(worst),
         "lambda_consistency": bool(consistent),
     }
-    _emit(doc, _out_path(args, config), bool(args.verbose))
+    _emit(args, doc, _out_path(args, config))
     return EXIT_OK if worst == 0 and consistent else EXIT_CHECK_FAILED
 
 
@@ -277,6 +268,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _apply_env(args)
         return _COMMANDS[args.command](args)
     except (ConfigError, SchemaError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from . import scalars
 from .errors import ConfigError
-from .hierarchy import AknsData, make_potential
+from .hierarchy import AknsData, HierarchyState, make_potential
 from .instances import (
     impulse_potential,
     random_potential,
@@ -24,7 +24,7 @@ from .lattice import Window
 from .matrices import SmallMatrix
 
 _TOP_KEYS = {
-    "m", "a", "window", "depth", "mode", "band", "flows", "h", "steps",
+    "m", "a", "window", "depth", "mode", "flows", "h", "steps",
     "eps_list", "tol", "seed", "potential", "out",
 }
 _WINDOW_KEYS = {"n_min", "n_max", "halo"}
@@ -39,7 +39,6 @@ class ExperimentConfig:
     window: Window
     depth: int = 8
     mode: str = scalars.RATIONAL
-    band: int = 6
     flows: tuple = ((1, 1),)
     h: float = 0.01
     steps: int = 10
@@ -49,10 +48,25 @@ class ExperimentConfig:
     potential: dict = field(default_factory=lambda: {"type": "vacuum"})
     out: str | None = None
 
+    @property
+    def first_flow(self) -> tuple:
+        """The (k, alpha) that single-flow runs use: the first listed, else (1, 1)."""
+        return self.flows[0] if self.flows else (1, 1)
+
+    def tolerance(self, mode: str | None = None):
+        """Check threshold: exact zero in rational mode, ``tol`` in float mode."""
+        return 0 if (mode or self.mode) == scalars.RATIONAL else self.tol
+
     def data(self, mode: str | None = None) -> AknsData:
         mode = mode or self.mode
         return AknsData(self.m, tuple(scalars.as_scalar(x, mode) for x in self.a),
                         mode)
+
+    def solve(self, potential=None, mode: str | None = None) -> HierarchyState:
+        """Dressing of ``potential`` (default: the configured one) at the config's depth."""
+        u = potential if potential is not None else self.build_potential(mode)
+        return HierarchyState.solve(self.data(mode), u, self.window, self.depth,
+                                    validate=False)
 
     def build_potential(self, mode: str | None = None, rng: random.Random | None = None):
         mode = mode or self.mode
@@ -152,11 +166,6 @@ def parse_config(text: str) -> ExperimentConfig:
     if mode not in scalars.MODES:
         problems.append(f"'mode' must be one of {scalars.MODES}")
         mode = scalars.RATIONAL
-
-    band = doc.get("band", 6)
-    if not isinstance(band, int) or band < 1:
-        problems.append("'band' must be a positive integer")
-        band = 1
 
     flows_raw = doc.get("flows", [[1, 1]])
     flows = []
@@ -258,6 +267,6 @@ def parse_config(text: str) -> ExperimentConfig:
         raise ConfigError("invalid configuration:\n  - " + "\n  - ".join(problems))
 
     return ExperimentConfig(m=m, a=a, window=window, depth=depth, mode=mode,
-                            band=band, flows=tuple(flows), h=h, steps=steps,
+                            flows=tuple(flows), h=h, steps=steps,
                             eps_list=tuple(eps_list), tol=tol, seed=seed,
                             potential=pot, out=out)

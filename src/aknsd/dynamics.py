@@ -23,8 +23,20 @@ from typing import Callable, NamedTuple
 from . import scalars
 from .errors import ConsistencyError, InstanceError, ModeError
 from .hierarchy import AknsData, HierarchyState, flow_field
-from .lattice import LatticeFn, Window, delta_apply
+from .lattice import LatticeFn, Window, delta_apply, site_max
 from .matrices import SmallMatrix
+
+# flow-field consistency tolerance of the float time stepper
+CONSISTENCY_TOL = 1e-8
+# boundary/interior amplitude ratios that warn about and refuse an RK4 step
+LEAK_WARN = 0.25
+LEAK_HARD = 4.0
+# order-swap defects at or below this are machine roundoff
+NOISE_FLOOR = 1e-13
+# flow-field consistency tolerance of the continuum scan's coarse steps
+SCAN_CONSISTENCY_TOL = 1e-6
+# observed convergence order the continuum scan must reach
+SCAN_MIN_ORDER = 1.0
 
 
 class FlowIndex(NamedTuple):
@@ -93,33 +105,31 @@ def _leakage(u: LatticeFn, window: Window, edge: int = 2):
     return boundary, interior
 
 
-def rk4_evolve(state: HierarchyState, flow: FlowIndex, h, steps: int, *,
-               consistency_tol: float = 1e-8, leak_warn: float = 0.25,
-               leak_hard: float = 4.0) -> Trajectory:
+def rk4_evolve(state: HierarchyState, flow: FlowIndex, h, steps: int) -> Trajectory:
     """Integrate dU/dt = flow_field(U) with the classical 4-stage scheme.
 
     Float mode only: time stepping is approximate by nature.  The dressing is
     re-solved at every stage.  Boundary leakage (solution amplitude reaching
-    the stored edge) triggers a warning beyond ``leak_warn`` of the interior
-    norm and an error beyond ``leak_hard``.
+    the stored edge) triggers a warning beyond ``LEAK_WARN`` of the interior
+    norm and an error beyond ``LEAK_HARD``.
     """
     if state.mode != scalars.FLOAT:
         raise ModeError("time evolution requires float mode")
     if not h > 0:
         raise InstanceError("step size must be positive")
     field_fn = make_field_fn(state.data, state.window, state.depth, flow,
-                             consistency_tol)
+                             CONSISTENCY_TOL)
     u = state.U
     traj = Trajectory(flow, float(h), steps, [(0.0, u)])
     for s in range(1, steps + 1):
         u = rk4_step(u, h, field_fn)
         boundary, interior = _leakage(u, state.window)
         scale = max(interior, 1e-300)
-        if boundary > leak_hard * scale:
+        if boundary > LEAK_HARD * scale:
             raise ConsistencyError(
                 f"boundary leakage {boundary} exceeds hard limit at step {s}"
             )
-        if boundary > leak_warn * scale:
+        if boundary > LEAK_WARN * scale:
             msg = f"boundary leakage {boundary:.3e} at step {s} (interior {interior:.3e})"
             traj.warnings.append(msg)
             warnings.warn(msg, stacklevel=2)
@@ -128,48 +138,42 @@ def rk4_evolve(state: HierarchyState, flow: FlowIndex, h, steps: int, *,
 
 
 def commutativity_defect(state: HierarchyState, f1: FlowIndex, f2: FlowIndex,
-                         h, steps: int, *, consistency_tol: float = 1e-8,
-                         leak_warn: float = 0.25, leak_hard: float = 4.0,
-                         noise_floor: float = 1e-13):
+                         h, steps: int):
     """Order-swap experiment: evolve along f1 then f2, and swapped.
 
     The exact flows commute, so the reported defect is pure integrator error;
     the order estimate is log2 of the defect ratio between resolutions h and
-    h/2 at fixed total time.  Defects at or below ``noise_floor`` are machine
+    h/2 at fixed total time.  Defects at or below ``NOISE_FLOOR`` are machine
     roundoff (k=0 pairings are suppressed to O(h^6) by the charge grading and
     land there); the ratio of two noise values carries no order information,
     so the estimate is reported as infinite in that regime.
     """
 
     def run(first, second, step_size, n_steps):
-        t1 = rk4_evolve(state, first, step_size, n_steps,
-                        consistency_tol=consistency_tol,
-                        leak_warn=leak_warn, leak_hard=leak_hard)
+        t1 = rk4_evolve(state, first, step_size, n_steps)
         mid = HierarchyState.solve(state.data, t1.final, state.window,
                                    state.depth, validate=False)
-        t2 = rk4_evolve(mid, second, step_size, n_steps,
-                        consistency_tol=consistency_tol,
-                        leak_warn=leak_warn, leak_hard=leak_hard)
-        return t2.final
+        return rk4_evolve(mid, second, step_size, n_steps).final
 
     def defect_at(step_size, n_steps):
         a = run(f1, f2, step_size, n_steps)
         b = run(f2, f1, step_size, n_steps)
-        win = state.window
-        return max(
-            (a.at(n) - b.at(n)).max_abs()
-            for n in range(win.n_min, win.n_max + 1)
-        )
+        return interior_diff_max(a, b, state.window)
 
     d1 = defect_at(float(h), steps)
     d2 = defect_at(float(h) / 2, 2 * steps)
-    if d1 <= noise_floor:
+    if d1 <= NOISE_FLOOR:
         order = math.inf
     elif d2 == 0:
         order = math.inf
     else:
         order = math.log2(d1 / d2)
     return d1, order
+
+
+def interior_diff_max(a: LatticeFn, b: LatticeFn, window: Window):
+    """Max-abs entry of a - b over the window's region of interest."""
+    return site_max(a - b, sites=range(window.n_min, window.n_max + 1))
 
 
 # -- continuum-limit scan ------------------------------------------------------------
@@ -218,6 +222,11 @@ class ScanReport:
     cauchy_norms_max: list = field(default_factory=list)
     dx_residual_norms_max: list = field(default_factory=list)
 
+    @property
+    def passed(self) -> bool:
+        """Every observed order, Cauchy and dx-relation, reaches SCAN_MIN_ORDER."""
+        return all(o >= SCAN_MIN_ORDER for o in self.cauchy_orders + self.dx_orders)
+
     def to_json(self) -> dict:
         return {
             "eps": [scalars.format_scalar(e) for e in self.eps_list],
@@ -233,8 +242,7 @@ class ScanReport:
 
 
 def continuum_scan(data: AknsData, profile, eps_list, k: int = 1, *,
-                   x_span: float = 4.0, depth: int = 4, halo: int = 6,
-                   consistency_tol: float = 1e-6) -> ScanReport:
+                   x_span: float = 4.0, depth: int = 4, halo: int = 6) -> ScanReport:
     """Deformed-step scan: compute the order-k flow fields at each step size.
 
     ``profile`` maps x to a potential matrix; it is sampled as f(n * eps) per
@@ -271,7 +279,7 @@ def continuum_scan(data: AknsData, profile, eps_list, k: int = 1, *,
         )
         state = HierarchyState.solve(data, u, window, depth, validate=False)
         per_alpha = {
-            alpha: flow_field(state, k, alpha, tol=consistency_tol,
+            alpha: flow_field(state, k, alpha, tol=SCAN_CONSISTENCY_TOL,
                               on_diagonal="keep")
             for alpha in range(1, data.m + 1)
         }
@@ -286,7 +294,7 @@ def continuum_scan(data: AknsData, profile, eps_list, k: int = 1, *,
             for alpha, f in per_alpha.items():
                 term = f.map(lambda v, a=alpha: v.scale(data.a[a - 1]))
                 combo = term if combo is None else combo + term
-            du = delta_apply(u, "forward", use_eps=True)
+            du = delta_apply(u, "forward")
             resid = combo - du.restrict(combo.lo, combo.hi)
             entries = [
                 abs(x)
@@ -330,7 +338,7 @@ def continuum_scan(data: AknsData, profile, eps_list, k: int = 1, *,
     flags = []
     for name, ords in (("cauchy", cauchy_orders), ("dx_relation", dx_orders)):
         for i, o in enumerate(ords):
-            if o < 1.0:
+            if o < SCAN_MIN_ORDER:
                 flags.append(f"{name} order {o:.3f} < 1 between eps[{i}] and eps[{i+1}]")
     return ScanReport(eps_list, k, cauchy, cauchy_orders, dx_norms, dx_orders,
                       flags, cauchy_max, dx_norms_max)

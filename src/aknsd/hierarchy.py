@@ -35,9 +35,15 @@ from functools import cached_property
 
 from . import scalars
 from .errors import ConsistencyError, InstanceError, ValidityError
-from .lattice import LatticeFn, Window, delta_apply, shift_apply
+from .lattice import LatticeFn, Window, delta_apply, shift_apply, site_max
 from .matrices import SmallMatrix
-from .series import MatSeries, series_inverse, series_mul, series_project
+from .series import (
+    MatSeries,
+    series_diff_max,
+    series_inverse,
+    series_mul,
+    series_project,
+)
 
 
 @dataclass(frozen=True)
@@ -89,23 +95,22 @@ class AknsData:
         }
 
 
-def validate_potential(U: LatticeFn, *, require_zero_diagonal: bool = True) -> LatticeFn:
+def validate_potential(U: LatticeFn) -> LatticeFn:
     """Check the potential invariants: zero tails, and zero diagonal entries.
 
-    Evolved potentials are exempt from the diagonal check by the caller: the
+    Evolved potentials are exempt: their callers skip validation, because the
     hierarchy flows of order k >= 1 rotate a pure-gauge diagonal component
     into U (see docs/derivations.md), so only *input* data is constrained.
     """
     if not U.left_tail.is_zero() or not U.right_tail.is_zero():
         raise InstanceError("potential must carry zero tails on both sides")
-    if require_zero_diagonal:
-        for n in U.sites():
-            v = U.at(n)
-            for i in range(v.m):
-                if v.rows[i][i] != 0:
-                    raise InstanceError(
-                        f"potential has nonzero diagonal entry at site {n}"
-                    )
+    for n in U.sites():
+        v = U.at(n)
+        for i in range(v.m):
+            if v.rows[i][i] != 0:
+                raise InstanceError(
+                    f"potential has nonzero diagonal entry at site {n}"
+                )
     return U
 
 
@@ -120,6 +125,28 @@ def make_potential(window: Window, entries: dict, m: int,
 
 
 # -- shared recursion kernel ------------------------------------------------------
+
+
+def _constant_on(U: LatticeFn, value) -> LatticeFn:
+    """``value`` at every site of U's range and in both tails."""
+    return LatticeFn(U.lo, U.hi, (value,) * (U.hi - U.lo + 1), value, value,
+                     U.step, U.mode)
+
+
+def _orders_to_series(orders: list, m: int) -> LatticeFn:
+    """Per site, the series sum_k orders[k](n) z^-k, valid through its depth."""
+    first = orders[0]
+    depth = len(orders) - 1
+
+    def site_series(n):
+        return MatSeries.from_coeffs(
+            {-k: f.at(n) for k, f in enumerate(orders)}, m, first.mode,
+            lo=-depth, hi=0, valid_lo=-depth, exact_below=False,
+        )
+
+    zero = MatSeries.zero(m, first.mode)
+    return LatticeFn(first.lo, first.hi, tuple(site_series(n) for n in first.sites()),
+                     zero, zero, first.step, first.mode)
 
 
 def solve_two_point(a_i, a_j, rhs, lo: int, hi: int, direction: str, mode: str):
@@ -175,9 +202,15 @@ def _solve_order(data: AknsData, rhs: LatticeFn, lo: int, hi: int) -> LatticeFn:
 class Dressing:
     """Solved dressing coefficients w_1..w_N plus the conventions that fixed them."""
 
-    depth: int
+    depth: int  # must equal len(ws)
     ws: tuple  # LatticeFn per order, index 0 <-> w_1
     conventions: dict = field(compare=False)
+
+    def __post_init__(self):
+        if self.depth != len(self.ws):
+            raise InstanceError(
+                f"dressing depth {self.depth} but {len(self.ws)} solved orders"
+            )
 
 
 def solve_dressing(data: AknsData, U: LatticeFn, depth: int) -> Dressing:
@@ -185,13 +218,10 @@ def solve_dressing(data: AknsData, U: LatticeFn, depth: int) -> Dressing:
     if depth < 1:
         raise InstanceError("dressing depth must be >= 1")
     lo, hi = U.lo, U.hi
-    mode = U.mode
-    ident = SmallMatrix.identity(data.m, mode)
-    w_prev = LatticeFn(lo, hi, tuple(ident for _ in range(hi - lo + 1)),
-                       ident, ident, U.step, mode)
+    w_prev = _constant_on(U, SmallMatrix.identity(data.m, U.mode))
     ws = []
     for _ in range(depth):
-        dw = delta_apply(w_prev, "forward", use_eps=True)
+        dw = delta_apply(w_prev, "forward")
         rhs = dw + U.zip_with(w_prev, lambda u, w: u @ w).restrict(lo, hi - 1)
         w_next = _solve_order(data, rhs, lo, hi)
         ws.append(w_next)
@@ -209,9 +239,11 @@ class HierarchyState:
     data: AknsData
     U: LatticeFn
     window: Window
-    depth: int
     dressing: Dressing
-    times: dict = field(default_factory=dict)
+
+    @property
+    def depth(self) -> int:
+        return self.dressing.depth
 
     @property
     def mode(self) -> str:
@@ -230,29 +262,13 @@ class HierarchyState:
             )
         if validate:
             validate_potential(U)
-        dressing = solve_dressing(data, U, depth)
-        return HierarchyState(data, U, window, depth, dressing)
+        return HierarchyState(data, U, window, solve_dressing(data, U, depth))
 
     @cached_property
     def hat(self) -> LatticeFn:
         """The dressing series I + sum_k w_k z^-k as a series-valued function."""
-        mode = self.mode
-        ident = SmallMatrix.identity(self.data.m, mode)
-        n_orders = self.depth
-
-        def site_series(n):
-            coeffs = {0: ident}
-            for k, w in enumerate(self.dressing.ws, start=1):
-                coeffs[-k] = w.at(n)
-            return MatSeries.from_coeffs(
-                coeffs, self.data.m, mode, lo=-n_orders, hi=0,
-                valid_lo=-n_orders, exact_below=False,
-            )
-
-        lo, hi = self.U.lo, self.U.hi
-        vals = tuple(site_series(n) for n in range(lo, hi + 1))
-        zero = MatSeries.zero(self.data.m, mode)
-        return LatticeFn(lo, hi, vals, zero, zero, self.U.step, mode)
+        ident = _constant_on(self.U, SmallMatrix.identity(self.data.m, self.mode))
+        return _orders_to_series([ident, *self.dressing.ws], self.data.m)
 
     @cached_property
     def hat_inverse(self) -> LatticeFn:
@@ -273,20 +289,14 @@ def dressing_residual(state: HierarchyState):
     two sides of the dressing relation; it vanishes exactly in rational mode
     at every site where the recursion was enforced.
     """
-    res = _dressing_defect(state)
-    best = scalars.zero(state.mode)
-    for n in res.sites():
-        v = res.at(n).max_abs()
-        if v > best:
-            best = v
-    return best
+    return site_max(_dressing_defect(state))
 
 
 def _dressing_defect(state: HierarchyState) -> LatticeFn:
     a_mat = state.data.matrix
     hat = state.hat
     lam_hat = shift_apply(hat, 1)
-    d_hat = delta_apply(hat, "forward", use_eps=True)
+    d_hat = delta_apply(hat, "forward")
     u_term = state.U.zip_with(hat, lambda u, s: s.left_mul_mat(u))
     za_term = hat.map(lambda s: s.left_mul_mat(a_mat).shift_degree(1), map_tails=False)
     lam_term = lam_hat.map(lambda s: s.right_mul_mat(a_mat).shift_degree(1), map_tails=False)
@@ -316,55 +326,38 @@ def resolvent_dressed(state: HierarchyState, alpha: int) -> Resolvent:
     return Resolvent(alpha, vals, state.depth)
 
 
-def resolvent_direct(data: AknsData, U: LatticeFn, alpha: int, depth: int,
-                     *, seed: SmallMatrix | None = None) -> Resolvent:
+def resolvent_direct(data: AknsData, U: LatticeFn, alpha: int, depth: int) -> Resolvent:
     """Order-by-order solve of Delta R_i - [R_i, U]_D + [R_{i+1}, A]_D = 0.
 
     Shares the recursion kernel, direction policy and zero integration
     constants with the dressing solver, so the result is comparable entry for
     entry with the dressed construction.
     """
-    mode = U.mode
-    if seed is None:
-        seed = data.projector(alpha)
-    else:
-        for i in range(seed.m):
-            for j in range(seed.m):
-                if i != j and seed.rows[i][j] != 0:
-                    raise InstanceError("zero-order resolvent term must be diagonal")
     lo, hi = U.lo, U.hi
-    orders = [LatticeFn(lo, hi, tuple(seed for _ in range(hi - lo + 1)),
-                        seed, seed, U.step, mode)]
+    orders = [_constant_on(U, data.projector(alpha))]
     for _ in range(depth):
         r_prev = orders[-1]
-        d_prev = delta_apply(r_prev, "forward", use_eps=True)
+        d_prev = delta_apply(r_prev, "forward")
         lam_prev = shift_apply(r_prev, 1)
         comm_u = lam_prev.zip_with(U.restrict(lam_prev.lo, lam_prev.hi),
                                    lambda r, u: r @ u) - \
             U.zip_with(r_prev, lambda u, r: u @ r).restrict(lam_prev.lo, lam_prev.hi)
         rhs = d_prev - comm_u
         orders.append(_solve_order(data, rhs, lo, hi))
+    return Resolvent(alpha, _orders_to_series(orders, data.m), depth)
 
-    def site_series(idx):
-        coeffs = {-i: orders[i].values[idx] for i in range(depth + 1)}
-        return MatSeries.from_coeffs(coeffs, data.m, mode, lo=-depth, hi=0,
-                                     valid_lo=-depth, exact_below=False)
 
-    vals = tuple(site_series(i) for i in range(hi - lo + 1))
-    zero = MatSeries.zero(data.m, mode)
-    series = LatticeFn(lo, hi, vals, zero, zero, U.step, mode)
-    return Resolvent(alpha, series, depth)
+def cross_solver_difference(state: HierarchyState, alpha: int):
+    """Max-abs entry of R_alpha dressed minus R_alpha direct, over sites and orders."""
+    dressed = state.resolvent(alpha).series
+    direct = resolvent_direct(state.data, state.U, alpha, state.depth).series
+    return scalars.max_of(
+        (series_diff_max(dressed.at(n), direct.at(n)) for n in dressed.sites()),
+        state.mode,
+    )
 
 
 # -- discrete commutators --------------------------------------------------------------
-
-
-def commutator_d(P: LatticeFn, Q: LatticeFn) -> LatticeFn:
-    """[P, Q]_D = (Lambda P) Q - Q P for series-valued lattice functions."""
-    lam_p = shift_apply(P, 1)
-    first = lam_p.zip_with(Q.restrict(lam_p.lo, lam_p.hi), series_mul)
-    second = Q.zip_with(P, series_mul).restrict(lam_p.lo, lam_p.hi)
-    return first - second
 
 
 def commutator_with_l(P: LatticeFn, data: AknsData, U: LatticeFn) -> LatticeFn:
@@ -374,7 +367,7 @@ def commutator_with_l(P: LatticeFn, data: AknsData, U: LatticeFn) -> LatticeFn:
     with the deformed difference when the lattice carries a step.
     """
     a_mat = data.matrix
-    d_p = delta_apply(P, "forward", use_eps=True)
+    d_p = delta_apply(P, "forward")
     lam_p = shift_apply(P, 1)
     lo, hi = lam_p.lo, lam_p.hi
     z_term = lam_p.map(lambda s: s.right_mul_mat(a_mat), map_tails=False) - \
@@ -422,13 +415,8 @@ def flow_field(state: HierarchyState, k: int, alpha: int, *, tol=0,
     resolvent = state.resolvent(alpha)
     b, _ = projector_b(resolvent, k)
     comm = commutator_with_l(b, state.data, state.U)
-    pos = scalars.zero(state.mode)
-    for n in comm.sites():
-        s = comm.at(n)
-        for d in range(max(1, s.lo), s.hi + 1):
-            v = s.get(d).max_abs()
-            if v > pos:
-                pos = v
+    pos = site_max(comm, lambda s: scalars.max_of(
+        (s.get(d).max_abs() for d in range(max(1, s.lo), s.hi + 1)), s.mode))
     if pos > tol:
         raise ConsistencyError(
             f"positive z-degrees of the flow commutator do not vanish "
@@ -439,14 +427,15 @@ def flow_field(state: HierarchyState, k: int, alpha: int, *, tol=0,
                      tuple(comm.at(n).get(0) for n in comm.sites()),
                      zero, zero, comm.step, comm.mode)
     if on_diagonal == "raise":
-        drift = scalars.zero(state.mode)
-        for n in deg0.sites():
-            v = deg0.at(n).diagonal_part().max_abs()
-            if v > drift:
-                drift = v
+        drift = diagonal_drift(deg0)
         if drift > tol:
             raise ConsistencyError(
                 f"degree-0 diagonal of the flow field is nonzero "
                 f"(drift {drift}); pass on_diagonal='keep' to carry it"
             )
     return deg0
+
+
+def diagonal_drift(f: LatticeFn):
+    """Max-abs diagonal entry of a flow field: its discrete gauge drift."""
+    return site_max(f, lambda v: v.diagonal_part().max_abs())

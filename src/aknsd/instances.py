@@ -18,13 +18,12 @@ from fractions import Fraction
 import random
 
 from . import scalars
-from .hierarchy import AknsData, HierarchyState, make_potential
+from .hierarchy import AknsData, make_potential
 from .lattice import Window
 from .matrices import SmallMatrix
 
 DESK_WINDOW = Window(-8, 8, 10)
 DESK_DEPTH = 8
-DESK_BAND = 6
 
 
 def desk_data(m: int, mode: str = scalars.RATIONAL) -> AknsData:
@@ -49,6 +48,12 @@ def impulse_potential(window: Window, m: int, mode: str = scalars.RATIONAL,
 def _rand_value(rng: random.Random, mode: str):
     v = Fraction(rng.randint(-2, 2), rng.choice((1, 2, 3)))
     return scalars.as_scalar(v if mode == scalars.RATIONAL else float(v), mode)
+
+
+def random_matrix(rng: random.Random, m: int, mode: str = scalars.RATIONAL) -> SmallMatrix:
+    """Seeded m x m matrix, entries drawn row by row as ``_rand_value`` draws them."""
+    return SmallMatrix.from_rows(
+        [[_rand_value(rng, mode) for _ in range(m)] for _ in range(m)], mode)
 
 
 def random_potential(window: Window, data: AknsData, rng: random.Random,
@@ -78,8 +83,3 @@ def random_potential(window: Window, data: AknsData, rng: random.Random,
 def random_triangular_potential(window: Window, data: AknsData,
                                 rng: random.Random, **kw):
     return random_potential(window, data, rng, triangular=True, **kw)
-
-
-def solved_state(data: AknsData, U, window: Window = DESK_WINDOW,
-                 depth: int = DESK_DEPTH) -> HierarchyState:
-    return HierarchyState.solve(data, U, window, depth)

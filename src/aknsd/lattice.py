@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from . import scalars
-from .errors import DimensionError, ModeError, SupportError
+from .errors import DimensionError, ModeError, SchemaError, SupportError
 from .matrices import SmallMatrix, matrix_from_json, matrix_to_json
 from .series import MatSeries, series_from_json, series_to_json
 
@@ -169,11 +169,10 @@ def shift_apply(f: LatticeFn, j: int) -> LatticeFn:
     return LatticeFn(lo, hi, vals, f.left_tail, f.right_tail, f.step, f.mode)
 
 
-def delta_apply(f: LatticeFn, kind: str = "forward", use_eps: bool = False) -> LatticeFn:
-    """Forward difference f(n+1)-f(n) or its dual f(n-1)-f(n).
+def delta_apply(f: LatticeFn, kind: str = "forward") -> LatticeFn:
+    """Deformed forward difference (f(n+1)-f(n))/eps or its dual (f(n-1)-f(n))/eps.
 
-    With ``use_eps`` the forward/dual difference is divided by the step, which
-    is the deformed operator; step 1 coincides bit-for-bit with the plain one.
+    Step 1 skips the division, so it is the plain difference bit for bit.
     """
     if kind == "forward":
         shifted = shift_apply(f, 1)
@@ -182,10 +181,17 @@ def delta_apply(f: LatticeFn, kind: str = "forward", use_eps: bool = False) -> L
     else:
         raise ValueError(f"unknown difference kind {kind!r}")
     diff = shifted.zip_with(f.restrict(shifted.lo, shifted.hi), lambda a, b: a - b)
-    if use_eps:
-        inv = scalars.one(f.mode) / f.eps()
+    eps = f.eps()
+    if eps != 1:
+        inv = scalars.one(f.mode) / eps
         diff = diff.map(lambda v: v.scale(inv))
     return diff
+
+
+def site_max(f: LatticeFn, norm=lambda v: v.max_abs(), sites=None):
+    """Largest ``norm(f(n))`` over ``sites`` (default: every claimable site)."""
+    sites = f.sites() if sites is None else sites
+    return scalars.max_of((norm(f.at(n)) for n in sites), f.mode)
 
 
 def inner_product(f: LatticeFn, g: LatticeFn):
@@ -213,16 +219,18 @@ def _value_to_json(v) -> dict:
 
 
 def _value_from_json(doc: dict):
-    if doc["kind"] == "matrix":
+    kind = doc["kind"]
+    if kind == "matrix":
         return matrix_from_json(doc)
-    return series_from_json(doc)
+    if kind == "series":
+        return series_from_json(doc)
+    raise SchemaError(f"unknown lattice value kind {kind!r}")
 
 
 def lattice_to_json(f: LatticeFn) -> dict:
     return {
         "n_min": f.lo,
         "n_max": f.hi,
-        "halo": 0,
         "mode": f.mode,
         "step": scalars.format_scalar(f.eps()),
         "left_tail": _value_to_json(f.left_tail),

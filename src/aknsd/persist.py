@@ -2,7 +2,8 @@
 
 State round-trips are bit-exact in rational mode: every scalar serialises to
 a "p/q" string in lowest terms and floats to their shortest round-tripping
-decimal form.
+decimal form.  A state document stores only what the state cannot derive:
+the dressing depth is the number of stored orders.
 """
 
 from __future__ import annotations
@@ -11,13 +12,13 @@ import csv
 import json
 
 from . import scalars
-from .errors import SchemaError
+from .errors import AknsdError, SchemaError
 from .hierarchy import AknsData, Dressing, HierarchyState
 from .lattice import Window, lattice_from_json, lattice_to_json
+from .matrices import SmallMatrix
 
-STATE_VERSION = 1
-_STATE_KEYS = {"version", "mode", "a", "window", "depth", "u", "dressing",
-               "conventions", "times"}
+STATE_VERSION = 2
+_STATE_KEYS = {"version", "mode", "a", "window", "u", "dressing", "conventions"}
 
 
 def state_to_json(state: HierarchyState) -> dict:
@@ -27,12 +28,9 @@ def state_to_json(state: HierarchyState) -> dict:
         "a": [scalars.format_scalar(x) for x in state.data.a],
         "window": {"n_min": state.window.n_min, "n_max": state.window.n_max,
                    "halo": state.window.halo},
-        "depth": state.depth,
         "u": lattice_to_json(state.U),
         "dressing": [lattice_to_json(w) for w in state.dressing.ws],
         "conventions": state.dressing.conventions,
-        "times": {f"{k},{a}": scalars.format_scalar(v)
-                  for (k, a), v in state.times.items()},
     }
 
 
@@ -45,24 +43,39 @@ def state_from_json(doc: dict) -> HierarchyState:
     missing = _STATE_KEYS - set(doc)
     if missing:
         raise SchemaError(f"state document missing keys: {sorted(missing)}")
-    mode = doc["mode"]
-    a = tuple(scalars.parse_scalar(x, mode) for x in doc["a"])
-    data = AknsData(len(a), a, mode)
-    window = Window(**doc["window"])
-    u = lattice_from_json(doc["u"])
-    ws = tuple(lattice_from_json(w) for w in doc["dressing"])
-    dressing = Dressing(doc["depth"], ws, doc["conventions"])
-    times = {}
-    for key, v in doc["times"].items():
-        k, alpha = key.split(",")
-        times[(int(k), int(alpha))] = scalars.parse_scalar(v, mode)
-    return HierarchyState(data, u, window, doc["depth"], dressing, times)
+    try:
+        mode = doc["mode"]
+        a = tuple(scalars.parse_scalar(x, mode) for x in doc["a"])
+        data = AknsData(len(a), a, mode)
+        window = Window(**doc["window"])
+        u = lattice_from_json(doc["u"])
+        ws = tuple(lattice_from_json(w) for w in doc["dressing"])
+    except (KeyError, TypeError, ValueError, ZeroDivisionError, AknsdError) as exc:
+        raise SchemaError(f"malformed state document: {exc!r}") from None
+    _check_lattices(data, u, ws)
+    if not 1 <= len(ws) <= window.halo:
+        raise SchemaError(f"dressing depth {len(ws)} outside 1..{window.halo} "
+                          f"(the window halo)")
+    return HierarchyState(data, u, window, Dressing(len(ws), ws, doc["conventions"]))
+
+
+def _check_lattices(data: AknsData, u, ws) -> None:
+    """Every order on u's sites, every value an m x m matrix in the state's mode."""
+    for name, f in [("u", u)] + [(f"dressing order {k}", w)
+                                 for k, w in enumerate(ws, start=1)]:
+        if (f.lo, f.hi) != (u.lo, u.hi):
+            raise SchemaError(f"{name} spans sites [{f.lo}, {f.hi}], "
+                              f"u spans [{u.lo}, {u.hi}]")
+        for v in (f.left_tail, f.right_tail, *f.values):
+            if not isinstance(v, SmallMatrix) or v.m != data.m:
+                raise SchemaError(f"{name} holds a value that is not a "
+                                  f"{data.m}x{data.m} matrix")
+            if f.mode != data.mode or v.mode != data.mode:
+                raise SchemaError(f"{name} is not in {data.mode} mode")
 
 
 def save_state(state: HierarchyState, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(state_to_json(state), fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    export_json(state_to_json(state), path)
 
 
 def load_state(path: str) -> HierarchyState:
@@ -108,9 +121,7 @@ def export_trajectory_json(trajectory, path: str) -> None:
             for t, u in trajectory.snapshots
         ],
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    export_json(doc, path)
 
 
 def read_trajectory_csv(path: str):
@@ -127,31 +138,3 @@ def export_json(doc: dict, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=1, sort_keys=True)
         fh.write("\n")
-
-
-def export_table(obj, fmt: str, path: str) -> None:
-    """Dispatch export for trajectories, verification reports and series."""
-    from .dynamics import Trajectory
-    from .series import MatSeries, series_to_json
-
-    if isinstance(obj, Trajectory):
-        if fmt == "csv":
-            export_trajectory_csv(obj, path)
-        else:
-            export_trajectory_json(obj, path)
-        return
-    if isinstance(obj, MatSeries):
-        if fmt == "csv":
-            with open(path, "w", newline="", encoding="utf-8") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(("degree", "i", "j", "value"))
-                for d in obj.valid_degrees():
-                    c = obj.get(d)
-                    for i in range(1, c.m + 1):
-                        for j in range(1, c.m + 1):
-                            writer.writerow((d, i, j, scalars.format_scalar(c.get(i, j))))
-        else:
-            export_json(series_to_json(obj), path)
-        return
-    doc = obj.to_json() if hasattr(obj, "to_json") else obj
-    export_json(doc, path)

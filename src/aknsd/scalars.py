@@ -82,9 +82,17 @@ def parse_scalar(text: str, mode: str) -> Scalar:
     return float(text)
 
 
-def is_zero(value: Scalar) -> bool:
-    return value == 0
-
-
 def scalar_abs(value: Scalar):
     return -value if value < 0 else value
+
+
+def max_of(values, mode: str) -> Scalar:
+    """Largest of the magnitudes ``values``, starting from the zero of ``mode``.
+
+    Starting from a typed zero keeps an exact zero rational (it renders "0").
+    """
+    best = zero(mode)
+    for v in values:
+        if v > best:
+            best = v
+    return best

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 from . import scalars
 from .errors import DimensionError, SingularError, ValidityError
-from .matrices import SmallMatrix
+from .matrices import SmallMatrix, flat_entries, from_flat_entries
 
 
 @dataclass(frozen=True)
@@ -168,12 +168,10 @@ class MatSeries:
 
     def max_abs(self):
         """Max absolute entry over guaranteed-valid degrees."""
-        best = scalars.zero(self.mode)
-        for d in self.valid_degrees():
-            v = self.coeffs[d - self.lo].max_abs()
-            if v > best:
-                best = v
-        return best
+        return scalars.max_of(
+            (self.coeffs[d - self.lo].max_abs() for d in self.valid_degrees()),
+            self.mode,
+        )
 
     def is_zero(self) -> bool:
         return all(self.coeffs[d - self.lo].is_zero() for d in self.valid_degrees())
@@ -210,17 +208,6 @@ def _combine(a: MatSeries, b: MatSeries, sign: int) -> MatSeries:
     band_lo = lo if exact else max(lo, vlo)
     return MatSeries(a.m, a.mode, band_lo, hi, tuple(coeffs),
                      band_lo if exact else vlo, exact)
-
-
-def series_arith(a: MatSeries, b: MatSeries, op: str = "add", s=None) -> MatSeries:
-    """Degreewise combination a op (s * b); s may be a scalar or ScalarSeries."""
-    if s is not None:
-        b = scale_series(b, s) if isinstance(s, MatSeries) else b.scale(s)
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    raise ValueError(f"unknown op {op!r}")
 
 
 def series_mul(a: MatSeries, b: MatSeries) -> MatSeries:
@@ -315,12 +302,12 @@ def series_project(a: MatSeries, part: str):
     if part == "minus":
         if not a.valid_at(-1):
             raise ValidityError("minus-projection needs degree -1 inside the valid band")
-        lo = a.lo if a.exact_below else max(a.lo, a.valid_lo)
+        lo = a.valid_degrees().start
         if lo > -1:
             return MatSeries.zero(a.m, a.mode, -1, -1)
         return MatSeries(a.m, a.mode, lo, -1,
                          tuple(a.coeffs[d - a.lo] for d in range(lo, 0)),
-                         lo if a.exact_below else a.valid_lo, a.exact_below)
+                         lo, a.exact_below)
     if part == "residue":
         if not a.valid_at(-1):
             raise ValidityError("residue requested but degree -1 is not valid")
@@ -328,14 +315,21 @@ def series_project(a: MatSeries, part: str):
     raise ValueError(f"unknown projection {part!r}")
 
 
+def series_diff_max(a: MatSeries, b: MatSeries, degrees=None):
+    """Max-abs entry of a - b over ``degrees``.
+
+    By default the degrees run from the higher of the two valid-band starts
+    to the higher top degree.
+    """
+    if degrees is None:
+        lo = max(a.valid_degrees().start, b.valid_degrees().start)
+        degrees = range(lo, max(a.hi, b.hi) + 1)
+    return scalars.max_of(((a.get(d) - b.get(d)).max_abs() for d in degrees), a.mode)
+
+
 def series_equal(a: MatSeries, b: MatSeries) -> bool:
     """Equality on the intersection of guaranteed-valid degrees (exact modes)."""
-    lo = max(
-        a.lo if a.exact_below else a.valid_lo,
-        b.lo if b.exact_below else b.valid_lo,
-    )
-    hi = max(a.hi, b.hi)
-    return all((a.get(d) - b.get(d)).is_zero() for d in range(lo, hi + 1))
+    return series_diff_max(a, b) == 0
 
 
 # -- serialization ---------------------------------------------------------------
@@ -349,20 +343,12 @@ def series_to_json(a: MatSeries) -> dict:
         "hi": a.hi,
         "valid_lo": a.valid_lo,
         "exact_below": a.exact_below,
-        "coeffs": [
-            [scalars.format_scalar(x) for row in c.rows for x in row]
-            for c in a.coeffs
-        ],
+        "coeffs": [flat_entries(c) for c in a.coeffs],
     }
 
 
 def series_from_json(doc: dict) -> MatSeries:
-    m = doc["m"]
-    mode = doc["mode"]
-    coeffs = []
-    for flat in doc["coeffs"]:
-        vals = [scalars.parse_scalar(x, mode) for x in flat]
-        rows = tuple(tuple(vals[i * m + j] for j in range(m)) for i in range(m))
-        coeffs.append(SmallMatrix(m, mode, rows))
-    return MatSeries(m, mode, doc["lo"], doc["hi"], tuple(coeffs),
+    m, mode = doc["m"], doc["mode"]
+    coeffs = tuple(from_flat_entries(flat, m, mode) for flat in doc["coeffs"])
+    return MatSeries(m, mode, doc["lo"], doc["hi"], coeffs,
                      doc["valid_lo"], doc.get("exact_below", False))

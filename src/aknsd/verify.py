@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import random
 from dataclasses import dataclass, field
 
@@ -23,10 +24,14 @@ from .baker import (
 )
 from .config import ExperimentConfig
 from .dynamics import (
+    CONSISTENCY_TOL,
+    SCAN_MIN_ORDER,
     FlowIndex,
+    ScanReport,
     commutativity_defect,
     continuum_scan,
     gaussian_bump_profile,
+    interior_diff_max,
     make_field_fn,
     rk4_step,
 )
@@ -35,13 +40,14 @@ from .hierarchy import (
     Dressing,
     HierarchyState,
     commutator_with_l,
+    cross_solver_difference,
     dressing_residual,
     flow_field,
-    resolvent_direct,
 )
-from .lattice import LatticeFn, delta_apply, inner_product, shift_apply
+from .instances import random_matrix, random_potential
+from .lattice import LatticeFn, Window, delta_apply, inner_product, shift_apply, site_max
 from .matrices import SmallMatrix
-from .series import MatSeries, series_inverse, series_mul, series_project
+from .series import MatSeries, series_diff_max, series_inverse, series_mul, series_project
 
 SUITES = ("algebra", "resolvent", "bilinear", "dynamics", "limit", "all")
 
@@ -99,7 +105,6 @@ def config_hash(config: ExperimentConfig) -> str:
         "window": [config.window.n_min, config.window.n_max, config.window.halo],
         "depth": config.depth,
         "mode": config.mode,
-        "band": config.band,
         "flows": [list(f) for f in config.flows],
         "h": repr(config.h),
         "steps": config.steps,
@@ -112,49 +117,20 @@ def config_hash(config: ExperimentConfig) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
-def _tolerance(config: ExperimentConfig):
-    return 0 if config.mode == scalars.RATIONAL else config.tol
-
-
-def _rand_matrix(rng, m, mode):
-    from fractions import Fraction
-
-    vals = [[Fraction(rng.randint(-2, 2), rng.choice((1, 2, 3))) for _ in range(m)]
-            for _ in range(m)]
-    if mode == scalars.FLOAT:
-        vals = [[float(x) for x in row] for row in vals]
-    return SmallMatrix.from_rows(vals, mode)
+def limit_scan(config: ExperimentConfig) -> ScanReport:
+    """The desk continuum scan: first-order flows of a Gaussian bump, float mode."""
+    return continuum_scan(config.data(scalars.FLOAT),
+                          gaussian_bump_profile(config.m, amplitude=0.4, sigma=1.0),
+                          list(config.eps_list), k=1, x_span=4.0,
+                          depth=min(config.depth, 4),
+                          halo=min(config.window.halo, 6))
 
 
 def _rand_series(rng, m, lo, hi, mode):
     return MatSeries.from_coeffs(
-        {d: _rand_matrix(rng, m, mode) for d in range(lo, hi + 1)},
+        {d: random_matrix(rng, m, mode) for d in range(lo, hi + 1)},
         m, mode, lo=lo, hi=hi,
     )
-
-
-def _series_diff_norm(a, b):
-    lo = max(a.lo if a.exact_below else a.valid_lo,
-             b.lo if b.exact_below else b.valid_lo)
-    hi = max(a.hi, b.hi)
-    worst = 0
-    for d in range(lo, hi + 1):
-        v = (a.get(d) - b.get(d)).max_abs()
-        if v > worst:
-            worst = v
-    return worst
-
-
-def _lattice_series_norm(f):
-    return max((f.at(n).max_abs() for n in f.sites()), default=0)
-
-
-def _solved(config: ExperimentConfig, potential=None, mode=None, depth=None):
-    mode = mode or config.mode
-    u = potential if potential is not None else config.build_potential(mode)
-    return HierarchyState.solve(config.data(mode), u, config.window,
-                                depth or config.depth,
-                                validate=False)
 
 
 # -- suites ------------------------------------------------------------------------
@@ -163,39 +139,35 @@ def _solved(config: ExperimentConfig, potential=None, mode=None, depth=None):
 def _suite_algebra(config: ExperimentConfig, report: VerificationReport) -> None:
     rng = random.Random(config.seed)
     mode = config.mode
-    tol = _tolerance(config)
+    tol = config.tolerance()
     m = config.m
 
-    worst_assoc = worst_dist = 0
+    assoc, dist = [], []
     for _ in range(4):
         a = _rand_series(rng, m, rng.randint(-3, -1), rng.randint(0, 1), mode)
         b = _rand_series(rng, m, rng.randint(-3, -1), rng.randint(0, 1), mode)
         c = _rand_series(rng, m, rng.randint(-3, -1), rng.randint(0, 1), mode)
-        worst_assoc = max(worst_assoc, _series_diff_norm(
-            series_mul(series_mul(a, b), c), series_mul(a, series_mul(b, c))))
-        worst_dist = max(worst_dist, _series_diff_norm(
-            series_mul(a, b + c), series_mul(a, b) + series_mul(a, c)))
-    report.add("series_mul_associative", worst_assoc, tol)
-    report.add("series_mul_distributive", worst_dist, tol)
+        assoc.append(series_diff_max(series_mul(series_mul(a, b), c),
+                                     series_mul(a, series_mul(b, c))))
+        dist.append(series_diff_max(series_mul(a, b + c),
+                                    series_mul(a, b) + series_mul(a, c)))
+    report.add("series_mul_associative", scalars.max_of(assoc, mode), tol)
+    report.add("series_mul_distributive", scalars.max_of(dist, mode), tol)
 
     ident = MatSeries.constant(SmallMatrix.identity(m, mode))
-    worst = 0
+    defects = []
     for _ in range(3):
-        body = _rand_series(rng, m, -2, -1, mode)
-        a = ident + body
-        inv = series_inverse(a, 4)
-        prod = series_mul(a, inv)
-        for d in range(-4, 1):
-            target = SmallMatrix.identity(m, mode) if d == 0 else SmallMatrix.zero(m, mode)
-            worst = max(worst, (prod.get(d) - target).max_abs())
-    report.add("series_inverse_two_sided", worst, tol)
+        a = ident + _rand_series(rng, m, -2, -1, mode)
+        defects.append(series_diff_max(series_mul(a, series_inverse(a, 4)), ident,
+                                       range(-4, 1)))
+    report.add("series_inverse_two_sided", scalars.max_of(defects, mode), tol)
 
-    worst = 0
+    defects = []
     for _ in range(3):
         a = _rand_series(rng, m, -3, 2, mode)
         back = series_project(a, "plus") + series_project(a, "minus")
-        worst = max(worst, _series_diff_norm(back, a))
-    report.add("plus_minus_reassembly", worst, tol)
+        defects.append(series_diff_max(back, a))
+    report.add("plus_minus_reassembly", scalars.max_of(defects, mode), tol)
 
     window = config.window
     zero = SmallMatrix.zero(m, mode)
@@ -204,7 +176,7 @@ def _suite_algebra(config: ExperimentConfig, report: VerificationReport) -> None
         vals = []
         for n in range(window.stored_lo, window.stored_hi + 1):
             if abs(n) <= margin and rng.random() < 0.8:
-                vals.append(_rand_matrix(rng, m, mode))
+                vals.append(random_matrix(rng, m, mode))
             else:
                 vals.append(zero)
         return LatticeFn.from_values(window.stored_lo, vals, mode=mode)
@@ -214,8 +186,7 @@ def _suite_algebra(config: ExperimentConfig, report: VerificationReport) -> None
     lhs = delta_apply(prod)
     rhs = shift_apply(f, 1).zip_with(delta_apply(g), lambda x, y: x @ y) + \
         delta_apply(f).zip_with(g, lambda x, y: x @ y)
-    worst = max((lhs.at(n) - rhs.at(n)).max_abs() for n in rhs.sites())
-    report.add("leibniz_law", worst, tol)
+    report.add("leibniz_law", site_max(lhs - rhs), tol)
 
     pair = abs(inner_product(delta_apply(f, "forward"), g) -
                inner_product(f, delta_apply(g, "dual")))
@@ -224,108 +195,86 @@ def _suite_algebra(config: ExperimentConfig, report: VerificationReport) -> None
 
 def _suite_resolvent(config: ExperimentConfig, report: VerificationReport) -> None:
     rng = random.Random(config.seed + 1)
-    tol = _tolerance(config)
+    tol = config.tolerance()
     m = config.m
 
-    state = _solved(config)
+    state = config.solve()
+    mode = state.mode
     report.add("dressing_residual_configured", dressing_residual(state), tol)
-
-    from .instances import random_potential
 
     for trial in range(3):
         u = random_potential(config.window, config.data(), rng)
-        s = _solved(config, potential=u)
-        report.add("dressing_residual_random", dressing_residual(s), tol,
-                   {"trial": trial})
+        report.add("dressing_residual_random", dressing_residual(config.solve(u)),
+                   tol, {"trial": trial})
 
-    worst_comm = 0
-    worst_alg = 0
-    total = None
-    for alpha in range(1, m + 1):
-        r = state.resolvent(alpha)
-        comm = commutator_with_l(r.series, state.data, state.U)
-        worst_comm = max(worst_comm, _lattice_series_norm(comm))
-        total = r.series if total is None else total.zip_with(r.series,
-                                                              lambda a, b: a + b)
-    for a_idx in range(1, m + 1):
-        for b_idx in range(1, m + 1):
-            ra = state.resolvent(a_idx).series
-            rb = state.resolvent(b_idx).series
+    resolvents = [state.resolvent(alpha).series for alpha in range(1, m + 1)]
+    comm = [site_max(commutator_with_l(r, state.data, state.U)) for r in resolvents]
+    report.add("resolvent_commutator", scalars.max_of(comm, mode), tol)
+
+    orders = range(-state.depth, 1)
+    zero = MatSeries.zero(m, mode)
+    alg = []
+    for a_idx, ra in enumerate(resolvents):
+        for b_idx, rb in enumerate(resolvents):
             prod = ra.zip_with(rb, series_mul)
-            for n in prod.sites():
-                got = prod.at(n)
-                want = rb.at(n) if a_idx == b_idx else None
-                for d in range(-state.depth, 1):
-                    target = want.get(d) if want else SmallMatrix.zero(m, state.mode)
-                    worst_alg = max(worst_alg, (got.get(d) - target).max_abs())
-    report.add("resolvent_commutator", worst_comm, tol)
-    report.add("resolvent_product_algebra", worst_alg, tol)
+            alg.extend(series_diff_max(prod.at(n), rb.at(n) if a_idx == b_idx else zero,
+                                       orders)
+                       for n in prod.sites())
+    report.add("resolvent_product_algebra", scalars.max_of(alg, mode), tol)
 
-    ident = SmallMatrix.identity(m, state.mode)
-    worst = 0
-    for n in total.sites():
-        s = total.at(n)
-        worst = max(worst, (s.get(0) - ident).max_abs())
-        for d in range(-state.depth, 0):
-            worst = max(worst, s.get(d).max_abs())
-    report.add("resolvent_sum_identity", worst, tol)
+    total = resolvents[0]
+    for r in resolvents[1:]:
+        total = total.zip_with(r, lambda a, b: a + b)
+    ident = MatSeries.constant(SmallMatrix.identity(m, mode))
+    report.add("resolvent_sum_identity",
+               site_max(total, lambda s: series_diff_max(s, ident, orders)), tol)
 
-    worst = 0
-    for alpha in range(1, m + 1):
-        direct = resolvent_direct(state.data, state.U, alpha, state.depth)
-        dressed = state.resolvent(alpha)
-        for n in dressed.series.sites():
-            for d in range(-state.depth, 1):
-                worst = max(worst, (dressed.series.at(n).get(d) -
-                                    direct.series.at(n).get(d)).max_abs())
-    report.add("cross_solver_equality", worst, tol)
+    cross = [cross_solver_difference(state, alpha) for alpha in range(1, m + 1)]
+    report.add("cross_solver_equality", scalars.max_of(cross, mode), tol)
 
-    worst = 0
+    closed = []
     for alpha in range(1, m + 1):
         f = flow_field(state, 0, alpha, tol=tol, on_diagonal="keep")
         e = state.data.projector(alpha)
-        for n in f.sites():
-            u_n = state.U.at(n)
-            worst = max(worst, (f.at(n) - ((e @ u_n) - (u_n @ e))).max_abs())
-    report.add("flow_k0_closed_form", worst, tol)
+        closed.append(site_max(f.zip_with(state.U,
+                                          lambda v, u: v - ((e @ u) - (u @ e)))))
+    report.add("flow_k0_closed_form", scalars.max_of(closed, mode), tol)
 
 
 def _suite_bilinear(config: ExperimentConfig, report: VerificationReport) -> None:
     rng = random.Random(config.seed + 2)
-    tol = _tolerance(config)
-    state = _solved(config)
+    tol = config.tolerance()
+    state = config.solve()
+    mode = state.mode
     m = config.m
 
-    worst = 0
-    cells = 0
+    values = []
     for m_delta in (0, 1):
         for word in [()] + [((k, alpha),) for k in (0, 1)
                             for alpha in range(1, m + 1)]:
             cap = bilinear_l_capacity(state.depth, word, m_delta)
             if cap < 0:
                 continue
-            l_max = min(6, cap)
-            check = bilinear_residual(state, l_max, m_delta, word)
-            worst = max(worst, check.value)
-            cells += 1
-    report.add("bilinear_analytic_grid", worst, tol, {"cells": cells})
+            values.append(bilinear_residual(state, min(6, cap), m_delta, word).value)
+    report.add("bilinear_analytic_grid", scalars.max_of(values, mode), tol,
+               {"cells": len(values)})
 
     expr = bilinear_expression(state, 1, ())
     a_mat = state.data.matrix
-    worst = 0
-    for n in expr.sites():
-        s = expr.at(n)
-        worst = max(worst, (s.get(1) - a_mat).max_abs())
-        worst = max(worst, (s.get(0) + state.U.at(n)).max_abs())
+    worst = scalars.max_of(
+        (v for n in expr.sites()
+         for v in ((expr.at(n).get(1) - a_mat).max_abs(),
+                   (expr.at(n).get(0) + state.U.at(n)).max_abs())),
+        mode)
     report.add("difference_transfer_is_za_minus_u", worst, tol)
 
-    zero = SmallMatrix.zero(m, state.mode)
+    zero = SmallMatrix.zero(m, mode)
 
     def compact():
         vals = []
         for n in range(config.window.stored_lo, config.window.stored_hi + 1):
-            vals.append(_rand_matrix(rng, m, state.mode) if abs(n) <= 3 else zero)
-        return LatticeFn.from_values(config.window.stored_lo, vals, mode=state.mode)
+            vals.append(random_matrix(rng, m, mode) if abs(n) <= 3 else zero)
+        return LatticeFn.from_values(config.window.stored_lo, vals, mode=mode)
 
     pairing, kernel = adjoint_check(state, compact(), compact())
     report.add("adjoint_pairing", pairing, tol)
@@ -336,13 +285,13 @@ def _suite_bilinear(config: ExperimentConfig, report: VerificationReport) -> Non
         k_ord = rng.randrange(state.depth)
         site = rng.randint(config.window.n_min, config.window.n_max)
         w = state.dressing.ws[k_ord]
-        bump = SmallMatrix.unit(m, 1, 2, state.mode)
+        bump = SmallMatrix.unit(m, 1, 2, mode)
         vals = tuple(v + bump if n == site else v
                      for n, v in zip(w.sites(), w.values))
         ws = list(state.dressing.ws)
         ws[k_ord] = LatticeFn(w.lo, w.hi, vals, w.left_tail, w.right_tail,
                               w.step, w.mode)
-        bad = HierarchyState(state.data, state.U, state.window, state.depth,
+        bad = HierarchyState(state.data, state.U, state.window,
                              Dressing(state.depth, tuple(ws),
                                       state.dressing.conventions))
         value = bilinear_residual(bad, 2, 1, ()).value
@@ -354,9 +303,6 @@ def _suite_dynamics(config: ExperimentConfig, report: VerificationReport) -> Non
     # dynamics run at the depth the configured flows need, with the halo
     # matched to it: a wider stored range sharpens the resonant edge modes
     # of tied |a_i| pairs past the explicit stability limit at desk h
-    from .instances import random_potential
-    from .lattice import Window
-
     depth = min(config.depth,
                 max(2, max((k for k, _ in config.flows), default=1) + 2))
     window = Window(config.window.n_min, config.window.n_max,
@@ -367,17 +313,15 @@ def _suite_dynamics(config: ExperimentConfig, report: VerificationReport) -> Non
     state = HierarchyState.solve(config.data(scalars.FLOAT), u, window,
                                  depth, validate=False)
 
-    flow = FlowIndex(*config.flows[0]) if config.flows else FlowIndex(1, 1)
-    field_fn = make_field_fn(state.data, state.window, state.depth, flow, 1e-8)
+    flow = FlowIndex(*config.first_flow)
+    field_fn = make_field_fn(state.data, state.window, state.depth, flow,
+                             CONSISTENCY_TOL)
     f0 = field_fn(state.U)
 
     def euler_defect(h):
         u1 = rk4_step(state.U, h, field_fn)
         eul = state.U.zip_with(f0, lambda a, b: a + b.scale(h))
-        return max((u1.at(n) - eul.at(n)).max_abs()
-                   for n in range(state.window.n_min, state.window.n_max + 1))
-
-    import math
+        return interior_diff_max(u1, eul, state.window)
 
     d1, d2 = euler_defect(0.02), euler_defect(0.01)
     order = math.log2(d1 / d2) if d1 > 0 and d2 > 0 else float("inf")
@@ -394,16 +338,12 @@ def _suite_dynamics(config: ExperimentConfig, report: VerificationReport) -> Non
 
 
 def _suite_limit(config: ExperimentConfig, report: VerificationReport) -> None:
-    data = config.data(scalars.FLOAT)
-    profile = gaussian_bump_profile(config.m, amplitude=0.4, sigma=1.0)
-    scan = continuum_scan(data, profile, list(config.eps_list), k=1,
-                          x_span=4.0, depth=min(config.depth, 4),
-                          halo=min(config.window.halo, 6))
+    scan = limit_scan(config)
     worst_c = min(scan.cauchy_orders) if scan.cauchy_orders else float("inf")
     worst_d = min(scan.dx_orders) if scan.dx_orders else float("inf")
-    report.add("continuum_cauchy_order", worst_c, 1.0,
+    report.add("continuum_cauchy_order", worst_c, SCAN_MIN_ORDER,
                {"norms": scan.cauchy_norms}, require="ge")
-    report.add("continuum_dx_relation_order", worst_d, 1.0,
+    report.add("continuum_dx_relation_order", worst_d, SCAN_MIN_ORDER,
                {"norms": scan.dx_residual_norms, "flags": scan.flags},
                require="ge")
 

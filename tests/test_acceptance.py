@@ -1,7 +1,7 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
 Desk instances: m=2 with A=diag(1,-1) and m=3 with A=diag(1,2,-1), window
-[-8, 8] with halo 10, truncation depth 8, band 6; rational mode (exact
+[-8, 8] with halo 10, truncation depth 8; rational mode (exact
 arithmetic, zero tolerances) except where time stepping or finite
 differencing is inherently approximate.
 
@@ -241,7 +241,7 @@ def test_criterion_6_verifier_power():
             ws = list(base.dressing.ws)
             ws[k_ord] = LatticeFn(w.lo, w.hi, vals, w.left_tail, w.right_tail,
                                   w.step, w.mode)
-            bad = HierarchyState(data, base.U, DESK_WINDOW, DESK_DEPTH,
+            bad = HierarchyState(data, base.U, DESK_WINDOW,
                                  Dressing(DESK_DEPTH, tuple(ws),
                                           base.dressing.conventions))
             bilinear = bilinear_residual(bad, 3, 1, ()).value

@@ -116,7 +116,7 @@ def test_corrupted_dressing_detected():
         tampered_ws[k_ord] = LatticeFn(w.lo, w.hi, vals, w.left_tail,
                                        w.right_tail, w.step, w.mode)
         bad = HierarchyState(
-            state.data, state.U, state.window, state.depth,
+            state.data, state.U, state.window,
             Dressing(state.depth, tuple(tampered_ws), state.dressing.conventions),
         )
         check = bilinear_residual(bad, 4, 1, ())

@@ -127,7 +127,7 @@ def test_perturbed_dressing_has_localized_residual():
         + state.dressing.ws[1:],
         state.dressing.conventions,
     )
-    bad = HierarchyState(data, U, DESK_WINDOW, state.depth, tampered)
+    bad = HierarchyState(data, U, DESK_WINDOW, tampered)
     from aknsd.hierarchy import _dressing_defect
 
     defect = _dressing_defect(bad)

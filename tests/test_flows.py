@@ -144,7 +144,7 @@ def test_wrong_dressing_trips_positive_degree_check():
         + state.dressing.ws[1:],
         state.dressing.conventions,
     )
-    bad = HierarchyState(data, U, DESK_WINDOW, state.depth, tampered)
+    bad = HierarchyState(data, U, DESK_WINDOW, tampered)
     with pytest.raises(ConsistencyError):
         flow_field(bad, 1, 1, on_diagonal="keep")
 

@@ -3,10 +3,11 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from aknsd import scalars
+from aknsd import cli, scalars
 from aknsd.config import parse_config
 from aknsd.dynamics import FlowIndex, rk4_evolve
 from aknsd.errors import ConfigError, SchemaError
@@ -81,14 +82,14 @@ def test_all_violations_listed_together():
 # -- persistence -----------------------------------------------------------------
 
 
-def solved_state():
+def impulse_state():
     data = desk_data(2)
     return HierarchyState.solve(data, impulse_potential(DESK_WINDOW, 2),
                                 DESK_WINDOW, 4)
 
 
 def test_state_roundtrip_bit_exact(tmp_path):
-    state = solved_state()
+    state = impulse_state()
     path = tmp_path / "state.json"
     save_state(state, str(path))
     back = load_state(str(path))
@@ -108,7 +109,7 @@ def test_vacuum_state_roundtrip(tmp_path):
 
 
 def test_truncated_state_file_rejected(tmp_path):
-    state = solved_state()
+    state = impulse_state()
     path = tmp_path / "state.json"
     save_state(state, str(path))
     text = path.read_text()
@@ -118,11 +119,45 @@ def test_truncated_state_file_rejected(tmp_path):
 
 
 def test_version_mismatch_rejected():
-    state = solved_state()
-    doc = state_to_json(state)
-    doc["version"] = 99
-    with pytest.raises(SchemaError, match="version"):
-        state_from_json(doc)
+    state = impulse_state()
+    for version in (1, 99):
+        doc = state_to_json(state)
+        doc["version"] = version
+        with pytest.raises(SchemaError, match="version"):
+            state_from_json(doc)
+
+
+def _drop_kind(doc):
+    del doc["u"]["values"][0]["kind"]
+
+
+def _shift_order_range(doc):
+    doc["dressing"][1]["n_min"] += 1
+    doc["dressing"][1]["n_max"] += 1
+
+
+def _widen_a(doc):
+    doc["a"].append("2")
+
+
+def _shrink_halo(doc):
+    doc["window"]["halo"] = 2
+
+
+@pytest.mark.parametrize("mutate", [_drop_kind, _shift_order_range, _widen_a,
+                                    _shrink_halo])
+def test_cli_rejects_inconsistent_state_document(tmp_path, capsys, mutate):
+    config = tmp_path / "c.json"
+    config.write_text(MINIMAL)
+    state = tmp_path / "state.json"
+    assert cli.main(["dress", "--config", str(config), "--out", str(state)]) == 0
+    doc = json.loads(state.read_text())
+    mutate(doc)
+    state.write_text(json.dumps(doc))
+    with pytest.raises(SchemaError):
+        load_state(str(state))
+    assert cli.main(["dress", "--config", str(config), "--state", str(state)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_trajectory_csv_roundtrip(tmp_path):
@@ -184,6 +219,15 @@ def test_verify_bilinear_passes():
     assert report.verdict == "pass", [c for c in report.checks if not c["pass"]]
 
 
+def test_exact_zero_residuals_render_as_zero():
+    path = Path(__file__).resolve().parents[1] / "configs" / "desk_m2.json"
+    config = parse_config(path.read_text())
+    for suite in ("algebra", "resolvent", "bilinear"):
+        for check in run_verify_suite(config, suite).checks:
+            if check["require"] == "le":
+                assert check["residual"] == "0", (suite, check)
+
+
 def test_config_hash_stable_and_sensitive():
     c1, c2 = small_config(), small_config()
     assert config_hash(c1) == config_hash(c2)
@@ -233,6 +277,26 @@ def test_cli_env_override(tmp_path, monkeypatch):
         env={**__import__("os").environ, "AKNSD_CONFIG": str(config_path)},
     )
     assert out.returncode == 0, out.stderr
+
+
+@pytest.mark.parametrize("name,value", [("AKNSD_TOL", "abc"), ("AKNSD_SEED", "x"),
+                                        ("AKNSD_VERBOSE", "maybe")])
+def test_cli_bad_env_value_is_input_error(tmp_path, monkeypatch, capsys, name, value):
+    config_path = tmp_path / "c.json"
+    config_path.write_text(MINIMAL)
+    monkeypatch.setenv(name, value)
+    assert cli.main(["dress", "--config", str(config_path)]) == 2
+    assert name in capsys.readouterr().err
+
+
+def test_cli_verbose_from_env(tmp_path, monkeypatch, capsys):
+    config_path = tmp_path / "c.json"
+    config_path.write_text(MINIMAL)
+    out = tmp_path / "s.json"
+    for value, wrote in (("1", True), ("0", False)):
+        monkeypatch.setenv("AKNSD_VERBOSE", value)
+        assert cli.main(["dress", "--config", str(config_path), "--out", str(out)]) == 0
+        assert (f"wrote {out}" in capsys.readouterr().out) is wrote
 
 
 def test_cli_tau_command(tmp_path):

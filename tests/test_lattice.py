@@ -78,7 +78,7 @@ def test_deformed_delta_of_linear_profile():
         f = LatticeFn.from_values(
             -4, [mat([[x0 + n * eps]]) for n in range(-4, 5)], step=eps
         )
-        d = delta_apply(f, use_eps=True)
+        d = delta_apply(f)
         for n in d.sites():
             assert d.at(n) == mat([[1]])
 
@@ -89,7 +89,7 @@ def test_eps_one_matches_plain_delta():
     plain = LatticeFn.from_values(-4, vals)
     stepped = LatticeFn.from_values(-4, vals, step=Fraction(1))
     a = delta_apply(plain)
-    b = delta_apply(stepped, use_eps=True)
+    b = delta_apply(stepped)
     assert all(a.at(n) == b.at(n) for n in a.sites())
 
 

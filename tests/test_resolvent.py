@@ -4,7 +4,6 @@ import random
 
 import pytest
 
-from aknsd.errors import InstanceError
 from aknsd.hierarchy import (
     HierarchyState,
     commutator_with_l,
@@ -121,13 +120,6 @@ def test_cross_solver_equality_impulse():
     for n in dressed.series.sites():
         for d in range(-DEPTH, 1):
             assert dressed.series.at(n).get(d) == direct.series.at(n).get(d)
-
-
-def test_direct_solver_rejects_offdiagonal_seed():
-    data = desk_data(2)
-    U = impulse_potential(DESK_WINDOW, 2)
-    with pytest.raises(InstanceError):
-        resolvent_direct(data, U, 1, 3, seed=mat([[1, 1], [0, 0]]))
 
 
 def test_linearity_of_resolvent_combinations():

@@ -12,7 +12,6 @@ from aknsd.matrices import SmallMatrix, matrix_from_json, matrix_to_json
 from aknsd.series import (
     MatSeries,
     scale_series,
-    series_arith,
     series_equal,
     series_from_json,
     series_inverse,
@@ -152,7 +151,7 @@ def test_scale_by_scalar_series():
     c = MatSeries.from_coeffs(
         {0: mat([[2]]), -1: mat([[Fraction(1, 2)]])}, 1, RAT
     )
-    out = series_arith(MatSeries.zero(2, RAT), a, "add", s=c)
+    out = scale_series(a, c)
     byhand = series_mul(
         MatSeries.from_coeffs(
             {0: SmallMatrix.identity(2, RAT).scale(2),
