@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass
 
 from . import scalars
-from .dynamics import FlowIndex, make_field_fn, rk4_step
+from .dynamics import CONSISTENCY_TOL, FlowIndex, make_field_fn, rk4_step
 from .errors import ConsistencyError, InstanceError, ModeError, ValidityError
 from .hierarchy import AknsData, HierarchyState, projector_b
 from .lattice import LatticeFn, inner_product, delta_apply, shift_apply
@@ -450,7 +450,7 @@ def _stepped_states(state: HierarchyState, flow: FlowIndex, fd_step: float) -> l
     """The states one RK4 step of +fd_step and of -fd_step along ``flow`` away."""
     if state.mode != scalars.FLOAT:
         raise ModeError("the finite-difference path requires float mode")
-    field_fn = make_field_fn(state.data, state.window, state.depth, flow, 1e-6)
+    field_fn = make_field_fn(state.data, flow, CONSISTENCY_TOL)
     return [
         HierarchyState.solve(state.data, rk4_step(state.U, sign * fd_step, field_fn),
                              state.window, state.depth, validate=False)

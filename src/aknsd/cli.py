@@ -12,14 +12,13 @@ error (bad config, bad file, bad arguments).
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
 
 from . import scalars
 from .baker import TauExpSum, TimePoint, baker_from_tau, tau_lambda_consistent
-from .config import ExperimentConfig, parse_config
+from .config import ExperimentConfig, flow_problems, parse_config
 from .dynamics import FlowIndex, rk4_evolve
 from .errors import AknsdError, ConfigError, ConsistencyError, SchemaError
 from .hierarchy import (
@@ -45,6 +44,7 @@ ENV_PREFIX = "AKNSD_"
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_INPUT_ERROR = 2
+FORMATS = ("json", "csv")
 
 
 def _parse_flag(text: str) -> bool:
@@ -56,8 +56,14 @@ def _parse_flag(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
+def _parse_format(text: str) -> str:
+    if text not in FORMATS:
+        raise ValueError(f"not one of {FORMATS}: {text!r}")
+    return text
+
+
 # shared flags that the environment can supply, with the parser of their text
-_ENV_FLAGS = (("config", str), ("out", str), ("format", str), ("mode", str),
+_ENV_FLAGS = (("config", str), ("out", str), ("format", _parse_format), ("mode", str),
               ("tol", float), ("seed", int), ("verbose", _parse_flag))
 
 
@@ -84,7 +90,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--config", default=None, help="path to the JSON config")
         p.add_argument("--out", default=None, help="output path")
-        p.add_argument("--format", choices=("json", "csv"), default=None)
+        p.add_argument("--format", choices=FORMATS, default=None)
         p.add_argument("--mode", choices=scalars.MODES, default=None)
         p.add_argument("--tol", type=float, default=None)
         p.add_argument("--seed", type=int, default=None)
@@ -125,12 +131,17 @@ def _load_config(args) -> ExperimentConfig:
         raise ConfigError("no configuration given (use --config or AKNSD_CONFIG)")
     try:
         with open(args.config, encoding="utf-8") as fh:
-            config = parse_config(fh.read())
+            text = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from None
     overrides = {name: getattr(args, name) for name in ("mode", "tol", "seed")
                  if getattr(args, name) is not None}
-    return dataclasses.replace(config, **overrides)
+    if overrides:
+        try:
+            text = json.dumps({**json.loads(text), **overrides})
+        except (ValueError, TypeError):
+            pass  # not a JSON object: parse_config reports it
+    return parse_config(text)
 
 
 def _out_path(args, config) -> str | None:
@@ -179,13 +190,13 @@ def cmd_resolvent(args) -> int:
 
 def cmd_flow(args) -> int:
     config = _load_config(args)
-    state = config.solve()
-    k, alpha = config.first_flow
-    if args.k is not None:
-        k = args.k
-    if args.alpha is not None:
-        alpha = args.alpha
-    field = flow_field(state, k, alpha, tol=config.tolerance(), on_diagonal="keep")
+    k = config.first_flow[0] if args.k is None else args.k
+    alpha = config.first_flow[1] if args.alpha is None else args.alpha
+    problems = flow_problems(k, alpha, config.m, config.depth)
+    if problems:
+        raise ConfigError("; ".join(problems))
+    field = flow_field(config.data(), config.build_potential(), k, alpha,
+                       tol=config.tolerance())
     doc = {
         "k": k,
         "alpha": alpha,

@@ -106,6 +106,18 @@ class ExperimentConfig:
         return make_potential(self.window, entries, self.m, mode)
 
 
+def flow_problems(k: int, alpha: int, m: int, depth: int) -> list:
+    """Violations of the flow rule 0 <= k <= depth - 2, 1 <= alpha <= m."""
+    problems = []
+    if k < 0:
+        problems.append(f"flow order {k} must be >= 0")
+    elif k > depth - 2:
+        problems.append(f"flow order {k} needs depth >= {k + 2}")
+    if not (1 <= alpha <= m):
+        problems.append(f"flow index alpha={alpha} outside 1..{m}")
+    return problems
+
+
 def parse_config(text: str) -> ExperimentConfig:
     """Parse and validate; raises ConfigError listing every violation."""
     try:
@@ -177,14 +189,8 @@ def parse_config(text: str) -> ExperimentConfig:
                     or not all(isinstance(x, int) for x in item)):
                 problems.append(f"bad flow entry {item!r}")
                 continue
-            k, alpha = item
-            if k < 0:
-                problems.append(f"flow order {k} must be >= 0")
-            elif k > depth - 2:
-                problems.append(f"flow order {k} needs depth >= {k + 2}")
-            if not (1 <= alpha <= m):
-                problems.append(f"flow index alpha={alpha} outside 1..{m}")
-            flows.append((k, alpha))
+            problems.extend(flow_problems(*item, m, depth))
+            flows.append(tuple(item))
 
     h = doc.get("h", 0.01)
     try:
@@ -215,7 +221,7 @@ def parse_config(text: str) -> ExperimentConfig:
     tol = doc.get("tol", 1e-9)
     try:
         tol = float(tol)
-        if tol < 0:
+        if not tol >= 0:
             problems.append("'tol' must be non-negative")
     except (TypeError, ValueError):
         problems.append("'tol' must be a number")

@@ -1,10 +1,10 @@
 """Time evolution of the potential, flow-commutativity runs, continuum scan.
 
 The flows are non-stiff at desk scale, so a classical explicit 4-stage
-Runge-Kutta step is used; the dressing is re-solved at every stage.  The
-stepper carries the *full* degree-0 coefficient of the flow commutator
-(including the diagonal drift): dropping the diagonal would break both the
-exact commutativity of the flows and the Lax consistency that the bilinear
+Runge-Kutta step is used; no dressing is solved at any stage.  The stepper
+carries the *full* degree-0 coefficient of the flow commutator (including
+the diagonal drift): dropping the diagonal would break both the exact
+commutativity of the flows and the Lax consistency that the bilinear
 verifier's finite-difference path relies on.
 
 Support growth is handled by window padding plus a leakage monitor rather
@@ -26,15 +26,13 @@ from .hierarchy import AknsData, HierarchyState, flow_field
 from .lattice import LatticeFn, Window, delta_apply, site_max
 from .matrices import SmallMatrix
 
-# flow-field consistency tolerance of the float time stepper
+# flow-field consistency tolerance of every float flow evaluation
 CONSISTENCY_TOL = 1e-8
 # boundary/interior amplitude ratios that warn about and refuse an RK4 step
 LEAK_WARN = 0.25
 LEAK_HARD = 4.0
 # order-swap defects at or below this are machine roundoff
 NOISE_FLOOR = 1e-13
-# flow-field consistency tolerance of the continuum scan's coarse steps
-SCAN_CONSISTENCY_TOL = 1e-6
 # observed convergence order the continuum scan must reach
 SCAN_MIN_ORDER = 1.0
 
@@ -73,12 +71,11 @@ def _axpy(u: LatticeFn, c, f: LatticeFn) -> LatticeFn:
     return u.zip_with(f, lambda a, b: a + b.scale(c))
 
 
-def make_field_fn(data: AknsData, window: Window, depth: int,
-                  flow: FlowIndex, tol) -> Callable[[LatticeFn], LatticeFn]:
+def make_field_fn(data: AknsData, flow: FlowIndex,
+                  tol) -> Callable[[LatticeFn], LatticeFn]:
     def fn(u: LatticeFn) -> LatticeFn:
-        state = HierarchyState.solve(data, u, window, depth, validate=False)
-        f = flow_field(state, flow.k, flow.alpha, tol=tol, on_diagonal="keep")
-        return _pad_field(f, u.lo, u.hi)
+        return _pad_field(flow_field(data, u, flow.k, flow.alpha, tol=tol),
+                          u.lo, u.hi)
 
     return fn
 
@@ -108,22 +105,27 @@ def _leakage(u: LatticeFn, window: Window, edge: int = 2):
 def rk4_evolve(state: HierarchyState, flow: FlowIndex, h, steps: int) -> Trajectory:
     """Integrate dU/dt = flow_field(U) with the classical 4-stage scheme.
 
-    Float mode only: time stepping is approximate by nature.  The dressing is
-    re-solved at every stage.  Boundary leakage (solution amplitude reaching
-    the stored edge) triggers a warning beyond ``LEAK_WARN`` of the interior
-    norm and an error beyond ``LEAK_HARD``.
+    Float mode only: time stepping is approximate by nature.  The state's
+    dressing is not read: each stage's field comes from its potential alone.
+    Boundary leakage (solution amplitude reaching the stored edge) triggers a
+    warning beyond ``LEAK_WARN`` of the interior norm and an error beyond
+    ``LEAK_HARD``.
     """
-    if state.mode != scalars.FLOAT:
+    return _integrate(state.data, state.U, state.window, flow, h, steps)
+
+
+def _integrate(data: AknsData, u: LatticeFn, window: Window, flow: FlowIndex,
+               h, steps: int) -> Trajectory:
+    """The RK4 loop of ``rk4_evolve``, from the potential ``u`` on ``window``."""
+    if u.mode != scalars.FLOAT:
         raise ModeError("time evolution requires float mode")
     if not h > 0:
         raise InstanceError("step size must be positive")
-    field_fn = make_field_fn(state.data, state.window, state.depth, flow,
-                             CONSISTENCY_TOL)
-    u = state.U
+    field_fn = make_field_fn(data, flow, CONSISTENCY_TOL)
     traj = Trajectory(flow, float(h), steps, [(0.0, u)])
     for s in range(1, steps + 1):
         u = rk4_step(u, h, field_fn)
-        boundary, interior = _leakage(u, state.window)
+        boundary, interior = _leakage(u, window)
         scale = max(interior, 1e-300)
         if boundary > LEAK_HARD * scale:
             raise ConsistencyError(
@@ -132,7 +134,7 @@ def rk4_evolve(state: HierarchyState, flow: FlowIndex, h, steps: int) -> Traject
         if boundary > LEAK_WARN * scale:
             msg = f"boundary leakage {boundary:.3e} at step {s} (interior {interior:.3e})"
             traj.warnings.append(msg)
-            warnings.warn(msg, stacklevel=2)
+            warnings.warn(msg, stacklevel=3)
         traj.snapshots.append((s * float(h), u))
     return traj
 
@@ -150,10 +152,11 @@ def commutativity_defect(state: HierarchyState, f1: FlowIndex, f2: FlowIndex,
     """
 
     def run(first, second, step_size, n_steps):
-        t1 = rk4_evolve(state, first, step_size, n_steps)
-        mid = HierarchyState.solve(state.data, t1.final, state.window,
-                                   state.depth, validate=False)
-        return rk4_evolve(mid, second, step_size, n_steps).final
+        u = state.U
+        for flow in (first, second):
+            u = _integrate(state.data, u, state.window, flow, step_size,
+                           n_steps).final
+        return u
 
     def defect_at(step_size, n_steps):
         a = run(f1, f2, step_size, n_steps)
@@ -242,7 +245,7 @@ class ScanReport:
 
 
 def continuum_scan(data: AknsData, profile, eps_list, k: int = 1, *,
-                   x_span: float = 4.0, depth: int = 4, halo: int = 6) -> ScanReport:
+                   x_span: float = 4.0, halo: int = 6) -> ScanReport:
     """Deformed-step scan: compute the order-k flow fields at each step size.
 
     ``profile`` maps x to a potential matrix; it is sampled as f(n * eps) per
@@ -268,19 +271,13 @@ def continuum_scan(data: AknsData, profile, eps_list, k: int = 1, *,
     for run, eps in enumerate(eps_list):
         n_half = int(round(x_span / eps))
         window = Window(-n_half, n_half, halo)
-        entries = {
-            n: profile(n * eps)
-            for n in range(window.stored_lo, window.stored_hi + 1)
-        }
         u = LatticeFn.from_values(
             window.stored_lo,
-            [entries[n] for n in range(window.stored_lo, window.stored_hi + 1)],
+            [profile(n * eps) for n in range(window.stored_lo, window.stored_hi + 1)],
             step=eps, mode=scalars.FLOAT,
         )
-        state = HierarchyState.solve(data, u, window, depth, validate=False)
         per_alpha = {
-            alpha: flow_field(state, k, alpha, tol=SCAN_CONSISTENCY_TOL,
-                              on_diagonal="keep")
+            alpha: flow_field(data, u, k, alpha, tol=CONSISTENCY_TOL)
             for alpha in range(1, data.m + 1)
         }
         fields.append(per_alpha)

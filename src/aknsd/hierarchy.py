@@ -393,47 +393,31 @@ def projector_b(resolvent: Resolvent, k: int):
     return b, bbar
 
 
-def flow_field(state: HierarchyState, k: int, alpha: int, *, tol=0,
-               on_diagonal: str = "raise") -> LatticeFn:
+def flow_field(data: AknsData, U: LatticeFn, k: int, alpha: int, *,
+               tol=0) -> LatticeFn:
     """The (k, alpha) flow of the potential: degree-0 part of [B_{k alpha}, L]_D.
 
-    Consistency checks: every coefficient at z-degree >= 1 must vanish (up to
-    ``tol``; exactly in rational mode), which fails loudly for a wrong
-    dressing or insufficient depth.  The degree-0 diagonal is the discrete
-    gauge drift Delta of R_{(k+1),pp}; it vanishes identically for
-    nilpotent-triangular potentials and is O(step) in the deformed calculus.
-    ``on_diagonal`` chooses between rejecting it ("raise") and carrying the
-    full coefficient ("keep", used by the time stepper, where dropping it
-    would break flow commutativity and the Lax consistency of the evolution).
+    ``B = (z^k R_alpha)_+`` comes from the direct resolvent through order k+1
+    (what ``projector_b`` reads); no dressing is solved.  Every coefficient at
+    z-degree >= 1 must vanish (up to ``tol``; exactly in rational mode).  The
+    full degree-0 coefficient is returned; its diagonal, measured by
+    ``diagonal_drift``, is the discrete gauge drift Delta of R_{(k+1),pp}.
     """
-    if not 0 <= k <= state.depth - 2:
-        raise ValidityError(
-            f"flow order {k} needs depth >= k+2 (have {state.depth})"
-        )
-    if on_diagonal not in ("raise", "keep"):
-        raise ValueError(f"unknown diagonal policy {on_diagonal!r}")
-    resolvent = state.resolvent(alpha)
-    b, _ = projector_b(resolvent, k)
-    comm = commutator_with_l(b, state.data, state.U)
+    if k < 0:
+        raise ValidityError(f"flow order {k} must be >= 0")
+    b, _ = projector_b(resolvent_direct(data, U, alpha, k + 1), k)
+    comm = commutator_with_l(b, data, U)
     pos = site_max(comm, lambda s: scalars.max_of(
         (s.get(d).max_abs() for d in range(max(1, s.lo), s.hi + 1)), s.mode))
     if pos > tol:
         raise ConsistencyError(
             f"positive z-degrees of the flow commutator do not vanish "
-            f"(residual {pos}): inconsistent dressing or depth"
+            f"(residual {pos})"
         )
-    zero = SmallMatrix.zero(state.data.m, state.mode)
-    deg0 = LatticeFn(comm.lo, comm.hi,
+    zero = SmallMatrix.zero(data.m, U.mode)
+    return LatticeFn(comm.lo, comm.hi,
                      tuple(comm.at(n).get(0) for n in comm.sites()),
                      zero, zero, comm.step, comm.mode)
-    if on_diagonal == "raise":
-        drift = diagonal_drift(deg0)
-        if drift > tol:
-            raise ConsistencyError(
-                f"degree-0 diagonal of the flow field is nonzero "
-                f"(drift {drift}); pass on_diagonal='keep' to carry it"
-            )
-    return deg0
 
 
 def diagonal_drift(f: LatticeFn):

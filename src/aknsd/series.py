@@ -318,17 +318,19 @@ def series_project(a: MatSeries, part: str):
 def series_diff_max(a: MatSeries, b: MatSeries, degrees=None):
     """Max-abs entry of a - b over ``degrees``.
 
-    By default the degrees run from the higher of the two valid-band starts
-    to the higher top degree.
+    By default the degrees run from the lower band start (a fully known
+    operand is exactly zero below its band) to the higher top degree, raised
+    to the validity start of any operand that is not fully known.
     """
     if degrees is None:
-        lo = max(a.valid_degrees().start, b.valid_degrees().start)
+        lo = max([min(a.lo, b.lo)] +
+                 [s.valid_lo for s in (a, b) if not s.exact_below])
         degrees = range(lo, max(a.hi, b.hi) + 1)
     return scalars.max_of(((a.get(d) - b.get(d)).max_abs() for d in degrees), a.mode)
 
 
 def series_equal(a: MatSeries, b: MatSeries) -> bool:
-    """Equality on the intersection of guaranteed-valid degrees (exact modes)."""
+    """Equality on every degree both operands know (exact modes)."""
     return series_diff_max(a, b) == 0
 
 

@@ -122,7 +122,6 @@ def limit_scan(config: ExperimentConfig) -> ScanReport:
     return continuum_scan(config.data(scalars.FLOAT),
                           gaussian_bump_profile(config.m, amplitude=0.4, sigma=1.0),
                           list(config.eps_list), k=1, x_span=4.0,
-                          depth=min(config.depth, 4),
                           halo=min(config.window.halo, 6))
 
 
@@ -234,7 +233,7 @@ def _suite_resolvent(config: ExperimentConfig, report: VerificationReport) -> No
 
     closed = []
     for alpha in range(1, m + 1):
-        f = flow_field(state, 0, alpha, tol=tol, on_diagonal="keep")
+        f = flow_field(state.data, state.U, 0, alpha, tol=tol)
         e = state.data.projector(alpha)
         closed.append(site_max(f.zip_with(state.U,
                                           lambda v, u: v - ((e @ u) - (u @ e)))))
@@ -300,13 +299,12 @@ def _suite_bilinear(config: ExperimentConfig, report: VerificationReport) -> Non
 
 
 def _suite_dynamics(config: ExperimentConfig, report: VerificationReport) -> None:
-    # dynamics run at the depth the configured flows need, with the halo
-    # matched to it: a wider stored range sharpens the resonant edge modes
-    # of tied |a_i| pairs past the explicit stability limit at desk h
+    # the halo is the depth the configured flows need: a wider stored range
+    # sharpens the resonant edge modes of tied |a_i| pairs past the explicit
+    # stability limit at desk h
     depth = min(config.depth,
                 max(2, max((k for k, _ in config.flows), default=1) + 2))
-    window = Window(config.window.n_min, config.window.n_max,
-                    min(config.window.halo, depth))
+    window = Window(config.window.n_min, config.window.n_max, depth)
     rng = random.Random(config.seed + 3)
     u = random_potential(window, config.data(scalars.FLOAT), rng,
                          span=3).map(lambda v: v.scale(0.1))
@@ -314,8 +312,7 @@ def _suite_dynamics(config: ExperimentConfig, report: VerificationReport) -> Non
                                  depth, validate=False)
 
     flow = FlowIndex(*config.first_flow)
-    field_fn = make_field_fn(state.data, state.window, state.depth, flow,
-                             CONSISTENCY_TOL)
+    field_fn = make_field_fn(state.data, flow, CONSISTENCY_TOL)
     f0 = field_fn(state.U)
 
     def euler_defect(h):

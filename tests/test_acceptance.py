@@ -35,6 +35,7 @@ from aknsd.hierarchy import (
     Dressing,
     HierarchyState,
     commutator_with_l,
+    diagonal_drift,
     dressing_residual,
     flow_field,
     resolvent_direct,
@@ -156,22 +157,20 @@ def test_criterion_4_flow_well_definedness():
         for m in (2, 3):
             data = desk_data(m)
             rng = random.Random(SEED + 30 + m)
-            full = desk_state(m, random_potential(DESK_WINDOW, data, rng))
+            full = random_potential(DESK_WINDOW, data, rng)
             for k in (0, 1, 2):
                 for alpha in range(1, m + 1):
-                    flow_field(full, k, alpha, on_diagonal="keep")  # exact check inside
-            tri_state = desk_state(
-                m, random_triangular_potential(DESK_WINDOW, data,
-                                               random.Random(SEED + 40 + m)))
+                    flow_field(data, full, k, alpha)  # exact check inside
+            tri = random_triangular_potential(DESK_WINDOW, data,
+                                              random.Random(SEED + 40 + m))
             for k in (0, 1, 2):
                 for alpha in range(1, m + 1):
-                    f = flow_field(tri_state, k, alpha)  # strict diagonal check
-                    assert all(f.at(n).diagonal_part().is_zero() for n in f.sites())
-            e_flows = {a: flow_field(full, 0, a) for a in range(1, m + 1)}
+                    assert diagonal_drift(flow_field(data, tri, k, alpha)) == 0
+            e_flows = {a: flow_field(data, full, 0, a) for a in range(1, m + 1)}
             for alpha, f in e_flows.items():
                 e = data.projector(alpha)
                 for n in f.sites():
-                    u_n = full.U.at(n)
+                    u_n = full.at(n)
                     assert f.at(n) == (e @ u_n) - (u_n @ e)
         info["note"] = "positive degrees exact on random U; diagonal exact on triangular"
 
@@ -312,7 +311,7 @@ def test_criterion_9_continuum_scan():
         data = desk_data(2, FLOAT)
         profile = gaussian_bump_profile(2, amplitude=0.4, sigma=1.0)
         scan = continuum_scan(data, profile, [0.5, 0.25, 0.125, 0.0625], k=1,
-                              x_span=4.0, depth=4, halo=6)
+                              x_span=4.0, halo=6)
         assert all(o >= 1.0 for o in scan.cauchy_orders), scan.cauchy_orders
         assert all(o >= 1.0 for o in scan.dx_orders), scan.dx_orders
         assert scan.cauchy_norms == sorted(scan.cauchy_norms, reverse=True)

@@ -280,13 +280,42 @@ def test_cli_env_override(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("name,value", [("AKNSD_TOL", "abc"), ("AKNSD_SEED", "x"),
-                                        ("AKNSD_VERBOSE", "maybe")])
+                                        ("AKNSD_VERBOSE", "maybe"),
+                                        ("AKNSD_FORMAT", "xml")])
 def test_cli_bad_env_value_is_input_error(tmp_path, monkeypatch, capsys, name, value):
     config_path = tmp_path / "c.json"
     config_path.write_text(MINIMAL)
     monkeypatch.setenv(name, value)
     assert cli.main(["dress", "--config", str(config_path)]) == 2
     assert name in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,env,message", [
+    (["verify", "--suite", "algebra", "--mode", "float", "--tol", "-1"], {},
+     "'tol' must be non-negative"),
+    (["dress", "--tol", "-1"], {}, "'tol' must be non-negative"),
+    (["dress"], {"AKNSD_TOL": "-1"}, "'tol' must be non-negative"),
+    (["dress"], {"AKNSD_MODE": "exact"}, "'mode' must be one of"),
+])
+def test_cli_overrides_follow_config_rules(tmp_path, monkeypatch, capsys, argv,
+                                           env, message):
+    config_path = tmp_path / "c.json"
+    config_path.write_text(MINIMAL)
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    assert cli.main(argv + ["--config", str(config_path)]) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags,message", [
+    (["--k", "7"], "flow order 7 needs depth >= 9"),
+    (["--k", "-1"], "flow order -1 must be >= 0"),
+    (["--alpha", "3"], "flow index alpha=3 outside 1..2"),
+])
+def test_cli_flow_index_follows_config_rules(capsys, flags, message):
+    config_path = Path(__file__).resolve().parents[1] / "configs" / "desk_m2.json"
+    assert cli.main(["flow", "--config", str(config_path)] + flags) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_cli_verbose_from_env(tmp_path, monkeypatch, capsys):

@@ -299,6 +299,19 @@ def test_plus_minus_reassemble():
     assert series_equal(back, a)
 
 
+def test_series_equal_sees_degrees_one_operand_stores():
+    # a fully known operand is exactly zero below its band, so a degree that
+    # only the other operand stores still enters the comparison
+    i = SmallMatrix.identity(2, RAT)
+    x = mat([[0, 1], [0, 0]])
+    longer = MatSeries.from_coeffs({0: i, -1: x}, 2, RAT)
+    assert not series_equal(longer, MatSeries.constant(i))
+    assert not series_equal(MatSeries.constant(i), longer)
+    # below an unknown tail nothing is compared
+    truncated = MatSeries.from_coeffs({0: i, -1: x}, 2, RAT, valid_lo=0)
+    assert series_equal(truncated, MatSeries.constant(i))
+
+
 def test_residue_needs_validity():
     rng = random.Random(11)
     a = rand_series(rng, 2, -3, 0, valid_lo=0)
