@@ -366,8 +366,7 @@ def miwa_shift(tau: TauExpSum, gamma: int, depth: int,
         -j: SmallMatrix.from_rows([[per_degree[j].evaluate(t)]], tau.mode)
         for j in range(depth + 1)
     }
-    return MatSeries.from_coeffs(coeffs, 1, tau.mode, lo=-depth, hi=0,
-                                 valid_lo=-depth, exact_below=False)
+    return MatSeries.from_coeffs(coeffs, 1, tau.mode, lo=-depth, hi=0, valid_lo=-depth)
 
 
 def tau_lambda_consistent(tau: TauExpSum, data, n: int) -> bool:
@@ -416,8 +415,7 @@ def baker_from_tau(tau_d: TauExpSum, companions: dict, n: int, t: TimePoint,
         for (alpha, beta), entry in entry_series.items():
             rows[alpha - 1][beta - 1] = entry.get(d, scalars.zero(mode))
         coeffs[d] = SmallMatrix.from_rows(rows, mode)
-    return MatSeries.from_coeffs(coeffs, m, mode, lo=-depth, hi=0,
-                                 valid_lo=-depth, exact_below=False)
+    return MatSeries.from_coeffs(coeffs, m, mode, lo=-depth, hi=0, valid_lo=-depth)
 
 
 # -- bilinear residue verifier ---------------------------------------------------------
@@ -634,7 +632,7 @@ def bilinear_residual(state: HierarchyState, l_max: int, m_delta: int,
     neg_max = scalars.zero(state.mode)
     for n in expr.sites():
         s = expr.at(n)
-        if not s.exact_below and -1 - l_max < s.valid_lo:
+        if not s.valid_at(-1 - l_max):
             raise ValidityError(
                 f"depth budget exceeded: residues need degree {-1 - l_max}, "
                 f"valid band starts at {s.valid_lo}"

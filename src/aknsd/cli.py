@@ -19,7 +19,7 @@ import sys
 from . import scalars
 from .baker import TauExpSum, TimePoint, baker_from_tau, tau_lambda_consistent
 from .config import ExperimentConfig, flow_problems, parse_config
-from .dynamics import FlowIndex, rk4_evolve
+from .dynamics import FlowIndex, integrate
 from .errors import AknsdError, ConfigError, ConsistencyError, SchemaError
 from .hierarchy import (
     cross_solver_difference,
@@ -209,9 +209,9 @@ def cmd_flow(args) -> int:
 
 def cmd_evolve(args) -> int:
     config = _load_config(args)
-    state = config.solve(mode=scalars.FLOAT)
     flow = FlowIndex(*config.first_flow)
-    traj = rk4_evolve(state, flow, config.h, config.steps)
+    traj = integrate(config.data(scalars.FLOAT), config.build_potential(scalars.FLOAT),
+                     config.window, flow, config.h, config.steps)
     out = _out_path(args, config)
     if out:
         if args.format == "csv":

@@ -9,18 +9,18 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import scalars
-from .errors import ConfigError
+from .errors import ConfigError, InstanceError
 from .hierarchy import AknsData, HierarchyState, make_potential
 from .instances import (
     impulse_potential,
     random_potential,
     vacuum_potential,
 )
-from .lattice import Window
+from .lattice import LatticeFn, Window
 from .matrices import SmallMatrix
 
 _TOP_KEYS = {
@@ -37,16 +37,16 @@ class ExperimentConfig:
     m: int
     a: tuple
     window: Window
-    depth: int = 8
-    mode: str = scalars.RATIONAL
-    flows: tuple = ((1, 1),)
-    h: float = 0.01
-    steps: int = 10
-    eps_list: tuple = (0.5, 0.25, 0.125, 0.0625)
-    tol: float = 1e-9
-    seed: int = 0
-    potential: dict = field(default_factory=lambda: {"type": "vacuum"})
-    out: str | None = None
+    depth: int
+    mode: str
+    flows: tuple
+    h: float
+    steps: int
+    eps_list: tuple
+    tol: float
+    seed: int
+    potential: dict
+    out: str | None
 
     @property
     def first_flow(self) -> tuple:
@@ -68,42 +68,104 @@ class ExperimentConfig:
         return HierarchyState.solve(self.data(mode), u, self.window, self.depth,
                                     validate=False)
 
-    def build_potential(self, mode: str | None = None, rng: random.Random | None = None):
-        mode = mode or self.mode
-        pot = self.potential
-        kind = pot.get("type", "vacuum")
-        if kind == "vacuum":
-            return vacuum_potential(self.window, self.m, mode)
-        if kind == "impulse":
-            value = pot.get("value", 1)
-            if isinstance(value, str):
-                value = Fraction(value)
-            return impulse_potential(
-                self.window, self.m, mode, site=pot.get("site", 0),
-                i=pot.get("i", 1), j=pot.get("j", 2),
-                value=scalars.as_scalar(value if mode == scalars.RATIONAL
-                                        else float(value), mode),
-            )
-        if kind == "random":
-            rng = rng or random.Random(self.seed)
-            u = random_potential(self.window, self.data(mode), rng,
-                                 span=pot.get("span", 4),
-                                 density=pot.get("density", 0.6),
-                                 triangular=pot.get("triangular", False))
-            amp = pot.get("amplitude")
-            if amp is not None:
-                amp = scalars.as_scalar(Fraction(amp) if mode == scalars.RATIONAL
-                                        and isinstance(amp, str) else amp, mode)
-                u = u.map(lambda v: v.scale(amp))
-            return u
-        # explicit
+    def build_potential(self, mode: str | None = None) -> LatticeFn:
+        """The configured potential in ``mode`` (default: the config's)."""
+        return _potential(self.potential, self.window, self.data(mode), self.seed)
+
+
+def _potential(pot: dict, window: Window, data: AknsData, seed: int) -> LatticeFn:
+    """The potential that a config's ``potential`` object describes.
+
+    Raises ConfigError naming every bad field: a value of the wrong type, a
+    site outside the stored range, an index outside 1..m, a nonzero diagonal
+    entry, or a rational that does not parse.  Rationals are read as exact
+    fractions in both modes, then converted, so both modes accept the same
+    text.
+    """
+    m, mode = data.m, data.mode
+    stored = range(window.stored_lo, window.stored_hi + 1)
+    problems = []
+
+    def rational(x, what):
+        try:
+            q = Fraction(str(x))
+            return scalars.as_scalar(q if mode == scalars.RATIONAL else float(q), mode)
+        except (ValueError, ZeroDivisionError, OverflowError):
+            problems.append(f"{what} must be a rational like \"1\" or \"-3/2\", "
+                            f"not {x!r}")
+            return scalars.zero(mode)
+
+    def check():
+        if problems:
+            raise ConfigError("; ".join(problems))
+
+    def integer(key, default, allowed: range):
+        x = pot.get(key, default)
+        if isinstance(x, bool) or not isinstance(x, int) or x not in allowed:
+            problems.append(f"potential {key!r} must be an integer in "
+                            f"{allowed.start}..{allowed.stop - 1}, not {x!r}")
+            return None
+        return x
+
+    kind = pot.get("type", "vacuum")
+    if kind == "vacuum":
+        return vacuum_potential(window, m, mode)
+    if kind == "impulse":
+        site = integer("site", 0, stored)
+        i = integer("i", 1, range(1, m + 1))
+        j = integer("j", 2, range(1, m + 1))
+        if i is not None and i == j:
+            problems.append("impulse potential entry must be off-diagonal")
+        value = rational(pot.get("value", 1), "potential 'value'")
+        check()
+        return impulse_potential(window, m, mode, site=site, i=i, j=j, value=value)
+    if kind == "random":
+        # sites -span..span must lie in the stored range
+        span = integer("span", 4, range(0, min(-stored.start, stored.stop - 1) + 1))
+        density = pot.get("density", 0.6)
+        if isinstance(density, bool) or not isinstance(density, (int, float)) \
+                or not 0 <= density <= 1:
+            problems.append(f"potential 'density' must be a number in [0, 1], "
+                            f"not {density!r}")
+        triangular = pot.get("triangular", False)
+        if not isinstance(triangular, bool):
+            problems.append(f"potential 'triangular' must be true or false, "
+                            f"not {triangular!r}")
+        amp = pot.get("amplitude")
+        if amp is not None:
+            amp = rational(amp, "potential 'amplitude'")
+        check()
+        u = random_potential(window, data, random.Random(seed), span=span,
+                             density=density, triangular=triangular)
+        return u if amp is None else u.map(lambda v: v.scale(amp))
+    if kind == "explicit":
+        sites = pot.get("sites", {})
+        if not isinstance(sites, dict):
+            problems.append("potential 'sites' must map site numbers to matrices")
+            sites = {}
         entries = {}
-        for key, rows in pot.get("sites", {}).items():
-            mat_rows = [
-                [scalars.parse_scalar(str(x), mode) for x in row] for row in rows
-            ]
-            entries[int(key)] = SmallMatrix.from_rows(mat_rows, mode)
-        return make_potential(self.window, entries, self.m, mode)
+        for key, rows in sites.items():
+            try:
+                n = int(key)
+            except ValueError:
+                problems.append(f"potential site {key!r} is not an integer")
+                continue
+            if n not in stored:
+                problems.append(f"potential site {key} outside the stored sites "
+                                f"{stored.start}..{stored.stop - 1}")
+                continue
+            if not isinstance(rows, list) or len(rows) != m or \
+                    any(not isinstance(r, list) or len(r) != m for r in rows):
+                problems.append(f"matrix at site {key} is not {m}x{m}")
+                continue
+            entries[n] = SmallMatrix.from_rows(
+                [[rational(x, f"entry at site {key}") for x in row] for row in rows],
+                mode)
+            problems.extend(f"potential at site {key} has nonzero diagonal entry ({d},{d})"
+                            for d in range(1, m + 1) if entries[n].get(d, d) != 0)
+        check()
+        return make_potential(window, entries, m, mode)
+    raise ConfigError(f"unknown potential type {kind!r}")
 
 
 def flow_problems(k: int, alpha: int, m: int, depth: int) -> list:
@@ -164,6 +226,7 @@ def parse_config(text: str) -> ExperimentConfig:
                             int(win_doc.get("halo", 10)))
         except Exception as exc:
             problems.append(f"bad window: {exc}")
+    window_ok = window is not None
     if window is None:
         window = Window(-8, 8, 10)
 
@@ -240,29 +303,14 @@ def parse_config(text: str) -> ExperimentConfig:
         extra = sorted(set(pot) - _POTENTIAL_KEYS)
         for key in extra:
             problems.append(f"unknown potential key {key!r}")
-        kind = pot.get("type", "vacuum")
-        if kind not in ("vacuum", "impulse", "random", "explicit"):
-            problems.append(f"unknown potential type {kind!r}")
-        if kind == "impulse":
-            i, j = pot.get("i", 1), pot.get("j", 2)
-            if i == j:
-                problems.append("impulse potential entry must be off-diagonal")
-        if kind == "explicit":
-            for key, rows in pot.get("sites", {}).items():
-                try:
-                    site_rows = [[Fraction(str(x)) for x in row] for row in rows]
-                except (ValueError, ZeroDivisionError):
-                    problems.append(f"bad matrix at site {key}")
-                    continue
-                if len(site_rows) != m or any(len(r) != m for r in site_rows):
-                    problems.append(f"matrix at site {key} is not {m}x{m}")
-                    continue
-                for d in range(m):
-                    if site_rows[d][d] != 0:
-                        problems.append(
-                            f"potential at site {key} has nonzero diagonal "
-                            f"entry ({d + 1},{d + 1})"
-                        )
+        if window_ok:  # building the potential in both modes checks its fields
+            try:
+                for pmode in scalars.MODES:
+                    _potential(pot, window, AknsData(m, a, pmode), seed)
+            except InstanceError:
+                pass  # 'm' or 'a' is invalid, and reported above
+            except ConfigError as exc:
+                problems.append(str(exc))
 
     out = doc.get("out")
     if out is not None and not isinstance(out, str):

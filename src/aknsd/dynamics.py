@@ -103,20 +103,20 @@ def _leakage(u: LatticeFn, window: Window, edge: int = 2):
 
 
 def rk4_evolve(state: HierarchyState, flow: FlowIndex, h, steps: int) -> Trajectory:
-    """Integrate dU/dt = flow_field(U) with the classical 4-stage scheme.
+    """``integrate`` from the state's potential; its dressing is not read."""
+    return integrate(state.data, state.U, state.window, flow, h, steps)
 
-    Float mode only: time stepping is approximate by nature.  The state's
-    dressing is not read: each stage's field comes from its potential alone.
-    Boundary leakage (solution amplitude reaching the stored edge) triggers a
-    warning beyond ``LEAK_WARN`` of the interior norm and an error beyond
+
+def integrate(data: AknsData, u: LatticeFn, window: Window, flow: FlowIndex,
+              h, steps: int) -> Trajectory:
+    """Integrate dU/dt = flow_field(U) from ``u`` with the classical 4-stage scheme.
+
+    Float mode only: time stepping is approximate by nature.  Each stage's
+    field comes from its potential alone.  Boundary leakage (solution
+    amplitude reaching the stored edge) triggers a warning beyond
+    ``LEAK_WARN`` of the norm over ``window``'s interior and an error beyond
     ``LEAK_HARD``.
     """
-    return _integrate(state.data, state.U, state.window, flow, h, steps)
-
-
-def _integrate(data: AknsData, u: LatticeFn, window: Window, flow: FlowIndex,
-               h, steps: int) -> Trajectory:
-    """The RK4 loop of ``rk4_evolve``, from the potential ``u`` on ``window``."""
     if u.mode != scalars.FLOAT:
         raise ModeError("time evolution requires float mode")
     if not h > 0:
@@ -139,9 +139,9 @@ def _integrate(data: AknsData, u: LatticeFn, window: Window, flow: FlowIndex,
     return traj
 
 
-def commutativity_defect(state: HierarchyState, f1: FlowIndex, f2: FlowIndex,
-                         h, steps: int):
-    """Order-swap experiment: evolve along f1 then f2, and swapped.
+def commutativity_defect(data: AknsData, U: LatticeFn, window: Window,
+                         f1: FlowIndex, f2: FlowIndex, h, steps: int):
+    """Order-swap experiment: evolve ``U`` along f1 then f2, and swapped.
 
     The exact flows commute, so the reported defect is pure integrator error;
     the order estimate is log2 of the defect ratio between resolutions h and
@@ -152,16 +152,15 @@ def commutativity_defect(state: HierarchyState, f1: FlowIndex, f2: FlowIndex,
     """
 
     def run(first, second, step_size, n_steps):
-        u = state.U
+        u = U
         for flow in (first, second):
-            u = _integrate(state.data, u, state.window, flow, step_size,
-                           n_steps).final
+            u = integrate(data, u, window, flow, step_size, n_steps).final
         return u
 
     def defect_at(step_size, n_steps):
         a = run(f1, f2, step_size, n_steps)
         b = run(f2, f1, step_size, n_steps)
-        return interior_diff_max(a, b, state.window)
+        return interior_diff_max(a, b, window)
 
     d1 = defect_at(float(h), steps)
     d2 = defect_at(float(h) / 2, 2 * steps)

@@ -141,7 +141,7 @@ def _orders_to_series(orders: list, m: int) -> LatticeFn:
     def site_series(n):
         return MatSeries.from_coeffs(
             {-k: f.at(n) for k, f in enumerate(orders)}, m, first.mode,
-            lo=-depth, hi=0, valid_lo=-depth, exact_below=False,
+            lo=-depth, hi=0, valid_lo=-depth,
         )
 
     zero = MatSeries.zero(m, first.mode)

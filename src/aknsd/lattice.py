@@ -21,7 +21,7 @@ from typing import Callable
 from . import scalars
 from .errors import DimensionError, ModeError, SchemaError, SupportError
 from .matrices import SmallMatrix, matrix_from_json, matrix_to_json
-from .series import MatSeries, series_from_json, series_to_json
+from .series import MatSeries
 
 
 @dataclass(frozen=True)
@@ -212,19 +212,15 @@ def inner_product(f: LatticeFn, g: LatticeFn):
 # -- serialization -----------------------------------------------------------------
 
 
-def _value_to_json(v) -> dict:
-    if isinstance(v, SmallMatrix):
-        return {"kind": "matrix", **matrix_to_json(v)}
-    return {"kind": "series", **series_to_json(v)}
+def _value_to_json(v: SmallMatrix) -> dict:
+    return {"kind": "matrix", **matrix_to_json(v)}
 
 
-def _value_from_json(doc: dict):
-    kind = doc["kind"]
-    if kind == "matrix":
-        return matrix_from_json(doc)
-    if kind == "series":
-        return series_from_json(doc)
-    raise SchemaError(f"unknown lattice value kind {kind!r}")
+def _value_from_json(doc: dict) -> SmallMatrix:
+    """A matrix: the one kind of lattice value a document holds."""
+    if doc["kind"] != "matrix":
+        raise SchemaError(f"unknown lattice value kind {doc['kind']!r}")
+    return matrix_from_json(doc)
 
 
 def lattice_to_json(f: LatticeFn) -> dict:

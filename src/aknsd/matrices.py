@@ -190,22 +190,16 @@ class SmallMatrix:
         return max(scalars.scalar_abs(a) for r in self.rows for a in r)
 
 
-def flat_entries(mat: SmallMatrix) -> list:
+def matrix_to_json(mat: SmallMatrix) -> dict:
     """Row-major entry strings, each round-tripping exactly."""
-    return [scalars.format_scalar(x) for row in mat.rows for x in row]
+    return {"m": mat.m, "mode": mat.mode,
+            "entries": [scalars.format_scalar(x) for row in mat.rows for x in row]}
 
 
-def from_flat_entries(flat: list, m: int, mode: str) -> SmallMatrix:
-    vals = [scalars.parse_scalar(x, mode) for x in flat]
+def matrix_from_json(doc: dict) -> SmallMatrix:
+    m, mode = doc["m"], doc["mode"]
+    vals = [scalars.parse_scalar(x, mode) for x in doc["entries"]]
     if len(vals) != m * m:
         raise DimensionError(f"{len(vals)} entries for a {m}x{m} matrix")
     rows = tuple(tuple(vals[i * m + j] for j in range(m)) for i in range(m))
     return SmallMatrix(m, mode, rows)
-
-
-def matrix_to_json(mat: SmallMatrix) -> dict:
-    return {"m": mat.m, "mode": mat.mode, "entries": flat_entries(mat)}
-
-
-def matrix_from_json(doc: dict) -> SmallMatrix:
-    return from_flat_entries(doc["entries"], doc["m"], doc["mode"])

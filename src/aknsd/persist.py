@@ -15,7 +15,6 @@ from . import scalars
 from .errors import AknsdError, SchemaError
 from .hierarchy import AknsData, Dressing, HierarchyState
 from .lattice import Window, lattice_from_json, lattice_to_json
-from .matrices import SmallMatrix
 
 STATE_VERSION = 2
 _STATE_KEYS = {"version", "mode", "a", "window", "u", "dressing", "conventions"}
@@ -52,6 +51,9 @@ def state_from_json(doc: dict) -> HierarchyState:
         ws = tuple(lattice_from_json(w) for w in doc["dressing"])
     except (KeyError, TypeError, ValueError, ZeroDivisionError, AknsdError) as exc:
         raise SchemaError(f"malformed state document: {exc!r}") from None
+    if doc["conventions"] != data.conventions():
+        raise SchemaError(f"conventions {doc['conventions']!r} are not the solver's "
+                          f"for a = {doc['a']}")
     _check_lattices(data, u, ws)
     if not 1 <= len(ws) <= window.halo:
         raise SchemaError(f"dressing depth {len(ws)} outside 1..{window.halo} "
@@ -67,7 +69,7 @@ def _check_lattices(data: AknsData, u, ws) -> None:
             raise SchemaError(f"{name} spans sites [{f.lo}, {f.hi}], "
                               f"u spans [{u.lo}, {u.hi}]")
         for v in (f.left_tail, f.right_tail, *f.values):
-            if not isinstance(v, SmallMatrix) or v.m != data.m:
+            if v.m != data.m:
                 raise SchemaError(f"{name} holds a value that is not a "
                                   f"{data.m}x{data.m} matrix")
             if f.mode != data.mode or v.mode != data.mode:

@@ -2,14 +2,15 @@
 
 A :class:`MatSeries` stores one :class:`SmallMatrix` coefficient per degree in
 the band ``[lo, hi]``.  Degrees above ``hi`` are exactly zero (the band is
-never truncated from above).  Below the band there are two situations, and
-telling them apart is what makes order-by-order verification claims sound:
+never truncated from above).  What lies below is told by one field,
+``valid_lo``, and telling the cases apart is what makes order-by-order
+verification claims sound:
 
-* ``exact_below=True``: degrees below ``lo`` are exactly zero too (the object
-  is a finite, fully-known Laurent polynomial, e.g. ``z A - U`` or a basis
-  projector).
-* ``exact_below=False``: degrees below ``valid_lo`` have been dropped by a
-  truncating operation and are unknown; reading them is an error.
+* ``valid_lo is None``: the series is fully known, and degrees below ``lo``
+  are exactly zero too (a finite Laurent polynomial, e.g. ``z A - U`` or a
+  basis projector).
+* ``valid_lo`` an integer: degrees below it have been dropped by a truncating
+  operation and are unknown; reading them is an error.
 
 Every arithmetic result carries a freshly computed ``valid_lo``: sums take the
 worse of the inputs, a Cauchy product of ``a`` and ``b`` is exact for degrees
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 
 from . import scalars
 from .errors import DimensionError, SingularError, ValidityError
-from .matrices import SmallMatrix, flat_entries, from_flat_entries
+from .matrices import SmallMatrix
 
 
 @dataclass(frozen=True)
@@ -38,8 +39,8 @@ class MatSeries:
     lo: int
     hi: int
     coeffs: tuple  # one SmallMatrix per degree lo..hi
-    valid_lo: int  # lowest degree guaranteed exact; hi+1 means nothing valid
-    exact_below: bool = False  # True: degrees < lo are exactly zero
+    # lowest degree guaranteed exact (hi+1: nothing is); None: fully known
+    valid_lo: int | None
 
     def __post_init__(self):
         scalars.check_mode(self.mode)
@@ -47,12 +48,10 @@ class MatSeries:
             raise DimensionError(f"empty band [{self.lo}, {self.hi}]")
         if len(self.coeffs) != self.hi - self.lo + 1:
             raise DimensionError("coefficient count does not match band")
-        if not (self.lo <= self.valid_lo <= self.hi + 1):
+        if self.valid_lo is not None and not (self.lo <= self.valid_lo <= self.hi + 1):
             raise ValidityError(
                 f"valid_lo {self.valid_lo} outside [{self.lo}, {self.hi + 1}]"
             )
-        if self.exact_below and self.valid_lo != self.lo:
-            raise ValidityError("exact_below requires valid_lo == lo")
         for c in self.coeffs:
             if c.m != self.m:
                 raise DimensionError("coefficient dimension mismatch")
@@ -62,48 +61,38 @@ class MatSeries:
 
     @staticmethod
     def from_coeffs(entries: dict, m: int, mode: str, *, lo=None, hi=None,
-                    valid_lo=None, exact_below=True) -> "MatSeries":
+                    valid_lo=None) -> "MatSeries":
         """Build a series from a degree -> SmallMatrix mapping.
 
-        By default the object is treated as fully known (finite Laurent
-        polynomial): absent degrees inside the band are zero and everything
-        below the band is exactly zero.
+        Absent degrees inside the band are zero.  By default the object is
+        fully known (a finite Laurent polynomial), so everything below the
+        band is exactly zero too; ``valid_lo`` marks a truncated series.
         """
         degrees = sorted(entries)
         band_lo = lo if lo is not None else (degrees[0] if degrees else 0)
         band_hi = hi if hi is not None else (degrees[-1] if degrees else 0)
         z = SmallMatrix.zero(m, mode)
         coeffs = tuple(entries.get(d, z) for d in range(band_lo, band_hi + 1))
-        vlo = band_lo if valid_lo is None else valid_lo
-        return MatSeries(m, mode, band_lo, band_hi, coeffs, vlo,
-                         exact_below and vlo == band_lo)
+        return MatSeries(m, mode, band_lo, band_hi, coeffs, valid_lo)
 
     @staticmethod
     def zero(m: int, mode: str, lo: int = 0, hi: int = 0) -> "MatSeries":
         z = SmallMatrix.zero(m, mode)
-        return MatSeries(m, mode, lo, hi, tuple(z for _ in range(hi - lo + 1)),
-                         lo, True)
+        return MatSeries(m, mode, lo, hi, tuple(z for _ in range(hi - lo + 1)), None)
 
     @staticmethod
     def constant(mat: SmallMatrix) -> "MatSeries":
         """Promote a matrix to the exact degree-0 series."""
-        return MatSeries(mat.m, mat.mode, 0, 0, (mat,), 0, True)
+        return MatSeries(mat.m, mat.mode, 0, 0, (mat,), None)
 
     @staticmethod
     def monomial(mat: SmallMatrix, degree: int) -> "MatSeries":
-        return MatSeries(mat.m, mat.mode, degree, degree, (mat,), degree, True)
+        return MatSeries(mat.m, mat.mode, degree, degree, (mat,), None)
 
     # -- access ---------------------------------------------------------------
 
-    def _effective_valid_lo(self):
-        return None if self.exact_below else self.valid_lo  # None = -infinity
-
     def valid_at(self, degree: int) -> bool:
-        if degree > self.hi:
-            return True
-        if self.exact_below:
-            return True
-        return degree >= self.valid_lo
+        return degree > self.hi or self.valid_lo is None or degree >= self.valid_lo
 
     def get(self, degree: int) -> SmallMatrix:
         """Coefficient at ``degree``; zero outside the band, error below validity."""
@@ -117,7 +106,7 @@ class MatSeries:
 
     def valid_degrees(self):
         """Degrees in the stored band that carry guaranteed-exact coefficients."""
-        return range(max(self.lo, self.valid_lo), self.hi + 1)
+        return range(self.lo if self.valid_lo is None else self.valid_lo, self.hi + 1)
 
     def _compat(self, other: "MatSeries") -> None:
         if self.m != other.m:
@@ -135,34 +124,29 @@ class MatSeries:
     def __neg__(self) -> "MatSeries":
         return MatSeries(self.m, self.mode, self.lo, self.hi,
                          tuple(-c for c in self.coeffs),
-                         self.valid_lo, self.exact_below)
+                         self.valid_lo)
 
     def scale(self, s) -> "MatSeries":
-        """Multiply by a plain scalar (for ScalarSeries factors see scale_series)."""
+        """Multiply by a plain scalar."""
         s = scalars.as_scalar(s, self.mode)
         return MatSeries(self.m, self.mode, self.lo, self.hi,
                          tuple(c.scale(s) for c in self.coeffs),
-                         self.valid_lo, self.exact_below)
+                         self.valid_lo)
 
     def shift_degree(self, j: int) -> "MatSeries":
         """Multiply by the monomial z**j."""
-        return MatSeries(self.m, self.mode, self.lo + j, self.hi + j,
-                         self.coeffs, self.valid_lo + j, self.exact_below)
+        vlo = None if self.valid_lo is None else self.valid_lo + j
+        return MatSeries(self.m, self.mode, self.lo + j, self.hi + j, self.coeffs, vlo)
 
     def left_mul_mat(self, mat: SmallMatrix) -> "MatSeries":
         return MatSeries(self.m, self.mode, self.lo, self.hi,
                          tuple(mat @ c for c in self.coeffs),
-                         self.valid_lo, self.exact_below)
+                         self.valid_lo)
 
     def right_mul_mat(self, mat: SmallMatrix) -> "MatSeries":
         return MatSeries(self.m, self.mode, self.lo, self.hi,
                          tuple(c @ mat for c in self.coeffs),
-                         self.valid_lo, self.exact_below)
-
-    def transpose(self) -> "MatSeries":
-        return MatSeries(self.m, self.mode, self.lo, self.hi,
-                         tuple(c.transpose() for c in self.coeffs),
-                         self.valid_lo, self.exact_below)
+                         self.valid_lo)
 
     # -- predicates / norms ------------------------------------------------------
 
@@ -179,35 +163,24 @@ class MatSeries:
     def trim_top(self) -> "MatSeries":
         """Drop exactly-zero top coefficients (never past valid_lo or lo)."""
         hi = self.hi
-        floor = max(self.lo, self.valid_lo)
+        floor = self.valid_degrees().start
         while hi > floor and self.coeffs[hi - self.lo].is_zero():
             hi -= 1
         if hi == self.hi:
             return self
         return MatSeries(self.m, self.mode, self.lo, hi,
-                         self.coeffs[: hi - self.lo + 1],
-                         min(self.valid_lo, hi + 1), self.exact_below)
+                         self.coeffs[: hi - self.lo + 1], self.valid_lo)
 
 
 def _combine(a: MatSeries, b: MatSeries, sign: int) -> MatSeries:
     a._compat(b)
-    lo = min(a.lo, b.lo)
     hi = max(a.hi, b.hi)
-    ea, eb = a._effective_valid_lo(), b._effective_valid_lo()
-    if ea is None and eb is None:
-        vlo, exact = lo, True
-    else:
-        vlo = max(v for v in (ea, eb) if v is not None)
-        vlo = max(vlo, lo)
-        exact = False
-    coeffs = []
-    for d in range(max(lo, vlo) if not exact else lo, hi + 1):
-        ca = a.get(d) if a.valid_at(d) else SmallMatrix.zero(a.m, a.mode)
-        cb = b.get(d) if b.valid_at(d) else SmallMatrix.zero(a.m, a.mode)
-        coeffs.append(ca + cb if sign > 0 else ca - cb)
-    band_lo = lo if exact else max(lo, vlo)
-    return MatSeries(a.m, a.mode, band_lo, hi, tuple(coeffs),
-                     band_lo if exact else vlo, exact)
+    known = [s.valid_lo for s in (a, b) if s.valid_lo is not None]
+    vlo = max(known + [min(a.lo, b.lo)]) if known else None
+    lo = min(a.lo, b.lo) if vlo is None else vlo
+    coeffs = tuple(a.get(d) + b.get(d) if sign > 0 else a.get(d) - b.get(d)
+                   for d in range(lo, hi + 1))
+    return MatSeries(a.m, a.mode, lo, hi, coeffs, vlo)
 
 
 def series_mul(a: MatSeries, b: MatSeries) -> MatSeries:
@@ -215,15 +188,9 @@ def series_mul(a: MatSeries, b: MatSeries) -> MatSeries:
     a._compat(b)
     hi = a.hi + b.hi
     lo_true = a.lo + b.lo
-    ea, eb = a._effective_valid_lo(), b._effective_valid_lo()
-    cands = []
-    if ea is not None:
-        cands.append(ea + b.hi)
-    if eb is not None:
-        cands.append(eb + a.hi)
-    exact = not cands
-    vlo = lo_true if exact else max(max(cands), lo_true)
-    band_lo = lo_true if exact else vlo
+    cands = [x.valid_lo + y.hi for x, y in ((a, b), (b, a)) if x.valid_lo is not None]
+    vlo = max(cands + [lo_true]) if cands else None
+    band_lo = lo_true if vlo is None else vlo
     coeffs = []
     for d in range(band_lo, hi + 1):
         acc = SmallMatrix.zero(a.m, a.mode)
@@ -235,21 +202,7 @@ def series_mul(a: MatSeries, b: MatSeries) -> MatSeries:
             if not ca.is_zero() and not cb.is_zero():
                 acc = acc + (ca @ cb)
         coeffs.append(acc)
-    return MatSeries(a.m, a.mode, band_lo, hi, tuple(coeffs),
-                     band_lo if exact else vlo, exact)
-
-
-def scale_series(a: MatSeries, c: MatSeries) -> MatSeries:
-    """Scale a (matrix) series by a scalar series (m == 1), via the Cauchy product."""
-    if c.m != 1:
-        raise DimensionError("scalar-series factor must have m == 1")
-    scalars.join_modes(a.mode, c.mode)
-    lifted = MatSeries(
-        a.m, a.mode, c.lo, c.hi,
-        tuple(SmallMatrix.identity(a.m, a.mode).scale(mat.get(1, 1)) for mat in c.coeffs),
-        c.valid_lo, c.exact_below,
-    )
-    return series_mul(lifted, a)
+    return MatSeries(a.m, a.mode, band_lo, hi, tuple(coeffs), vlo)
 
 
 def series_inverse(a: MatSeries, depth: int) -> MatSeries:
@@ -262,7 +215,7 @@ def series_inverse(a: MatSeries, depth: int) -> MatSeries:
     if depth < 0:
         raise ValidityError("depth must be >= 0")
     a = a.trim_top()
-    avail = None if a.exact_below else a.hi - a.valid_lo
+    avail = None if a.valid_lo is None else a.hi - a.valid_lo
     if avail is not None and depth > avail:
         raise ValidityError(
             f"requested depth {depth} exceeds input validity depth {avail}"
@@ -282,15 +235,14 @@ def series_inverse(a: MatSeries, depth: int) -> MatSeries:
             acc = acc + (ai @ out[j - i])
         out[j] = -(top_inv @ acc)
     coeffs = tuple(out[j] for j in range(depth, -1, -1))
-    return MatSeries(a.m, a.mode, -h - depth, -h, coeffs, -h - depth, False)
+    return MatSeries(a.m, a.mode, -h - depth, -h, coeffs, -h - depth)
 
 
 def series_project(a: MatSeries, part: str):
-    """Split into non-negative / strictly-negative degrees, or take res_z.
+    """Split into non-negative / strictly-negative degrees.
 
-    ``plus``    -> degrees >= 0 unchanged (an exact polynomial);
-    ``minus``   -> a - plus(a), carrying a's validity below zero;
-    ``residue`` -> the coefficient of z**-1 as a SmallMatrix.
+    ``plus``  -> degrees >= 0 unchanged (an exact polynomial);
+    ``minus`` -> a - plus(a), carrying a's validity below zero.
     """
     if part == "plus":
         if not a.valid_at(0):
@@ -306,12 +258,7 @@ def series_project(a: MatSeries, part: str):
         if lo > -1:
             return MatSeries.zero(a.m, a.mode, -1, -1)
         return MatSeries(a.m, a.mode, lo, -1,
-                         tuple(a.coeffs[d - a.lo] for d in range(lo, 0)),
-                         lo, a.exact_below)
-    if part == "residue":
-        if not a.valid_at(-1):
-            raise ValidityError("residue requested but degree -1 is not valid")
-        return a.get(-1)
+                         tuple(a.get(d) for d in range(lo, 0)), a.valid_lo)
     raise ValueError(f"unknown projection {part!r}")
 
 
@@ -324,7 +271,7 @@ def series_diff_max(a: MatSeries, b: MatSeries, degrees=None):
     """
     if degrees is None:
         lo = max([min(a.lo, b.lo)] +
-                 [s.valid_lo for s in (a, b) if not s.exact_below])
+                 [s.valid_lo for s in (a, b) if s.valid_lo is not None])
         degrees = range(lo, max(a.hi, b.hi) + 1)
     return scalars.max_of(((a.get(d) - b.get(d)).max_abs() for d in degrees), a.mode)
 
@@ -332,25 +279,3 @@ def series_diff_max(a: MatSeries, b: MatSeries, degrees=None):
 def series_equal(a: MatSeries, b: MatSeries) -> bool:
     """Equality on every degree both operands know (exact modes)."""
     return series_diff_max(a, b) == 0
-
-
-# -- serialization ---------------------------------------------------------------
-
-
-def series_to_json(a: MatSeries) -> dict:
-    return {
-        "m": a.m,
-        "mode": a.mode,
-        "lo": a.lo,
-        "hi": a.hi,
-        "valid_lo": a.valid_lo,
-        "exact_below": a.exact_below,
-        "coeffs": [flat_entries(c) for c in a.coeffs],
-    }
-
-
-def series_from_json(doc: dict) -> MatSeries:
-    m, mode = doc["m"], doc["mode"]
-    coeffs = tuple(from_flat_entries(flat, m, mode) for flat in doc["coeffs"])
-    return MatSeries(m, mode, doc["lo"], doc["hi"], coeffs,
-                     doc["valid_lo"], doc.get("exact_below", False))

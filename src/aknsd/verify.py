@@ -302,23 +302,21 @@ def _suite_dynamics(config: ExperimentConfig, report: VerificationReport) -> Non
     # the halo is the depth the configured flows need: a wider stored range
     # sharpens the resonant edge modes of tied |a_i| pairs past the explicit
     # stability limit at desk h
-    depth = min(config.depth,
-                max(2, max((k for k, _ in config.flows), default=1) + 2))
-    window = Window(config.window.n_min, config.window.n_max, depth)
+    halo = min(config.depth,
+               max(2, max((k for k, _ in config.flows), default=1) + 2))
+    window = Window(config.window.n_min, config.window.n_max, halo)
     rng = random.Random(config.seed + 3)
-    u = random_potential(window, config.data(scalars.FLOAT), rng,
-                         span=3).map(lambda v: v.scale(0.1))
-    state = HierarchyState.solve(config.data(scalars.FLOAT), u, window,
-                                 depth, validate=False)
+    data = config.data(scalars.FLOAT)
+    u = random_potential(window, data, rng, span=3).map(lambda v: v.scale(0.1))
 
     flow = FlowIndex(*config.first_flow)
-    field_fn = make_field_fn(state.data, flow, CONSISTENCY_TOL)
-    f0 = field_fn(state.U)
+    field_fn = make_field_fn(data, flow, CONSISTENCY_TOL)
+    f0 = field_fn(u)
 
     def euler_defect(h):
-        u1 = rk4_step(state.U, h, field_fn)
-        eul = state.U.zip_with(f0, lambda a, b: a + b.scale(h))
-        return interior_diff_max(u1, eul, state.window)
+        u1 = rk4_step(u, h, field_fn)
+        eul = u.zip_with(f0, lambda a, b: a + b.scale(h))
+        return interior_diff_max(u1, eul, window)
 
     d1, d2 = euler_defect(0.02), euler_defect(0.01)
     order = math.log2(d1 / d2) if d1 > 0 and d2 > 0 else float("inf")
@@ -327,7 +325,7 @@ def _suite_dynamics(config: ExperimentConfig, report: VerificationReport) -> Non
 
     pair = (config.flows + ((0, 1), (0, 2)))[:2]
     defect, sw_order = commutativity_defect(
-        state, FlowIndex(*pair[0]), FlowIndex(*pair[1]), config.h,
+        data, u, window, FlowIndex(*pair[0]), FlowIndex(*pair[1]), config.h,
         min(config.steps, 3))
     report.add("commutativity_defect", defect, 1e-6,
                {"flows": [list(pair[0]), list(pair[1])], "h": config.h})

@@ -25,30 +25,25 @@ def rand_matrix(rng, m, mode=RAT):
 
 def rand_series(rng, m, lo, hi, valid_lo=None, mode=RAT):
     coeffs = {d: rand_matrix(rng, m, mode) for d in range(lo, hi + 1)}
-    return MatSeries.from_coeffs(
-        coeffs, m, mode, lo=lo, hi=hi,
-        valid_lo=valid_lo, exact_below=valid_lo is None,
-    )
+    return MatSeries.from_coeffs(coeffs, m, mode, lo=lo, hi=hi, valid_lo=valid_lo)
 
 
 def extended_band_product(a, b, extra=4):
     """Oracle for product validity: recompute with wider bands, compare."""
-    aa = _extend(a, extra)
-    bb = _extend(b, extra)
-    return series_mul(aa, bb)
+    return series_mul(completion(a, extra), completion(b, extra))
 
 
-def _extend(s, extra):
-    # widen the stored band downwards with fresh junk below valid_lo so the
-    # recomputation exercises exactly the degrees the original could not see
-    rng = random.Random(12345)
-    coeffs = {}
-    for d in range(s.lo - extra, s.hi + 1):
-        if d >= s.lo:
-            coeffs[d] = s.coeffs[d - s.lo]
-        else:
-            coeffs[d] = rand_matrix(rng, s.m, s.mode)
-    return MatSeries.from_coeffs(
-        coeffs, s.m, s.mode, lo=s.lo - extra, hi=s.hi,
-        valid_lo=s.lo - extra, exact_below=True,
-    )
+def completion(s, extra=4, seed=12345):
+    """A fully known series that agrees with ``s`` on every degree ``s`` knows.
+
+    Each degree ``s`` does not know -- stored ones below ``valid_lo`` and
+    ``extra`` more below its band -- gets a fresh random coefficient, so a
+    recomputation exercises exactly what the original could not see.  A fully
+    known ``s`` has no such degree and comes back as it is.
+    """
+    if s.valid_lo is None:
+        return s
+    rng = random.Random(seed)
+    coeffs = {d: s.coeffs[d - s.lo] if d >= s.valid_lo else rand_matrix(rng, s.m, s.mode)
+              for d in range(s.lo - extra, s.hi + 1)}
+    return MatSeries.from_coeffs(coeffs, s.m, s.mode, lo=s.lo - extra, hi=s.hi)

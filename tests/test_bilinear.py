@@ -211,4 +211,4 @@ def test_dual_kernel_top_coefficient_identity():
     state = rational_state(seed=70)
     ident = SmallMatrix.identity(2, RAT)
     for n in state.hat_inverse.sites():
-        assert state.hat_inverse.at(n).transpose().get(0) == ident
+        assert state.hat_inverse.at(n).get(0).transpose() == ident

@@ -87,14 +87,14 @@ def test_commutativity_same_k_zero_flows():
     # (0,1) vs (0,2): simultaneous conjugations by commuting diagonal
     # exponentials; defect at integrator-error level only
     state = float_state(seed=5, amplitude=0.4)
-    defect, _ = commutativity_defect(state, FlowIndex(0, 1), FlowIndex(0, 2),
-                                     0.02, 5)
+    defect, _ = commutativity_defect(state.data, state.U, state.window,
+                                     FlowIndex(0, 1), FlowIndex(0, 2), 0.02, 5)
     assert defect < 1e-12
 
 
 def test_commutativity_higher_flows():
     state = float_state(seed=6, amplitude=0.5)
-    defect, order = commutativity_defect(state, FlowIndex(1, 1), FlowIndex(0, 2),
-                                         0.05, 4)
+    defect, order = commutativity_defect(state.data, state.U, state.window,
+                                         FlowIndex(1, 1), FlowIndex(0, 2), 0.05, 4)
     assert defect < 1e-6
     assert order >= 2.0

@@ -1,11 +1,14 @@
 """Config parsing, state persistence, CLI exit codes, export round-trips."""
 
+import copy
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from aknsd import cli, scalars
 from aknsd.config import parse_config
@@ -22,6 +25,8 @@ from aknsd.persist import (
     export_trajectory_csv,
 )
 from aknsd.verify import config_hash, run_verify_suite
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 MINIMAL = """
 {
@@ -77,6 +82,114 @@ def test_all_violations_listed_together():
         parse_config(json.dumps(doc))
     text = str(err.value)
     assert "distinct" in text and "halo" in text and "bar" in text
+
+
+@pytest.mark.parametrize("potential", [
+    {"type": "impulse", "value": "abc"},
+    {"type": "impulse", "i": "x"},
+    {"type": "random", "amplitude": "abc"},
+    {"type": "random", "span": "x"},
+    {"type": "random", "density": "x"},
+    {"type": "explicit", "sites": []},
+    {"type": "explicit", "sites": {"abc": [["0", "1"], ["0", "0"]]}},
+    {"type": "impulse", "site": 100},
+    {"type": "impulse", "i": 5},
+    {"type": "explicit", "sites": {"100": [["0", "1"], ["0", "0"]]}},
+])
+def test_cli_rejects_bad_potential(tmp_path, capsys, potential):
+    doc = json.loads((CONFIGS / "desk_m2.json").read_text())
+    doc["potential"] = potential
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps(doc))
+    for mode in scalars.MODES:
+        assert cli.main(["dress", "--config", str(config), "--mode", mode]) == 2
+        assert capsys.readouterr().err.startswith("error: invalid configuration")
+
+
+def test_potential_rationals_read_alike_in_both_modes(tmp_path):
+    # "1/3" is a rational in either mode: the float potential is the
+    # rational one rounded, not a parse failure
+    doc = json.loads((CONFIGS / "desk_m2.json").read_text())
+    doc["potential"] = {"type": "random", "amplitude": "1/3"}
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(doc))
+    for mode in scalars.MODES:
+        assert cli.main(["dress", "--config", str(path), "--mode", mode]) == 0
+    config = parse_config(path.read_text())
+    exact = config.build_potential(scalars.RATIONAL)
+    rounded = config.build_potential(scalars.FLOAT)
+    assert any(not exact.at(n).is_zero() for n in exact.sites())
+    assert all(abs(float(exact.at(n).get(i, j)) - rounded.at(n).get(i, j)) <= 1e-15
+               for n in exact.sites() for i in (1, 2) for j in (1, 2))
+
+
+# values a mutated config may hold: wrong types, unparsable text, out-of-range
+# numbers (bounded, so no window grows past a few hundred sites)
+_JUNK = st.one_of(
+    st.none(), st.booleans(), st.integers(-40, 120),
+    st.floats(-50, 50) | st.sampled_from([math.nan, math.inf, -math.inf]),
+    st.sampled_from(["", "abc", "x", "1/3", "-3/2", "1/0", "1e400", "0.5"]),
+    st.lists(st.integers(-3, 3), max_size=3),
+)
+_SITES = st.dictionaries(st.sampled_from(["0", "3", "-18", "19", "100", "abc"]),
+                         st.lists(st.lists(_JUNK, max_size=3), max_size=3) | _JUNK,
+                         max_size=2)
+# a valid potential of each type, with every key that type reads
+_BASE_POTENTIALS = {
+    "vacuum": {},
+    "impulse": {"site": 0, "i": 1, "j": 2, "value": "1"},
+    "random": {"span": 3, "density": 0.5, "amplitude": "1/10", "triangular": False},
+    "explicit": {},  # "sites" holds one m x m matrix, set per config
+}
+
+
+@st.composite
+def mutated_desk_config(draw):
+    """A desk config of some potential type, with keys dropped and values retyped."""
+    name = draw(st.sampled_from(["desk_m2.json", "desk_m3.json"]))
+    doc = json.loads((CONFIGS / name).read_text())
+    kind = draw(st.sampled_from(sorted(_BASE_POTENTIALS)))
+    doc["potential"] = {"type": kind, **copy.deepcopy(_BASE_POTENTIALS[kind])}
+    if kind == "explicit":
+        m = doc["m"]
+        doc["potential"]["sites"] = {"1": [["1/2" if (i, j) == (0, 1) else "0"
+                                            for j in range(m)] for i in range(m)]}
+    keys = {"window": ["n_min", "n_max", "halo"],
+            "potential": sorted(doc["potential"]) + (["entry"] if kind == "explicit" else [])}
+    for _ in range(draw(st.integers(1, 3))):
+        where = draw(st.sampled_from(["top", "window", "potential", "potential",
+                                      "potential"]))
+        target = doc.get(where)
+        if not isinstance(target, dict):  # "top", or a section already retyped
+            target, where = doc, "top"
+        key = draw(st.sampled_from(keys.get(where, sorted(doc))))
+        if key == "entry":  # one entry, or one row, of the explicit matrix
+            sites = target.get("sites")
+            rows = sites.get("1") if isinstance(sites, dict) else None
+            if isinstance(rows, list) and rows and all(isinstance(r, list) for r in rows):
+                i = draw(st.integers(0, len(rows) - 1))
+                if draw(st.booleans()):
+                    rows[i] = draw(_JUNK)
+                elif rows[i]:
+                    rows[i][draw(st.integers(0, len(rows[i]) - 1))] = draw(_JUNK)
+        elif draw(st.booleans()):
+            target.pop(key, None)
+        elif key == "type":
+            target[key] = draw(st.sampled_from(sorted(_BASE_POTENTIALS)) | _JUNK)
+        else:
+            target[key] = draw(_SITES | _JUNK if key == "sites" else _JUNK)
+    return doc
+
+
+@given(mutated_desk_config())
+@settings(max_examples=300, deadline=None)
+def test_mutated_config_fails_only_with_config_error(doc):
+    try:
+        config = parse_config(json.dumps(doc))
+        for mode in scalars.MODES:
+            config.build_potential(mode)
+    except ConfigError:
+        pass
 
 
 # -- persistence -----------------------------------------------------------------
@@ -144,8 +257,17 @@ def _shrink_halo(doc):
     doc["window"]["halo"] = 2
 
 
+def _bogus_policy(doc):
+    doc["conventions"]["policy"] = "bogus"
+
+
+def _conventions_not_an_object(doc):
+    doc["conventions"] = [1, 2]
+
+
 @pytest.mark.parametrize("mutate", [_drop_kind, _shift_order_range, _widen_a,
-                                    _shrink_halo])
+                                    _shrink_halo, _bogus_policy,
+                                    _conventions_not_an_object])
 def test_cli_rejects_inconsistent_state_document(tmp_path, capsys, mutate):
     config = tmp_path / "c.json"
     config.write_text(MINIMAL)
@@ -220,7 +342,7 @@ def test_verify_bilinear_passes():
 
 
 def test_exact_zero_residuals_render_as_zero():
-    path = Path(__file__).resolve().parents[1] / "configs" / "desk_m2.json"
+    path = CONFIGS / "desk_m2.json"
     config = parse_config(path.read_text())
     for suite in ("algebra", "resolvent", "bilinear"):
         for check in run_verify_suite(config, suite).checks:
@@ -313,7 +435,7 @@ def test_cli_overrides_follow_config_rules(tmp_path, monkeypatch, capsys, argv,
     (["--alpha", "3"], "flow index alpha=3 outside 1..2"),
 ])
 def test_cli_flow_index_follows_config_rules(capsys, flags, message):
-    config_path = Path(__file__).resolve().parents[1] / "configs" / "desk_m2.json"
+    config_path = CONFIGS / "desk_m2.json"
     assert cli.main(["flow", "--config", str(config_path)] + flags) == 2
     assert message in capsys.readouterr().err
 

@@ -19,7 +19,7 @@ from aknsd.instances import (
 )
 from aknsd.matrices import SmallMatrix
 from aknsd.series import MatSeries, series_mul
-from helpers import RAT, mat
+from helpers import RAT
 
 
 DEPTH = 5
@@ -127,12 +127,13 @@ def test_linearity_of_resolvent_combinations():
     state = solved(2, seed=77)
     r1 = state.resolvent(1).series
     r2 = state.resolvent(2).series
-    c = MatSeries.from_coeffs({0: mat([[2]]), -1: mat([[-1]]), -2: mat([[3]])}, 1, RAT)
-    f = MatSeries.from_coeffs({0: mat([[1]]), -2: mat([[5]])}, 1, RAT)
-    from aknsd.series import scale_series
+    ident = SmallMatrix.identity(2, RAT)
+    c = MatSeries.from_coeffs({0: ident.scale(2), -1: ident.scale(-1),
+                               -2: ident.scale(3)}, 2, RAT)
+    f = MatSeries.from_coeffs({0: ident, -2: ident.scale(5)}, 2, RAT)
 
-    combo = r1.map(lambda s: scale_series(s, c), map_tails=False).zip_with(
-        r2.map(lambda s: scale_series(s, f), map_tails=False), lambda a, b: a + b
+    combo = r1.map(lambda s: series_mul(c, s), map_tails=False).zip_with(
+        r2.map(lambda s: series_mul(f, s), map_tails=False), lambda a, b: a + b
     )
     comm = commutator_with_l(combo, state.data, state.U)
     assert max_abs_lattice_series(comm) == 0
