@@ -90,10 +90,15 @@ def shifted_times(n: int, t: TimePoint, data, k_max: int) -> TimePoint:
     out = dict(t.as_dict())
     for k in range(1, k_max + 1):
         for alpha, a in enumerate(a_entries, start=1):
-            sign = 1 if k % 2 == 1 else -1
-            shift = scalars.as_scalar(sign, mode) * (a ** k) / k
+            shift = _unit_time_shift(k, a, mode)
             out[(k, alpha)] = out.get((k, alpha), scalars.zero(mode)) + n * shift
     return TimePoint.make(out, mode)
+
+
+def _unit_time_shift(k: int, a, mode: str):
+    """(-1)^(k-1) a^k / k: what one lattice step adds to t_{k alpha}, k >= 1."""
+    sign = 1 if k % 2 == 1 else -1
+    return scalars.as_scalar(sign, mode) * (a ** k) / k
 
 
 # -- the exponential factor g -----------------------------------------------------
@@ -224,29 +229,18 @@ class TauExpSum:
 
     @staticmethod
     def make(terms, mode: str = scalars.RATIONAL) -> "TauExpSum":
-        """terms: iterable of (c, {(k, alpha): p}) or (c, offset, {(k, alpha): p})."""
-        built = []
-        for item in terms:
-            if len(item) == 2:
-                c, p = item
-                off = scalars.zero(mode)
-            else:
-                c, off, p = item
-                off = scalars.as_scalar(off, mode)
-            built.append(TauTerm(
-                scalars.as_scalar(c, mode), off,
-                tuple(sorted(((k, a), scalars.as_scalar(v, mode))
-                             for (k, a), v in p.items() if v != 0)),
-            ))
-        return TauExpSum(mode, tuple(built)).canonical()
+        """terms: iterable of (c, {(k, alpha): p}), each with a zero offset."""
+        built = tuple(
+            TauTerm(scalars.as_scalar(c, mode), scalars.zero(mode),
+                    tuple(sorted(((k, a), scalars.as_scalar(v, mode))
+                                 for (k, a), v in p.items() if v != 0)))
+            for c, p in terms
+        )
+        return TauExpSum(mode, built).canonical()
 
     @staticmethod
     def one(mode: str = scalars.RATIONAL) -> "TauExpSum":
         return TauExpSum.make([(1, {})], mode)
-
-    @staticmethod
-    def zero(mode: str = scalars.RATIONAL) -> "TauExpSum":
-        return TauExpSum(mode, ())
 
     def canonical(self) -> "TauExpSum":
         merged = {}
@@ -265,11 +259,6 @@ class TauExpSum:
             return NotImplemented
         return self.canonical().terms == other.canonical().terms
 
-    def scale(self, s) -> "TauExpSum":
-        s = scalars.as_scalar(s, self.mode)
-        return TauExpSum(self.mode,
-                         tuple(TauTerm(t.c * s, t.offset, t.p) for t in self.terms))
-
     def __add__(self, other: "TauExpSum") -> "TauExpSum":
         scalars.join_modes(self.mode, other.mode)
         return TauExpSum(self.mode, self.terms + other.terms).canonical()
@@ -283,9 +272,7 @@ class TauExpSum:
             for (k, alpha), v in term.p:
                 if k < 1:
                     continue
-                a = a_entries[alpha - 1]
-                sign = 1 if k % 2 == 1 else -1
-                off = off + v * n * scalars.as_scalar(sign, self.mode) * (a ** k) / k
+                off = off + v * n * _unit_time_shift(k, a_entries[alpha - 1], self.mode)
             out.append(TauTerm(term.c, off, term.p))
         return TauExpSum(self.mode, tuple(out)).canonical()
 
@@ -309,32 +296,6 @@ class TauExpSum:
                     "use float mode"
                 )
         return total
-
-    def to_json(self) -> dict:
-        return {
-            "mode": self.mode,
-            "terms": [
-                {
-                    "c": scalars.format_scalar(t.c),
-                    "offset": scalars.format_scalar(t.offset),
-                    "p": {f"{k},{a}": scalars.format_scalar(v) for (k, a), v in t.p},
-                }
-                for t in self.terms
-            ],
-        }
-
-    @staticmethod
-    def from_json(doc: dict) -> "TauExpSum":
-        mode = doc["mode"]
-        terms = []
-        for t in doc["terms"]:
-            p = {}
-            for key, v in t["p"].items():
-                k, a = key.split(",")
-                p[(int(k), int(a))] = scalars.parse_scalar(v, mode)
-            terms.append((scalars.parse_scalar(t["c"], mode),
-                          scalars.parse_scalar(t.get("offset", "0"), mode), p))
-        return TauExpSum.make(terms, mode)
 
 
 def miwa_shift_terms(tau: TauExpSum, gamma: int, depth: int) -> list:
@@ -483,13 +444,14 @@ def _displacement_polynomial(state: HierarchyState, k: int, alpha: int,
     return MatSeries.from_coeffs(coeffs, state.data.m, state.mode)
 
 
-def _mixed_word_expression(state: HierarchyState, k1: int, alpha1: int,
-                           k2: int, alpha2: int, fd_step: float) -> LatticeFn:
-    """(d_1 d_2 w) w^{-1} with the outer derivative taken numerically.
+def _mixed_word_factor(state: HierarchyState, k1: int, alpha1: int,
+                       k2: int, alpha2: int, fd_step: float) -> LatticeFn:
+    """(d_1 d_2 w) g^{-1} with the outer derivative taken numerically.
 
     d_2 w = B_2 w analytically; the centered difference of B_2(t) w(t) along
-    the (k1, alpha1) flow is divided by w(t) on the right, leaving evolved
-    dressing factors and the exact displacement polynomial.
+    the (k1, alpha1) flow is taken with g(t +- delta) g(t)^{-1} kept as the
+    displacement polynomial, whose tail stays below the O(delta^2)
+    differencing error, so only evolved dressing factors remain.
     """
     stepped = _stepped_states(state, FlowIndex(k1, alpha1), fd_step)
     legs = []
@@ -500,8 +462,7 @@ def _mixed_word_expression(state: HierarchyState, k1: int, alpha1: int,
             lambda s: series_mul(s, disp), map_tails=False)
         legs.append(leg)
     inv = 1.0 / (2.0 * fd_step)
-    diff = legs[0].zip_with(legs[1], lambda a, b: (a - b).scale(inv))
-    return diff.zip_with(state.hat_inverse.restrict(diff.lo, diff.hi), series_mul)
+    return legs[0].zip_with(legs[1], lambda a, b: (a - b).scale(inv))
 
 
 def _step_polynomial(state: HierarchyState) -> MatSeries:
@@ -513,67 +474,29 @@ def _step_polynomial(state: HierarchyState) -> MatSeries:
     )
 
 
-def _transfer(state: HierarchyState) -> LatticeFn:
-    """T(n) = w_hat(n+1) (1 + eps z A) w_hat(n)^{-1} = I + eps (z A - U(n))."""
-    mid = _step_polynomial(state)
-    lam_hat = shift_apply(state.hat, 1)
-    return lam_hat.zip_with(
-        state.hat_inverse.restrict(lam_hat.lo, lam_hat.hi),
-        lambda a, b: series_mul(series_mul(a, mid), b),
-    )
-
-
-def bilinear_expression(state: HierarchyState, m_delta: int, word: tuple, *,
-                        path: str = "analytic", fd_step: float = 1e-5) -> LatticeFn:
-    """The cancellation-reduced series (Delta^m d^word w) w^{-1} per site."""
-    if m_delta not in (0, 1):
-        raise InstanceError("the difference power must be 0 or 1")
-    word = make_word(*word)
-    k_total = sum(k for k, _ in word)
-    if state.depth - k_total - 1 < 1:
-        raise ValidityError(
-            f"depth budget exceeded: need depth > {k_total + 1}, have {state.depth}"
-        )
-    eps_inv = scalars.one(state.mode) / state.step
-
+def _word_factor(state: HierarchyState, word: tuple, path: str,
+                 fd_step: float) -> LatticeFn:
+    """The dressing-shaped series Y = (d^word w) g^{-1} per site."""
     if len(word) == 0:
-        if m_delta == 0:
-            return state.hat.zip_with(state.hat_inverse, series_mul)
-        trans = _transfer(state)
-        ident = MatSeries.constant(SmallMatrix.identity(state.data.m, state.mode))
-        return trans.map(lambda s: (s - ident).scale(eps_inv), map_tails=False)
+        return state.hat
 
     if len(word) == 1:
-        (k, alpha) = word[0]
+        (k, alpha), = word
         if path == "analytic":
             d_hat = _hat_derivative_analytic(state, k, alpha)
         elif path == "numeric":
             d_hat = _hat_derivative_numeric(state, k, alpha, fd_step)
         else:
             raise ValueError(f"unknown path {path!r} for length-1 words")
+        # d(W g) g^{-1} = dW + W z^k E_alpha
         zke = MatSeries.monomial(state.data.projector(alpha), k)
-        big_d = d_hat.zip_with(state.hat, lambda d, w: d + series_mul(w, zke))
-        if m_delta == 0:
-            return big_d.zip_with(state.hat_inverse, series_mul)
-        # Delta(D g)(n) g(n)^{-1} w_hat(n)^{-1} reduces to
-        # [D(n+1) (1 + eps z A) - D(n)] w_hat(n)^{-1} / eps
-        mid = _step_polynomial(state)
-        lam_d = shift_apply(big_d, 1)
-        diff = lam_d.zip_with(
-            big_d.restrict(lam_d.lo, lam_d.hi),
-            lambda dn1, dn: series_mul(dn1, mid) - dn,
-        )
-        return diff.zip_with(
-            state.hat_inverse.restrict(diff.lo, diff.hi),
-            lambda d, wi: series_mul(d, wi).scale(eps_inv),
-        )
+        return d_hat.zip_with(state.hat, lambda d, w: d + series_mul(w, zke))
 
-    # length 2
     (k1, a1), (k2, a2) = word
     if path == "analytic":
         # d_1 d_2 w = f w with f = (z^k2 [B_1, R_2])_+ + B_2 B_1, all of it
-        # assembled from series products; f times w w^{-1} stays free of
-        # negative powers exactly when the hierarchy relations hold
+        # assembled from series products; f w w^{-1} stays free of negative
+        # powers exactly when the hierarchy relations hold
         b2, _ = projector_b(state.resolvent(a2), k2)
         b1, _ = projector_b(state.resolvent(a1), k1)
         r2 = state.resolvent(a2).series
@@ -587,31 +510,43 @@ def bilinear_expression(state: HierarchyState, m_delta: int, word: tuple, *,
         )
         f = db2.zip_with(b1.zip_with(b2, lambda x, y: series_mul(y, x)),
                          lambda a, b: a + b)
-        y = f.zip_with(state.hat.zip_with(state.hat_inverse, series_mul)
-                       .restrict(f.lo, f.hi), series_mul)
-    elif path == "mixed":
-        # centered difference of the full product (d_2 w) = B_2 w along the
-        # (k1, a1) flow: w(t +- delta) w(t)^{-1} carries the displacement
-        # factor exp(+-delta z^k1 E), kept as a degree-truncated polynomial
-        # whose tail is O(delta^3) and thus below the O(delta^2) target
-        y = _mixed_word_expression(state, k1, a1, k2, a2, fd_step)
-    else:
-        raise ValueError(f"unknown path {path!r} for length-2 words")
+        return f.zip_with(state.hat, series_mul)
+    if path == "mixed":
+        return _mixed_word_factor(state, k1, a1, k2, a2, fd_step)
+    raise ValueError(f"unknown path {path!r} for length-2 words")
+
+
+def bilinear_expression(state: HierarchyState, m_delta: int, word: tuple, *,
+                        path: str = "analytic", fd_step: float = 1e-5) -> LatticeFn:
+    """The cancellation-reduced series (Delta^m d^word w) w^{-1} per site."""
+    if m_delta not in (0, 1):
+        raise InstanceError("the difference power must be 0 or 1")
+    word = make_word(*word)
+    k_total = sum(k for k, _ in word)
+    if state.depth - k_total - 1 < 1:
+        raise ValidityError(
+            f"depth budget exceeded: need depth > {k_total + 1}, have {state.depth}"
+        )
+    y = _word_factor(state, word, path, fd_step)
     if m_delta == 0:
-        return y
-    trans = _transfer(state)
+        return y.zip_with(state.hat_inverse, series_mul)
+    # with w = Y g and g(n+1) = (1 + eps z A) g(n), (Delta w)(n) w(n)^{-1}
+    # reduces to [Y(n+1) (1 + eps z A) - Y(n)] w_hat(n)^{-1} / eps
+    mid = _step_polynomial(state)
+    eps_inv = scalars.one(state.mode) / state.step
     lam_y = shift_apply(y, 1)
-    fwd = lam_y.zip_with(trans.restrict(lam_y.lo, lam_y.hi), series_mul)
-    return fwd.zip_with(y.restrict(fwd.lo, fwd.hi),
-                        lambda a, b: (a - b).scale(eps_inv))
+    diff = lam_y.zip_with(y.restrict(lam_y.lo, lam_y.hi),
+                          lambda yn1, yn: series_mul(yn1, mid) - yn)
+    return diff.zip_with(state.hat_inverse,
+                         lambda d, wi: series_mul(d, wi).scale(eps_inv))
 
 
 def bilinear_l_capacity(depth: int, word: tuple, m_delta: int) -> int:
     """Largest l whose residue the expression band supports at this depth.
 
-    Each unit of flow order k and the single z-degree of the transfer factor
-    (present when the difference power is 1) consume one order of the
-    truncation band: capacity = depth - sum(k) - 1 - m_delta.
+    Each unit of flow order k and the single z-degree of the step polynomial
+    I + eps z A (present when the difference power is 1) consume one order
+    of the truncation band: capacity = depth - sum(k) - 1 - m_delta.
     """
     return depth - sum(k for k, _ in word) - 1 - m_delta
 

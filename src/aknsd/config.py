@@ -8,6 +8,7 @@ fall back to defaults.
 from __future__ import annotations
 
 import json
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -62,15 +63,56 @@ class ExperimentConfig:
         return AknsData(self.m, tuple(scalars.as_scalar(x, mode) for x in self.a),
                         mode)
 
-    def solve(self, potential=None, mode: str | None = None) -> HierarchyState:
+    def solve(self, potential=None) -> HierarchyState:
         """Dressing of ``potential`` (default: the configured one) at the config's depth."""
-        u = potential if potential is not None else self.build_potential(mode)
-        return HierarchyState.solve(self.data(mode), u, self.window, self.depth,
+        u = potential if potential is not None else self.build_potential()
+        return HierarchyState.solve(self.data(), u, self.window, self.depth,
                                     validate=False)
 
     def build_potential(self, mode: str | None = None) -> LatticeFn:
         """The configured potential in ``mode`` (default: the config's)."""
         return _potential(self.potential, self.window, self.data(mode), self.seed)
+
+
+def _integer(x, what: str, problems: list, lo: int | None = None,
+             hi: int | None = None) -> int | None:
+    """A JSON integer (not a bool) in [lo, hi], an absent end being open.
+
+    Each reader returns None after noting a problem, so that a caller can
+    list every violation before it raises.
+    """
+    if isinstance(x, int) and not isinstance(x, bool) \
+            and (lo is None or x >= lo) and (hi is None or x <= hi):
+        return x
+    span = f" in {lo}..{hi}" if hi is not None else f" >= {lo}" if lo is not None else ""
+    problems.append(f"{what} must be an integer{span}, not {x!r}")
+    return None
+
+
+def _rational(x, what: str, problems: list) -> Fraction | None:
+    """A text or number read exactly as Fraction(str(x)), with a finite float value."""
+    try:
+        q = Fraction(str(x))
+        float(q)
+        return q
+    except (ValueError, ZeroDivisionError, OverflowError):
+        problems.append(f"{what} must be a rational like \"1\" or \"-3/2\" "
+                        f"within float range, not {x!r}")
+        return None
+
+
+def _number(x, what: str, problems: list, rule, rule_text: str) -> float | None:
+    """A finite JSON number (not a bool or a text) that passes ``rule``, as a float."""
+    value = math.nan
+    if isinstance(x, (int, float)) and not isinstance(x, bool):
+        try:
+            value = float(x)
+        except OverflowError:  # an integer beyond float range
+            pass
+    if math.isfinite(value) and rule(value):
+        return value
+    problems.append(f"{what} must be {rule_text} (a finite number), not {x!r}")
+    return None
 
 
 def _potential(pot: dict, window: Window, data: AknsData, seed: int) -> LatticeFn:
@@ -83,57 +125,39 @@ def _potential(pot: dict, window: Window, data: AknsData, seed: int) -> LatticeF
     text.
     """
     m, mode = data.m, data.mode
-    stored = range(window.stored_lo, window.stored_hi + 1)
+    stored_lo, stored_hi = window.stored_lo, window.stored_hi
     problems = []
-
-    def rational(x, what):
-        try:
-            q = Fraction(str(x))
-            return scalars.as_scalar(q if mode == scalars.RATIONAL else float(q), mode)
-        except (ValueError, ZeroDivisionError, OverflowError):
-            problems.append(f"{what} must be a rational like \"1\" or \"-3/2\", "
-                            f"not {x!r}")
-            return scalars.zero(mode)
 
     def check():
         if problems:
             raise ConfigError("; ".join(problems))
 
-    def integer(key, default, allowed: range):
-        x = pot.get(key, default)
-        if isinstance(x, bool) or not isinstance(x, int) or x not in allowed:
-            problems.append(f"potential {key!r} must be an integer in "
-                            f"{allowed.start}..{allowed.stop - 1}, not {x!r}")
-            return None
-        return x
-
     kind = pot.get("type", "vacuum")
     if kind == "vacuum":
         return vacuum_potential(window, m, mode)
     if kind == "impulse":
-        site = integer("site", 0, stored)
-        i = integer("i", 1, range(1, m + 1))
-        j = integer("j", 2, range(1, m + 1))
+        site = _integer(pot.get("site", 0), "potential 'site'", problems,
+                        stored_lo, stored_hi)
+        i = _integer(pot.get("i", 1), "potential 'i'", problems, 1, m)
+        j = _integer(pot.get("j", 2), "potential 'j'", problems, 1, m)
         if i is not None and i == j:
             problems.append("impulse potential entry must be off-diagonal")
-        value = rational(pot.get("value", 1), "potential 'value'")
+        value = _rational(pot.get("value", 1), "potential 'value'", problems)
         check()
         return impulse_potential(window, m, mode, site=site, i=i, j=j, value=value)
     if kind == "random":
         # sites -span..span must lie in the stored range
-        span = integer("span", 4, range(0, min(-stored.start, stored.stop - 1) + 1))
-        density = pot.get("density", 0.6)
-        if isinstance(density, bool) or not isinstance(density, (int, float)) \
-                or not 0 <= density <= 1:
-            problems.append(f"potential 'density' must be a number in [0, 1], "
-                            f"not {density!r}")
+        span = _integer(pot.get("span", 4), "potential 'span'", problems,
+                        0, min(-stored_lo, stored_hi))
+        density = _number(pot.get("density", 0.6), "potential 'density'", problems,
+                          lambda v: 0 <= v <= 1, "in [0, 1]")
         triangular = pot.get("triangular", False)
         if not isinstance(triangular, bool):
             problems.append(f"potential 'triangular' must be true or false, "
                             f"not {triangular!r}")
         amp = pot.get("amplitude")
         if amp is not None:
-            amp = rational(amp, "potential 'amplitude'")
+            amp = _rational(amp, "potential 'amplitude'", problems)
         check()
         u = random_potential(window, data, random.Random(seed), span=span,
                              density=density, triangular=triangular)
@@ -148,21 +172,25 @@ def _potential(pot: dict, window: Window, data: AknsData, seed: int) -> LatticeF
             try:
                 n = int(key)
             except ValueError:
+                n = None
+            if n is None or str(n) != key:  # int() also reads " 1", "+1", "1_0"
                 problems.append(f"potential site {key!r} is not an integer")
                 continue
-            if n not in stored:
+            if not stored_lo <= n <= stored_hi:
                 problems.append(f"potential site {key} outside the stored sites "
-                                f"{stored.start}..{stored.stop - 1}")
+                                f"{stored_lo}..{stored_hi}")
                 continue
             if not isinstance(rows, list) or len(rows) != m or \
                     any(not isinstance(r, list) or len(r) != m for r in rows):
                 problems.append(f"matrix at site {key} is not {m}x{m}")
                 continue
-            entries[n] = SmallMatrix.from_rows(
-                [[rational(x, f"entry at site {key}") for x in row] for row in rows],
-                mode)
+            qs = [[_rational(x, f"entry at site {key}", problems) for x in row]
+                  for row in rows]
+            if any(q is None for row in qs for q in row):
+                continue
             problems.extend(f"potential at site {key} has nonzero diagonal entry ({d},{d})"
-                            for d in range(1, m + 1) if entries[n].get(d, d) != 0)
+                            for d in range(1, m + 1) if qs[d - 1][d - 1] != 0)
+            entries[n] = SmallMatrix.from_rows(qs, mode)
         check()
         return make_potential(window, entries, m, mode)
     raise ConfigError(f"unknown potential type {kind!r}")
@@ -195,44 +223,40 @@ def parse_config(text: str) -> ExperimentConfig:
     for key in unknown:
         problems.append(f"unknown key {key!r}")
 
-    m = doc.get("m")
-    if not isinstance(m, int) or not (2 <= m <= 8):
-        problems.append("'m' must be an integer in 2..8")
-        m = 2
+    m = _integer(doc.get("m"), "'m'", problems, 2, 8) or 2
 
     a_raw = doc.get("a")
     a = ()
     if not isinstance(a_raw, list) or len(a_raw) != m:
         problems.append("'a' must list exactly m rational strings")
     else:
-        try:
-            a = tuple(Fraction(str(x)) for x in a_raw)
-        except (ValueError, ZeroDivisionError):
-            problems.append("'a' entries must be rationals like \"1\" or \"-3/2\"")
-        if a:
-            if any(x == 0 for x in a):
-                problems.append("'a' entries must be nonzero")
-            if len(set(a)) != len(a):
-                problems.append("'a' entries must be pairwise distinct")
+        a = tuple(_rational(x, "'a' entry", problems) for x in a_raw)
+        if None in a:
+            a = ()
+        # as floats, so that both modes hold: float(x) == 0 when x underflows
+        if any(float(x) == 0 for x in a):
+            problems.append("'a' entries must be nonzero")
+        if len({float(x) for x in a}) != len(a):
+            problems.append("'a' entries must be pairwise distinct")
 
     win_doc = doc.get("window", {"n_min": -8, "n_max": 8, "halo": 10})
     window = None
     if not isinstance(win_doc, dict) or set(win_doc) - _WINDOW_KEYS:
         problems.append("'window' must be an object with n_min, n_max, halo")
     else:
-        try:
-            window = Window(int(win_doc.get("n_min", -8)),
-                            int(win_doc.get("n_max", 8)),
-                            int(win_doc.get("halo", 10)))
-        except Exception as exc:
-            problems.append(f"bad window: {exc}")
+        n_min = _integer(win_doc.get("n_min", -8), "window 'n_min'", problems)
+        n_max = _integer(win_doc.get("n_max", 8), "window 'n_max'", problems)
+        halo = _integer(win_doc.get("halo", 10), "window 'halo'", problems, 0)
+        if n_min is not None and n_max is not None and n_min > n_max:
+            problems.append("window needs n_min <= n_max")
+        elif None not in (n_min, n_max, halo):
+            window = Window(n_min, n_max, halo)
     window_ok = window is not None
     if window is None:
         window = Window(-8, 8, 10)
 
-    depth = doc.get("depth", 8)
-    if not isinstance(depth, int) or depth < 1:
-        problems.append("'depth' must be a positive integer")
+    depth = _integer(doc.get("depth", 8), "'depth'", problems, 1)
+    if depth is None:
         depth = 1
     elif depth > window.halo:
         problems.append(f"'depth' {depth} exceeds the window halo {window.halo}")
@@ -248,52 +272,33 @@ def parse_config(text: str) -> ExperimentConfig:
         problems.append("'flows' must be a list of [k, alpha] pairs")
     else:
         for item in flows_raw:
-            if (not isinstance(item, list) or len(item) != 2
-                    or not all(isinstance(x, int) for x in item)):
+            if not isinstance(item, list) or len(item) != 2:
                 problems.append(f"bad flow entry {item!r}")
                 continue
-            problems.extend(flow_problems(*item, m, depth))
-            flows.append(tuple(item))
+            k, alpha = (_integer(x, f"flow entry {item!r}", problems) for x in item)
+            if k is not None and alpha is not None:
+                problems.extend(flow_problems(k, alpha, m, depth))
+                flows.append((k, alpha))
 
-    h = doc.get("h", 0.01)
-    try:
-        h = float(h)
-        if h <= 0:
-            problems.append("'h' must be positive")
-    except (TypeError, ValueError):
-        problems.append("'h' must be a number")
-        h = 0.01
-
-    steps = doc.get("steps", 10)
-    if not isinstance(steps, int) or steps < 1:
-        problems.append("'steps' must be a positive integer")
-        steps = 1
+    h = _number(doc.get("h", 0.01), "'h'", problems, lambda v: v > 0, "positive")
+    steps = _integer(doc.get("steps", 10), "'steps'", problems, 1)
 
     eps_raw = doc.get("eps_list", ["1/2", "1/4", "1/8", "1/16"])
     eps_list = []
     if not isinstance(eps_raw, list) or not eps_raw:
         problems.append("'eps_list' must be a non-empty list")
     else:
-        try:
-            eps_list = [float(Fraction(str(x))) for x in eps_raw]
-        except (ValueError, ZeroDivisionError):
-            problems.append("'eps_list' entries must be rationals")
-        if eps_list and any(b >= a for a, b in zip(eps_list, eps_list[1:])):
-            problems.append("'eps_list' must be strictly decreasing")
+        eps_q = [_rational(x, "'eps_list' entry", problems) for x in eps_raw]
+        if None not in eps_q:
+            eps_list = [float(q) for q in eps_q]
+            if any(e <= 0 for e in eps_list):
+                problems.append("'eps_list' entries must be positive")
+            if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
+                problems.append("'eps_list' must be strictly decreasing")
 
-    tol = doc.get("tol", 1e-9)
-    try:
-        tol = float(tol)
-        if not tol >= 0:
-            problems.append("'tol' must be non-negative")
-    except (TypeError, ValueError):
-        problems.append("'tol' must be a number")
-        tol = 1e-9
-
-    seed = doc.get("seed", 0)
-    if not isinstance(seed, int):
-        problems.append("'seed' must be an integer")
-        seed = 0
+    tol = _number(doc.get("tol", 1e-9), "'tol'", problems, lambda v: v >= 0,
+                  "non-negative")
+    seed = _integer(doc.get("seed", 0), "'seed'", problems)
 
     pot = doc.get("potential", {"type": "vacuum"})
     if not isinstance(pot, dict):
@@ -306,7 +311,7 @@ def parse_config(text: str) -> ExperimentConfig:
         if window_ok:  # building the potential in both modes checks its fields
             try:
                 for pmode in scalars.MODES:
-                    _potential(pot, window, AknsData(m, a, pmode), seed)
+                    _potential(pot, window, AknsData(m, a, pmode), seed or 0)
             except InstanceError:
                 pass  # 'm' or 'a' is invalid, and reported above
             except ConfigError as exc:

@@ -91,13 +91,14 @@ def rk4_step(u: LatticeFn, h, field_fn) -> LatticeFn:
     return _axpy(out, h / 6, k4)
 
 
-def _leakage(u: LatticeFn, window: Window, edge: int = 2):
+def _leakage(u: LatticeFn, window: Window):
+    """(max over the two outermost stored sites each side, max over the window)."""
     interior = max(
         (u.at(n).max_abs() for n in range(window.n_min, window.n_max + 1)),
         default=0.0,
     )
-    edge_sites = list(range(u.lo, min(u.lo + edge, u.hi + 1))) + \
-        list(range(max(u.hi - edge + 1, u.lo), u.hi + 1))
+    edge_sites = list(range(u.lo, min(u.lo + 2, u.hi + 1))) + \
+        list(range(max(u.hi - 1, u.lo), u.hi + 1))
     boundary = max((u.at(n).max_abs() for n in edge_sites), default=0.0)
     return boundary, interior
 
@@ -187,17 +188,12 @@ def _rms(entries) -> float:
     return math.sqrt(sum(x * x for x in entries) / len(entries))
 
 
-def gaussian_bump_profile(m: int, amplitude: float = 0.5, sigma: float = 1.0,
-                          entries=None):
-    """Smooth sampled profile: amplitude * exp(-x^2 / sigma^2) off-diagonal."""
-    if entries is None:
-        entries = [(1, 2), (2, 1)] if m >= 2 else []
+def gaussian_bump_profile(m: int, amplitude: float = 0.5, sigma: float = 1.0):
+    """Smooth sampled profile: amplitude * exp(-x^2 / sigma^2) at (1,2) and (2,1)."""
 
     def profile(x: float) -> SmallMatrix:
-        v = amplitude * math.exp(-(x * x) / (sigma * sigma))
         rows = [[0.0] * m for _ in range(m)]
-        for (i, j) in entries:
-            rows[i - 1][j - 1] = v
+        rows[0][1] = rows[1][0] = amplitude * math.exp(-(x * x) / (sigma * sigma))
         return SmallMatrix.from_rows(rows, scalars.FLOAT)
 
     return profile
@@ -221,8 +217,8 @@ class ScanReport:
     dx_residual_norms: list
     dx_orders: list
     flags: list
-    cauchy_norms_max: list = field(default_factory=list)
-    dx_residual_norms_max: list = field(default_factory=list)
+    cauchy_norms_max: list
+    dx_residual_norms_max: list
 
     @property
     def passed(self) -> bool:

@@ -49,7 +49,8 @@ def state_from_json(doc: dict) -> HierarchyState:
         window = Window(**doc["window"])
         u = lattice_from_json(doc["u"])
         ws = tuple(lattice_from_json(w) for w in doc["dressing"])
-    except (KeyError, TypeError, ValueError, ZeroDivisionError, AknsdError) as exc:
+    except (KeyError, TypeError, ValueError, ZeroDivisionError, OverflowError,
+            AknsdError) as exc:
         raise SchemaError(f"malformed state document: {exc!r}") from None
     if doc["conventions"] != data.conventions():
         raise SchemaError(f"conventions {doc['conventions']!r} are not the solver's "

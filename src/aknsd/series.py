@@ -172,12 +172,20 @@ class MatSeries:
                          self.coeffs[: hi - self.lo + 1], self.valid_lo)
 
 
+def _check_knows_a_degree(valid_lo: int, hi: int) -> None:
+    """Refuse a result whose validity would start above its top degree."""
+    if valid_lo > hi:
+        raise ValidityError(f"the result knows no degree: validity starts at "
+                            f"{valid_lo}, above its top degree {hi}")
+
+
 def _combine(a: MatSeries, b: MatSeries, sign: int) -> MatSeries:
     a._compat(b)
     hi = max(a.hi, b.hi)
     known = [s.valid_lo for s in (a, b) if s.valid_lo is not None]
     vlo = max(known + [min(a.lo, b.lo)]) if known else None
     lo = min(a.lo, b.lo) if vlo is None else vlo
+    _check_knows_a_degree(lo, hi)
     coeffs = tuple(a.get(d) + b.get(d) if sign > 0 else a.get(d) - b.get(d)
                    for d in range(lo, hi + 1))
     return MatSeries(a.m, a.mode, lo, hi, coeffs, vlo)
@@ -191,6 +199,7 @@ def series_mul(a: MatSeries, b: MatSeries) -> MatSeries:
     cands = [x.valid_lo + y.hi for x, y in ((a, b), (b, a)) if x.valid_lo is not None]
     vlo = max(cands + [lo_true]) if cands else None
     band_lo = lo_true if vlo is None else vlo
+    _check_knows_a_degree(band_lo, hi)
     coeffs = []
     for d in range(band_lo, hi + 1):
         acc = SmallMatrix.zero(a.m, a.mode)

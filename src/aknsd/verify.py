@@ -78,8 +78,7 @@ class VerificationReport:
         self.checks.append({
             "check": name,
             "parameters": parameters or {},
-            "residual": scalars.format_scalar(residual)
-            if not isinstance(residual, float) else repr(res),
+            "residual": scalars.format_scalar(residual),
             "threshold": repr(thr),
             "require": require,
             "pass": bool(ok),

@@ -178,14 +178,6 @@ def test_discrete_shift_additivity():
         tau.discrete_shift(5, data)
 
 
-def test_tau_json_roundtrip():
-    tau = TauExpSum.make([
-        (Fraction(2, 3), {(1, 1): Fraction(-1, 2)}),
-        (1, {(2, 2): Fraction(5)}),
-    ])
-    assert TauExpSum.from_json(tau.to_json()) == tau
-
-
 # -- Baker candidate ------------------------------------------------------------------
 
 

@@ -1,14 +1,19 @@
 """Config parsing, state persistence, CLI exit codes, export round-trips."""
 
+import contextlib
 import copy
+import io
 import json
 import math
+import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from aknsd import cli, scalars
 from aknsd.config import parse_config
@@ -16,6 +21,7 @@ from aknsd.dynamics import FlowIndex, rk4_evolve
 from aknsd.errors import ConfigError, SchemaError
 from aknsd.hierarchy import HierarchyState, dressing_residual
 from aknsd.instances import DESK_WINDOW, desk_data, impulse_potential
+from aknsd.lattice import Window
 from aknsd.persist import (
     load_state,
     read_trajectory_csv,
@@ -92,6 +98,7 @@ def test_all_violations_listed_together():
     {"type": "random", "density": "x"},
     {"type": "explicit", "sites": []},
     {"type": "explicit", "sites": {"abc": [["0", "1"], ["0", "0"]]}},
+    {"type": "explicit", "sites": {"1_0": [["0", "1"], ["0", "0"]]}},
     {"type": "impulse", "site": 100},
     {"type": "impulse", "i": 5},
     {"type": "explicit", "sites": {"100": [["0", "1"], ["0", "0"]]}},
@@ -181,15 +188,106 @@ def mutated_desk_config(draw):
     return doc
 
 
+# one bad value each, on desk_m2: (key, value, a command that used to take it)
+_BAD_VALUES = [
+    ("eps_list", ["1e400", "1/2"], "dress"),  # float overflow
+    ("eps_list", ["1/2", "0"], "limit"),  # a zero step
+    ("a", ["1e400", "-1"], "evolve"),  # float overflow in float mode only
+    ("a", ["1e-400", "-1"], "evolve"),  # zero in float mode only
+    ("h", "1e400", "evolve"),  # text, and infinite as a float
+    ("h", math.nan, "evolve"),
+    ("h", "nan", "evolve"),
+    ("window", {"n_min": -8.9, "halo": "10"}, "dress"),  # coerced by int()
+    ("window", {"n_min": -8, "n_max": True, "halo": 10}, "dress"),
+    ("depth", True, "dress"),  # a bool is no integer
+    ("steps", True, "evolve"),
+    ("seed", True, "dress"),
+    ("flows", [[True, 1]], "flow"),
+    ("tol", "1e-9", "dress"),  # text is no number
+]
+
+
+def _desk_with(key, value):
+    doc = json.loads((CONFIGS / "desk_m2.json").read_text())
+    doc[key] = value
+    return doc
+
+
+@pytest.mark.parametrize("key,value,command", _BAD_VALUES)
+def test_cli_rejects_bad_config_value(tmp_path, capsys, key, value, command):
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps(_desk_with(key, value)))
+    assert cli.main([command, "--config", str(config)]) == 2
+    assert capsys.readouterr().err.startswith("error: invalid configuration")
+
+
+def _with_bad_value_examples(test):
+    for key, value, _ in _BAD_VALUES:
+        test = example(_desk_with(key, value))(test)
+    return test
+
+
 @given(mutated_desk_config())
+@_with_bad_value_examples
 @settings(max_examples=300, deadline=None)
 def test_mutated_config_fails_only_with_config_error(doc):
     try:
         config = parse_config(json.dumps(doc))
         for mode in scalars.MODES:
+            config.data(mode)
             config.build_potential(mode)
     except ConfigError:
         pass
+
+
+@st.composite
+def mutated_state_document(draw, base):
+    """``base`` with one to three values, at any depth, dropped or retyped."""
+    doc = copy.deepcopy(base)
+    for _ in range(draw(st.integers(1, 3))):
+        node = doc
+        while True:
+            keys = sorted(node) if isinstance(node, dict) else range(len(node))
+            inner = [k for k in keys if isinstance(node[k], (dict, list)) and node[k]]
+            if inner and draw(st.integers(0, 3)):  # mostly deeper, into the lattices
+                node = node[draw(st.sampled_from(inner))]
+                continue
+            key = draw(st.sampled_from(keys))
+            if isinstance(node, dict) and draw(st.booleans()):
+                del node[key]
+            else:
+                node[key] = draw(_JUNK)
+            break
+    return doc
+
+
+_ENV_TEXT = st.sampled_from(["", "0", "1", "-1", "1e-9", "nan", "inf", "1e400",
+                             "float", "rational", "json", "csv", "true", "x"])
+_ENV = st.dictionaries(st.sampled_from(["AKNSD_MODE", "AKNSD_TOL", "AKNSD_SEED",
+                                        "AKNSD_FORMAT", "AKNSD_VERBOSE"]),
+                       _ENV_TEXT, max_size=2)
+
+
+_STATE = state_to_json(HierarchyState.solve(
+    desk_data(2), impulse_potential(Window(-2, 2, 3), 2), Window(-2, 2, 3), 3))
+
+
+@given(doc=mutated_state_document(_STATE), env=st.just({}) | _ENV)
+@example(doc={**_STATE, "a": [math.inf, "-1"]}, env={})  # Fraction(inf) overflows
+@settings(max_examples=300, deadline=None)
+def test_mutated_state_and_env_exit_with_a_contract_code(doc, env):
+    # whatever the state document and the AKNSD_* values hold, `dress --state`
+    # ends with 0, 1 or 2 and raises nothing
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.dict(os.environ, env), \
+            contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        config = Path(tmp) / "c.json"
+        config.write_text(MINIMAL)
+        state = Path(tmp) / "state.json"
+        state.write_text(json.dumps(doc))
+        code = cli.main(["dress", "--config", str(config), "--state", str(state)])
+    assert code in (0, 1, 2)
 
 
 # -- persistence -----------------------------------------------------------------

@@ -186,11 +186,11 @@ def test_mul_distributes(a, b, c):
 
 # each operation takes two operands and a small integer (unary ones ignore b),
 # with the refusals it may answer: a sum or product that would know no degree
-# is refused as an empty band
+# is refused as invalid
 _BAND_OPS = {
-    "add": (lambda a, b, k: a + b, DimensionError),
-    "sub": (lambda a, b, k: a - b, DimensionError),
-    "mul": (lambda a, b, k: series_mul(a, b), DimensionError),
+    "add": (lambda a, b, k: a + b, ValidityError),
+    "sub": (lambda a, b, k: a - b, ValidityError),
+    "mul": (lambda a, b, k: series_mul(a, b), ValidityError),
     "inverse": (lambda a, b, k: series_inverse(a, k), (ValidityError, SingularError)),
     "minus": (lambda a, b, k: series_project(a, "minus"), ValidityError),
     "shift_degree": (lambda a, b, k: a.shift_degree(k - 2), ()),
