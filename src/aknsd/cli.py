@@ -200,6 +200,7 @@ def cmd_flow(args) -> int:
     doc = {
         "k": k,
         "alpha": alpha,
+        "mode": field.mode,
         "diagonal_drift": scalars.format_scalar(diagonal_drift(field)),
         "field": lattice_to_json(field),
     }

@@ -52,7 +52,6 @@ class Trajectory:
     h: float
     steps: int
     snapshots: list  # (t, LatticeFn)
-    integrator: str = "rk4"
     warnings: list = field(default_factory=list)
 
     @property
@@ -269,7 +268,7 @@ def continuum_scan(data: AknsData, profile, eps_list, k: int = 1, *,
         u = LatticeFn.from_values(
             window.stored_lo,
             [profile(n * eps) for n in range(window.stored_lo, window.stored_hi + 1)],
-            step=eps, mode=scalars.FLOAT,
+            step=eps,
         )
         per_alpha = {
             alpha: flow_field(data, u, k, alpha, tol=CONSISTENCY_TOL)

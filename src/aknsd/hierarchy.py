@@ -115,13 +115,11 @@ def validate_potential(U: LatticeFn) -> LatticeFn:
 
 
 def make_potential(window: Window, entries: dict, m: int,
-                   mode: str = scalars.RATIONAL, step=None) -> LatticeFn:
+                   mode: str = scalars.RATIONAL) -> LatticeFn:
     """Potential from a site -> SmallMatrix mapping; zero elsewhere."""
     zero = SmallMatrix.zero(m, mode)
     vals = [entries.get(n, zero) for n in range(window.stored_lo, window.stored_hi + 1)]
-    return validate_potential(
-        LatticeFn.from_values(window.stored_lo, vals, step=step, mode=mode)
-    )
+    return validate_potential(LatticeFn.from_values(window.stored_lo, vals))
 
 
 # -- shared recursion kernel ------------------------------------------------------
@@ -191,8 +189,7 @@ def _solve_order(data: AknsData, rhs: LatticeFn, lo: int, hi: int) -> LatticeFn:
         )
         vals.append(SmallMatrix(m, mode, rows))
     zero = SmallMatrix.zero(m, mode)
-    right_tail = vals[-1].diagonal_part()
-    return LatticeFn(lo, hi, tuple(vals), zero, right_tail, rhs.step, mode)
+    return LatticeFn(lo, hi, tuple(vals), zero, zero, rhs.step, mode)
 
 
 # -- dressing ----------------------------------------------------------------------

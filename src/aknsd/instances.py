@@ -34,15 +34,15 @@ def desk_data(m: int, mode: str = scalars.RATIONAL) -> AknsData:
     raise ValueError(f"no desk instance with m = {m}")
 
 
-def vacuum_potential(window: Window, m: int, mode: str = scalars.RATIONAL, step=None):
-    return make_potential(window, {}, m, mode, step)
+def vacuum_potential(window: Window, m: int, mode: str = scalars.RATIONAL):
+    return make_potential(window, {}, m, mode)
 
 
 def impulse_potential(window: Window, m: int, mode: str = scalars.RATIONAL,
-                      site: int = 0, i: int = 1, j: int = 2, value=1, step=None):
+                      site: int = 0, i: int = 1, j: int = 2, value=1):
     """Single off-diagonal impulse: U = value * E_ij at one site."""
     entry = SmallMatrix.unit(m, i, j, mode, value)
-    return make_potential(window, {site: entry}, m, mode, step)
+    return make_potential(window, {site: entry}, m, mode)
 
 
 def _rand_value(rng: random.Random, mode: str):
@@ -57,7 +57,7 @@ def random_matrix(rng: random.Random, m: int, mode: str = scalars.RATIONAL) -> S
 
 
 def random_potential(window: Window, data: AknsData, rng: random.Random,
-                     *, span: int = 4, density: float = 0.6, step=None,
+                     *, span: int = 4, density: float = 0.6,
                      triangular: bool = False):
     """Seeded random potential supported on [-span, span]."""
     mode = data.mode
@@ -77,7 +77,7 @@ def random_potential(window: Window, data: AknsData, rng: random.Random,
                         nonzero = True
         if nonzero:
             entries[n] = SmallMatrix.from_rows(rows, mode)
-    return make_potential(window, entries, m, mode, step)
+    return make_potential(window, entries, m, mode)
 
 
 def random_triangular_potential(window: Window, data: AknsData,

@@ -19,9 +19,8 @@ from dataclasses import dataclass
 from typing import Callable
 
 from . import scalars
-from .errors import DimensionError, ModeError, SchemaError, SupportError
-from .matrices import SmallMatrix, matrix_from_json, matrix_to_json
-from .series import MatSeries
+from .errors import DimensionError, ModeError, SupportError
+from .matrices import SmallMatrix
 
 
 @dataclass(frozen=True)
@@ -70,22 +69,19 @@ class LatticeFn:
     # -- constructors -------------------------------------------------------
 
     @staticmethod
-    def from_values(lo: int, values, *, left_tail=None, right_tail=None,
-                    step=None, mode=scalars.RATIONAL) -> "LatticeFn":
+    def from_values(lo: int, values, *, step=None) -> "LatticeFn":
+        """Matrix values from site ``lo`` on, with zero tails, in their mode."""
         vals = tuple(values)
         if not vals:
             raise DimensionError("need at least one site")
-        zero = _zero_like(vals[0])
-        return LatticeFn(lo, lo + len(vals) - 1, vals,
-                         left_tail if left_tail is not None else zero,
-                         right_tail if right_tail is not None else zero,
-                         step, mode)
+        zero = SmallMatrix.zero(vals[0].m, vals[0].mode)
+        return LatticeFn(lo, lo + len(vals) - 1, vals, zero, zero, step, zero.mode)
 
     @staticmethod
-    def constant(window: Window, value, *, step=None, mode=scalars.RATIONAL) -> "LatticeFn":
+    def constant(window: Window, value) -> "LatticeFn":
         n = window.stored_hi - window.stored_lo + 1
-        return LatticeFn(window.stored_lo, window.stored_hi, tuple(value for _ in range(n)),
-                         value, value, step, mode)
+        return LatticeFn(window.stored_lo, window.stored_hi, (value,) * n,
+                         value, value, None, value.mode)
 
     # -- evaluation ----------------------------------------------------------
 
@@ -140,14 +136,6 @@ class LatticeFn:
 
     def __sub__(self, other: "LatticeFn") -> "LatticeFn":
         return self.zip_with(other, lambda a, b: a - b)
-
-
-def _zero_like(value):
-    if isinstance(value, SmallMatrix):
-        return SmallMatrix.zero(value.m, value.mode)
-    if isinstance(value, MatSeries):
-        return MatSeries.zero(value.m, value.mode)
-    raise DimensionError(f"unsupported lattice value type {type(value)!r}")
 
 
 # -- shift / difference operators ------------------------------------------------
@@ -208,40 +196,3 @@ def inner_product(f: LatticeFn, g: LatticeFn):
         total += (f.at(n) @ g.at(n)).trace()
     return total
 
-
-# -- serialization -----------------------------------------------------------------
-
-
-def _value_to_json(v: SmallMatrix) -> dict:
-    return {"kind": "matrix", **matrix_to_json(v)}
-
-
-def _value_from_json(doc: dict) -> SmallMatrix:
-    """A matrix: the one kind of lattice value a document holds."""
-    if doc["kind"] != "matrix":
-        raise SchemaError(f"unknown lattice value kind {doc['kind']!r}")
-    return matrix_from_json(doc)
-
-
-def lattice_to_json(f: LatticeFn) -> dict:
-    return {
-        "n_min": f.lo,
-        "n_max": f.hi,
-        "mode": f.mode,
-        "step": scalars.format_scalar(f.eps()),
-        "left_tail": _value_to_json(f.left_tail),
-        "right_tail": _value_to_json(f.right_tail),
-        "values": [_value_to_json(v) for v in f.values],
-    }
-
-
-def lattice_from_json(doc: dict) -> LatticeFn:
-    mode = doc["mode"]
-    step = scalars.parse_scalar(doc["step"], mode)
-    return LatticeFn(
-        doc["n_min"], doc["n_max"],
-        tuple(_value_from_json(v) for v in doc["values"]),
-        _value_from_json(doc["left_tail"]),
-        _value_from_json(doc["right_tail"]),
-        step, mode,
-    )

@@ -189,17 +189,3 @@ class SmallMatrix:
     def max_abs(self):
         return max(scalars.scalar_abs(a) for r in self.rows for a in r)
 
-
-def matrix_to_json(mat: SmallMatrix) -> dict:
-    """Row-major entry strings, each round-tripping exactly."""
-    return {"m": mat.m, "mode": mat.mode,
-            "entries": [scalars.format_scalar(x) for row in mat.rows for x in row]}
-
-
-def matrix_from_json(doc: dict) -> SmallMatrix:
-    m, mode = doc["m"], doc["mode"]
-    vals = [scalars.parse_scalar(x, mode) for x in doc["entries"]]
-    if len(vals) != m * m:
-        raise DimensionError(f"{len(vals)} entries for a {m}x{m} matrix")
-    rows = tuple(tuple(vals[i * m + j] for j in range(m)) for i in range(m))
-    return SmallMatrix(m, mode, rows)

@@ -1,9 +1,12 @@
-"""Persistence: versioned state documents, tabular export.
+"""Persistence: every document format of lattice data, and tabular export.
 
-State round-trips are bit-exact in rational mode: every scalar serialises to
-a "p/q" string in lowest terms and floats to their shortest round-tripping
-decimal form.  A state document stores only what the state cannot derive:
-the dressing depth is the number of stored orders.
+One value codec serves every document: a matrix is written as its row-major
+entry strings, rationals as "p/q" in lowest terms and floats in their
+shortest round-tripping decimal form, so state round-trips are bit-exact in
+rational mode.  A document states the mode, ``m``, the sites and the step
+once; a state document stores only what the state cannot derive (the
+dressing depth is the number of stored orders, the solver conventions follow
+from ``a``).
 """
 
 from __future__ import annotations
@@ -12,69 +15,114 @@ import csv
 import json
 
 from . import scalars
-from .errors import AknsdError, SchemaError
+from .config import _integer
+from .errors import AknsdError, DimensionError, SchemaError
 from .hierarchy import AknsData, Dressing, HierarchyState
-from .lattice import Window, lattice_from_json, lattice_to_json
+from .lattice import LatticeFn, Window
+from .matrices import SmallMatrix
 
-STATE_VERSION = 2
-_STATE_KEYS = {"version", "mode", "a", "window", "u", "dressing", "conventions"}
+STATE_VERSION = 3
+_STATE_KEYS = {"version", "mode", "a", "window", "step", "u", "dressing"}
+_WINDOW_KEYS = ("n_min", "n_max", "halo")
+
+
+# -- the value codec -------------------------------------------------------------------
+
+
+def _value_to_json(v: SmallMatrix) -> list:
+    """A matrix as its row-major entry strings, each round-tripping exactly."""
+    return [scalars.format_scalar(x) for row in v.rows for x in row]
+
+
+def _value_from_json(entries, m: int, mode: str) -> SmallMatrix:
+    vals = [_scalar(x, mode) for x in _list(entries, "a value", m * m)]
+    return SmallMatrix(m, mode, tuple(tuple(vals[i * m:(i + 1) * m]) for i in range(m)))
+
+
+def lattice_to_json(f: LatticeFn) -> dict:
+    """First site and values of a computed field (zero tails, unit step).
+
+    The document that holds it states the mode.
+    """
+    return {"n_min": f.lo, "values": [_value_to_json(v) for v in f.values]}
+
+
+# Each reader raises ValueError; state_from_json turns it into a SchemaError.
+
+def _scalar(text, mode: str):
+    if not isinstance(text, str):
+        raise ValueError(f"a scalar must be written as a string, not {text!r:.60}")
+    return scalars.parse_scalar(text, mode)
+
+
+def _list(x, what: str, length: int | None = None) -> list:
+    if not isinstance(x, list) or length is not None and len(x) != length:
+        count = "" if length is None else f" of {length} items"
+        raise ValueError(f"{what} must be a list{count}, not {x!r:.60}")
+    return x
+
+
+def _keys(x, keys, what: str) -> dict:
+    if not isinstance(x, dict) or set(x) != set(keys):
+        raise ValueError(f"{what} must be an object with the keys {sorted(keys)}")
+    return x
+
+
+# -- state documents -------------------------------------------------------------------
 
 
 def state_to_json(state: HierarchyState) -> dict:
+    window = state.window
+    if (state.U.lo, state.U.hi) != (window.stored_lo, window.stored_hi):
+        raise DimensionError("a state document holds the window's stored sites only")
     return {
         "version": STATE_VERSION,
         "mode": state.mode,
         "a": [scalars.format_scalar(x) for x in state.data.a],
-        "window": {"n_min": state.window.n_min, "n_max": state.window.n_max,
-                   "halo": state.window.halo},
-        "u": lattice_to_json(state.U),
-        "dressing": [lattice_to_json(w) for w in state.dressing.ws],
-        "conventions": state.dressing.conventions,
+        "window": {"n_min": window.n_min, "n_max": window.n_max, "halo": window.halo},
+        "step": scalars.format_scalar(state.step),
+        "u": [_value_to_json(v) for v in state.U.values],
+        "dressing": [[_value_to_json(v) for v in w.values] for w in state.dressing.ws],
     }
 
 
-def state_from_json(doc: dict) -> HierarchyState:
-    if not isinstance(doc, dict):
-        raise SchemaError("state document must be a JSON object")
-    version = doc.get("version")
-    if version != STATE_VERSION:
-        raise SchemaError(f"unsupported state version {version!r}")
-    missing = _STATE_KEYS - set(doc)
-    if missing:
-        raise SchemaError(f"state document missing keys: {sorted(missing)}")
+def state_from_json(doc) -> HierarchyState:
+    """Check what arrives from outside; derive m, the sites, depth and tails."""
     try:
-        mode = doc["mode"]
-        a = tuple(scalars.parse_scalar(x, mode) for x in doc["a"])
+        if not isinstance(doc, dict) or doc.get("version") != STATE_VERSION:
+            raise ValueError(f"this program reads state version {STATE_VERSION} only")
+        _keys(doc, _STATE_KEYS, "a state document")
+        mode = scalars.check_mode(doc["mode"])
+        a = tuple(_scalar(x, mode) for x in _list(doc["a"], "'a'"))
         data = AknsData(len(a), a, mode)
-        window = Window(**doc["window"])
-        u = lattice_from_json(doc["u"])
-        ws = tuple(lattice_from_json(w) for w in doc["dressing"])
-    except (KeyError, TypeError, ValueError, ZeroDivisionError, OverflowError,
-            AknsdError) as exc:
-        raise SchemaError(f"malformed state document: {exc!r}") from None
-    if doc["conventions"] != data.conventions():
-        raise SchemaError(f"conventions {doc['conventions']!r} are not the solver's "
-                          f"for a = {doc['a']}")
-    _check_lattices(data, u, ws)
-    if not 1 <= len(ws) <= window.halo:
-        raise SchemaError(f"dressing depth {len(ws)} outside 1..{window.halo} "
-                          f"(the window halo)")
-    return HierarchyState(data, u, window, Dressing(len(ws), ws, doc["conventions"]))
+        win = _keys(doc["window"], _WINDOW_KEYS, "'window'")
+        problems = []
+        bounds = [_integer(win[k], f"window {k!r}", problems) for k in _WINDOW_KEYS]
+        if problems:
+            raise ValueError("; ".join(problems))
+        window = Window(*bounds)
+        step = _scalar(doc["step"], mode)
+        if not step > 0:
+            raise ValueError(f"step must be positive, not {doc['step']!r}")
+        step = None if step == 1 else step  # None: the unit step every builder uses
+        lo, hi = window.stored_lo, window.stored_hi
+        zero = SmallMatrix.zero(data.m, mode)
 
+        def lattice(values, what: str) -> LatticeFn:
+            vals = _list(values, f"{what} (one value per stored site {lo}..{hi})",
+                         hi - lo + 1)
+            return LatticeFn(lo, hi, tuple(_value_from_json(v, data.m, mode) for v in vals),
+                             zero, zero, step, mode)
 
-def _check_lattices(data: AknsData, u, ws) -> None:
-    """Every order on u's sites, every value an m x m matrix in the state's mode."""
-    for name, f in [("u", u)] + [(f"dressing order {k}", w)
-                                 for k, w in enumerate(ws, start=1)]:
-        if (f.lo, f.hi) != (u.lo, u.hi):
-            raise SchemaError(f"{name} spans sites [{f.lo}, {f.hi}], "
-                              f"u spans [{u.lo}, {u.hi}]")
-        for v in (f.left_tail, f.right_tail, *f.values):
-            if v.m != data.m:
-                raise SchemaError(f"{name} holds a value that is not a "
-                                  f"{data.m}x{data.m} matrix")
-            if f.mode != data.mode or v.mode != data.mode:
-                raise SchemaError(f"{name} is not in {data.mode} mode")
+        u = lattice(doc["u"], "'u'")
+        orders = _list(doc["dressing"], "'dressing'")
+        if not 1 <= len(orders) <= window.halo:
+            raise ValueError(f"dressing depth {len(orders)} outside 1..{window.halo} "
+                             f"(the window halo)")
+        ws = tuple(lattice(w, f"dressing order {k}") for k, w in enumerate(orders, start=1))
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError, AknsdError) as exc:
+        raise SchemaError(f"invalid state document: {exc}") from None
+    return HierarchyState(data, u, window, Dressing(len(ws), ws, data.conventions()))
 
 
 def save_state(state: HierarchyState, path: str) -> None:
@@ -118,7 +166,6 @@ def export_trajectory_json(trajectory, path: str) -> None:
         "flow": list(trajectory.flow),
         "h": trajectory.h,
         "steps": trajectory.steps,
-        "integrator": trajectory.integrator,
         "snapshots": [
             {"time": scalars.format_scalar(t), "u": lattice_to_json(u)}
             for t, u in trajectory.snapshots

@@ -177,7 +177,7 @@ def _suite_algebra(config: ExperimentConfig, report: VerificationReport) -> None
                 vals.append(random_matrix(rng, m, mode))
             else:
                 vals.append(zero)
-        return LatticeFn.from_values(window.stored_lo, vals, mode=mode)
+        return LatticeFn.from_values(window.stored_lo, vals)
 
     f, g = compact(), compact()
     prod = f.zip_with(g, lambda x, y: x @ y)
@@ -272,7 +272,7 @@ def _suite_bilinear(config: ExperimentConfig, report: VerificationReport) -> Non
         vals = []
         for n in range(config.window.stored_lo, config.window.stored_hi + 1):
             vals.append(random_matrix(rng, m, mode) if abs(n) <= 3 else zero)
-        return LatticeFn.from_values(config.window.stored_lo, vals, mode=mode)
+        return LatticeFn.from_values(config.window.stored_lo, vals)
 
     pairing, kernel = adjoint_check(state, compact(), compact())
     report.add("adjoint_pairing", pairing, tol)

@@ -1,12 +1,30 @@
 """Shared builders and brute-force oracles for the test suite."""
 
 from fractions import Fraction
+import os
+from pathlib import Path
 import random
+import subprocess
+import sys
 
 from aknsd.matrices import SmallMatrix
 from aknsd.series import MatSeries, series_mul
 
 RAT = "rational"
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def run_cli(*args, env=None):
+    """``python -m aknsd.cli ARGS`` in a child that imports this checkout's src.
+
+    The repository ``src`` goes first on the child's PYTHONPATH, so the child
+    needs neither an installed package nor an inherited PYTHONPATH.
+    """
+    env = dict(os.environ if env is None else env)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), env.get("PYTHONPATH"))))
+    return subprocess.run([sys.executable, "-m", "aknsd.cli", *args],
+                          capture_output=True, text=True, env=env)
 
 
 def mat(rows, mode=RAT):

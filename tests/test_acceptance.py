@@ -12,8 +12,6 @@ import contextlib
 import json
 import math
 import random
-import subprocess
-import sys
 import time
 
 import pytest
@@ -52,7 +50,7 @@ from aknsd.lattice import LatticeFn
 from aknsd.matrices import SmallMatrix
 from aknsd.persist import load_state, save_state, state_to_json
 from aknsd.verify import run_verify_suite
-from helpers import RAT
+from helpers import RAT, run_cli
 
 FLOAT = scalars.FLOAT
 SEED = 20260810
@@ -351,20 +349,16 @@ def test_criterion_10_infrastructure(tmp_path):
             "depth": 4, "seed": SEED,
         }))
 
-        def cli(*args):
-            return subprocess.run([sys.executable, "-m", "aknsd.cli", *args],
-                                  capture_output=True, text=True)
-
-        assert cli("dress", "--config", str(config_path)).returncode == 0
+        assert run_cli("dress", "--config", str(config_path)).returncode == 0
 
         doc = json.loads(path.read_text())
-        doc["dressing"][0]["values"][5]["entries"][1] = "1/2"
+        doc["dressing"][0][5][1] = "1/2"
         corrupt = tmp_path / "corrupt.json"
         corrupt.write_text(json.dumps(doc))
-        out = cli("dress", "--config", str(config_path), "--state", str(corrupt))
+        out = run_cli("dress", "--config", str(config_path), "--state", str(corrupt))
         assert out.returncode == 1, out.stdout + out.stderr
 
         bad = tmp_path / "bad.json"
         bad.write_text("{broken")
-        assert cli("dress", "--config", str(bad)).returncode == 2
+        assert run_cli("dress", "--config", str(bad)).returncode == 2
         info["note"] = "exit codes 0/1/2 exercised via the CLI"

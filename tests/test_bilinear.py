@@ -180,7 +180,7 @@ def compact_pair(window, m, seed, mode=RAT):
                 vals.append(v if mode == RAT else v.map(float))
             else:
                 vals.append(zero)
-        return LatticeFn.from_values(lo, vals, mode=mode)
+        return LatticeFn.from_values(lo, vals)
 
     return build(), build()
 

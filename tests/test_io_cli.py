@@ -2,12 +2,12 @@
 
 import contextlib
 import copy
+from fractions import Fraction
 import io
 import json
 import math
 import os
-import subprocess
-import sys
+import random
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -17,11 +17,11 @@ from hypothesis import example, given, settings, strategies as st
 
 from aknsd import cli, scalars
 from aknsd.config import parse_config
-from aknsd.dynamics import FlowIndex, rk4_evolve
+from aknsd.dynamics import FlowIndex, integrate, rk4_evolve
 from aknsd.errors import ConfigError, SchemaError
-from aknsd.hierarchy import HierarchyState, dressing_residual
-from aknsd.instances import DESK_WINDOW, desk_data, impulse_potential
-from aknsd.lattice import Window
+from aknsd.hierarchy import HierarchyState, dressing_residual, flow_field
+from aknsd.instances import DESK_WINDOW, desk_data, impulse_potential, random_potential
+from aknsd.lattice import LatticeFn, Window
 from aknsd.persist import (
     load_state,
     read_trajectory_csv,
@@ -31,6 +31,7 @@ from aknsd.persist import (
     export_trajectory_csv,
 )
 from aknsd.verify import config_hash, run_verify_suite
+from helpers import run_cli
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -308,6 +309,20 @@ def test_state_roundtrip_bit_exact(tmp_path):
     assert dressing_residual(back) == 0
 
 
+@pytest.mark.parametrize("step,text", [(None, "1"), (Fraction(1, 2), "1/2")])
+def test_random_m3_state_roundtrip(step, text):
+    data = desk_data(3)
+    base = random_potential(DESK_WINDOW, data, random.Random(5))
+    u = LatticeFn.from_values(base.lo, base.values, step=step)
+    state = HierarchyState.solve(data, u, DESK_WINDOW, 4)
+    doc = json.loads(json.dumps(state_to_json(state)))
+    assert doc["step"] == text
+    loaded = state_from_json(doc)
+    assert loaded.U == state.U
+    assert loaded.dressing == state.dressing
+    assert loaded.dressing.conventions == state.dressing.conventions
+
+
 def test_vacuum_state_roundtrip(tmp_path):
     data = desk_data(2)
     from aknsd.instances import vacuum_potential
@@ -338,34 +353,61 @@ def test_version_mismatch_rejected():
             state_from_json(doc)
 
 
-def _drop_kind(doc):
-    del doc["u"]["values"][0]["kind"]
+def _drop_value(doc):
+    del doc["u"][0]
 
 
-def _shift_order_range(doc):
-    doc["dressing"][1]["n_min"] += 1
-    doc["dressing"][1]["n_max"] += 1
+def _shorten_order(doc):
+    doc["dressing"][1].pop()
+
+
+def _drop_entry(doc):
+    del doc["dressing"][0][3][0]
 
 
 def _widen_a(doc):
-    doc["a"].append("2")
+    doc["a"].append("2")  # m = 3, but every value holds 4 entries
 
 
 def _shrink_halo(doc):
-    doc["window"]["halo"] = 2
+    # the same stored sites -10..10, with a halo below the depth 4
+    doc["window"] = {"n_min": -8, "n_max": 8, "halo": 2}
 
 
 def _bogus_policy(doc):
-    doc["conventions"]["policy"] = "bogus"
+    doc["conventions"] = {"policy": "bogus"}  # a version-2 key is refused
 
 
 def _conventions_not_an_object(doc):
     doc["conventions"] = [1, 2]
 
 
-@pytest.mark.parametrize("mutate", [_drop_kind, _shift_order_range, _widen_a,
+def _version_2(doc):
+    doc["version"] = 2
+
+
+def _fractional_n_max(doc):
+    doc["window"]["n_max"] = 2.5
+
+
+def _float_halo(doc):
+    doc["window"]["halo"] = 3.0
+
+
+def _bool_n_min(doc):
+    doc["window"]["n_min"] = True
+
+
+def _float_window(doc):
+    # the same stored sites -10..10, every bound a float
+    doc["window"] = {"n_min": -4.0, "n_max": 4.0, "halo": 6.0}
+
+
+@pytest.mark.parametrize("mutate", [_drop_value, _shorten_order, _drop_entry, _widen_a,
                                     _shrink_halo, _bogus_policy,
-                                    _conventions_not_an_object])
+                                    _conventions_not_an_object, _version_2,
+                                    _fractional_n_max, _float_halo, _bool_n_min,
+                                    _float_window])
 def test_cli_rejects_inconsistent_state_document(tmp_path, capsys, mutate):
     config = tmp_path / "c.json"
     config.write_text(MINIMAL)
@@ -398,6 +440,47 @@ def test_trajectory_csv_roundtrip(tmp_path):
         for n in snap.sites():
             v = snap.at(n)
             assert by_key[(s_idx, n, 1, 2)] == repr(v.get(1, 2))
+
+
+def _flat(v):
+    return [x for row in v.rows for x in row]
+
+
+def test_flow_document_reads_back_to_the_field(tmp_path):
+    path = CONFIGS / "desk_m2.json"
+    out = tmp_path / "flow.json"
+    assert cli.main(["flow", "--config", str(path), "--k", "1", "--alpha", "1",
+                     "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    config = parse_config(path.read_text())
+    field = flow_field(config.data(), config.build_potential(), 1, 1,
+                       tol=config.tolerance())
+    assert set(doc) == {"k", "alpha", "mode", "diagonal_drift", "field"}
+    assert (doc["k"], doc["alpha"], doc["mode"]) == (1, 1, scalars.RATIONAL)
+    assert doc["field"]["n_min"] == field.lo
+    assert [[scalars.parse_scalar(x, doc["mode"]) for x in v]
+            for v in doc["field"]["values"]] == [_flat(v) for v in field.values]
+
+
+def test_trajectory_json_reads_back_to_the_snapshots(tmp_path):
+    config_path = tmp_path / "c.json"
+    config_path.write_text(json.dumps({
+        **json.loads(MINIMAL), "potential": {"type": "impulse", "value": "1/5"},
+        "flows": [[0, 1]], "h": 0.05, "steps": 2}))
+    out = tmp_path / "traj.json"
+    assert cli.main(["evolve", "--config", str(config_path), "--format", "json",
+                     "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    config = parse_config(config_path.read_text())
+    traj = integrate(config.data(scalars.FLOAT), config.build_potential(scalars.FLOAT),
+                     config.window, FlowIndex(0, 1), 0.05, 2)
+    assert set(doc) == {"flow", "h", "steps", "snapshots"}
+    assert len(doc["snapshots"]) == len(traj.snapshots) == 3
+    for snap, (t, u) in zip(doc["snapshots"], traj.snapshots):
+        assert float(snap["time"]) == t
+        assert snap["u"]["n_min"] == u.lo
+        assert [[float(x) for x in v] for v in snap["u"]["values"]] == \
+            [_flat(v) for v in u.values]
 
 
 def test_empty_trajectory_header_only(tmp_path):
@@ -458,22 +541,15 @@ def test_config_hash_stable_and_sensitive():
 # -- CLI ------------------------------------------------------------------------------
 
 
-def run_cli(args, cwd=None):
-    return subprocess.run(
-        [sys.executable, "-m", "aknsd.cli"] + args,
-        capture_output=True, text=True, cwd=cwd,
-    )
-
-
 def test_cli_dress_and_verify_exit_codes(tmp_path):
     config_path = tmp_path / "c.json"
     config_path.write_text(MINIMAL)
-    out = run_cli(["dress", "--config", str(config_path)])
+    out = run_cli("dress", "--config", str(config_path))
     assert out.returncode == 0, out.stderr
     assert "dressing residual: 0" in out.stdout
 
-    out = run_cli(["verify", "--config", str(config_path), "--suite", "algebra",
-                   "--out", str(tmp_path / "report.json")])
+    out = run_cli("verify", "--config", str(config_path), "--suite", "algebra",
+                  "--out", str(tmp_path / "report.json"))
     assert out.returncode == 0, out.stderr
     report = json.loads((tmp_path / "report.json").read_text())
     assert report["verdict"] == "pass"
@@ -482,20 +558,16 @@ def test_cli_dress_and_verify_exit_codes(tmp_path):
 def test_cli_input_error_exit_code(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
-    out = run_cli(["dress", "--config", str(bad)])
+    out = run_cli("dress", "--config", str(bad))
     assert out.returncode == 2
-    out = run_cli(["dress", "--config", str(tmp_path / "missing.json")])
+    out = run_cli("dress", "--config", str(tmp_path / "missing.json"))
     assert out.returncode == 2
 
 
 def test_cli_env_override(tmp_path, monkeypatch):
     config_path = tmp_path / "c.json"
     config_path.write_text(MINIMAL)
-    out = subprocess.run(
-        [sys.executable, "-m", "aknsd.cli", "dress"],
-        capture_output=True, text=True,
-        env={**__import__("os").environ, "AKNSD_CONFIG": str(config_path)},
-    )
+    out = run_cli("dress", env={**os.environ, "AKNSD_CONFIG": str(config_path)})
     assert out.returncode == 0, out.stderr
 
 
@@ -551,7 +623,7 @@ def test_cli_verbose_from_env(tmp_path, monkeypatch, capsys):
 def test_cli_tau_command(tmp_path):
     config_path = tmp_path / "c.json"
     config_path.write_text(MINIMAL)
-    out = run_cli(["tau", "--config", str(config_path)])
+    out = run_cli("tau", "--config", str(config_path))
     assert out.returncode == 0, out.stderr
     doc = json.loads(out.stdout)
     assert doc["vacuum_candidate_error"] == "0"

@@ -12,8 +12,6 @@ from aknsd.lattice import (
     Window,
     delta_apply,
     inner_product,
-    lattice_from_json,
-    lattice_to_json,
     shift_apply,
 )
 from aknsd.matrices import SmallMatrix
@@ -139,10 +137,3 @@ def test_delta_adjoint_property(seed):
     rhs = inner_product(f, delta_apply(g, "dual"))
     assert lhs == rhs
 
-
-def test_lattice_json_roundtrip():
-    rng = random.Random(4)
-    f = rand_compact(rng, -3, 3, 2)
-    g = lattice_from_json(lattice_to_json(f))
-    assert g.lo == f.lo and g.hi == f.hi
-    assert all(g.at(n) == f.at(n) for n in f.sites())

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from aknsd import scalars
 from aknsd.errors import DimensionError, ModeError, SingularError, ValidityError
-from aknsd.matrices import SmallMatrix, matrix_from_json, matrix_to_json
+from aknsd.matrices import SmallMatrix
 from aknsd.series import (
     MatSeries,
     series_equal,
@@ -76,11 +76,6 @@ def test_matrix_singular_raises():
 def test_matrix_dimension_mismatch():
     with pytest.raises(DimensionError):
         mat([[1, 2], [3, 4]]) @ SmallMatrix.identity(3, RAT)
-
-
-def test_matrix_json_roundtrip():
-    a = mat([[Fraction(1, 3), 2], [0, Fraction(-5, 7)]])
-    assert matrix_from_json(matrix_to_json(a)) == a
 
 
 def test_basis_projector_products():
