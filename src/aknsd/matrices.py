@@ -4,33 +4,79 @@ Dimensions are fixed at construction and deliberately tiny (2 <= m <= 8 for
 instance data; m == 1 is allowed so scalar series can reuse the same code).
 Values are immutable; operations are pure and may be shared freely between
 concurrent tasks.
+
+A rational matrix is stored as integer numerator rows over one positive
+common denominator, kept canonical: the gcd of every numerator and the
+denominator is 1, so equal matrices have equal fields.  The ring operations
+work on Python ints (entries outgrow 64 bits); ``rows`` and ``get`` hand out
+``Fraction`` entries in lowest terms.  A float matrix stores its rows of
+doubles directly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
+from fractions import Fraction
+from functools import cache
+from itertools import chain
+from math import gcd, lcm
+from operator import add, mul, sub
 
 from . import scalars
-from .errors import DimensionError, SingularError
+from .errors import DimensionError, ModeError, SingularError
 
 MAX_DIM = 8
 
 
-@dataclass(frozen=True)
+def _fraction(x) -> Fraction:
+    """A rational matrix entry as a Fraction; a float or other type is refused."""
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, int):
+        return Fraction(x)
+    raise ModeError(f"refusing entry {x!r} in a rational matrix")
+
+
 class SmallMatrix:
     """Immutable m x m matrix; ``rows`` is a tuple of row tuples."""
 
-    m: int
-    mode: str
-    rows: tuple
+    __slots__ = ("m", "mode", "_num", "_den", "_rows")
 
-    def __post_init__(self):
-        scalars.check_mode(self.mode)
-        if not (1 <= self.m <= MAX_DIM):
-            raise DimensionError(f"matrix dimension {self.m} outside 1..{MAX_DIM}")
-        if len(self.rows) != self.m or any(len(r) != self.m for r in self.rows):
+    def __init__(self, m: int, mode: str, rows):
+        scalars.check_mode(mode)
+        if not (1 <= m <= MAX_DIM):
+            raise DimensionError(f"matrix dimension {m} outside 1..{MAX_DIM}")
+        if len(rows) != m or any(len(r) != m for r in rows):
             raise DimensionError("row shape does not match declared dimension")
+        self.m = m
+        self.mode = mode
+        if mode == scalars.FLOAT:
+            self._num = self._den = None
+            self._rows = tuple(tuple(r) for r in rows)
+            return
+        fracs = tuple(tuple(map(_fraction, r)) for r in rows)
+        den = lcm(*(x.denominator for x in chain.from_iterable(fracs)))
+        self._num = tuple(tuple(x.numerator * (den // x.denominator) for x in r)
+                          for r in fracs)
+        self._den = den
+        self._rows = fracs
+
+    @classmethod
+    def _exact(cls, m: int, num: tuple, den: int) -> "SmallMatrix":
+        """Rational result of a ring operation on checked operands, made canonical."""
+        g = gcd(den, *chain.from_iterable(num))
+        if g != 1:
+            num = tuple(tuple(x // g for x in r) for r in num)
+            den //= g
+        out = object.__new__(cls)
+        out.m, out.mode, out._num, out._den, out._rows = m, scalars.RATIONAL, num, den, None
+        return out
+
+    @classmethod
+    def _floats(cls, m: int, rows: tuple) -> "SmallMatrix":
+        """Float result of a ring operation on checked operands."""
+        out = object.__new__(cls)
+        out.m, out.mode, out._num, out._den, out._rows = m, scalars.FLOAT, None, None, rows
+        return out
 
     # -- constructors ------------------------------------------------------
 
@@ -42,6 +88,7 @@ class SmallMatrix:
         return SmallMatrix(len(conv), mode, conv)
 
     @staticmethod
+    @cache  # immutable, and at most one per (m, mode): share it
     def zero(m: int, mode: str) -> "SmallMatrix":
         z = scalars.zero(mode)
         return SmallMatrix(m, mode, tuple((z,) * m for _ in range(m)))
@@ -83,6 +130,14 @@ class SmallMatrix:
 
     # -- accessors ----------------------------------------------------------
 
+    @property
+    def rows(self) -> tuple:
+        """The entries as row tuples: ``Fraction``s in lowest terms, or floats."""
+        if self._rows is None:
+            den = self._den
+            self._rows = tuple(tuple(Fraction(x, den) for x in r) for r in self._num)
+        return self._rows
+
     def get(self, i: int, j: int):
         """1-based entry access."""
         return self.rows[i - 1][j - 1]
@@ -90,82 +145,102 @@ class SmallMatrix:
     def _compat(self, other: "SmallMatrix") -> None:
         if self.m != other.m:
             raise DimensionError(f"dimension mismatch: {self.m} vs {other.m}")
-        scalars.join_modes(self.mode, other.mode)
+        if self.mode != other.mode:
+            scalars.join_modes(self.mode, other.mode)
+
+    def __eq__(self, other):
+        if not isinstance(other, SmallMatrix):
+            return NotImplemented
+        if self.m != other.m or self.mode != other.mode:
+            return False
+        if self._den is None:
+            return self._rows == other._rows
+        return self._den == other._den and self._num == other._num
+
+    def __hash__(self):
+        if self._den is None:
+            return hash((self.m, self.mode, self._rows))
+        return hash((self.m, self.mode, self._num, self._den))
+
+    def __repr__(self):
+        return f"SmallMatrix(m={self.m}, mode={self.mode!r}, rows={self.rows!r})"
 
     # -- ring operations ----------------------------------------------------
 
-    def __add__(self, other: "SmallMatrix") -> "SmallMatrix":
+    def _sum(self, other: "SmallMatrix", op) -> "SmallMatrix":
+        """Entrywise ``op`` (``add`` or ``sub``) of two compatible matrices."""
         self._compat(other)
-        return SmallMatrix(
-            self.m,
-            self.mode,
-            tuple(
-                tuple(a + b for a, b in zip(ra, rb))
-                for ra, rb in zip(self.rows, other.rows)
-            ),
-        )
+        if self._den is None:
+            return SmallMatrix._floats(self.m, tuple(
+                tuple(map(op, ra, rb)) for ra, rb in zip(self._rows, other._rows)))
+        da, db = self._den, other._den
+        if da == db:
+            return SmallMatrix._exact(self.m, tuple(
+                tuple(map(op, ra, rb)) for ra, rb in zip(self._num, other._num)), da)
+        g = gcd(da, db)
+        fa, fb = db // g, da // g
+        return SmallMatrix._exact(self.m, tuple(
+            tuple(op(x * fa, y * fb) for x, y in zip(ra, rb))
+            for ra, rb in zip(self._num, other._num)), da * fa)
+
+    def __add__(self, other: "SmallMatrix") -> "SmallMatrix":
+        return self._sum(other, add)
 
     def __sub__(self, other: "SmallMatrix") -> "SmallMatrix":
-        self._compat(other)
-        return SmallMatrix(
-            self.m,
-            self.mode,
-            tuple(
-                tuple(a - b for a, b in zip(ra, rb))
-                for ra, rb in zip(self.rows, other.rows)
-            ),
-        )
+        return self._sum(other, sub)
 
     def __neg__(self) -> "SmallMatrix":
-        return SmallMatrix(
-            self.m, self.mode, tuple(tuple(-a for a in r) for r in self.rows)
-        )
+        if self._den is None:
+            return SmallMatrix._floats(self.m, tuple(tuple(-a for a in r) for r in self._rows))
+        return SmallMatrix._exact(self.m, tuple(tuple(-a for a in r) for r in self._num),
+                                  self._den)
 
     def scale(self, s) -> "SmallMatrix":
         s = scalars.as_scalar(s, self.mode)
-        return SmallMatrix(
-            self.m, self.mode, tuple(tuple(s * a for a in r) for r in self.rows)
-        )
+        if self._den is None:
+            return SmallMatrix._floats(self.m, tuple(tuple(s * a for a in r) for r in self._rows))
+        p = s.numerator
+        return SmallMatrix._exact(self.m, tuple(tuple(p * a for a in r) for r in self._num),
+                                  self._den * s.denominator)
 
     def __matmul__(self, other: "SmallMatrix") -> "SmallMatrix":
         self._compat(other)
-        m = self.m
-        cols = tuple(zip(*other.rows))
-        return SmallMatrix(
-            m,
-            self.mode,
-            tuple(
+        if self._den is None:
+            cols = tuple(zip(*other._rows))
+            return SmallMatrix._floats(self.m, tuple(
                 tuple(sum(a * b for a, b in zip(row, col)) for col in cols)
-                for row in self.rows
-            ),
-        )
+                for row in self._rows))
+        cols = tuple(zip(*other._num))
+        return SmallMatrix._exact(self.m, tuple(
+            tuple(sum(map(mul, row, col)) for col in cols) for row in self._num),
+            self._den * other._den)
 
     def transpose(self) -> "SmallMatrix":
-        return SmallMatrix(self.m, self.mode, tuple(zip(*self.rows)))
-
-    def map(self, fn: Callable) -> "SmallMatrix":
-        return SmallMatrix(
-            self.m, self.mode, tuple(tuple(fn(a) for a in r) for r in self.rows)
-        )
+        if self._den is None:
+            return SmallMatrix._floats(self.m, tuple(zip(*self._rows)))
+        return SmallMatrix._exact(self.m, tuple(zip(*self._num)), self._den)
 
     def trace(self):
-        return sum(self.rows[i][i] for i in range(self.m))
+        if self._den is None:
+            return sum(self._rows[i][i] for i in range(self.m))
+        return Fraction(sum(self._num[i][i] for i in range(self.m)), self._den)
 
     def diagonal_part(self) -> "SmallMatrix":
-        z = scalars.zero(self.mode)
-        return SmallMatrix(
-            self.m,
-            self.mode,
-            tuple(
-                tuple(self.rows[i][j] if i == j else z for j in range(self.m))
-                for i in range(self.m)
-            ),
-        )
+        m = self.m
+        if self._den is None:
+            return SmallMatrix._floats(m, tuple(
+                tuple(self._rows[i][j] if i == j else 0.0 for j in range(m))
+                for i in range(m)))
+        return SmallMatrix._exact(m, tuple(
+            tuple(self._num[i][j] if i == j else 0 for j in range(m)) for i in range(m)),
+            self._den)
 
     def inverse(self) -> "SmallMatrix":
         """Gauss-Jordan inverse; exact in rational mode."""
         m = self.m
-        aug = [list(self.rows[i]) + list(SmallMatrix.identity(m, self.mode).rows[i]) for i in range(m)]
+        z, o = scalars.zero(self.mode), scalars.one(self.mode)
+        aug = [list(row) + [o if i == j else z for j in range(m)]
+               for i, row in enumerate(self.rows)]
         for col in range(m):
             pivot = max(
                 range(col, m), key=lambda r: scalars.scalar_abs(aug[r][col])
@@ -184,8 +259,11 @@ class SmallMatrix:
     # -- predicates / norms --------------------------------------------------
 
     def is_zero(self) -> bool:
-        return all(a == 0 for r in self.rows for a in r)
+        if self._den is None:
+            return all(a == 0 for r in self._rows for a in r)
+        return not any(chain.from_iterable(self._num))
 
     def max_abs(self):
-        return max(scalars.scalar_abs(a) for r in self.rows for a in r)
-
+        if self._den is None:
+            return max(scalars.scalar_abs(a) for r in self._rows for a in r)
+        return Fraction(max(map(abs, chain.from_iterable(self._num))), self._den)

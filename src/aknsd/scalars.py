@@ -3,15 +3,17 @@
 Every container in the workbench (matrices, series, lattice functions)
 carries a ``mode`` tag:
 
-* ``"rational"`` -- entries are :class:`fractions.Fraction`; all ring
+* ``"rational"`` -- scalars are :class:`fractions.Fraction`; all ring
   operations are exact and equality is decidable.  This is the default for
-  verification suites.
-* ``"float"`` -- entries are binary doubles; used by the time-stepping and
+  verification suites.  A rational matrix stores its entries as integer
+  numerators over one common denominator (see :mod:`aknsd.matrices`) and
+  hands them out as ``Fraction``s.
+* ``"float"`` -- scalars are binary doubles; used by the time-stepping and
   continuum-limit code where discretisation error dominates anyway.
 
-Scalars themselves are stored as plain ``Fraction``/``float`` values; the
-helpers here convert, format and round-trip them, and enforce that modes are
-never mixed inside one computation.
+Scalars outside matrices are plain ``Fraction``/``float`` values; the helpers
+here convert, format and round-trip them, and enforce that modes are never
+mixed inside one computation.
 """
 
 from __future__ import annotations
@@ -51,8 +53,6 @@ def as_scalar(value, mode: str) -> Scalar:
         if isinstance(value, float):
             raise ModeError(f"refusing to coerce float {value!r} into rational mode")
         return Fraction(value)
-    if isinstance(value, Fraction):
-        return float(value)
     return float(value)
 
 

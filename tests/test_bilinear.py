@@ -167,17 +167,16 @@ def test_length_two_mixed_path():
 # -- adjoint -----------------------------------------------------------------------
 
 
-def compact_pair(window, m, seed, mode=RAT):
+def compact_pair(window, m, seed):
     rng = random.Random(seed)
-    zero = SmallMatrix.zero(m, mode)
+    zero = SmallMatrix.zero(m, RAT)
     lo, hi = window.stored_lo, window.stored_hi
 
     def build():
         vals = []
         for n in range(lo, hi + 1):
             if -3 <= n <= 3 and rng.random() < 0.8:
-                v = rand_matrix(rng, m)
-                vals.append(v if mode == RAT else v.map(float))
+                vals.append(rand_matrix(rng, m))
             else:
                 vals.append(zero)
         return LatticeFn.from_values(lo, vals)
