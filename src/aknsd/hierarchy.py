@@ -26,12 +26,17 @@ integration from a zero left tail.  On a finite window this boundary policy
 the dressing residual vanishes identically in rational mode, and the direct
 resolvent recursion reuses the identical kernel so both constructions agree
 entry for entry.
+
+In rational mode each entry's recursion runs on integer (numerator,
+denominator) pairs with one gcd per step (``_solve_exact``); the float mode
+runs ``solve_two_point``, which stays the reference recursion for tests.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
+from math import gcd
 
 from . import scalars
 from .errors import ConsistencyError, InstanceError, ValidityError
@@ -152,6 +157,8 @@ def solve_two_point(a_i, a_j, rhs, lo: int, hi: int, direction: str, mode: str):
 
     ``rhs`` maps transition sites to scalars; missing sites mean zero.  The
     chosen direction fixes the one free constant: zero at the starting edge.
+    This is the float kernel of ``_solve_order``, and on ``Fraction``s the
+    reference that the integer kernel ``_solve_exact`` is tested against.
     """
     z = scalars.zero(mode)
     w = {n: z for n in range(lo, hi + 1)}
@@ -169,27 +176,60 @@ def solve_two_point(a_i, a_j, rhs, lo: int, hi: int, direction: str, mode: str):
     return [w[n] for n in range(lo, hi + 1)]
 
 
+def _solve_exact(a_i, a_j, rhs: list, direction: str) -> list:
+    """``solve_two_point`` on integers, one gcd per step.
+
+    ``rhs[k]`` is the right-hand side at the k-th transition as a
+    (numerator, positive denominator) pair, not necessarily reduced.  Returns
+    one (p, q) pair per site, in lowest terms with q > 0.  With ``a = p/q``,
+    ``w = x/y`` and ``rhs = N/D`` each step reads
+    ``(c_x x D + c_r N y) / (c_d y D)`` (see docs/derivations.md).
+    """
+    p_i, q_i = a_i.numerator, a_i.denominator
+    p_j, q_j = a_j.numerator, a_j.denominator
+    if direction == "forward":
+        c = (q_j * p_i, -q_i * q_j, p_j * q_i)
+    elif direction == "backward":
+        c = (q_i * p_j, q_i * q_j, p_i * q_j)
+        rhs = rhs[::-1]
+    elif direction == "integrate":
+        c = (p_i, -q_i, p_i)
+    else:
+        raise ValueError(f"unknown direction {direction!r}")
+    g = gcd(*c) if c[2] > 0 else -gcd(*c)
+    c_x, c_r, c_d = (x // g for x in c)
+    x, y = 0, 1
+    out = [(0, 1)]
+    for n_num, n_den in rhs:
+        if n_num or x:
+            num, den = c_x * x * n_den + c_r * n_num * y, c_d * y * n_den
+            g = gcd(num, den)
+            x, y = num // g, den // g
+        out.append((x, y))
+    return out[::-1] if direction == "backward" else out
+
+
 def _solve_order(data: AknsData, rhs: LatticeFn, lo: int, hi: int) -> LatticeFn:
     """One recursion order: rhs is matrix-valued on [lo, hi-1]; result on [lo, hi]."""
     m = data.m
     mode = rhs.mode
-    entries = {}
-    for i in range(1, m + 1):
-        for j in range(1, m + 1):
-            comp = {n: rhs.at(n).get(i, j) for n in range(lo, hi)}
-            entries[(i, j)] = solve_two_point(
-                data.a[i - 1], data.a[j - 1], comp, lo, hi,
-                data.direction(i, j), mode,
-            )
-    vals = []
-    for idx, n in enumerate(range(lo, hi + 1)):
-        rows = tuple(
-            tuple(entries[(i, j)][idx] for j in range(1, m + 1))
-            for i in range(1, m + 1)
-        )
-        vals.append(SmallMatrix(m, mode, rows))
+    pairs = [(i, j) for i in range(1, m + 1) for j in range(1, m + 1)]
+    if mode == scalars.FLOAT:
+        cols = [solve_two_point(data.a[i - 1], data.a[j - 1],
+                                {n: rhs.at(n).get(i, j) for n in range(lo, hi)},
+                                lo, hi, data.direction(i, j), mode) for i, j in pairs]
+        build = partial(SmallMatrix, m, mode)
+    else:
+        parts = [rhs.at(n).numerators() for n in range(lo, hi)]
+        cols = [_solve_exact(data.a[i - 1], data.a[j - 1],
+                             [(num[i - 1][j - 1], den) for num, den in parts],
+                             data.direction(i, j)) for i, j in pairs]
+        build = SmallMatrix.from_lowest_terms
+    # cols holds one column of site values per entry, row-major: regroup per site
+    vals = tuple(build(tuple(site[r * m:(r + 1) * m] for r in range(m)))
+                 for site in zip(*cols))
     zero = SmallMatrix.zero(m, mode)
-    return LatticeFn(lo, hi, tuple(vals), zero, zero, rhs.step, mode)
+    return LatticeFn(lo, hi, vals, zero, zero, rhs.step, mode)
 
 
 # -- dressing ----------------------------------------------------------------------

@@ -8,9 +8,12 @@ concurrent tasks.
 A rational matrix is stored as integer numerator rows over one positive
 common denominator, kept canonical: the gcd of every numerator and the
 denominator is 1, so equal matrices have equal fields.  The ring operations
-work on Python ints (entries outgrow 64 bits); ``rows`` and ``get`` hand out
-``Fraction`` entries in lowest terms.  A float matrix stores its rows of
-doubles directly.
+work on Python ints (entries outgrow 64 bits) and make each result canonical
+with one gcd sweep; ``sum_of_products`` sums its products unreduced over the
+lcm of their denominators and sweeps once, on the finished sum.  ``rows`` and
+``get`` hand out ``Fraction`` entries in lowest terms; ``numerators`` and
+``from_lowest_terms`` are the integer view for exact kernels outside this
+module.  A float matrix stores its rows of doubles directly.
 """
 
 from __future__ import annotations
@@ -25,6 +28,12 @@ from . import scalars
 from .errors import DimensionError, ModeError, SingularError
 
 MAX_DIM = 8
+
+
+def _num_product(a: tuple, b: tuple) -> tuple:
+    """Integer matrix product of two numerator row tuples."""
+    cols = tuple(zip(*b))
+    return tuple([tuple([sum(map(mul, row, col)) for col in cols]) for row in a])
 
 
 def _fraction(x) -> Fraction:
@@ -65,8 +74,13 @@ class SmallMatrix:
         """Rational result of a ring operation on checked operands, made canonical."""
         g = gcd(den, *chain.from_iterable(num))
         if g != 1:
-            num = tuple(tuple(x // g for x in r) for r in num)
+            num = tuple([tuple([x // g for x in r]) for r in num])
             den //= g
+        return cls._canonical(m, num, den)
+
+    @classmethod
+    def _canonical(cls, m: int, num: tuple, den: int) -> "SmallMatrix":
+        """Rational matrix from numerators and a denominator already canonical."""
         out = object.__new__(cls)
         out.m, out.mode, out._num, out._den, out._rows = m, scalars.RATIONAL, num, den, None
         return out
@@ -86,6 +100,18 @@ class SmallMatrix:
             tuple(scalars.as_scalar(x, mode) for x in row) for row in rows
         )
         return SmallMatrix(len(conv), mode, conv)
+
+    @classmethod
+    def from_lowest_terms(cls, entries) -> "SmallMatrix":
+        """Rational matrix from rows of ``(p, q)`` pairs, each in lowest terms, q > 0.
+
+        The numerators over the lcm of the q's are already canonical: a prime
+        of the lcm divides some q to its full power, and that entry's
+        ``p * (lcm // q)`` not at all.  So no gcd sweep is run.
+        """
+        den = lcm(*(q for row in entries for _, q in row))
+        return cls._canonical(len(entries), tuple(
+            tuple(p * (den // q) for p, q in row) for row in entries), den)
 
     @staticmethod
     @cache  # immutable, and at most one per (m, mode): share it
@@ -142,6 +168,15 @@ class SmallMatrix:
         """1-based entry access."""
         return self.rows[i - 1][j - 1]
 
+    def numerators(self) -> tuple:
+        """A rational matrix as (integer numerator rows, positive common denominator).
+
+        The pair is canonical: the gcd of the denominator and every numerator is 1.
+        """
+        if self._den is None:
+            raise ModeError("a float matrix has no integer numerators")
+        return self._num, self._den
+
     def _compat(self, other: "SmallMatrix") -> None:
         if self.m != other.m:
             raise DimensionError(f"dimension mismatch: {self.m} vs {other.m}")
@@ -192,8 +227,8 @@ class SmallMatrix:
     def __neg__(self) -> "SmallMatrix":
         if self._den is None:
             return SmallMatrix._floats(self.m, tuple(tuple(-a for a in r) for r in self._rows))
-        return SmallMatrix._exact(self.m, tuple(tuple(-a for a in r) for r in self._num),
-                                  self._den)
+        return SmallMatrix._canonical(self.m, tuple(tuple(-a for a in r) for r in self._num),
+                                      self._den)
 
     def scale(self, s) -> "SmallMatrix":
         s = scalars.as_scalar(s, self.mode)
@@ -210,15 +245,41 @@ class SmallMatrix:
             return SmallMatrix._floats(self.m, tuple(
                 tuple(sum(a * b for a, b in zip(row, col)) for col in cols)
                 for row in self._rows))
-        cols = tuple(zip(*other._num))
-        return SmallMatrix._exact(self.m, tuple(
-            tuple(sum(map(mul, row, col)) for col in cols) for row in self._num),
-            self._den * other._den)
+        return SmallMatrix._exact(self.m, _num_product(self._num, other._num),
+                                  self._den * other._den)
+
+    @staticmethod
+    def sum_of_products(pairs, m: int, mode: str) -> "SmallMatrix":
+        """The sum of ``a @ b`` over the ``(a, b)`` pairs; zero for no pairs.
+
+        Rational: each product's numerator rows are scaled to the lcm of the
+        product denominators and summed unreduced, and the finished sum gets
+        the one gcd sweep.  Float: ``acc + (a @ b)`` from a zero ``acc``, in
+        pair order, exactly as a loop of ring operations adds them.
+        """
+        zero = SmallMatrix.zero(m, mode)
+        if mode == scalars.FLOAT:
+            acc = zero
+            for a, b in pairs:
+                acc = acc + (a @ b)
+            return acc
+        prods = []
+        for a, b in pairs:
+            zero._compat(a)
+            a._compat(b)
+            prods.append((_num_product(a._num, b._num), a._den * b._den))
+        if not prods:
+            return zero
+        den = lcm(*(d for _, d in prods))
+        flat = tuple(map(sum, zip(*(
+            chain.from_iterable(num) if d == den else
+            [x * (den // d) for x in chain.from_iterable(num)] for num, d in prods))))
+        return SmallMatrix._exact(m, tuple(flat[r * m:(r + 1) * m] for r in range(m)), den)
 
     def transpose(self) -> "SmallMatrix":
         if self._den is None:
             return SmallMatrix._floats(self.m, tuple(zip(*self._rows)))
-        return SmallMatrix._exact(self.m, tuple(zip(*self._num)), self._den)
+        return SmallMatrix._canonical(self.m, tuple(zip(*self._num)), self._den)
 
     def trace(self):
         if self._den is None:

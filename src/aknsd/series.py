@@ -200,18 +200,17 @@ def series_mul(a: MatSeries, b: MatSeries) -> MatSeries:
     vlo = max(cands + [lo_true]) if cands else None
     band_lo = lo_true if vlo is None else vlo
     _check_knows_a_degree(band_lo, hi)
-    coeffs = []
-    for d in range(band_lo, hi + 1):
-        acc = SmallMatrix.zero(a.m, a.mode)
-        i_lo = max(a.lo, d - b.hi)
-        i_hi = min(a.hi, d - b.lo)
-        for i in range(i_lo, i_hi + 1):
-            ca = a.coeffs[i - a.lo]
-            cb = b.coeffs[d - i - b.lo]
-            if not ca.is_zero() and not cb.is_zero():
-                acc = acc + (ca @ cb)
-        coeffs.append(acc)
-    return MatSeries(a.m, a.mode, band_lo, hi, tuple(coeffs), vlo)
+    a_nz = [not c.is_zero() for c in a.coeffs]
+    b_nz = [not c.is_zero() for c in b.coeffs]
+
+    def pairs(d):
+        for i in range(max(a.lo, d - b.hi), min(a.hi, d - b.lo) + 1):
+            if a_nz[i - a.lo] and b_nz[d - i - b.lo]:
+                yield a.coeffs[i - a.lo], b.coeffs[d - i - b.lo]
+
+    coeffs = tuple(SmallMatrix.sum_of_products(pairs(d), a.m, a.mode)
+                   for d in range(band_lo, hi + 1))
+    return MatSeries(a.m, a.mode, band_lo, hi, coeffs, vlo)
 
 
 def series_inverse(a: MatSeries, depth: int) -> MatSeries:
@@ -235,13 +234,11 @@ def series_inverse(a: MatSeries, depth: int) -> MatSeries:
         raise SingularError("top coefficient of series is singular") from None
     h = a.hi
     out = {0: top_inv}
+    # the nonzero coefficients h-1 .. h-depth, all valid since depth <= avail
+    below = [(i, c) for i in range(1, depth + 1) if not (c := a.get(h - i)).is_zero()]
     for j in range(1, depth + 1):
-        acc = SmallMatrix.zero(a.m, a.mode)
-        for i in range(1, j + 1):
-            ai = a.get(h - i) if a.valid_at(h - i) else None
-            if ai is None or ai.is_zero():
-                continue
-            acc = acc + (ai @ out[j - i])
+        acc = SmallMatrix.sum_of_products(
+            ((c, out[j - i]) for i, c in below if i <= j), a.m, a.mode)
         out[j] = -(top_inv @ acc)
     coeffs = tuple(out[j] for j in range(depth, -1, -1))
     return MatSeries(a.m, a.mode, -h - depth, -h, coeffs, -h - depth)

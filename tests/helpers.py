@@ -1,6 +1,7 @@
 """Shared builders and brute-force oracles for the test suite."""
 
 from fractions import Fraction
+from math import gcd
 import os
 from pathlib import Path
 import random
@@ -25,6 +26,37 @@ def run_cli(*args, env=None):
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), env.get("PYTHONPATH"))))
     return subprocess.run([sys.executable, "-m", "aknsd.cli", *args],
                           capture_output=True, text=True, env=env)
+
+
+def ref_matmul(a, b):
+    """Product of two matrices given as row lists of ``Fraction``s."""
+    return [[sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in zip(*b)]
+            for row in a]
+
+
+def ref_inverse(a):
+    """Gauss-Jordan on row lists, first nonzero pivot; None when singular."""
+    m = len(a)
+    aug = [list(row) + [Fraction(int(i == j)) for j in range(m)] for i, row in enumerate(a)]
+    for col in range(m):
+        pivot = next((r for r in range(col, m) if aug[r][col] != 0), None)
+        if pivot is None:
+            return None
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        p = aug[col][col]
+        aug[col] = [x / p for x in aug[col]]
+        for r in range(m):
+            if r != col:
+                f = aug[r][col]
+                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
+    return [row[m:] for row in aug]
+
+
+def assert_canonical(mat):
+    """A rational matrix's numerators and denominator share no factor; den > 0."""
+    num, den = mat.numerators()
+    assert den > 0
+    assert gcd(den, *(x for row in num for x in row)) == 1
 
 
 def mat(rows, mode=RAT):

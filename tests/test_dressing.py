@@ -3,12 +3,15 @@
 from fractions import Fraction
 import random
 
+from hypothesis import given, settings, strategies as st
 import pytest
 
 from aknsd.errors import ConsistencyError, InstanceError
 from aknsd.hierarchy import (
     AknsData,
     HierarchyState,
+    _solve_exact,
+    _solve_order,
     dressing_residual,
     solve_two_point,
 )
@@ -21,7 +24,7 @@ from aknsd.instances import (
 )
 from aknsd.lattice import LatticeFn, Window
 from aknsd.matrices import SmallMatrix
-from helpers import RAT
+from helpers import RAT, assert_canonical
 
 
 def dense_two_point_oracle(a_i, a_j, rhs, lo, hi, direction):
@@ -64,6 +67,51 @@ def test_two_point_kernel_matches_dense_solve():
         got = solve_two_point(Fraction(ai), Fraction(aj), rhs, -5, 5, direction, RAT)
         want = dense_two_point_oracle(ai, aj, rhs, -5, 5, direction)
         assert got == want
+
+
+# diagonal entries of A: integers and not, both signs, and tied magnitudes
+A_ENTRIES = [Fraction(x) for x in ("1", "-1", "2", "-2", "1/2", "-1/2", "3/4", "-5/3", "7/2")]
+rhs_entry = st.one_of(st.just(Fraction(0)),
+                      st.fractions(min_value=-5, max_value=5, max_denominator=12))
+
+
+@st.composite
+def order_problems(draw):
+    """AknsData, a rational right-hand side on [lo, hi-1] with a step, and [lo, hi]."""
+    m = draw(st.integers(2, 4))
+    a = draw(st.lists(st.sampled_from(A_ENTRIES), min_size=m, max_size=m, unique=True))
+    lo = draw(st.integers(-4, 0))
+    hi = lo + draw(st.integers(1, 7))
+    vals = []
+    for _ in range(lo, hi):
+        if draw(st.integers(0, 3)) == 0:
+            vals.append(SmallMatrix.zero(m, RAT))
+        else:
+            vals.append(SmallMatrix(m, RAT, draw(
+                st.lists(st.lists(rhs_entry, min_size=m, max_size=m), min_size=m, max_size=m))))
+    step = draw(st.sampled_from([Fraction(1, 2), Fraction(3), Fraction(2, 3)]))
+    rhs = LatticeFn.from_values(lo, vals, step=step)
+    return AknsData(m, tuple(a)), rhs, lo, hi
+
+
+@settings(max_examples=100, deadline=None)
+@given(order_problems())
+def test_integer_order_solve_matches_the_fraction_recursion(problem):
+    data, rhs, lo, hi = problem
+    got = _solve_order(data, rhs, lo, hi)
+    assert (got.lo, got.hi, got.step, got.mode) == (lo, hi, rhs.step, RAT)
+    for n in got.sites():
+        assert_canonical(got.at(n))
+    for i in range(1, data.m + 1):
+        for j in range(1, data.m + 1):
+            comp = {n: rhs.at(n).get(i, j) for n in range(lo, hi)}
+            want = solve_two_point(data.a[i - 1], data.a[j - 1], comp, lo, hi,
+                                   data.direction(i, j), RAT)
+            assert [got.at(n).get(i, j) for n in got.sites()] == want, (i, j)
+            pairs = _solve_exact(data.a[i - 1], data.a[j - 1],
+                                 [(x.numerator, x.denominator) for x in comp.values()],
+                                 data.direction(i, j))
+            assert pairs == [(x.numerator, x.denominator) for x in want], (i, j)
 
 
 def test_vacuum_dressing_is_zero():

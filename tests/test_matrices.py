@@ -6,15 +6,13 @@ denominator; every operation must give, entry for entry, what row lists of
 """
 
 from fractions import Fraction
-from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from aknsd.errors import DimensionError, ModeError, SingularError
 from aknsd.matrices import SmallMatrix
-
-RAT = "rational"
+from helpers import RAT, assert_canonical, ref_inverse, ref_matmul
 
 small = st.one_of(st.just(Fraction(0)),
                   st.fractions(min_value=-4, max_value=4, max_denominator=6))
@@ -30,29 +28,6 @@ def operands(draw, count):
     return m, [draw(entries(m)) for _ in range(count)]
 
 
-def ref_matmul(a, b):
-    return [[sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in zip(*b)]
-            for row in a]
-
-
-def ref_inverse(a):
-    """Gauss-Jordan on row lists, first nonzero pivot; None when singular."""
-    m = len(a)
-    aug = [list(row) + [Fraction(int(i == j)) for j in range(m)] for i, row in enumerate(a)]
-    for col in range(m):
-        pivot = next((r for r in range(col, m) if aug[r][col] != 0), None)
-        if pivot is None:
-            return None
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        p = aug[col][col]
-        aug[col] = [x / p for x in aug[col]]
-        for r in range(m):
-            if r != col:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return [row[m:] for row in aug]
-
-
 def assert_matches(mat, ref):
     """``mat`` holds ``ref`` exactly, reads it back as Fractions, and is canonical."""
     m = len(ref)
@@ -62,8 +37,7 @@ def assert_matches(mat, ref):
         for j in range(m):
             got = mat.get(i + 1, j + 1)
             assert type(got) is Fraction and got == ref[i][j]
-    assert mat._den > 0
-    assert gcd(mat._den, *(x for row in mat._num for x in row)) == 1
+    assert_canonical(mat)
     assert mat.is_zero() == all(x == 0 for row in ref for x in row)
     biggest = max(abs(x) for row in ref for x in row)
     assert type(mat.max_abs()) is Fraction and mat.max_abs() == biggest
@@ -113,6 +87,44 @@ def test_equal_matrices_have_equal_fields_and_hashes(ops):
                                 for r in a]) == ma
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4).flatmap(
+    lambda m: st.tuples(st.just(m), st.lists(st.tuples(entries(m), entries(m)), max_size=3))))
+def test_sum_of_products_matches_the_fraction_reference(case):
+    m, pairs = case
+    got = SmallMatrix.sum_of_products(
+        ((SmallMatrix(m, RAT, a), SmallMatrix(m, RAT, b)) for a, b in pairs), m, RAT)
+    want = [[Fraction(0)] * m for _ in range(m)]
+    for a, b in pairs:
+        want = [[x + y for x, y in zip(r, q)] for r, q in zip(want, ref_matmul(a, b))]
+    assert_matches(got, want)
+    if not pairs:
+        assert got is SmallMatrix.zero(m, RAT)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.tuples(entries(2), entries(2)), max_size=4))
+def test_float_sum_of_products_adds_in_pair_order(pairs):
+    mats = [(SmallMatrix.from_rows(a, "float"), SmallMatrix.from_rows(b, "float"))
+            for a, b in pairs]
+    acc = SmallMatrix.zero(2, "float")
+    for a, b in mats:
+        acc = acc + (a @ b)
+    assert SmallMatrix.sum_of_products(iter(mats), 2, "float").rows == acc.rows
+
+
+@settings(max_examples=100, deadline=None)
+@given(operands(1))
+def test_lowest_terms_entries_round_trip_through_numerators(ops):
+    m, (a,) = ops
+    built = SmallMatrix.from_lowest_terms(
+        [[(x.numerator, x.denominator) for x in row] for row in a])
+    assert_matches(built, a)
+    assert built == SmallMatrix(m, RAT, a)
+    num, den = built.numerators()
+    assert [[Fraction(x, den) for x in row] for row in num] == a
+
+
 def test_singular_matrix_raises():
     with pytest.raises(SingularError):
         SmallMatrix.from_rows([[1, 2], [2, 4]], RAT).inverse()
@@ -123,7 +135,10 @@ def test_singular_matrix_raises():
 def test_mixed_modes_raise():
     a = SmallMatrix.identity(2, RAT)
     b = SmallMatrix.identity(2, "float")
-    for op in (lambda: a + b, lambda: a - b, lambda: a @ b, lambda: b @ a):
+    for op in (lambda: a + b, lambda: a - b, lambda: a @ b, lambda: b @ a,
+               lambda: SmallMatrix.sum_of_products([(a, a), (b, b)], 2, RAT),
+               lambda: SmallMatrix.sum_of_products([(b, b)], 2, RAT),
+               b.numerators):
         with pytest.raises(ModeError):
             op()
     assert a != b

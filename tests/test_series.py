@@ -18,11 +18,14 @@ from aknsd.series import (
 )
 from helpers import (
     RAT,
+    assert_canonical,
     completion,
     extended_band_product,
     mat,
     rand_matrix,
     rand_series,
+    ref_inverse,
+    ref_matmul,
 )
 
 
@@ -227,6 +230,106 @@ def test_validity_band_is_sound(name, a, b, k):
     for d in range(min(got.lo, ref.lo) - 2, max(got.hi, ref.hi) + 3):
         if got.valid_at(d):
             assert got.get(d) == ref.get(d), d
+
+
+# -- coefficients against a plain-Fraction reference (property-based) ----------------
+
+entry = st.one_of(st.just(Fraction(0)),
+                  st.fractions(min_value=-3, max_value=3, max_denominator=6))
+
+
+def ref_zero(m):
+    return [[Fraction(0)] * m for _ in range(m)]
+
+
+def ref_add(a, b):
+    return [[x + y for x, y in zip(r, q)] for r, q in zip(a, b)]
+
+
+@st.composite
+def ref_coeffs(draw, m, count):
+    """``count`` coefficients as Fraction row lists, each exactly zero half the time."""
+    dense = st.lists(st.lists(entry, min_size=m, max_size=m), min_size=m, max_size=m)
+    return [draw(dense) if draw(st.booleans()) else ref_zero(m) for _ in range(count)]
+
+
+def series_of(lo, coeffs):
+    m = len(coeffs[0])
+    return MatSeries(m, RAT, lo, lo + len(coeffs) - 1,
+                     tuple(SmallMatrix(m, RAT, c) for c in coeffs), None)
+
+
+def assert_coefficient(got, want):
+    assert got.rows == tuple(tuple(r) for r in want)
+    assert_canonical(got)
+
+
+@st.composite
+def product_factors(draw):
+    m = draw(st.integers(1, 3))
+    out = []
+    for _ in range(2):
+        lo = draw(st.integers(-3, 0))
+        out.append((lo, draw(ref_coeffs(m, draw(st.integers(1, 4))))))
+    return m, out
+
+
+@given(product_factors())
+@settings(max_examples=100, deadline=None)
+def test_mul_coefficients_match_the_cauchy_product(case):
+    m, ((a_lo, a), (b_lo, b)) = case
+    got = series_mul(series_of(a_lo, a), series_of(b_lo, b))
+    assert (got.lo, got.hi) == (a_lo + b_lo, a_lo + b_lo + len(a) + len(b) - 2)
+    for d in range(got.lo, got.hi + 1):
+        pairs = [(a[i - a_lo], b[d - i - b_lo]) for i in range(a_lo, a_lo + len(a))
+                 if 0 <= d - i - b_lo < len(b)]
+        want = ref_zero(m)
+        for x, y in pairs:
+            want = ref_add(want, ref_matmul(x, y))
+        assert_coefficient(got.get(d), want)
+        if all(x == ref_zero(m) or y == ref_zero(m) for x, y in pairs):
+            assert got.get(d) is SmallMatrix.zero(m, RAT)
+
+
+def test_mul_degree_of_skipped_pairs_is_the_shared_zero():
+    a = MatSeries.from_coeffs({0: mat([[1, 2], [3, 4]])}, 2, RAT, lo=-1, hi=0)
+    b = MatSeries.from_coeffs({0: mat([[0, 1], [1, 0]])}, 2, RAT, lo=-1, hi=0)
+    prod = series_mul(a, b)
+    assert prod.get(0) == mat([[2, 1], [4, 3]])
+    assert prod.get(-1) is SmallMatrix.zero(2, RAT)
+    assert prod.get(-2) is SmallMatrix.zero(2, RAT)
+
+
+@st.composite
+def invertible_series(draw):
+    m = draw(st.integers(1, 3))
+    lo = draw(st.integers(-3, 1))
+    coeffs = draw(ref_coeffs(m, draw(st.integers(0, 3))))
+    top = draw(st.lists(st.lists(entry, min_size=m, max_size=m), min_size=m, max_size=m)
+               .filter(lambda t: ref_inverse(t) is not None))
+    return lo, coeffs + [top], draw(st.integers(0, 5))
+
+
+@given(invertible_series())
+@settings(max_examples=100, deadline=None)
+def test_inverse_coefficients_match_the_recursion(case):
+    lo, a, depth = case
+    m, hi = len(a[0]), lo + len(a) - 1
+    got = series_inverse(series_of(lo, a), depth)
+    assert (got.lo, got.hi) == (-hi - depth, -hi)
+
+    def below(i):  # the coefficient of a at degree hi - i
+        return a[-1 - i] if i < len(a) else ref_zero(m)
+
+    top_inv = ref_inverse(a[-1])
+    out = [top_inv]
+    for j in range(1, depth + 1):
+        acc = ref_zero(m)
+        for i in range(1, j + 1):
+            acc = ref_add(acc, ref_matmul(below(i), out[j - i]))
+        out.append([[-x for x in r] for r in ref_matmul(top_inv, acc)])
+    for j, want in enumerate(out):
+        assert_coefficient(got.get(-hi - j), want)
 
 
 # -- inverse -------------------------------------------------------------------
