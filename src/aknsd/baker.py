@@ -401,7 +401,7 @@ class BilinearCheck:
 def _hat_derivative_analytic(state: HierarchyState, k: int, alpha: int) -> LatticeFn:
     """d/dt_{k alpha} of the dressing series: -Bbar_{k alpha} * w_hat."""
     resolvent = state.resolvent(alpha)
-    _, bbar = projector_b(resolvent, k)
+    bbar = projector_b(resolvent, k, "minus")
     return bbar.zip_with(state.hat, lambda b, w: -series_mul(b, w))
 
 
@@ -456,7 +456,7 @@ def _mixed_word_factor(state: HierarchyState, k1: int, alpha1: int,
     stepped = _stepped_states(state, FlowIndex(k1, alpha1), fd_step)
     legs = []
     for sign, solved in zip((1.0, -1.0), stepped):
-        b, _ = projector_b(solved.resolvent(alpha2), k2)
+        b = projector_b(solved.resolvent(alpha2), k2, "plus")
         disp = _displacement_polynomial(state, k1, alpha1, sign * fd_step)
         leg = b.zip_with(solved.hat, series_mul).map(
             lambda s: series_mul(s, disp), map_tails=False)
@@ -497,8 +497,8 @@ def _word_factor(state: HierarchyState, word: tuple, path: str,
         # d_1 d_2 w = f w with f = (z^k2 [B_1, R_2])_+ + B_2 B_1, all of it
         # assembled from series products; f w w^{-1} stays free of negative
         # powers exactly when the hierarchy relations hold
-        b2, _ = projector_b(state.resolvent(a2), k2)
-        b1, _ = projector_b(state.resolvent(a1), k1)
+        b2 = projector_b(state.resolvent(a2), k2, "plus")
+        b1 = projector_b(state.resolvent(a1), k1, "plus")
         r2 = state.resolvent(a2).series
 
         def bracket(bb, rr):

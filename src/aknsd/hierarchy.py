@@ -39,11 +39,12 @@ from functools import cached_property, partial
 from math import gcd
 
 from . import scalars
-from .errors import ConsistencyError, InstanceError, ValidityError
+from .errors import ConsistencyError, DimensionError, InstanceError, ValidityError
 from .lattice import LatticeFn, Window, delta_apply, shift_apply, site_max
 from .matrices import SmallMatrix
 from .series import (
     MatSeries,
+    _check_knows_a_degree,
     series_diff_max,
     series_inverse,
     series_mul,
@@ -401,48 +402,87 @@ def commutator_with_l(P: LatticeFn, data: AknsData, U: LatticeFn) -> LatticeFn:
     """Multiplication-operator part of [P, L]_D for L = Delta - z A + U.
 
     Expanded form: -Delta P - z ((Lambda P) A - A P) + (Lambda P) U - U P,
-    with the deformed difference when the lattice carries a step.
+    with the deformed difference ``(P(n+1) - P(n)) / eps`` when the lattice
+    carries a step.  Each site is built degree by degree from P(n), P(n+1)
+    and U(n) (``_commutator_site``); the tails are the same kernel on the
+    tails.  The sites run over ``[max(P.lo, U.lo), min(P.hi - 1, U.hi)]``.
+    P's site series must share one band and validity start.
     """
-    a_mat = data.matrix
-    d_p = delta_apply(P, "forward")
-    lam_p = shift_apply(P, 1)
-    lo, hi = lam_p.lo, lam_p.hi
-    z_term = lam_p.map(lambda s: s.right_mul_mat(a_mat), map_tails=False) - \
-        P.map(lambda s: s.left_mul_mat(a_mat), map_tails=False).restrict(lo, hi)
-    z_term = z_term.map(lambda s: s.shift_degree(1), map_tails=False)
-    u_term = lam_p.zip_with(U.restrict(lo, hi), lambda s, u: s.right_mul_mat(u)) - \
-        P.zip_with(U, lambda s, u: s.left_mul_mat(u)).restrict(lo, hi)
-    return u_term - d_p - z_term
+    P._compat(U)
+    lo, hi = max(P.lo, U.lo), min(P.hi - 1, U.hi)
+    if lo > hi:
+        raise DimensionError("operand ranges do not overlap")
+    if len({(s.lo, s.hi, s.valid_lo) for s in P.values}) != 1:
+        raise DimensionError("the commutator needs one band across P's sites")
+    eps = P.eps()
+    inv = None if eps == 1 else scalars.one(P.mode) / eps
+    site = partial(_commutator_site, a_mat=data.matrix, inv=inv)
+    vals = tuple(site(P.at(n), P.at(n + 1), U.at(n)) for n in range(lo, hi + 1))
+    return LatticeFn(lo, hi, vals,
+                     site(P.left_tail, P.left_tail, U.left_tail),
+                     site(P.right_tail, P.right_tail, U.right_tail), P.step, P.mode)
+
+
+def _commutator_site(c: MatSeries, c1: MatSeries, u: SmallMatrix, *,
+                     a_mat: SmallMatrix, inv) -> MatSeries:
+    """[P, L]_D at one site from c = P(n), c1 = P(n+1) (one band) and u = U(n).
+
+    Degree d reads ``((c1_d U) - (U c_d)) - Delta c_d`` minus the z-term
+    ``(c1_(d-1) A) - (A c_(d-1))``.  A fully known band [lo, hi] gives
+    [lo, hi + 1]; validity from v gives [v + 1, hi + 1], valid from v + 1.
+    """
+    top = c.hi
+    _check_knows_a_degree(c.lo if c.valid_lo is None else c.valid_lo, top)
+    vlo = None if c.valid_lo is None else c.valid_lo + 1
+    first = c.lo if vlo is None else vlo
+    coeffs = []
+    for i in range(first - c.lo, top - c.lo + 1):
+        x, x1 = c.coeffs[i], c1.coeffs[i]
+        dc = x1 - x
+        if inv is not None:
+            dc = dc.scale(inv)
+        out = ((x1 @ u) - (u @ x)) - dc
+        if i > 0:
+            out = out - ((c1.coeffs[i - 1] @ a_mat) - (a_mat @ c.coeffs[i - 1]))
+        coeffs.append(out)
+    x, x1 = c.coeffs[-1], c1.coeffs[-1]
+    coeffs.append(SmallMatrix.zero(c.m, c.mode) - ((x1 @ a_mat) - (a_mat @ x)))
+    return MatSeries(c.m, c.mode, first, top + 1, tuple(coeffs), vlo)
 
 
 # -- projections and the hierarchy flow field ----------------------------------------------
 
 
-def projector_b(resolvent: Resolvent, k: int):
-    """(B, Bbar): non-negative and strictly-negative parts of z^k R_alpha."""
-    if not 0 <= k < resolvent.depth:
+def projector_b(resolvent: Resolvent, k: int, part: str) -> LatticeFn:
+    """One projection of z^k R_alpha: ``"plus"`` is B, ``"minus"`` is Bbar.
+
+    B, the non-negative degrees, reads R_(0)..R_(k), so ``"plus"`` needs
+    ``0 <= k <= depth``; Bbar starts at R_(k+1), so ``"minus"`` needs
+    ``0 <= k < depth``.
+    """
+    top = resolvent.depth if part == "plus" else resolvent.depth - 1
+    if not 0 <= k <= top:
         raise ValidityError(
-            f"flow order {k} outside the resolvent validity depth {resolvent.depth}"
+            f"flow order {k} outside the resolvent validity depth {resolvent.depth} "
+            f"for the {part} part"
         )
-    shifted = resolvent.series.map(lambda s: s.shift_degree(k), map_tails=False)
-    b = shifted.map(lambda s: series_project(s, "plus"), map_tails=False)
-    bbar = shifted.map(lambda s: series_project(s, "minus"), map_tails=False)
-    return b, bbar
+    return resolvent.series.map(lambda s: series_project(s.shift_degree(k), part),
+                                map_tails=False)
 
 
 def flow_field(data: AknsData, U: LatticeFn, k: int, alpha: int, *,
                tol=0) -> LatticeFn:
     """The (k, alpha) flow of the potential: degree-0 part of [B_{k alpha}, L]_D.
 
-    ``B = (z^k R_alpha)_+`` comes from the direct resolvent through order k+1
-    (what ``projector_b`` reads); no dressing is solved.  Every coefficient at
-    z-degree >= 1 must vanish (up to ``tol``; exactly in rational mode).  The
-    full degree-0 coefficient is returned; its diagonal, measured by
-    ``diagonal_drift``, is the discrete gauge drift Delta of R_{(k+1),pp}.
+    ``B = (z^k R_alpha)_+`` comes from the direct resolvent R_(0)..R_(k), all
+    that B holds; no dressing is solved.  Every coefficient at z-degree >= 1
+    must vanish (up to ``tol``; exactly in rational mode).  The full degree-0
+    coefficient is returned; its diagonal, measured by ``diagonal_drift``, is
+    the discrete gauge drift Delta of R_{(k+1),pp}.
     """
     if k < 0:
         raise ValidityError(f"flow order {k} must be >= 0")
-    b, _ = projector_b(resolvent_direct(data, U, alpha, k + 1), k)
+    b = projector_b(resolvent_direct(data, U, alpha, k), k, "plus")
     comm = commutator_with_l(b, data, U)
     pos = site_max(comm, lambda s: scalars.max_of(
         (s.get(d).max_abs() for d in range(max(1, s.lo), s.hi + 1)), s.mode))

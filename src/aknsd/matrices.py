@@ -14,6 +14,10 @@ lcm of their denominators and sweeps once, on the finished sum.  ``rows`` and
 ``get`` hand out ``Fraction`` entries in lowest terms; ``numerators`` and
 ``from_lowest_terms`` are the integer view for exact kernels outside this
 module.  A float matrix stores its rows of doubles directly.
+
+Both modes form a product with the one row-times-column helper
+``_product``: on the integer numerators, or on the doubles, where it sums in
+the same order as a plain loop and so is bit for bit the same.
 """
 
 from __future__ import annotations
@@ -30,8 +34,12 @@ from .errors import DimensionError, ModeError, SingularError
 MAX_DIM = 8
 
 
-def _num_product(a: tuple, b: tuple) -> tuple:
-    """Integer matrix product of two numerator row tuples."""
+def _product(a: tuple, b: tuple) -> tuple:
+    """Matrix product of two row tuples: integer numerators or doubles.
+
+    Each entry is ``sum(map(mul, row, col))``: the products summed left to
+    right from the integer 0.
+    """
     cols = tuple(zip(*b))
     return tuple([tuple([sum(map(mul, row, col)) for col in cols]) for row in a])
 
@@ -207,7 +215,7 @@ class SmallMatrix:
         self._compat(other)
         if self._den is None:
             return SmallMatrix._floats(self.m, tuple(
-                tuple(map(op, ra, rb)) for ra, rb in zip(self._rows, other._rows)))
+                [tuple(map(op, ra, rb)) for ra, rb in zip(self._rows, other._rows)]))
         da, db = self._den, other._den
         if da == db:
             return SmallMatrix._exact(self.m, tuple(
@@ -241,11 +249,8 @@ class SmallMatrix:
     def __matmul__(self, other: "SmallMatrix") -> "SmallMatrix":
         self._compat(other)
         if self._den is None:
-            cols = tuple(zip(*other._rows))
-            return SmallMatrix._floats(self.m, tuple(
-                tuple(sum(a * b for a, b in zip(row, col)) for col in cols)
-                for row in self._rows))
-        return SmallMatrix._exact(self.m, _num_product(self._num, other._num),
+            return SmallMatrix._floats(self.m, _product(self._rows, other._rows))
+        return SmallMatrix._exact(self.m, _product(self._num, other._num),
                                   self._den * other._den)
 
     @staticmethod
@@ -267,7 +272,7 @@ class SmallMatrix:
         for a, b in pairs:
             zero._compat(a)
             a._compat(b)
-            prods.append((_num_product(a._num, b._num), a._den * b._den))
+            prods.append((_product(a._num, b._num), a._den * b._den))
         if not prods:
             return zero
         den = lcm(*(d for _, d in prods))

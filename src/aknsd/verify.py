@@ -35,7 +35,7 @@ from .dynamics import (
     make_field_fn,
     rk4_step,
 )
-from .errors import AknsdError
+from .errors import AknsdError, ConfigError
 from .hierarchy import (
     Dressing,
     HierarchyState,
@@ -117,7 +117,15 @@ def config_hash(config: ExperimentConfig) -> str:
 
 
 def limit_scan(config: ExperimentConfig) -> ScanReport:
-    """The desk continuum scan: first-order flows of a Gaussian bump, float mode."""
+    """The desk continuum scan: first-order flows of a Gaussian bump, float mode.
+
+    A Cauchy order compares two differences of fields at consecutive step
+    sizes, so fewer than three step sizes measure none and are refused.
+    """
+    if len(config.eps_list) < 3:
+        raise ConfigError(
+            f"the limit checks need at least 3 step sizes in 'eps_list' to measure "
+            f"a Cauchy order; got {len(config.eps_list)}")
     return continuum_scan(config.data(scalars.FLOAT),
                           gaussian_bump_profile(config.m, amplitude=0.4, sigma=1.0),
                           list(config.eps_list), k=1, x_span=4.0,

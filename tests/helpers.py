@@ -8,6 +8,7 @@ import random
 import subprocess
 import sys
 
+from aknsd.lattice import delta_apply, shift_apply
 from aknsd.matrices import SmallMatrix
 from aknsd.series import MatSeries, series_mul
 
@@ -50,6 +51,25 @@ def ref_inverse(a):
                 f = aug[r][col]
                 aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
     return [row[m:] for row in aug]
+
+
+def ref_commutator(P, data, U):
+    """[P, L]_D as a composition of whole-lattice series operations.
+
+    -Delta P - z ((Lambda P) A - A P) + (Lambda P) U - U P, one operation at
+    a time.  The z-term maps the tails too, so the tails are [P, L]_D of a
+    constant P and U.
+    """
+    a_mat = data.matrix
+    d_p = delta_apply(P, "forward")
+    lam_p = shift_apply(P, 1)
+    lo, hi = lam_p.lo, lam_p.hi
+    z_term = lam_p.map(lambda s: s.right_mul_mat(a_mat)) - \
+        P.map(lambda s: s.left_mul_mat(a_mat)).restrict(lo, hi)
+    z_term = z_term.map(lambda s: s.shift_degree(1))
+    u_term = lam_p.zip_with(U.restrict(lo, hi), lambda s, u: s.right_mul_mat(u)) - \
+        P.zip_with(U, lambda s, u: s.left_mul_mat(u)).restrict(lo, hi)
+    return u_term - d_p - z_term
 
 
 def assert_canonical(mat):

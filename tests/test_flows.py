@@ -1,17 +1,22 @@
 """Flow-field tests: closed forms, degree checks, and the diagonal drift."""
 
+from fractions import Fraction
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from aknsd.errors import ValidityError
+from aknsd import scalars
+from aknsd.errors import DimensionError, ValidityError
 from aknsd.hierarchy import (
+    AknsData,
     Dressing,
     HierarchyState,
     commutator_with_l,
     diagonal_drift,
     flow_field,
     projector_b,
+    resolvent_direct,
     resolvent_dressed,
 )
 from aknsd.instances import (
@@ -26,12 +31,14 @@ from aknsd.instances import (
 from aknsd.lattice import LatticeFn, Window
 from aknsd.matrices import SmallMatrix
 from aknsd.series import MatSeries
-from helpers import RAT, mat
+from helpers import RAT, mat, ref_commutator
+
+FLOAT = scalars.FLOAT
 
 
 def _dressed_commutator(state, k, alpha):
     """[B_{k alpha}, L]_D with B taken from the dressed resolvent w E w^{-1}."""
-    b, _ = projector_b(resolvent_dressed(state, alpha), k)
+    b = projector_b(resolvent_dressed(state, alpha), k, "plus")
     return commutator_with_l(b, state.data, state.U)
 
 
@@ -182,3 +189,134 @@ def test_commutator_of_constant_basis_matrix():
         s = comm.at(n)
         assert s.get(1) == expect
         assert s.get(0).is_zero()
+
+
+# -- the per-site commutator kernel against the whole-lattice composition ----------
+
+
+_ENTRIES = {
+    RAT: (0, 1, -1, 3, Fraction(1, 2), Fraction(-2, 3), Fraction(5, 4)),
+    FLOAT: (0.0, -0.0, 1.0, -1.0, 0.5, -2.25, 0.1, 3.0, -1e-3),
+}
+
+
+@st.composite
+def commutator_case(draw):
+    """(P, data, U): one-band P, fully known or truncated, U on another range."""
+    m = draw(st.integers(2, 3))
+    mode = draw(st.sampled_from([RAT, FLOAT]))
+
+    def matrix():
+        return SmallMatrix(m, mode, tuple(
+            tuple(draw(st.sampled_from(_ENTRIES[mode])) for _ in range(m))
+            for _ in range(m)))
+
+    def band():
+        lo = draw(st.integers(-3, 1))
+        hi = lo + draw(st.integers(0, 3))
+        return lo, hi, draw(st.none() | st.integers(lo, hi))
+
+    def series(lo, hi, valid_lo):
+        return MatSeries(m, mode, lo, hi, tuple(matrix() for _ in range(lo, hi + 1)),
+                         valid_lo)
+
+    def series_tail():
+        return MatSeries.zero(m, mode) if draw(st.booleans()) else series(*band())
+
+    def matrix_tail():
+        return SmallMatrix.zero(m, mode) if draw(st.booleans()) else matrix()
+
+    step = draw(st.sampled_from([None, Fraction(1, 2)]))
+    if step is not None:
+        step = scalars.as_scalar(step, mode)
+    p_band = band()
+    p_lo, p_len = draw(st.integers(-3, 3)), draw(st.integers(2, 5))
+    P = LatticeFn(p_lo, p_lo + p_len - 1, tuple(series(*p_band) for _ in range(p_len)),
+                  series_tail(), series_tail(), step, mode)
+    # U wider than, narrower than or shifted against P's range
+    u_lo = p_lo + draw(st.integers(-2, 2))
+    u_len = draw(st.integers(1, p_len + 4))
+    U = LatticeFn(u_lo, u_lo + u_len - 1, tuple(matrix() for _ in range(u_len)),
+                  matrix_tail(), matrix_tail(), step, mode)
+    a = draw(st.permutations((1, -1, 2, Fraction(-1, 2))))[:m]
+    data = AknsData(m, tuple(scalars.as_scalar(x, mode) for x in a), mode)
+    return P, data, U
+
+
+def _assert_same_series(got, want):
+    assert (got.m, got.mode) == (want.m, want.mode)
+    assert (got.lo, got.hi, got.valid_lo) == (want.lo, want.hi, want.valid_lo)
+    # repr of the rows: lowest-terms Fractions, or doubles with their signed zeros
+    assert [repr(c.rows) for c in got.coeffs] == [repr(c.rows) for c in want.coeffs]
+
+
+@given(commutator_case())
+@settings(max_examples=300, deadline=None)
+def test_commutator_kernel_matches_the_series_composition(case):
+    P, data, U = case
+    try:
+        want = ref_commutator(P, data, U)
+    except DimensionError:  # the ranges leave no site
+        with pytest.raises(DimensionError):
+            commutator_with_l(P, data, U)
+        return
+    got = commutator_with_l(P, data, U)
+    assert (got.lo, got.hi, got.step, got.mode) == (want.lo, want.hi, want.step, want.mode)
+    for n in got.sites():
+        _assert_same_series(got.at(n), want.at(n))
+    _assert_same_series(got.left_tail, want.left_tail)
+    _assert_same_series(got.right_tail, want.right_tail)
+
+
+@pytest.mark.parametrize("odd", [
+    MatSeries.zero(2, RAT, 0, 2),  # another top degree
+    MatSeries(2, RAT, 0, 1, (SmallMatrix.zero(2, RAT),) * 2, 1),  # another validity
+])
+def test_commutator_refuses_mixed_bands(odd):
+    data = desk_data(2)
+    U = vacuum_potential(Window(-2, 2, 0), 2)
+    values = [MatSeries.zero(2, RAT, 0, 1)] * 5
+    values[3] = odd
+    P = LatticeFn(-2, 2, tuple(values), MatSeries.zero(2, RAT), MatSeries.zero(2, RAT),
+                  None, RAT)
+    with pytest.raises(DimensionError, match="one band"):
+        commutator_with_l(P, data, U)
+
+
+# -- flows read the direct resolvent through order k --------------------------------
+
+
+@pytest.mark.parametrize("mode", [RAT, FLOAT])
+@pytest.mark.parametrize("m", [2, 3])
+def test_flow_field_reads_the_resolvent_through_order_k(m, mode):
+    # the orders solved to depth k are a prefix of those solved to k + 1, and
+    # the field equals the degree-0 commutator of B taken from the deeper one
+    data = desk_data(m, mode)
+    U = random_potential(DESK_WINDOW, data, random.Random(m + 70))
+    for k in (0, 1, 2):
+        for alpha in range(1, m + 1):
+            short = resolvent_direct(data, U, alpha, k).series
+            deep = resolvent_direct(data, U, alpha, k + 1)
+            assert (short.lo, short.hi) == (deep.series.lo, deep.series.hi)
+            for n in short.sites():
+                s = short.at(n)
+                assert (s.lo, s.hi, s.valid_lo) == (-k, 0, -k)
+                assert s.coeffs == deep.series.at(n).coeffs[1:]
+            comm = commutator_with_l(projector_b(deep, k, "plus"), data, U)
+            f = flow_field(data, U, k, alpha, tol=1e-12 if mode == FLOAT else 0)
+            assert (f.lo, f.hi) == (comm.lo, comm.hi)
+            for n in f.sites():
+                assert repr(f.at(n).rows) == repr(comm.at(n).get(0).rows), (k, alpha, n)
+
+
+def test_projector_b_validity_depth():
+    data = desk_data(2)
+    r = resolvent_direct(data, impulse_potential(DESK_WINDOW, 2), 1, 2)
+    b = projector_b(r, 2, "plus")  # B reads R_(0)..R_(k): k = depth suffices
+    assert {(s.lo, s.hi, s.valid_lo) for s in b.values} == {(0, 2, None)}
+    bbar = projector_b(r, 1, "minus")
+    assert {(s.lo, s.hi, s.valid_lo) for s in bbar.values} == {(-1, -1, -1)}
+    for k, part in [(2, "minus"), (-1, "plus"), (-1, "minus"), (3, "plus"),
+                    (3, "minus")]:
+        with pytest.raises(ValidityError):
+            projector_b(r, k, part)

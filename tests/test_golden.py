@@ -7,6 +7,11 @@ Fraction-entry one wrote it.  The desk_m3 digests were recorded before the
 two-point solve and the series coefficients moved to integer numerators:
 desk_m3 (a = 1, 2, -1) is the desk instance whose recursions divide by
 |a| != 1, and its float trajectory pins that the float path did not move.
+The float flow-path digests (dynamics and limit reports, flow fields of
+order 0..2 in both modes, the desk_m2 trajectory) were recorded before the
+flow field stopped solving the resolvent order it does not read and the
+commutator became one per-site kernel.  The limit suite's continuum scan is
+the one desk path whose lattice step is not 1.
 """
 
 import contextlib
@@ -40,10 +45,41 @@ DESK_M3_REPORT_SHA256 = {
 DESK_M3_EVOLVE_CSV_SHA256 = \
     "d8757728a3fb3b11e5625179220a334809fec7a654001a6bc8c2b95cb36493e5"
 
+# (config, suite) -> (exit code, report digest); desk_m3 limit fails by design
+FLOAT_REPORT_SHA256 = {
+    ("desk_m2", "dynamics"):
+        (0, "a95a5a09d1e408339e1f4dad014bc13b61538bcd44e933f1bc64e80951198fdb"),
+    ("desk_m2", "limit"):
+        (0, "698285f010f2ed025f034836b77471ce90280c0295e32cfa974cbdadda3a1a84"),
+    ("desk_m3", "dynamics"):
+        (0, "6849c38a30ad34d554485ffc1a49fbc3a687b8420dc8befa351ef6e9372165e8"),
+    ("desk_m3", "limit"):
+        (1, "9cee50667074a207708d6d2a4e8173d5b52d1f7707e82602e7e6dcdcf8e2bae0"),
+}
 
-def _digest_of_output(argv, out: Path) -> str:
+# (config, mode, k) -> digest of the `flow` standard output
+FLOW_STDOUT_SHA256 = {
+    ("desk_m2", "rational", 0): "7b2590ba664a63ae6c6b1b3d4a774c44417be332f655c6f7af3b02c69cd5c142",
+    ("desk_m2", "rational", 1): "08d4fb44e35337a2239a8e1406e54b00f7779fc200e1facafcc7d010370a0780",
+    ("desk_m2", "rational", 2): "df34cf7ce73e6645933cf5184c20ff50342025782b7eaad6f1dc6a28d563a19f",
+    ("desk_m2", "float", 0): "5f0a8557401f5f9e42eb10d4f0c80260008d70a9faf7f21615fffed86cd23a07",
+    ("desk_m2", "float", 1): "af838214f9ad7b03ad6739f6025dffe536f468ce62c7116d8feb693e208b2bb0",
+    ("desk_m2", "float", 2): "ca026f5684cf6f255d71043cd45ac8fed26221d4ca4c36c6961aa3baa1932659",
+    ("desk_m3", "rational", 0): "e1d173335de56bca501c4291ebe2df664168e988c7534cd4abcb71e74b753bd9",
+    ("desk_m3", "rational", 1): "db38280a266a9684d0c55bc420a663c33698f379c57736805091148cb0022a85",
+    ("desk_m3", "rational", 2): "1e4009ca6bb34e0a94d69ebec350d81c803c2c4c2895868af5383bc9c8d12a08",
+    ("desk_m3", "float", 0): "60592ad3774c349cacbac3001d871198d61e0bc08f09e52cd574fa87588abf77",
+    ("desk_m3", "float", 1): "934ca5ca9a707771d39df2d66330cb293ec51a23883207246cf281f8a7e50ad4",
+    ("desk_m3", "float", 2): "b19d6084eceb96a8b6cf878b2358d5acf0f2f9bb41eb970c4900d90a62f9b82e",
+}
+
+DESK_M2_EVOLVE_CSV_SHA256 = \
+    "557a665d4e31d86ff6063b13e97b29d046853cb13659c4e4bed794eafe3ef76a"
+
+
+def _digest_of_output(argv, out: Path, exit_code: int = 0) -> str:
     with contextlib.redirect_stdout(io.StringIO()):
-        assert cli.main([*argv, "--out", str(out)]) == 0
+        assert cli.main([*argv, "--out", str(out)]) == exit_code
     return hashlib.sha256(out.read_bytes()).hexdigest()
 
 
@@ -71,3 +107,29 @@ def test_desk_m3_float_trajectory_csv_is_byte_identical(tmp_path):
     argv = ["evolve", "--config", str(CONFIGS / "desk_m3.json"), "--format", "csv"]
     assert _digest_of_output(argv, tmp_path / "trajectory.csv") == \
         DESK_M3_EVOLVE_CSV_SHA256
+
+
+@pytest.mark.parametrize("name, suite", sorted(FLOAT_REPORT_SHA256))
+@pytest.mark.filterwarnings("ignore:boundary leakage")
+def test_float_flow_report_is_byte_identical(name, suite, tmp_path):
+    code, digest = FLOAT_REPORT_SHA256[(name, suite)]
+    argv = ["verify", "--config", str(CONFIGS / f"{name}.json"), "--suite", suite]
+    assert _digest_of_output(argv, tmp_path / "report.json", code) == digest
+
+
+@pytest.mark.parametrize("name, mode, k", sorted(FLOW_STDOUT_SHA256))
+def test_flow_stdout_is_byte_identical(name, mode, k):
+    argv = ["flow", "--config", str(CONFIGS / f"{name}.json"), "--mode", mode,
+            "--k", str(k)]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(argv) == 0
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == \
+        FLOW_STDOUT_SHA256[(name, mode, k)]
+
+
+@pytest.mark.filterwarnings("ignore:boundary leakage")
+def test_desk_m2_float_trajectory_csv_is_byte_identical(tmp_path):
+    argv = ["evolve", "--config", str(CONFIGS / "desk_m2.json"), "--format", "csv"]
+    assert _digest_of_output(argv, tmp_path / "trajectory.csv") == \
+        DESK_M2_EVOLVE_CSV_SHA256

@@ -555,6 +555,21 @@ def test_cli_dress_and_verify_exit_codes(tmp_path):
     assert report["verdict"] == "pass"
 
 
+@pytest.mark.parametrize("argv", [["limit"], ["verify", "--suite", "limit"]])
+@pytest.mark.parametrize("eps_list, code", [
+    (["1/2"], 2),  # no Cauchy difference at all
+    (["1/2", "1/4"], 2),  # one difference, so no order
+    (["1/2", "1/4", "1/8"], 0),
+])
+def test_limit_checks_need_three_step_sizes(tmp_path, capsys, argv, eps_list, code):
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps(_desk_with("eps_list", eps_list)))
+    assert cli.main([*argv, "--config", str(config), "--out",
+                     str(tmp_path / "out.json")]) == code
+    if code:
+        assert "at least 3 step sizes" in capsys.readouterr().err
+
+
 def test_cli_input_error_exit_code(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

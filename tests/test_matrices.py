@@ -113,6 +113,26 @@ def test_float_sum_of_products_adds_in_pair_order(pairs):
     assert SmallMatrix.sum_of_products(iter(mats), 2, "float").rows == acc.rows
 
 
+doubles = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(allow_nan=False))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda m: st.lists(
+    st.lists(st.lists(doubles, min_size=m, max_size=m), min_size=m, max_size=m),
+    min_size=2, max_size=2)))
+def test_float_product_and_difference_are_the_generator_forms(ops):
+    # bit for bit, signed zeros and infinities included: the same sums in the
+    # same order as the plain generator expressions
+    a, b = ops
+    got_mul = SmallMatrix(len(a), "float", a) @ SmallMatrix(len(b), "float", b)
+    got_sub = SmallMatrix(len(a), "float", a) - SmallMatrix(len(b), "float", b)
+    want_mul = tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in zip(*b))
+                     for row in a)
+    want_sub = tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+    assert repr(got_mul.rows) == repr(want_mul)
+    assert repr(got_sub.rows) == repr(want_sub)
+
+
 @settings(max_examples=100, deadline=None)
 @given(operands(1))
 def test_lowest_terms_entries_round_trip_through_numerators(ops):
