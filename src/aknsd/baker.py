@@ -11,11 +11,10 @@ checks are exact; the finite-difference paths replace one analytic
 derivative by a centered difference and converge at second order in the
 differencing step.
 
-Tau functions are carried as finite exponential sums: the one class that is
-closed under both the discrete time shift ``t_{k a} -> t_{k a} +
-n (-1)^(k-1) a_a^k / k`` (absorbed into an exact exponent offset per term)
-and Miwa shifts ``t_{k g} -> t_{k g} - z^-k / k`` (each term picks up an
-exactly expandable series factor).
+Tau functions are finite sums of exponentials ``exp(+-xi_g(x))`` carried by
+their Miwa points ``(g, x, +-1)`` and taken at t = 0: the discrete time shift
+multiplies a term by ``(1 + a_g x)^(+-n)`` and the Miwa shift by
+``(1 - x/z)^(+-1)``, both rational, so every tau identity is exact.
 """
 
 from __future__ import annotations
@@ -89,16 +88,10 @@ def shifted_times(n: int, t: TimePoint, data, k_max: int) -> TimePoint:
     mode = t.mode
     out = dict(t.as_dict())
     for k in range(1, k_max + 1):
+        sign = scalars.as_scalar(1 if k % 2 == 1 else -1, mode)
         for alpha, a in enumerate(a_entries, start=1):
-            shift = _unit_time_shift(k, a, mode)
-            out[(k, alpha)] = out.get((k, alpha), scalars.zero(mode)) + n * shift
+            out[(k, alpha)] = out.get((k, alpha), scalars.zero(mode)) + n * (sign * a ** k / k)
     return TimePoint.make(out, mode)
-
-
-def _unit_time_shift(k: int, a, mode: str):
-    """(-1)^(k-1) a^k / k: what one lattice step adds to t_{k alpha}, k >= 1."""
-    sign = 1 if k % 2 == 1 else -1
-    return scalars.as_scalar(sign, mode) * (a ** k) / k
 
 
 # -- the exponential factor g -----------------------------------------------------
@@ -200,138 +193,81 @@ def g_series(n: int, t: TimePoint, data, band: int) -> GFactor:
     return GFactor(n, band, series, truncated)
 
 
-# -- tau functions as exponential sums ------------------------------------------------
-
-
-@dataclass(frozen=True)
-class TauTerm:
-    """One term c * exp(offset + sum p_{k a} t_{k a})."""
-
-    c: object
-    offset: object
-    p: tuple  # sorted tuple of ((k, alpha), Scalar)
-
-    def exponent_at(self, t: TimePoint):
-        acc = self.offset
-        for (k, a), v in self.p:
-            tv = t.get(k, a)
-            if tv != 0:
-                acc = acc + v * tv
-        return acc
+# -- tau functions as sums over Miwa points -----------------------------------------
 
 
 @dataclass(frozen=True)
 class TauExpSum:
-    """Finite sum of exponentials in the times; closed under all shifts used here."""
+    """Finite sum of terms c * prod exp(s xi_g(x)) at t = 0, xi_g(x) = sum_k x^k t_kg.
+
+    ``terms`` holds (c, points) pairs, each point a (g, x, s) triple with
+    s = +1 or -1, points sorted within a term and terms with equal points
+    merged.  The discrete and the Miwa shift multiply c by rational factors
+    (docs/derivations.md section 8), so both stay exact in rational mode.
+    """
 
     mode: str
     terms: tuple
 
     @staticmethod
     def make(terms, mode: str = scalars.RATIONAL) -> "TauExpSum":
-        """terms: iterable of (c, {(k, alpha): p}), each with a zero offset."""
-        built = tuple(
-            TauTerm(scalars.as_scalar(c, mode), scalars.zero(mode),
-                    tuple(sorted(((k, a), scalars.as_scalar(v, mode))
-                                 for (k, a), v in p.items() if v != 0)))
-            for c, p in terms
-        )
-        return TauExpSum(mode, built).canonical()
+        """terms: iterable of (c, points), each point a (gamma, x, sign) triple."""
+        merged = {}
+        for c, points in terms:
+            for gamma, _, sign in points:
+                if gamma < 1 or sign not in (1, -1):
+                    raise InstanceError(f"bad Miwa point component {gamma} or sign {sign}")
+            key = tuple(sorted((g, scalars.as_scalar(x, mode), s) for g, x, s in points))
+            merged[key] = merged.get(key, scalars.zero(mode)) + scalars.as_scalar(c, mode)
+        return TauExpSum(mode, tuple((c, p) for p, c in sorted(merged.items()) if c != 0))
 
     @staticmethod
     def one(mode: str = scalars.RATIONAL) -> "TauExpSum":
-        return TauExpSum.make([(1, {})], mode)
-
-    def canonical(self) -> "TauExpSum":
-        merged = {}
-        for t in self.terms:
-            key = (t.offset, t.p)
-            merged[key] = merged.get(key, scalars.zero(self.mode)) + t.c
-        terms = tuple(
-            TauTerm(c, off, p)
-            for (off, p), c in sorted(merged.items(), key=lambda kv: (kv[0][1], kv[0][0]))
-            if c != 0
-        )
-        return TauExpSum(self.mode, terms)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, TauExpSum):
-            return NotImplemented
-        return self.canonical().terms == other.canonical().terms
-
-    def __add__(self, other: "TauExpSum") -> "TauExpSum":
-        scalars.join_modes(self.mode, other.mode)
-        return TauExpSum(self.mode, self.terms + other.terms).canonical()
+        return TauExpSum.make([(1, ())], mode)
 
     def discrete_shift(self, n: int, data) -> "TauExpSum":
-        """tau_D(n; t) = tau(t'): the shift folds into exact exponent offsets."""
+        """tau at lattice site n: each point multiplies c by (1 + a_g x)^(s n)."""
         a_entries = _diag_entries(data)
-        out = []
-        for term in self.terms:
-            off = term.offset
-            for (k, alpha), v in term.p:
-                if k < 1:
-                    continue
-                off = off + v * n * _unit_time_shift(k, a_entries[alpha - 1], self.mode)
-            out.append(TauTerm(term.c, off, term.p))
-        return TauExpSum(self.mode, tuple(out)).canonical()
+        terms = []
+        for c, points in self.terms:
+            for gamma, x, sign in points:
+                if gamma > len(a_entries) or 1 + a_entries[gamma - 1] * x == 0:
+                    raise InstanceError(
+                        f"Miwa point ({gamma}, {x}) needs a component in "
+                        f"1..{len(a_entries)} and 1 + a_gamma x != 0")
+                c = c * (1 + a_entries[gamma - 1] * x) ** (sign * n)
+            terms.append((c, points))
+        return TauExpSum(self.mode, tuple(terms))
 
-    def evaluate(self, t: TimePoint):
-        """Value at a time point.
-
-        Rational mode stays exact and therefore requires every term's total
-        exponent to vanish (exp of a nonzero rational is transcendental);
-        float mode evaluates the exponentials numerically.
-        """
-        total = scalars.zero(self.mode)
-        for term in self.terms:
-            arg = term.exponent_at(t)
-            if self.mode == scalars.FLOAT:
-                total += term.c * math.exp(arg)
-            elif arg == 0:
-                total += term.c
-            else:
-                raise ModeError(
-                    "exact evaluation impossible: term exponent is nonzero; "
-                    "use float mode"
-                )
-        return total
+    def evaluate(self):
+        """Value at t = 0: the sum of the coefficients."""
+        return sum((c for c, _ in self.terms), scalars.zero(self.mode))
 
 
-def miwa_shift_terms(tau: TauExpSum, gamma: int, depth: int) -> list:
-    """Degreewise Miwa shift: coefficient of z^-j is again a TauExpSum.
+def miwa_shift(tau: TauExpSum, gamma: int, depth: int) -> list:
+    """Coefficients of z^0, z^-1, ..., z^-depth of tau Miwa-shifted in ``gamma``.
 
-    Each term picks up the factor exp(-sum_{k>=1} p_{k gamma} z^-k / k),
-    expanded exactly through the requested depth.
+    Each point (gamma, x, s) multiplies its term by (1 - x/z)^s, carried
+    through z^-depth; points of other components are left alone.
     """
-    out = [[] for _ in range(depth + 1)]
-    for term in tau.terms:
-        x = {}
-        for (k, a), v in term.p:
-            if a == gamma and k >= 1:
-                x[k] = -v / k
-        h = _exp_series_coeffs(x, depth, tau.mode)
-        for j in range(depth + 1):
-            if h[j] != 0:
-                out[j].append(TauTerm(term.c * h[j], term.offset, term.p))
-    return [TauExpSum(tau.mode, tuple(ts)).canonical() for ts in out]
-
-
-def miwa_shift(tau: TauExpSum, gamma: int, depth: int,
-               t: TimePoint | None = None) -> MatSeries:
-    """Miwa-shifted tau as a scalar series, coefficients evaluated at ``t``."""
-    if t is None:
-        t = TimePoint(tau.mode)
-    per_degree = miwa_shift_terms(tau, gamma, depth)
-    coeffs = {
-        -j: SmallMatrix.from_rows([[per_degree[j].evaluate(t)]], tau.mode)
-        for j in range(depth + 1)
-    }
-    return MatSeries.from_coeffs(coeffs, 1, tau.mode, lo=-depth, hi=0, valid_lo=-depth)
+    zero = scalars.zero(tau.mode)
+    total = [zero] * (depth + 1)
+    for c, points in tau.terms:
+        h = [c] + [zero] * depth
+        for g, x, sign in points:
+            if g != gamma:
+                continue
+            if sign == 1:  # times 1 - x/z
+                h = [h[0]] + [h[j] - x * h[j - 1] for j in range(1, depth + 1)]
+            else:  # over 1 - x/z
+                for j in range(1, depth + 1):
+                    h[j] += x * h[j - 1]
+        total = [u + v for u, v in zip(total, h)]
+    return total
 
 
 def tau_lambda_consistent(tau: TauExpSum, data, n: int) -> bool:
-    """Does evaluating at (n+1, t) equal evaluating at (n, t shifted one unit)?"""
+    """Does shifting to site n + 1 equal shifting by one site and then by n?"""
     lhs = tau.discrete_shift(n + 1, data)
     rhs = tau.discrete_shift(1, data).discrete_shift(n, data)
     return lhs == rhs
@@ -340,9 +276,9 @@ def tau_lambda_consistent(tau: TauExpSum, data, n: int) -> bool:
 # -- Baker candidate from tau data ---------------------------------------------------
 
 
-def baker_from_tau(tau_d: TauExpSum, companions: dict, n: int, t: TimePoint,
-                   data: AknsData, depth: int) -> MatSeries:
-    """Assemble the dressing-shaped candidate from tau data at site n.
+def baker_from_tau(tau_d: TauExpSum, companions: dict, n: int, data: AknsData,
+                   depth: int) -> MatSeries:
+    """Assemble the dressing-shaped candidate from tau data at site n, t = 0.
 
     Diagonal entries are Miwa-shifted-over-unshifted ratios of the scalar
     tau; off-diagonal entries (alpha, beta) carry the explicit z^-1 prefactor
@@ -354,28 +290,23 @@ def baker_from_tau(tau_d: TauExpSum, companions: dict, n: int, t: TimePoint,
     m = data.m
     mode = tau_d.mode
     tau_site = tau_d.discrete_shift(n, data)
-    denom = tau_site.evaluate(t)
+    denom = tau_site.evaluate()
     if denom == 0:
         raise ConsistencyError(f"tau denominator vanishes at site {n}")
-    entry_series = {}
-    for alpha in range(1, m + 1):
-        num = miwa_shift(tau_site, alpha, depth, t)
-        entry_series[(alpha, alpha)] = {
-            d: num.get(d).get(1, 1) / denom for d in range(-depth, 1)
-        }
+    zero = scalars.zero(mode)
+    rows = [[[zero] * m for _ in range(m)] for _ in range(depth + 1)]
+    entries = [(alpha, alpha, 0, miwa_shift(tau_site, alpha, depth))
+               for alpha in range(1, m + 1)]
     for (alpha, beta), tau_ab in companions.items():
-        if alpha == beta:
-            raise InstanceError("companions are indexed by off-diagonal pairs")
-        shifted = miwa_shift(tau_ab.discrete_shift(n, data), beta, depth - 1, t)
-        entry_series[(alpha, beta)] = {
-            d - 1: shifted.get(d).get(1, 1) / denom for d in range(-(depth - 1), 1)
-        }
-    coeffs = {}
-    for d in range(-depth, 1):
-        rows = [[scalars.zero(mode)] * m for _ in range(m)]
-        for (alpha, beta), entry in entry_series.items():
-            rows[alpha - 1][beta - 1] = entry.get(d, scalars.zero(mode))
-        coeffs[d] = SmallMatrix.from_rows(rows, mode)
+        if alpha == beta or not (1 <= alpha <= m and 1 <= beta <= m):
+            raise InstanceError(
+                f"companion key ({alpha}, {beta}) is not an off-diagonal pair in 1..{m}")
+        shifted = miwa_shift(tau_ab.discrete_shift(n, data), beta, depth - 1)
+        entries.append((alpha, beta, 1, shifted))
+    for alpha, beta, lag, coeffs in entries:
+        for j, v in enumerate(coeffs):
+            rows[j + lag][alpha - 1][beta - 1] = v / denom
+    coeffs = {-j: SmallMatrix.from_rows(rows[j], mode) for j in range(depth + 1)}
     return MatSeries.from_coeffs(coeffs, m, mode, lo=-depth, hi=0, valid_lo=-depth)
 
 

@@ -17,7 +17,7 @@ import os
 import sys
 
 from . import scalars
-from .baker import TauExpSum, TimePoint, baker_from_tau, tau_lambda_consistent
+from .baker import TauExpSum, baker_from_tau, tau_lambda_consistent
 from .config import ExperimentConfig, flow_problems, parse_config
 from .dynamics import FlowIndex, integrate
 from .errors import AknsdError, ConfigError, ConsistencyError, SchemaError
@@ -249,11 +249,10 @@ def cmd_tau(args) -> int:
     config = _load_config(args)
     data = config.data()
     tau = TauExpSum.one(config.mode)
-    t0 = TimePoint(config.mode)
     consistent = all(tau_lambda_consistent(tau, data, n) for n in (-2, 0, 3))
     ident = MatSeries.constant(SmallMatrix.identity(config.m, config.mode))
     worst = scalars.max_of(
-        (series_diff_max(baker_from_tau(tau, {}, n, t0, data, config.depth), ident,
+        (series_diff_max(baker_from_tau(tau, {}, n, data, config.depth), ident,
                          range(-config.depth, 1))
          for n in (config.window.n_min, 0, config.window.n_max)),
         config.mode)

@@ -116,20 +116,41 @@ def config_hash(config: ExperimentConfig) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
-def limit_scan(config: ExperimentConfig) -> ScanReport:
-    """The desk continuum scan: first-order flows of a Gaussian bump, float mode.
+def _check_step_sizes(config: ExperimentConfig) -> None:
+    """Refuse fewer than three step sizes for the limit checks.
 
     A Cauchy order compares two differences of fields at consecutive step
-    sizes, so fewer than three step sizes measure none and are refused.
+    sizes, so fewer than three step sizes measure none.
     """
     if len(config.eps_list) < 3:
         raise ConfigError(
             f"the limit checks need at least 3 step sizes in 'eps_list' to measure "
             f"a Cauchy order; got {len(config.eps_list)}")
+
+
+def limit_scan(config: ExperimentConfig) -> ScanReport:
+    """The desk continuum scan: first-order flows of a Gaussian bump, float mode."""
+    _check_step_sizes(config)
     return continuum_scan(config.data(scalars.FLOAT),
                           gaussian_bump_profile(config.m, amplitude=0.4, sigma=1.0),
                           list(config.eps_list), k=1, x_span=4.0,
                           halo=min(config.window.halo, 6))
+
+
+def bilinear_analytic_grid(state: HierarchyState) -> list:
+    """Values of the analytic bilinear cells whose capacity is at least 0.
+
+    The cells are difference power 0 and 1 times the words () and
+    ((k, alpha),) with k = 0, 1, each checked through l <= min(6, capacity).
+    """
+    values = []
+    for m_delta in (0, 1):
+        for word in [()] + [((k, alpha),) for k in (0, 1)
+                            for alpha in range(1, state.data.m + 1)]:
+            cap = bilinear_l_capacity(state.depth, word, m_delta)
+            if cap >= 0:
+                values.append(bilinear_residual(state, min(6, cap), m_delta, word).value)
+    return values
 
 
 def _rand_series(rng, m, lo, hi, mode):
@@ -254,14 +275,7 @@ def _suite_bilinear(config: ExperimentConfig, report: VerificationReport) -> Non
     mode = state.mode
     m = config.m
 
-    values = []
-    for m_delta in (0, 1):
-        for word in [()] + [((k, alpha),) for k in (0, 1)
-                            for alpha in range(1, m + 1)]:
-            cap = bilinear_l_capacity(state.depth, word, m_delta)
-            if cap < 0:
-                continue
-            values.append(bilinear_residual(state, min(6, cap), m_delta, word).value)
+    values = bilinear_analytic_grid(state)
     report.add("bilinear_analytic_grid", scalars.max_of(values, mode), tol,
                {"cells": len(values)})
 
@@ -364,6 +378,8 @@ def run_verify_suite(config: ExperimentConfig, suite: str = "all") -> Verificati
         raise AknsdError(f"unknown suite {suite!r}; expected one of {SUITES}")
     report = VerificationReport(suite, config_hash(config), config.seed, config.mode)
     names = [s for s in SUITES if s != "all"] if suite == "all" else [suite]
+    if "limit" in names:
+        _check_step_sizes(config)
     for name in names:
         _SUITE_FNS[name](config, report)
     return report

@@ -8,7 +8,10 @@ import random
 import subprocess
 import sys
 
-from aknsd.lattice import delta_apply, shift_apply
+from aknsd.baker import TauExpSum, baker_from_tau
+from aknsd.hierarchy import Dressing, HierarchyState
+from aknsd.instances import DESK_DEPTH, DESK_WINDOW
+from aknsd.lattice import LatticeFn, delta_apply, shift_apply
 from aknsd.matrices import SmallMatrix
 from aknsd.series import MatSeries, series_mul
 
@@ -117,3 +120,46 @@ def completion(s, extra=4, seed=12345):
     coeffs = {d: s.coeffs[d - s.lo] if d >= s.valid_lo else rand_matrix(rng, s.m, s.mode)
               for d in range(s.lo - extra, s.hi + 1)}
     return MatSeries.from_coeffs(coeffs, s.m, s.mode, lo=s.lo - extra, hi=s.hi)
+
+
+def rand_miwa_tau(rng, m, terms=3):
+    """A rational tau sum of ``terms`` terms with up to 3 Miwa points each.
+
+    The points x = k/3 or k/5, |k| <= 2, keep 1 + a x away from 0 for the
+    desk values of a.
+    """
+    return TauExpSum.make(
+        (rng.randint(1, 3),
+         tuple((rng.randint(1, m), Fraction(rng.randint(-2, 2), rng.choice((3, 5))),
+                rng.choice((1, -1))) for _ in range(rng.randint(0, 3))))
+        for _ in range(terms))
+
+
+def soliton_tau(i, j, c1=1, c2=2, p=Fraction(1, 2), P=Fraction(1, 3)):
+    """The AKNS soliton's tau and its companions tau_ij, tau_ji (rational).
+
+    tau = 1 + kappa exp(xi_i(p) - xi_j(p) + xi_j(P) - xi_i(P)) with
+    kappa = c1 c2 / (p - P)^2, tau_ij = c1 exp(xi_i(p) - xi_j(p)) and
+    tau_ji = c2 exp(xi_j(P) - xi_i(P)); see docs/derivations.md section 8.
+    """
+    kappa = Fraction(c1 * c2) / (p - P) ** 2
+    tau = TauExpSum.make([(1, ()), (kappa, ((i, p, 1), (j, p, -1), (j, P, 1), (i, P, -1)))])
+    companions = {(i, j): TauExpSum.make([(c1, ((i, p, 1), (j, p, -1)))]),
+                  (j, i): TauExpSum.make([(c2, ((j, P, 1), (i, P, -1)))])}
+    return tau, companions
+
+
+def state_from_tau(data, tau, companions, window=DESK_WINDOW, depth=DESK_DEPTH):
+    """The state whose dressing is the tau candidate on the stored window.
+
+    The potential is read from the first order, U(n) = A w_1(n) - w_1(n+1) A,
+    and may carry a gauge diagonal, so the state is assembled directly.
+    """
+    lo, hi = window.stored_lo, window.stored_hi
+    cand = [baker_from_tau(tau, companions, n, data, depth) for n in range(lo, hi + 2)]
+    a_mat = data.matrix
+    u = LatticeFn.from_values(lo, [a_mat @ w.get(-1) - w1.get(-1) @ a_mat
+                                   for w, w1 in zip(cand, cand[1:])])
+    ws = tuple(LatticeFn.from_values(lo, [w.get(-k) for w in cand[:-1]])
+               for k in range(1, depth + 1))
+    return HierarchyState(data, u, window, Dressing(depth, ws, data.conventions()))

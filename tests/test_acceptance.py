@@ -49,8 +49,8 @@ from aknsd.instances import (
 from aknsd.lattice import LatticeFn
 from aknsd.matrices import SmallMatrix
 from aknsd.persist import load_state, save_state, state_to_json
-from aknsd.verify import run_verify_suite
-from helpers import RAT, run_cli
+from aknsd.verify import bilinear_analytic_grid, run_verify_suite
+from helpers import RAT, rand_miwa_tau, run_cli, soliton_tau, state_from_tau
 
 FLOAT = scalars.FLOAT
 SEED = 20260810
@@ -274,13 +274,12 @@ def test_criterion_7_flow_commutativity():
 
 
 def test_criterion_8_tau_baker_construction():
-    with criterion(8, "tau/Baker: vacuum, shift additivity, shift consistency", 30) as info:
+    with criterion(8, "tau/Baker: vacuum, shift consistency, exact soliton", 30) as info:
         for m in (2, 3):
             data = desk_data(m)
             tau = TauExpSum.one()
-            t0 = TimePoint()
             for n in (-4, 0, 3):
-                w = baker_from_tau(tau, {}, n, t0, data, 5)
+                w = baker_from_tau(tau, {}, n, data, 5)
                 assert w.get(0) == SmallMatrix.identity(m, RAT)
                 assert all(w.get(d).is_zero() for d in range(-5, 0))
             rng = random.Random(SEED + 90 + m)
@@ -291,15 +290,21 @@ def test_criterion_8_tau_baker_construction():
                 direct = shifted_times(n1 + n2, t, data, 6)
                 assert via.as_dict() == direct.as_dict()
             for trial in range(3):
-                terms = []
-                for _ in range(3):
-                    p = {(k, a): rng.randint(-2, 2)
-                         for k in (1, 2) for a in range(1, m + 1)
-                         if rng.random() < 0.8}
-                    terms.append((rng.randint(1, 3), p))
-                tau3 = TauExpSum.make(terms)
+                tau3 = rand_miwa_tau(rng, m)
                 for n in (-2, 0, 4):
                     assert tau_lambda_consistent(tau3, data, n)
+        # the AKNS soliton: exact dressing and bilinear grid, a bumped
+        # companion is detected by both
+        for m, i, j in ((2, 1, 2), (3, 1, 3), (3, 2, 3)):
+            data = desk_data(m)
+            tau, companions = soliton_tau(i, j)
+            state = state_from_tau(data, tau, companions)
+            assert dressing_residual(state) == 0
+            assert all(v == 0 for v in bilinear_analytic_grid(state))
+            companions[(i, j)] = soliton_tau(i, j, c1=2)[1][(i, j)]
+            bumped = state_from_tau(data, tau, companions)
+            assert dressing_residual(bumped) > 0
+            assert any(v > 0 for v in bilinear_analytic_grid(bumped))
         info["note"] = "all identities exact in rational mode"
 
 

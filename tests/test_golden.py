@@ -11,7 +11,8 @@ The float flow-path digests (dynamics and limit reports, flow fields of
 order 0..2 in both modes, the desk_m2 trajectory) were recorded before the
 flow field stopped solving the resolvent order it does not read and the
 commutator became one per-site kernel.  The limit suite's continuum scan is
-the one desk path whose lattice step is not 1.
+the one desk path whose lattice step is not 1.  The `tau` digests were
+recorded before the tau sums carried each exponential by its Miwa point.
 """
 
 import contextlib
@@ -76,11 +77,30 @@ FLOW_STDOUT_SHA256 = {
 DESK_M2_EVOLVE_CSV_SHA256 = \
     "557a665d4e31d86ff6063b13e97b29d046853cb13659c4e4bed794eafe3ef76a"
 
+# (config, mode) -> (exit code, digest of the `tau` standard output)
+TAU_STDOUT_SHA256 = {
+    ("desk_m2", "rational"):
+        (0, "c349d1b988121a08cc3781613056af9d25e420d4bb21e889e88df71625e34044"),
+    ("desk_m2", "float"):
+        (0, "282a6bea29bd726806136fe6df83e8678ba6b90a1bf7e98ee704c19e46ab6f81"),
+    ("desk_m3", "rational"):
+        (0, "c349d1b988121a08cc3781613056af9d25e420d4bb21e889e88df71625e34044"),
+    ("desk_m3", "float"):
+        (0, "282a6bea29bd726806136fe6df83e8678ba6b90a1bf7e98ee704c19e46ab6f81"),
+}
+
 
 def _digest_of_output(argv, out: Path, exit_code: int = 0) -> str:
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main([*argv, "--out", str(out)]) == exit_code
     return hashlib.sha256(out.read_bytes()).hexdigest()
+
+
+def _digest_of_stdout(argv, exit_code: int = 0) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(argv) == exit_code
+    return hashlib.sha256(out.getvalue().encode()).hexdigest()
 
 
 @pytest.mark.parametrize("name", sorted(STATE_SHA256))
@@ -121,11 +141,14 @@ def test_float_flow_report_is_byte_identical(name, suite, tmp_path):
 def test_flow_stdout_is_byte_identical(name, mode, k):
     argv = ["flow", "--config", str(CONFIGS / f"{name}.json"), "--mode", mode,
             "--k", str(k)]
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        assert cli.main(argv) == 0
-    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == \
-        FLOW_STDOUT_SHA256[(name, mode, k)]
+    assert _digest_of_stdout(argv) == FLOW_STDOUT_SHA256[(name, mode, k)]
+
+
+@pytest.mark.parametrize("name, mode", sorted(TAU_STDOUT_SHA256))
+def test_tau_stdout_is_byte_identical(name, mode):
+    code, digest = TAU_STDOUT_SHA256[(name, mode)]
+    argv = ["tau", "--config", str(CONFIGS / f"{name}.json"), "--mode", mode]
+    assert _digest_of_stdout(argv, code) == digest
 
 
 @pytest.mark.filterwarnings("ignore:boundary leakage")

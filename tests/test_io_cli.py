@@ -15,7 +15,7 @@ from unittest import mock
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from aknsd import cli, scalars
+from aknsd import cli, scalars, verify
 from aknsd.config import parse_config
 from aknsd.dynamics import FlowIndex, integrate, rk4_evolve
 from aknsd.errors import ConfigError, SchemaError
@@ -555,19 +555,29 @@ def test_cli_dress_and_verify_exit_codes(tmp_path):
     assert report["verdict"] == "pass"
 
 
-@pytest.mark.parametrize("argv", [["limit"], ["verify", "--suite", "limit"]])
+@pytest.mark.parametrize("argv", [["limit"], ["verify", "--suite", "limit"],
+                                  ["verify", "--suite", "all"]])
 @pytest.mark.parametrize("eps_list, code", [
     (["1/2"], 2),  # no Cauchy difference at all
     (["1/2", "1/4"], 2),  # one difference, so no order
     (["1/2", "1/4", "1/8"], 0),
 ])
-def test_limit_checks_need_three_step_sizes(tmp_path, capsys, argv, eps_list, code):
+@pytest.mark.filterwarnings("ignore:boundary leakage")
+def test_limit_checks_need_three_step_sizes(tmp_path, capsys, monkeypatch, argv,
+                                            eps_list, code):
     config = tmp_path / "c.json"
     config.write_text(json.dumps(_desk_with("eps_list", eps_list)))
+    ran = []
+    for name, fn in verify._SUITE_FNS.items():
+        monkeypatch.setitem(verify._SUITE_FNS, name,
+                            lambda c, r, name=name, fn=fn: (ran.append(name), fn(c, r)))
     assert cli.main([*argv, "--config", str(config), "--out",
                      str(tmp_path / "out.json")]) == code
     if code:
         assert "at least 3 step sizes" in capsys.readouterr().err
+        assert ran == []  # refused before any suite ran
+    elif argv[0] == "verify":
+        assert "limit" in ran
 
 
 def test_cli_input_error_exit_code(tmp_path):
