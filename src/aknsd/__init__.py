@@ -46,16 +46,12 @@ from .dynamics import (  # noqa: F401
     rk4_evolve,
 )
 from .baker import (  # noqa: F401
-    GFactor,
     TauExpSum,
-    TimePoint,
     adjoint_check,
     baker_from_tau,
     bilinear_residual,
-    g_series,
     miwa_shift,
-    shifted_times,
-    tau_lambda_consistent,
+    tau_lambda_defect,
 )
 from .config import ExperimentConfig, parse_config  # noqa: F401
 from .persist import load_state, save_state  # noqa: F401

@@ -1,7 +1,7 @@
 """Baker functions, tau-function exponential sums, and the bilinear verifier.
 
 The Baker function is ``w = w_hat * g`` where ``g(n; t, z) =
-(1 + z A)^n exp(sum_k z^k E_alpha t_{k alpha})`` is diagonal and satisfies
+(1 + eps z A)^n exp(sum_k z^k E_alpha t_{k alpha})`` is diagonal and satisfies
 ``Lambda g = (1 + eps z A) g``.  Every residue check below is
 cancellation-reduced: the exponential factor is eliminated analytically
 before any series arithmetic, so only ``w_hat``-shaped series, projections
@@ -33,41 +33,7 @@ from .series import MatSeries, series_mul, series_project
 MAX_WORD_LEN = 2
 
 
-# -- time points and derivative words ---------------------------------------------
-
-
-@dataclass(frozen=True)
-class TimePoint:
-    """Finite mapping (k, alpha) -> t_{k alpha}; unspecified times are zero."""
-
-    mode: str = scalars.RATIONAL
-    entries: tuple = ()
-
-    def __post_init__(self):
-        seen = set()
-        for (k, alpha), _ in self.entries:
-            if k < 0 or alpha < 1:
-                raise InstanceError(f"bad time label ({k}, {alpha})")
-            if (k, alpha) in seen:
-                raise InstanceError(f"duplicate time label ({k}, {alpha})")
-            seen.add((k, alpha))
-
-    @staticmethod
-    def make(mapping: dict, mode: str = scalars.RATIONAL) -> "TimePoint":
-        items = tuple(
-            sorted(((k, a), scalars.as_scalar(v, mode))
-                   for (k, a), v in mapping.items() if v != 0)
-        )
-        return TimePoint(mode, items)
-
-    def get(self, k: int, alpha: int):
-        for (kk, aa), v in self.entries:
-            if (kk, aa) == (k, alpha):
-                return v
-        return scalars.zero(self.mode)
-
-    def as_dict(self) -> dict:
-        return {label: v for label, v in self.entries}
+# -- derivative words ------------------------------------------------------------
 
 
 def make_word(*flows) -> tuple:
@@ -76,121 +42,6 @@ def make_word(*flows) -> tuple:
     if len(word) > MAX_WORD_LEN:
         raise InstanceError(f"derivative words are limited to length {MAX_WORD_LEN}")
     return word
-
-
-def shifted_times(n: int, t: TimePoint, data, k_max: int) -> TimePoint:
-    """Discrete time shift t'_{k a} = t_{k a} + n (-1)^(k-1) a_a^k / k, k >= 1.
-
-    The k = 0 times are excluded (the shift divides by k); they ride along
-    unchanged in the z^0 factor of g.
-    """
-    a_entries = _diag_entries(data)
-    mode = t.mode
-    out = dict(t.as_dict())
-    for k in range(1, k_max + 1):
-        sign = scalars.as_scalar(1 if k % 2 == 1 else -1, mode)
-        for alpha, a in enumerate(a_entries, start=1):
-            out[(k, alpha)] = out.get((k, alpha), scalars.zero(mode)) + n * (sign * a ** k / k)
-    return TimePoint.make(out, mode)
-
-
-# -- the exponential factor g -----------------------------------------------------
-
-
-def _diag_entries(data) -> tuple:
-    if isinstance(data, AknsData):
-        return data.a
-    return tuple(data)
-
-
-def _exp_series_coeffs(x: dict, depth: int, mode: str) -> list:
-    """Coefficients h_0..h_depth of exp(sum_k x_k y^k) via j h_j = sum i x_i h_{j-i}."""
-    h = [scalars.one(mode)] + [scalars.zero(mode)] * depth
-    for j in range(1, depth + 1):
-        acc = scalars.zero(mode)
-        for i in range(1, j + 1):
-            xi = x.get(i)
-            if xi:
-                acc += i * xi * h[j - i]
-        h[j] = acc / j
-    return h
-
-
-def _binom_coeffs(n: int, a, depth: int, mode: str) -> list:
-    """Coefficients of (1 + a y)^n through y^depth; n may be negative."""
-    out = [scalars.one(mode)]
-    c = scalars.one(mode)
-    for j in range(1, depth + 1):
-        c = c * (n - (j - 1)) / j
-        out.append(c * (a ** j))
-    return out
-
-
-@dataclass(frozen=True)
-class GFactor:
-    """Truncation to degrees [0, K] of g(n; t, z); diagonal by construction.
-
-    ``truncated`` records that the true object carries degrees above K (it
-    does unless n lies in [0, K] and all k >= 1 times vanish), so the series
-    field must only be consumed degreewise through the band.
-    """
-
-    n: int
-    band: int
-    series: MatSeries
-    truncated: bool
-
-    def coeff(self, d: int) -> SmallMatrix:
-        if d < 0:
-            return SmallMatrix.zero(self.series.m, self.series.mode)
-        if d > self.band:
-            raise ValidityError(f"degree {d} above the g-factor band {self.band}")
-        return self.series.get(d)
-
-
-def g_series(n: int, t: TimePoint, data, band: int) -> GFactor:
-    """g(n; t, z) = (1 + z A)^n exp(sum_{k>=0} z^k E_alpha t_{k alpha}).
-
-    Scalar specialisation (one diagonal entry, a = 1, t = 0) is the discrete
-    exponential with Delta Exp = z Exp.  Negative n expands the inverse
-    binomial factor, which needs every a_alpha nonzero.
-    """
-    if band < 1:
-        raise ValidityError("g-factor band must be at least 1")
-    a_entries = _diag_entries(data)
-    mode = t.mode
-    if any(a == 0 for a in a_entries):
-        raise InstanceError("g-factor needs nonzero diagonal entries")
-    m = len(a_entries)
-    diag = []
-    truncated = not (0 <= n <= band)
-    for alpha, a in enumerate(a_entries, start=1):
-        t0 = t.get(0, alpha)
-        if t0 == 0:
-            front = scalars.one(mode)
-        elif mode == scalars.FLOAT:
-            front = math.exp(t0)
-        else:
-            raise ModeError(
-                "rational mode needs t_{0,alpha} = 0 (exp of a nonzero "
-                "rational is not rational)"
-            )
-        x = {k: t.get(k, alpha) for k in range(1, band + 1)}
-        if any(x.values()):
-            truncated = True
-        exp_part = _exp_series_coeffs(x, band, mode)
-        bin_part = _binom_coeffs(n, a, band, mode)
-        entry = [
-            front * sum(bin_part[i] * exp_part[d - i] for i in range(d + 1))
-            for d in range(band + 1)
-        ]
-        diag.append(entry)
-    coeffs = {
-        d: SmallMatrix.diag([diag[i][d] for i in range(m)], mode)
-        for d in range(band + 1)
-    }
-    series = MatSeries.from_coeffs(coeffs, m, mode, lo=0, hi=band)
-    return GFactor(n, band, series, truncated)
 
 
 # -- tau functions as sums over Miwa points -----------------------------------------
@@ -225,9 +76,9 @@ class TauExpSum:
     def one(mode: str = scalars.RATIONAL) -> "TauExpSum":
         return TauExpSum.make([(1, ())], mode)
 
-    def discrete_shift(self, n: int, data) -> "TauExpSum":
+    def discrete_shift(self, n: int, data: AknsData) -> "TauExpSum":
         """tau at lattice site n: each point multiplies c by (1 + a_g x)^(s n)."""
-        a_entries = _diag_entries(data)
+        a_entries = data.a
         terms = []
         for c, points in self.terms:
             for gamma, x, sign in points:
@@ -266,11 +117,16 @@ def miwa_shift(tau: TauExpSum, gamma: int, depth: int) -> list:
     return total
 
 
-def tau_lambda_consistent(tau: TauExpSum, data, n: int) -> bool:
-    """Does shifting to site n + 1 equal shifting by one site and then by n?"""
+def tau_lambda_defect(tau: TauExpSum, data: AknsData, n: int):
+    """Largest |c| difference between tau shifted to site n + 1 and shifted by 1, then n.
+
+    Both shifts keep the terms and their order, so the terms align one to one.
+    """
     lhs = tau.discrete_shift(n + 1, data)
     rhs = tau.discrete_shift(1, data).discrete_shift(n, data)
-    return lhs == rhs
+    return scalars.max_of(
+        (scalars.scalar_abs(a - b) for (a, _), (b, _) in zip(lhs.terms, rhs.terms)),
+        tau.mode)
 
 
 # -- Baker candidate from tau data ---------------------------------------------------

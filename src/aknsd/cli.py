@@ -17,7 +17,7 @@ import os
 import sys
 
 from . import scalars
-from .baker import TauExpSum, baker_from_tau, tau_lambda_consistent
+from .baker import TauExpSum, baker_from_tau, tau_lambda_defect
 from .config import ExperimentConfig, flow_problems, parse_config
 from .dynamics import FlowIndex, integrate
 from .errors import AknsdError, ConfigError, ConsistencyError, SchemaError
@@ -249,7 +249,8 @@ def cmd_tau(args) -> int:
     config = _load_config(args)
     data = config.data()
     tau = TauExpSum.one(config.mode)
-    consistent = all(tau_lambda_consistent(tau, data, n) for n in (-2, 0, 3))
+    consistent = all(tau_lambda_defect(tau, data, n) <= config.tolerance()
+                     for n in (-2, 0, 3))
     ident = MatSeries.constant(SmallMatrix.identity(config.m, config.mode))
     worst = scalars.max_of(
         (series_diff_max(baker_from_tau(tau, {}, n, data, config.depth), ident,

@@ -8,6 +8,7 @@ import random
 import subprocess
 import sys
 
+from aknsd import scalars
 from aknsd.baker import TauExpSum, baker_from_tau
 from aknsd.hierarchy import Dressing, HierarchyState
 from aknsd.instances import DESK_DEPTH, DESK_WINDOW
@@ -120,6 +121,19 @@ def completion(s, extra=4, seed=12345):
     coeffs = {d: s.coeffs[d - s.lo] if d >= s.valid_lo else rand_matrix(rng, s.m, s.mode)
               for d in range(s.lo - extra, s.hi + 1)}
     return MatSeries.from_coeffs(coeffs, s.m, s.mode, lo=s.lo - extra, hi=s.hi)
+
+
+def exp_series_coeffs(x: dict, depth: int, mode: str) -> list:
+    """Taylor coefficients h_0..h_depth of exp(sum_k x_k y^k) via j h_j = sum i x_i h_{j-i}."""
+    h = [scalars.one(mode)] + [scalars.zero(mode)] * depth
+    for j in range(1, depth + 1):
+        acc = scalars.zero(mode)
+        for i in range(1, j + 1):
+            xi = x.get(i)
+            if xi:
+                acc += i * xi * h[j - i]
+        h[j] = acc / j
+    return h
 
 
 def rand_miwa_tau(rng, m, terms=3):

@@ -19,13 +19,11 @@ import pytest
 from aknsd import scalars
 from aknsd.baker import (
     TauExpSum,
-    TimePoint,
     adjoint_check,
     baker_from_tau,
     bilinear_l_capacity,
     bilinear_residual,
-    shifted_times,
-    tau_lambda_consistent,
+    tau_lambda_defect,
 )
 from aknsd.dynamics import FlowIndex, commutativity_defect, continuum_scan, \
     gaussian_bump_profile
@@ -283,16 +281,10 @@ def test_criterion_8_tau_baker_construction():
                 assert w.get(0) == SmallMatrix.identity(m, RAT)
                 assert all(w.get(d).is_zero() for d in range(-5, 0))
             rng = random.Random(SEED + 90 + m)
-            t = TimePoint.make({(1, 1): rng.randint(-3, 3),
-                                (2, m): rng.randint(-3, 3)})
-            for n1, n2 in ((1, 1), (2, 3), (-2, 5)):
-                via = shifted_times(n2, shifted_times(n1, t, data, 6), data, 6)
-                direct = shifted_times(n1 + n2, t, data, 6)
-                assert via.as_dict() == direct.as_dict()
             for trial in range(3):
                 tau3 = rand_miwa_tau(rng, m)
                 for n in (-2, 0, 4):
-                    assert tau_lambda_consistent(tau3, data, n)
+                    assert tau_lambda_defect(tau3, data, n) == 0
         # the AKNS soliton: exact dressing and bilinear grid, a bumped
         # companion is detected by both
         for m, i, j in ((2, 1, 2), (3, 1, 3), (3, 2, 3)):

@@ -144,6 +144,23 @@ def test_k1_impulse_field_matches_extended_reconstruction():
         assert f.at(n) == f_big.at(n)
 
 
+def test_tied_pair_impulse_fields_do_not_decay():
+    # desk_m2 ties |a_1| = |a_2|, so the (1,2) recursion inverts a (1 + Lambda)
+    # and the impulse's flow fields keep their size out to the right stored
+    # edge (site 17): they alternate in sign, and the (2,2) field grows
+    data = desk_data(2)
+    U = impulse_potential(DESK_WINDOW, 2)
+    expected = {
+        (1, 1): [1] + [2 * (-1) ** n for n in range(1, 18)],
+        (1, 2): [-1] + [-2 * (-1) ** n for n in range(1, 18)],
+        (2, 2): [-1] + [(-1) ** (n + 1) * 4 * n for n in range(1, 18)],
+    }
+    for (k, alpha), values in expected.items():
+        f = flow_field(data, U, k, alpha)
+        assert f.hi == 17
+        assert [f.at(n).get(1, 2) for n in range(18)] == values, (k, alpha)
+
+
 def test_flow_depth_precondition():
     data = desk_data(2)
     U = impulse_potential(DESK_WINDOW, 2)
