@@ -23,25 +23,12 @@ import math
 from dataclasses import dataclass
 
 from . import scalars
-from .dynamics import CONSISTENCY_TOL, FlowIndex, make_field_fn, rk4_step
+from .dynamics import FlowIndex, make_field_fn, rk4_step
 from .errors import ConsistencyError, InstanceError, ModeError, ValidityError
 from .hierarchy import AknsData, HierarchyState, projector_b
 from .lattice import LatticeFn, inner_product, delta_apply, shift_apply
 from .matrices import SmallMatrix
 from .series import MatSeries, series_mul, series_project
-
-MAX_WORD_LEN = 2
-
-
-# -- derivative words ------------------------------------------------------------
-
-
-def make_word(*flows) -> tuple:
-    """A derivative word: an ordered tuple of FlowIndex, length <= 2."""
-    word = tuple(FlowIndex(int(k), int(a)) for (k, a) in flows)
-    if len(word) > MAX_WORD_LEN:
-        raise InstanceError(f"derivative words are limited to length {MAX_WORD_LEN}")
-    return word
 
 
 # -- tau functions as sums over Miwa points -----------------------------------------
@@ -169,22 +156,6 @@ def baker_from_tau(tau_d: TauExpSum, companions: dict, n: int, data: AknsData,
 # -- bilinear residue verifier ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BilinearCheck:
-    """Residue and negative-degree parts of one bilinear evaluation."""
-
-    residue_max: object
-    negative_max: object
-    l_max: int
-    m_delta: int
-    word: tuple
-    path: str
-
-    @property
-    def value(self):
-        return self.residue_max + self.negative_max
-
-
 def _hat_derivative_analytic(state: HierarchyState, k: int, alpha: int) -> LatticeFn:
     """d/dt_{k alpha} of the dressing series: -Bbar_{k alpha} * w_hat."""
     resolvent = state.resolvent(alpha)
@@ -196,7 +167,7 @@ def _stepped_states(state: HierarchyState, flow: FlowIndex, fd_step: float) -> l
     """The states one RK4 step of +fd_step and of -fd_step along ``flow`` away."""
     if state.mode != scalars.FLOAT:
         raise ModeError("the finite-difference path requires float mode")
-    field_fn = make_field_fn(state.data, flow, CONSISTENCY_TOL)
+    field_fn = make_field_fn(state.data, flow)
     return [
         HierarchyState.solve(state.data, rk4_step(state.U, sign * fd_step, field_fn),
                              state.window, state.depth, validate=False)
@@ -213,11 +184,11 @@ def _hat_derivative_numeric(state: HierarchyState, k: int, alpha: int,
 
 
 def _displacement_polynomial(state: HierarchyState, k: int, alpha: int,
-                             delta: float, terms: int = 4) -> MatSeries:
+                             delta: float) -> MatSeries:
     """g(t + delta e_{k alpha}) g(t)^{-1} = exp(delta z^k E_alpha), truncated.
 
     For k = 0 the factor is exact (all powers sit at degree 0); for k >= 1
-    it is kept through z^(k*(terms-1)), a tail of size O(delta^terms).
+    it is kept through the cubic term z^(3k), a tail of size O(delta^4).
     """
     e = state.data.projector(alpha)
     ident = SmallMatrix.identity(state.data.m, state.mode)
@@ -225,7 +196,7 @@ def _displacement_polynomial(state: HierarchyState, k: int, alpha: int,
         return MatSeries.constant(ident + e.scale(math.exp(delta) - 1.0))
     coeffs = {0: ident}
     fac = 1.0
-    for j in range(1, terms):
+    for j in range(1, 4):
         fac *= delta / j
         coeffs[j * k] = e.scale(fac)
     return MatSeries.from_coeffs(coeffs, state.data.m, state.mode)
@@ -279,6 +250,8 @@ def _word_factor(state: HierarchyState, word: tuple, path: str,
         zke = MatSeries.monomial(state.data.projector(alpha), k)
         return d_hat.zip_with(state.hat, lambda d, w: d + series_mul(w, zke))
 
+    if len(word) != 2:
+        raise InstanceError("derivative words are limited to length 2")
     (k1, a1), (k2, a2) = word
     if path == "analytic":
         # d_1 d_2 w = f w with f = (z^k2 [B_1, R_2])_+ + B_2 B_1, all of it
@@ -308,12 +281,6 @@ def bilinear_expression(state: HierarchyState, m_delta: int, word: tuple, *,
     """The cancellation-reduced series (Delta^m d^word w) w^{-1} per site."""
     if m_delta not in (0, 1):
         raise InstanceError("the difference power must be 0 or 1")
-    word = make_word(*word)
-    k_total = sum(k for k, _ in word)
-    if state.depth - k_total - 1 < 1:
-        raise ValidityError(
-            f"depth budget exceeded: need depth > {k_total + 1}, have {state.depth}"
-        )
     y = _word_factor(state, word, path, fd_step)
     if m_delta == 0:
         return y.zip_with(state.hat_inverse, series_mul)
@@ -333,7 +300,12 @@ def bilinear_l_capacity(depth: int, word: tuple, m_delta: int) -> int:
 
     Each unit of flow order k and the single z-degree of the step polynomial
     I + eps z A (present when the difference power is 1) consume one order
-    of the truncation band: capacity = depth - sum(k) - 1 - m_delta.
+    of the truncation band: capacity = depth - sum(k) - 1 - m_delta.  This
+    is the closed form of the band of ``bilinear_expression`` on the analytic
+    and numeric paths, -1 minus its lowest valid degree, and a test checks
+    that the two agree.  On the mixed path the displacement polynomial
+    spends 3 * k1 orders where the analytic derivative spends k1, so its band
+    ends 2 * k1 orders short of this formula; only the band bounds it.
     """
     return depth - sum(k for k, _ in word) - 1 - m_delta
 
@@ -343,10 +315,11 @@ def bilinear_residual(state: HierarchyState, l_max: int, m_delta: int,
                       fd_step: float = 1e-5):
     """Residues res_z(z^l (Delta^m d^word w) w^{-1}) plus negative-degree mass.
 
-    Returns a :class:`BilinearCheck`; its ``value`` is the sum of the maximum
-    residue magnitude over l <= l_max and the maximum absolute coefficient
-    over all valid negative degrees (the sharper no-negative-powers claim),
-    both over the window's region of interest.
+    Returns the sum of the maximum residue magnitude over l <= l_max and the
+    maximum absolute coefficient over all valid negative degrees (the sharper
+    no-negative-powers claim), both over the window's region of interest.
+    The expression's validity band is the depth budget: an l_max whose
+    residue lies below it is refused.
     """
     expr = bilinear_expression(state, m_delta, word, path=path, fd_step=fd_step)
     expr = expr.restrict(state.window.n_min, state.window.n_max)
@@ -367,7 +340,7 @@ def bilinear_residual(state: HierarchyState, l_max: int, m_delta: int,
             v = s.get(d).max_abs()
             if v > neg_max:
                 neg_max = v
-    return BilinearCheck(res_max, neg_max, l_max, m_delta, word, path)
+    return res_max + neg_max
 
 
 # -- adjoint / dual checks ----------------------------------------------------------

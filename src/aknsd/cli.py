@@ -253,8 +253,7 @@ def cmd_tau(args) -> int:
                      for n in (-2, 0, 3))
     ident = MatSeries.constant(SmallMatrix.identity(config.m, config.mode))
     worst = scalars.max_of(
-        (series_diff_max(baker_from_tau(tau, {}, n, data, config.depth), ident,
-                         range(-config.depth, 1))
+        (series_diff_max(baker_from_tau(tau, {}, n, data, config.depth), ident)
          for n in (config.window.n_min, 0, config.window.n_max)),
         config.mode)
     doc = {

@@ -62,18 +62,17 @@ class Trajectory:
 def _pad_field(f: LatticeFn, lo: int, hi: int) -> LatticeFn:
     """Extend a stage field to [lo, hi], freezing missing edge sites at zero."""
     zero = SmallMatrix.zero(f.values[0].m, f.mode)
-    vals = tuple(f.at(n) if f.lo <= n <= f.hi else zero for n in range(lo, hi + 1))
-    return LatticeFn(lo, hi, vals, f.left_tail, f.right_tail, f.step, f.mode)
+    vals = [f.at(n) if f.lo <= n <= f.hi else zero for n in range(lo, hi + 1)]
+    return LatticeFn.from_values(lo, vals, step=f.step)
 
 
 def _axpy(u: LatticeFn, c, f: LatticeFn) -> LatticeFn:
     return u.zip_with(f, lambda a, b: a + b.scale(c))
 
 
-def make_field_fn(data: AknsData, flow: FlowIndex,
-                  tol) -> Callable[[LatticeFn], LatticeFn]:
+def make_field_fn(data: AknsData, flow: FlowIndex) -> Callable[[LatticeFn], LatticeFn]:
     def fn(u: LatticeFn) -> LatticeFn:
-        return _pad_field(flow_field(data, u, flow.k, flow.alpha, tol=tol),
+        return _pad_field(flow_field(data, u, flow.k, flow.alpha, tol=CONSISTENCY_TOL),
                           u.lo, u.hi)
 
     return fn
@@ -121,7 +120,7 @@ def integrate(data: AknsData, u: LatticeFn, window: Window, flow: FlowIndex,
         raise ModeError("time evolution requires float mode")
     if not h > 0:
         raise InstanceError("step size must be positive")
-    field_fn = make_field_fn(data, flow, CONSISTENCY_TOL)
+    field_fn = make_field_fn(data, flow)
     traj = Trajectory(flow, float(h), steps, [(0.0, u)])
     for s in range(1, steps + 1):
         u = rk4_step(u, h, field_fn)
@@ -187,12 +186,12 @@ def _rms(entries) -> float:
     return math.sqrt(sum(x * x for x in entries) / len(entries))
 
 
-def gaussian_bump_profile(m: int, amplitude: float = 0.5, sigma: float = 1.0):
-    """Smooth sampled profile: amplitude * exp(-x^2 / sigma^2) at (1,2) and (2,1)."""
+def gaussian_bump_profile(m: int):
+    """Smooth sampled profile: 0.4 * exp(-x^2) at (1,2) and (2,1)."""
 
     def profile(x: float) -> SmallMatrix:
         rows = [[0.0] * m for _ in range(m)]
-        rows[0][1] = rows[1][0] = amplitude * math.exp(-(x * x) / (sigma * sigma))
+        rows[0][1] = rows[1][0] = 0.4 * math.exp(-(x * x))
         return SmallMatrix.from_rows(rows, scalars.FLOAT)
 
     return profile
@@ -210,7 +209,6 @@ class ScanReport:
     """
 
     eps_list: list
-    k: int
     cauchy_norms: list
     cauchy_orders: list
     dx_residual_norms: list
@@ -227,7 +225,7 @@ class ScanReport:
     def to_json(self) -> dict:
         return {
             "eps": [scalars.format_scalar(e) for e in self.eps_list],
-            "k": self.k,
+            "k": 1,
             "cauchy_norms": self.cauchy_norms,
             "cauchy_orders": self.cauchy_orders,
             "dx_residual_norms": self.dx_residual_norms,
@@ -238,9 +236,9 @@ class ScanReport:
         }
 
 
-def continuum_scan(data: AknsData, profile, eps_list, k: int = 1, *,
+def continuum_scan(data: AknsData, profile, eps_list, *,
                    x_span: float = 4.0, halo: int = 6) -> ScanReport:
-    """Deformed-step scan: compute the order-k flow fields at each step size.
+    """Deformed-step scan: compute the first-order flow fields at each step size.
 
     ``profile`` maps x to a potential matrix; it is sampled as f(n * eps) per
     step on a refined window covering [-x_span, x_span].  Reported are the
@@ -271,31 +269,30 @@ def continuum_scan(data: AknsData, profile, eps_list, k: int = 1, *,
             step=eps,
         )
         per_alpha = {
-            alpha: flow_field(data, u, k, alpha, tol=CONSISTENCY_TOL)
+            alpha: flow_field(data, u, 1, alpha, tol=CONSISTENCY_TOL)
             for alpha in range(1, data.m + 1)
         }
         fields.append(per_alpha)
         windows.append(window)
 
-        if k == 1:
-            # norms restricted to the coarsest common x-grid so refinement
-            # cannot bias the observed orders by sampling higher peaks
-            stride = 2 ** run
-            combo = None
-            for alpha, f in per_alpha.items():
-                term = f.map(lambda v, a=alpha: v.scale(data.a[a - 1]))
-                combo = term if combo is None else combo + term
-            du = delta_apply(u, "forward")
-            resid = combo - du.restrict(combo.lo, combo.hi)
-            entries = [
-                abs(x)
-                for n in range(window.n_min, window.n_max + 1)
-                if resid.lo <= n <= resid.hi and n % stride == 0
-                for row in resid.at(n).rows
-                for x in row
-            ]
-            dx_norms.append(_rms(entries))
-            dx_norms_max.append(max(entries))
+        # norms restricted to the coarsest common x-grid so refinement
+        # cannot bias the observed orders by sampling higher peaks
+        stride = 2 ** run
+        combo = None
+        for alpha, f in per_alpha.items():
+            term = f.map(lambda v, a=alpha: v.scale(data.a[a - 1]))
+            combo = term if combo is None else combo + term
+        du = delta_apply(u, "forward")
+        resid = combo - du.restrict(combo.lo, combo.hi)
+        entries = [
+            abs(x)
+            for n in range(window.n_min, window.n_max + 1)
+            if resid.lo <= n <= resid.hi and n % stride == 0
+            for row in resid.at(n).rows
+            for x in row
+        ]
+        dx_norms.append(_rms(entries))
+        dx_norms_max.append(max(entries))
 
     cauchy = []
     cauchy_max = []
@@ -331,5 +328,5 @@ def continuum_scan(data: AknsData, profile, eps_list, k: int = 1, *,
         for i, o in enumerate(ords):
             if o < SCAN_MIN_ORDER:
                 flags.append(f"{name} order {o:.3f} < 1 between eps[{i}] and eps[{i+1}]")
-    return ScanReport(eps_list, k, cauchy, cauchy_orders, dx_norms, dx_orders,
+    return ScanReport(eps_list, cauchy, cauchy_orders, dx_norms, dx_orders,
                       flags, cauchy_max, dx_norms_max)

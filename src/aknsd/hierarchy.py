@@ -131,12 +131,6 @@ def make_potential(window: Window, entries: dict, m: int,
 # -- shared recursion kernel ------------------------------------------------------
 
 
-def _constant_on(U: LatticeFn, value) -> LatticeFn:
-    """``value`` at every site of U's range and in both tails."""
-    return LatticeFn(U.lo, U.hi, (value,) * (U.hi - U.lo + 1), value, value,
-                     U.step, U.mode)
-
-
 def _orders_to_series(orders: list, m: int) -> LatticeFn:
     """Per site, the series sum_k orders[k](n) z^-k, valid through its depth."""
     first = orders[0]
@@ -227,10 +221,9 @@ def _solve_order(data: AknsData, rhs: LatticeFn, lo: int, hi: int) -> LatticeFn:
                              data.direction(i, j)) for i, j in pairs]
         build = SmallMatrix.from_lowest_terms
     # cols holds one column of site values per entry, row-major: regroup per site
-    vals = tuple(build(tuple(site[r * m:(r + 1) * m] for r in range(m)))
-                 for site in zip(*cols))
-    zero = SmallMatrix.zero(m, mode)
-    return LatticeFn(lo, hi, vals, zero, zero, rhs.step, mode)
+    vals = [build(tuple(site[r * m:(r + 1) * m] for r in range(m)))
+            for site in zip(*cols)]
+    return LatticeFn.from_values(lo, vals, step=rhs.step)
 
 
 # -- dressing ----------------------------------------------------------------------
@@ -256,7 +249,7 @@ def solve_dressing(data: AknsData, U: LatticeFn, depth: int) -> Dressing:
     if depth < 1:
         raise InstanceError("dressing depth must be >= 1")
     lo, hi = U.lo, U.hi
-    w_prev = _constant_on(U, SmallMatrix.identity(data.m, U.mode))
+    w_prev = U.constant(SmallMatrix.identity(data.m, U.mode))
     ws = []
     for _ in range(depth):
         dw = delta_apply(w_prev, "forward")
@@ -305,7 +298,7 @@ class HierarchyState:
     @cached_property
     def hat(self) -> LatticeFn:
         """The dressing series I + sum_k w_k z^-k as a series-valued function."""
-        ident = _constant_on(self.U, SmallMatrix.identity(self.data.m, self.mode))
+        ident = self.U.constant(SmallMatrix.identity(self.data.m, self.mode))
         return _orders_to_series([ident, *self.dressing.ws], self.data.m)
 
     @cached_property
@@ -349,9 +342,7 @@ def _dressing_defect(state: HierarchyState) -> LatticeFn:
 class Resolvent:
     """Series R with R_(0) = E_alpha satisfying [R, L]_D = 0 through its depth."""
 
-    alpha: int
     series: LatticeFn  # MatSeries-valued, band [-depth, 0]
-    depth: int
 
 
 def resolvent_dressed(state: HierarchyState, alpha: int) -> Resolvent:
@@ -361,7 +352,7 @@ def resolvent_dressed(state: HierarchyState, alpha: int) -> Resolvent:
         state.hat_inverse,
         lambda w, wi: series_mul(series_mul(w, e_alpha), wi),
     )
-    return Resolvent(alpha, vals, state.depth)
+    return Resolvent(vals)
 
 
 def resolvent_direct(data: AknsData, U: LatticeFn, alpha: int, depth: int) -> Resolvent:
@@ -372,7 +363,7 @@ def resolvent_direct(data: AknsData, U: LatticeFn, alpha: int, depth: int) -> Re
     entry with the dressed construction.
     """
     lo, hi = U.lo, U.hi
-    orders = [_constant_on(U, data.projector(alpha))]
+    orders = [U.constant(data.projector(alpha))]
     for _ in range(depth):
         r_prev = orders[-1]
         d_prev = delta_apply(r_prev, "forward")
@@ -382,7 +373,7 @@ def resolvent_direct(data: AknsData, U: LatticeFn, alpha: int, depth: int) -> Re
             U.zip_with(r_prev, lambda u, r: u @ r).restrict(lam_prev.lo, lam_prev.hi)
         rhs = d_prev - comm_u
         orders.append(_solve_order(data, rhs, lo, hi))
-    return Resolvent(alpha, _orders_to_series(orders, data.m), depth)
+    return Resolvent(_orders_to_series(orders, data.m))
 
 
 def cross_solver_difference(state: HierarchyState, alpha: int):
@@ -458,14 +449,10 @@ def projector_b(resolvent: Resolvent, k: int, part: str) -> LatticeFn:
 
     B, the non-negative degrees, reads R_(0)..R_(k), so ``"plus"`` needs
     ``0 <= k <= depth``; Bbar starts at R_(k+1), so ``"minus"`` needs
-    ``0 <= k < depth``.
+    ``0 <= k < depth``.  ``series_project`` refuses the k beyond the band.
     """
-    top = resolvent.depth if part == "plus" else resolvent.depth - 1
-    if not 0 <= k <= top:
-        raise ValidityError(
-            f"flow order {k} outside the resolvent validity depth {resolvent.depth} "
-            f"for the {part} part"
-        )
+    if k < 0:
+        raise ValidityError(f"flow order {k} must be >= 0")
     return resolvent.series.map(lambda s: series_project(s.shift_degree(k), part),
                                 map_tails=False)
 
@@ -480,8 +467,6 @@ def flow_field(data: AknsData, U: LatticeFn, k: int, alpha: int, *,
     coefficient is returned; its diagonal, measured by ``diagonal_drift``, is
     the discrete gauge drift Delta of R_{(k+1),pp}.
     """
-    if k < 0:
-        raise ValidityError(f"flow order {k} must be >= 0")
     b = projector_b(resolvent_direct(data, U, alpha, k), k, "plus")
     comm = commutator_with_l(b, data, U)
     pos = site_max(comm, lambda s: scalars.max_of(
@@ -491,10 +476,8 @@ def flow_field(data: AknsData, U: LatticeFn, k: int, alpha: int, *,
             f"positive z-degrees of the flow commutator do not vanish "
             f"(residual {pos})"
         )
-    zero = SmallMatrix.zero(data.m, U.mode)
-    return LatticeFn(comm.lo, comm.hi,
-                     tuple(comm.at(n).get(0) for n in comm.sites()),
-                     zero, zero, comm.step, comm.mode)
+    return LatticeFn.from_values(comm.lo, [comm.at(n).get(0) for n in comm.sites()],
+                                 step=comm.step)
 
 
 def diagonal_drift(f: LatticeFn):

@@ -77,11 +77,10 @@ class LatticeFn:
         zero = SmallMatrix.zero(vals[0].m, vals[0].mode)
         return LatticeFn(lo, lo + len(vals) - 1, vals, zero, zero, step, zero.mode)
 
-    @staticmethod
-    def constant(window: Window, value) -> "LatticeFn":
-        n = window.stored_hi - window.stored_lo + 1
-        return LatticeFn(window.stored_lo, window.stored_hi, (value,) * n,
-                         value, value, None, value.mode)
+    def constant(self, value) -> "LatticeFn":
+        """``value`` at every site of this range and in both tails, on this step."""
+        return LatticeFn(self.lo, self.hi, (value,) * (self.hi - self.lo + 1),
+                         value, value, self.step, self.mode)
 
     # -- evaluation ----------------------------------------------------------
 

@@ -106,13 +106,12 @@ def state_from_json(doc) -> HierarchyState:
             raise ValueError(f"step must be positive, not {doc['step']!r}")
         step = None if step == 1 else step  # None: the unit step every builder uses
         lo, hi = window.stored_lo, window.stored_hi
-        zero = SmallMatrix.zero(data.m, mode)
 
         def lattice(values, what: str) -> LatticeFn:
             vals = _list(values, f"{what} (one value per stored site {lo}..{hi})",
                          hi - lo + 1)
-            return LatticeFn(lo, hi, tuple(_value_from_json(v, data.m, mode) for v in vals),
-                             zero, zero, step, mode)
+            return LatticeFn.from_values(
+                lo, [_value_from_json(v, data.m, mode) for v in vals], step=step)
 
         u = lattice(doc["u"], "'u'")
         orders = _list(doc["dressing"], "'dressing'")

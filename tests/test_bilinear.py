@@ -11,7 +11,7 @@ from aknsd.baker import (
     bilinear_l_capacity,
     bilinear_residual,
 )
-from aknsd.errors import ValidityError
+from aknsd.errors import InstanceError, ValidityError
 from aknsd.hierarchy import Dressing, HierarchyState
 from aknsd.instances import (
     DESK_WINDOW,
@@ -55,7 +55,7 @@ def test_vacuum_all_checks_zero():
         for word in ((), ((1, 1),), ((0, 2),)):
             l_max = min(4, bilinear_l_capacity(state.depth, word, m_delta))
             check = bilinear_residual(state, l_max, m_delta, word)
-            assert check.value == 0
+            assert check == 0
 
 
 def test_word0_m1_expression_is_za_minus_u():
@@ -81,7 +81,7 @@ def test_analytic_path_exact_zero(m):
                 word = ((k, alpha),)
                 l_max = min(4, bilinear_l_capacity(state.depth, word, m_delta))
                 check = bilinear_residual(state, l_max, m_delta, word)
-                assert check.value == 0, (m_delta, k, alpha)
+                assert check == 0, (m_delta, k, alpha)
 
 
 def test_length_two_analytic_exact_zero():
@@ -90,7 +90,7 @@ def test_length_two_analytic_exact_zero():
         for word in (((1, 1), (1, 2)), ((0, 1), (1, 1)), ((1, 2), (0, 2))):
             l_max = min(3, bilinear_l_capacity(state.depth, word, m_delta))
             check = bilinear_residual(state, l_max, m_delta, word, path="analytic")
-            assert check.value == 0, (m_delta, word)
+            assert check == 0, (m_delta, word)
 
 
 def test_depth_budget_errors():
@@ -99,6 +99,29 @@ def test_depth_budget_errors():
         bilinear_residual(state, 2, 0, ((2, 1),))
     with pytest.raises(ValidityError):
         bilinear_residual(state, 10, 0, ((1, 1),))
+
+
+def test_words_longer_than_two_refused():
+    state = rational_state(depth=3)
+    with pytest.raises(InstanceError):
+        bilinear_expression(state, 0, ((0, 1), (0, 2), (0, 1)))
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_l_capacity_is_the_band_of_the_expression(m):
+    # the closed form must equal -1 minus the lowest valid degree on every
+    # analytic grid cell, including those it gives no residue to
+    window = Window(-1, 1, 8)
+    data = desk_data(m)
+    words = [()] + [((k, alpha),) for k in (0, 1) for alpha in range(1, m + 1)]
+    for depth in range(2, 9):
+        state = HierarchyState.solve(data, impulse_potential(window, m), window, depth)
+        for m_delta in (0, 1):
+            for word in words:
+                expr = bilinear_expression(state, m_delta, word)
+                bands = {expr.at(n).valid_lo for n in expr.sites()}
+                cap = bilinear_l_capacity(depth, word, m_delta)
+                assert bands == {-1 - cap}, (depth, m_delta, word)
 
 
 def test_corrupted_dressing_detected():
@@ -120,7 +143,7 @@ def test_corrupted_dressing_detected():
             Dressing(state.depth, tuple(tampered_ws), state.dressing.conventions),
         )
         check = bilinear_residual(bad, 4, 1, ())
-        assert check.value > 0
+        assert check > 0
 
 
 def test_numeric_path_second_order():
@@ -129,7 +152,7 @@ def test_numeric_path_second_order():
     residuals = []
     for d in deltas:
         check = bilinear_residual(state, 3, 0, ((1, 1),), path="numeric", fd_step=d)
-        residuals.append(check.value)
+        residuals.append(check)
     assert residuals[0] < 1e-4
     import math
 
@@ -142,13 +165,13 @@ def test_numeric_path_tight_tolerance():
     # roundoff floor near delta ~ 3e-6 for this amplitude
     state = float_state(seed=8, amplitude=0.1)
     check = bilinear_residual(state, 3, 0, ((1, 1),), path="numeric", fd_step=3e-6)
-    assert check.value <= 1e-8
+    assert check <= 1e-8
 
 
 def test_numeric_path_with_delta():
     state = float_state(seed=9)
     check = bilinear_residual(state, 3, 1, ((0, 2),), path="numeric", fd_step=5e-5)
-    assert check.value <= 1e-6
+    assert check <= 1e-6
 
 
 def test_length_two_mixed_path():
@@ -161,7 +184,7 @@ def test_length_two_mixed_path():
     state = HierarchyState.solve(data, u, DESK_WINDOW, 8, validate=False)
     check = bilinear_residual(state, 2, 0, ((1, 1), (1, 2)), path="mixed",
                               fd_step=2e-4)
-    assert 0 < check.value <= 1e-6
+    assert 0 < check <= 1e-6
 
 
 # -- adjoint -----------------------------------------------------------------------

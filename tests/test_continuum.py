@@ -37,7 +37,7 @@ def test_vacuum_scan_reports_zero():
     def zero_profile(x):
         return SmallMatrix.zero(2, FLOAT)
 
-    report = continuum_scan(data, zero_profile, [0.5, 0.25], k=1,
+    report = continuum_scan(data, zero_profile, [0.5, 0.25],
                             x_span=2.0, halo=4)
     assert report.cauchy_norms == [0.0]
     assert report.dx_residual_norms == [0.0, 0.0]
@@ -47,15 +47,15 @@ def test_eps_list_validation():
     data = desk_data(2, FLOAT)
     profile = gaussian_bump_profile(2)
     with pytest.raises(InstanceError):
-        continuum_scan(data, profile, [0.25, 0.5], k=1)
+        continuum_scan(data, profile, [0.25, 0.5])
     with pytest.raises(InstanceError):
-        continuum_scan(data, profile, [0.5, 0.3], k=1)
+        continuum_scan(data, profile, [0.5, 0.3])
 
 
 def test_gaussian_bump_scan_first_order():
     data = desk_data(2, FLOAT)
-    profile = gaussian_bump_profile(2, amplitude=0.4)
-    report = continuum_scan(data, profile, [0.5, 0.25, 0.125], k=1,
+    profile = gaussian_bump_profile(2)
+    report = continuum_scan(data, profile, [0.5, 0.25, 0.125],
                             x_span=3.0, halo=4)
     assert len(report.cauchy_norms) == 2
     assert all(o >= 1.0 for o in report.cauchy_orders)

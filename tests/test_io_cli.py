@@ -580,6 +580,27 @@ def test_limit_checks_need_three_step_sizes(tmp_path, capsys, monkeypatch, argv,
         assert "limit" in ran
 
 
+@pytest.mark.parametrize("desk", ["desk_m2", "desk_m3"])
+@pytest.mark.parametrize("depth,flows,failing", [
+    (3, [[1, 1]], []),
+    (2, [[0, 1]], []),
+    (1, [], ["perturbation_detected"]),  # the band holds no residue to read
+])
+def test_verify_bilinear_runs_at_every_accepted_depth(tmp_path, desk, depth, flows,
+                                                      failing):
+    doc = json.loads((CONFIGS / f"{desk}.json").read_text())
+    doc.update(depth=depth, flows=flows)
+    parse_config(json.dumps(doc))
+    config, out = tmp_path / "c.json", tmp_path / "report.json"
+    config.write_text(json.dumps(doc))
+    code = cli.main(["verify", "--suite", "bilinear", "--config", str(config),
+                     "--out", str(out)])
+    checks = json.loads(out.read_text())["checks"]
+    assert code == (1 if failing else 0)
+    assert len(checks) == 5
+    assert [c["check"] for c in checks if not c["pass"]] == failing
+
+
 def test_cli_input_error_exit_code(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 from aknsd.errors import SupportError
 from aknsd.lattice import (
     LatticeFn,
-    Window,
     delta_apply,
     inner_product,
     shift_apply,
@@ -35,8 +34,8 @@ def rand_compact(rng, lo, hi, m, margin=2):
 
 
 def test_shift_of_constant():
-    w = Window(-3, 3, 2)
-    c = LatticeFn.constant(w, mat([[1, 2], [3, 4]]))
+    v = mat([[1, 2], [3, 4]])
+    c = impulse(-5, 5, 0, v).constant(v)
     s = shift_apply(c, 1)
     assert all(s.at(n) == c.at(n) for n in s.sites())
 
@@ -57,8 +56,8 @@ def test_shift_inverse_composition():
 
 
 def test_delta_of_constant_is_zero():
-    w = Window(-4, 4, 1)
-    c = LatticeFn.constant(w, mat([[0, 5], [7, 0]]))
+    v = mat([[0, 5], [7, 0]])
+    c = impulse(-5, 5, 0, v).constant(v)
     d = delta_apply(c)
     assert all(d.at(n).is_zero() for n in d.sites())
 
@@ -119,9 +118,8 @@ def test_inner_product_symmetric_scalar():
 
 
 def test_inner_product_needs_compact_support():
-    w = Window(-2, 2, 0)
     ident = SmallMatrix.identity(2, RAT)
-    c = LatticeFn.constant(w, ident)
+    c = impulse(-2, 2, 0, ident).constant(ident)
     with pytest.raises(SupportError):
         inner_product(c, c)
 
