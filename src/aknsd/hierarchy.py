@@ -30,6 +30,23 @@ entry for entry.
 In rational mode each entry's recursion runs on integer (numerator,
 denominator) pairs with one gcd per step (``_solve_exact``); the float mode
 runs ``solve_two_point``, which stays the reference recursion for tests.
+
+Everything else that reads w_hat, R or P is built site by site, degree by
+degree, from the values at n and n + 1 alone:
+
+* ``_resolvent_site``: degree d of ``w_hat E_alpha w_hat^{-1}`` is the sum of
+  the rank-one products (column alpha of w_i)(row alpha of winv_j), i + j = d;
+* ``_defect_site``: the coefficients of (T'),
+  ``Delta w_d + U w_d - A w_(d-1) + (Lambda w)_(d-1) A``;
+* ``_direct_rhs_site``: the direct resolvent's right-hand side
+  ``Delta r - ((Lambda r) U - U r)``;
+* ``_commutator_site``: the coefficients of ``[P, L]_D``.
+
+A is diagonal, so its products are row and column scalings.  In rational mode
+each coefficient of the first three is one ``SmallMatrix.from_terms`` sum,
+swept once; in float mode each keeps the operation order of the whole-lattice
+composition it replaces, so float results are the same bit for bit (see
+docs/derivations.md sections 2 and 3).
 """
 
 from __future__ import annotations
@@ -40,14 +57,15 @@ from math import gcd
 
 from . import scalars
 from .errors import ConsistencyError, DimensionError, InstanceError, ValidityError
-from .lattice import LatticeFn, Window, delta_apply, shift_apply, site_max
+from .lattice import LatticeFn, Window, delta_apply, site_max
 from .matrices import SmallMatrix
 from .series import (
     MatSeries,
     _check_knows_a_degree,
+    product_band,
     series_diff_max,
     series_inverse,
-    series_mul,
+    series_mul,  # noqa: F401  (perfbench/test_perfbench.py reads hierarchy.series_mul)
     series_project,
 )
 
@@ -324,15 +342,37 @@ def dressing_residual(state: HierarchyState):
 
 
 def _dressing_defect(state: HierarchyState) -> LatticeFn:
-    a_mat = state.data.matrix
-    hat = state.hat
-    lam_hat = shift_apply(hat, 1)
-    d_hat = delta_apply(hat, "forward")
-    u_term = state.U.zip_with(hat, lambda u, s: s.left_mul_mat(u))
-    za_term = hat.map(lambda s: s.left_mul_mat(a_mat).shift_degree(1), map_tails=False)
-    lam_term = lam_hat.map(lambda s: s.right_mul_mat(a_mat).shift_degree(1), map_tails=False)
-    return (d_hat + u_term.restrict(d_hat.lo, d_hat.hi)) - \
-        za_term.restrict(d_hat.lo, d_hat.hi) + lam_term
+    """Delta w_hat + U w_hat - z A w_hat + z (Lambda w_hat) A, site by site (``_defect_site``)."""
+    return _sitewise(state.hat, state.data, state.U, _defect_site)
+
+
+def _defect_site(c: MatSeries, c1: MatSeries, u: SmallMatrix, *,
+                 a_mat: SmallMatrix, inv) -> MatSeries:
+    """(T') at one site from c = w_hat(n), c1 = w_hat(n+1) (one band) and u = U(n).
+
+    Degree d reads ``((Delta c_d + U c_d) - A c_(d-1)) + c1_(d-1) A``, the A
+    terms as row and column scalings; above the band the first two terms are
+    zero.  In rational mode each degree is one ``from_terms`` sum, without the
+    U term where U(n) is zero.  Bands as in ``_site_band``.
+    """
+    first, vlo = _site_band(c)
+    exact = c.mode == scalars.RATIONAL
+    u_terms = exact and not u.is_zero()  # an exact zero term adds nothing
+    zero = SmallMatrix.zero(c.m, c.mode)
+    coeffs = []
+    for d in range(first, c.hi + 2):
+        x, x1, xp, x1p = c.get(d), c1.get(d), c.get(d - 1), c1.get(d - 1)
+        if exact:
+            terms = _z_terms(xp, x1p, a_mat)
+            if d <= c.hi:
+                terms += _delta_terms(x, x1, inv)
+                if u_terms:
+                    terms.append(u.product_term(x))
+            coeffs.append(SmallMatrix.from_terms(terms, c.m))
+            continue
+        out = zero if d > c.hi else _delta(x, x1, inv) + (u @ x)
+        coeffs.append((out - xp.mul_diag(a_mat, left=True)) + x1p.mul_diag(a_mat, left=False))
+    return MatSeries(c.m, c.mode, first, c.hi + 1, tuple(coeffs), vlo)
 
 
 # -- resolvents ----------------------------------------------------------------------
@@ -346,13 +386,25 @@ class Resolvent:
 
 
 def resolvent_dressed(state: HierarchyState, alpha: int) -> Resolvent:
-    """R_alpha = w_hat E_alpha w_hat^{-1}, computed sitewise."""
-    e_alpha = MatSeries.constant(state.data.projector(alpha))
-    vals = state.hat.zip_with(
-        state.hat_inverse,
-        lambda w, wi: series_mul(series_mul(w, e_alpha), wi),
-    )
-    return Resolvent(vals)
+    """R_alpha = w_hat E_alpha w_hat^{-1}, computed sitewise (``_resolvent_site``)."""
+    state.data.projector(alpha)  # refuses an alpha outside 1..m
+    return Resolvent(state.hat.zip_with(state.hat_inverse,
+                                        partial(_resolvent_site, k=alpha - 1)))
+
+
+def _resolvent_site(w: MatSeries, wi: MatSeries, k: int) -> MatSeries:
+    """``w E wi`` at one site, E the projector on the 0-based index k.
+
+    Degree d sums the rank-one products (column k of w_i)(row k of wi_j) over
+    i + j = d.  E is a fully known degree-0 factor, so ``w E`` has the band
+    and validity of ``w``, and the result those of the product ``w wi``.
+    """
+    lo, hi, vlo = product_band(w, wi)
+    coeffs = tuple(SmallMatrix.sum_of_rank_one(
+        ((w.coeffs[i - w.lo], wi.coeffs[d - i - wi.lo])
+         for i in range(max(w.lo, d - wi.hi), min(w.hi, d - wi.lo) + 1)),
+        k, w.m, w.mode) for d in range(lo, hi + 1))
+    return MatSeries(w.m, w.mode, lo, hi, coeffs, vlo)
 
 
 def resolvent_direct(data: AknsData, U: LatticeFn, alpha: int, depth: int) -> Resolvent:
@@ -360,20 +412,31 @@ def resolvent_direct(data: AknsData, U: LatticeFn, alpha: int, depth: int) -> Re
 
     Shares the recursion kernel, direction policy and zero integration
     constants with the dressing solver, so the result is comparable entry for
-    entry with the dressed construction.
+    entry with the dressed construction.  Each order's right-hand side is
+    built site by site (``_direct_rhs_site``).
     """
     lo, hi = U.lo, U.hi
+    inv = _inverse_step(U)
     orders = [U.constant(data.projector(alpha))]
     for _ in range(depth):
-        r_prev = orders[-1]
-        d_prev = delta_apply(r_prev, "forward")
-        lam_prev = shift_apply(r_prev, 1)
-        comm_u = lam_prev.zip_with(U.restrict(lam_prev.lo, lam_prev.hi),
-                                   lambda r, u: r @ u) - \
-            U.zip_with(r_prev, lambda u, r: u @ r).restrict(lam_prev.lo, lam_prev.hi)
-        rhs = d_prev - comm_u
-        orders.append(_solve_order(data, rhs, lo, hi))
+        r = orders[-1]
+        rhs = [_direct_rhs_site(r.at(n), r.at(n + 1), U.at(n), inv) for n in range(lo, hi)]
+        orders.append(_solve_order(data, LatticeFn.from_values(lo, rhs, step=U.step), lo, hi))
     return Resolvent(_orders_to_series(orders, data.m))
+
+
+def _direct_rhs_site(r: SmallMatrix, r1: SmallMatrix, u: SmallMatrix, inv) -> SmallMatrix:
+    """``Delta r - ((Lambda r) U - U r)`` at one site, from r = R(n) and r1 = R(n+1).
+
+    Float: in this operation order.  Rational: one ``from_terms`` sum, without
+    the U terms where U(n) is zero.
+    """
+    if r.mode == scalars.FLOAT:
+        return _delta(r, r1, inv) - ((r1 @ u) - (u @ r))
+    terms = _delta_terms(r, r1, inv)
+    if not u.is_zero():  # an exact zero term adds nothing
+        terms += [_minus(r1.product_term(u)), u.product_term(r)]
+    return SmallMatrix.from_terms(terms, r.m)
 
 
 def cross_solver_difference(state: HierarchyState, alpha: int):
@@ -399,19 +462,66 @@ def commutator_with_l(P: LatticeFn, data: AknsData, U: LatticeFn) -> LatticeFn:
     tails.  The sites run over ``[max(P.lo, U.lo), min(P.hi - 1, U.hi)]``.
     P's site series must share one band and validity start.
     """
+    return _sitewise(P, data, U, _commutator_site)
+
+
+def _sitewise(P: LatticeFn, data: AknsData, U: LatticeFn, kernel) -> LatticeFn:
+    """``kernel(P(n), P(n+1), U(n))`` on ``[max(P.lo, U.lo), min(P.hi - 1, U.hi)]``.
+
+    The tails are the kernel on the tails.  The kernel also gets ``A`` and
+    the inverse step (None for the unit step).
+    """
     P._compat(U)
     lo, hi = max(P.lo, U.lo), min(P.hi - 1, U.hi)
     if lo > hi:
         raise DimensionError("operand ranges do not overlap")
     if len({(s.lo, s.hi, s.valid_lo) for s in P.values}) != 1:
-        raise DimensionError("the commutator needs one band across P's sites")
-    eps = P.eps()
-    inv = None if eps == 1 else scalars.one(P.mode) / eps
-    site = partial(_commutator_site, a_mat=data.matrix, inv=inv)
+        raise DimensionError("a site kernel needs one band across P's sites")
+    site = partial(kernel, a_mat=data.matrix, inv=_inverse_step(P))
     vals = tuple(site(P.at(n), P.at(n + 1), U.at(n)) for n in range(lo, hi + 1))
     return LatticeFn(lo, hi, vals,
                      site(P.left_tail, P.left_tail, U.left_tail),
                      site(P.right_tail, P.right_tail, U.right_tail), P.step, P.mode)
+
+
+def _inverse_step(f: LatticeFn):
+    """1 / eps of a lattice, or None for the unit step (no division at all)."""
+    eps = f.eps()
+    return None if eps == 1 else scalars.one(f.mode) / eps
+
+
+def _site_band(c: MatSeries) -> tuple:
+    """First degree and validity start of a site kernel's result from the band of c.
+
+    A fully known band [lo, hi] gives [lo, hi + 1]; validity from v gives
+    [v + 1, hi + 1], valid from v + 1.
+    """
+    _check_knows_a_degree(c.lo if c.valid_lo is None else c.valid_lo, c.hi)
+    vlo = None if c.valid_lo is None else c.valid_lo + 1
+    return (c.lo if vlo is None else vlo), vlo
+
+
+def _delta(x: SmallMatrix, x1: SmallMatrix, inv) -> SmallMatrix:
+    """The difference ``(x1 - x) / eps`` of one coefficient."""
+    dx = x1 - x
+    return dx if inv is None else dx.scale(inv)
+
+
+def _minus(term: tuple) -> tuple:
+    """The negative of a ``from_terms`` term."""
+    return term[0], -term[1]
+
+
+def _delta_terms(x: SmallMatrix, x1: SmallMatrix, inv) -> list:
+    """``_delta`` as ``from_terms`` terms; the deformed one is swept once more."""
+    if inv is None:
+        return [x1.numerators(), _minus(x.numerators())]
+    return [_delta(x, x1, inv).numerators()]
+
+
+def _z_terms(x: SmallMatrix, x1: SmallMatrix, a_mat: SmallMatrix) -> list:
+    """``-A x + x1 A`` as ``from_terms`` terms: a row and a column scaling."""
+    return [_minus(x.diag_term(a_mat, left=True)), x1.diag_term(a_mat, left=False)]
 
 
 def _commutator_site(c: MatSeries, c1: MatSeries, u: SmallMatrix, *,
@@ -419,26 +529,25 @@ def _commutator_site(c: MatSeries, c1: MatSeries, u: SmallMatrix, *,
     """[P, L]_D at one site from c = P(n), c1 = P(n+1) (one band) and u = U(n).
 
     Degree d reads ``((c1_d U) - (U c_d)) - Delta c_d`` minus the z-term
-    ``(c1_(d-1) A) - (A c_(d-1))``.  A fully known band [lo, hi] gives
-    [lo, hi + 1]; validity from v gives [v + 1, hi + 1], valid from v + 1.
+    ``(c1_(d-1) A) - (A c_(d-1))``, whose products with the diagonal A are
+    column and row scalings.  Bands as in ``_site_band``.
     """
-    top = c.hi
-    _check_knows_a_degree(c.lo if c.valid_lo is None else c.valid_lo, top)
-    vlo = None if c.valid_lo is None else c.valid_lo + 1
-    first = c.lo if vlo is None else vlo
+    first, vlo = _site_band(c)
     coeffs = []
-    for i in range(first - c.lo, top - c.lo + 1):
+    for i in range(first - c.lo, c.hi - c.lo + 1):
         x, x1 = c.coeffs[i], c1.coeffs[i]
-        dc = x1 - x
-        if inv is not None:
-            dc = dc.scale(inv)
-        out = ((x1 @ u) - (u @ x)) - dc
+        out = ((x1 @ u) - (u @ x)) - _delta(x, x1, inv)
         if i > 0:
-            out = out - ((c1.coeffs[i - 1] @ a_mat) - (a_mat @ c.coeffs[i - 1]))
+            out = out - _z_term(c.coeffs[i - 1], c1.coeffs[i - 1], a_mat)
         coeffs.append(out)
     x, x1 = c.coeffs[-1], c1.coeffs[-1]
-    coeffs.append(SmallMatrix.zero(c.m, c.mode) - ((x1 @ a_mat) - (a_mat @ x)))
-    return MatSeries(c.m, c.mode, first, top + 1, tuple(coeffs), vlo)
+    coeffs.append(SmallMatrix.zero(c.m, c.mode) - _z_term(x, x1, a_mat))
+    return MatSeries(c.m, c.mode, first, c.hi + 1, tuple(coeffs), vlo)
+
+
+def _z_term(x: SmallMatrix, x1: SmallMatrix, a_mat: SmallMatrix) -> SmallMatrix:
+    """``(x1 A) - (A x)`` by a column and a row scaling."""
+    return x1.mul_diag(a_mat, left=False) - x.mul_diag(a_mat, left=True)
 
 
 # -- projections and the hierarchy flow field ----------------------------------------------

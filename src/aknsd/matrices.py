@@ -9,15 +9,22 @@ A rational matrix is stored as integer numerator rows over one positive
 common denominator, kept canonical: the gcd of every numerator and the
 denominator is 1, so equal matrices have equal fields.  The ring operations
 work on Python ints (entries outgrow 64 bits) and make each result canonical
-with one gcd sweep; ``sum_of_products`` sums its products unreduced over the
-lcm of their denominators and sweeps once, on the finished sum.  ``rows`` and
-``get`` hand out ``Fraction`` entries in lowest terms; ``numerators`` and
-``from_lowest_terms`` are the integer view for exact kernels outside this
-module.  A float matrix stores its rows of doubles directly.
+with one gcd sweep.  A sum of several terms is made canonical once: its
+terms are scaled to the lcm of their denominators (``_lcm_scales``), summed
+unreduced, and the finished sum is swept.  ``from_terms`` sums integer terms
+(numerator rows over a denominator), ``sum_of_products`` sums products as
+such terms, and ``sum_of_rank_one`` sums scaled outer products in one
+integer product.
+``rows`` and ``get`` hand out ``Fraction`` entries in lowest terms, and fill a
+cache to do it; ``numerators``, ``product_term``, ``diag_term``,
+``from_terms`` and ``from_lowest_terms`` are the integer view for exact
+kernels outside this module.  A float matrix stores its rows of doubles
+directly.
 
 Both modes form a product with the one row-times-column helper
 ``_product``: on the integer numerators, or on the doubles, where it sums in
-the same order as a plain loop and so is bit for bit the same.
+the same order as a plain loop and so is bit for bit the same.  A product
+with a diagonal matrix is a row or column scaling (``_diag_product``).
 """
 
 from __future__ import annotations
@@ -42,6 +49,32 @@ def _product(a: tuple, b: tuple) -> tuple:
     """
     cols = tuple(zip(*b))
     return tuple([tuple([sum(map(mul, row, col)) for col in cols]) for row in a])
+
+
+def _diag_product(d: tuple, rows: tuple, left: bool) -> tuple:
+    """``diag(d) @ rows`` when ``left``, else ``rows @ diag(d)``: a row or column scaling.
+
+    Each entry is ``0 + d_r * x`` (or ``0 + x * d_k``), the one term of the
+    ``_product`` entry whose diagonal factor is not zero.  On integer
+    numerators that is the entry.  On doubles the other terms are +-0.0 when
+    the entries are finite, and ``0 + (-0.0)`` is ``0.0``, so it is the
+    ``_product`` entry bit for bit; only an inf elsewhere in the row or column
+    differs, where the product has nan (``0.0 * inf``) and the scaling does not.
+    """
+    if left:
+        return tuple([tuple([0 + s * x for x in row]) for s, row in zip(d, rows)])
+    return tuple([tuple([0 + x * s for x, s in zip(row, d)]) for row in rows])
+
+
+def _lcm_scales(dens: list) -> tuple:
+    """The lcm of nonzero denominators and the factor that takes each one to it.
+
+    A sum of terms ``num / d`` is ``sum(num * factor) / lcm``; summed
+    unreduced, it needs one gcd sweep at the end.  A negative ``d`` has a
+    negative factor, so its term is subtracted.
+    """
+    den = lcm(*dens)
+    return den, [den // d for d in dens]
 
 
 def _fraction(x) -> Fraction:
@@ -117,9 +150,30 @@ class SmallMatrix:
         of the lcm divides some q to its full power, and that entry's
         ``p * (lcm // q)`` not at all.  So no gcd sweep is run.
         """
-        den = lcm(*(q for row in entries for _, q in row))
+        den = lcm(*[q for row in entries for _, q in row])
         return cls._canonical(len(entries), tuple(
-            tuple(p * (den // q) for p, q in row) for row in entries), den)
+            [tuple([p * (den // q) for p, q in row]) for row in entries]), den)
+
+    @classmethod
+    def from_terms(cls, terms, m: int) -> "SmallMatrix":
+        """The rational sum of integer terms ``(numerator rows, denominator)``.
+
+        Each term is ``rows / den`` for a nonzero ``den``, not necessarily
+        reduced; a negative ``den`` subtracts it.  The numerators are scaled to
+        the lcm of the denominators and summed unreduced, and the finished sum
+        gets the one gcd sweep; a single term over a positive denominator is
+        swept as it is.  No terms give the shared zero.
+        """
+        terms = list(terms)
+        if not terms:
+            return cls.zero(m, scalars.RATIONAL)
+        if len(terms) == 1 and terms[0][1] > 0:
+            return cls._exact(m, *terms[0])
+        den, scales = _lcm_scales([d for _, d in terms])
+        flat = tuple(map(sum, zip(*(
+            chain.from_iterable(num) if f == 1 else [f * x for x in chain.from_iterable(num)]
+            for (num, _), f in zip(terms, scales)))))
+        return cls._exact(m, tuple(flat[r * m:(r + 1) * m] for r in range(m)), den)
 
     @staticmethod
     @cache  # immutable, and at most one per (m, mode): share it
@@ -250,17 +304,42 @@ class SmallMatrix:
         self._compat(other)
         if self._den is None:
             return SmallMatrix._floats(self.m, _product(self._rows, other._rows))
-        return SmallMatrix._exact(self.m, _product(self._num, other._num),
-                                  self._den * other._den)
+        return SmallMatrix._exact(self.m, *self.product_term(other))
+
+    def product_term(self, other: "SmallMatrix") -> tuple:
+        """``self @ other`` of two rational matrices as an unreduced ``from_terms`` term."""
+        self._compat(other)
+        return _product(self._num, other._num), self._den * other._den
+
+    def diag_term(self, diag: "SmallMatrix", *, left: bool) -> tuple:
+        """``diag @ self`` (``left``) or ``self @ diag`` as an unreduced term.
+
+        ``diag`` is a rational diagonal matrix; its off-diagonal entries are
+        not read.
+        """
+        self._compat(diag)
+        d = tuple(diag._num[i][i] for i in range(self.m))
+        return _diag_product(d, self._num, left), self._den * diag._den
+
+    def mul_diag(self, diag: "SmallMatrix", *, left: bool) -> "SmallMatrix":
+        """``diag @ self`` (``left``) or ``self @ diag`` for a diagonal ``diag``.
+
+        A row or column scaling (``_diag_product``); the off-diagonal entries
+        of ``diag`` are not read.
+        """
+        if self._den is not None:
+            return SmallMatrix._exact(self.m, *self.diag_term(diag, left=left))
+        self._compat(diag)
+        d = tuple(diag._rows[i][i] for i in range(self.m))
+        return SmallMatrix._floats(self.m, _diag_product(d, self._rows, left))
 
     @staticmethod
     def sum_of_products(pairs, m: int, mode: str) -> "SmallMatrix":
         """The sum of ``a @ b`` over the ``(a, b)`` pairs; zero for no pairs.
 
-        Rational: each product's numerator rows are scaled to the lcm of the
-        product denominators and summed unreduced, and the finished sum gets
-        the one gcd sweep.  Float: ``acc + (a @ b)`` from a zero ``acc``, in
-        pair order, exactly as a loop of ring operations adds them.
+        Rational: the products are ``from_terms`` terms, so the sum is swept
+        once.  Float: ``acc + (a @ b)`` from a zero ``acc``, in pair order,
+        exactly as a loop of ring operations adds them.
         """
         zero = SmallMatrix.zero(m, mode)
         if mode == scalars.FLOAT:
@@ -268,18 +347,47 @@ class SmallMatrix:
             for a, b in pairs:
                 acc = acc + (a @ b)
             return acc
-        prods = []
+        terms = []
+        for a, b in pairs:
+            zero._compat(a)
+            terms.append(a.product_term(b))
+        return SmallMatrix.from_terms(terms, m)
+
+    @staticmethod
+    def sum_of_rank_one(pairs, k: int, m: int, mode: str) -> "SmallMatrix":
+        """The sum of ``a @ E @ b`` over the ``(a, b)`` pairs, E the projector on index k.
+
+        ``k`` is 0-based.  Each term is the outer product of column k of ``a``
+        and row k of ``b``, so the sum is the product of the m x P matrix of
+        the columns and the P x m matrix of the rows: m*m products per pair,
+        where ``(a @ E) @ b`` forms two full products.  A pair whose column or
+        row is zero adds nothing and is skipped.  Rational: each column is
+        scaled to the lcm of the pair denominators (``_lcm_scales``) and the
+        integer product is swept once.  Float: each entry sums its products
+        from the integer 0 in pair order; for finite entries that is bit for
+        bit ``sum_of_products`` over the pairs ``(a @ E, b)`` (see
+        docs/derivations.md section 3).
+        """
+        zero = SmallMatrix.zero(m, mode)
+        exact = mode == scalars.RATIONAL
+        cols, rows, dens = [], [], []
         for a, b in pairs:
             zero._compat(a)
             a._compat(b)
-            prods.append((_product(a._num, b._num), a._den * b._den))
-        if not prods:
+            av, bv = (a._num, b._num) if exact else (a._rows, b._rows)
+            col, row = tuple([r[k] for r in av]), bv[k]
+            if any(col) and any(row):
+                cols.append(col)
+                rows.append(row)
+                if exact:
+                    dens.append(a._den * b._den)
+        if not cols:
             return zero
-        den = lcm(*(d for _, d in prods))
-        flat = tuple(map(sum, zip(*(
-            chain.from_iterable(num) if d == den else
-            [x * (den // d) for x in chain.from_iterable(num)] for num, d in prods))))
-        return SmallMatrix._exact(m, tuple(flat[r * m:(r + 1) * m] for r in range(m)), den)
+        if not exact:
+            return SmallMatrix._floats(m, _product(tuple(zip(*cols)), rows))
+        den, scales = _lcm_scales(dens)
+        cols = [col if f == 1 else [f * x for x in col] for col, f in zip(cols, scales)]
+        return SmallMatrix._exact(m, _product(tuple(zip(*cols)), rows), den)
 
     def transpose(self) -> "SmallMatrix":
         if self._den is None:

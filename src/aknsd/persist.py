@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import csv
 import json
+import re
+from math import gcd
 
 from . import scalars
 from .config import _integer
@@ -30,13 +32,54 @@ _WINDOW_KEYS = ("n_min", "n_max", "halo")
 
 
 def _value_to_json(v: SmallMatrix) -> list:
-    """A matrix as its row-major entry strings, each round-tripping exactly."""
-    return [scalars.format_scalar(x) for row in v.rows for x in row]
+    """A matrix as its row-major entry strings, each round-tripping exactly.
+
+    A rational entry is written from the integer numerators, as
+    ``format_scalar`` writes its ``Fraction``: ``p/q`` in lowest terms, ``p``
+    when q is 1.
+    """
+    if v.mode == scalars.FLOAT:
+        return [scalars.format_scalar(x) for row in v.rows for x in row]
+    num, den = v.numerators()
+    return [_lowest_text(x, den) for row in num for x in row]
+
+
+def _lowest_text(p: int, q: int) -> str:
+    g = gcd(p, q)
+    return str(p // g) if q == g else f"{p // g}/{q // g}"
 
 
 def _value_from_json(entries, m: int, mode: str) -> SmallMatrix:
-    vals = [_scalar(x, mode) for x in _list(entries, "a value", m * m)]
+    entries = _list(entries, "a value", m * m)
+    pairs = _lowest_terms(entries) if mode == scalars.RATIONAL else None
+    if pairs is not None:
+        return SmallMatrix.from_lowest_terms(
+            tuple(pairs[i * m:(i + 1) * m] for i in range(m)))
+    vals = [_scalar(x, mode) for x in entries]
     return SmallMatrix(m, mode, tuple(tuple(vals[i * m:(i + 1) * m]) for i in range(m)))
+
+
+_CANONICAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+
+
+def _lowest_terms(entries) -> list | None:
+    """The entries as integer ``(p, q)`` pairs if each is written in lowest terms.
+
+    That is what ``format_scalar`` writes: ``p`` or ``p/q`` with ASCII digits,
+    ``q > 0`` and ``gcd(p, q) == 1``; those strings read as exactly ``p/q``.
+    Any other entry gives None, and the value is read by ``_scalar``, which
+    accepts and refuses what it always has.
+    """
+    pairs = []
+    for text in entries:
+        match = isinstance(text, str) and _CANONICAL.fullmatch(text)
+        if not match:
+            return None
+        p, q = int(match[1]), int(match[2] or 1)
+        if q == 0 or gcd(p, q) != 1:
+            return None
+        pairs.append((p, q))
+    return pairs
 
 
 def lattice_to_json(f: LatticeFn) -> dict:

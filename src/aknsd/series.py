@@ -138,16 +138,6 @@ class MatSeries:
         vlo = None if self.valid_lo is None else self.valid_lo + j
         return MatSeries(self.m, self.mode, self.lo + j, self.hi + j, self.coeffs, vlo)
 
-    def left_mul_mat(self, mat: SmallMatrix) -> "MatSeries":
-        return MatSeries(self.m, self.mode, self.lo, self.hi,
-                         tuple(mat @ c for c in self.coeffs),
-                         self.valid_lo)
-
-    def right_mul_mat(self, mat: SmallMatrix) -> "MatSeries":
-        return MatSeries(self.m, self.mode, self.lo, self.hi,
-                         tuple(c @ mat for c in self.coeffs),
-                         self.valid_lo)
-
     # -- predicates / norms ------------------------------------------------------
 
     def max_abs(self):
@@ -191,8 +181,14 @@ def _combine(a: MatSeries, b: MatSeries, sign: int) -> MatSeries:
     return MatSeries(a.m, a.mode, lo, hi, coeffs, vlo)
 
 
-def series_mul(a: MatSeries, b: MatSeries) -> MatSeries:
-    """Cauchy product with sound validity bookkeeping."""
+def product_band(a: MatSeries, b: MatSeries) -> tuple:
+    """``(lo, hi, valid_lo)`` of the Cauchy product of ``a`` and ``b``.
+
+    The product is exact from ``max(valid_lo_a + hi_b, valid_lo_b + hi_a)``
+    (see the module docstring) and its band starts there; two fully known
+    factors give a fully known product.  A product that would know no degree
+    is refused.
+    """
     a._compat(b)
     hi = a.hi + b.hi
     lo_true = a.lo + b.lo
@@ -200,6 +196,12 @@ def series_mul(a: MatSeries, b: MatSeries) -> MatSeries:
     vlo = max(cands + [lo_true]) if cands else None
     band_lo = lo_true if vlo is None else vlo
     _check_knows_a_degree(band_lo, hi)
+    return band_lo, hi, vlo
+
+
+def series_mul(a: MatSeries, b: MatSeries) -> MatSeries:
+    """Cauchy product with sound validity bookkeeping."""
+    band_lo, hi, vlo = product_band(a, b)
     a_nz = [not c.is_zero() for c in a.coeffs]
     b_nz = [not c.is_zero() for c in b.coeffs]
 

@@ -57,6 +57,16 @@ def ref_inverse(a):
     return [row[m:] for row in aug]
 
 
+def left_mul(mat, s):
+    """``mat @ s`` for a matrix and a series: each coefficient multiplied on the left."""
+    return MatSeries(s.m, s.mode, s.lo, s.hi, tuple(mat @ c for c in s.coeffs), s.valid_lo)
+
+
+def right_mul(s, mat):
+    """``s @ mat`` for a series and a matrix: each coefficient multiplied on the right."""
+    return MatSeries(s.m, s.mode, s.lo, s.hi, tuple(c @ mat for c in s.coeffs), s.valid_lo)
+
+
 def ref_commutator(P, data, U):
     """[P, L]_D as a composition of whole-lattice series operations.
 
@@ -68,12 +78,45 @@ def ref_commutator(P, data, U):
     d_p = delta_apply(P, "forward")
     lam_p = shift_apply(P, 1)
     lo, hi = lam_p.lo, lam_p.hi
-    z_term = lam_p.map(lambda s: s.right_mul_mat(a_mat)) - \
-        P.map(lambda s: s.left_mul_mat(a_mat)).restrict(lo, hi)
+    z_term = lam_p.map(lambda s: right_mul(s, a_mat)) - \
+        P.map(lambda s: left_mul(a_mat, s)).restrict(lo, hi)
     z_term = z_term.map(lambda s: s.shift_degree(1))
-    u_term = lam_p.zip_with(U.restrict(lo, hi), lambda s, u: s.right_mul_mat(u)) - \
-        P.zip_with(U, lambda s, u: s.left_mul_mat(u)).restrict(lo, hi)
+    u_term = lam_p.zip_with(U.restrict(lo, hi), right_mul) - \
+        P.zip_with(U, lambda s, u: left_mul(u, s)).restrict(lo, hi)
     return u_term - d_p - z_term
+
+
+def ref_dressed_resolvent(state, alpha):
+    """R_alpha = w_hat E_alpha w_hat^{-1} as two series products per site."""
+    e_alpha = MatSeries.constant(state.data.projector(alpha))
+    return state.hat.zip_with(state.hat_inverse,
+                              lambda w, wi: series_mul(series_mul(w, e_alpha), wi))
+
+
+def ref_dressing_defect(state):
+    """Delta w_hat + U w_hat - z A w_hat + z (Lambda w_hat) A as whole-lattice sums.
+
+    The z-terms keep the tails unmapped, so the tails are not (T') of the tails.
+    """
+    a_mat = state.data.matrix
+    hat = state.hat
+    lam_hat = shift_apply(hat, 1)
+    d_hat = delta_apply(hat, "forward")
+    u_term = state.U.zip_with(hat, lambda u, s: left_mul(u, s))
+    za_term = hat.map(lambda s: left_mul(a_mat, s).shift_degree(1), map_tails=False)
+    lam_term = lam_hat.map(lambda s: right_mul(s, a_mat).shift_degree(1), map_tails=False)
+    return (d_hat + u_term.restrict(d_hat.lo, d_hat.hi)) - \
+        za_term.restrict(d_hat.lo, d_hat.hi) + lam_term
+
+
+def ref_direct_rhs(r_prev, U):
+    """Delta r - ((Lambda r) U - U r) over the lattice, from three ``zip_with`` lambdas."""
+    d_prev = delta_apply(r_prev, "forward")
+    lam_prev = shift_apply(r_prev, 1)
+    comm_u = lam_prev.zip_with(U.restrict(lam_prev.lo, lam_prev.hi),
+                               lambda r, u: r @ u) - \
+        U.zip_with(r_prev, lambda u, r: u @ r).restrict(lam_prev.lo, lam_prev.hi)
+    return d_prev - comm_u
 
 
 def assert_canonical(mat):

@@ -22,6 +22,7 @@ from aknsd.errors import ConfigError, SchemaError
 from aknsd.hierarchy import HierarchyState, dressing_residual, flow_field
 from aknsd.instances import DESK_WINDOW, desk_data, impulse_potential, random_potential
 from aknsd.lattice import LatticeFn, Window
+from aknsd.matrices import SmallMatrix
 from aknsd.persist import (
     load_state,
     read_trajectory_csv,
@@ -420,6 +421,48 @@ def test_cli_rejects_inconsistent_state_document(tmp_path, capsys, mutate):
         load_state(str(state))
     assert cli.main(["dress", "--config", str(config), "--state", str(state)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+# Entry strings the integer decoder must pass on to the Fraction reader: what
+# each loads to, or the SchemaError it raises, is what Fraction(text) gives.
+_ENTRY_TEXTS = [
+    ("2/4", Fraction(1, 2)), ("0/5", 0), ("-0", 0), ("1.5", Fraction(3, 2)),
+    ("+3", 3), (" 3", 3), ("1e2", 100), ("\u0663", 3),  # ARABIC-INDIC DIGIT THREE
+    ("-4/6", Fraction(-2, 3)), ("00", 0), ("1_0", 10), ("-7/3", Fraction(-7, 3)),
+    ("1/0", "invalid state document: Fraction(1, 0)"),
+    ("1/-2", "invalid state document: Invalid literal for Fraction: '1/-2'"),
+]
+
+
+@pytest.mark.parametrize("text,want", _ENTRY_TEXTS)
+def test_state_entries_decode_as_the_fraction_reader_reads_them(text, want):
+    doc = copy.deepcopy(_STATE)
+    doc["u"][3][1] = text
+    doc["dressing"][1][2][3] = text
+    if isinstance(want, str):
+        with pytest.raises(SchemaError) as err:
+            state_from_json(doc)
+        assert str(err.value) == want
+        return
+    state = state_from_json(doc)
+    for v, entries in ((state.U.values[3], doc["u"][3]),
+                       (state.dressing.ws[1].values[2], doc["dressing"][1][2])):
+        x = [Fraction(e) for e in entries]
+        assert v == SmallMatrix(2, "rational", (tuple(x[:2]), tuple(x[2:])))
+    assert state.U.values[3].get(1, 2) == want
+    assert state.dressing.ws[1].values[2].get(2, 2) == want
+
+
+def test_dress_refuses_a_state_entry_with_a_zero_denominator(tmp_path, capsys):
+    config = tmp_path / "c.json"
+    config.write_text(MINIMAL)
+    state = tmp_path / "state.json"
+    assert cli.main(["dress", "--config", str(config), "--out", str(state)]) == 0
+    doc = json.loads(state.read_text())
+    doc["u"][0][1] = "1/0"
+    state.write_text(json.dumps(doc))
+    assert cli.main(["dress", "--config", str(config), "--state", str(state)]) == 2
+    assert capsys.readouterr().err.startswith("error: invalid state document: Fraction(1, 0)")
 
 
 def test_trajectory_csv_roundtrip(tmp_path):

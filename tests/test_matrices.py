@@ -133,6 +133,39 @@ def test_float_product_and_difference_are_the_generator_forms(ops):
     assert repr(got_sub.rows) == repr(want_sub)
 
 
+finite = st.one_of(st.sampled_from([0.0, -0.0]),
+                   st.floats(allow_nan=False, allow_infinity=False, width=16))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda m: st.tuples(
+    st.lists(st.lists(finite, min_size=m, max_size=m), min_size=m, max_size=m),
+    st.lists(finite, min_size=m, max_size=m))))
+def test_diagonal_scaling_is_the_product_with_the_diagonal(case):
+    # bit for bit for finite entries, signed zeros included
+    rows, d = case
+    c = SmallMatrix(len(rows), "float", rows)
+    a = SmallMatrix.diag(d, "float")
+    assert repr(c.mul_diag(a, left=True).rows) == repr((a @ c).rows)
+    assert repr(c.mul_diag(a, left=False).rows) == repr((c @ a).rows)
+
+
+@settings(max_examples=100, deadline=None)
+@given(operands(1), st.lists(small, min_size=4, max_size=4))
+def test_exact_diagonal_scaling_and_terms(ops, d):
+    m, (rows,) = ops
+    c, a = SmallMatrix(m, RAT, rows), SmallMatrix.diag(d[:m], RAT)
+    for left, want in ((True, a @ c), (False, c @ a)):
+        got = c.mul_diag(a, left=left)
+        assert got == want
+        assert_canonical(got)
+        assert SmallMatrix.from_terms([c.diag_term(a, left=left)], m) == want
+    # a negative denominator subtracts its term; no terms give the shared zero
+    num, den = c.numerators()
+    assert SmallMatrix.from_terms([c.product_term(a), (num, -den)], m) == c @ a - c
+    assert SmallMatrix.from_terms([], m) is SmallMatrix.zero(m, RAT)
+
+
 @settings(max_examples=100, deadline=None)
 @given(operands(1))
 def test_lowest_terms_entries_round_trip_through_numerators(ops):
