@@ -323,23 +323,17 @@ def bilinear_residual(state: HierarchyState, l_max: int, m_delta: int,
     """
     expr = bilinear_expression(state, m_delta, word, path=path, fd_step=fd_step)
     expr = expr.restrict(state.window.n_min, state.window.n_max)
-    res_max = scalars.zero(state.mode)
-    neg_max = scalars.zero(state.mode)
-    for n in expr.sites():
-        s = expr.at(n)
+    sites = [expr.at(n) for n in expr.sites()]
+    for s in sites:
         if not s.valid_at(-1 - l_max):
             raise ValidityError(
                 f"depth budget exceeded: residues need degree {-1 - l_max}, "
                 f"valid band starts at {s.valid_lo}"
             )
-        for l in range(l_max + 1):
-            v = s.get(-1 - l).max_abs()
-            if v > res_max:
-                res_max = v
-        for d in range(min(s.valid_degrees().start, 0), 0):
-            v = s.get(d).max_abs()
-            if v > neg_max:
-                neg_max = v
+    res_max = scalars.max_of((s.get(-1 - l).max_abs() for s in sites
+                              for l in range(l_max + 1)), state.mode)
+    neg_max = scalars.max_of((s.get(d).max_abs() for s in sites
+                              for d in range(min(s.valid_degrees().start, 0), 0)), state.mode)
     return res_max + neg_max
 
 

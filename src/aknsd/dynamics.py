@@ -10,7 +10,9 @@ verifier's finite-difference path relies on.
 Support growth is handled by window padding plus a leakage monitor rather
 than adaptive windows; a stage's field is one site narrower than the stored
 range, and the missing edge value is frozen (it feeds back into no interior
-site of the recursions).
+site of the recursions).  The stage updates ``u + c f`` (``_axpy``) are one
+entrywise pass per site in float mode, bit for bit the ring operations, and
+a potential that is no longer finite is refused.
 """
 
 from __future__ import annotations
@@ -67,7 +69,22 @@ def _pad_field(f: LatticeFn, lo: int, hi: int) -> LatticeFn:
 
 
 def _axpy(u: LatticeFn, c, f: LatticeFn) -> LatticeFn:
-    return u.zip_with(f, lambda a, b: a + b.scale(c))
+    """``u + c f`` site by site: ``a + b.scale(c)``, in float mode one entrywise pass.
+
+    A float entry is ``x + s * y`` with ``s = float(c)``, the operation order
+    of ``a + b.scale(c)``, so the doubles are the same bit for bit.  A rational
+    lattice keeps the ring operations and stays exact for a ``Fraction`` c.
+    """
+    if u.mode != scalars.FLOAT:
+        return u.zip_with(f, lambda a, b: a + b.scale(c))
+    s = scalars.as_scalar(c, scalars.FLOAT)
+
+    def site(a: SmallMatrix, b: SmallMatrix) -> SmallMatrix:
+        a._compat(b)
+        return SmallMatrix._floats(a.m, tuple([tuple([x + s * y for x, y in zip(ar, br)])
+                                               for ar, br in zip(a.rows, b.rows)]))
+
+    return u.zip_with(f, site)
 
 
 def make_field_fn(data: AknsData, flow: FlowIndex) -> Callable[[LatticeFn], LatticeFn]:
@@ -91,14 +108,10 @@ def rk4_step(u: LatticeFn, h, field_fn) -> LatticeFn:
 
 def _leakage(u: LatticeFn, window: Window):
     """(max over the two outermost stored sites each side, max over the window)."""
-    interior = max(
-        (u.at(n).max_abs() for n in range(window.n_min, window.n_max + 1)),
-        default=0.0,
-    )
+    interior = site_max(u, sites=range(window.n_min, window.n_max + 1))
     edge_sites = list(range(u.lo, min(u.lo + 2, u.hi + 1))) + \
         list(range(max(u.hi - 1, u.lo), u.hi + 1))
-    boundary = max((u.at(n).max_abs() for n in edge_sites), default=0.0)
-    return boundary, interior
+    return site_max(u, sites=edge_sites), interior
 
 
 def rk4_evolve(state: HierarchyState, flow: FlowIndex, h, steps: int) -> Trajectory:
@@ -125,6 +138,10 @@ def integrate(data: AknsData, u: LatticeFn, window: Window, flow: FlowIndex,
     for s in range(1, steps + 1):
         u = rk4_step(u, h, field_fn)
         boundary, interior = _leakage(u, window)
+        if not (math.isfinite(boundary) and math.isfinite(interior)):
+            raise ConsistencyError(
+                f"non-finite potential at step {s} (boundary {boundary}, interior {interior})"
+            )
         scale = max(interior, 1e-300)
         if boundary > LEAK_HARD * scale:
             raise ConsistencyError(

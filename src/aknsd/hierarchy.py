@@ -44,9 +44,12 @@ degree, from the values at n and n + 1 alone:
 
 A is diagonal, so its products are row and column scalings.  In rational mode
 each coefficient of the first three is one ``SmallMatrix.from_terms`` sum,
-swept once; in float mode each keeps the operation order of the whole-lattice
-composition it replaces, so float results are the same bit for bit (see
-docs/derivations.md sections 2 and 3).
+swept once, and the commutator is composed from ring operations.  In float
+mode every kernel keeps the operation order of the ring operations it
+replaces, so float results are the same bit for bit; ``_direct_rhs_site``
+and ``_commutator_site``, which carry every flow evaluation, form each
+coefficient in one entrywise pass over the row tuples, with the products
+from ``matrices._product`` (see docs/derivations.md sections 2, 3 and 4).
 """
 
 from __future__ import annotations
@@ -58,7 +61,7 @@ from math import gcd
 from . import scalars
 from .errors import ConsistencyError, DimensionError, InstanceError, ValidityError
 from .lattice import LatticeFn, Window, delta_apply, site_max
-from .matrices import SmallMatrix
+from .matrices import SmallMatrix, _product
 from .series import (
     MatSeries,
     _check_knows_a_degree,
@@ -153,16 +156,11 @@ def _orders_to_series(orders: list, m: int) -> LatticeFn:
     """Per site, the series sum_k orders[k](n) z^-k, valid through its depth."""
     first = orders[0]
     depth = len(orders) - 1
-
-    def site_series(n):
-        return MatSeries.from_coeffs(
-            {-k: f.at(n) for k, f in enumerate(orders)}, m, first.mode,
-            lo=-depth, hi=0, valid_lo=-depth,
-        )
-
+    top_down = orders[::-1]
+    vals = tuple(MatSeries(m, first.mode, -depth, 0, tuple(f.at(n) for f in top_down), -depth)
+                 for n in first.sites())
     zero = MatSeries.zero(m, first.mode)
-    return LatticeFn(first.lo, first.hi, tuple(site_series(n) for n in first.sites()),
-                     zero, zero, first.step, first.mode)
+    return LatticeFn(first.lo, first.hi, vals, zero, zero, first.step, first.mode)
 
 
 def solve_two_point(a_i, a_j, rhs, lo: int, hi: int, direction: str, mode: str):
@@ -228,8 +226,9 @@ def _solve_order(data: AknsData, rhs: LatticeFn, lo: int, hi: int) -> LatticeFn:
     mode = rhs.mode
     pairs = [(i, j) for i in range(1, m + 1) for j in range(1, m + 1)]
     if mode == scalars.FLOAT:
+        parts = [(n, rhs.at(n).rows) for n in range(lo, hi)]
         cols = [solve_two_point(data.a[i - 1], data.a[j - 1],
-                                {n: rhs.at(n).get(i, j) for n in range(lo, hi)},
+                                {n: rows[i - 1][j - 1] for n, rows in parts},
                                 lo, hi, data.direction(i, j), mode) for i, j in pairs]
         build = partial(SmallMatrix, m, mode)
     else:
@@ -428,11 +427,18 @@ def resolvent_direct(data: AknsData, U: LatticeFn, alpha: int, depth: int) -> Re
 def _direct_rhs_site(r: SmallMatrix, r1: SmallMatrix, u: SmallMatrix, inv) -> SmallMatrix:
     """``Delta r - ((Lambda r) U - U r)`` at one site, from r = R(n) and r1 = R(n+1).
 
-    Float: in this operation order.  Rational: one ``from_terms`` sum, without
-    the U terms where U(n) is zero.
+    Float: one entrywise pass, ``D_rk - ((r1 U)_rk - (U r)_rk)`` with the
+    difference ``D`` of ``_delta``, in this operation order.  Rational: one
+    ``from_terms`` sum, without the U terms where U(n) is zero.
     """
     if r.mode == scalars.FLOAT:
-        return _delta(r, r1, inv) - ((r1 @ u) - (u @ r))
+        r._compat(u)
+        r1._compat(u)
+        x, x1 = r.rows, r1.rows
+        return SmallMatrix._floats(r.m, tuple([tuple([
+            (b - e if inv is None else inv * (b - e)) - (p - q)
+            for p, q, e, b in zip(pr, qr, xr, x1r)])
+            for pr, qr, xr, x1r in zip(_product(x1, u.rows), _product(u.rows, x), x, x1)]))
     terms = _delta_terms(r, r1, inv)
     if not u.is_zero():  # an exact zero term adds nothing
         terms += [_minus(r1.product_term(u)), u.product_term(r)]
@@ -530,19 +536,60 @@ def _commutator_site(c: MatSeries, c1: MatSeries, u: SmallMatrix, *,
 
     Degree d reads ``((c1_d U) - (U c_d)) - Delta c_d`` minus the z-term
     ``(c1_(d-1) A) - (A c_(d-1))``, whose products with the diagonal A are
-    column and row scalings.  Bands as in ``_site_band``.
+    column and row scalings; the top degree d = hi + 1 is the zero minus its
+    z-term.  Bands as in ``_site_band``.  Float coefficients come from
+    ``_commutator_floats``, rational ones from the ring operations.
     """
     first, vlo = _site_band(c)
-    coeffs = []
-    for i in range(first - c.lo, c.hi - c.lo + 1):
-        x, x1 = c.coeffs[i], c1.coeffs[i]
-        out = ((x1 @ u) - (u @ x)) - _delta(x, x1, inv)
-        if i > 0:
-            out = out - _z_term(c.coeffs[i - 1], c1.coeffs[i - 1], a_mat)
-        coeffs.append(out)
-    x, x1 = c.coeffs[-1], c1.coeffs[-1]
-    coeffs.append(SmallMatrix.zero(c.m, c.mode) - _z_term(x, x1, a_mat))
+    if c.mode == scalars.FLOAT:
+        coeffs = _commutator_floats(c, c1, u, a_mat, inv, first)
+    else:
+        coeffs = []
+        for i in range(first - c.lo, c.hi - c.lo + 1):
+            x, x1 = c.coeffs[i], c1.coeffs[i]
+            out = ((x1 @ u) - (u @ x)) - _delta(x, x1, inv)
+            if i > 0:
+                out = out - _z_term(c.coeffs[i - 1], c1.coeffs[i - 1], a_mat)
+            coeffs.append(out)
+        x, x1 = c.coeffs[-1], c1.coeffs[-1]
+        coeffs.append(SmallMatrix.zero(c.m, c.mode) - _z_term(x, x1, a_mat))
     return MatSeries(c.m, c.mode, first, c.hi + 1, tuple(coeffs), vlo)
+
+
+def _commutator_floats(c: MatSeries, c1: MatSeries, u: SmallMatrix, a_mat: SmallMatrix,
+                       inv, first: int) -> list:
+    """The float coefficients of ``_commutator_site``, one entrywise pass each.
+
+    Entry (r, k) of degree d is
+    ``((p - q) - D) - ((0 + x1'_rk a_k) - (0 + a_r x'_rk))`` with
+    ``p = (c1_d U)_rk``, ``q = (U c_d)_rk`` (``_product``), ``D`` the
+    difference of ``_delta`` and ``x' = c_(d-1)``, ``x1' = c1_(d-1)``: the
+    operation order of the ring operations, so the doubles are the same bit
+    for bit (docs/derivations.md section 4).  Below a fully known band the
+    coefficient is the zero matrix, whose z-term is +0.0 for a finite A, and
+    ``v - 0.0`` is v.  The top degree is ``0.0 - z``.
+    """
+    c._compat(c1)
+    c.coeffs[0]._compat(u)
+    m = c.m
+    a = tuple(a_mat.rows[r][r] for r in range(m))
+    zero = SmallMatrix.zero(m, scalars.FLOAT).rows
+    xs = (zero, *[x.rows for x in c.coeffs])
+    x1s = (zero, *[x.rows for x in c1.coeffs])
+    ur = u.rows
+    coeffs = []
+    for i in range(first - c.lo + 1, len(xs)):
+        x, x1, xp, x1p = xs[i], x1s[i], xs[i - 1], x1s[i - 1]
+        coeffs.append(SmallMatrix._floats(m, tuple([tuple([
+            ((p - q) - (b - e if inv is None else inv * (b - e)))
+            - ((0 + bp * ak) - (0 + ar * ep))
+            for p, q, e, b, ep, bp, ak in zip(pr, qr, xr, x1r, xpr, x1pr, a)])
+            for pr, qr, xr, x1r, xpr, x1pr, ar
+            in zip(_product(x1, ur), _product(ur, x), x, x1, xp, x1p, a)])))
+    coeffs.append(SmallMatrix._floats(m, tuple([tuple([
+        0.0 - ((0 + bp * ak) - (0 + ar * ep)) for ep, bp, ak in zip(xpr, x1pr, a)])
+        for xpr, x1pr, ar in zip(xs[-1], x1s[-1], a)])))
+    return coeffs
 
 
 def _z_term(x: SmallMatrix, x1: SmallMatrix, a_mat: SmallMatrix) -> SmallMatrix:
@@ -572,15 +619,16 @@ def flow_field(data: AknsData, U: LatticeFn, k: int, alpha: int, *,
 
     ``B = (z^k R_alpha)_+`` comes from the direct resolvent R_(0)..R_(k), all
     that B holds; no dressing is solved.  Every coefficient at z-degree >= 1
-    must vanish (up to ``tol``; exactly in rational mode).  The full degree-0
-    coefficient is returned; its diagonal, measured by ``diagonal_drift``, is
-    the discrete gauge drift Delta of R_{(k+1),pp}.
+    must vanish (up to ``tol``; exactly in rational mode), and a nan among them
+    is refused as well.  The full degree-0 coefficient is returned; its
+    diagonal, measured by ``diagonal_drift``, is the discrete gauge drift
+    Delta of R_{(k+1),pp}.
     """
     b = projector_b(resolvent_direct(data, U, alpha, k), k, "plus")
     comm = commutator_with_l(b, data, U)
     pos = site_max(comm, lambda s: scalars.max_of(
         (s.get(d).max_abs() for d in range(max(1, s.lo), s.hi + 1)), s.mode))
-    if pos > tol:
+    if not pos <= tol:  # a nan fails it too
         raise ConsistencyError(
             f"positive z-degrees of the flow commutator do not vanish "
             f"(residual {pos})"

@@ -19,7 +19,9 @@ integer product.
 cache to do it; ``numerators``, ``product_term``, ``diag_term``,
 ``from_terms`` and ``from_lowest_terms`` are the integer view for exact
 kernels outside this module.  A float matrix stores its rows of doubles
-directly.
+directly; the fused float kernels of ``hierarchy`` and ``dynamics`` read
+them with ``rows``, form products with ``_product`` and wrap each result
+with ``_floats``.
 
 Both modes form a product with the one row-times-column helper
 ``_product``: on the integer numerators, or on the doubles, where it sums in
@@ -438,6 +440,7 @@ class SmallMatrix:
         return not any(chain.from_iterable(self._num))
 
     def max_abs(self):
+        """The largest entry magnitude; a nan entry makes it nan (``scalars.max_of``)."""
         if self._den is None:
-            return max(scalars.scalar_abs(a) for r in self._rows for a in r)
+            return scalars.max_of(map(abs, chain.from_iterable(self._rows)), self.mode)
         return Fraction(max(map(abs, chain.from_iterable(self._num))), self._den)

@@ -90,9 +90,13 @@ def max_of(values, mode: str) -> Scalar:
     """Largest of the magnitudes ``values``, starting from the zero of ``mode``.
 
     Starting from a typed zero keeps an exact zero rational (it renders "0").
+    A nan among the values is the result: it compares false with everything,
+    so a plain ``v > best`` scan would drop it and pass a check it fails.
     """
     best = zero(mode)
     for v in values:
-        if v > best:
+        if not v <= best:  # a larger v, or a nan
+            if v != v:
+                return v
             best = v
     return best

@@ -55,7 +55,8 @@ class MatSeries:
         for c in self.coeffs:
             if c.m != self.m:
                 raise DimensionError("coefficient dimension mismatch")
-            scalars.join_modes(c.mode, self.mode)
+            if c.mode != self.mode:
+                scalars.join_modes(c.mode, self.mode)
 
     # -- constructors --------------------------------------------------------
 
@@ -256,9 +257,7 @@ def series_project(a: MatSeries, part: str):
         if not a.valid_at(0):
             raise ValidityError("plus-projection needs degree 0 inside the valid band")
         hi = max(a.hi, 0)
-        return MatSeries.from_coeffs(
-            {d: a.get(d) for d in range(0, hi + 1)}, a.m, a.mode, lo=0, hi=hi
-        )
+        return MatSeries(a.m, a.mode, 0, hi, tuple(a.get(d) for d in range(0, hi + 1)), None)
     if part == "minus":
         if not a.valid_at(-1):
             raise ValidityError("minus-projection needs degree -1 inside the valid band")

@@ -119,6 +119,46 @@ def ref_direct_rhs(r_prev, U):
     return d_prev - comm_u
 
 
+def _ref_delta(x, x1, inv):
+    """``(x1 - x) / eps`` of one coefficient; ``inv`` is 1/eps, None for the unit step."""
+    dx = x1 - x
+    return dx if inv is None else dx.scale(inv)
+
+
+def _ref_z_term(x, x1, a_mat):
+    """``(x1 A) - (A x)`` by a column and a row scaling."""
+    return x1.mul_diag(a_mat, left=False) - x.mul_diag(a_mat, left=True)
+
+
+def ref_commutator_site(c, c1, u, a_mat, inv):
+    """The coefficients of [P, L]_D at one site, one ring operation at a time.
+
+    Degree d is ``((c1_d U) - (U c_d)) - Delta c_d`` minus the z-term of
+    degree d - 1 (none below a fully known band), and the top degree is the
+    zero matrix minus the z-term of the top coefficient.
+    """
+    first = c.lo if c.valid_lo is None else c.valid_lo + 1
+    coeffs = []
+    for i in range(first - c.lo, c.hi - c.lo + 1):
+        x, x1 = c.coeffs[i], c1.coeffs[i]
+        out = ((x1 @ u) - (u @ x)) - _ref_delta(x, x1, inv)
+        if i > 0:
+            out = out - _ref_z_term(c.coeffs[i - 1], c1.coeffs[i - 1], a_mat)
+        coeffs.append(out)
+    coeffs.append(SmallMatrix.zero(c.m, c.mode) - _ref_z_term(c.coeffs[-1], c1.coeffs[-1], a_mat))
+    return coeffs
+
+
+def ref_direct_rhs_site(r, r1, u, inv):
+    """``Delta r - ((Lambda r) U - U r)`` at one site by ring operations."""
+    return _ref_delta(r, r1, inv) - ((r1 @ u) - (u @ r))
+
+
+def ref_axpy(u, c, f):
+    """``u + c f`` over the lattice by ring operations."""
+    return u.zip_with(f, lambda a, b: a + b.scale(c))
+
+
 def assert_canonical(mat):
     """A rational matrix's numerators and denominator share no factor; den > 0."""
     num, den = mat.numerators()

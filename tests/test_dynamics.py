@@ -1,24 +1,28 @@
 """Time-evolution tests: integrator order, closed forms, commutativity."""
 
+from fractions import Fraction
 import math
 import random
 
 import pytest
 
-from aknsd import scalars
+from aknsd import dynamics, scalars
 from aknsd.dynamics import (
+    CONSISTENCY_TOL,
     FlowIndex,
     commutativity_defect,
     gaussian_bump_profile,
+    integrate,
     make_field_fn,
     rk4_evolve,
     rk4_step,
 )
-from aknsd.errors import ModeError
-from aknsd.hierarchy import HierarchyState, make_potential
+from aknsd.errors import ConsistencyError, ModeError
+from aknsd.hierarchy import HierarchyState, flow_field, make_potential
 from aknsd.instances import DESK_WINDOW, desk_data, random_potential, vacuum_potential
-from aknsd.lattice import Window
+from aknsd.lattice import LatticeFn, Window
 from aknsd.matrices import SmallMatrix
+from helpers import RAT, ref_axpy
 
 FLOAT = scalars.FLOAT
 WINDOW = Window(-6, 6, 5)
@@ -98,3 +102,53 @@ def test_commutativity_higher_flows():
                                          FlowIndex(1, 1), FlowIndex(0, 2), 0.05, 4)
     assert defect < 1e-6
     assert order >= 2.0
+
+
+def _nan_potential():
+    """desk_m2 in float mode on a small window, with a nan at (1,2) of the middle site."""
+    data = desk_data(2, FLOAT)
+    window = Window(-3, 3, 3)
+    u = random_potential(window, data, random.Random(1), span=2).map(lambda v: v.scale(0.1))
+    rows = [list(r) for r in u.at(0).rows]
+    rows[0][1] = math.nan
+    bad = SmallMatrix(2, FLOAT, tuple(map(tuple, rows)))
+    values = tuple(bad if n == 0 else u.at(n) for n in u.sites())
+    return data, window, LatticeFn.from_values(u.lo, values)
+
+
+def test_a_nan_potential_is_refused():
+    data, window, u = _nan_potential()
+    with pytest.raises(ConsistencyError, match="positive z-degrees"):
+        flow_field(data, u, 1, 1, tol=CONSISTENCY_TOL)
+    with pytest.raises(ConsistencyError):
+        integrate(data, u, window, FlowIndex(1, 1), 0.05, 3)
+
+
+def test_a_non_finite_step_result_is_refused(monkeypatch):
+    # the leakage monitor refuses a potential that is not finite, whatever
+    # its boundary-to-interior ratio
+    data, window, u = _nan_potential()
+    monkeypatch.setattr(dynamics, "rk4_step", lambda v, h, fn: u)
+    with pytest.raises(ConsistencyError, match="non-finite potential at step 1"):
+        integrate(data, u, window, FlowIndex(1, 1), 0.05, 3)
+
+
+def test_rk4_step_on_a_rational_lattice_is_exact():
+    # the fused float update leaves the rational ring operations in place
+    data = desk_data(2)
+    window = Window(-2, 2, 2)
+    u = random_potential(window, data, random.Random(4), span=1)
+    field_fn = make_field_fn(data, FlowIndex(1, 1))
+    h = Fraction(1, 10)
+    k1 = field_fn(u)
+    k2 = field_fn(ref_axpy(u, h / 2, k1))
+    k3 = field_fn(ref_axpy(u, h / 2, k2))
+    k4 = field_fn(ref_axpy(u, h, k3))
+    want = u
+    for c, k in ((h / 6, k1), (h / 3, k2), (h / 3, k3), (h / 6, k4)):
+        want = ref_axpy(want, c, k)
+    got = rk4_step(u, h, field_fn)
+    assert got.mode == RAT and (got.lo, got.hi) == (want.lo, want.hi)
+    assert got.values == want.values
+    assert not all(v.is_zero() for v in (got - u).values)
+    assert all(isinstance(x, Fraction) for v in got.values for row in v.rows for x in row)

@@ -10,6 +10,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from aknsd import scalars
 from aknsd.errors import DimensionError, ModeError, SingularError
 from aknsd.matrices import SmallMatrix
 from helpers import RAT, assert_canonical, ref_inverse, ref_matmul
@@ -209,3 +210,18 @@ def test_shape_is_checked():
         SmallMatrix(2, RAT, ((1, 0), (0,)))
     with pytest.raises(DimensionError):
         SmallMatrix.identity(2, RAT) @ SmallMatrix.identity(3, RAT)
+
+
+@pytest.mark.parametrize("pos", range(4))
+def test_max_abs_and_max_of_keep_a_nan(pos):
+    # a nan compares false with everything: max() and a `v > best` scan drop it
+    # unless it comes first, and a check on the maximum would then pass
+    rows = [[1.0, -2.0], [0.5, -0.0]]
+    rows[pos // 2][pos % 2] = float("nan")
+    v = SmallMatrix(2, "float", tuple(map(tuple, rows))).max_abs()
+    assert v != v
+    values = [1.0, 2.0, 0.5]
+    values.insert(pos % 3, float("nan"))
+    assert (w := scalars.max_of(values, scalars.FLOAT)) != w
+    assert scalars.max_of([-0.0, 0.5, 2.0, 1.0], scalars.FLOAT) == 2.0
+    assert scalars.max_of([], RAT) == 0 and isinstance(scalars.max_of([], RAT), Fraction)

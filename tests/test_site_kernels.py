@@ -4,21 +4,28 @@
 each site from the values at n and n + 1.  The references in ``helpers``
 compose the same objects from series products, shifts and ``zip_with``
 lambdas.  Both must give the same bands and, in float mode, the same doubles
-down to the sign of a zero.
+down to the sign of a zero.  The fused float kernels of the flow path
+(``_commutator_site``, ``_direct_rhs_site``, ``dynamics._axpy``) are held to
+the ring operations they fuse, bit for bit, non-finite entries included
+(a nan stays a nan).
 """
 
 from fractions import Fraction
+import math
 import random
+import struct
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from aknsd import scalars
 from aknsd.errors import ValidityError
+from aknsd.dynamics import _axpy
 from aknsd.hierarchy import (
     AknsData,
     Dressing,
     HierarchyState,
+    _commutator_site,
     _defect_site,
     _direct_rhs_site,
     _dressing_defect,
@@ -38,7 +45,10 @@ from aknsd.series import MatSeries, series_mul
 from helpers import (
     RAT,
     left_mul,
+    ref_axpy,
+    ref_commutator_site,
     ref_direct_rhs,
+    ref_direct_rhs_site,
     ref_dressed_resolvent,
     ref_dressing_defect,
     right_mul,
@@ -50,6 +60,10 @@ _ENTRIES = {
     RAT: (0, 0, 1, -1, 3, Fraction(1, 2), Fraction(-2, 3), Fraction(5, 4)),
     FLOAT: (0.0, -0.0, -0.0, 1.0, -1.0, 0.5, -2.25, 0.1, 3.0, -1e-3),
 }
+
+
+# float entries for the fused kernels: signed zeros, and inf and nan
+_WILD = _ENTRIES[FLOAT] + (math.inf, -math.inf, math.nan)
 
 
 def _assert_same(got, want):
@@ -230,3 +244,48 @@ def test_site_kernels_fill_no_fraction_row_cache(tmp_path):
     assert dressing_residual(state) == 0
     save_state(state, str(tmp_path / "state.json"))
     assert all(c._rows is None for c in lean)
+
+
+def _bits(mat):
+    """The entries' IEEE bit patterns, so a signed zero counts.
+
+    A nan is only "nan": CPython's inlined float operators and ``operator.sub``
+    may pick the other operand's nan, so its sign bit is not an output.
+    """
+    return ["nan" if x != x else struct.pack("d", x) for row in mat.rows for x in row]
+
+
+@st.composite
+def fused_case(draw):
+    """Float series of one band, a matrix lattice pair and a scalar, at m = 2 or 3."""
+    m = draw(st.integers(2, 3))
+    rnd = _Draw(draw, m, FLOAT)
+    entries = _WILD if draw(st.booleans()) else _ENTRIES[FLOAT]
+    rnd.matrix = lambda: SmallMatrix(m, FLOAT, tuple(
+        tuple(draw(st.sampled_from(entries)) for _ in range(m)) for _ in range(m)))
+    band = rnd.band()
+    step = draw(st.sampled_from([None, 0.5, 0.1]))  # 1/0.1 is not a power of two
+    lo = draw(st.integers(-2, 1))
+    hi = lo + draw(st.integers(0, 3))
+    scale = draw(st.sampled_from([0.5, 0.05 / 6, -0.3, 1 / 3, 0.0, -0.0]))
+    return (rnd.series(*band), rnd.series(*band), rnd.matrix(), _data(draw, m, FLOAT), step,
+            rnd.lattice(lo, hi, step), rnd.lattice(lo, hi, step), scale)
+
+
+@given(fused_case())
+@settings(max_examples=400, deadline=None)
+def test_fused_float_kernels_match_the_ring_operations_bit_for_bit(case):
+    c, c1, u, data, step, f, g, scale = case
+    a_mat = data.matrix
+    inv = None if step is None else 1.0 / step
+    got = _commutator_site(c, c1, u, a_mat=a_mat, inv=inv)
+    want = ref_commutator_site(c, c1, u, a_mat, inv)
+    assert got.hi == c.hi + 1 and len(got.coeffs) == len(want)
+    assert [_bits(x) for x in got.coeffs] == [_bits(x) for x in want]
+    for x, x1 in zip(c.coeffs, c1.coeffs):
+        assert _bits(_direct_rhs_site(x, x1, u, inv)) == _bits(ref_direct_rhs_site(x, x1, u, inv))
+    got, want = _axpy(f, scale, g), ref_axpy(f, scale, g)
+    assert (got.lo, got.hi, got.step, got.mode) == (want.lo, want.hi, want.step, want.mode)
+    for x, y in zip((*got.values, got.left_tail, got.right_tail),
+                    (*want.values, want.left_tail, want.right_tail)):
+        assert _bits(x) == _bits(y)
