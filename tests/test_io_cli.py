@@ -465,6 +465,22 @@ def test_dress_refuses_a_state_entry_with_a_zero_denominator(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: invalid state document: Fraction(1, 0)")
 
 
+def test_dress_fails_a_float_state_with_a_nan(tmp_path, capsys):
+    # a float state document may hold "nan"; its residual is nan, which must
+    # fail the check (it read 0.0 and passed while the maxima dropped a nan)
+    config = tmp_path / "c.json"
+    config.write_text(MINIMAL)
+    state = tmp_path / "state.json"
+    args = ["dress", "--config", str(config), "--mode", "float"]
+    assert cli.main(args + ["--out", str(state)]) == 0
+    doc = json.loads(state.read_text())
+    doc["u"][len(doc["u"]) // 2][1] = "nan"
+    state.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert cli.main(args + ["--state", str(state)]) == 1
+    assert capsys.readouterr().out.strip() == "dressing residual: nan"
+
+
 def test_trajectory_csv_roundtrip(tmp_path):
     data = desk_data(2, scalars.FLOAT)
     u = impulse_potential(DESK_WINDOW, 2, scalars.FLOAT, value=0.2)
