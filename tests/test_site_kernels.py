@@ -85,12 +85,13 @@ def _assert_same_sites(got, want):
 class _Draw:
     """Random matrices, series and lattices of one dimension and mode."""
 
-    def __init__(self, draw, m, mode):
+    def __init__(self, draw, m, mode, entries=None):
         self.draw, self.m, self.mode = draw, m, mode
+        self.entries = _ENTRIES[mode] if entries is None else entries
 
     def matrix(self):
         return SmallMatrix(self.m, self.mode, tuple(
-            tuple(self.draw(st.sampled_from(_ENTRIES[self.mode])) for _ in range(self.m))
+            tuple(self.draw(st.sampled_from(self.entries)) for _ in range(self.m))
             for _ in range(self.m)))
 
     def matrix_tail(self):
@@ -259,10 +260,7 @@ def _bits(mat):
 def fused_case(draw):
     """Float series of one band, a matrix lattice pair and a scalar, at m = 2 or 3."""
     m = draw(st.integers(2, 3))
-    rnd = _Draw(draw, m, FLOAT)
-    entries = _WILD if draw(st.booleans()) else _ENTRIES[FLOAT]
-    rnd.matrix = lambda: SmallMatrix(m, FLOAT, tuple(
-        tuple(draw(st.sampled_from(entries)) for _ in range(m)) for _ in range(m)))
+    rnd = _Draw(draw, m, FLOAT, _WILD if draw(st.booleans()) else None)
     band = rnd.band()
     step = draw(st.sampled_from([None, 0.5, 0.1]))  # 1/0.1 is not a power of two
     lo = draw(st.integers(-2, 1))
