@@ -364,7 +364,7 @@ def adjoint_check(state: HierarchyState, f: LatticeFn, g: LatticeFn):
     pair0 = inner_product(lf0, g.restrict(lf0.lo, lf0.hi)) - \
         inner_product(f.restrict(rg0.lo, rg0.hi), rg0)
     pair1 = inner_product(lf1, g) - inner_product(f, rg1)
-    pairing_residual = max(scalars.scalar_abs(pair0), scalars.scalar_abs(pair1))
+    pairing_residual = scalars.max_of(map(scalars.scalar_abs, (pair0, pair1)), state.mode)
 
     eps = state.step
     left = _step_polynomial(state)

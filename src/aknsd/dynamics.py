@@ -309,7 +309,7 @@ def continuum_scan(data: AknsData, profile, eps_list, *,
             for x in row
         ]
         dx_norms.append(_rms(entries))
-        dx_norms_max.append(max(entries))
+        dx_norms_max.append(scalars.max_of(entries, scalars.FLOAT))
 
     cauchy = []
     cauchy_max = []
@@ -327,7 +327,7 @@ def continuum_scan(data: AknsData, profile, eps_list, *,
                     d = fc.at(n) - ff.at(2 * n)
                     entries.extend(abs(x) for row in d.rows for x in row)
         cauchy.append(_rms(entries))
-        cauchy_max.append(max(entries) if entries else 0.0)
+        cauchy_max.append(scalars.max_of(entries, scalars.FLOAT))
 
     def orders(norms):
         out = []

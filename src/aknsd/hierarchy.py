@@ -27,40 +27,42 @@ the dressing residual vanishes identically in rational mode, and the direct
 resolvent recursion reuses the identical kernel so both constructions agree
 entry for entry.
 
-In rational mode each entry's recursion runs on integer (numerator,
-denominator) pairs with one gcd per step (``_solve_exact``); the float mode
-runs ``solve_two_point``, which stays the reference recursion for tests.
+One driver, ``_solve_orders``, runs both solves from a first order and a
+right-hand-side site kernel.  Each entry's recursion reads a list: integer
+pairs with one gcd per step in rational mode (``_solve_exact``), doubles in
+float mode (``solve_two_point``, also the reference recursion for tests).
 
-Everything else that reads w_hat, R or P is built site by site, degree by
-degree, from the values at n and n + 1 alone:
+Everything that reads w_hat, R or P is built site by site, degree by degree,
+from the values at n and n + 1 alone:
 
+* ``_dressing_rhs_site``: ``Delta w + U w``, the dressing right-hand side;
+* ``_direct_rhs_site``: the direct resolvent's ``Delta r - ((Lambda r) U - U r)``;
+* ``_template``: degree d of ``rhs(c_d) - A c_(d-1) + c1_(d-1) A``;
+* ``_defect_site``: (T'), the template with the dressing right-hand side;
+* ``_commutator_site``: ``[P, L]_D``, minus the template with the direct one;
 * ``_resolvent_site``: degree d of ``w_hat E_alpha w_hat^{-1}`` is the sum of
-  the rank-one products (column alpha of w_i)(row alpha of winv_j), i + j = d;
-* ``_defect_site``: the coefficients of (T'),
-  ``Delta w_d + U w_d - A w_(d-1) + (Lambda w)_(d-1) A``;
-* ``_direct_rhs_site``: the direct resolvent's right-hand side
-  ``Delta r - ((Lambda r) U - U r)``;
-* ``_commutator_site``: the coefficients of ``[P, L]_D``.
+  the rank-one products (column alpha of w_i)(row alpha of winv_j), i + j = d.
 
-A is diagonal, so its products are row and column scalings.  In rational mode
-each coefficient of the first three is one ``SmallMatrix.from_terms`` sum,
-swept once, and the commutator is composed from ring operations.  In float
+A is diagonal, so its products are row and column scalings.  In rational
+mode a right-hand side is a list of ``SmallMatrix.from_terms`` terms, which
+its consumer sums once (the template together with the z-terms).  In float
 mode every kernel keeps the operation order of the ring operations it
-replaces, so float results are the same bit for bit; ``_direct_rhs_site``
-and ``_commutator_site``, which carry every flow evaluation, form each
-coefficient in one entrywise pass over the row tuples, with the products
-from ``matrices._product`` (see docs/derivations.md sections 2, 3 and 4).
+replaces, so float results are the same bit for bit; ``_direct_rhs_site`` and
+``_commutator_floats``, which carry every flow evaluation, form each
+coefficient in one entrywise pass over the row tuples, with the products from
+``matrices._product`` (see docs/derivations.md sections 1 to 4).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, partial
+from itertools import accumulate
 from math import gcd
 
 from . import scalars
 from .errors import ConsistencyError, DimensionError, InstanceError, ValidityError
-from .lattice import LatticeFn, Window, delta_apply, site_max
+from .lattice import LatticeFn, Window, site_max
 from .matrices import SmallMatrix, _product
 from .series import (
     MatSeries,
@@ -163,28 +165,23 @@ def _orders_to_series(orders: list, m: int) -> LatticeFn:
     return LatticeFn(first.lo, first.hi, vals, zero, zero, first.step, first.mode)
 
 
-def solve_two_point(a_i, a_j, rhs, lo: int, hi: int, direction: str, mode: str):
-    """Solve a_i w(n) - a_j w(n+1) = rhs(n) for n in [lo, hi-1] on [lo, hi].
+def solve_two_point(a_i, a_j, rhs: list, direction: str, mode: str) -> list:
+    """Solve a_i w(n) - a_j w(n+1) = rhs(n) at every transition of a range.
 
-    ``rhs`` maps transition sites to scalars; missing sites mean zero.  The
-    chosen direction fixes the one free constant: zero at the starting edge.
-    This is the float kernel of ``_solve_order``, and on ``Fraction``s the
-    reference that the integer kernel ``_solve_exact`` is tested against.
+    ``rhs[k]`` is the right-hand side at the k-th transition; the result has
+    one value per site.  The chosen direction fixes the one free constant:
+    zero at the starting edge.  This is the float kernel of ``_solve_order``,
+    and on ``Fraction``s the reference of the integer kernel ``_solve_exact``.
     """
-    z = scalars.zero(mode)
-    w = {n: z for n in range(lo, hi + 1)}
-    if direction == "forward":
-        for n in range(lo, hi):
-            w[n + 1] = (a_i * w[n] - rhs.get(n, z)) / a_j
-    elif direction == "backward":
-        for n in range(hi - 1, lo - 1, -1):
-            w[n] = (a_j * w[n + 1] + rhs.get(n, z)) / a_i
-    elif direction == "integrate":
-        for n in range(lo, hi):
-            w[n + 1] = w[n] - rhs.get(n, z) / a_i
-    else:
+    steps = {"forward": lambda w, r: (a_i * w - r) / a_j,
+             "backward": lambda w, r: (a_j * w + r) / a_i,
+             "integrate": lambda w, r: w - r / a_i}
+    if direction not in steps:
         raise ValueError(f"unknown direction {direction!r}")
-    return [w[n] for n in range(lo, hi + 1)]
+    back = direction == "backward"
+    out = list(accumulate(rhs[::-1] if back else rhs, steps[direction],
+                          initial=scalars.zero(mode)))
+    return out[::-1] if back else out
 
 
 def _solve_exact(a_i, a_j, rhs: list, direction: str) -> list:
@@ -220,27 +217,45 @@ def _solve_exact(a_i, a_j, rhs: list, direction: str) -> list:
     return out[::-1] if direction == "backward" else out
 
 
-def _solve_order(data: AknsData, rhs: LatticeFn, lo: int, hi: int) -> LatticeFn:
-    """One recursion order: rhs is matrix-valued on [lo, hi-1]; result on [lo, hi]."""
+def _solve_order(data: AknsData, rhs: list, lo: int, step) -> LatticeFn:
+    """One recursion order from its right-hand sides at the transitions lo, lo + 1, ...
+
+    Each right-hand side is a float matrix or, in rational mode, the
+    ``from_terms`` terms of one, as the right-hand-side site kernels give them.
+    """
+    if not rhs:
+        raise DimensionError("a recursion order needs at least two sites")
     m = data.m
-    mode = rhs.mode
-    pairs = [(i, j) for i in range(1, m + 1) for j in range(1, m + 1)]
-    if mode == scalars.FLOAT:
-        parts = [(n, rhs.at(n).rows) for n in range(lo, hi)]
-        cols = [solve_two_point(data.a[i - 1], data.a[j - 1],
-                                {n: rows[i - 1][j - 1] for n, rows in parts},
-                                lo, hi, data.direction(i, j), mode) for i, j in pairs]
-        build = partial(SmallMatrix, m, mode)
+    pairs = [(i, j) for i in range(m) for j in range(m)]
+    if isinstance(rhs[0], SmallMatrix):
+        parts = [r.rows for r in rhs]
+        cols = [solve_two_point(data.a[i], data.a[j], [rows[i][j] for rows in parts],
+                                data.direction(i + 1, j + 1), scalars.FLOAT) for i, j in pairs]
+        build = partial(SmallMatrix._floats, m)
     else:
-        parts = [rhs.at(n).numerators() for n in range(lo, hi)]
-        cols = [_solve_exact(data.a[i - 1], data.a[j - 1],
-                             [(num[i - 1][j - 1], den) for num, den in parts],
-                             data.direction(i, j)) for i, j in pairs]
+        parts = [SmallMatrix.from_terms(r, m).numerators() for r in rhs]
+        cols = [_solve_exact(data.a[i], data.a[j], [(num[i][j], den) for num, den in parts],
+                             data.direction(i + 1, j + 1)) for i, j in pairs]
         build = SmallMatrix.from_lowest_terms
     # cols holds one column of site values per entry, row-major: regroup per site
     vals = [build(tuple(site[r * m:(r + 1) * m] for r in range(m)))
             for site in zip(*cols)]
-    return LatticeFn.from_values(lo, vals, step=rhs.step)
+    return LatticeFn.from_values(lo, vals, step=step)
+
+
+def _solve_orders(data: AknsData, U: LatticeFn, first: LatticeFn, rhs_site, depth: int) -> list:
+    """``first`` and ``depth`` more orders on U's sites, each solved from the one before.
+
+    Order x gives the next one the right-hand side
+    ``rhs_site(x(n), x(n + 1), U(n), inv)`` at each transition n of U.
+    """
+    inv = _inverse_step(U)
+    orders = [first]
+    for _ in range(depth):
+        x = orders[-1]
+        rhs = [rhs_site(x.at(n), x.at(n + 1), U.at(n), inv) for n in range(U.lo, U.hi)]
+        orders.append(_solve_order(data, rhs, U.lo, U.step))
+    return orders
 
 
 # -- dressing ----------------------------------------------------------------------
@@ -265,15 +280,8 @@ def solve_dressing(data: AknsData, U: LatticeFn, depth: int) -> Dressing:
     """Order-by-order solve of Delta w_k + U w_k = A w_{k+1} - (Lambda w_{k+1}) A."""
     if depth < 1:
         raise InstanceError("dressing depth must be >= 1")
-    lo, hi = U.lo, U.hi
-    w_prev = U.constant(SmallMatrix.identity(data.m, U.mode))
-    ws = []
-    for _ in range(depth):
-        dw = delta_apply(w_prev, "forward")
-        rhs = dw + U.zip_with(w_prev, lambda u, w: u @ w).restrict(lo, hi - 1)
-        w_next = _solve_order(data, rhs, lo, hi)
-        ws.append(w_next)
-        w_prev = w_next
+    ident = U.constant(SmallMatrix.identity(data.m, U.mode))
+    ws = _solve_orders(data, U, ident, _dressing_rhs_site, depth)[1:]
     return Dressing(depth, tuple(ws), data.conventions())
 
 
@@ -345,33 +353,19 @@ def _dressing_defect(state: HierarchyState) -> LatticeFn:
     return _sitewise(state.hat, state.data, state.U, _defect_site)
 
 
-def _defect_site(c: MatSeries, c1: MatSeries, u: SmallMatrix, *,
-                 a_mat: SmallMatrix, inv) -> MatSeries:
-    """(T') at one site from c = w_hat(n), c1 = w_hat(n+1) (one band) and u = U(n).
+def _dressing_rhs_site(x: SmallMatrix, x1: SmallMatrix, u: SmallMatrix, inv):
+    """``Delta x + U x`` at one site, from x = w(n) and x1 = w(n+1).
 
-    Degree d reads ``((Delta c_d + U c_d) - A c_(d-1)) + c1_(d-1) A``, the A
-    terms as row and column scalings; above the band the first two terms are
-    zero.  In rational mode each degree is one ``from_terms`` sum, without the
-    U term where U(n) is zero.  Bands as in ``_site_band``.
+    Float: the matrix ``_delta + (u @ x)``, in this operation order.
+    Rational: its ``from_terms`` terms, without the U term where U(n) is zero,
+    for the consumer to sum once.
     """
-    first, vlo = _site_band(c)
-    exact = c.mode == scalars.RATIONAL
-    u_terms = exact and not u.is_zero()  # an exact zero term adds nothing
-    zero = SmallMatrix.zero(c.m, c.mode)
-    coeffs = []
-    for d in range(first, c.hi + 2):
-        x, x1, xp, x1p = c.get(d), c1.get(d), c.get(d - 1), c1.get(d - 1)
-        if exact:
-            terms = _z_terms(xp, x1p, a_mat)
-            if d <= c.hi:
-                terms += _delta_terms(x, x1, inv)
-                if u_terms:
-                    terms.append(u.product_term(x))
-            coeffs.append(SmallMatrix.from_terms(terms, c.m))
-            continue
-        out = zero if d > c.hi else _delta(x, x1, inv) + (u @ x)
-        coeffs.append((out - xp.mul_diag(a_mat, left=True)) + x1p.mul_diag(a_mat, left=False))
-    return MatSeries(c.m, c.mode, first, c.hi + 1, tuple(coeffs), vlo)
+    if x.mode == scalars.FLOAT:
+        return _delta(x, x1, inv) + (u @ x)
+    terms = _delta_terms(x, x1, inv)
+    if not u.is_zero():  # an exact zero term adds nothing
+        terms.append(u.product_term(x))
+    return terms
 
 
 # -- resolvents ----------------------------------------------------------------------
@@ -409,27 +403,20 @@ def _resolvent_site(w: MatSeries, wi: MatSeries, k: int) -> MatSeries:
 def resolvent_direct(data: AknsData, U: LatticeFn, alpha: int, depth: int) -> Resolvent:
     """Order-by-order solve of Delta R_i - [R_i, U]_D + [R_{i+1}, A]_D = 0.
 
-    Shares the recursion kernel, direction policy and zero integration
-    constants with the dressing solver, so the result is comparable entry for
-    entry with the dressed construction.  Each order's right-hand side is
-    built site by site (``_direct_rhs_site``).
+    Shares the order loop and the recursion kernel (direction policy, zero
+    integration constants) with the dressing solver, so the result is
+    comparable entry for entry with the dressed construction.
     """
-    lo, hi = U.lo, U.hi
-    inv = _inverse_step(U)
-    orders = [U.constant(data.projector(alpha))]
-    for _ in range(depth):
-        r = orders[-1]
-        rhs = [_direct_rhs_site(r.at(n), r.at(n + 1), U.at(n), inv) for n in range(lo, hi)]
-        orders.append(_solve_order(data, LatticeFn.from_values(lo, rhs, step=U.step), lo, hi))
+    orders = _solve_orders(data, U, U.constant(data.projector(alpha)), _direct_rhs_site, depth)
     return Resolvent(_orders_to_series(orders, data.m))
 
 
-def _direct_rhs_site(r: SmallMatrix, r1: SmallMatrix, u: SmallMatrix, inv) -> SmallMatrix:
+def _direct_rhs_site(r: SmallMatrix, r1: SmallMatrix, u: SmallMatrix, inv):
     """``Delta r - ((Lambda r) U - U r)`` at one site, from r = R(n) and r1 = R(n+1).
 
     Float: one entrywise pass, ``D_rk - ((r1 U)_rk - (U r)_rk)`` with the
-    difference ``D`` of ``_delta``, in this operation order.  Rational: one
-    ``from_terms`` sum, without the U terms where U(n) is zero.
+    difference ``D`` of ``_delta``, in this operation order.  Rational: the
+    ``from_terms`` terms, without the U terms where U(n) is zero.
     """
     if r.mode == scalars.FLOAT:
         r._compat(u)
@@ -442,7 +429,7 @@ def _direct_rhs_site(r: SmallMatrix, r1: SmallMatrix, u: SmallMatrix, inv) -> Sm
     terms = _delta_terms(r, r1, inv)
     if not u.is_zero():  # an exact zero term adds nothing
         terms += [_minus(r1.product_term(u)), u.product_term(r)]
-    return SmallMatrix.from_terms(terms, r.m)
+    return terms
 
 
 def cross_solver_difference(state: HierarchyState, alpha: int):
@@ -525,9 +512,35 @@ def _delta_terms(x: SmallMatrix, x1: SmallMatrix, inv) -> list:
     return [_delta(x, x1, inv).numerators()]
 
 
-def _z_terms(x: SmallMatrix, x1: SmallMatrix, a_mat: SmallMatrix) -> list:
-    """``-A x + x1 A`` as ``from_terms`` terms: a row and a column scaling."""
-    return [_minus(x.diag_term(a_mat, left=True)), x1.diag_term(a_mat, left=False)]
+def _template(c: MatSeries, c1: MatSeries, u: SmallMatrix, a_mat: SmallMatrix, inv,
+              rhs) -> MatSeries:
+    """``rhs_d - A c_(d-1) + c1_(d-1) A`` at one site, rhs_d = ``rhs(c_d, c1_d, u, inv)``.
+
+    rhs_d is zero above the band; the A terms are row and column scalings.
+    Rational: each degree is one ``from_terms`` sum of the terms of rhs_d and
+    the scalings.  Float: ``(rhs_d - A c_(d-1)) + c1_(d-1) A``.  Bands as in
+    ``_site_band``.
+    """
+    first, vlo = _site_band(c)
+    exact = c.mode == scalars.RATIONAL
+    zero = [] if exact else SmallMatrix.zero(c.m, c.mode)  # rhs_d above the band
+    coeffs = []
+    for d in range(first, c.hi + 2):
+        xp, x1p = c.get(d - 1), c1.get(d - 1)
+        rhs_d = rhs(c.get(d), c1.get(d), u, inv) if d <= c.hi else zero
+        if exact:
+            coeffs.append(SmallMatrix.from_terms(
+                [*rhs_d, _minus(xp.diag_term(a_mat, left=True)),
+                 x1p.diag_term(a_mat, left=False)], c.m))
+        else:
+            coeffs.append((rhs_d - xp.mul_diag(a_mat, left=True))
+                          + x1p.mul_diag(a_mat, left=False))
+    return MatSeries(c.m, c.mode, first, c.hi + 1, tuple(coeffs), vlo)
+
+
+# (T') at one site from c = w_hat(n), c1 = w_hat(n+1) and u = U(n): degree d is
+# ((Delta c_d + U c_d) - A c_(d-1)) + c1_(d-1) A, the template with the dressing rhs
+_defect_site = partial(_template, rhs=_dressing_rhs_site)
 
 
 def _commutator_site(c: MatSeries, c1: MatSeries, u: SmallMatrix, *,
@@ -535,30 +548,20 @@ def _commutator_site(c: MatSeries, c1: MatSeries, u: SmallMatrix, *,
     """[P, L]_D at one site from c = P(n), c1 = P(n+1) (one band) and u = U(n).
 
     Degree d reads ``((c1_d U) - (U c_d)) - Delta c_d`` minus the z-term
-    ``(c1_(d-1) A) - (A c_(d-1))``, whose products with the diagonal A are
-    column and row scalings; the top degree d = hi + 1 is the zero minus its
-    z-term.  Bands as in ``_site_band``.  Float coefficients come from
-    ``_commutator_floats``, rational ones from the ring operations.
+    ``(c1_(d-1) A) - (A c_(d-1))``, the top degree d = hi + 1 the zero minus
+    its z-term.  That is minus the template with the direct right-hand side,
+    which gives the rational coefficients; the negation would flip the sign
+    of a float zero, so floats come from ``_commutator_floats``
+    (docs/derivations.md section 1).
     """
-    first, vlo = _site_band(c)
     if c.mode == scalars.FLOAT:
-        coeffs = _commutator_floats(c, c1, u, a_mat, inv, first)
-    else:
-        coeffs = []
-        for i in range(first - c.lo, c.hi - c.lo + 1):
-            x, x1 = c.coeffs[i], c1.coeffs[i]
-            out = ((x1 @ u) - (u @ x)) - _delta(x, x1, inv)
-            if i > 0:
-                out = out - _z_term(c.coeffs[i - 1], c1.coeffs[i - 1], a_mat)
-            coeffs.append(out)
-        x, x1 = c.coeffs[-1], c1.coeffs[-1]
-        coeffs.append(SmallMatrix.zero(c.m, c.mode) - _z_term(x, x1, a_mat))
-    return MatSeries(c.m, c.mode, first, c.hi + 1, tuple(coeffs), vlo)
+        return _commutator_floats(c, c1, u, a_mat, inv)
+    return -_template(c, c1, u, a_mat, inv, _direct_rhs_site)
 
 
 def _commutator_floats(c: MatSeries, c1: MatSeries, u: SmallMatrix, a_mat: SmallMatrix,
-                       inv, first: int) -> list:
-    """The float coefficients of ``_commutator_site``, one entrywise pass each.
+                       inv) -> MatSeries:
+    """Float ``_commutator_site``, one entrywise pass per coefficient.
 
     Entry (r, k) of degree d is
     ``((p - q) - D) - ((0 + x1'_rk a_k) - (0 + a_r x'_rk))`` with
@@ -569,6 +572,7 @@ def _commutator_floats(c: MatSeries, c1: MatSeries, u: SmallMatrix, a_mat: Small
     coefficient is the zero matrix, whose z-term is +0.0 for a finite A, and
     ``v - 0.0`` is v.  The top degree is ``0.0 - z``.
     """
+    first, vlo = _site_band(c)
     c._compat(c1)
     c.coeffs[0]._compat(u)
     m = c.m
@@ -589,12 +593,7 @@ def _commutator_floats(c: MatSeries, c1: MatSeries, u: SmallMatrix, a_mat: Small
     coeffs.append(SmallMatrix._floats(m, tuple([tuple([
         0.0 - ((0 + bp * ak) - (0 + ar * ep)) for ep, bp, ak in zip(xpr, x1pr, a)])
         for xpr, x1pr, ar in zip(xs[-1], x1s[-1], a)])))
-    return coeffs
-
-
-def _z_term(x: SmallMatrix, x1: SmallMatrix, a_mat: SmallMatrix) -> SmallMatrix:
-    """``(x1 A) - (A x)`` by a column and a row scaling."""
-    return x1.mul_diag(a_mat, left=False) - x.mul_diag(a_mat, left=True)
+    return MatSeries(m, c.mode, first, c.hi + 1, tuple(coeffs), vlo)
 
 
 # -- projections and the hierarchy flow field ----------------------------------------------

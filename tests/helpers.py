@@ -119,6 +119,12 @@ def ref_direct_rhs(r_prev, U):
     return d_prev - comm_u
 
 
+def ref_dressing_rhs(w, U):
+    """Delta w + U w on [U.lo, U.hi - 1]: ``delta_apply``, a ``zip_with`` lambda, ``restrict``."""
+    return delta_apply(w, "forward") + \
+        U.zip_with(w, lambda u, x: u @ x).restrict(U.lo, U.hi - 1)
+
+
 def _ref_delta(x, x1, inv):
     """``(x1 - x) / eps`` of one coefficient; ``inv`` is 1/eps, None for the unit step."""
     dx = x1 - x

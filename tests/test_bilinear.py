@@ -1,10 +1,11 @@
 """Bilinear residue verifier and adjoint checks."""
 
+import math
 import random
 
 import pytest
 
-from aknsd import scalars
+from aknsd import baker, scalars
 from aknsd.baker import (
     adjoint_check,
     bilinear_expression,
@@ -218,6 +219,25 @@ def test_adjoint_vacuum_single_site():
     pairing, kernel = adjoint_check(state, f, f)
     assert pairing == 0
     assert kernel == 0
+
+
+def test_adjoint_pairing_residual_keeps_a_nan(monkeypatch):
+    data = desk_data(2, FLOAT)
+    state = HierarchyState.solve(data, vacuum_potential(DESK_WINDOW, 2, FLOAT),
+                                 DESK_WINDOW, 4)
+    zero = SmallMatrix.zero(2, FLOAT)
+    lo, hi = DESK_WINDOW.stored_lo, DESK_WINDOW.stored_hi
+    f = LatticeFn.from_values(lo, [SmallMatrix.basis_projector(2, 1, FLOAT) if n == 0
+                                   else zero for n in range(lo, hi + 1)])
+    g = LatticeFn.from_values(lo, [SmallMatrix(2, FLOAT, ((math.nan, 0.0), (0.0, 0.0)))
+                                   if n == 1 else zero for n in range(lo, hi + 1)])
+    pairing, _ = adjoint_check(state, f, g)
+    assert math.isnan(pairing)
+    # a nan in the z-degree pairing alone: builtin max(0.5, nan) would give 0.5
+    products = iter([0.5, 0.0, math.nan, 0.0])
+    monkeypatch.setattr(baker, "inner_product", lambda *_: next(products))
+    pairing, _ = adjoint_check(state, f, f)
+    assert math.isnan(pairing)
 
 
 @pytest.mark.parametrize("m", [2, 3])

@@ -30,7 +30,7 @@ from helpers import RAT, assert_canonical
 def dense_two_point_oracle(a_i, a_j, rhs, lo, hi, direction):
     """Brute-force alternative to the marching kernel: assemble the full
     linear system (one row per transition plus the boundary row) and solve it
-    by exact Gaussian elimination."""
+    by exact Gaussian elimination.  ``rhs[k]`` belongs to the transition lo + k."""
     size = hi - lo + 1
     rows = []
     vec = []
@@ -39,7 +39,7 @@ def dense_two_point_oracle(a_i, a_j, rhs, lo, hi, direction):
         row[n - lo] = Fraction(a_i)
         row[n + 1 - lo] = Fraction(-a_j)
         rows.append(row)
-        vec.append(Fraction(rhs.get(n, 0)))
+        vec.append(Fraction(rhs[n - lo]))
     boundary = [Fraction(0)] * size
     boundary[0 if direction == "forward" else size - 1] = Fraction(1)
     rows.append(boundary)
@@ -63,8 +63,8 @@ def dense_two_point_oracle(a_i, a_j, rhs, lo, hi, direction):
 def test_two_point_kernel_matches_dense_solve():
     rng = random.Random(0)
     for direction, (ai, aj) in (("forward", (1, -1)), ("backward", (2, 1))):
-        rhs = {n: Fraction(rng.randint(-3, 3), rng.choice((1, 2))) for n in range(-5, 5)}
-        got = solve_two_point(Fraction(ai), Fraction(aj), rhs, -5, 5, direction, RAT)
+        rhs = [Fraction(rng.randint(-3, 3), rng.choice((1, 2))) for _ in range(-5, 5)]
+        got = solve_two_point(Fraction(ai), Fraction(aj), rhs, direction, RAT)
         want = dense_two_point_oracle(ai, aj, rhs, -5, 5, direction)
         assert got == want
 
@@ -77,7 +77,7 @@ rhs_entry = st.one_of(st.just(Fraction(0)),
 
 @st.composite
 def order_problems(draw):
-    """AknsData, a rational right-hand side on [lo, hi-1] with a step, and [lo, hi]."""
+    """AknsData, rational right-hand sides at the transitions lo..hi-1, lo, hi and a step."""
     m = draw(st.integers(2, 4))
     a = draw(st.lists(st.sampled_from(A_ENTRIES), min_size=m, max_size=m, unique=True))
     lo = draw(st.integers(-4, 0))
@@ -90,26 +90,25 @@ def order_problems(draw):
             vals.append(SmallMatrix(m, RAT, draw(
                 st.lists(st.lists(rhs_entry, min_size=m, max_size=m), min_size=m, max_size=m))))
     step = draw(st.sampled_from([Fraction(1, 2), Fraction(3), Fraction(2, 3)]))
-    rhs = LatticeFn.from_values(lo, vals, step=step)
-    return AknsData(m, tuple(a)), rhs, lo, hi
+    return AknsData(m, tuple(a)), vals, lo, hi, step
 
 
 @settings(max_examples=100, deadline=None)
 @given(order_problems())
 def test_integer_order_solve_matches_the_fraction_recursion(problem):
-    data, rhs, lo, hi = problem
-    got = _solve_order(data, rhs, lo, hi)
-    assert (got.lo, got.hi, got.step, got.mode) == (lo, hi, rhs.step, RAT)
+    data, rhs, lo, hi, step = problem
+    got = _solve_order(data, [[r.numerators()] for r in rhs], lo, step)
+    assert (got.lo, got.hi, got.step, got.mode) == (lo, hi, step, RAT)
     for n in got.sites():
         assert_canonical(got.at(n))
     for i in range(1, data.m + 1):
         for j in range(1, data.m + 1):
-            comp = {n: rhs.at(n).get(i, j) for n in range(lo, hi)}
-            want = solve_two_point(data.a[i - 1], data.a[j - 1], comp, lo, hi,
+            comp = [r.get(i, j) for r in rhs]
+            want = solve_two_point(data.a[i - 1], data.a[j - 1], comp,
                                    data.direction(i, j), RAT)
             assert [got.at(n).get(i, j) for n in got.sites()] == want, (i, j)
             pairs = _solve_exact(data.a[i - 1], data.a[j - 1],
-                                 [(x.numerator, x.denominator) for x in comp.values()],
+                                 [(x.numerator, x.denominator) for x in comp],
                                  data.direction(i, j))
             assert pairs == [(x.numerator, x.denominator) for x in want], (i, j)
 

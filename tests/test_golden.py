@@ -13,6 +13,8 @@ flow field stopped solving the resolvent order it does not read and the
 commutator became one per-site kernel.  The limit suite's continuum scan is
 the one desk path whose lattice step is not 1.  The `tau` digests were
 recorded before the tau sums carried each exponential by its Miwa point.
+The float state digests pin the float dressing solve; they were recorded
+before the dressing and direct-resolvent solves shared one order loop.
 """
 
 import contextlib
@@ -29,6 +31,11 @@ CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 STATE_SHA256 = {
     "desk_m2": "5868dba38be91259c19f2eac845d30aeca2865b7cf327e0ede34971bfdde48c0",
     "desk_m3": "13aedaa4e243e36a972a578ba827f1e68ab898cadb1af105e1d0b355995cd511",
+}
+
+FLOAT_STATE_SHA256 = {
+    "desk_m2": "2297e564687f3f377e66929db0b25dd0c3fe0baaa50675b1675143a7861ef876",
+    "desk_m3": "04ea053d292243ebe7c1101076ef7b9d9fc661ca2dc2167546117d6bb8b60b20",
 }
 
 DESK_M2_REPORT_SHA256 = {
@@ -107,6 +114,12 @@ def _digest_of_stdout(argv, exit_code: int = 0) -> str:
 def test_dress_state_document_is_byte_identical(name, tmp_path):
     argv = ["dress", "--config", str(CONFIGS / f"{name}.json")]
     assert _digest_of_output(argv, tmp_path / "state.json") == STATE_SHA256[name]
+
+
+@pytest.mark.parametrize("name", sorted(FLOAT_STATE_SHA256))
+def test_float_dress_state_document_is_byte_identical(name, tmp_path):
+    argv = ["dress", "--config", str(CONFIGS / f"{name}.json"), "--mode", "float"]
+    assert _digest_of_output(argv, tmp_path / "state.json") == FLOAT_STATE_SHA256[name]
 
 
 @pytest.mark.parametrize("suite", sorted(DESK_M2_REPORT_SHA256))

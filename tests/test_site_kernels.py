@@ -1,13 +1,14 @@
 """The per-site kernels against the whole-lattice compositions they replace.
 
-``resolvent_dressed``, ``_dressing_defect`` and ``resolvent_direct`` build
-each site from the values at n and n + 1.  The references in ``helpers``
-compose the same objects from series products, shifts and ``zip_with``
-lambdas.  Both must give the same bands and, in float mode, the same doubles
-down to the sign of a zero.  The fused float kernels of the flow path
-(``_commutator_site``, ``_direct_rhs_site``, ``dynamics._axpy``) are held to
-the ring operations they fuse, bit for bit, non-finite entries included
-(a nan stays a nan).
+``resolvent_dressed``, ``_dressing_defect``, ``solve_dressing`` and
+``resolvent_direct`` build each site from the values at n and n + 1.  The
+references in ``helpers`` compose the same objects from series products,
+shifts and ``zip_with`` lambdas.  Both must give the same bands and, in
+float mode, the same doubles down to the sign of a zero.  The rational
+commutator is held to the ring operations, and the fused float kernels of
+the flow path (``_commutator_site``, ``_direct_rhs_site``,
+``dynamics._axpy``) to the ring operations they fuse, bit for bit,
+non-finite entries included (a nan stays a nan).
 """
 
 from fractions import Fraction
@@ -29,6 +30,7 @@ from aknsd.hierarchy import (
     _defect_site,
     _direct_rhs_site,
     _dressing_defect,
+    _dressing_rhs_site,
     _inverse_step,
     _resolvent_site,
     _solve_order,
@@ -51,6 +53,7 @@ from helpers import (
     ref_direct_rhs_site,
     ref_dressed_resolvent,
     ref_dressing_defect,
+    ref_dressing_rhs,
     right_mul,
 )
 
@@ -113,13 +116,23 @@ class _Draw:
                          tuple(self.matrix() for _ in range(lo, hi + 1)), valid_lo)
 
 
+def _matrix(rhs, m):
+    """A right-hand-side kernel's result as a matrix: rational terms are summed."""
+    return rhs if isinstance(rhs, SmallMatrix) else SmallMatrix.from_terms(rhs, m)
+
+
+def _order_rhs(vals):
+    """Matrices as the right-hand sides ``_solve_order`` reads: rational ones as one term."""
+    return [v if v.mode == FLOAT else [v.numerators()] for v in vals]
+
+
 def _data(draw, m, mode):
     a = draw(st.permutations((1, -1, 2, Fraction(-1, 2))))[:m]
     return AknsData(m, tuple(scalars.as_scalar(x, mode) for x in a), mode)
 
 
 def _step(draw, mode):
-    step = draw(st.sampled_from([None, Fraction(1, 2)]))
+    step = draw(st.sampled_from([None, Fraction(1, 2), Fraction(1, 10)]))
     return None if step is None else scalars.as_scalar(step, mode)
 
 
@@ -178,7 +191,7 @@ def test_direct_rhs_kernel_matches_the_zip_with_composition(state):
     rnd_r = state.dressing.ws[0]  # any matrix lattice on U's range will do
     inv = _inverse_step(U)
     want = ref_direct_rhs(rnd_r, U)
-    got = [_direct_rhs_site(rnd_r.at(n), rnd_r.at(n + 1), U.at(n), inv)
+    got = [_matrix(_direct_rhs_site(rnd_r.at(n), rnd_r.at(n + 1), U.at(n), inv), state.data.m)
            for n in range(U.lo, U.hi)]
     assert (want.lo, want.hi) == (U.lo, U.hi - 1)
     for n, v in zip(want.sites(), got):
@@ -187,12 +200,37 @@ def test_direct_rhs_kernel_matches_the_zip_with_composition(state):
     for alpha in range(1, state.data.m + 1):
         orders = [U.constant(state.data.projector(alpha))]
         for _ in range(state.depth):
-            orders.append(_solve_order(state.data, ref_direct_rhs(orders[-1], U),
-                                       U.lo, U.hi))
+            orders.append(_solve_order(state.data,
+                                       _order_rhs(ref_direct_rhs(orders[-1], U).values),
+                                       U.lo, U.step))
         series = resolvent_direct(state.data, U, alpha, state.depth).series
         for n in series.sites():
             assert [repr(c.rows) for c in series.at(n).coeffs] == \
                 [repr(f.at(n).rows) for f in reversed(orders)]
+
+
+def _entries(mat):
+    """Rational entries, or the doubles' bit patterns (``_bits``)."""
+    return _bits(mat) if mat.mode == FLOAT else mat.rows
+
+
+@given(state_case())
+@settings(max_examples=150, deadline=None)
+def test_dressing_solve_matches_the_whole_lattice_rhs(state):
+    # every solved order: its right-hand side per site, and the order solved
+    # from the whole-lattice right-hand side
+    data, U = state.data, state.U
+    inv = _inverse_step(U)
+    w = U.constant(SmallMatrix.identity(data.m, U.mode))
+    for got in solve_dressing(data, U, state.depth).ws:
+        rhs = ref_dressing_rhs(w, U)
+        assert (rhs.lo, rhs.hi) == (U.lo, U.hi - 1)
+        assert [_entries(_matrix(_dressing_rhs_site(w.at(n), w.at(n + 1), U.at(n), inv), data.m))
+                for n in rhs.sites()] == [_entries(v) for v in rhs.values]
+        want = _solve_order(data, _order_rhs(rhs.values), U.lo, U.step)
+        assert (got.lo, got.hi, got.step, got.mode) == (want.lo, want.hi, want.step, want.mode)
+        assert [_entries(v) for v in got.values] == [_entries(v) for v in want.values]
+        w = got
 
 
 @st.composite
@@ -226,6 +264,12 @@ def test_site_kernels_on_any_band(case):
     want = ((diff + left_mul(u, c)) - left_mul(a_mat, c).shift_degree(1)) + \
         right_mul(c1, a_mat).shift_degree(1)
     _assert_same(_defect_site(c, c1, u, a_mat=a_mat, inv=inv), want)
+    got = _commutator_site(c, c1, u, a_mat=a_mat, inv=inv)
+    first = c.lo if c.valid_lo is None else c.valid_lo + 1
+    assert (got.lo, got.hi, got.valid_lo) == \
+        (first, c.hi + 1, None if c.valid_lo is None else first)
+    assert [_entries(x) for x in got.coeffs] == \
+        [_entries(x) for x in ref_commutator_site(c, c1, u, a_mat, inv)]
 
 
 def test_site_kernels_fill_no_fraction_row_cache(tmp_path):

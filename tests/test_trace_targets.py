@@ -9,7 +9,7 @@ import sys
 from pathlib import Path
 
 import aknsd.cli  # noqa: F401  (imports every layer the targets name)
-from aknsd import dynamics, scalars
+from aknsd import dynamics, hierarchy, scalars
 from aknsd.hierarchy import HierarchyState
 from aknsd.instances import desk_data, vacuum_potential
 from aknsd.lattice import Window
@@ -34,7 +34,14 @@ def test_every_traced_target_resolves_and_is_wrapped():
         state = HierarchyState.solve(data, vacuum_potential(window, 2, scalars.FLOAT),
                                      window, 2)
         dynamics.rk4_evolve(state, dynamics.FlowIndex(1, 1), 0.1, 1)
+        # the rational solve, defect and commutator: the order loop and the
+        # site template must not bypass the traced names
+        data = desk_data(2)
+        state = HierarchyState.solve(data, vacuum_potential(window, 2), window, 2)
+        hierarchy.dressing_residual(state)
+        hierarchy.commutator_with_l(state.hat, data, state.U)
     for name in ("dynamics.rk4_evolve", "dynamics.rk4_step", "hierarchy.flow_field",
+                 "hierarchy.solve_dressing", "hierarchy.dressing_residual",
                  "hierarchy.resolvent_direct", "hierarchy.commutator_with_l"):
         assert tracer.calls[name] >= 1, name
     for name, attr in tracing.LAYER_TARGETS:
