@@ -180,13 +180,19 @@ def commutativity_defect(data: AknsData, U: LatticeFn, window: Window,
 
     d1 = defect_at(float(h), steps)
     d2 = defect_at(float(h) / 2, 2 * steps)
-    if d1 <= NOISE_FLOOR:
-        order = math.inf
-    elif d2 == 0:
-        order = math.inf
-    else:
-        order = math.log2(d1 / d2)
-    return d1, order
+    return d1, math.inf if d1 <= NOISE_FLOOR else observed_order(d1, d2)
+
+
+def observed_order(a, b) -> float:
+    """The observed order ``log2(a / b)`` of two successive error norms.
+
+    A zero norm gives inf.  A nan norm gives a nan order, which fails every
+    order check: ``a > 0`` is false for a nan, so a plain positivity guard
+    would report it as inf and pass it.
+    """
+    if a > 0 and b > 0:
+        return math.log2(a / b)
+    return math.inf if a == a and b == b else math.nan
 
 
 def interior_diff_max(a: LatticeFn, b: LatticeFn, window: Window):
@@ -330,20 +336,14 @@ def continuum_scan(data: AknsData, profile, eps_list, *,
         cauchy_max.append(scalars.max_of(entries, scalars.FLOAT))
 
     def orders(norms):
-        out = []
-        for a, b in zip(norms, norms[1:]):
-            if a > 0 and b > 0:
-                out.append(math.log2(a / b))
-            else:
-                out.append(math.inf)
-        return out
+        return [observed_order(a, b) for a, b in zip(norms, norms[1:])]
 
     cauchy_orders = orders(cauchy)
     dx_orders = orders(dx_norms)
     flags = []
     for name, ords in (("cauchy", cauchy_orders), ("dx_relation", dx_orders)):
         for i, o in enumerate(ords):
-            if o < SCAN_MIN_ORDER:
+            if not o >= SCAN_MIN_ORDER:  # a nan order is flagged too
                 flags.append(f"{name} order {o:.3f} < 1 between eps[{i}] and eps[{i+1}]")
     return ScanReport(eps_list, cauchy, cauchy_orders, dx_norms, dx_orders,
                       flags, cauchy_max, dx_norms_max)

@@ -27,16 +27,18 @@ the dressing residual vanishes identically in rational mode, and the direct
 resolvent recursion reuses the identical kernel so both constructions agree
 entry for entry.
 
-One driver, ``_solve_orders``, runs both solves from a first order and a
-right-hand-side site kernel.  Each entry's recursion reads a list: integer
-pairs with one gcd per step in rational mode (``_solve_exact``), doubles in
-float mode (``solve_two_point``, also the reference recursion for tests).
+One driver, ``_solve_orders``, runs the dressing solve and the rational
+direct resolvent from a first order and a right-hand-side site kernel.  Each
+entry's recursion reads a list: integer pairs with one gcd per step in
+rational mode (``_solve_exact``), doubles in float mode (``solve_two_point``,
+also the reference recursion for tests).
 
 Everything that reads w_hat, R or P is built site by site, degree by degree,
 from the values at n and n + 1 alone:
 
 * ``_dressing_rhs_site``: ``Delta w + U w``, the dressing right-hand side;
-* ``_direct_rhs_site``: the direct resolvent's ``Delta r - ((Lambda r) U - U r)``;
+* ``_direct_rhs_site``: the direct resolvent's ``Delta r - ((Lambda r) U - U r)``,
+  in rational mode;
 * ``_template``: degree d of ``rhs(c_d) - A c_(d-1) + c1_(d-1) A``;
 * ``_defect_site``: (T'), the template with the dressing right-hand side;
 * ``_commutator_site``: ``[P, L]_D``, minus the template with the direct one;
@@ -47,23 +49,28 @@ A is diagonal, so its products are row and column scalings.  In rational
 mode a right-hand side is a list of ``SmallMatrix.from_terms`` terms, which
 its consumer sums once (the template together with the z-terms).  In float
 mode every kernel keeps the operation order of the ring operations it
-replaces, so float results are the same bit for bit; ``_direct_rhs_site`` and
-``_commutator_floats``, which carry every flow evaluation, form each
-coefficient in one entrywise pass over the row tuples, with the products from
-``matrices._product`` (see docs/derivations.md sections 1 to 4).
+replaces, so float results are the same bit for bit.  The float flow path
+runs on entry columns, one list per matrix entry over the sites:
+``flow_field`` is one whole-lattice pass from U to the field
+(``_flow_columns``), which solves R_(1)..R_(k) with ``solve_two_point`` on
+the columns (``_direct_columns``, also the float ``resolvent_direct``) and
+reuses each order's products and differences for the positive degrees of
+[B, L]_D; the float ``commutator_with_l`` reads P into columns once
+(``_commutator_columns``).  See docs/derivations.md sections 1 to 4.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, partial
-from itertools import accumulate
+from itertools import accumulate, chain, repeat
 from math import gcd
+from operator import add, mul, sub
 
 from . import scalars
 from .errors import ConsistencyError, DimensionError, InstanceError, ValidityError
 from .lattice import LatticeFn, Window, site_max
-from .matrices import SmallMatrix, _product
+from .matrices import SmallMatrix
 from .series import (
     MatSeries,
     _check_knows_a_degree,
@@ -170,8 +177,9 @@ def solve_two_point(a_i, a_j, rhs: list, direction: str, mode: str) -> list:
 
     ``rhs[k]`` is the right-hand side at the k-th transition; the result has
     one value per site.  The chosen direction fixes the one free constant:
-    zero at the starting edge.  This is the float kernel of ``_solve_order``,
-    and on ``Fraction``s the reference of the integer kernel ``_solve_exact``.
+    zero at the starting edge.  This is the float kernel of ``_solve_order``
+    and ``_direct_columns``, and on ``Fraction``s the reference of the
+    integer kernel ``_solve_exact``.
     """
     steps = {"forward": lambda w, r: (a_i * w - r) / a_j,
              "backward": lambda w, r: (a_j * w + r) / a_i,
@@ -237,10 +245,7 @@ def _solve_order(data: AknsData, rhs: list, lo: int, step) -> LatticeFn:
         cols = [_solve_exact(data.a[i], data.a[j], [(num[i][j], den) for num, den in parts],
                              data.direction(i + 1, j + 1)) for i, j in pairs]
         build = SmallMatrix.from_lowest_terms
-    # cols holds one column of site values per entry, row-major: regroup per site
-    vals = [build(tuple(site[r * m:(r + 1) * m] for r in range(m)))
-            for site in zip(*cols)]
-    return LatticeFn.from_values(lo, vals, step=step)
+    return LatticeFn.from_values(lo, _site_matrices(cols, m, build), step=step)
 
 
 def _solve_orders(data: AknsData, U: LatticeFn, first: LatticeFn, rhs_site, depth: int) -> list:
@@ -403,29 +408,30 @@ def _resolvent_site(w: MatSeries, wi: MatSeries, k: int) -> MatSeries:
 def resolvent_direct(data: AknsData, U: LatticeFn, alpha: int, depth: int) -> Resolvent:
     """Order-by-order solve of Delta R_i - [R_i, U]_D + [R_{i+1}, A]_D = 0.
 
-    Shares the order loop and the recursion kernel (direction policy, zero
-    integration constants) with the dressing solver, so the result is
-    comparable entry for entry with the dressed construction.
+    Shares the recursion kernel (direction policy, zero integration
+    constants) with the dressing solver, so the result is comparable entry
+    for entry with the dressed construction.  Rational: the order loop
+    ``_solve_orders`` with ``_direct_rhs_site``.  Float: the same recursion on
+    entry columns (``_direct_columns``), one whole-lattice pass per order.
     """
-    orders = _solve_orders(data, U, U.constant(data.projector(alpha)), _direct_rhs_site, depth)
+    e = data.projector(alpha)
+    if data.mode != scalars.FLOAT:
+        orders = _solve_orders(data, U, U.constant(e), _direct_rhs_site, depth)
+    else:
+        build = partial(SmallMatrix._floats, data.m)
+        cols = _direct_columns(data, U, e, depth, _inverse_step(U))[0]
+        orders = [U.constant(e), *(LatticeFn.from_values(U.lo, _site_matrices(c, data.m, build),
+                                                         step=U.step) for c in cols[1:])]
     return Resolvent(_orders_to_series(orders, data.m))
 
 
-def _direct_rhs_site(r: SmallMatrix, r1: SmallMatrix, u: SmallMatrix, inv):
+def _direct_rhs_site(r: SmallMatrix, r1: SmallMatrix, u: SmallMatrix, inv) -> list:
     """``Delta r - ((Lambda r) U - U r)`` at one site, from r = R(n) and r1 = R(n+1).
 
-    Float: one entrywise pass, ``D_rk - ((r1 U)_rk - (U r)_rk)`` with the
-    difference ``D`` of ``_delta``, in this operation order.  Rational: the
-    ``from_terms`` terms, without the U terms where U(n) is zero.
+    Rational: the ``from_terms`` terms, without the U terms where U(n) is
+    zero.  The float right-hand side is formed on entry columns
+    (``_lax_columns``).
     """
-    if r.mode == scalars.FLOAT:
-        r._compat(u)
-        r1._compat(u)
-        x, x1 = r.rows, r1.rows
-        return SmallMatrix._floats(r.m, tuple([tuple([
-            (b - e if inv is None else inv * (b - e)) - (p - q)
-            for p, q, e, b in zip(pr, qr, xr, x1r)])
-            for pr, qr, xr, x1r in zip(_product(x1, u.rows), _product(u.rows, x), x, x1)]))
     terms = _delta_terms(r, r1, inv)
     if not u.is_zero():  # an exact zero term adds nothing
         terms += [_minus(r1.product_term(u)), u.product_term(r)]
@@ -452,17 +458,21 @@ def commutator_with_l(P: LatticeFn, data: AknsData, U: LatticeFn) -> LatticeFn:
     with the deformed difference ``(P(n+1) - P(n)) / eps`` when the lattice
     carries a step.  Each site is built degree by degree from P(n), P(n+1)
     and U(n) (``_commutator_site``); the tails are the same kernel on the
-    tails.  The sites run over ``[max(P.lo, U.lo), min(P.hi - 1, U.hi)]``.
-    P's site series must share one band and validity start.
+    tails.  A float P is read into entry columns once and its sites are
+    formed in one pass (``_commutator_columns``).  The sites run over
+    ``[max(P.lo, U.lo), min(P.hi - 1, U.hi)]``.  P's site series must share
+    one band and validity start.
     """
-    return _sitewise(P, data, U, _commutator_site)
+    return _sitewise(P, data, U, _commutator_site, _commutator_columns)
 
 
-def _sitewise(P: LatticeFn, data: AknsData, U: LatticeFn, kernel) -> LatticeFn:
+def _sitewise(P: LatticeFn, data: AknsData, U: LatticeFn, kernel, columns=None) -> LatticeFn:
     """``kernel(P(n), P(n+1), U(n))`` on ``[max(P.lo, U.lo), min(P.hi - 1, U.hi)]``.
 
     The tails are the kernel on the tails.  The kernel also gets ``A`` and
-    the inverse step (None for the unit step).
+    the inverse step (None for the unit step).  ``columns``, where given,
+    forms float sites in one pass instead:
+    ``columns([P(lo), ..., P(hi + 1)], [U(lo), ..., U(hi)], A, inverse step)``.
     """
     P._compat(U)
     lo, hi = max(P.lo, U.lo), min(P.hi - 1, U.hi)
@@ -470,8 +480,13 @@ def _sitewise(P: LatticeFn, data: AknsData, U: LatticeFn, kernel) -> LatticeFn:
         raise DimensionError("operand ranges do not overlap")
     if len({(s.lo, s.hi, s.valid_lo) for s in P.values}) != 1:
         raise DimensionError("a site kernel needs one band across P's sites")
-    site = partial(kernel, a_mat=data.matrix, inv=_inverse_step(P))
-    vals = tuple(site(P.at(n), P.at(n + 1), U.at(n)) for n in range(lo, hi + 1))
+    a_mat, inv = data.matrix, _inverse_step(P)
+    site = partial(kernel, a_mat=a_mat, inv=inv)
+    if columns is not None and P.at(lo).mode == scalars.FLOAT:
+        vals = tuple(columns([P.at(n) for n in range(lo, hi + 2)],
+                             [U.at(n) for n in range(lo, hi + 1)], a_mat, inv))
+    else:
+        vals = tuple(site(P.at(n), P.at(n + 1), U.at(n)) for n in range(lo, hi + 1))
     return LatticeFn(lo, hi, vals,
                      site(P.left_tail, P.left_tail, U.left_tail),
                      site(P.right_tail, P.right_tail, U.right_tail), P.step, P.mode)
@@ -551,49 +566,141 @@ def _commutator_site(c: MatSeries, c1: MatSeries, u: SmallMatrix, *,
     ``(c1_(d-1) A) - (A c_(d-1))``, the top degree d = hi + 1 the zero minus
     its z-term.  That is minus the template with the direct right-hand side,
     which gives the rational coefficients; the negation would flip the sign
-    of a float zero, so floats come from ``_commutator_floats``
-    (docs/derivations.md section 1).
+    of a float zero, so floats come from ``_commutator_columns`` on this one
+    transition (docs/derivations.md section 1).
     """
     if c.mode == scalars.FLOAT:
-        return _commutator_floats(c, c1, u, a_mat, inv)
+        return _commutator_columns([c, c1], [u], a_mat, inv)[0]
     return -_template(c, c1, u, a_mat, inv, _direct_rhs_site)
 
 
-def _commutator_floats(c: MatSeries, c1: MatSeries, u: SmallMatrix, a_mat: SmallMatrix,
-                       inv) -> MatSeries:
-    """Float ``_commutator_site``, one entrywise pass per coefficient.
+# -- float entry columns ---------------------------------------------------------------
+#
+# A float coefficient over consecutive sites is held as m*m entry columns,
+# row-major: column r*m + k lists entry (r, k) site by site.  The direct
+# resolvent, the commutator and the flow field run on them in whole-lattice
+# passes, with the operations of the ring operations they replace, so each
+# double is the same bit for bit (docs/derivations.md section 4).
 
-    Entry (r, k) of degree d is
-    ``((p - q) - D) - ((0 + x1'_rk a_k) - (0 + a_r x'_rk))`` with
-    ``p = (c1_d U)_rk``, ``q = (U c_d)_rk`` (``_product``), ``D`` the
-    difference of ``_delta`` and ``x' = c_(d-1)``, ``x1' = c1_(d-1)``: the
-    operation order of the ring operations, so the doubles are the same bit
-    for bit (docs/derivations.md section 4).  Below a fully known band the
-    coefficient is the zero matrix, whose z-term is +0.0 for a finite A, and
-    ``v - 0.0`` is v.  The top degree is ``0.0 - z``.
+
+def _columns(mats) -> list:
+    """The m*m entry columns of float matrices at consecutive sites."""
+    return list(zip(*[tuple(chain.from_iterable(x.rows)) for x in mats]))
+
+
+def _site_matrices(cols, m: int, build) -> list:
+    """One matrix per site from m*m entry columns: ``build`` of the site's rows."""
+    return [build(tuple(zip(*[iter(site)] * m))) for site in zip(*cols)]
+
+
+def _diagonal(a_mat: SmallMatrix) -> tuple:
+    """The diagonal entries a_1..a_m of A."""
+    return tuple(a_mat.rows[r][r] for r in range(a_mat.m))
+
+
+def _lax_columns(x, u, m: int, inv) -> tuple:
+    """The columns of ``(x(n+1) U(n)) - (U(n) x(n))`` and of ``Delta x``.
+
+    ``x`` is one coefficient at the sites 0..L, ``u`` is U at the
+    transitions 0..L-1, and both results are at the transitions.  A product
+    entry is the ``sum`` of its m terms from the integer 0, as in
+    ``matrices._product``; the difference is ``x(n+1) - x(n)``, times
+    ``inv`` for a deformed step.
     """
-    first, vlo = _site_band(c)
-    c._compat(c1)
-    c.coeffs[0]._compat(u)
-    m = c.m
-    a = tuple(a_mat.rows[r][r] for r in range(m))
-    zero = SmallMatrix.zero(m, scalars.FLOAT).rows
-    xs = (zero, *[x.rows for x in c.coeffs])
-    x1s = (zero, *[x.rows for x in c1.coeffs])
-    ur = u.rows
-    coeffs = []
-    for i in range(first - c.lo + 1, len(xs)):
-        x, x1, xp, x1p = xs[i], x1s[i], xs[i - 1], x1s[i - 1]
-        coeffs.append(SmallMatrix._floats(m, tuple([tuple([
-            ((p - q) - (b - e if inv is None else inv * (b - e)))
-            - ((0 + bp * ak) - (0 + ar * ep))
-            for p, q, e, b, ep, bp, ak in zip(pr, qr, xr, x1r, xpr, x1pr, a)])
-            for pr, qr, xr, x1r, xpr, x1pr, ar
-            in zip(_product(x1, ur), _product(ur, x), x, x1, xp, x1p, a)])))
-    coeffs.append(SmallMatrix._floats(m, tuple([tuple([
-        0.0 - ((0 + bp * ak) - (0 + ar * ep)) for ep, bp, ak in zip(xpr, x1pr, a)])
-        for xpr, x1pr, ar in zip(xs[-1], x1s[-1], a)])))
-    return MatSeries(m, c.mode, first, c.hi + 1, tuple(coeffs), vlo)
+    x1 = [c[1:] for c in x]
+    ms = range(m)
+    pq = [list(map(sub, map(sum, zip(*[map(mul, x1[r * m + j], u[j * m + k]) for j in ms])),
+                   map(sum, zip(*[map(mul, u[r * m + j], x[j * m + k]) for j in ms]))))
+          for r in ms for k in ms]
+    dx = [list(map(sub, b, e)) for b, e in zip(x1, x)]
+    if inv is not None:
+        dx = [[inv * d for d in c] for c in dx]
+    return pq, dx
+
+
+def _z_columns(x, a: tuple) -> list:
+    """The columns of the z-term ``(x(n+1) A) - (A x(n))``, A = diag(a).
+
+    Entry (r, k) is ``(0 + x1_rk a_k) - (0 + a_r x_rk)``: the scalings of
+    ``matrices._diag_product``.
+    """
+    m = len(a)
+    return [list(map(sub, map(add, repeat(0), map(mul, c[1:], repeat(a[i % m]))),
+                     map(add, repeat(0), map(mul, repeat(a[i // m]), c))))
+            for i, c in enumerate(x)]
+
+
+def _lax_degree(pq, dx, z) -> list:
+    """One coefficient of [P, L]_D on entry columns: ``((p - q) - D) - z``."""
+    return [list(map(sub, map(sub, sc, dc), zc)) for sc, dc, zc in zip(pq, dx, z)]
+
+
+def _top_degree(z) -> list:
+    """The top coefficient of [P, L]_D on entry columns: the zero minus the z-term."""
+    return [[0.0 - y for y in zc] for zc in z]
+
+
+def _transition_columns(U: LatticeFn, e: SmallMatrix) -> list:
+    """U at its transitions U.lo..U.hi - 1 as entry columns, each value checked against e."""
+    vals = U.values[:-1]
+    for v in vals:
+        e._compat(v)
+    return _columns(vals)
+
+
+def _direct_columns(data: AknsData, U: LatticeFn, e: SmallMatrix, depth: int, inv) -> tuple:
+    """The float direct resolvent R_(0) = e, R_(1)..R_(depth) on entry columns over U's sites.
+
+    Order j + 1 is ``solve_two_point`` on ``Delta R_(j) - (p - q)`` from
+    ``_lax_columns`` of R_(j): the operations of the right-hand side
+    ``Delta r - ((Lambda r) U - U r)`` at each site.  Returns the orders, the
+    ``(p - q, Delta)`` columns of R_(0)..R_(depth - 1) and U's columns at the
+    transitions (None below depth 1, where U's values are not read).
+    """
+    m = data.m
+    orders, lax = [[(x,) * (U.hi - U.lo + 1) for x in chain.from_iterable(e.rows)]], []
+    if depth < 1:
+        return orders, lax, None
+    u = _transition_columns(U, e)
+    if U.lo == U.hi:
+        raise DimensionError("a recursion order needs at least two sites")
+    for _ in range(depth):
+        pq, dx = _lax_columns(orders[-1], u, m, inv)
+        lax.append((pq, dx))
+        orders.append([solve_two_point(data.a[i // m], data.a[i % m], list(map(sub, d, s)),
+                                       data.direction(i // m + 1, i % m + 1), scalars.FLOAT)
+                       for i, (s, d) in enumerate(zip(pq, dx))])
+    return orders, lax, u
+
+
+def _commutator_columns(cs: list, us: list, a_mat: SmallMatrix, inv) -> list:
+    """Float ``_commutator_site`` at every transition of the series ``cs``, U(n) = ``us[n]``.
+
+    The series share one band.  Each coefficient is read into entry columns
+    once.  Degree d is ``_lax_degree`` of coefficient d with the z-term of
+    coefficient d - 1, which below a fully known band is that of the zero
+    matrix; the top degree is ``_top_degree`` of the top coefficient.  Bands
+    as in ``_site_band``.
+    """
+    c0 = cs[0]
+    first, vlo = _site_band(c0)
+    for c, c1, u in zip(cs, cs[1:], us):
+        c._compat(c1)
+        c.coeffs[0]._compat(u)
+    m, width = c0.m, c0.m * c0.m
+    a = _diagonal(a_mat)
+    u = _columns(us)
+    flat = list(zip(*[tuple(chain.from_iterable(chain.from_iterable(x.rows for x in c.coeffs)))
+                      for c in cs]))
+    xs = [[(0.0,) * len(cs)] * width,
+          *(flat[i:i + width] for i in range(0, len(flat), width))]
+    degrees = [_lax_degree(*_lax_columns(xs[i], u, m, inv), _z_columns(xs[i - 1], a))
+               for i in range(first - c0.lo + 1, len(xs))]
+    degrees.append(_top_degree(_z_columns(xs[-1], a)))
+    build = partial(SmallMatrix._floats, m)
+    per_site = zip(*[_site_matrices(cols, m, build) for cols in degrees])
+    return [MatSeries(m, c.mode, first, c0.hi + 1, coeffs, vlo)
+            for c, coeffs in zip(cs, per_site)]
 
 
 # -- projections and the hierarchy flow field ----------------------------------------------
@@ -606,10 +713,14 @@ def projector_b(resolvent: Resolvent, k: int, part: str) -> LatticeFn:
     ``0 <= k <= depth``; Bbar starts at R_(k+1), so ``"minus"`` needs
     ``0 <= k < depth``.  ``series_project`` refuses the k beyond the band.
     """
-    if k < 0:
-        raise ValidityError(f"flow order {k} must be >= 0")
+    _check_flow_order(k)
     return resolvent.series.map(lambda s: series_project(s.shift_degree(k), part),
                                 map_tails=False)
+
+
+def _check_flow_order(k: int) -> None:
+    if k < 0:
+        raise ValidityError(f"flow order {k} must be >= 0")
 
 
 def flow_field(data: AknsData, U: LatticeFn, k: int, alpha: int, *,
@@ -621,19 +732,61 @@ def flow_field(data: AknsData, U: LatticeFn, k: int, alpha: int, *,
     must vanish (up to ``tol``; exactly in rational mode), and a nan among them
     is refused as well.  The full degree-0 coefficient is returned; its
     diagonal, measured by ``diagonal_drift``, is the discrete gauge drift
-    Delta of R_{(k+1),pp}.
+    Delta of R_{(k+1),pp}.  Float mode runs in one pass on entry columns
+    (``_flow_columns``); rational mode builds B and ``commutator_with_l``.
     """
-    b = projector_b(resolvent_direct(data, U, alpha, k), k, "plus")
-    comm = commutator_with_l(b, data, U)
-    pos = site_max(comm, lambda s: scalars.max_of(
-        (s.get(d).max_abs() for d in range(max(1, s.lo), s.hi + 1)), s.mode))
+    if data.mode == scalars.FLOAT:
+        pos, degree0 = _flow_columns(data, U, k, alpha)
+    else:
+        comm = commutator_with_l(projector_b(resolvent_direct(data, U, alpha, k), k, "plus"),
+                                 data, U)
+        pos = site_max(comm, lambda s: scalars.max_of(
+            (s.get(d).max_abs() for d in range(max(1, s.lo), s.hi + 1)), s.mode))
     if not pos <= tol:  # a nan fails it too
         raise ConsistencyError(
             f"positive z-degrees of the flow commutator do not vanish "
             f"(residual {pos})"
         )
-    return LatticeFn.from_values(comm.lo, [comm.at(n).get(0) for n in comm.sites()],
-                                 step=comm.step)
+    if data.mode == scalars.FLOAT:
+        vals = _site_matrices(degree0, data.m, partial(SmallMatrix._floats, data.m))
+    else:
+        vals = [comm.at(n).get(0) for n in comm.sites()]
+    return LatticeFn.from_values(U.lo, vals, step=U.step)
+
+
+def _flow_columns(data: AknsData, U: LatticeFn, k: int, alpha: int) -> tuple:
+    """The float flow field's positive-degree residual and its degree-0 entry columns.
+
+    B_d = R_(k-d), d = 0..k, from ``_direct_columns``.  Degree d >= 1 of
+    [B, L]_D is ``((p - q) - D) - z(R_(k-d+1))``, and its ``p - q`` and ``D``
+    are those of R_(k-d) that the right-hand side of order k - d + 1 formed;
+    only degree 0 forms new ones, of R_(k), with the zero matrix's z-term.
+    The top degree k + 1 is ``_top_degree`` of R_(0).  The refusals are those
+    of ``resolvent_direct``, ``projector_b`` and ``commutator_with_l`` on the
+    per-site objects, in their order; the tails of U are checked as the
+    commutator's tail kernel checks them.
+    """
+    e = data.projector(alpha)
+    inv = _inverse_step(U)
+    orders, lax, u = _direct_columns(data, U, e, k, inv)
+    scalars.join_modes(e.mode, U.mode)  # the site series of R carry U's mode
+    _check_flow_order(k)
+    if U.lo == U.hi:
+        raise DimensionError("operand ranges do not overlap")
+    if u is None:  # k = 0: the commutator reads U first
+        u = _transition_columns(U, e)
+    e._compat(U.left_tail)
+    e._compat(U.right_tail)
+    a = _diagonal(data.matrix)
+    positive = [_lax_degree(pq, dx, _z_columns(orders[j + 1], a))
+                for j, (pq, dx) in enumerate(lax)]
+    # R_(0) = e and the zero are the same at every site: their z-terms are
+    # formed on one transition
+    positive.append(_top_degree(_z_columns([(x, x) for x in chain.from_iterable(e.rows)], a)))
+    pos = scalars.max_of(map(abs, chain.from_iterable(chain.from_iterable(positive))),
+                         scalars.FLOAT)
+    z0 = [repeat(z) for (z,) in _z_columns([(0.0, 0.0)] * (data.m * data.m), a)]
+    return pos, _lax_degree(*_lax_columns(orders[-1], u, data.m, inv), z0)
 
 
 def diagonal_drift(f: LatticeFn):

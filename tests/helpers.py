@@ -10,10 +10,20 @@ import sys
 
 from aknsd import scalars
 from aknsd.baker import TauExpSum, baker_from_tau
-from aknsd.hierarchy import Dressing, HierarchyState
+from aknsd.errors import ConsistencyError
+from aknsd.hierarchy import (
+    Dressing,
+    HierarchyState,
+    Resolvent,
+    _orders_to_series,
+    _site_band,
+    _sitewise,
+    _solve_orders,
+    projector_b,
+)
 from aknsd.instances import DESK_DEPTH, DESK_WINDOW
-from aknsd.lattice import LatticeFn, delta_apply, shift_apply
-from aknsd.matrices import SmallMatrix
+from aknsd.lattice import LatticeFn, delta_apply, shift_apply, site_max
+from aknsd.matrices import SmallMatrix, _product
 from aknsd.series import MatSeries, series_mul
 
 RAT = "rational"
@@ -158,6 +168,89 @@ def ref_commutator_site(c, c1, u, a_mat, inv):
 def ref_direct_rhs_site(r, r1, u, inv):
     """``Delta r - ((Lambda r) U - U r)`` at one site by ring operations."""
     return _ref_delta(r, r1, inv) - ((r1 @ u) - (u @ r))
+
+
+def ref_direct_rhs_floats(r, r1, u, inv):
+    """The float direct right-hand side at one site, as one entrywise pass.
+
+    ``D_rk - ((r1 U)_rk - (U r)_rk)`` with the products of ``_product``: the
+    per-site kernel the float direct resolvent ran on before it moved to
+    entry columns, kept with its operand checks.
+    """
+    r._compat(u)
+    r1._compat(u)
+    x, x1 = r.rows, r1.rows
+    return SmallMatrix._floats(r.m, tuple([tuple([
+        (b - e if inv is None else inv * (b - e)) - (p - q)
+        for p, q, e, b in zip(pr, qr, xr, x1r)])
+        for pr, qr, xr, x1r in zip(_product(x1, u.rows), _product(u.rows, x), x, x1)]))
+
+
+def ref_commutator_floats(c, c1, u, a_mat, inv):
+    """Float [P, L]_D at one site, one entrywise pass per coefficient.
+
+    Entry (r, k) of degree d is
+    ``((p - q) - D) - ((0 + x1'_rk a_k) - (0 + a_r x'_rk))`` with
+    ``p = (c1_d U)_rk``, ``q = (U c_d)_rk``, D the difference and
+    ``x' = c_(d-1)``, ``x1' = c1_(d-1)``; below a fully known band x' is the
+    zero matrix, and the top degree is ``0.0 - z``.  The per-site kernel the
+    float commutator and flow field ran on before they moved to entry
+    columns, kept with its band and operand checks.
+    """
+    first, vlo = _site_band(c)
+    c._compat(c1)
+    c.coeffs[0]._compat(u)
+    m = c.m
+    a = tuple(a_mat.rows[r][r] for r in range(m))
+    zero = SmallMatrix.zero(m, scalars.FLOAT).rows
+    xs = (zero, *[x.rows for x in c.coeffs])
+    x1s = (zero, *[x.rows for x in c1.coeffs])
+    ur = u.rows
+    coeffs = []
+    for i in range(first - c.lo + 1, len(xs)):
+        x, x1, xp, x1p = xs[i], x1s[i], xs[i - 1], x1s[i - 1]
+        coeffs.append(SmallMatrix._floats(m, tuple([tuple([
+            ((p - q) - (b - e if inv is None else inv * (b - e)))
+            - ((0 + bp * ak) - (0 + ar * ep))
+            for p, q, e, b, ep, bp, ak in zip(pr, qr, xr, x1r, xpr, x1pr, a)])
+            for pr, qr, xr, x1r, xpr, x1pr, ar
+            in zip(_product(x1, ur), _product(ur, x), x, x1, xp, x1p, a)])))
+    coeffs.append(SmallMatrix._floats(m, tuple([tuple([
+        0.0 - ((0 + bp * ak) - (0 + ar * ep)) for ep, bp, ak in zip(xpr, x1pr, a)])
+        for xpr, x1pr, ar in zip(xs[-1], x1s[-1], a)])))
+    return MatSeries(m, c.mode, first, c.hi + 1, tuple(coeffs), vlo)
+
+
+def ref_resolvent_direct_floats(data, U, alpha, depth):
+    """The float direct resolvent site by site: the order loop with ``ref_direct_rhs_floats``."""
+    orders = _solve_orders(data, U, U.constant(data.projector(alpha)), ref_direct_rhs_floats,
+                           depth)
+    return Resolvent(_orders_to_series(orders, data.m))
+
+
+def ref_commutator_with_l_floats(P, data, U):
+    """The float [P, L]_D site by site, tails included, with ``ref_commutator_floats``."""
+    return _sitewise(P, data, U, lambda c, c1, u, *, a_mat, inv:
+                     ref_commutator_floats(c, c1, u, a_mat, inv))
+
+
+def ref_flow_field_floats(data, U, k, alpha, tol=0):
+    """The float flow field from the per-site objects: B = (z^k R)_+, [B, L]_D, degree 0.
+
+    The direct resolvent of ``ref_resolvent_direct_floats``, ``projector_b``
+    and ``ref_commutator_with_l_floats``, with the positive-degree check.
+    """
+    b = projector_b(ref_resolvent_direct_floats(data, U, alpha, k), k, "plus")
+    comm = ref_commutator_with_l_floats(b, data, U)
+    pos = site_max(comm, lambda s: scalars.max_of(
+        (s.get(d).max_abs() for d in range(max(1, s.lo), s.hi + 1)), s.mode))
+    if not pos <= tol:
+        raise ConsistencyError(
+            f"positive z-degrees of the flow commutator do not vanish "
+            f"(residual {pos})"
+        )
+    return LatticeFn.from_values(comm.lo, [comm.at(n).get(0) for n in comm.sites()],
+                                 step=comm.step)
 
 
 def ref_axpy(u, c, f):

@@ -1,19 +1,24 @@
 """Deformed-step calculus and the continuum-limit scan."""
 
 import math
+from pathlib import Path
 import random
 
 import pytest
 
 from aknsd import dynamics, scalars
+from aknsd.config import parse_config
 from aknsd.dynamics import continuum_scan, gaussian_bump_profile
 from aknsd.errors import InstanceError
 from aknsd.hierarchy import flow_field
 from aknsd.instances import desk_data, random_potential
 from aknsd.lattice import LatticeFn, Window
 from aknsd.matrices import SmallMatrix
+from aknsd.verify import run_verify_suite
 
 FLOAT = scalars.FLOAT
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def test_step_one_matches_undeformed_bit_for_bit():
@@ -83,3 +88,71 @@ def test_scan_maxima_keep_a_nan(monkeypatch):
                             x_span=2.0, halo=4)
     assert math.isnan(report.cauchy_norms_max[0])
     assert all(math.isnan(x) for x in report.dx_residual_norms_max)
+
+
+def _nan_on_calls(monkeypatch, calls):
+    """Patch ``dynamics.flow_field`` to put a nan at site 0 of the fields of ``calls``.
+
+    ``calls`` are 0-based indices of the calls; the other fields are untouched.
+    """
+    field = dynamics.flow_field
+    count = iter(range(10 ** 6))
+
+    def field_with_nan(data, u, k, alpha, **kwargs):
+        f = field(data, u, k, alpha, **kwargs)
+        if next(count) not in calls:
+            return f
+        bad = SmallMatrix(data.m, FLOAT, tuple(
+            tuple(math.nan if (r, c) == (0, 1) else 0.0 for c in range(data.m))
+            for r in range(data.m)))
+        vals = tuple(bad if n == 0 else v for n, v in zip(f.sites(), f.values))
+        return LatticeFn(f.lo, f.hi, vals, f.left_tail, f.right_tail, f.step, f.mode)
+
+    monkeypatch.setattr(dynamics, "flow_field", field_with_nan)
+
+
+def _checks(name, suite):
+    config = parse_config((CONFIGS / f"{name}.json").read_text())
+    report = run_verify_suite(config, suite)
+    return report, {c["check"]: c for c in report.checks}
+
+
+def test_a_nan_scan_norm_gives_a_nan_order(monkeypatch):
+    # the first field of the first step: both norms that read it are nan, and
+    # so are the orders formed from them; a zero norm still gives inf
+    _nan_on_calls(monkeypatch, {0})
+    report = continuum_scan(desk_data(2, FLOAT), gaussian_bump_profile(2), [0.5, 0.25, 0.125],
+                            x_span=2.0, halo=4)
+    assert math.isnan(report.cauchy_norms[0]) and math.isnan(report.dx_residual_norms[0])
+    assert math.isnan(report.cauchy_orders[0]) and math.isnan(report.dx_orders[0])
+    assert not report.passed
+    assert any(f.startswith("cauchy order nan") for f in report.flags)
+    monkeypatch.undo()
+    zero = continuum_scan(desk_data(2, FLOAT), lambda x: SmallMatrix.zero(2, FLOAT),
+                          [0.5, 0.25, 0.125], x_span=2.0, halo=4)
+    assert zero.cauchy_orders == [math.inf] and zero.dx_orders == [math.inf, math.inf]
+    assert zero.passed
+
+
+@pytest.mark.parametrize("call", [0, 7])
+def test_a_nan_scan_field_fails_the_limit_suite(monkeypatch, call):
+    # desk_m2 scans 4 steps with 2 flows each: call 0 is the first field, whose
+    # nan orders come first; call 7 the last, whose nan orders come after
+    # finite ones, where builtin min would drop them
+    _nan_on_calls(monkeypatch, {call})
+    report, checks = _checks("desk_m2", "limit")
+    for name in ("continuum_cauchy_order", "continuum_dx_relation_order"):
+        assert checks[name]["residual"] == "nan"
+        assert not checks[name]["pass"]
+    assert report.verdict == "fail"
+
+
+@pytest.mark.filterwarnings("ignore:boundary leakage")
+def test_a_nan_field_fails_the_rk4_order_check(monkeypatch):
+    # the first field of the dynamics suite is the Euler reference: both
+    # defects are nan, and so is the order; the later fields are finite
+    _nan_on_calls(monkeypatch, {0})
+    report, checks = _checks("desk_m2", "dynamics")
+    check = checks["rk4_vs_euler_order"]
+    assert check["residual"] == "nan" and not check["pass"]
+    assert report.verdict == "fail"

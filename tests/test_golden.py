@@ -14,7 +14,11 @@ commutator became one per-site kernel.  The limit suite's continuum scan is
 the one desk path whose lattice step is not 1.  The `tau` digests were
 recorded before the tau sums carried each exponential by its Miwa point.
 The float state digests pin the float dressing solve; they were recorded
-before the dressing and direct-resolvent solves shared one order loop.
+before the dressing and direct-resolvent solves shared one order loop.  The
+float resolvent digests (the `verify --suite resolvent` report and the
+`resolvent` standard output) pin the float direct resolvent, commutator and
+cross-solver difference outside the flow field; they were recorded before
+those ran on per-entry site columns.
 """
 
 import contextlib
@@ -48,6 +52,18 @@ DESK_M3_REPORT_SHA256 = {
     "algebra": "3fab96906aeb7c3d41360f9d051be9956d4d5e7eac0ed171698f4d2a69a1f8b7",
     "resolvent": "0f621210044758bd0855a88d06a8c5bdeea8d2d0c40b5ef6010c35ea4ff0defc",
     "bilinear": "5843a424f0d4d9cfe4f224c4654cc9d95707c7240861087d96965b3e50647d09",
+}
+
+# config -> digest of the float `verify --suite resolvent` report
+FLOAT_RESOLVENT_REPORT_SHA256 = {
+    "desk_m2": "8fed2cf8c7de2db0c7cd8e4478836c41a3d199cbd310d8381f7323fc35a81b3f",
+    "desk_m3": "24f402dc8a87d234d33a66af13381af2c6832e6da83e3abb458c5b90a72ad74e",
+}
+
+# config -> digest of the float `resolvent` standard output
+FLOAT_RESOLVENT_STDOUT_SHA256 = {
+    "desk_m2": "acac914f94db13b86da90dc648c244f886008e24933c2fd7ff17184eab00489e",
+    "desk_m3": "acac914f94db13b86da90dc648c244f886008e24933c2fd7ff17184eab00489e",
 }
 
 DESK_M3_EVOLVE_CSV_SHA256 = \
@@ -134,6 +150,20 @@ def test_desk_m3_rational_report_is_byte_identical(suite, tmp_path):
     argv = ["verify", "--config", str(CONFIGS / "desk_m3.json"), "--suite", suite]
     assert _digest_of_output(argv, tmp_path / "report.json") == \
         DESK_M3_REPORT_SHA256[suite]
+
+
+@pytest.mark.parametrize("name", sorted(FLOAT_RESOLVENT_REPORT_SHA256))
+def test_float_resolvent_report_is_byte_identical(name, tmp_path):
+    argv = ["verify", "--config", str(CONFIGS / f"{name}.json"), "--mode", "float",
+            "--suite", "resolvent"]
+    assert _digest_of_output(argv, tmp_path / "report.json") == \
+        FLOAT_RESOLVENT_REPORT_SHA256[name]
+
+
+@pytest.mark.parametrize("name", sorted(FLOAT_RESOLVENT_STDOUT_SHA256))
+def test_float_resolvent_stdout_is_byte_identical(name):
+    argv = ["resolvent", "--config", str(CONFIGS / f"{name}.json"), "--mode", "float"]
+    assert _digest_of_stdout(argv) == FLOAT_RESOLVENT_STDOUT_SHA256[name]
 
 
 def test_desk_m3_float_trajectory_csv_is_byte_identical(tmp_path):

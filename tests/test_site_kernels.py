@@ -6,13 +6,18 @@ references in ``helpers`` compose the same objects from series products,
 shifts and ``zip_with`` lambdas.  Both must give the same bands and, in
 float mode, the same doubles down to the sign of a zero.  The rational
 commutator is held to the ring operations, and the fused float kernels of
-the flow path (``_commutator_site``, ``_direct_rhs_site``,
-``dynamics._axpy``) to the ring operations they fuse, bit for bit,
-non-finite entries included (a nan stays a nan).
+the flow path (the entry-column kernels of ``_commutator_site`` and of the
+direct right-hand side, ``dynamics._axpy``) to the ring operations they
+fuse, bit for bit, non-finite entries included (a nan stays a nan).  The
+float ``flow_field``, ``resolvent_direct`` and ``commutator_with_l`` run on
+entry columns, and are held to the per-site kernels they replaced, refusals
+included.
 """
 
 from fractions import Fraction
+from functools import partial
 import math
+from operator import sub
 import random
 import struct
 
@@ -20,21 +25,27 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from aknsd import scalars
-from aknsd.errors import ValidityError
+from aknsd.errors import AknsdError, ValidityError
 from aknsd.dynamics import _axpy
 from aknsd.hierarchy import (
     AknsData,
     Dressing,
     HierarchyState,
+    Resolvent,
+    _columns,
     _commutator_site,
     _defect_site,
     _direct_rhs_site,
     _dressing_defect,
     _dressing_rhs_site,
     _inverse_step,
+    _lax_columns,
     _resolvent_site,
+    _site_matrices,
     _solve_order,
+    commutator_with_l,
     dressing_residual,
+    flow_field,
     resolvent_direct,
     resolvent_dressed,
     solve_dressing,
@@ -49,11 +60,14 @@ from helpers import (
     left_mul,
     ref_axpy,
     ref_commutator_site,
+    ref_commutator_with_l_floats,
     ref_direct_rhs,
     ref_direct_rhs_site,
     ref_dressed_resolvent,
     ref_dressing_defect,
     ref_dressing_rhs,
+    ref_flow_field_floats,
+    ref_resolvent_direct_floats,
     right_mul,
 )
 
@@ -119,6 +133,16 @@ class _Draw:
 def _matrix(rhs, m):
     """A right-hand-side kernel's result as a matrix: rational terms are summed."""
     return rhs if isinstance(rhs, SmallMatrix) else SmallMatrix.from_terms(rhs, m)
+
+
+def _column_rhs(r, u, m, inv):
+    """The float direct right-hand side ``Delta r - ((Lambda r) U - U r)`` from entry columns.
+
+    ``r`` holds one more site than ``u``; one matrix per transition.
+    """
+    pq, dx = _lax_columns(_columns(r), _columns(u), m, inv)
+    return _site_matrices([list(map(sub, d, s)) for s, d in zip(pq, dx)], m,
+                          partial(SmallMatrix._floats, m))
 
 
 def _order_rhs(vals):
@@ -191,8 +215,11 @@ def test_direct_rhs_kernel_matches_the_zip_with_composition(state):
     rnd_r = state.dressing.ws[0]  # any matrix lattice on U's range will do
     inv = _inverse_step(U)
     want = ref_direct_rhs(rnd_r, U)
-    got = [_matrix(_direct_rhs_site(rnd_r.at(n), rnd_r.at(n + 1), U.at(n), inv), state.data.m)
-           for n in range(U.lo, U.hi)]
+    if U.mode == FLOAT:
+        got = _column_rhs([rnd_r.at(n) for n in U.sites()], U.values[:-1], state.data.m, inv)
+    else:
+        got = [_matrix(_direct_rhs_site(rnd_r.at(n), rnd_r.at(n + 1), U.at(n), inv),
+                       state.data.m) for n in range(U.lo, U.hi)]
     assert (want.lo, want.hi) == (U.lo, U.hi - 1)
     for n, v in zip(want.sites(), got):
         _assert_same(v, want.at(n))
@@ -325,9 +352,88 @@ def test_fused_float_kernels_match_the_ring_operations_bit_for_bit(case):
     assert got.hi == c.hi + 1 and len(got.coeffs) == len(want)
     assert [_bits(x) for x in got.coeffs] == [_bits(x) for x in want]
     for x, x1 in zip(c.coeffs, c1.coeffs):
-        assert _bits(_direct_rhs_site(x, x1, u, inv)) == _bits(ref_direct_rhs_site(x, x1, u, inv))
+        assert [_bits(v) for v in _column_rhs([x, x1], [u], c.m, inv)] == \
+            [_bits(ref_direct_rhs_site(x, x1, u, inv))]
     got, want = _axpy(f, scale, g), ref_axpy(f, scale, g)
     assert (got.lo, got.hi, got.step, got.mode) == (want.lo, want.hi, want.step, want.mode)
     for x, y in zip((*got.values, got.left_tail, got.right_tail),
                     (*want.values, want.left_tail, want.right_tail)):
         assert _bits(x) == _bits(y)
+
+
+def _outcome(fn, *args, **kwargs):
+    """The result of a call, or the type and message of the error it raised."""
+    try:
+        return fn(*args, **kwargs)
+    except AknsdError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _value_bits(v):
+    """A matrix's bit patterns, or a series' band, validity and coefficients' bit patterns."""
+    if isinstance(v, SmallMatrix):
+        return v.mode, _bits(v)
+    return v.mode, v.lo, v.hi, v.valid_lo, [_bits(c) for c in v.coeffs]
+
+
+def _same_outcome(got, want):
+    """Both refused with the same error and message, or the same lattice bit for bit."""
+    if isinstance(want, tuple) or isinstance(got, tuple):
+        assert got == want
+        return
+    if isinstance(want, Resolvent):
+        got, want = got.series, want.series
+    assert (got.lo, got.hi, got.step, got.mode) == (want.lo, want.hi, want.step, want.mode)
+    assert [_value_bits(v) for v in (*got.values, got.left_tail, got.right_tail)] == \
+        [_value_bits(v) for v in (*want.values, want.left_tail, want.right_tail)]
+
+
+@st.composite
+def column_case(draw):
+    """A float instance, a potential (possibly one site, possibly faulty) and a series lattice.
+
+    k and alpha run one past their ranges on both sides, for the refusals.  A
+    fault puts a value of another dimension or mode into U, at a transition,
+    at its last site or in a tail, or makes U rational.
+    """
+    m = draw(st.integers(2, 3))
+    rnd = _Draw(draw, m, FLOAT, _WILD if draw(st.booleans()) else None)
+    data = _data(draw, m, FLOAT)
+    step = draw(st.sampled_from([None, 0.5, 0.1]))  # 1/0.1 is not a power of two
+    lo = draw(st.integers(-2, 1))
+    hi = lo + draw(st.sampled_from([0, 1, 2, 3, 4, 5]))
+    U = rnd.lattice(lo, hi, step)
+    fault = draw(st.sampled_from([None] * 12 + ["site", "last", "tail", "rational"]))
+    if fault == "rational":
+        U = _Draw(draw, m, RAT).lattice(lo, hi, None if step is None else Fraction(step))
+    elif fault is not None:
+        bad = draw(st.sampled_from([SmallMatrix.zero(m + 1, FLOAT), SmallMatrix.zero(m, RAT)]))
+        vals, tails = list(U.values), [U.left_tail, U.right_tail]
+        if fault == "tail":
+            tails[draw(st.integers(0, 1))] = bad
+        else:
+            vals[draw(st.integers(0, len(vals) - 1)) if fault == "site" else -1] = bad
+        U = LatticeFn(lo, hi, tuple(vals), *tails, step, FLOAT)
+    k = draw(st.integers(-1, 3))
+    alpha = draw(st.sampled_from([*range(1, m + 1)] * 4 + [0, m + 1]))
+    band = rnd.band()
+    plo = lo + draw(st.integers(-1, 1))
+    phi = plo + draw(st.sampled_from([0, 1, 2, 3, 4, 5, 3, 4]))
+    tails = [rnd.series(*rnd.band()) if draw(st.booleans()) else MatSeries.zero(m, FLOAT)
+             for _ in range(2)]
+    P = LatticeFn(plo, phi, tuple(rnd.series(*band) for _ in range(plo, phi + 1)), *tails,
+                  step, FLOAT)
+    tol = draw(st.sampled_from([0, 1e-8, math.inf]))
+    return data, U, k, alpha, P, tol
+
+
+@given(column_case())
+@settings(max_examples=400, deadline=None)
+def test_float_column_passes_match_the_per_site_kernels(case):
+    data, U, k, alpha, P, tol = case
+    _same_outcome(_outcome(flow_field, data, U, k, alpha, tol=tol),
+                  _outcome(ref_flow_field_floats, data, U, k, alpha, tol=tol))
+    _same_outcome(_outcome(resolvent_direct, data, U, alpha, k),
+                  _outcome(ref_resolvent_direct_floats, data, U, alpha, k))
+    _same_outcome(_outcome(commutator_with_l, P, data, U),
+                  _outcome(ref_commutator_with_l_floats, P, data, U))

@@ -34,11 +34,13 @@ def test_every_traced_target_resolves_and_is_wrapped():
         state = HierarchyState.solve(data, vacuum_potential(window, 2, scalars.FLOAT),
                                      window, 2)
         dynamics.rk4_evolve(state, dynamics.FlowIndex(1, 1), 0.1, 1)
-        # the rational solve, defect and commutator: the order loop and the
-        # site template must not bypass the traced names
+        # the rational solve, defect, direct resolvent and commutator: the
+        # order loop and the site template must not bypass the traced names;
+        # the float flow field no longer calls the direct resolvent
         data = desk_data(2)
         state = HierarchyState.solve(data, vacuum_potential(window, 2), window, 2)
         hierarchy.dressing_residual(state)
+        hierarchy.resolvent_direct(data, state.U, 1, 2)
         hierarchy.commutator_with_l(state.hat, data, state.U)
     for name in ("dynamics.rk4_evolve", "dynamics.rk4_step", "hierarchy.flow_field",
                  "hierarchy.solve_dressing", "hierarchy.dressing_residual",
