@@ -687,13 +687,11 @@ def _commutator_columns(cs: list, us: list, a_mat: SmallMatrix, inv) -> list:
     for c, c1, u in zip(cs, cs[1:], us):
         c._compat(c1)
         c.coeffs[0]._compat(u)
-    m, width = c0.m, c0.m * c0.m
+    m = c0.m
     a = _diagonal(a_mat)
     u = _columns(us)
-    flat = list(zip(*[tuple(chain.from_iterable(chain.from_iterable(x.rows for x in c.coeffs)))
-                      for c in cs]))
-    xs = [[(0.0,) * len(cs)] * width,
-          *(flat[i:i + width] for i in range(0, len(flat), width))]
+    xs = [[(0.0,) * len(cs)] * (m * m),
+          *(_columns([c.coeffs[i] for c in cs]) for i in range(len(c0.coeffs)))]
     degrees = [_lax_degree(*_lax_columns(xs[i], u, m, inv), _z_columns(xs[i - 1], a))
                for i in range(first - c0.lo + 1, len(xs))]
     degrees.append(_top_degree(_z_columns(xs[-1], a)))

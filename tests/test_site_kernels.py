@@ -392,7 +392,7 @@ def _same_outcome(got, want):
 def column_case(draw):
     """A float instance, a potential (possibly one site, possibly faulty) and a series lattice.
 
-    k and alpha run one past their ranges on both sides, for the refusals.  A
+    k starts at -1 and alpha runs one past 1..m on both sides, for the refusals.  A
     fault puts a value of another dimension or mode into U, at a transition,
     at its last site or in a tail, or makes U rational.
     """
