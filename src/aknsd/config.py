@@ -28,7 +28,7 @@ _TOP_KEYS = {
     "m", "a", "window", "depth", "mode", "flows", "h", "steps",
     "eps_list", "tol", "seed", "potential", "out",
 }
-_WINDOW_KEYS = {"n_min", "n_max", "halo"}
+_WINDOW_KEYS = ("n_min", "n_max", "halo")  # in the order of Window's fields
 _POTENTIAL_KEYS = {"type", "site", "i", "j", "value", "span", "density",
                    "amplitude", "triangular", "sites"}
 
@@ -241,7 +241,7 @@ def parse_config(text: str) -> ExperimentConfig:
 
     win_doc = doc.get("window", {"n_min": -8, "n_max": 8, "halo": 10})
     window = None
-    if not isinstance(win_doc, dict) or set(win_doc) - _WINDOW_KEYS:
+    if not isinstance(win_doc, dict) or set(win_doc) - set(_WINDOW_KEYS):
         problems.append("'window' must be an object with n_min, n_max, halo")
     else:
         n_min = _integer(win_doc.get("n_min", -8), "window 'n_min'", problems)

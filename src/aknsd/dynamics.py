@@ -259,6 +259,20 @@ class ScanReport:
         }
 
 
+def check_scan_steps(eps_list) -> list:
+    """The scan's step sizes as floats, refused unless each one halves the one before.
+
+    Consecutive fields are compared on common x-points, so the steps must be
+    strictly decreasing and halved.
+    """
+    eps_list = [float(e) for e in eps_list]
+    if any(e2 >= e1 for e1, e2 in zip(eps_list, eps_list[1:])):
+        raise InstanceError("step sizes must be strictly decreasing")
+    if any(abs(e1 / e2 - 2.0) > 1e-12 for e1, e2 in zip(eps_list, eps_list[1:])):
+        raise InstanceError("scan expects halved steps for common x-points")
+    return eps_list
+
+
 def continuum_scan(data: AknsData, profile, eps_list, *,
                    x_span: float = 4.0, halo: int = 6) -> ScanReport:
     """Deformed-step scan: compute the first-order flow fields at each step size.
@@ -272,12 +286,7 @@ def continuum_scan(data: AknsData, profile, eps_list, *,
     """
     if data.mode != scalars.FLOAT:
         raise ModeError("the continuum scan runs in float mode")
-    eps_list = [float(e) for e in eps_list]
-    if any(e2 >= e1 for e1, e2 in zip(eps_list, eps_list[1:])):
-        raise InstanceError("step sizes must be strictly decreasing")
-    for e1, e2 in zip(eps_list, eps_list[1:]):
-        if abs(e1 / e2 - 2.0) > 1e-12:
-            raise InstanceError("scan expects halved steps for common x-points")
+    eps_list = check_scan_steps(eps_list)
 
     fields = []
     dx_norms = []

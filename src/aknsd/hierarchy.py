@@ -27,36 +27,47 @@ the dressing residual vanishes identically in rational mode, and the direct
 resolvent recursion reuses the identical kernel so both constructions agree
 entry for entry.
 
-One driver, ``_solve_orders``, runs the dressing solve and the rational
-direct resolvent from a first order and a right-hand-side site kernel.  Each
-entry's recursion reads a list: integer pairs with one gcd per step in
-rational mode (``_solve_exact``), doubles in float mode (``solve_two_point``,
-also the reference recursion for tests).
+Each public operation (``solve_dressing``, ``resolvent_direct``,
+``_sitewise`` behind ``commutator_with_l`` and the dressing defect,
+``flow_field``) chooses its mode once: rational data runs per site, float
+data on entry columns, and no kernel tests the mode again.
 
-Everything that reads w_hat, R or P is built site by site, degree by degree,
-from the values at n and n + 1 alone:
+Rational mode.  One order loop, ``_solve_orders``, runs the dressing solve and
+the direct resolvent from a first order and a right-hand-side site kernel;
+each entry's recursion reads integer pairs with one gcd per step
+(``_solve_exact``).  Everything that reads w_hat, R or P is built site by
+site, degree by degree, from the values at n and n + 1 alone:
 
 * ``_dressing_rhs_site``: ``Delta w + U w``, the dressing right-hand side;
-* ``_direct_rhs_site``: the direct resolvent's ``Delta r - ((Lambda r) U - U r)``,
-  in rational mode;
+* ``_direct_rhs_site``: the direct resolvent's ``Delta r - ((Lambda r) U - U r)``;
 * ``_template``: degree d of ``rhs(c_d) - A c_(d-1) + c1_(d-1) A``;
 * ``_defect_site``: (T'), the template with the dressing right-hand side;
 * ``_commutator_site``: ``[P, L]_D``, minus the template with the direct one;
 * ``_resolvent_site``: degree d of ``w_hat E_alpha w_hat^{-1}`` is the sum of
-  the rank-one products (column alpha of w_i)(row alpha of winv_j), i + j = d.
+  the rank-one products (column alpha of w_i)(row alpha of winv_j), i + j = d
+  (both modes).
 
-A is diagonal, so its products are row and column scalings.  In rational
-mode a right-hand side is a list of ``SmallMatrix.from_terms`` terms, which
-its consumer sums once (the template together with the z-terms).  In float
-mode every kernel keeps the operation order of the ring operations it
-replaces, so float results are the same bit for bit.  The float flow path
-runs on entry columns, one list per matrix entry over the sites:
-``flow_field`` is one whole-lattice pass from U to the field
-(``_flow_columns``), which solves R_(1)..R_(k) with ``solve_two_point`` on
-the columns (``_direct_columns``, also the float ``resolvent_direct``) and
-reuses each order's products and differences for the positive degrees of
-[B, L]_D; the float ``commutator_with_l`` reads P into columns once
-(``_commutator_columns``).  See docs/derivations.md sections 1 to 4.
+A is diagonal, so its products are row and column scalings.  A right-hand
+side is a list of ``SmallMatrix.from_terms`` terms, which its consumer sums
+once (the template together with the z-terms).
+
+Float mode runs on entry columns, one list per matrix entry over the sites,
+with the operation order of the ring operations each kernel replaces, so
+float results are the same bit for bit:
+
+* ``_solve_columns`` is the one float order loop: ``solve_two_point`` on the
+  columns of a right-hand side, ``_DRESSING_RHS`` (``D + U x``) for
+  ``solve_dressing`` and ``_DIRECT_RHS`` (``D - (p - q)``) for
+  ``resolvent_direct`` and the flow field;
+* ``_series_columns`` is the one float series pass, degree by degree with a
+  per-degree kernel: ``_BRACKET`` (``((p - q) - D) - z``) for
+  ``commutator_with_l`` and ``_DEFECT`` (``(rhs_d - A x') + x1' A``) for the
+  dressing defect;
+* ``flow_field`` is one whole-lattice pass from U to the field
+  (``_flow_columns``), which reuses each order's ``(p - q, D)`` columns for
+  the positive degrees of [B, L]_D.
+
+See docs/derivations.md sections 1 to 4.
 """
 
 from __future__ import annotations
@@ -177,8 +188,8 @@ def solve_two_point(a_i, a_j, rhs: list, direction: str, mode: str) -> list:
 
     ``rhs[k]`` is the right-hand side at the k-th transition; the result has
     one value per site.  The chosen direction fixes the one free constant:
-    zero at the starting edge.  This is the float kernel of ``_solve_order``
-    and ``_direct_columns``, and on ``Fraction``s the reference of the
+    zero at the starting edge.  This is the float kernel of
+    ``_solve_columns``, and on ``Fraction``s the reference of the
     integer kernel ``_solve_exact``.
     """
     steps = {"forward": lambda w, r: (a_i * w - r) / a_j,
@@ -226,32 +237,26 @@ def _solve_exact(a_i, a_j, rhs: list, direction: str) -> list:
 
 
 def _solve_order(data: AknsData, rhs: list, lo: int, step) -> LatticeFn:
-    """One recursion order from its right-hand sides at the transitions lo, lo + 1, ...
+    """One rational recursion order from its right-hand sides at the transitions lo, lo + 1, ...
 
-    Each right-hand side is a float matrix or, in rational mode, the
-    ``from_terms`` terms of one, as the right-hand-side site kernels give them.
+    Each right-hand side is the ``from_terms`` terms of one matrix, as the
+    right-hand-side site kernels give them.
     """
     if not rhs:
         raise DimensionError("a recursion order needs at least two sites")
     m = data.m
-    pairs = [(i, j) for i in range(m) for j in range(m)]
-    if isinstance(rhs[0], SmallMatrix):
-        parts = [r.rows for r in rhs]
-        cols = [solve_two_point(data.a[i], data.a[j], [rows[i][j] for rows in parts],
-                                data.direction(i + 1, j + 1), scalars.FLOAT) for i, j in pairs]
-        build = partial(SmallMatrix._floats, m)
-    else:
-        parts = [SmallMatrix.from_terms(r, m).numerators() for r in rhs]
-        cols = [_solve_exact(data.a[i], data.a[j], [(num[i][j], den) for num, den in parts],
-                             data.direction(i + 1, j + 1)) for i, j in pairs]
-        build = SmallMatrix.from_lowest_terms
-    return LatticeFn.from_values(lo, _site_matrices(cols, m, build), step=step)
+    parts = [SmallMatrix.from_terms(r, m).numerators() for r in rhs]
+    cols = [_solve_exact(data.a[i], data.a[j], [(num[i][j], den) for num, den in parts],
+                         data.direction(i + 1, j + 1)) for i in range(m) for j in range(m)]
+    return LatticeFn.from_values(lo, _site_matrices(cols, m, SmallMatrix.from_lowest_terms),
+                                 step=step)
 
 
 def _solve_orders(data: AknsData, U: LatticeFn, first: LatticeFn, rhs_site, depth: int) -> list:
-    """``first`` and ``depth`` more orders on U's sites, each solved from the one before.
+    """The rational order loop: ``first`` and ``depth`` more orders on U's sites.
 
-    Order x gives the next one the right-hand side
+    Each order is solved from the one before: order x gives the next one the
+    right-hand side
     ``rhs_site(x(n), x(n + 1), U(n), inv)`` at each transition n of U.
     """
     inv = _inverse_step(U)
@@ -282,11 +287,20 @@ class Dressing:
 
 
 def solve_dressing(data: AknsData, U: LatticeFn, depth: int) -> Dressing:
-    """Order-by-order solve of Delta w_k + U w_k = A w_{k+1} - (Lambda w_{k+1}) A."""
+    """Order-by-order solve of Delta w_k + U w_k = A w_{k+1} - (Lambda w_{k+1}) A.
+
+    The mode is U's.  Rational: the order loop ``_solve_orders`` with
+    ``_dressing_rhs_site``.  Float: the same recursion on entry columns
+    (``_solve_columns`` with ``_DRESSING_RHS``).
+    """
     if depth < 1:
         raise InstanceError("dressing depth must be >= 1")
-    ident = U.constant(SmallMatrix.identity(data.m, U.mode))
-    ws = _solve_orders(data, U, ident, _dressing_rhs_site, depth)[1:]
+    ident = SmallMatrix.identity(data.m, U.mode)
+    if U.mode == scalars.FLOAT:
+        ws = _float_lattices(U, data.m,
+                             _solve_columns(data, U, ident, depth, *_DRESSING_RHS)[0][1:])
+    else:
+        ws = _solve_orders(data, U, U.constant(ident), _dressing_rhs_site, depth)[1:]
     return Dressing(depth, tuple(ws), data.conventions())
 
 
@@ -301,6 +315,8 @@ class HierarchyState:
     U: LatticeFn
     window: Window
     dressing: Dressing
+    # resolvent_dressed per alpha, filled by ``resolvent``
+    _resolvents: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def depth(self) -> int:
@@ -336,8 +352,6 @@ class HierarchyState:
         return self.hat.map(lambda s: series_inverse(s, self.depth), map_tails=False)
 
     def resolvent(self, alpha: int):
-        if not hasattr(self, "_resolvents"):
-            self._resolvents = {}
         if alpha not in self._resolvents:
             self._resolvents[alpha] = resolvent_dressed(self, alpha)
         return self._resolvents[alpha]
@@ -354,19 +368,17 @@ def dressing_residual(state: HierarchyState):
 
 
 def _dressing_defect(state: HierarchyState) -> LatticeFn:
-    """Delta w_hat + U w_hat - z A w_hat + z (Lambda w_hat) A, site by site (``_defect_site``)."""
-    return _sitewise(state.hat, state.data, state.U, _defect_site)
+    """Delta w_hat + U w_hat - z A w_hat + z (Lambda w_hat) A: (T') by ``_sitewise``."""
+    return _sitewise(state.hat, state.data, state.U, _defect_site, _DEFECT)
 
 
-def _dressing_rhs_site(x: SmallMatrix, x1: SmallMatrix, u: SmallMatrix, inv):
-    """``Delta x + U x`` at one site, from x = w(n) and x1 = w(n+1).
+def _dressing_rhs_site(x: SmallMatrix, x1: SmallMatrix, u: SmallMatrix, inv) -> list:
+    """Rational ``Delta x + U x`` at one site, from x = w(n) and x1 = w(n+1).
 
-    Float: the matrix ``_delta + (u @ x)``, in this operation order.
-    Rational: its ``from_terms`` terms, without the U term where U(n) is zero,
-    for the consumer to sum once.
+    The ``from_terms`` terms, without the U term where U(n) is zero, for the
+    consumer to sum once.  The float one is formed on entry columns
+    (``_dressing_parts``).
     """
-    if x.mode == scalars.FLOAT:
-        return _delta(x, x1, inv) + (u @ x)
     terms = _delta_terms(x, x1, inv)
     if not u.is_zero():  # an exact zero term adds nothing
         terms.append(u.product_term(x))
@@ -410,18 +422,17 @@ def resolvent_direct(data: AknsData, U: LatticeFn, alpha: int, depth: int) -> Re
 
     Shares the recursion kernel (direction policy, zero integration
     constants) with the dressing solver, so the result is comparable entry
-    for entry with the dressed construction.  Rational: the order loop
-    ``_solve_orders`` with ``_direct_rhs_site``.  Float: the same recursion on
-    entry columns (``_direct_columns``), one whole-lattice pass per order.
+    for entry with the dressed construction.  The mode is the instance's.
+    Rational: the order loop ``_solve_orders`` with ``_direct_rhs_site``.
+    Float: the same recursion on entry columns (``_solve_columns`` with
+    ``_DIRECT_RHS``), one whole-lattice pass per order.
     """
     e = data.projector(alpha)
     if data.mode != scalars.FLOAT:
         orders = _solve_orders(data, U, U.constant(e), _direct_rhs_site, depth)
     else:
-        build = partial(SmallMatrix._floats, data.m)
-        cols = _direct_columns(data, U, e, depth, _inverse_step(U))[0]
-        orders = [U.constant(e), *(LatticeFn.from_values(U.lo, _site_matrices(c, data.m, build),
-                                                         step=U.step) for c in cols[1:])]
+        cols = _solve_columns(data, U, e, depth, *_DIRECT_RHS)[0]
+        orders = [U.constant(e), *_float_lattices(U, data.m, cols[1:])]
     return Resolvent(_orders_to_series(orders, data.m))
 
 
@@ -429,8 +440,7 @@ def _direct_rhs_site(r: SmallMatrix, r1: SmallMatrix, u: SmallMatrix, inv) -> li
     """``Delta r - ((Lambda r) U - U r)`` at one site, from r = R(n) and r1 = R(n+1).
 
     Rational: the ``from_terms`` terms, without the U terms where U(n) is
-    zero.  The float right-hand side is formed on entry columns
-    (``_lax_columns``).
+    zero.  The float one is formed on entry columns (``_lax_columns``).
     """
     terms = _delta_terms(r, r1, inv)
     if not u.is_zero():  # an exact zero term adds nothing
@@ -457,22 +467,23 @@ def commutator_with_l(P: LatticeFn, data: AknsData, U: LatticeFn) -> LatticeFn:
     Expanded form: -Delta P - z ((Lambda P) A - A P) + (Lambda P) U - U P,
     with the deformed difference ``(P(n+1) - P(n)) / eps`` when the lattice
     carries a step.  Each site is built degree by degree from P(n), P(n+1)
-    and U(n) (``_commutator_site``); the tails are the same kernel on the
-    tails.  A float P is read into entry columns once and its sites are
-    formed in one pass (``_commutator_columns``).  The sites run over
+    and U(n), and the tails are the same kernel on the tails (``_sitewise``:
+    ``_commutator_site`` in rational mode, the entry-column pass with
+    ``_BRACKET`` in float mode).  The sites run over
     ``[max(P.lo, U.lo), min(P.hi - 1, U.hi)]``.  P's site series must share
     one band and validity start.
     """
-    return _sitewise(P, data, U, _commutator_site, _commutator_columns)
+    return _sitewise(P, data, U, _commutator_site, _BRACKET)
 
 
-def _sitewise(P: LatticeFn, data: AknsData, U: LatticeFn, kernel, columns=None) -> LatticeFn:
-    """``kernel(P(n), P(n+1), U(n))`` on ``[max(P.lo, U.lo), min(P.hi - 1, U.hi)]``.
+def _sitewise(P: LatticeFn, data: AknsData, U: LatticeFn, site, kernel) -> LatticeFn:
+    """A site kernel of P and U on ``[max(P.lo, U.lo), min(P.hi - 1, U.hi)]``.
 
-    The tails are the kernel on the tails.  The kernel also gets ``A`` and
-    the inverse step (None for the unit step).  ``columns``, where given,
-    forms float sites in one pass instead:
-    ``columns([P(lo), ..., P(hi + 1)], [U(lo), ..., U(hi)], A, inverse step)``.
+    The mode is chosen here, once, from P.  Rational: ``site(P(n), P(n+1),
+    U(n))`` at each site.  Float: one pass over all sites on entry columns,
+    ``_series_columns`` with ``kernel``.  The tails are the same on the tails,
+    the pass on one transition.  The site kernel gets ``A`` and the inverse
+    step (None for the unit step), the pass the instance and the inverse step.
     """
     P._compat(U)
     lo, hi = max(P.lo, U.lo), min(P.hi - 1, U.hi)
@@ -481,15 +492,15 @@ def _sitewise(P: LatticeFn, data: AknsData, U: LatticeFn, kernel, columns=None) 
     if len({(s.lo, s.hi, s.valid_lo) for s in P.values}) != 1:
         raise DimensionError("a site kernel needs one band across P's sites")
     a_mat, inv = data.matrix, _inverse_step(P)
-    site = partial(kernel, a_mat=a_mat, inv=inv)
-    if columns is not None and P.at(lo).mode == scalars.FLOAT:
-        vals = tuple(columns([P.at(n) for n in range(lo, hi + 2)],
-                             [U.at(n) for n in range(lo, hi + 1)], a_mat, inv))
+    if P.at(lo).mode == scalars.FLOAT:
+        run = partial(_series_columns, data=data, inv=inv, kernel=kernel)
     else:
-        vals = tuple(site(P.at(n), P.at(n + 1), U.at(n)) for n in range(lo, hi + 1))
-    return LatticeFn(lo, hi, vals,
-                     site(P.left_tail, P.left_tail, U.left_tail),
-                     site(P.right_tail, P.right_tail, U.right_tail), P.step, P.mode)
+        def run(cs, us):
+            return [site(c, c1, u, a_mat=a_mat, inv=inv) for c, c1, u in zip(cs, cs[1:], us)]
+    vals = run([P.at(n) for n in range(lo, hi + 2)], [U.at(n) for n in range(lo, hi + 1)])
+    tails = [run([t, t], [u])[0]
+             for t, u in ((P.left_tail, U.left_tail), (P.right_tail, U.right_tail))]
+    return LatticeFn(lo, hi, tuple(vals), *tails, P.step, P.mode)
 
 
 def _inverse_step(f: LatticeFn):
@@ -509,47 +520,33 @@ def _site_band(c: MatSeries) -> tuple:
     return (c.lo if vlo is None else vlo), vlo
 
 
-def _delta(x: SmallMatrix, x1: SmallMatrix, inv) -> SmallMatrix:
-    """The difference ``(x1 - x) / eps`` of one coefficient."""
-    dx = x1 - x
-    return dx if inv is None else dx.scale(inv)
-
-
 def _minus(term: tuple) -> tuple:
     """The negative of a ``from_terms`` term."""
     return term[0], -term[1]
 
 
 def _delta_terms(x: SmallMatrix, x1: SmallMatrix, inv) -> list:
-    """``_delta`` as ``from_terms`` terms; the deformed one is swept once more."""
+    """``(x1 - x) / eps`` as ``from_terms`` terms; the deformed one is swept once more."""
     if inv is None:
         return [x1.numerators(), _minus(x.numerators())]
-    return [_delta(x, x1, inv).numerators()]
+    return [(x1 - x).scale(inv).numerators()]
 
 
 def _template(c: MatSeries, c1: MatSeries, u: SmallMatrix, a_mat: SmallMatrix, inv,
               rhs) -> MatSeries:
-    """``rhs_d - A c_(d-1) + c1_(d-1) A`` at one site, rhs_d = ``rhs(c_d, c1_d, u, inv)``.
+    """Rational ``rhs_d - A c_(d-1) + c1_(d-1) A`` at one site, rhs_d = ``rhs(c_d, c1_d, ...)``.
 
     rhs_d is zero above the band; the A terms are row and column scalings.
-    Rational: each degree is one ``from_terms`` sum of the terms of rhs_d and
-    the scalings.  Float: ``(rhs_d - A c_(d-1)) + c1_(d-1) A``.  Bands as in
-    ``_site_band``.
+    Each degree is one ``from_terms`` sum of the terms of rhs_d and the
+    scalings.  Bands as in ``_site_band``.
     """
     first, vlo = _site_band(c)
-    exact = c.mode == scalars.RATIONAL
-    zero = [] if exact else SmallMatrix.zero(c.m, c.mode)  # rhs_d above the band
     coeffs = []
     for d in range(first, c.hi + 2):
-        xp, x1p = c.get(d - 1), c1.get(d - 1)
-        rhs_d = rhs(c.get(d), c1.get(d), u, inv) if d <= c.hi else zero
-        if exact:
-            coeffs.append(SmallMatrix.from_terms(
-                [*rhs_d, _minus(xp.diag_term(a_mat, left=True)),
-                 x1p.diag_term(a_mat, left=False)], c.m))
-        else:
-            coeffs.append((rhs_d - xp.mul_diag(a_mat, left=True))
-                          + x1p.mul_diag(a_mat, left=False))
+        rhs_d = rhs(c.get(d), c1.get(d), u, inv) if d <= c.hi else []
+        coeffs.append(SmallMatrix.from_terms(
+            [*rhs_d, _minus(c.get(d - 1).diag_term(a_mat, left=True)),
+             c1.get(d - 1).diag_term(a_mat, left=False)], c.m))
     return MatSeries(c.m, c.mode, first, c.hi + 1, tuple(coeffs), vlo)
 
 
@@ -560,27 +557,24 @@ _defect_site = partial(_template, rhs=_dressing_rhs_site)
 
 def _commutator_site(c: MatSeries, c1: MatSeries, u: SmallMatrix, *,
                      a_mat: SmallMatrix, inv) -> MatSeries:
-    """[P, L]_D at one site from c = P(n), c1 = P(n+1) (one band) and u = U(n).
+    """Rational [P, L]_D at one site from c = P(n), c1 = P(n+1) (one band) and u = U(n).
 
     Degree d reads ``((c1_d U) - (U c_d)) - Delta c_d`` minus the z-term
     ``(c1_(d-1) A) - (A c_(d-1))``, the top degree d = hi + 1 the zero minus
-    its z-term.  That is minus the template with the direct right-hand side,
-    which gives the rational coefficients; the negation would flip the sign
-    of a float zero, so floats come from ``_commutator_columns`` on this one
-    transition (docs/derivations.md section 1).
+    its z-term: minus the template with the direct right-hand side
+    (docs/derivations.md section 1).
     """
-    if c.mode == scalars.FLOAT:
-        return _commutator_columns([c, c1], [u], a_mat, inv)[0]
     return -_template(c, c1, u, a_mat, inv, _direct_rhs_site)
 
 
 # -- float entry columns ---------------------------------------------------------------
 #
-# A float coefficient over consecutive sites is held as m*m entry columns,
-# row-major: column r*m + k lists entry (r, k) site by site.  The direct
-# resolvent, the commutator and the flow field run on them in whole-lattice
-# passes, with the operations of the ring operations they replace, so each
-# double is the same bit for bit (docs/derivations.md section 4).
+# Every float kernel runs here.  A float coefficient over consecutive sites is
+# held as m*m entry columns, row-major: column r*m + k lists entry (r, k) site
+# by site.  The solves, the dressing defect, the commutator and the flow field
+# run on them in whole-lattice passes, with the operations of the ring
+# operations they replace, so each double is the same bit for bit
+# (docs/derivations.md section 4).
 
 
 def _columns(mats) -> list:
@@ -593,41 +587,107 @@ def _site_matrices(cols, m: int, build) -> list:
     return [build(tuple(zip(*[iter(site)] * m))) for site in zip(*cols)]
 
 
-def _diagonal(a_mat: SmallMatrix) -> tuple:
-    """The diagonal entries a_1..a_m of A."""
-    return tuple(a_mat.rows[r][r] for r in range(a_mat.m))
+def _float_lattices(U: LatticeFn, m: int, coeffs: list) -> list:
+    """Float coefficients on entry columns over U's sites as lattices on them."""
+    build = partial(SmallMatrix._floats, m)
+    return [LatticeFn.from_values(U.lo, _site_matrices(c, m, build), step=U.step)
+            for c in coeffs]
+
+
+def _products(a, b, m: int) -> list:
+    """The columns of the products ``a(n) b(n)``, over the sites of the shorter columns.
+
+    An entry is the ``sum`` of its m terms from the integer 0, as in
+    ``matrices._product``.
+    """
+    ms = range(m)
+    return [list(map(sum, zip(*[map(mul, a[r * m + j], b[j * m + k]) for j in ms])))
+            for r in ms for k in ms]
+
+
+def _delta_columns(x, inv) -> list:
+    """The columns of ``Delta x``: ``x(n+1) - x(n)``, times ``inv`` for a deformed step."""
+    dx = [list(map(sub, c[1:], c)) for c in x]
+    return dx if inv is None else [[inv * d for d in c] for c in dx]
 
 
 def _lax_columns(x, u, m: int, inv) -> tuple:
     """The columns of ``(x(n+1) U(n)) - (U(n) x(n))`` and of ``Delta x``.
 
     ``x`` is one coefficient at the sites 0..L, ``u`` is U at the
-    transitions 0..L-1, and both results are at the transitions.  A product
-    entry is the ``sum`` of its m terms from the integer 0, as in
-    ``matrices._product``; the difference is ``x(n+1) - x(n)``, times
-    ``inv`` for a deformed step.
+    transitions 0..L-1, and both results are at the transitions.
     """
-    x1 = [c[1:] for c in x]
-    ms = range(m)
-    pq = [list(map(sub, map(sum, zip(*[map(mul, x1[r * m + j], u[j * m + k]) for j in ms])),
-                   map(sum, zip(*[map(mul, u[r * m + j], x[j * m + k]) for j in ms]))))
-          for r in ms for k in ms]
-    dx = [list(map(sub, b, e)) for b, e in zip(x1, x)]
-    if inv is not None:
-        dx = [[inv * d for d in c] for c in dx]
-    return pq, dx
+    pq = [list(map(sub, p, q))
+          for p, q in zip(_products([c[1:] for c in x], u, m), _products(u, x, m))]
+    return pq, _delta_columns(x, inv)
 
 
-def _z_columns(x, a: tuple) -> list:
-    """The columns of the z-term ``(x(n+1) A) - (A x(n))``, A = diag(a).
+def _dressing_parts(x, u, m: int, inv) -> tuple:
+    """The columns of ``U(n) x(n)`` and of ``Delta x``, laid out as in ``_lax_columns``.
 
-    Entry (r, k) is ``(0 + x1_rk a_k) - (0 + a_r x_rk)``: the scalings of
+    ``Delta x + U x`` is their sum ``D + (U x)``, the ring operations'
+    ``Delta x + (u @ x)`` in that order.
+    """
+    return _products(u, x, m), _delta_columns(x, inv)
+
+
+# The float right-hand sides of the order loop ``_solve_columns``, as
+# (check, parts, op): ``check(x, v)`` checks a U value v against the first
+# order x as the ring operations did (``u @ x`` checks v first, the direct
+# kernel x first), and the order after x solves ``op(D, s)`` entry by entry
+# with ``(s, D) = parts(x, U, m, inv)``: ``Delta x + U x`` and
+# ``Delta x - ((Lambda x) U - U x)``.
+_DRESSING_RHS = (lambda x, v: v._compat(x), _dressing_parts, add)
+_DIRECT_RHS = (SmallMatrix._compat, _lax_columns, sub)
+
+
+def _transition_columns(U: LatticeFn, check) -> list:
+    """U at its transitions U.lo..U.hi - 1 as entry columns, each value passed to ``check``."""
+    vals = U.values[:-1]
+    for v in vals:
+        check(v)
+    return _columns(vals)
+
+
+def _solve_columns(data: AknsData, U: LatticeFn, first: SmallMatrix, depth: int,
+                   check, parts, op) -> tuple:
+    """The float order loop: ``first`` and ``depth`` more orders on entry columns over U's sites.
+
+    Order j + 1 is ``solve_two_point`` on the right-hand side of order j,
+    ``check``, ``parts`` and ``op`` those of ``_DRESSING_RHS`` or
+    ``_DIRECT_RHS``.  Returns the orders, the ``(s, D)`` columns of orders
+    0..depth - 1 and U's columns at the transitions (None below depth 1,
+    where U's values are not read).
+    """
+    m, inv = data.m, _inverse_step(U)
+    orders, kept = [[(x,) * (U.hi - U.lo + 1) for x in chain.from_iterable(first.rows)]], []
+    if depth < 1:
+        return orders, kept, None
+    u = _transition_columns(U, partial(check, first))
+    if U.lo == U.hi:
+        raise DimensionError("a recursion order needs at least two sites")
+    for _ in range(depth):
+        kept.append(parts(orders[-1], u, m, inv))
+        orders.append([solve_two_point(data.a[i // m], data.a[i % m], list(map(op, d, s)),
+                                       data.direction(i // m + 1, i % m + 1), scalars.FLOAT)
+                       for i, (s, d) in enumerate(zip(*kept[-1]))])
+    return orders, kept, u
+
+
+def _scalings(x, a: tuple) -> list:
+    """Per entry column of x, those of ``x(n+1) A`` and of ``A x(n)``, A = diag(a).
+
+    Entry (r, k) is ``0 + x1_rk a_k`` and ``0 + a_r x_rk``: the scalings of
     ``matrices._diag_product``.
     """
     m = len(a)
-    return [list(map(sub, map(add, repeat(0), map(mul, c[1:], repeat(a[i % m]))),
-                     map(add, repeat(0), map(mul, repeat(a[i // m]), c))))
-            for i, c in enumerate(x)]
+    return [(map(add, repeat(0), map(mul, c[1:], repeat(a[i % m]))),
+             map(add, repeat(0), map(mul, repeat(a[i // m]), c))) for i, c in enumerate(x)]
+
+
+def _z_columns(x, a: tuple) -> list:
+    """The columns of the z-term ``(x(n+1) A) - (A x(n))``."""
+    return [list(map(sub, right, left)) for right, left in _scalings(x, a)]
 
 
 def _lax_degree(pq, dx, z) -> list:
@@ -640,61 +700,69 @@ def _top_degree(z) -> list:
     return [[0.0 - y for y in zc] for zc in z]
 
 
-def _transition_columns(U: LatticeFn, e: SmallMatrix) -> list:
-    """U at its transitions U.lo..U.hi - 1 as entry columns, each value checked against e."""
-    vals = U.values[:-1]
-    for v in vals:
-        e._compat(v)
-    return _columns(vals)
+def _bracket_degree(x, xp, u, m: int, inv, a: tuple) -> list:
+    """Degree d of [P, L]_D from the columns x of P_d and xp of P_(d-1).
 
-
-def _direct_columns(data: AknsData, U: LatticeFn, e: SmallMatrix, depth: int, inv) -> tuple:
-    """The float direct resolvent R_(0) = e, R_(1)..R_(depth) on entry columns over U's sites.
-
-    Order j + 1 is ``solve_two_point`` on ``Delta R_(j) - (p - q)`` from
-    ``_lax_columns`` of R_(j): the operations of the right-hand side
-    ``Delta r - ((Lambda r) U - U r)`` at each site.  Returns the orders, the
-    ``(p - q, Delta)`` columns of R_(0)..R_(depth - 1) and U's columns at the
-    transitions (None below depth 1, where U's values are not read).
+    ``((p - q) - D) - z`` with z the z-term of xp; on the top degree (x None)
+    ``0.0 - z``.
     """
-    m = data.m
-    orders, lax = [[(x,) * (U.hi - U.lo + 1) for x in chain.from_iterable(e.rows)]], []
-    if depth < 1:
-        return orders, lax, None
-    u = _transition_columns(U, e)
-    if U.lo == U.hi:
-        raise DimensionError("a recursion order needs at least two sites")
-    for _ in range(depth):
-        pq, dx = _lax_columns(orders[-1], u, m, inv)
-        lax.append((pq, dx))
-        orders.append([solve_two_point(data.a[i // m], data.a[i % m], list(map(sub, d, s)),
-                                       data.direction(i // m + 1, i % m + 1), scalars.FLOAT)
-                       for i, (s, d) in enumerate(zip(pq, dx))])
-    return orders, lax, u
+    z = _z_columns(xp, a)
+    return _top_degree(z) if x is None else _lax_degree(*_lax_columns(x, u, m, inv), z)
 
 
-def _commutator_columns(cs: list, us: list, a_mat: SmallMatrix, inv) -> list:
-    """Float ``_commutator_site`` at every transition of the series ``cs``, U(n) = ``us[n]``.
+def _defect_degree(x, xp, u, m: int, inv, a: tuple) -> list:
+    """Degree d of (T') from the columns x of W_d and xp of W_(d-1).
 
-    The series share one band.  Each coefficient is read into entry columns
-    once.  Degree d is ``_lax_degree`` of coefficient d with the z-term of
-    coefficient d - 1, which below a fully known band is that of the zero
-    matrix; the top degree is ``_top_degree`` of the top coefficient.  Bands
-    as in ``_site_band``.
+    ``((D + (U x)) - (0 + a_r xp)) + (0 + xp(n+1) a_k)``, the operations of
+    ``(rhs_d - A xp) + xp(n+1) A``; on the top degree (x None) ``rhs_d`` is
+    the zero.
     """
+    v = repeat(repeat(0.0)) if x is None else \
+        [map(add, d, q) for q, d in zip(*_dressing_parts(x, u, m, inv))]
+    return [list(map(add, map(sub, vc, left), right))
+            for vc, (right, left) in zip(v, _scalings(xp, a))]
+
+
+def _bracket_check(c: MatSeries, c1: MatSeries, u: SmallMatrix, data: AknsData) -> None:
+    """The operand checks of [P, L]_D at one transition: P(n) against P(n+1), then U(n)."""
+    c._compat(c1)
+    c.coeffs[0]._compat(u)
+
+
+def _defect_check(c: MatSeries, c1: MatSeries, u: SmallMatrix, data: AknsData) -> None:
+    """The operand checks of (T') at one transition, those of ``u @ c_d`` and then of
+    the scaling ``A c_(d-1)``."""
+    u._compat(c.coeffs[0])
+    c.coeffs[0]._compat(data.matrix)
+
+
+# The float per-degree kernels of the series pass, as (check, degree): [P, L]_D
+# and the dressing defect (T')
+_BRACKET = (_bracket_check, _bracket_degree)
+_DEFECT = (_defect_check, _defect_degree)
+
+
+def _series_columns(cs: list, us: list, data: AknsData, inv, kernel) -> list:
+    """The float series pass: ``kernel`` at each transition of the series ``cs``, U(n) = ``us[n]``.
+
+    ``kernel`` is ``_BRACKET`` or ``_DEFECT``, a pair ``(check, degree)``:
+    ``check(c, c1, u, data)`` runs at each transition first, and
+    ``degree(x, xp, u, m, inv, a)`` forms degree d from the columns of
+    coefficient d (None on the top degree) and d - 1, which below a fully
+    known band is the zero matrix.  The series share one band, and each
+    coefficient is read into entry columns once.  Bands as in ``_site_band``.
+    """
+    check, degree = kernel
     c0 = cs[0]
     first, vlo = _site_band(c0)
     for c, c1, u in zip(cs, cs[1:], us):
-        c._compat(c1)
-        c.coeffs[0]._compat(u)
+        check(c, c1, u, data)
     m = c0.m
-    a = _diagonal(a_mat)
     u = _columns(us)
     xs = [[(0.0,) * len(cs)] * (m * m),
-          *(_columns([c.coeffs[i] for c in cs]) for i in range(len(c0.coeffs)))]
-    degrees = [_lax_degree(*_lax_columns(xs[i], u, m, inv), _z_columns(xs[i - 1], a))
+          *(_columns([c.coeffs[i] for c in cs]) for i in range(len(c0.coeffs))), None]
+    degrees = [degree(xs[i], xs[i - 1], u, m, inv, data.a)
                for i in range(first - c0.lo + 1, len(xs))]
-    degrees.append(_top_degree(_z_columns(xs[-1], a)))
     build = partial(SmallMatrix._floats, m)
     per_site = zip(*[_site_matrices(cols, m, build) for cols in degrees])
     return [MatSeries(m, c.mode, first, c0.hi + 1, coeffs, vlo)
@@ -746,16 +814,14 @@ def flow_field(data: AknsData, U: LatticeFn, k: int, alpha: int, *,
             f"(residual {pos})"
         )
     if data.mode == scalars.FLOAT:
-        vals = _site_matrices(degree0, data.m, partial(SmallMatrix._floats, data.m))
-    else:
-        vals = [comm.at(n).get(0) for n in comm.sites()]
-    return LatticeFn.from_values(U.lo, vals, step=U.step)
+        return _float_lattices(U, data.m, [degree0])[0]
+    return LatticeFn.from_values(U.lo, [comm.at(n).get(0) for n in comm.sites()], step=U.step)
 
 
 def _flow_columns(data: AknsData, U: LatticeFn, k: int, alpha: int) -> tuple:
     """The float flow field's positive-degree residual and its degree-0 entry columns.
 
-    B_d = R_(k-d), d = 0..k, from ``_direct_columns``.  Degree d >= 1 of
+    B_d = R_(k-d), d = 0..k, from ``_solve_columns``.  Degree d >= 1 of
     [B, L]_D is ``((p - q) - D) - z(R_(k-d+1))``, and its ``p - q`` and ``D``
     are those of R_(k-d) that the right-hand side of order k - d + 1 formed;
     only degree 0 forms new ones, of R_(k), with the zero matrix's z-term.
@@ -765,17 +831,16 @@ def _flow_columns(data: AknsData, U: LatticeFn, k: int, alpha: int) -> tuple:
     commutator's tail kernel checks them.
     """
     e = data.projector(alpha)
-    inv = _inverse_step(U)
-    orders, lax, u = _direct_columns(data, U, e, k, inv)
+    orders, lax, u = _solve_columns(data, U, e, k, *_DIRECT_RHS)
     scalars.join_modes(e.mode, U.mode)  # the site series of R carry U's mode
     _check_flow_order(k)
     if U.lo == U.hi:
         raise DimensionError("operand ranges do not overlap")
     if u is None:  # k = 0: the commutator reads U first
-        u = _transition_columns(U, e)
+        u = _transition_columns(U, e._compat)
     e._compat(U.left_tail)
     e._compat(U.right_tail)
-    a = _diagonal(data.matrix)
+    a = data.a
     positive = [_lax_degree(pq, dx, _z_columns(orders[j + 1], a))
                 for j, (pq, dx) in enumerate(lax)]
     # R_(0) = e and the zero are the same at every site: their z-terms are
@@ -784,7 +849,7 @@ def _flow_columns(data: AknsData, U: LatticeFn, k: int, alpha: int) -> tuple:
     pos = scalars.max_of(map(abs, chain.from_iterable(chain.from_iterable(positive))),
                          scalars.FLOAT)
     z0 = [repeat(z) for (z,) in _z_columns([(0.0, 0.0)] * (data.m * data.m), a)]
-    return pos, _lax_degree(*_lax_columns(orders[-1], u, data.m, inv), z0)
+    return pos, _lax_degree(*_lax_columns(orders[-1], u, data.m, _inverse_step(U)), z0)
 
 
 def diagonal_drift(f: LatticeFn):

@@ -4,12 +4,13 @@ Two reference instance classes are used throughout the verification suites:
 m = 2 with A = diag(1, -1) and m = 3 with A = diag(1, 2, -1), both on the
 window [-8, 8] with halo 10, solved to depth 8.
 
-Random potentials come in two flavours.  ``random_potential`` fills all
-off-diagonal entries; it exercises the dressing and resolvent identities,
-which hold for any admissible potential.  ``random_triangular_potential``
-fills only entries above the diagonal; on this nilpotent class the degree-0
-diagonal of every flow vanishes identically, so it is the natural carrier for
-flow-based checks (see docs/derivations.md on the diagonal drift).
+Random potentials come in two flavours, both from ``random_potential``.  By
+default it fills all off-diagonal entries; that exercises the dressing and
+resolvent identities, which hold for any admissible potential.  With
+``triangular=True`` it fills only entries above the diagonal; on this
+nilpotent class the degree-0 diagonal of every flow vanishes identically, so
+it is the natural carrier for flow-based checks (see docs/derivations.md on
+the diagonal drift).
 """
 
 from __future__ import annotations
@@ -78,8 +79,3 @@ def random_potential(window: Window, data: AknsData, rng: random.Random,
         if nonzero:
             entries[n] = SmallMatrix.from_rows(rows, mode)
     return make_potential(window, entries, m, mode)
-
-
-def random_triangular_potential(window: Window, data: AknsData,
-                                rng: random.Random, **kw):
-    return random_potential(window, data, rng, triangular=True, **kw)

@@ -17,7 +17,7 @@ import re
 from math import gcd
 
 from . import scalars
-from .config import _integer
+from .config import _WINDOW_KEYS, _integer
 from .errors import AknsdError, DimensionError, SchemaError
 from .hierarchy import AknsData, Dressing, HierarchyState
 from .lattice import LatticeFn, Window
@@ -25,7 +25,6 @@ from .matrices import SmallMatrix
 
 STATE_VERSION = 3
 _STATE_KEYS = {"version", "mode", "a", "window", "step", "u", "dressing"}
-_WINDOW_KEYS = ("n_min", "n_max", "halo")
 
 
 # -- the value codec -------------------------------------------------------------------

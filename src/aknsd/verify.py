@@ -27,6 +27,7 @@ from .dynamics import (
     SCAN_MIN_ORDER,
     FlowIndex,
     ScanReport,
+    check_scan_steps,
     commutativity_defect,
     continuum_scan,
     gaussian_bump_profile,
@@ -117,15 +118,17 @@ def config_hash(config: ExperimentConfig) -> str:
 
 
 def _check_step_sizes(config: ExperimentConfig) -> None:
-    """Refuse fewer than three step sizes for the limit checks.
+    """Refuse step sizes the limit checks cannot use, before any suite runs.
 
     A Cauchy order compares two differences of fields at consecutive step
-    sizes, so fewer than three step sizes measure none.
+    sizes, so fewer than three step sizes measure none; and the scan's own
+    rules (``check_scan_steps``) hold.
     """
     if len(config.eps_list) < 3:
         raise ConfigError(
             f"the limit checks need at least 3 step sizes in 'eps_list' to measure "
             f"a Cauchy order; got {len(config.eps_list)}")
+    check_scan_steps(config.eps_list)
 
 
 def limit_scan(config: ExperimentConfig) -> ScanReport:

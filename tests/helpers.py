@@ -1,6 +1,7 @@
 """Shared builders and brute-force oracles for the test suite."""
 
 from fractions import Fraction
+from functools import partial
 from math import gcd
 import os
 from pathlib import Path
@@ -10,16 +11,17 @@ import sys
 
 from aknsd import scalars
 from aknsd.baker import TauExpSum, baker_from_tau
-from aknsd.errors import ConsistencyError
+from aknsd.errors import ConsistencyError, DimensionError, InstanceError
 from aknsd.hierarchy import (
     Dressing,
     HierarchyState,
     Resolvent,
+    _inverse_step,
     _orders_to_series,
     _site_band,
-    _sitewise,
-    _solve_orders,
+    _site_matrices,
     projector_b,
+    solve_two_point,
 )
 from aknsd.instances import DESK_DEPTH, DESK_WINDOW
 from aknsd.lattice import LatticeFn, delta_apply, shift_apply, site_max
@@ -221,17 +223,105 @@ def ref_commutator_floats(c, c1, u, a_mat, inv):
     return MatSeries(m, c.mode, first, c.hi + 1, tuple(coeffs), vlo)
 
 
+def ref_solve_order_floats(data, rhs, lo, step):
+    """One float recursion order from its right-hand-side matrices, entry by entry.
+
+    The float branch of ``hierarchy._solve_order`` before the float solves
+    moved to entry columns.
+    """
+    if not rhs:
+        raise DimensionError("a recursion order needs at least two sites")
+    m = data.m
+    pairs = [(i, j) for i in range(m) for j in range(m)]
+    parts = [r.rows for r in rhs]
+    cols = [solve_two_point(data.a[i], data.a[j], [rows[i][j] for rows in parts],
+                            data.direction(i + 1, j + 1), scalars.FLOAT) for i, j in pairs]
+    build = partial(SmallMatrix._floats, m)
+    return LatticeFn.from_values(lo, _site_matrices(cols, m, build), step=step)
+
+
+def ref_solve_orders_floats(data, U, first, rhs_site, depth):
+    """The float order loop site by site: ``rhs_site(x(n), x(n + 1), U(n), inv)`` each step."""
+    inv = _inverse_step(U)
+    orders = [first]
+    for _ in range(depth):
+        x = orders[-1]
+        rhs = [rhs_site(x.at(n), x.at(n + 1), U.at(n), inv) for n in range(U.lo, U.hi)]
+        orders.append(ref_solve_order_floats(data, rhs, U.lo, U.step))
+    return orders
+
+
+def ref_dressing_rhs_floats(x, x1, u, inv):
+    """The float dressing right-hand side at one site: ``_delta + (u @ x)``, in this order."""
+    return _ref_delta(x, x1, inv) + (u @ x)
+
+
+def ref_template_floats(c, c1, u, a_mat, inv, rhs):
+    """Float ``(rhs_d - A c_(d-1)) + c1_(d-1) A`` at one site by ring operations.
+
+    rhs_d is ``rhs(c_d, c1_d, u, inv)``, the zero matrix above the band; the
+    float branch of ``hierarchy._template``.
+    """
+    first, vlo = _site_band(c)
+    zero = SmallMatrix.zero(c.m, c.mode)  # rhs_d above the band
+    coeffs = []
+    for d in range(first, c.hi + 2):
+        xp, x1p = c.get(d - 1), c1.get(d - 1)
+        rhs_d = rhs(c.get(d), c1.get(d), u, inv) if d <= c.hi else zero
+        coeffs.append((rhs_d - xp.mul_diag(a_mat, left=True))
+                      + x1p.mul_diag(a_mat, left=False))
+    return MatSeries(c.m, c.mode, first, c.hi + 1, tuple(coeffs), vlo)
+
+
+def ref_defect_floats(c, c1, u, a_mat, inv):
+    """Float (T') at one site: the template with the float dressing right-hand side."""
+    return ref_template_floats(c, c1, u, a_mat, inv, ref_dressing_rhs_floats)
+
+
+def ref_sitewise(P, data, U, kernel):
+    """``kernel(P(n), P(n+1), U(n), a_mat, inv)`` at each site, and on the tails.
+
+    ``hierarchy._sitewise`` as it ran a per-site kernel, sites on
+    ``[max(P.lo, U.lo), min(P.hi - 1, U.hi)]``.
+    """
+    P._compat(U)
+    lo, hi = max(P.lo, U.lo), min(P.hi - 1, U.hi)
+    if lo > hi:
+        raise DimensionError("operand ranges do not overlap")
+    if len({(s.lo, s.hi, s.valid_lo) for s in P.values}) != 1:
+        raise DimensionError("a site kernel needs one band across P's sites")
+    a_mat, inv = data.matrix, _inverse_step(P)
+    vals = tuple(kernel(P.at(n), P.at(n + 1), U.at(n), a_mat, inv) for n in range(lo, hi + 1))
+    return LatticeFn(lo, hi, vals,
+                     kernel(P.left_tail, P.left_tail, U.left_tail, a_mat, inv),
+                     kernel(P.right_tail, P.right_tail, U.right_tail, a_mat, inv),
+                     P.step, P.mode)
+
+
+def ref_solve_dressing_floats(data, U, depth):
+    """The float dressing solve site by site, with ``ref_dressing_rhs_floats``."""
+    if depth < 1:
+        raise InstanceError("dressing depth must be >= 1")
+    ident = U.constant(SmallMatrix.identity(data.m, U.mode))
+    ws = ref_solve_orders_floats(data, U, ident, ref_dressing_rhs_floats, depth)[1:]
+    return Dressing(depth, tuple(ws), data.conventions())
+
+
+def ref_dressing_defect_floats(state):
+    """The float dressing defect site by site, tails included, with ``ref_defect_floats``."""
+    return ref_sitewise(state.hat, state.data, state.U, ref_defect_floats)
+
+
 def ref_resolvent_direct_floats(data, U, alpha, depth):
     """The float direct resolvent site by site: the order loop with ``ref_direct_rhs_floats``."""
-    orders = _solve_orders(data, U, U.constant(data.projector(alpha)), ref_direct_rhs_floats,
-                           depth)
+    orders = ref_solve_orders_floats(data, U, U.constant(data.projector(alpha)),
+                                     ref_direct_rhs_floats, depth)
     return Resolvent(_orders_to_series(orders, data.m))
 
 
 def ref_commutator_with_l_floats(P, data, U):
     """The float [P, L]_D site by site, tails included, with ``ref_commutator_floats``."""
-    return _sitewise(P, data, U, lambda c, c1, u, *, a_mat, inv:
-                     ref_commutator_floats(c, c1, u, a_mat, inv))
+    return ref_sitewise(P, data, U, ref_commutator_floats)
 
 
 def ref_flow_field_floats(data, U, k, alpha, tol=0):

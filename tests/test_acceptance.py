@@ -42,7 +42,6 @@ from aknsd.instances import (
     desk_data,
     impulse_potential,
     random_potential,
-    random_triangular_potential,
 )
 from aknsd.lattice import LatticeFn
 from aknsd.matrices import SmallMatrix
@@ -157,8 +156,8 @@ def test_criterion_4_flow_well_definedness():
             for k in (0, 1, 2):
                 for alpha in range(1, m + 1):
                     flow_field(data, full, k, alpha)  # exact check inside
-            tri = random_triangular_potential(DESK_WINDOW, data,
-                                              random.Random(SEED + 40 + m))
+            tri = random_potential(DESK_WINDOW, data, random.Random(SEED + 40 + m),
+                                   triangular=True)
             for k in (0, 1, 2):
                 for alpha in range(1, m + 1):
                     assert diagonal_drift(flow_field(data, tri, k, alpha)) == 0

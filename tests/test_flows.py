@@ -25,7 +25,6 @@ from aknsd.instances import (
     impulse_potential,
     make_potential,
     random_potential,
-    random_triangular_potential,
     vacuum_potential,
 )
 from aknsd.lattice import LatticeFn, Window
@@ -110,7 +109,7 @@ def test_positive_degrees_vanish_on_generic_potentials(m):
 def test_diagonal_vanishes_on_triangular_potentials(m):
     data = desk_data(m)
     rng = random.Random(m + 50)
-    U = random_triangular_potential(DESK_WINDOW, data, rng)
+    U = random_potential(DESK_WINDOW, data, rng, triangular=True)
     for k in (0, 1, 2):
         for alpha in range(1, m + 1):
             assert diagonal_drift(flow_field(data, U, k, alpha)) == 0

@@ -620,6 +620,7 @@ def test_cli_dress_and_verify_exit_codes(tmp_path):
     (["1/2"], 2),  # no Cauchy difference at all
     (["1/2", "1/4"], 2),  # one difference, so no order
     (["1/2", "1/4", "1/8"], 0),
+    (["1/2", "1/3", "1/4"], 2),  # no common x-points
 ])
 @pytest.mark.filterwarnings("ignore:boundary leakage")
 def test_limit_checks_need_three_step_sizes(tmp_path, capsys, monkeypatch, argv,
@@ -633,7 +634,8 @@ def test_limit_checks_need_three_step_sizes(tmp_path, capsys, monkeypatch, argv,
     assert cli.main([*argv, "--config", str(config), "--out",
                      str(tmp_path / "out.json")]) == code
     if code:
-        assert "at least 3 step sizes" in capsys.readouterr().err
+        assert ("at least 3 step sizes" if len(eps_list) < 3
+                else "scan expects halved steps") in capsys.readouterr().err
         assert ran == []  # refused before any suite ran
     elif argv[0] == "verify":
         assert "limit" in ran

@@ -1,23 +1,23 @@
-"""The per-site kernels against the whole-lattice compositions they replace.
+"""The site kernels against the whole-lattice compositions they replace.
 
 ``resolvent_dressed``, ``_dressing_defect``, ``solve_dressing`` and
-``resolvent_direct`` build each site from the values at n and n + 1.  The
-references in ``helpers`` compose the same objects from series products,
-shifts and ``zip_with`` lambdas.  Both must give the same bands and, in
-float mode, the same doubles down to the sign of a zero.  The rational
-commutator is held to the ring operations, and the fused float kernels of
-the flow path (the entry-column kernels of ``_commutator_site`` and of the
-direct right-hand side, ``dynamics._axpy``) to the ring operations they
-fuse, bit for bit, non-finite entries included (a nan stays a nan).  The
-float ``flow_field``, ``resolvent_direct`` and ``commutator_with_l`` run on
-entry columns, and are held to the per-site kernels they replaced, refusals
-included.
+``resolvent_direct`` build each site from the values at n and n + 1: per
+site in rational mode, on entry columns in float mode.  The references in
+``helpers`` compose the same objects from series products, shifts and
+``zip_with`` lambdas.  Both must give the same bands and, in float mode, the
+same doubles down to the sign of a zero.  The rational commutator is held to
+the ring operations, and the fused float kernels (the series pass with the
+commutator and the defect kernel, the direct right-hand side,
+``dynamics._axpy``) to the ring operations they fuse, bit for bit,
+non-finite entries included (a nan stays a nan).  The float
+``solve_dressing``, ``_dressing_defect``, ``flow_field``,
+``resolvent_direct`` and ``commutator_with_l`` are held to the per-site
+kernels they replaced, refusals included.
 """
 
 from fractions import Fraction
 from functools import partial
 import math
-from operator import sub
 import random
 import struct
 
@@ -32,6 +32,10 @@ from aknsd.hierarchy import (
     Dressing,
     HierarchyState,
     Resolvent,
+    _BRACKET,
+    _DEFECT,
+    _DIRECT_RHS,
+    _DRESSING_RHS,
     _columns,
     _commutator_site,
     _defect_site,
@@ -39,8 +43,8 @@ from aknsd.hierarchy import (
     _dressing_defect,
     _dressing_rhs_site,
     _inverse_step,
-    _lax_columns,
     _resolvent_site,
+    _series_columns,
     _site_matrices,
     _solve_order,
     commutator_with_l,
@@ -61,13 +65,18 @@ from helpers import (
     ref_axpy,
     ref_commutator_site,
     ref_commutator_with_l_floats,
+    ref_defect_floats,
     ref_direct_rhs,
     ref_direct_rhs_site,
     ref_dressed_resolvent,
     ref_dressing_defect,
+    ref_dressing_defect_floats,
     ref_dressing_rhs,
+    ref_dressing_rhs_floats,
     ref_flow_field_floats,
     ref_resolvent_direct_floats,
+    ref_solve_dressing_floats,
+    ref_solve_order_floats,
     right_mul,
 )
 
@@ -130,24 +139,32 @@ class _Draw:
                          tuple(self.matrix() for _ in range(lo, hi + 1)), valid_lo)
 
 
-def _matrix(rhs, m):
-    """A right-hand-side kernel's result as a matrix: rational terms are summed."""
-    return rhs if isinstance(rhs, SmallMatrix) else SmallMatrix.from_terms(rhs, m)
+def _column_rhs(r, u, m, inv, rhs=_DIRECT_RHS):
+    """A float right-hand side of the order loop from entry columns, one matrix per transition.
 
-
-def _column_rhs(r, u, m, inv):
-    """The float direct right-hand side ``Delta r - ((Lambda r) U - U r)`` from entry columns.
-
-    ``r`` holds one more site than ``u``; one matrix per transition.
+    ``rhs`` is ``_DIRECT_RHS`` (``Delta r - ((Lambda r) U - U r)``) or
+    ``_DRESSING_RHS`` (``Delta r + U r``); ``r`` holds one more site than ``u``.
     """
-    pq, dx = _lax_columns(_columns(r), _columns(u), m, inv)
-    return _site_matrices([list(map(sub, d, s)) for s, d in zip(pq, dx)], m,
+    _, parts, op = rhs
+    s, dx = parts(_columns(r), _columns(u), m, inv)
+    return _site_matrices([list(map(op, d, c)) for c, d in zip(s, dx)], m,
                           partial(SmallMatrix._floats, m))
 
 
-def _order_rhs(vals):
-    """Matrices as the right-hand sides ``_solve_order`` reads: rational ones as one term."""
-    return [v if v.mode == FLOAT else [v.numerators()] for v in vals]
+def _solve_from(data, vals, lo, step):
+    """One order solved from right-hand-side matrices: rational ones as one term each,
+    float ones entry by entry with ``solve_two_point``."""
+    if vals and vals[0].mode == FLOAT:
+        return ref_solve_order_floats(data, list(vals), lo, step)
+    return _solve_order(data, [[v.numerators()] for v in vals], lo, step)
+
+
+def _at_one_site(site, kernel, c, c1, u, data, inv):
+    """A ``_sitewise`` kernel at one site: the rational site kernel, or the float
+    series pass on one transition."""
+    if c.mode == FLOAT:
+        return _series_columns([c, c1], [u], data, inv, kernel)[0]
+    return site(c, c1, u, a_mat=data.matrix, inv=inv)
 
 
 def _data(draw, m, mode):
@@ -218,8 +235,9 @@ def test_direct_rhs_kernel_matches_the_zip_with_composition(state):
     if U.mode == FLOAT:
         got = _column_rhs([rnd_r.at(n) for n in U.sites()], U.values[:-1], state.data.m, inv)
     else:
-        got = [_matrix(_direct_rhs_site(rnd_r.at(n), rnd_r.at(n + 1), U.at(n), inv),
-                       state.data.m) for n in range(U.lo, U.hi)]
+        got = [SmallMatrix.from_terms(_direct_rhs_site(rnd_r.at(n), rnd_r.at(n + 1), U.at(n),
+                                                       inv), state.data.m)
+               for n in range(U.lo, U.hi)]
     assert (want.lo, want.hi) == (U.lo, U.hi - 1)
     for n, v in zip(want.sites(), got):
         _assert_same(v, want.at(n))
@@ -227,9 +245,8 @@ def test_direct_rhs_kernel_matches_the_zip_with_composition(state):
     for alpha in range(1, state.data.m + 1):
         orders = [U.constant(state.data.projector(alpha))]
         for _ in range(state.depth):
-            orders.append(_solve_order(state.data,
-                                       _order_rhs(ref_direct_rhs(orders[-1], U).values),
-                                       U.lo, U.step))
+            orders.append(_solve_from(state.data, ref_direct_rhs(orders[-1], U).values,
+                                      U.lo, U.step))
         series = resolvent_direct(state.data, U, alpha, state.depth).series
         for n in series.sites():
             assert [repr(c.rows) for c in series.at(n).coeffs] == \
@@ -252,9 +269,15 @@ def test_dressing_solve_matches_the_whole_lattice_rhs(state):
     for got in solve_dressing(data, U, state.depth).ws:
         rhs = ref_dressing_rhs(w, U)
         assert (rhs.lo, rhs.hi) == (U.lo, U.hi - 1)
-        assert [_entries(_matrix(_dressing_rhs_site(w.at(n), w.at(n + 1), U.at(n), inv), data.m))
-                for n in rhs.sites()] == [_entries(v) for v in rhs.values]
-        want = _solve_order(data, _order_rhs(rhs.values), U.lo, U.step)
+        if U.mode == FLOAT:
+            sites = _column_rhs([w.at(n) for n in U.sites()], U.values[:-1], data.m, inv,
+                                _DRESSING_RHS)
+        else:
+            sites = [SmallMatrix.from_terms(_dressing_rhs_site(w.at(n), w.at(n + 1), U.at(n),
+                                                               inv), data.m)
+                     for n in rhs.sites()]
+        assert [_entries(v) for v in sites] == [_entries(v) for v in rhs.values]
+        want = _solve_from(data, rhs.values, U.lo, U.step)
         assert (got.lo, got.hi, got.step, got.mode) == (want.lo, want.hi, want.step, want.mode)
         assert [_entries(v) for v in got.values] == [_entries(v) for v in want.values]
         w = got
@@ -290,8 +313,8 @@ def test_site_kernels_on_any_band(case):
     diff = c1 - c if inv is None else (c1 - c).scale(inv)
     want = ((diff + left_mul(u, c)) - left_mul(a_mat, c).shift_degree(1)) + \
         right_mul(c1, a_mat).shift_degree(1)
-    _assert_same(_defect_site(c, c1, u, a_mat=a_mat, inv=inv), want)
-    got = _commutator_site(c, c1, u, a_mat=a_mat, inv=inv)
+    _assert_same(_at_one_site(_defect_site, _DEFECT, c, c1, u, data, inv), want)
+    got = _at_one_site(_commutator_site, _BRACKET, c, c1, u, data, inv)
     first = c.lo if c.valid_lo is None else c.valid_lo + 1
     assert (got.lo, got.hi, got.valid_lo) == \
         (first, c.hi + 1, None if c.valid_lo is None else first)
@@ -347,13 +370,19 @@ def test_fused_float_kernels_match_the_ring_operations_bit_for_bit(case):
     c, c1, u, data, step, f, g, scale = case
     a_mat = data.matrix
     inv = None if step is None else 1.0 / step
-    got = _commutator_site(c, c1, u, a_mat=a_mat, inv=inv)
+    got = _series_columns([c, c1], [u], data, inv, _BRACKET)[0]
     want = ref_commutator_site(c, c1, u, a_mat, inv)
     assert got.hi == c.hi + 1 and len(got.coeffs) == len(want)
     assert [_bits(x) for x in got.coeffs] == [_bits(x) for x in want]
+    got = _series_columns([c, c1], [u], data, inv, _DEFECT)[0]
+    want = ref_defect_floats(c, c1, u, a_mat, inv)
+    assert (got.lo, got.hi, got.valid_lo) == (want.lo, want.hi, want.valid_lo)
+    assert [_bits(x) for x in got.coeffs] == [_bits(x) for x in want.coeffs]
     for x, x1 in zip(c.coeffs, c1.coeffs):
         assert [_bits(v) for v in _column_rhs([x, x1], [u], c.m, inv)] == \
             [_bits(ref_direct_rhs_site(x, x1, u, inv))]
+        assert [_bits(v) for v in _column_rhs([x, x1], [u], c.m, inv, _DRESSING_RHS)] == \
+            [_bits(ref_dressing_rhs_floats(x, x1, u, inv))]
     got, want = _axpy(f, scale, g), ref_axpy(f, scale, g)
     assert (got.lo, got.hi, got.step, got.mode) == (want.lo, want.hi, want.step, want.mode)
     for x, y in zip((*got.values, got.left_tail, got.right_tail),
@@ -377,9 +406,14 @@ def _value_bits(v):
 
 
 def _same_outcome(got, want):
-    """Both refused with the same error and message, or the same lattice bit for bit."""
+    """Both refused with the same error and message, or the same lattices bit for bit."""
     if isinstance(want, tuple) or isinstance(got, tuple):
         assert got == want
+        return
+    if isinstance(want, Dressing):
+        assert (got.depth, got.conventions) == (want.depth, want.conventions)
+        for g, w in zip(got.ws, want.ws, strict=True):
+            _same_outcome(g, w)
         return
     if isinstance(want, Resolvent):
         got, want = got.series, want.series
@@ -390,15 +424,19 @@ def _same_outcome(got, want):
 
 @st.composite
 def column_case(draw):
-    """A float instance, a potential (possibly one site, possibly faulty) and a series lattice.
+    """A float instance, a potential (possibly one site, possibly faulty), a series
+    lattice and a random dressing.
 
     k starts at -1 and alpha runs one past 1..m on both sides, for the refusals.  A
     fault puts a value of another dimension or mode into U, at a transition,
-    at its last site or in a tail, or makes U rational.
+    at its last site or in a tail, or makes U rational.  The dressing solve and
+    defect read the instance, or in some examples the same A in rational mode.
     """
     m = draw(st.integers(2, 3))
     rnd = _Draw(draw, m, FLOAT, _WILD if draw(st.booleans()) else None)
     data = _data(draw, m, FLOAT)
+    dressing_data = data if draw(st.integers(0, 3)) else \
+        AknsData(m, tuple(Fraction(x) for x in data.a), RAT)
     step = draw(st.sampled_from([None, 0.5, 0.1]))  # 1/0.1 is not a power of two
     lo = draw(st.integers(-2, 1))
     hi = lo + draw(st.sampled_from([0, 1, 2, 3, 4, 5]))
@@ -424,13 +462,26 @@ def column_case(draw):
     P = LatticeFn(plo, phi, tuple(rnd.series(*band) for _ in range(plo, phi + 1)), *tails,
                   step, FLOAT)
     tol = draw(st.sampled_from([0, 1e-8, math.inf]))
-    return data, U, k, alpha, P, tol
+    ws = tuple(rnd.lattice(lo, hi, step) for _ in range(draw(st.integers(1, 3))))
+    state = HierarchyState(dressing_data, U, Window(lo, hi, 0),
+                           Dressing(len(ws), ws, dressing_data.conventions()))
+    return data, U, k, alpha, P, tol, state
 
 
 @given(column_case())
 @settings(max_examples=400, deadline=None)
 def test_float_column_passes_match_the_per_site_kernels(case):
-    data, U, k, alpha, P, tol = case
+    data, U, k, alpha, P, tol, state = case
+    _same_outcome(_outcome(_dressing_defect, state),
+                  _outcome(ref_dressing_defect_floats, state))
+    if U.mode == FLOAT:  # a rational U is solved in rational mode
+        for depth in (k, state.depth):
+            solved = _outcome(solve_dressing, state.data, U, depth)
+            _same_outcome(solved, _outcome(ref_solve_dressing_floats, state.data, U, depth))
+        if isinstance(solved, Dressing):  # and the defect of the solved dressing
+            solved = HierarchyState(state.data, U, state.window, solved)
+            _same_outcome(_outcome(_dressing_defect, solved),
+                          _outcome(ref_dressing_defect_floats, solved))
     _same_outcome(_outcome(flow_field, data, U, k, alpha, tol=tol),
                   _outcome(ref_flow_field_floats, data, U, k, alpha, tol=tol))
     _same_outcome(_outcome(resolvent_direct, data, U, alpha, k),
