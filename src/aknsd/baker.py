@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 
 from . import scalars
-from .dynamics import FlowIndex, make_field_fn, rk4_step
+from .dynamics import FlowIndex, rk4_step
 from .errors import ConsistencyError, InstanceError, ModeError, ValidityError
 from .hierarchy import AknsData, HierarchyState, projector_b
 from .lattice import LatticeFn, inner_product, delta_apply, shift_apply
@@ -167,9 +167,8 @@ def _stepped_states(state: HierarchyState, flow: FlowIndex, fd_step: float) -> l
     """The states one RK4 step of +fd_step and of -fd_step along ``flow`` away."""
     if state.mode != scalars.FLOAT:
         raise ModeError("the finite-difference path requires float mode")
-    field_fn = make_field_fn(state.data, flow)
     return [
-        HierarchyState.solve(state.data, rk4_step(state.U, sign * fd_step, field_fn),
+        HierarchyState.solve(state.data, rk4_step(state.data, state.U, sign * fd_step, flow),
                              state.window, state.depth, validate=False)
         for sign in (1.0, -1.0)
     ]

@@ -9,10 +9,12 @@ verifier's finite-difference path relies on.
 
 Support growth is handled by window padding plus a leakage monitor rather
 than adaptive windows; a stage's field is one site narrower than the stored
-range, and the missing edge value is frozen (it feeds back into no interior
-site of the recursions).  The stage updates ``u + c f`` (``_axpy``) are one
-entrywise pass per site in float mode, bit for bit the ring operations, and
-a potential that is no longer finite is refused.
+range, and the missing edge value is frozen at zero (it feeds back into no
+interior site of the recursions).  Time stepping is float only.  ``rk4_step``
+runs all four stages on the potential's entry columns (the layout of
+``hierarchy``'s column helpers), bit for bit the ring operations of the
+per-site stages, and builds one lattice at the end; a potential that is no
+longer finite is refused.
 """
 
 from __future__ import annotations
@@ -20,11 +22,12 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 from . import scalars
 from .errors import ConsistencyError, InstanceError, ModeError
-from .hierarchy import AknsData, HierarchyState, flow_field
+from .hierarchy import (AknsData, HierarchyState, _columns, _flow_pass, _inverse_step,
+                        _site_matrices, flow_field)
 from .lattice import LatticeFn, Window, delta_apply, site_max
 from .matrices import SmallMatrix
 
@@ -61,49 +64,36 @@ class Trajectory:
         return self.snapshots[-1][1]
 
 
-def _pad_field(f: LatticeFn, lo: int, hi: int) -> LatticeFn:
-    """Extend a stage field to [lo, hi], freezing missing edge sites at zero."""
-    zero = SmallMatrix.zero(f.values[0].m, f.mode)
-    vals = [f.at(n) if f.lo <= n <= f.hi else zero for n in range(lo, hi + 1)]
-    return LatticeFn.from_values(lo, vals, step=f.step)
+def rk4_step(data: AknsData, u: LatticeFn, h, flow: FlowIndex) -> LatticeFn:
+    """One classical 4-stage step of dU/dt = flow_field(U) from the float potential ``u``.
 
-
-def _axpy(u: LatticeFn, c, f: LatticeFn) -> LatticeFn:
-    """``u + c f`` site by site: ``a + b.scale(c)``, in float mode one entrywise pass.
-
-    A float entry is ``x + s * y`` with ``s = float(c)``, the operation order
-    of ``a + b.scale(c)``, so the doubles are the same bit for bit.  A rational
-    lattice keeps the ring operations and stays exact for a ``Fraction`` c.
+    ``u`` is read into entry columns once, each tail as one more site at its
+    end, and every stage runs on them.  Stage 1 is ``flow_field``, with every
+    refusal U can raise; stages 2 to 4 are its checked column pass
+    (``hierarchy._flow_pass``) on the stage potentials.  A stage field is one
+    site narrower than ``u``: it is frozen at zero on the last site and on
+    the tails, and ``u + c f`` is ``x + s * y`` entry by entry with
+    ``s = float(c)``, the operations of ``a + b.scale(c)``.  So the frozen
+    entries are computed, not kept: ``-0.0 + 0.0`` is ``0.0``.
     """
     if u.mode != scalars.FLOAT:
-        return u.zip_with(f, lambda a, b: a + b.scale(c))
-    s = scalars.as_scalar(c, scalars.FLOAT)
+        raise ModeError("time evolution requires float mode")
+    f1 = flow_field(data, u, flow.k, flow.alpha, tol=CONSISTENCY_TOL)
+    u.values[-1]._compat(f1.values[0])  # the one site flow_field does not read
 
-    def site(a: SmallMatrix, b: SmallMatrix) -> SmallMatrix:
-        a._compat(b)
-        return SmallMatrix._floats(a.m, tuple([tuple([x + s * y for x, y in zip(ar, br)])
-                                               for ar, br in zip(a.rows, b.rows)]))
+    def axpy(x, c, f):
+        s = float(c)
+        return [[a + s * b for a, b in zip(xc, (0.0, *fc, 0.0, 0.0))] for xc, fc in zip(x, f)]
 
-    return u.zip_with(f, site)
-
-
-def make_field_fn(data: AknsData, flow: FlowIndex) -> Callable[[LatticeFn], LatticeFn]:
-    def fn(u: LatticeFn) -> LatticeFn:
-        return _pad_field(flow_field(data, u, flow.k, flow.alpha, tol=CONSISTENCY_TOL),
-                          u.lo, u.hi)
-
-    return fn
-
-
-def rk4_step(u: LatticeFn, h, field_fn) -> LatticeFn:
-    k1 = field_fn(u)
-    k2 = field_fn(_axpy(u, h / 2, k1))
-    k3 = field_fn(_axpy(u, h / 2, k2))
-    k4 = field_fn(_axpy(u, h, k3))
-    out = _axpy(u, h / 6, k1)
-    out = _axpy(out, h / 3, k2)
-    out = _axpy(out, h / 3, k3)
-    return _axpy(out, h / 6, k4)
+    x = _columns([u.left_tail, *u.values, u.right_tail])
+    fields = [_columns(f1.values)]
+    for c in (h / 2, h / 2, h):
+        stage = [col[1:-2] for col in axpy(x, c, fields[-1])]  # at the transitions
+        fields.append(_flow_pass(data, stage, _inverse_step(u), *flow, CONSISTENCY_TOL))
+    for c, f in zip((h / 6, h / 3, h / 3, h / 6), fields):
+        x = axpy(x, c, f)
+    left, *vals, right = _site_matrices(x, data.m, lambda rows: SmallMatrix._floats(data.m, rows))
+    return LatticeFn(u.lo, u.hi, tuple(vals), left, right, u.step, u.mode)
 
 
 def _leakage(u: LatticeFn, window: Window):
@@ -133,10 +123,9 @@ def integrate(data: AknsData, u: LatticeFn, window: Window, flow: FlowIndex,
         raise ModeError("time evolution requires float mode")
     if not h > 0:
         raise InstanceError("step size must be positive")
-    field_fn = make_field_fn(data, flow)
     traj = Trajectory(flow, float(h), steps, [(0.0, u)])
     for s in range(1, steps + 1):
-        u = rk4_step(u, h, field_fn)
+        u = rk4_step(data, u, h, flow)
         boundary, interior = _leakage(u, window)
         if not (math.isfinite(boundary) and math.isfinite(interior)):
             raise ConsistencyError(
@@ -186,13 +175,17 @@ def commutativity_defect(data: AknsData, U: LatticeFn, window: Window,
 def observed_order(a, b) -> float:
     """The observed order ``log2(a / b)`` of two successive error norms.
 
-    A zero norm gives inf.  A nan norm gives a nan order, which fails every
-    order check: ``a > 0`` is false for a nan, so a plain positivity guard
-    would report it as inf and pass it.
+    An error that falls to zero gives inf, and two zero errors do too.  An
+    error that grew from exactly zero gives -inf, so it fails every order
+    check.  A nan norm gives a nan order, which fails them as well: ``a > 0``
+    is false for a nan, so a plain positivity guard would report it as inf
+    and pass it.
     """
     if a > 0 and b > 0:
         return math.log2(a / b)
-    return math.inf if a == a and b == b else math.nan
+    if a != a or b != b:
+        return math.nan
+    return -math.inf if b > 0 else math.inf
 
 
 def interior_diff_max(a: LatticeFn, b: LatticeFn, window: Window):

@@ -55,7 +55,7 @@ Float mode runs on entry columns, one list per matrix entry over the sites,
 with the operation order of the ring operations each kernel replaces, so
 float results are the same bit for bit:
 
-* ``_solve_columns`` is the one float order loop: ``solve_two_point`` on the
+* ``_order_columns`` is the one float order loop: ``solve_two_point`` on the
   columns of a right-hand side, ``_DRESSING_RHS`` (``D + U x``) for
   ``solve_dressing`` and ``_DIRECT_RHS`` (``D - (p - q)``) for
   ``resolvent_direct`` and the flow field;
@@ -63,9 +63,9 @@ float results are the same bit for bit:
   per-degree kernel: ``_BRACKET`` (``((p - q) - D) - z``) for
   ``commutator_with_l`` and ``_DEFECT`` (``(rhs_d - A x') + x1' A``) for the
   dressing defect;
-* ``flow_field`` is one whole-lattice pass from U to the field
-  (``_flow_columns``), which reuses each order's ``(p - q, D)`` columns for
-  the positive degrees of [B, L]_D.
+* ``flow_field`` is one whole-lattice pass from U to the field (``_flow_pass``,
+  which ``dynamics.rk4_step`` also runs on its stage columns); it reuses each
+  order's ``(p - q, D)`` columns for the positive degrees of [B, L]_D.
 
 See docs/derivations.md sections 1 to 4.
 """
@@ -189,7 +189,7 @@ def solve_two_point(a_i, a_j, rhs: list, direction: str, mode: str) -> list:
     ``rhs[k]`` is the right-hand side at the k-th transition; the result has
     one value per site.  The chosen direction fixes the one free constant:
     zero at the starting edge.  This is the float kernel of
-    ``_solve_columns``, and on ``Fraction``s the reference of the
+    ``_order_columns``, and on ``Fraction``s the reference of the
     integer kernel ``_solve_exact``.
     """
     steps = {"forward": lambda w, r: (a_i * w - r) / a_j,
@@ -297,8 +297,7 @@ def solve_dressing(data: AknsData, U: LatticeFn, depth: int) -> Dressing:
         raise InstanceError("dressing depth must be >= 1")
     ident = SmallMatrix.identity(data.m, U.mode)
     if U.mode == scalars.FLOAT:
-        ws = _float_lattices(U, data.m,
-                             _solve_columns(data, U, ident, depth, *_DRESSING_RHS)[0][1:])
+        ws = _float_lattices(U, data.m, _solve_columns(data, U, ident, depth, *_DRESSING_RHS))
     else:
         ws = _solve_orders(data, U, U.constant(ident), _dressing_rhs_site, depth)[1:]
     return Dressing(depth, tuple(ws), data.conventions())
@@ -431,8 +430,8 @@ def resolvent_direct(data: AknsData, U: LatticeFn, alpha: int, depth: int) -> Re
     if data.mode != scalars.FLOAT:
         orders = _solve_orders(data, U, U.constant(e), _direct_rhs_site, depth)
     else:
-        cols = _solve_columns(data, U, e, depth, *_DIRECT_RHS)[0]
-        orders = [U.constant(e), *_float_lattices(U, data.m, cols[1:])]
+        orders = [U.constant(e),
+                  *_float_lattices(U, data.m, _solve_columns(data, U, e, depth, *_DIRECT_RHS))]
     return Resolvent(_orders_to_series(orders, data.m))
 
 
@@ -646,32 +645,32 @@ def _transition_columns(U: LatticeFn, check) -> list:
     vals = U.values[:-1]
     for v in vals:
         check(v)
+    if U.lo == U.hi:
+        raise DimensionError("a recursion order needs at least two sites")
     return _columns(vals)
 
 
-def _solve_columns(data: AknsData, U: LatticeFn, first: SmallMatrix, depth: int,
-                   check, parts, op) -> tuple:
-    """The float order loop: ``first`` and ``depth`` more orders on entry columns over U's sites.
-
-    Order j + 1 is ``solve_two_point`` on the right-hand side of order j,
-    ``check``, ``parts`` and ``op`` those of ``_DRESSING_RHS`` or
-    ``_DIRECT_RHS``.  Returns the orders, the ``(s, D)`` columns of orders
-    0..depth - 1 and U's columns at the transitions (None below depth 1,
-    where U's values are not read).
-    """
-    m, inv = data.m, _inverse_step(U)
-    orders, kept = [[(x,) * (U.hi - U.lo + 1) for x in chain.from_iterable(first.rows)]], []
-    if depth < 1:
-        return orders, kept, None
-    u = _transition_columns(U, partial(check, first))
-    if U.lo == U.hi:
-        raise DimensionError("a recursion order needs at least two sites")
+def _order_columns(data: AknsData, u, inv, first: SmallMatrix, depth: int, parts, op) -> tuple:
+    """The float order loop on U's transitions ``u``: ``first``, ``depth`` more orders, each
+    ``solve_two_point`` on the right-hand side of the one before (``parts`` and ``op`` of
+    ``_DRESSING_RHS`` or ``_DIRECT_RHS``), and the ``(s, D)`` columns of orders < depth."""
+    m = data.m
+    orders, kept = [[(x,) * (len(u[0]) + 1) for x in chain.from_iterable(first.rows)]], []
     for _ in range(depth):
         kept.append(parts(orders[-1], u, m, inv))
         orders.append([solve_two_point(data.a[i // m], data.a[i % m], list(map(op, d, s)),
                                        data.direction(i // m + 1, i % m + 1), scalars.FLOAT)
                        for i, (s, d) in enumerate(zip(*kept[-1]))])
-    return orders, kept, u
+    return orders, kept
+
+
+def _solve_columns(data: AknsData, U: LatticeFn, first: SmallMatrix, depth: int,
+                   check, parts, op) -> list:
+    """Orders 1..depth of ``_order_columns`` on U; ``check(first, v)`` checks each value v."""
+    if depth < 1:
+        return []
+    u = _transition_columns(U, partial(check, first))
+    return _order_columns(data, u, _inverse_step(U), first, depth, parts, op)[0][1:]
 
 
 def _scalings(x, a: tuple) -> list:
@@ -798,58 +797,57 @@ def flow_field(data: AknsData, U: LatticeFn, k: int, alpha: int, *,
     must vanish (up to ``tol``; exactly in rational mode), and a nan among them
     is refused as well.  The full degree-0 coefficient is returned; its
     diagonal, measured by ``diagonal_drift``, is the discrete gauge drift
-    Delta of R_{(k+1),pp}.  Float mode runs in one pass on entry columns
-    (``_flow_columns``); rational mode builds B and ``commutator_with_l``.
+    Delta of R_{(k+1),pp}.  Float mode refuses what ``resolvent_direct``,
+    ``projector_b`` and ``commutator_with_l`` refuse, in their order, and runs
+    ``_flow_pass``; rational mode builds B and ``commutator_with_l``.
     """
     if data.mode == scalars.FLOAT:
-        pos, degree0 = _flow_columns(data, U, k, alpha)
-    else:
-        comm = commutator_with_l(projector_b(resolvent_direct(data, U, alpha, k), k, "plus"),
-                                 data, U)
-        pos = site_max(comm, lambda s: scalars.max_of(
-            (s.get(d).max_abs() for d in range(max(1, s.lo), s.hi + 1)), s.mode))
-    if not pos <= tol:  # a nan fails it too
-        raise ConsistencyError(
-            f"positive z-degrees of the flow commutator do not vanish "
-            f"(residual {pos})"
-        )
-    if data.mode == scalars.FLOAT:
+        e = data.projector(alpha)
+        u = _transition_columns(U, e._compat) if k >= 1 else None  # R_(1) reads U first
+        scalars.join_modes(e.mode, U.mode)  # the site series of R carry U's mode
+        _check_flow_order(k)
+        if U.lo == U.hi:
+            raise DimensionError("operand ranges do not overlap")
+        if u is None:  # k = 0: the commutator reads U first, and its tail kernel the tails
+            u = _transition_columns(U, e._compat)
+        e._compat(U.left_tail)
+        e._compat(U.right_tail)
+        degree0 = _flow_pass(data, u, _inverse_step(U), k, alpha, tol)
         return _float_lattices(U, data.m, [degree0])[0]
+    comm = commutator_with_l(projector_b(resolvent_direct(data, U, alpha, k), k, "plus"),
+                             data, U)
+    _check_positive_degrees(site_max(comm, lambda s: scalars.max_of(
+        (s.get(d).max_abs() for d in range(max(1, s.lo), s.hi + 1)), s.mode)), tol)
     return LatticeFn.from_values(U.lo, [comm.at(n).get(0) for n in comm.sites()], step=U.step)
 
 
-def _flow_columns(data: AknsData, U: LatticeFn, k: int, alpha: int) -> tuple:
-    """The float flow field's positive-degree residual and its degree-0 entry columns.
+def _check_positive_degrees(pos, tol) -> None:
+    if not pos <= tol:  # a nan fails it too
+        raise ConsistencyError(f"positive z-degrees of the flow commutator do not vanish "
+                               f"(residual {pos})")
 
-    B_d = R_(k-d), d = 0..k, from ``_solve_columns``.  Degree d >= 1 of
+
+def _flow_pass(data: AknsData, u: list, inv, k: int, alpha: int, tol) -> list:
+    """The float flow field's degree-0 entry columns from U's columns ``u`` at its transitions.
+
+    B_d = R_(k-d), d = 0..k, from ``_order_columns``.  Degree d >= 1 of
     [B, L]_D is ``((p - q) - D) - z(R_(k-d+1))``, and its ``p - q`` and ``D``
     are those of R_(k-d) that the right-hand side of order k - d + 1 formed;
     only degree 0 forms new ones, of R_(k), with the zero matrix's z-term.
-    The top degree k + 1 is ``_top_degree`` of R_(0).  The refusals are those
-    of ``resolvent_direct``, ``projector_b`` and ``commutator_with_l`` on the
-    per-site objects, in their order; the tails of U are checked as the
-    commutator's tail kernel checks them.
+    The top degree k + 1 is ``_top_degree`` of R_(0).  A positive degree
+    above ``tol`` is refused; ``u`` is not checked here (``flow_field`` does).
     """
-    e = data.projector(alpha)
-    orders, lax, u = _solve_columns(data, U, e, k, *_DIRECT_RHS)
-    scalars.join_modes(e.mode, U.mode)  # the site series of R carry U's mode
-    _check_flow_order(k)
-    if U.lo == U.hi:
-        raise DimensionError("operand ranges do not overlap")
-    if u is None:  # k = 0: the commutator reads U first
-        u = _transition_columns(U, e._compat)
-    e._compat(U.left_tail)
-    e._compat(U.right_tail)
-    a = data.a
+    e, a = data.projector(alpha), data.a
+    orders, lax = _order_columns(data, u, inv, e, k, *_DIRECT_RHS[1:])
     positive = [_lax_degree(pq, dx, _z_columns(orders[j + 1], a))
                 for j, (pq, dx) in enumerate(lax)]
     # R_(0) = e and the zero are the same at every site: their z-terms are
     # formed on one transition
     positive.append(_top_degree(_z_columns([(x, x) for x in chain.from_iterable(e.rows)], a)))
-    pos = scalars.max_of(map(abs, chain.from_iterable(chain.from_iterable(positive))),
-                         scalars.FLOAT)
+    _check_positive_degrees(scalars.max_of(
+        map(abs, chain.from_iterable(chain.from_iterable(positive))), scalars.FLOAT), tol)
     z0 = [repeat(z) for (z,) in _z_columns([(0.0, 0.0)] * (data.m * data.m), a)]
-    return pos, _lax_degree(*_lax_columns(orders[-1], u, data.m, _inverse_step(U)), z0)
+    return _lax_degree(*_lax_columns(orders[-1], u, data.m, inv), z0)
 
 
 def diagonal_drift(f: LatticeFn):

@@ -176,8 +176,15 @@ def delta_apply(f: LatticeFn, kind: str = "forward") -> LatticeFn:
 
 
 def site_max(f: LatticeFn, norm=lambda v: v.max_abs(), sites=None):
-    """Largest ``norm(f(n))`` over ``sites`` (default: every claimable site)."""
-    sites = f.sites() if sites is None else sites
+    """Largest ``norm(f(n))`` over ``sites`` (default: every claimable site).
+
+    A site outside ``[f.lo, f.hi]`` is refused: its value would be a tail, not
+    stored data.
+    """
+    if sites is None:
+        sites = f.sites()
+    elif not all(f.lo <= n <= f.hi for n in sites):
+        raise DimensionError(f"a claim on a site outside the stored range [{f.lo}, {f.hi}]")
     return scalars.max_of((norm(f.at(n)) for n in sites), f.mode)
 
 

@@ -24,6 +24,7 @@ from .baker import (
 )
 from .config import ExperimentConfig
 from .dynamics import (
+    CONSISTENCY_TOL,
     SCAN_MIN_ORDER,
     FlowIndex,
     ScanReport,
@@ -32,7 +33,6 @@ from .dynamics import (
     continuum_scan,
     gaussian_bump_profile,
     interior_diff_max,
-    make_field_fn,
     observed_order,
     rk4_step,
 )
@@ -333,11 +333,10 @@ def _suite_dynamics(config: ExperimentConfig, report: VerificationReport) -> Non
     u = random_potential(window, data, rng, span=3).map(lambda v: v.scale(0.1))
 
     flow = FlowIndex(*config.first_flow)
-    field_fn = make_field_fn(data, flow)
-    f0 = field_fn(u)
+    f0 = flow_field(data, u, flow.k, flow.alpha, tol=CONSISTENCY_TOL)
 
     def euler_defect(h):
-        u1 = rk4_step(u, h, field_fn)
+        u1 = rk4_step(data, u, h, flow)
         eul = u.zip_with(f0, lambda a, b: a + b.scale(h))
         return interior_diff_max(u1, eul, window)
 

@@ -11,7 +11,8 @@ import sys
 
 from aknsd import scalars
 from aknsd.baker import TauExpSum, baker_from_tau
-from aknsd.errors import ConsistencyError, DimensionError, InstanceError
+from aknsd.dynamics import CONSISTENCY_TOL
+from aknsd.errors import ConsistencyError, DimensionError, InstanceError, ModeError
 from aknsd.hierarchy import (
     Dressing,
     HierarchyState,
@@ -20,6 +21,7 @@ from aknsd.hierarchy import (
     _orders_to_series,
     _site_band,
     _site_matrices,
+    flow_field,
     projector_b,
     solve_two_point,
 )
@@ -346,6 +348,27 @@ def ref_flow_field_floats(data, U, k, alpha, tol=0):
 def ref_axpy(u, c, f):
     """``u + c f`` over the lattice by ring operations."""
     return u.zip_with(f, lambda a, b: a + b.scale(c))
+
+
+def ref_rk4_step(data, u, h, flow):
+    """One classical RK4 step from per-site stages: ``flow_field`` with its last
+    site frozen at zero, and ``ref_axpy``.  A rational potential is refused
+    first, as ``rk4_step`` refuses it."""
+    if u.mode != scalars.FLOAT:
+        raise ModeError("time evolution requires float mode")
+
+    def field(v):
+        f = flow_field(data, v, flow.k, flow.alpha, tol=CONSISTENCY_TOL)
+        return LatticeFn.from_values(v.lo, [*f.values, SmallMatrix.zero(data.m, scalars.FLOAT)],
+                                     step=f.step)
+
+    k1 = field(u)
+    k2 = field(ref_axpy(u, h / 2, k1))
+    k3 = field(ref_axpy(u, h / 2, k2))
+    k4 = field(ref_axpy(u, h, k3))
+    for c, k in ((h / 6, k1), (h / 3, k2), (h / 3, k3), (h / 6, k4)):
+        u = ref_axpy(u, c, k)
+    return u
 
 
 def assert_canonical(mat):

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from aknsd import dynamics, scalars
+from aknsd import dynamics, scalars, verify
 from aknsd.config import parse_config
 from aknsd.dynamics import continuum_scan, gaussian_bump_profile
 from aknsd.errors import InstanceError
@@ -91,9 +91,11 @@ def test_scan_maxima_keep_a_nan(monkeypatch):
 
 
 def _nan_on_calls(monkeypatch, calls):
-    """Patch ``dynamics.flow_field`` to put a nan at site 0 of the fields of ``calls``.
+    """Patch ``flow_field`` to put a nan at site 0 of the fields of ``calls``.
 
-    ``calls`` are 0-based indices of the calls; the other fields are untouched.
+    ``calls`` are 0-based indices of the calls, counted across ``dynamics``
+    (the scan and the RK4 step) and ``verify`` (the dynamics suite's Euler
+    reference); the other fields are untouched.
     """
     field = dynamics.flow_field
     count = iter(range(10 ** 6))
@@ -109,6 +111,7 @@ def _nan_on_calls(monkeypatch, calls):
         return LatticeFn(f.lo, f.hi, vals, f.left_tail, f.right_tail, f.step, f.mode)
 
     monkeypatch.setattr(dynamics, "flow_field", field_with_nan)
+    monkeypatch.setattr(verify, "flow_field", field_with_nan)
 
 
 def _checks(name, suite):

@@ -1,8 +1,9 @@
 """Time-evolution tests: integrator order, closed forms, commutativity."""
 
-from fractions import Fraction
 import math
+from pathlib import Path
 import random
+import re
 
 import pytest
 
@@ -13,17 +14,19 @@ from aknsd.dynamics import (
     commutativity_defect,
     gaussian_bump_profile,
     integrate,
-    make_field_fn,
+    interior_diff_max,
+    observed_order,
     rk4_evolve,
     rk4_step,
 )
-from aknsd.errors import ConsistencyError, ModeError
+from aknsd.config import parse_config
+from aknsd.errors import ConsistencyError, DimensionError, ModeError
 from aknsd.hierarchy import HierarchyState, flow_field, make_potential
 from aknsd.instances import DESK_WINDOW, desk_data, random_potential, vacuum_potential
 from aknsd.lattice import LatticeFn, Window
 from aknsd.matrices import SmallMatrix
-from helpers import RAT, ref_axpy
 
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 FLOAT = scalars.FLOAT
 WINDOW = Window(-6, 6, 5)
 DEPTH = 3
@@ -55,11 +58,10 @@ def test_rational_mode_rejected():
 def test_one_step_vs_euler_is_second_order():
     # || Phi_h(U) - U - h F(U) || = O(h^2), verified by a Richardson ratio
     state = float_state(seed=3)
-    field_fn = make_field_fn(state.data, FlowIndex(1, 1))
-    f0 = field_fn(state.U)
+    f0 = flow_field(state.data, state.U, 1, 1, tol=CONSISTENCY_TOL)
 
     def defect(h):
-        u1 = rk4_step(state.U, h, field_fn)
+        u1 = rk4_step(state.data, state.U, h, FlowIndex(1, 1))
         euler = state.U.zip_with(f0, lambda a, b: a + b.scale(h))
         return max((u1.at(n) - euler.at(n)).max_abs()
                    for n in range(state.window.n_min, state.window.n_max + 1))
@@ -128,27 +130,54 @@ def test_a_non_finite_step_result_is_refused(monkeypatch):
     # the leakage monitor refuses a potential that is not finite, whatever
     # its boundary-to-interior ratio
     data, window, u = _nan_potential()
-    monkeypatch.setattr(dynamics, "rk4_step", lambda v, h, fn: u)
+    monkeypatch.setattr(dynamics, "rk4_step", lambda data, v, h, flow: u)
     with pytest.raises(ConsistencyError, match="non-finite potential at step 1"):
         integrate(data, u, window, FlowIndex(1, 1), 0.05, 3)
 
 
-def test_rk4_step_on_a_rational_lattice_is_exact():
-    # the fused float update leaves the rational ring operations in place
-    data = desk_data(2)
+def test_rk4_step_refuses_a_rational_lattice():
+    # time stepping is float only: a rational potential is refused up front,
+    # with the error integrate raises, whatever the instance's mode
     window = Window(-2, 2, 2)
-    u = random_potential(window, data, random.Random(4), span=1)
-    field_fn = make_field_fn(data, FlowIndex(1, 1))
-    h = Fraction(1, 10)
-    k1 = field_fn(u)
-    k2 = field_fn(ref_axpy(u, h / 2, k1))
-    k3 = field_fn(ref_axpy(u, h / 2, k2))
-    k4 = field_fn(ref_axpy(u, h, k3))
-    want = u
-    for c, k in ((h / 6, k1), (h / 3, k2), (h / 3, k3), (h / 6, k4)):
-        want = ref_axpy(want, c, k)
-    got = rk4_step(u, h, field_fn)
-    assert got.mode == RAT and (got.lo, got.hi) == (want.lo, want.hi)
-    assert got.values == want.values
-    assert not all(v.is_zero() for v in (got - u).values)
-    assert all(isinstance(x, Fraction) for v in got.values for row in v.rows for x in row)
+    for mode in (scalars.RATIONAL, FLOAT):
+        data = desk_data(2, mode)
+        u = random_potential(window, desk_data(2), random.Random(4), span=1)
+        with pytest.raises(ModeError, match="time evolution requires float mode"):
+            rk4_step(data, u, 0.1, FlowIndex(1, 1))
+
+
+def test_an_error_grown_from_zero_fails_every_order_check():
+    # a zero coarse error that grows is no convergence: -inf, not inf
+    assert observed_order(0.0, 1e-3) == -math.inf
+    assert observed_order(1e-3, 0.0) == math.inf
+    assert observed_order(0.0, 0.0) == math.inf
+    assert observed_order(4.0, 1.0) == 2.0
+    for a, b in ((math.nan, 1.0), (0.0, math.nan), (math.nan, 0.0)):
+        assert math.isnan(observed_order(a, b))
+
+
+def test_a_claim_on_sites_outside_the_stored_range_is_refused():
+    # the potential is stored on -5..5; a window reaching -20..20 would read
+    # its tails as data, and its leakage "interior" would cover the edges
+    data = desk_data(2, FLOAT)
+    u = random_potential(Window(-2, 2, 3), data, random.Random(2), span=2)
+    u = u.map(lambda v: v.scale(0.1))
+    wide = Window(-20, 20, 3)
+    with pytest.raises(DimensionError, match="outside the stored range"):
+        integrate(data, u, wide, FlowIndex(1, 1), 0.01, 2)
+    with pytest.raises(DimensionError, match="outside the stored range"):
+        interior_diff_max(u, u, wide)
+    assert interior_diff_max(u, u, Window(-5, 5, 0)) == 0.0
+
+
+@pytest.mark.filterwarnings("ignore:boundary leakage")
+def test_hard_boundary_leakage_is_refused():
+    # the benchmark's desk_m2 (2,2) item: the tied pair's non-decaying field
+    # reaches the stored edge, and the step that passes LEAK_HARD is refused
+    config = parse_config((CONFIGS / "desk_m2.json").read_text())
+    data = config.data(FLOAT)
+    rng = random.Random("float_evolution/desk_m2/2,2")
+    u = random_potential(config.window, data, rng, span=3).map(lambda v: v.scale(0.1))
+    msg = "boundary leakage 1.1971507360786107 exceeds hard limit at step 3"
+    with pytest.raises(ConsistencyError, match=f"^{re.escape(msg)}$"):
+        integrate(data, u, config.window, FlowIndex(2, 2), config.h, config.steps)

@@ -7,12 +7,11 @@ site in rational mode, on entry columns in float mode.  The references in
 ``zip_with`` lambdas.  Both must give the same bands and, in float mode, the
 same doubles down to the sign of a zero.  The rational commutator is held to
 the ring operations, and the fused float kernels (the series pass with the
-commutator and the defect kernel, the direct right-hand side,
-``dynamics._axpy``) to the ring operations they fuse, bit for bit,
-non-finite entries included (a nan stays a nan).  The float
-``solve_dressing``, ``_dressing_defect``, ``flow_field``,
-``resolvent_direct`` and ``commutator_with_l`` are held to the per-site
-kernels they replaced, refusals included.
+commutator and the defect kernel, the direct right-hand side) to the ring
+operations they fuse, bit for bit, non-finite entries included (a nan stays
+a nan).  The float ``solve_dressing``, ``_dressing_defect``, ``flow_field``,
+``resolvent_direct``, ``commutator_with_l`` and ``dynamics.rk4_step`` are
+held to the per-site kernels they replaced, refusals included.
 """
 
 from fractions import Fraction
@@ -26,7 +25,7 @@ from hypothesis import given, settings, strategies as st
 
 from aknsd import scalars
 from aknsd.errors import AknsdError, ValidityError
-from aknsd.dynamics import _axpy
+from aknsd.dynamics import FlowIndex, rk4_step
 from aknsd.hierarchy import (
     AknsData,
     Dressing,
@@ -62,7 +61,6 @@ from aknsd.series import MatSeries, series_mul
 from helpers import (
     RAT,
     left_mul,
-    ref_axpy,
     ref_commutator_site,
     ref_commutator_with_l_floats,
     ref_defect_floats,
@@ -75,6 +73,7 @@ from helpers import (
     ref_dressing_rhs_floats,
     ref_flow_field_floats,
     ref_resolvent_direct_floats,
+    ref_rk4_step,
     ref_solve_dressing_floats,
     ref_solve_order_floats,
     right_mul,
@@ -352,22 +351,18 @@ def _bits(mat):
 
 @st.composite
 def fused_case(draw):
-    """Float series of one band, a matrix lattice pair and a scalar, at m = 2 or 3."""
+    """Float series of one band, a matrix and an instance, at m = 2 or 3."""
     m = draw(st.integers(2, 3))
     rnd = _Draw(draw, m, FLOAT, _WILD if draw(st.booleans()) else None)
     band = rnd.band()
     step = draw(st.sampled_from([None, 0.5, 0.1]))  # 1/0.1 is not a power of two
-    lo = draw(st.integers(-2, 1))
-    hi = lo + draw(st.integers(0, 3))
-    scale = draw(st.sampled_from([0.5, 0.05 / 6, -0.3, 1 / 3, 0.0, -0.0]))
-    return (rnd.series(*band), rnd.series(*band), rnd.matrix(), _data(draw, m, FLOAT), step,
-            rnd.lattice(lo, hi, step), rnd.lattice(lo, hi, step), scale)
+    return rnd.series(*band), rnd.series(*band), rnd.matrix(), _data(draw, m, FLOAT), step
 
 
 @given(fused_case())
 @settings(max_examples=400, deadline=None)
 def test_fused_float_kernels_match_the_ring_operations_bit_for_bit(case):
-    c, c1, u, data, step, f, g, scale = case
+    c, c1, u, data, step = case
     a_mat = data.matrix
     inv = None if step is None else 1.0 / step
     got = _series_columns([c, c1], [u], data, inv, _BRACKET)[0]
@@ -383,11 +378,6 @@ def test_fused_float_kernels_match_the_ring_operations_bit_for_bit(case):
             [_bits(ref_direct_rhs_site(x, x1, u, inv))]
         assert [_bits(v) for v in _column_rhs([x, x1], [u], c.m, inv, _DRESSING_RHS)] == \
             [_bits(ref_dressing_rhs_floats(x, x1, u, inv))]
-    got, want = _axpy(f, scale, g), ref_axpy(f, scale, g)
-    assert (got.lo, got.hi, got.step, got.mode) == (want.lo, want.hi, want.step, want.mode)
-    for x, y in zip((*got.values, got.left_tail, got.right_tail),
-                    (*want.values, want.left_tail, want.right_tail)):
-        assert _bits(x) == _bits(y)
 
 
 def _outcome(fn, *args, **kwargs):
@@ -422,29 +412,19 @@ def _same_outcome(got, want):
         [_value_bits(v) for v in (*want.values, want.left_tail, want.right_tail)]
 
 
-@st.composite
-def column_case(draw):
-    """A float instance, a potential (possibly one site, possibly faulty), a series
-    lattice and a random dressing.
+def _potential(draw, rnd, m, step):
+    """A float potential on one to six sites, possibly faulty.
 
-    k starts at -1 and alpha runs one past 1..m on both sides, for the refusals.  A
-    fault puts a value of another dimension or mode into U, at a transition,
-    at its last site or in a tail, or makes U rational.  The dressing solve and
-    defect read the instance, or in some examples the same A in rational mode.
+    A fault puts a value of another dimension or mode into U, at a
+    transition, at its last site or in a tail, or makes U rational.
     """
-    m = draw(st.integers(2, 3))
-    rnd = _Draw(draw, m, FLOAT, _WILD if draw(st.booleans()) else None)
-    data = _data(draw, m, FLOAT)
-    dressing_data = data if draw(st.integers(0, 3)) else \
-        AknsData(m, tuple(Fraction(x) for x in data.a), RAT)
-    step = draw(st.sampled_from([None, 0.5, 0.1]))  # 1/0.1 is not a power of two
     lo = draw(st.integers(-2, 1))
     hi = lo + draw(st.sampled_from([0, 1, 2, 3, 4, 5]))
     U = rnd.lattice(lo, hi, step)
     fault = draw(st.sampled_from([None] * 12 + ["site", "last", "tail", "rational"]))
     if fault == "rational":
-        U = _Draw(draw, m, RAT).lattice(lo, hi, None if step is None else Fraction(step))
-    elif fault is not None:
+        return _Draw(draw, m, RAT).lattice(lo, hi, None if step is None else Fraction(step))
+    if fault is not None:
         bad = draw(st.sampled_from([SmallMatrix.zero(m + 1, FLOAT), SmallMatrix.zero(m, RAT)]))
         vals, tails = list(U.values), [U.left_tail, U.right_tail]
         if fault == "tail":
@@ -452,8 +432,31 @@ def column_case(draw):
         else:
             vals[draw(st.integers(0, len(vals) - 1)) if fault == "site" else -1] = bad
         U = LatticeFn(lo, hi, tuple(vals), *tails, step, FLOAT)
-    k = draw(st.integers(-1, 3))
-    alpha = draw(st.sampled_from([*range(1, m + 1)] * 4 + [0, m + 1]))
+    return U
+
+
+def _flow_index(draw, m):
+    """k from -1 and alpha one past 1..m on both sides, for the refusals."""
+    return draw(st.integers(-1, 3)), draw(st.sampled_from([*range(1, m + 1)] * 4 + [0, m + 1]))
+
+
+@st.composite
+def column_case(draw):
+    """A float instance, a potential (``_potential``), a flow index
+    (``_flow_index``), a series lattice and a random dressing.
+
+    The dressing solve and defect read the instance, or in some examples the
+    same A in rational mode.
+    """
+    m = draw(st.integers(2, 3))
+    rnd = _Draw(draw, m, FLOAT, _WILD if draw(st.booleans()) else None)
+    data = _data(draw, m, FLOAT)
+    dressing_data = data if draw(st.integers(0, 3)) else \
+        AknsData(m, tuple(Fraction(x) for x in data.a), RAT)
+    step = draw(st.sampled_from([None, 0.5, 0.1]))  # 1/0.1 is not a power of two
+    U = _potential(draw, rnd, m, step)
+    lo, hi = U.lo, U.hi
+    k, alpha = _flow_index(draw, m)
     band = rnd.band()
     plo = lo + draw(st.integers(-1, 1))
     phi = plo + draw(st.sampled_from([0, 1, 2, 3, 4, 5, 3, 4]))
@@ -488,3 +491,23 @@ def test_float_column_passes_match_the_per_site_kernels(case):
                   _outcome(ref_resolvent_direct_floats, data, U, alpha, k))
     _same_outcome(_outcome(commutator_with_l, P, data, U),
                   _outcome(ref_commutator_with_l_floats, P, data, U))
+
+
+@st.composite
+def rk4_case(draw):
+    """A float instance, a potential (``_potential``), a flow index (``_flow_index``)
+    and a step h: the bilinear path's negative one, a signed zero or an exact one."""
+    m = draw(st.integers(2, 3))
+    rnd = _Draw(draw, m, FLOAT, _WILD if draw(st.booleans()) else None)
+    data = _data(draw, m, FLOAT)
+    U = _potential(draw, rnd, m, draw(st.sampled_from([None, 0.5, 0.1])))
+    h = draw(st.sampled_from([0.01, 0.05, -0.01, 0.0, -0.0, Fraction(1, 10)]))
+    return data, U, h, FlowIndex(*_flow_index(draw, m))
+
+
+@given(rk4_case())
+@settings(max_examples=300, deadline=None)
+def test_rk4_step_matches_the_per_site_stages_bit_for_bit(case):
+    data, U, h, flow = case
+    _same_outcome(_outcome(rk4_step, data, U, h, flow),
+                  _outcome(ref_rk4_step, data, U, h, flow))
