@@ -79,7 +79,6 @@ def rk4_step(data: AknsData, u: LatticeFn, h, flow: FlowIndex) -> LatticeFn:
     if u.mode != scalars.FLOAT:
         raise ModeError("time evolution requires float mode")
     f1 = flow_field(data, u, flow.k, flow.alpha, tol=CONSISTENCY_TOL)
-    u.values[-1]._compat(f1.values[0])  # the one site flow_field does not read
 
     def axpy(x, c, f):
         s = float(c)

@@ -29,8 +29,10 @@ entry for entry.
 
 Each public operation (``solve_dressing``, ``resolvent_direct``,
 ``_sitewise`` behind ``commutator_with_l`` and the dressing defect,
-``flow_field``) chooses its mode once: rational data runs per site, float
-data on entry columns, and no kernel tests the mode again.
+``flow_field``) checks once that U has the instance's dimension and mode
+(``_check_instance``), and chooses its mode once: rational data runs per
+site, float data on entry columns.  A lattice checked its own values and
+tails when it was built, so no kernel checks an operand again.
 
 Rational mode.  One order loop, ``_solve_orders``, runs the dressing solve and
 the direct resolvent from a first order and a right-hand-side site kernel;
@@ -60,9 +62,9 @@ float results are the same bit for bit:
   ``solve_dressing`` and ``_DIRECT_RHS`` (``D - (p - q)``) for
   ``resolvent_direct`` and the flow field;
 * ``_series_columns`` is the one float series pass, degree by degree with a
-  per-degree kernel: ``_BRACKET`` (``((p - q) - D) - z``) for
-  ``commutator_with_l`` and ``_DEFECT`` (``(rhs_d - A x') + x1' A``) for the
-  dressing defect;
+  per-degree kernel: ``_bracket_degree`` (``((p - q) - D) - z``) for
+  ``commutator_with_l`` and ``_defect_degree`` (``(rhs_d - A x') + x1' A``)
+  for the dressing defect;
 * ``flow_field`` is one whole-lattice pass from U to the field (``_flow_pass``,
   which ``dynamics.rk4_step`` also runs on its stage columns); it reuses each
   order's ``(p - q, D)`` columns for the positive degrees of [B, L]_D.
@@ -79,7 +81,7 @@ from math import gcd
 from operator import add, mul, sub
 
 from . import scalars
-from .errors import ConsistencyError, DimensionError, InstanceError, ValidityError
+from .errors import ConsistencyError, DimensionError, InstanceError, ModeError, ValidityError
 from .lattice import LatticeFn, Window, site_max
 from .matrices import SmallMatrix
 from .series import (
@@ -142,6 +144,14 @@ class AknsData:
         }
 
 
+def _check_instance(data: AknsData, U: LatticeFn) -> None:
+    """Refuse a potential whose dimension or mode is not the instance's."""
+    if U.m != data.m:
+        raise DimensionError(f"a {U.m}x{U.m} potential for an instance of m = {data.m}")
+    if U.mode != data.mode:
+        raise ModeError(f"a {U.mode} potential for a {data.mode} instance")
+
+
 def validate_potential(U: LatticeFn) -> LatticeFn:
     """Check the potential invariants: zero tails, and zero diagonal entries.
 
@@ -151,9 +161,8 @@ def validate_potential(U: LatticeFn) -> LatticeFn:
     """
     if not U.left_tail.is_zero() or not U.right_tail.is_zero():
         raise InstanceError("potential must carry zero tails on both sides")
-    for n in U.sites():
-        v = U.at(n)
-        for i in range(v.m):
+    for n, v in zip(U.sites(), U.values):
+        for i in range(U.m):
             if v.rows[i][i] != 0:
                 raise InstanceError(
                     f"potential has nonzero diagonal entry at site {n}"
@@ -289,15 +298,16 @@ class Dressing:
 def solve_dressing(data: AknsData, U: LatticeFn, depth: int) -> Dressing:
     """Order-by-order solve of Delta w_k + U w_k = A w_{k+1} - (Lambda w_{k+1}) A.
 
-    The mode is U's.  Rational: the order loop ``_solve_orders`` with
-    ``_dressing_rhs_site``.  Float: the same recursion on entry columns
-    (``_solve_columns`` with ``_DRESSING_RHS``).
+    Rational: the order loop ``_solve_orders`` with ``_dressing_rhs_site``.
+    Float: the same recursion on entry columns (``_solve_columns`` with
+    ``_DRESSING_RHS``).
     """
+    _check_instance(data, U)
     if depth < 1:
         raise InstanceError("dressing depth must be >= 1")
     ident = SmallMatrix.identity(data.m, U.mode)
     if U.mode == scalars.FLOAT:
-        ws = _float_lattices(U, data.m, _solve_columns(data, U, ident, depth, *_DRESSING_RHS))
+        ws = _float_lattices(U, _solve_columns(data, U, ident, depth, *_DRESSING_RHS))
     else:
         ws = _solve_orders(data, U, U.constant(ident), _dressing_rhs_site, depth)[1:]
     return Dressing(depth, tuple(ws), data.conventions())
@@ -308,7 +318,10 @@ def solve_dressing(data: AknsData, U: LatticeFn, depth: int) -> Dressing:
 
 @dataclass
 class HierarchyState:
-    """A potential together with its solved dressing at a given depth."""
+    """A potential together with its solved dressing at a given depth.
+
+    The potential lives on the window's stored sites, and nowhere else.
+    """
 
     data: AknsData
     U: LatticeFn
@@ -316,6 +329,11 @@ class HierarchyState:
     dressing: Dressing
     # resolvent_dressed per alpha, filled by ``resolvent``
     _resolvents: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        if (self.U.lo, self.U.hi) != (self.window.stored_lo, self.window.stored_hi):
+            raise DimensionError(f"the potential's sites {self.U.lo}..{self.U.hi} are not the "
+                                 f"window's stored sites")
 
     @property
     def depth(self) -> int:
@@ -368,7 +386,7 @@ def dressing_residual(state: HierarchyState):
 
 def _dressing_defect(state: HierarchyState) -> LatticeFn:
     """Delta w_hat + U w_hat - z A w_hat + z (Lambda w_hat) A: (T') by ``_sitewise``."""
-    return _sitewise(state.hat, state.data, state.U, _defect_site, _DEFECT)
+    return _sitewise(state.hat, state.data, state.U, _defect_site, _defect_degree)
 
 
 def _dressing_rhs_site(x: SmallMatrix, x1: SmallMatrix, u: SmallMatrix, inv) -> list:
@@ -421,17 +439,18 @@ def resolvent_direct(data: AknsData, U: LatticeFn, alpha: int, depth: int) -> Re
 
     Shares the recursion kernel (direction policy, zero integration
     constants) with the dressing solver, so the result is comparable entry
-    for entry with the dressed construction.  The mode is the instance's.
-    Rational: the order loop ``_solve_orders`` with ``_direct_rhs_site``.
-    Float: the same recursion on entry columns (``_solve_columns`` with
-    ``_DIRECT_RHS``), one whole-lattice pass per order.
+    for entry with the dressed construction.  Rational: the order loop
+    ``_solve_orders`` with ``_direct_rhs_site``.  Float: the same recursion on
+    entry columns (``_solve_columns`` with ``_DIRECT_RHS``), one whole-lattice
+    pass per order.
     """
+    _check_instance(data, U)
     e = data.projector(alpha)
     if data.mode != scalars.FLOAT:
         orders = _solve_orders(data, U, U.constant(e), _direct_rhs_site, depth)
     else:
         orders = [U.constant(e),
-                  *_float_lattices(U, data.m, _solve_columns(data, U, e, depth, *_DIRECT_RHS))]
+                  *_float_lattices(U, _solve_columns(data, U, e, depth, *_DIRECT_RHS))]
     return Resolvent(_orders_to_series(orders, data.m))
 
 
@@ -468,22 +487,23 @@ def commutator_with_l(P: LatticeFn, data: AknsData, U: LatticeFn) -> LatticeFn:
     carries a step.  Each site is built degree by degree from P(n), P(n+1)
     and U(n), and the tails are the same kernel on the tails (``_sitewise``:
     ``_commutator_site`` in rational mode, the entry-column pass with
-    ``_BRACKET`` in float mode).  The sites run over
+    ``_bracket_degree`` in float mode).  The sites run over
     ``[max(P.lo, U.lo), min(P.hi - 1, U.hi)]``.  P's site series must share
     one band and validity start.
     """
-    return _sitewise(P, data, U, _commutator_site, _BRACKET)
+    return _sitewise(P, data, U, _commutator_site, _bracket_degree)
 
 
-def _sitewise(P: LatticeFn, data: AknsData, U: LatticeFn, site, kernel) -> LatticeFn:
+def _sitewise(P: LatticeFn, data: AknsData, U: LatticeFn, site, degree) -> LatticeFn:
     """A site kernel of P and U on ``[max(P.lo, U.lo), min(P.hi - 1, U.hi)]``.
 
     The mode is chosen here, once, from P.  Rational: ``site(P(n), P(n+1),
     U(n))`` at each site.  Float: one pass over all sites on entry columns,
-    ``_series_columns`` with ``kernel``.  The tails are the same on the tails,
+    ``_series_columns`` with the per-degree kernel ``degree``.  The tails are the same on the tails,
     the pass on one transition.  The site kernel gets ``A`` and the inverse
     step (None for the unit step), the pass the instance and the inverse step.
     """
+    _check_instance(data, U)
     P._compat(U)
     lo, hi = max(P.lo, U.lo), min(P.hi - 1, U.hi)
     if lo > hi:
@@ -491,8 +511,8 @@ def _sitewise(P: LatticeFn, data: AknsData, U: LatticeFn, site, kernel) -> Latti
     if len({(s.lo, s.hi, s.valid_lo) for s in P.values}) != 1:
         raise DimensionError("a site kernel needs one band across P's sites")
     a_mat, inv = data.matrix, _inverse_step(P)
-    if P.at(lo).mode == scalars.FLOAT:
-        run = partial(_series_columns, data=data, inv=inv, kernel=kernel)
+    if P.mode == scalars.FLOAT:
+        run = partial(_series_columns, data=data, inv=inv, degree=degree)
     else:
         def run(cs, us):
             return [site(c, c1, u, a_mat=a_mat, inv=inv) for c, c1, u in zip(cs, cs[1:], us)]
@@ -586,10 +606,10 @@ def _site_matrices(cols, m: int, build) -> list:
     return [build(tuple(zip(*[iter(site)] * m))) for site in zip(*cols)]
 
 
-def _float_lattices(U: LatticeFn, m: int, coeffs: list) -> list:
+def _float_lattices(U: LatticeFn, coeffs: list) -> list:
     """Float coefficients on entry columns over U's sites as lattices on them."""
-    build = partial(SmallMatrix._floats, m)
-    return [LatticeFn.from_values(U.lo, _site_matrices(c, m, build), step=U.step)
+    build = partial(SmallMatrix._floats, U.m)
+    return [LatticeFn.from_values(U.lo, _site_matrices(c, U.m, build), step=U.step)
             for c in coeffs]
 
 
@@ -631,23 +651,18 @@ def _dressing_parts(x, u, m: int, inv) -> tuple:
 
 
 # The float right-hand sides of the order loop ``_solve_columns``, as
-# (check, parts, op): ``check(x, v)`` checks a U value v against the first
-# order x as the ring operations did (``u @ x`` checks v first, the direct
-# kernel x first), and the order after x solves ``op(D, s)`` entry by entry
-# with ``(s, D) = parts(x, U, m, inv)``: ``Delta x + U x`` and
+# (parts, op): the order after x solves ``op(D, s)`` entry by entry with
+# ``(s, D) = parts(x, U, m, inv)``: ``Delta x + U x`` and
 # ``Delta x - ((Lambda x) U - U x)``.
-_DRESSING_RHS = (lambda x, v: v._compat(x), _dressing_parts, add)
-_DIRECT_RHS = (SmallMatrix._compat, _lax_columns, sub)
+_DRESSING_RHS = (_dressing_parts, add)
+_DIRECT_RHS = (_lax_columns, sub)
 
 
-def _transition_columns(U: LatticeFn, check) -> list:
-    """U at its transitions U.lo..U.hi - 1 as entry columns, each value passed to ``check``."""
-    vals = U.values[:-1]
-    for v in vals:
-        check(v)
+def _transition_columns(U: LatticeFn) -> list:
+    """U at its transitions U.lo..U.hi - 1 as entry columns."""
     if U.lo == U.hi:
         raise DimensionError("a recursion order needs at least two sites")
-    return _columns(vals)
+    return _columns(U.values[:-1])
 
 
 def _order_columns(data: AknsData, u, inv, first: SmallMatrix, depth: int, parts, op) -> tuple:
@@ -664,13 +679,12 @@ def _order_columns(data: AknsData, u, inv, first: SmallMatrix, depth: int, parts
     return orders, kept
 
 
-def _solve_columns(data: AknsData, U: LatticeFn, first: SmallMatrix, depth: int,
-                   check, parts, op) -> list:
-    """Orders 1..depth of ``_order_columns`` on U; ``check(first, v)`` checks each value v."""
+def _solve_columns(data: AknsData, U: LatticeFn, first: SmallMatrix, depth: int, parts, op) -> list:
+    """Orders 1..depth of ``_order_columns`` on U."""
     if depth < 1:
         return []
-    u = _transition_columns(U, partial(check, first))
-    return _order_columns(data, u, _inverse_step(U), first, depth, parts, op)[0][1:]
+    return _order_columns(data, _transition_columns(U), _inverse_step(U), first, depth,
+                          parts, op)[0][1:]
 
 
 def _scalings(x, a: tuple) -> list:
@@ -722,40 +736,17 @@ def _defect_degree(x, xp, u, m: int, inv, a: tuple) -> list:
             for vc, (right, left) in zip(v, _scalings(xp, a))]
 
 
-def _bracket_check(c: MatSeries, c1: MatSeries, u: SmallMatrix, data: AknsData) -> None:
-    """The operand checks of [P, L]_D at one transition: P(n) against P(n+1), then U(n)."""
-    c._compat(c1)
-    c.coeffs[0]._compat(u)
+def _series_columns(cs: list, us: list, data: AknsData, inv, degree) -> list:
+    """The float series pass: ``degree`` at each transition of the series ``cs``, U(n) = ``us[n]``.
 
-
-def _defect_check(c: MatSeries, c1: MatSeries, u: SmallMatrix, data: AknsData) -> None:
-    """The operand checks of (T') at one transition, those of ``u @ c_d`` and then of
-    the scaling ``A c_(d-1)``."""
-    u._compat(c.coeffs[0])
-    c.coeffs[0]._compat(data.matrix)
-
-
-# The float per-degree kernels of the series pass, as (check, degree): [P, L]_D
-# and the dressing defect (T')
-_BRACKET = (_bracket_check, _bracket_degree)
-_DEFECT = (_defect_check, _defect_degree)
-
-
-def _series_columns(cs: list, us: list, data: AknsData, inv, kernel) -> list:
-    """The float series pass: ``kernel`` at each transition of the series ``cs``, U(n) = ``us[n]``.
-
-    ``kernel`` is ``_BRACKET`` or ``_DEFECT``, a pair ``(check, degree)``:
-    ``check(c, c1, u, data)`` runs at each transition first, and
+    ``degree`` is ``_bracket_degree`` or ``_defect_degree``:
     ``degree(x, xp, u, m, inv, a)`` forms degree d from the columns of
     coefficient d (None on the top degree) and d - 1, which below a fully
     known band is the zero matrix.  The series share one band, and each
     coefficient is read into entry columns once.  Bands as in ``_site_band``.
     """
-    check, degree = kernel
     c0 = cs[0]
     first, vlo = _site_band(c0)
-    for c, c1, u in zip(cs, cs[1:], us):
-        check(c, c1, u, data)
     m = c0.m
     u = _columns(us)
     xs = [[(0.0,) * len(cs)] * (m * m),
@@ -801,19 +792,14 @@ def flow_field(data: AknsData, U: LatticeFn, k: int, alpha: int, *,
     ``projector_b`` and ``commutator_with_l`` refuse, in their order, and runs
     ``_flow_pass``; rational mode builds B and ``commutator_with_l``.
     """
+    _check_instance(data, U)
     if data.mode == scalars.FLOAT:
-        e = data.projector(alpha)
-        u = _transition_columns(U, e._compat) if k >= 1 else None  # R_(1) reads U first
-        scalars.join_modes(e.mode, U.mode)  # the site series of R carry U's mode
+        data.projector(alpha)  # refuses an alpha outside 1..m
         _check_flow_order(k)
-        if U.lo == U.hi:
+        if U.lo == U.hi and k == 0:  # no order to solve: the commutator has no site
             raise DimensionError("operand ranges do not overlap")
-        if u is None:  # k = 0: the commutator reads U first, and its tail kernel the tails
-            u = _transition_columns(U, e._compat)
-        e._compat(U.left_tail)
-        e._compat(U.right_tail)
-        degree0 = _flow_pass(data, u, _inverse_step(U), k, alpha, tol)
-        return _float_lattices(U, data.m, [degree0])[0]
+        degree0 = _flow_pass(data, _transition_columns(U), _inverse_step(U), k, alpha, tol)
+        return _float_lattices(U, [degree0])[0]
     comm = commutator_with_l(projector_b(resolvent_direct(data, U, alpha, k), k, "plus"),
                              data, U)
     _check_positive_degrees(site_max(comm, lambda s: scalars.max_of(
@@ -835,10 +821,10 @@ def _flow_pass(data: AknsData, u: list, inv, k: int, alpha: int, tol) -> list:
     are those of R_(k-d) that the right-hand side of order k - d + 1 formed;
     only degree 0 forms new ones, of R_(k), with the zero matrix's z-term.
     The top degree k + 1 is ``_top_degree`` of R_(0).  A positive degree
-    above ``tol`` is refused; ``u`` is not checked here (``flow_field`` does).
+    above ``tol`` is refused.
     """
     e, a = data.projector(alpha), data.a
-    orders, lax = _order_columns(data, u, inv, e, k, *_DIRECT_RHS[1:])
+    orders, lax = _order_columns(data, u, inv, e, k, *_DIRECT_RHS)
     positive = [_lax_degree(pq, dx, _z_columns(orders[j + 1], a))
                 for j, (pq, dx) in enumerate(lax)]
     # R_(0) = e and the zero are the same at every site: their z-terms are

@@ -9,6 +9,10 @@ only ever depends on stored data.  Edge effects therefore can never
 masquerade as identity violations -- assertions simply have no site to bind
 to once the shift budget (the halo built into the window) is spent.
 
+Every value and both tails of a lattice share one dimension ``m`` and the
+lattice's ``mode``; a lattice that breaks this is refused when it is built,
+so no operation on its values checks them again.
+
 The positive step ``eps`` deforms the difference operator; ``eps == 1``
 recovers the plain forward difference bit for bit.
 """
@@ -65,6 +69,17 @@ class LatticeFn:
             raise DimensionError("value count does not match range")
         if self.step is not None and not self.step > 0:
             raise DimensionError("step must be positive")
+        m = self.values[0].m
+        for v in (*self.values, self.left_tail, self.right_tail):
+            if v.m != m:
+                raise DimensionError(f"lattice values of dimensions {m} and {v.m}")
+            if v.mode != self.mode:
+                raise ModeError(f"a {v.mode} value in a {self.mode} lattice")
+
+    @property
+    def m(self) -> int:
+        """The dimension of every value and of both tails."""
+        return self.left_tail.m
 
     # -- constructors -------------------------------------------------------
 
@@ -101,6 +116,8 @@ class LatticeFn:
     def _compat(self, other: "LatticeFn") -> None:
         if self.mode != other.mode:
             raise ModeError(f"mode mismatch: {self.mode} vs {other.mode}")
+        if self.m != other.m:
+            raise DimensionError(f"dimension mismatch: {self.m} vs {other.m}")
         if self.eps() != other.eps():
             raise DimensionError("lattice step mismatch between operands")
 

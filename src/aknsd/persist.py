@@ -18,7 +18,7 @@ from math import gcd
 
 from . import scalars
 from .config import _WINDOW_KEYS, _integer
-from .errors import AknsdError, DimensionError, SchemaError
+from .errors import AknsdError, SchemaError
 from .hierarchy import AknsData, Dressing, HierarchyState
 from .lattice import LatticeFn, Window
 from .matrices import SmallMatrix
@@ -115,8 +115,6 @@ def _keys(x, keys, what: str) -> dict:
 
 def state_to_json(state: HierarchyState) -> dict:
     window = state.window
-    if (state.U.lo, state.U.hi) != (window.stored_lo, window.stored_hi):
-        raise DimensionError("a state document holds the window's stored sites only")
     return {
         "version": STATE_VERSION,
         "mode": state.mode,

@@ -1,0 +1,89 @@
+"""A lattice is checked once, when it is built, and a potential against its instance.
+
+Every value and both tails of a ``LatticeFn`` share one dimension and the
+lattice's mode; a potential has the instance's dimension and mode; a state's
+potential lives on its window's stored sites.  Each case below breaks one of
+these and is refused with a ``DimensionError`` or a ``ModeError``, which the
+command line maps to exit status 2 like every input error.  Before these
+checks each case was accepted or, for a rational potential of a float
+instance, escaped as an ``AttributeError``.
+"""
+
+import pytest
+
+from aknsd import scalars
+from aknsd.errors import DimensionError, ModeError
+from aknsd.hierarchy import (HierarchyState, commutator_with_l, flow_field, resolvent_direct,
+                             solve_dressing)
+from aknsd.instances import desk_data
+from aknsd.lattice import LatticeFn, Window
+from aknsd.matrices import SmallMatrix
+from aknsd.series import MatSeries
+
+RAT, FLOAT = scalars.RATIONAL, scalars.FLOAT
+MODES = (RAT, FLOAT)
+WINDOW = Window(-1, 1, 2)  # stored sites -3..3
+DEPTH = 2
+
+
+def _potential(mode, *, last=None, tail=None):
+    """An m = 2 potential on -3..3 with one nonzero site; ``last`` replaces the value
+    at the last site, ``tail`` the right tail."""
+    zero = SmallMatrix.zero(2, mode)
+    vals = [zero] * 7
+    vals[3] = SmallMatrix.from_rows([[0, 1], [2, 0]], mode)
+    if last is not None:
+        vals[-1] = last
+    return LatticeFn(-3, 3, tuple(vals), zero, zero if tail is None else tail, None, mode)
+
+
+_OPS = {
+    "solve_dressing": lambda data, U: solve_dressing(data, U, DEPTH),
+    "resolvent_direct": lambda data, U: resolvent_direct(data, U, 1, DEPTH),
+    "flow_field": lambda data, U: flow_field(data, U, 1, 1, tol=1e-8),
+    "state": lambda data, U: HierarchyState.solve(data, U, WINDOW, DEPTH),
+}
+
+
+def _wrong_site(op, mode, where):
+    three = SmallMatrix.zero(3, mode)
+    return lambda: _OPS[op](desk_data(2, mode), _potential(mode, **{where: three}))
+
+
+def _cases():
+    for mode in MODES:
+        for op in _OPS:
+            yield f"{op}-{mode}-3x3-last-site", _wrong_site(op, mode, "last")
+        # the float flow field already read the tails; the other operations never did
+        for op in ("solve_dressing", "resolvent_direct", "state"):
+            yield f"{op}-{mode}-3x3-tail", _wrong_site(op, mode, "tail")
+    yield "from_values-mixed-dimensions", lambda: LatticeFn.from_values(
+        0, [SmallMatrix.zero(2, RAT), SmallMatrix.zero(3, RAT)])
+    yield "from_values-mixed-modes", lambda: LatticeFn.from_values(
+        0, [SmallMatrix.zero(2, FLOAT), SmallMatrix.zero(2, RAT)])
+    yield "solve_dressing-float-instance-rational-potential", lambda: solve_dressing(
+        desk_data(2, FLOAT), _potential(RAT), DEPTH)
+    yield "solve_dressing-rational-instance-float-potential", lambda: solve_dressing(
+        desk_data(2, RAT), _potential(FLOAT), DEPTH)
+    yield "commutator_with_l-rational-instance-float-potential", lambda: commutator_with_l(
+        _potential(FLOAT).map(MatSeries.constant), desk_data(2, RAT), _potential(FLOAT))
+    yield "state-window-beyond-the-potential", lambda: HierarchyState.solve(
+        desk_data(2), _potential(RAT), Window(-10, 10, 4), DEPTH)
+
+
+_CASES = dict(_cases())
+
+
+@pytest.mark.parametrize("case", list(_CASES))
+def test_the_door_refuses(case):
+    with pytest.raises((DimensionError, ModeError)):
+        _CASES[case]()
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_the_door_accepts_the_same_potential_without_the_fault(mode):
+    data = desk_data(2, mode)
+    U = _potential(mode)
+    assert U.m == 2
+    for op in _OPS.values():
+        op(data, U)

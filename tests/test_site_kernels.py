@@ -11,7 +11,10 @@ commutator and the defect kernel, the direct right-hand side) to the ring
 operations they fuse, bit for bit, non-finite entries included (a nan stays
 a nan).  The float ``solve_dressing``, ``_dressing_defect``, ``flow_field``,
 ``resolvent_direct``, ``commutator_with_l`` and ``dynamics.rk4_step`` are
-held to the per-site kernels they replaced, refusals included.
+held to the per-site kernels they replaced, refusals included, on every
+potential that fits the instance; a value of another dimension or mode is
+refused when its lattice is built, and a potential of the other mode by
+``hierarchy._check_instance``.
 """
 
 from fractions import Fraction
@@ -24,19 +27,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from aknsd import scalars
-from aknsd.errors import AknsdError, ValidityError
+from aknsd.errors import AknsdError, DimensionError, ModeError, ValidityError
 from aknsd.dynamics import FlowIndex, rk4_step
 from aknsd.hierarchy import (
     AknsData,
     Dressing,
     HierarchyState,
     Resolvent,
-    _BRACKET,
-    _DEFECT,
     _DIRECT_RHS,
     _DRESSING_RHS,
+    _bracket_degree,
     _columns,
     _commutator_site,
+    _defect_degree,
     _defect_site,
     _direct_rhs_site,
     _dressing_defect,
@@ -144,7 +147,7 @@ def _column_rhs(r, u, m, inv, rhs=_DIRECT_RHS):
     ``rhs`` is ``_DIRECT_RHS`` (``Delta r - ((Lambda r) U - U r)``) or
     ``_DRESSING_RHS`` (``Delta r + U r``); ``r`` holds one more site than ``u``.
     """
-    _, parts, op = rhs
+    parts, op = rhs
     s, dx = parts(_columns(r), _columns(u), m, inv)
     return _site_matrices([list(map(op, d, c)) for c, d in zip(s, dx)], m,
                           partial(SmallMatrix._floats, m))
@@ -312,8 +315,8 @@ def test_site_kernels_on_any_band(case):
     diff = c1 - c if inv is None else (c1 - c).scale(inv)
     want = ((diff + left_mul(u, c)) - left_mul(a_mat, c).shift_degree(1)) + \
         right_mul(c1, a_mat).shift_degree(1)
-    _assert_same(_at_one_site(_defect_site, _DEFECT, c, c1, u, data, inv), want)
-    got = _at_one_site(_commutator_site, _BRACKET, c, c1, u, data, inv)
+    _assert_same(_at_one_site(_defect_site, _defect_degree, c, c1, u, data, inv), want)
+    got = _at_one_site(_commutator_site, _bracket_degree, c, c1, u, data, inv)
     first = c.lo if c.valid_lo is None else c.valid_lo + 1
     assert (got.lo, got.hi, got.valid_lo) == \
         (first, c.hi + 1, None if c.valid_lo is None else first)
@@ -365,11 +368,11 @@ def test_fused_float_kernels_match_the_ring_operations_bit_for_bit(case):
     c, c1, u, data, step = case
     a_mat = data.matrix
     inv = None if step is None else 1.0 / step
-    got = _series_columns([c, c1], [u], data, inv, _BRACKET)[0]
+    got = _series_columns([c, c1], [u], data, inv, _bracket_degree)[0]
     want = ref_commutator_site(c, c1, u, a_mat, inv)
     assert got.hi == c.hi + 1 and len(got.coeffs) == len(want)
     assert [_bits(x) for x in got.coeffs] == [_bits(x) for x in want]
-    got = _series_columns([c, c1], [u], data, inv, _DEFECT)[0]
+    got = _series_columns([c, c1], [u], data, inv, _defect_degree)[0]
     want = ref_defect_floats(c, c1, u, a_mat, inv)
     assert (got.lo, got.hi, got.valid_lo) == (want.lo, want.hi, want.valid_lo)
     assert [_bits(x) for x in got.coeffs] == [_bits(x) for x in want.coeffs]
@@ -413,26 +416,37 @@ def _same_outcome(got, want):
 
 
 def _potential(draw, rnd, m, step):
-    """A float potential on one to six sites, possibly faulty.
-
-    A fault puts a value of another dimension or mode into U, at a
-    transition, at its last site or in a tail, or makes U rational.
-    """
+    """A float potential on one to six sites, or in some examples a rational one."""
     lo = draw(st.integers(-2, 1))
     hi = lo + draw(st.sampled_from([0, 1, 2, 3, 4, 5]))
-    U = rnd.lattice(lo, hi, step)
-    fault = draw(st.sampled_from([None] * 12 + ["site", "last", "tail", "rational"]))
-    if fault == "rational":
+    if draw(st.sampled_from([False] * 12 + [True])):
         return _Draw(draw, m, RAT).lattice(lo, hi, None if step is None else Fraction(step))
-    if fault is not None:
-        bad = draw(st.sampled_from([SmallMatrix.zero(m + 1, FLOAT), SmallMatrix.zero(m, RAT)]))
-        vals, tails = list(U.values), [U.left_tail, U.right_tail]
-        if fault == "tail":
-            tails[draw(st.integers(0, 1))] = bad
-        else:
-            vals[draw(st.integers(0, len(vals) - 1)) if fault == "site" else -1] = bad
-        U = LatticeFn(lo, hi, tuple(vals), *tails, step, FLOAT)
-    return U
+    return rnd.lattice(lo, hi, step)
+
+
+@st.composite
+def faulty_potential(draw):
+    """The fields of a float potential with one value of another dimension or mode:
+    at a transition, at its last site or in a tail."""
+    m = draw(st.integers(2, 3))
+    lo = draw(st.integers(-2, 1))
+    U = _Draw(draw, m, FLOAT).lattice(lo, lo + draw(st.integers(0, 5)), None)
+    bad = draw(st.sampled_from([SmallMatrix.zero(m + 1, FLOAT), SmallMatrix.zero(m, RAT)]))
+    vals, tails = list(U.values), [U.left_tail, U.right_tail]
+    fault = draw(st.sampled_from(["site", "last", "tail"]))
+    if fault == "tail":
+        tails[draw(st.integers(0, 1))] = bad
+    else:
+        vals[draw(st.integers(0, len(vals) - 1)) if fault == "site" else -1] = bad
+    return (U.lo, U.hi, tuple(vals), *tails, U.step, U.mode), bad.m != m
+
+
+@given(faulty_potential())
+@settings(max_examples=200, deadline=None)
+def test_a_potential_with_a_faulty_value_is_refused_when_built(case):
+    fields, other_dimension = case
+    with pytest.raises(DimensionError if other_dimension else ModeError):
+        LatticeFn(*fields)
 
 
 def _flow_index(draw, m):
@@ -446,7 +460,7 @@ def column_case(draw):
     (``_flow_index``), a series lattice and a random dressing.
 
     The dressing solve and defect read the instance, or in some examples the
-    same A in rational mode.
+    same A in rational mode, which a float potential does not fit.
     """
     m = draw(st.integers(2, 3))
     rnd = _Draw(draw, m, FLOAT, _WILD if draw(st.booleans()) else None)
@@ -475,9 +489,21 @@ def column_case(draw):
 @settings(max_examples=400, deadline=None)
 def test_float_column_passes_match_the_per_site_kernels(case):
     data, U, k, alpha, P, tol, state = case
-    _same_outcome(_outcome(_dressing_defect, state),
-                  _outcome(ref_dressing_defect_floats, state))
-    if U.mode == FLOAT:  # a rational U is solved in rational mode
+    if U.mode != FLOAT:  # a rational potential does not fit the float instance
+        for call in (partial(flow_field, data, U, k, alpha, tol=tol),
+                     partial(resolvent_direct, data, U, alpha, k),
+                     partial(commutator_with_l, P, data, U), partial(_dressing_defect, state)):
+            with pytest.raises(ModeError):
+                call()
+        return
+    if state.data.mode != FLOAT:  # nor does a float one the rational instance
+        with pytest.raises(ModeError):
+            _dressing_defect(state)
+        with pytest.raises(ModeError):
+            solve_dressing(state.data, U, state.depth)
+    else:
+        _same_outcome(_outcome(_dressing_defect, state),
+                      _outcome(ref_dressing_defect_floats, state))
         for depth in (k, state.depth):
             solved = _outcome(solve_dressing, state.data, U, depth)
             _same_outcome(solved, _outcome(ref_solve_dressing_floats, state.data, U, depth))
