@@ -11,10 +11,10 @@ Support growth is handled by window padding plus a leakage monitor rather
 than adaptive windows; a stage's field is one site narrower than the stored
 range, and the missing edge value is frozen at zero (it feeds back into no
 interior site of the recursions).  Time stepping is float only.  ``rk4_step``
-runs all four stages on the potential's entry columns (the layout of
-``hierarchy``'s column helpers), bit for bit the ring operations of the
-per-site stages, and builds one lattice at the end; a potential that is no
-longer finite is refused.
+runs all four stages on the potential's entry columns (``hierarchy``'s float
+column primitives), bit for bit the ring operations of the per-site stages,
+and builds one lattice at the end; a potential that is no longer finite is
+refused.
 """
 
 from __future__ import annotations
@@ -26,8 +26,8 @@ from typing import NamedTuple
 
 from . import scalars
 from .errors import ConsistencyError, InstanceError, ModeError
-from .hierarchy import (AknsData, HierarchyState, _columns, _flow_pass, _inverse_step,
-                        _site_matrices, flow_field)
+from .hierarchy import (AknsData, HierarchyState, _FloatColumns, _flow_pass, _inverse_step,
+                        flow_field)
 from .lattice import LatticeFn, Window, delta_apply, site_max
 from .matrices import SmallMatrix
 
@@ -84,14 +84,15 @@ def rk4_step(data: AknsData, u: LatticeFn, h, flow: FlowIndex) -> LatticeFn:
         s = float(c)
         return [[a + s * b for a, b in zip(xc, (0.0, *fc, 0.0, 0.0))] for xc, fc in zip(x, f)]
 
-    x = _columns([u.left_tail, *u.values, u.right_tail])
-    fields = [_columns(f1.values)]
+    kit = _FloatColumns(data)
+    x = kit.read([u.left_tail, *u.values, u.right_tail])
+    fields = [kit.read(f1.values)]
     for c in (h / 2, h / 2, h):
         stage = [col[1:-2] for col in axpy(x, c, fields[-1])]  # at the transitions
         fields.append(_flow_pass(data, stage, _inverse_step(u), *flow, CONSISTENCY_TOL))
     for c, f in zip((h / 6, h / 3, h / 3, h / 6), fields):
         x = axpy(x, c, f)
-    left, *vals, right = _site_matrices(x, data.m, lambda rows: SmallMatrix._floats(data.m, rows))
+    left, *vals, right = kit.build(x)
     return LatticeFn(u.lo, u.hi, tuple(vals), left, right, u.step, u.mode)
 
 

@@ -30,38 +30,17 @@ entry for entry.
 Each public operation (``solve_dressing``, ``resolvent_direct``,
 ``_sitewise`` behind ``commutator_with_l`` and the dressing defect,
 ``flow_field``) checks once that U has the instance's dimension and mode
-(``_check_instance``), and chooses its mode once: rational data runs per
-site, float data on entry columns.  A lattice checked its own values and
-tails when it was built, so no kernel checks an operand again.
+(``_check_instance``).  A lattice checked its own values and tails when it
+was built, so no kernel checks an operand again.
 
-Rational mode.  One order loop, ``_solve_orders``, runs the dressing solve and
-the direct resolvent from a first order and a right-hand-side site kernel;
-each entry's recursion reads integer pairs with one gcd per step
-(``_solve_exact``).  Everything that reads w_hat, R or P is built site by
-site, degree by degree, from the values at n and n + 1 alone:
+Every Lax kernel runs on entry columns, one list per matrix entry over the
+sites, in both modes and through the same compositions:
 
-* ``_dressing_rhs_site``: ``Delta w + U w``, the dressing right-hand side;
-* ``_direct_rhs_site``: the direct resolvent's ``Delta r - ((Lambda r) U - U r)``;
-* ``_template``: degree d of ``rhs(c_d) - A c_(d-1) + c1_(d-1) A``;
-* ``_defect_site``: (T'), the template with the dressing right-hand side;
-* ``_commutator_site``: ``[P, L]_D``, minus the template with the direct one;
-* ``_resolvent_site``: degree d of ``w_hat E_alpha w_hat^{-1}`` is the sum of
-  the rank-one products (column alpha of w_i)(row alpha of winv_j), i + j = d
-  (both modes).
-
-A is diagonal, so its products are row and column scalings.  A right-hand
-side is a list of ``SmallMatrix.from_terms`` terms, which its consumer sums
-once (the template together with the z-terms).
-
-Float mode runs on entry columns, one list per matrix entry over the sites,
-with the operation order of the ring operations each kernel replaces, so
-float results are the same bit for bit:
-
-* ``_order_columns`` is the one float order loop: ``solve_two_point`` on the
+* ``_order_columns`` is the one order loop: the two-point solve on the
   columns of a right-hand side, ``_DRESSING_RHS`` (``D + U x``) for
   ``solve_dressing`` and ``_DIRECT_RHS`` (``D - (p - q)``) for
   ``resolvent_direct`` and the flow field;
-* ``_series_columns`` is the one float series pass, degree by degree with a
+* ``_series_columns`` is the one series pass, degree by degree with a
   per-degree kernel: ``_bracket_degree`` (``((p - q) - D) - z``) for
   ``commutator_with_l`` and ``_defect_degree`` (``(rhs_d - A x') + x1' A``)
   for the dressing defect;
@@ -69,21 +48,39 @@ float results are the same bit for bit:
   which ``dynamics.rk4_step`` also runs on its stage columns); it reuses each
   order's ``(p - q, D)`` columns for the positive degrees of [B, L]_D.
 
+What differs by mode is one layer of column primitives, ``_FloatColumns``
+and ``_ExactColumns`` (``_kit`` picks one from the instance): reading and
+building matrices, the zero, sums and differences, products, the A
+scalings (A is diagonal, so its products are row and column scalings) and
+the two-point solve.  The float primitives keep the operation order of the
+ring operations they replace, so float results are the same bit for bit.
+A rational coefficient is integer numerator columns over one denominator
+column, summed unreduced over the per-site lcm of its terms' denominators;
+each entry's recursion reads integer pairs with one gcd per step
+(``_solve_exact``), and a solved order is made canonical by
+``matrices.over_lcm``.  The two classes share only the instance and the
+recursions (``_Columns``).
+
+``_resolvent_site`` builds degree d of ``w_hat E_alpha w_hat^{-1}`` at one
+site as the sum of the rank-one products (column alpha of w_i)(row alpha of
+winv_j), i + j = d (both modes).
+
 See docs/derivations.md sections 1 to 4.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import cached_property, partial
 from itertools import accumulate, chain, repeat
-from math import gcd
-from operator import add, mul, sub
+from math import gcd, lcm
+from operator import add, floordiv, mul, sub
 
 from . import scalars
 from .errors import ConsistencyError, DimensionError, InstanceError, ModeError, ValidityError
 from .lattice import LatticeFn, Window, site_max
-from .matrices import SmallMatrix
+from .matrices import SmallMatrix, over_lcm
 from .series import (
     MatSeries,
     _check_knows_a_degree,
@@ -245,38 +242,6 @@ def _solve_exact(a_i, a_j, rhs: list, direction: str) -> list:
     return out[::-1] if direction == "backward" else out
 
 
-def _solve_order(data: AknsData, rhs: list, lo: int, step) -> LatticeFn:
-    """One rational recursion order from its right-hand sides at the transitions lo, lo + 1, ...
-
-    Each right-hand side is the ``from_terms`` terms of one matrix, as the
-    right-hand-side site kernels give them.
-    """
-    if not rhs:
-        raise DimensionError("a recursion order needs at least two sites")
-    m = data.m
-    parts = [SmallMatrix.from_terms(r, m).numerators() for r in rhs]
-    cols = [_solve_exact(data.a[i], data.a[j], [(num[i][j], den) for num, den in parts],
-                         data.direction(i + 1, j + 1)) for i in range(m) for j in range(m)]
-    return LatticeFn.from_values(lo, _site_matrices(cols, m, SmallMatrix.from_lowest_terms),
-                                 step=step)
-
-
-def _solve_orders(data: AknsData, U: LatticeFn, first: LatticeFn, rhs_site, depth: int) -> list:
-    """The rational order loop: ``first`` and ``depth`` more orders on U's sites.
-
-    Each order is solved from the one before: order x gives the next one the
-    right-hand side
-    ``rhs_site(x(n), x(n + 1), U(n), inv)`` at each transition n of U.
-    """
-    inv = _inverse_step(U)
-    orders = [first]
-    for _ in range(depth):
-        x = orders[-1]
-        rhs = [rhs_site(x.at(n), x.at(n + 1), U.at(n), inv) for n in range(U.lo, U.hi)]
-        orders.append(_solve_order(data, rhs, U.lo, U.step))
-    return orders
-
-
 # -- dressing ----------------------------------------------------------------------
 
 
@@ -298,18 +263,12 @@ class Dressing:
 def solve_dressing(data: AknsData, U: LatticeFn, depth: int) -> Dressing:
     """Order-by-order solve of Delta w_k + U w_k = A w_{k+1} - (Lambda w_{k+1}) A.
 
-    Rational: the order loop ``_solve_orders`` with ``_dressing_rhs_site``.
-    Float: the same recursion on entry columns (``_solve_columns`` with
-    ``_DRESSING_RHS``).
+    The order loop on entry columns (``_solve_lattices`` with ``_DRESSING_RHS``).
     """
     _check_instance(data, U)
     if depth < 1:
         raise InstanceError("dressing depth must be >= 1")
-    ident = SmallMatrix.identity(data.m, U.mode)
-    if U.mode == scalars.FLOAT:
-        ws = _float_lattices(U, _solve_columns(data, U, ident, depth, *_DRESSING_RHS))
-    else:
-        ws = _solve_orders(data, U, U.constant(ident), _dressing_rhs_site, depth)[1:]
+    ws = _solve_lattices(data, U, SmallMatrix.identity(data.m, U.mode), depth, _DRESSING_RHS)
     return Dressing(depth, tuple(ws), data.conventions())
 
 
@@ -320,7 +279,9 @@ def solve_dressing(data: AknsData, U: LatticeFn, depth: int) -> Dressing:
 class HierarchyState:
     """A potential together with its solved dressing at a given depth.
 
-    The potential lives on the window's stored sites, and nowhere else.
+    The potential lives on the window's stored sites, and nowhere else; each
+    dressing order lives on the potential's sites, in its mode, dimension and
+    step.
     """
 
     data: AknsData
@@ -334,6 +295,11 @@ class HierarchyState:
         if (self.U.lo, self.U.hi) != (self.window.stored_lo, self.window.stored_hi):
             raise DimensionError(f"the potential's sites {self.U.lo}..{self.U.hi} are not the "
                                  f"window's stored sites")
+        for k, w in enumerate(self.dressing.ws, start=1):
+            w._compat(self.U)
+            if (w.lo, w.hi) != (self.U.lo, self.U.hi):
+                raise DimensionError(f"dressing order {k} lives on {w.lo}..{w.hi}, not on the "
+                                     f"potential's sites {self.U.lo}..{self.U.hi}")
 
     @property
     def depth(self) -> int:
@@ -386,20 +352,7 @@ def dressing_residual(state: HierarchyState):
 
 def _dressing_defect(state: HierarchyState) -> LatticeFn:
     """Delta w_hat + U w_hat - z A w_hat + z (Lambda w_hat) A: (T') by ``_sitewise``."""
-    return _sitewise(state.hat, state.data, state.U, _defect_site, _defect_degree)
-
-
-def _dressing_rhs_site(x: SmallMatrix, x1: SmallMatrix, u: SmallMatrix, inv) -> list:
-    """Rational ``Delta x + U x`` at one site, from x = w(n) and x1 = w(n+1).
-
-    The ``from_terms`` terms, without the U term where U(n) is zero, for the
-    consumer to sum once.  The float one is formed on entry columns
-    (``_dressing_parts``).
-    """
-    terms = _delta_terms(x, x1, inv)
-    if not u.is_zero():  # an exact zero term adds nothing
-        terms.append(u.product_term(x))
-    return terms
+    return _sitewise(state.hat, state.data, state.U, _defect_degree)
 
 
 # -- resolvents ----------------------------------------------------------------------
@@ -439,31 +392,14 @@ def resolvent_direct(data: AknsData, U: LatticeFn, alpha: int, depth: int) -> Re
 
     Shares the recursion kernel (direction policy, zero integration
     constants) with the dressing solver, so the result is comparable entry
-    for entry with the dressed construction.  Rational: the order loop
-    ``_solve_orders`` with ``_direct_rhs_site``.  Float: the same recursion on
-    entry columns (``_solve_columns`` with ``_DIRECT_RHS``), one whole-lattice
-    pass per order.
+    for entry with the dressed construction: the order loop on entry columns
+    (``_solve_lattices`` with ``_DIRECT_RHS``), one whole-lattice pass per
+    order.
     """
     _check_instance(data, U)
     e = data.projector(alpha)
-    if data.mode != scalars.FLOAT:
-        orders = _solve_orders(data, U, U.constant(e), _direct_rhs_site, depth)
-    else:
-        orders = [U.constant(e),
-                  *_float_lattices(U, _solve_columns(data, U, e, depth, *_DIRECT_RHS))]
+    orders = [U.constant(e), *_solve_lattices(data, U, e, depth, _DIRECT_RHS)]
     return Resolvent(_orders_to_series(orders, data.m))
-
-
-def _direct_rhs_site(r: SmallMatrix, r1: SmallMatrix, u: SmallMatrix, inv) -> list:
-    """``Delta r - ((Lambda r) U - U r)`` at one site, from r = R(n) and r1 = R(n+1).
-
-    Rational: the ``from_terms`` terms, without the U terms where U(n) is
-    zero.  The float one is formed on entry columns (``_lax_columns``).
-    """
-    terms = _delta_terms(r, r1, inv)
-    if not u.is_zero():  # an exact zero term adds nothing
-        terms += [_minus(r1.product_term(u)), u.product_term(r)]
-    return terms
 
 
 def cross_solver_difference(state: HierarchyState, alpha: int):
@@ -485,23 +421,20 @@ def commutator_with_l(P: LatticeFn, data: AknsData, U: LatticeFn) -> LatticeFn:
     Expanded form: -Delta P - z ((Lambda P) A - A P) + (Lambda P) U - U P,
     with the deformed difference ``(P(n+1) - P(n)) / eps`` when the lattice
     carries a step.  Each site is built degree by degree from P(n), P(n+1)
-    and U(n), and the tails are the same kernel on the tails (``_sitewise``:
-    ``_commutator_site`` in rational mode, the entry-column pass with
-    ``_bracket_degree`` in float mode).  The sites run over
+    and U(n), and the tails are the same kernel on the tails (``_sitewise``,
+    the entry-column pass with ``_bracket_degree``).  The sites run over
     ``[max(P.lo, U.lo), min(P.hi - 1, U.hi)]``.  P's site series must share
     one band and validity start.
     """
-    return _sitewise(P, data, U, _commutator_site, _bracket_degree)
+    return _sitewise(P, data, U, _bracket_degree)
 
 
-def _sitewise(P: LatticeFn, data: AknsData, U: LatticeFn, site, degree) -> LatticeFn:
+def _sitewise(P: LatticeFn, data: AknsData, U: LatticeFn, degree) -> LatticeFn:
     """A site kernel of P and U on ``[max(P.lo, U.lo), min(P.hi - 1, U.hi)]``.
 
-    The mode is chosen here, once, from P.  Rational: ``site(P(n), P(n+1),
-    U(n))`` at each site.  Float: one pass over all sites on entry columns,
-    ``_series_columns`` with the per-degree kernel ``degree``.  The tails are the same on the tails,
-    the pass on one transition.  The site kernel gets ``A`` and the inverse
-    step (None for the unit step), the pass the instance and the inverse step.
+    One pass over all sites on entry columns, ``_series_columns`` with the
+    per-degree kernel ``degree``; the tails are the same pass on one
+    transition of the tails.
     """
     _check_instance(data, U)
     P._compat(U)
@@ -510,12 +443,7 @@ def _sitewise(P: LatticeFn, data: AknsData, U: LatticeFn, site, degree) -> Latti
         raise DimensionError("operand ranges do not overlap")
     if len({(s.lo, s.hi, s.valid_lo) for s in P.values}) != 1:
         raise DimensionError("a site kernel needs one band across P's sites")
-    a_mat, inv = data.matrix, _inverse_step(P)
-    if P.mode == scalars.FLOAT:
-        run = partial(_series_columns, data=data, inv=inv, degree=degree)
-    else:
-        def run(cs, us):
-            return [site(c, c1, u, a_mat=a_mat, inv=inv) for c, c1, u in zip(cs, cs[1:], us)]
+    run = partial(_series_columns, data=data, inv=_inverse_step(P), degree=degree)
     vals = run([P.at(n) for n in range(lo, hi + 2)], [U.at(n) for n in range(lo, hi + 1)])
     tails = [run([t, t], [u])[0]
              for t, u in ((P.left_tail, U.left_tail), (P.right_tail, U.right_tail))]
@@ -539,66 +467,16 @@ def _site_band(c: MatSeries) -> tuple:
     return (c.lo if vlo is None else vlo), vlo
 
 
-def _minus(term: tuple) -> tuple:
-    """The negative of a ``from_terms`` term."""
-    return term[0], -term[1]
-
-
-def _delta_terms(x: SmallMatrix, x1: SmallMatrix, inv) -> list:
-    """``(x1 - x) / eps`` as ``from_terms`` terms; the deformed one is swept once more."""
-    if inv is None:
-        return [x1.numerators(), _minus(x.numerators())]
-    return [(x1 - x).scale(inv).numerators()]
-
-
-def _template(c: MatSeries, c1: MatSeries, u: SmallMatrix, a_mat: SmallMatrix, inv,
-              rhs) -> MatSeries:
-    """Rational ``rhs_d - A c_(d-1) + c1_(d-1) A`` at one site, rhs_d = ``rhs(c_d, c1_d, ...)``.
-
-    rhs_d is zero above the band; the A terms are row and column scalings.
-    Each degree is one ``from_terms`` sum of the terms of rhs_d and the
-    scalings.  Bands as in ``_site_band``.
-    """
-    first, vlo = _site_band(c)
-    coeffs = []
-    for d in range(first, c.hi + 2):
-        rhs_d = rhs(c.get(d), c1.get(d), u, inv) if d <= c.hi else []
-        coeffs.append(SmallMatrix.from_terms(
-            [*rhs_d, _minus(c.get(d - 1).diag_term(a_mat, left=True)),
-             c1.get(d - 1).diag_term(a_mat, left=False)], c.m))
-    return MatSeries(c.m, c.mode, first, c.hi + 1, tuple(coeffs), vlo)
-
-
-# (T') at one site from c = w_hat(n), c1 = w_hat(n+1) and u = U(n): degree d is
-# ((Delta c_d + U c_d) - A c_(d-1)) + c1_(d-1) A, the template with the dressing rhs
-_defect_site = partial(_template, rhs=_dressing_rhs_site)
-
-
-def _commutator_site(c: MatSeries, c1: MatSeries, u: SmallMatrix, *,
-                     a_mat: SmallMatrix, inv) -> MatSeries:
-    """Rational [P, L]_D at one site from c = P(n), c1 = P(n+1) (one band) and u = U(n).
-
-    Degree d reads ``((c1_d U) - (U c_d)) - Delta c_d`` minus the z-term
-    ``(c1_(d-1) A) - (A c_(d-1))``, the top degree d = hi + 1 the zero minus
-    its z-term: minus the template with the direct right-hand side
-    (docs/derivations.md section 1).
-    """
-    return -_template(c, c1, u, a_mat, inv, _direct_rhs_site)
-
-
-# -- float entry columns ---------------------------------------------------------------
+# -- entry columns -----------------------------------------------------------------------
 #
-# Every float kernel runs here.  A float coefficient over consecutive sites is
-# held as m*m entry columns, row-major: column r*m + k lists entry (r, k) site
-# by site.  The solves, the dressing defect, the commutator and the flow field
-# run on them in whole-lattice passes, with the operations of the ring
-# operations they replace, so each double is the same bit for bit
-# (docs/derivations.md section 4).
-
-
-def _columns(mats) -> list:
-    """The m*m entry columns of float matrices at consecutive sites."""
-    return list(zip(*[tuple(chain.from_iterable(x.rows)) for x in mats]))
+# Every Lax kernel runs here, in both modes.  A coefficient over consecutive
+# sites is held as entry columns, row-major: column r*m + k lists entry (r, k)
+# site by site.  A float coefficient is its m*m columns of doubles; a rational
+# one is its m*m integer numerator columns and, last, one column of positive
+# denominators, SmallMatrix's layout laid out as columns.  So slicing and
+# repeating columns, and counting sites with ``len(x[0])``, read the same in
+# both modes, and the rest is the column primitives of ``_FloatColumns`` and
+# ``_ExactColumns`` (docs/derivations.md section 4).
 
 
 def _site_matrices(cols, m: int, build) -> list:
@@ -606,156 +484,257 @@ def _site_matrices(cols, m: int, build) -> list:
     return [build(tuple(zip(*[iter(site)] * m))) for site in zip(*cols)]
 
 
-def _float_lattices(U: LatticeFn, coeffs: list) -> list:
-    """Float coefficients on entry columns over U's sites as lattices on them."""
-    build = partial(SmallMatrix._floats, U.m)
-    return [LatticeFn.from_values(U.lo, _site_matrices(c, U.m, build), step=U.step)
-            for c in coeffs]
-
-
 def _products(a, b, m: int) -> list:
     """The columns of the products ``a(n) b(n)``, over the sites of the shorter columns.
 
     An entry is the ``sum`` of its m terms from the integer 0, as in
-    ``matrices._product``.
+    ``matrices._product``: of doubles, or of integer numerators.
     """
     ms = range(m)
     return [list(map(sum, zip(*[map(mul, a[r * m + j], b[j * m + k]) for j in ms])))
             for r in ms for k in ms]
 
 
-def _delta_columns(x, inv) -> list:
+class _Columns:
+    """What the column primitives of both modes share: the instance and the
+    two-point recursion of each entry column."""
+
+    def __init__(self, data: AknsData):
+        self.data, self.m = data, data.m
+
+    def recursions(self) -> list:
+        """Per entry column, the ``(a_i, a_j, direction)`` of its two-point recursion."""
+        m, a = self.m, self.data.a
+        return [(a[i], a[j], self.data.direction(i + 1, j + 1)) for i in range(m) for j in range(m)]
+
+
+class _FloatColumns(_Columns):
+    """The float column primitives: each the operations of the ring operations it
+    replaces, in their order, so each double is the same bit for bit."""
+
+    def read(self, mats) -> list:
+        """The entry columns of matrices at consecutive sites."""
+        return list(zip(*[tuple(chain.from_iterable(x.rows)) for x in mats]))
+
+    def build(self, x) -> list:
+        return _site_matrices(x, self.m, partial(SmallMatrix._floats, self.m))
+
+    def zero(self, n: int) -> list:
+        return [(0.0,) * n] * (self.m * self.m)
+
+    def combine(self, x, y, op) -> list:
+        """``op(x, y)`` entry by entry, ``op`` ``add`` or ``sub``, over the shorter columns."""
+        return [list(map(op, p, q)) for p, q in zip(x, y)]
+
+    def scale(self, x, s) -> list:
+        return [[s * d for d in c] for c in x]
+
+    def products(self, x, y) -> list:
+        return _products(x, y, self.m)
+
+    def scalings(self, x) -> tuple:
+        """The columns of ``x(n+1) A`` and of ``A x(n)``, A = diag(a), as iterators.
+
+        Entry (r, k) is ``0 + x1_rk a_k`` and ``0 + a_r x_rk``: the scalings of
+        ``matrices._diag_product``.
+        """
+        m, a = self.m, self.data.a
+        return ([map(add, repeat(0), map(mul, c[1:], repeat(a[i % m]))) for i, c in enumerate(x)],
+                [map(add, repeat(0), map(mul, repeat(a[i // m]), c)) for i, c in enumerate(x)])
+
+    def solve(self, rhs) -> list:
+        """``solve_two_point`` on each entry column of a right-hand side."""
+        return [solve_two_point(a_i, a_j, c, way, scalars.FLOAT)
+                for (a_i, a_j, way), c in zip(self.recursions(), rhs)]
+
+    def magnitudes(self, x):
+        return map(abs, chain.from_iterable(x))
+
+
+class _ExactColumns(_Columns):
+    """The rational column primitives, on numerator columns over a denominator column.
+
+    A sum is formed as ``SmallMatrix.from_terms`` forms one: its terms are
+    scaled to the per-site lcm of their denominators and summed unreduced.  A
+    solved order returns to canonical columns (``solve``), and a built matrix
+    gets the one gcd sweep.
+    """
+
+    def read(self, mats) -> list:
+        return list(zip(*[(*chain.from_iterable(num), den)
+                          for num, den in map(SmallMatrix.numerators, mats)]))
+
+    def build(self, x) -> list:
+        m = self.m
+        return [SmallMatrix._exact(m, tuple(zip(*[iter(site)] * m)), site[-1])
+                for site in zip(*x)]
+
+    def zero(self, n: int) -> list:
+        return [*[(0,) * n] * (self.m * self.m), (1,) * n]
+
+    def combine(self, x, y, op) -> list:
+        den = list(map(lcm, x[-1], y[-1]))
+        fx, fy = list(map(floordiv, den, x[-1])), list(map(floordiv, den, y[-1]))
+        return [*(list(map(op, map(mul, p, fx), map(mul, q, fy)))
+                  for p, q in zip(x[:-1], y[:-1])), den]
+
+    def scale(self, x, s) -> list:
+        p, q = s.numerator, s.denominator
+        return [*([p * v for v in c] for c in x[:-1]), [q * d for d in x[-1]]]
+
+    def products(self, x, y) -> list:
+        return [*_products(x, y, self.m), list(map(mul, x[-1], y[-1]))]
+
+    def scalings(self, x) -> tuple:
+        """The columns of ``x(n+1) A`` and of ``A x(n)``, A = diag(a) = diag(d) / q in
+        lowest terms: d_k or d_r times a numerator, q times the site's denominator."""
+        m, a = self.m, self.data.a
+        q = lcm(*(f.denominator for f in a))
+        d = [f.numerator * (q // f.denominator) for f in a]
+        den = [q * v for v in x[-1]]
+        return ([*([d[i % m] * v for v in c[1:]] for i, c in enumerate(x[:-1])), den[1:]],
+                [*([d[i // m] * v for v in c] for i, c in enumerate(x[:-1])), den])
+
+    def solve(self, rhs) -> list:
+        """``_solve_exact`` on each entry, then canonical columns: each site's
+        lowest-terms pairs over their lcm (``matrices.over_lcm``)."""
+        *cols, den = rhs
+        pairs = [_solve_exact(a_i, a_j, list(zip(c, den)), way)
+                 for (a_i, a_j, way), c in zip(self.recursions(), cols)]
+        nums, dens = zip(*map(over_lcm, zip(*pairs)))
+        return [*map(list, zip(*nums)), list(dens)]
+
+    def magnitudes(self, x):
+        return (Fraction(abs(v), d) for c in x[:-1] for v, d in zip(c, x[-1]) if v)
+
+
+def _kit(data: AknsData) -> _Columns:
+    """The column primitives of the instance's mode."""
+    return (_FloatColumns if data.mode == scalars.FLOAT else _ExactColumns)(data)
+
+
+def _delta_columns(kit, x, inv) -> list:
     """The columns of ``Delta x``: ``x(n+1) - x(n)``, times ``inv`` for a deformed step."""
-    dx = [list(map(sub, c[1:], c)) for c in x]
-    return dx if inv is None else [[inv * d for d in c] for c in dx]
+    dx = kit.combine([c[1:] for c in x], x, sub)
+    return dx if inv is None else kit.scale(dx, inv)
 
 
-def _lax_columns(x, u, m: int, inv) -> tuple:
+def _lax_columns(kit, x, u, inv) -> tuple:
     """The columns of ``(x(n+1) U(n)) - (U(n) x(n))`` and of ``Delta x``.
 
     ``x`` is one coefficient at the sites 0..L, ``u`` is U at the
     transitions 0..L-1, and both results are at the transitions.
     """
-    pq = [list(map(sub, p, q))
-          for p, q in zip(_products([c[1:] for c in x], u, m), _products(u, x, m))]
-    return pq, _delta_columns(x, inv)
+    pq = kit.combine(kit.products([c[1:] for c in x], u), kit.products(u, x), sub)
+    return pq, _delta_columns(kit, x, inv)
 
 
-def _dressing_parts(x, u, m: int, inv) -> tuple:
+def _dressing_parts(kit, x, u, inv) -> tuple:
     """The columns of ``U(n) x(n)`` and of ``Delta x``, laid out as in ``_lax_columns``.
 
     ``Delta x + U x`` is their sum ``D + (U x)``, the ring operations'
     ``Delta x + (u @ x)`` in that order.
     """
-    return _products(u, x, m), _delta_columns(x, inv)
+    return kit.products(u, x), _delta_columns(kit, x, inv)
 
 
-# The float right-hand sides of the order loop ``_solve_columns``, as
-# (parts, op): the order after x solves ``op(D, s)`` entry by entry with
-# ``(s, D) = parts(x, U, m, inv)``: ``Delta x + U x`` and
+# The right-hand sides of the order loop ``_order_columns``, as (parts, op):
+# the order after x solves ``op(D, s)`` entry by entry with
+# ``(s, D) = parts(kit, x, U, inv)``: ``Delta x + U x`` and
 # ``Delta x - ((Lambda x) U - U x)``.
 _DRESSING_RHS = (_dressing_parts, add)
 _DIRECT_RHS = (_lax_columns, sub)
 
 
-def _transition_columns(U: LatticeFn) -> list:
+def _transition_columns(kit, U: LatticeFn) -> list:
     """U at its transitions U.lo..U.hi - 1 as entry columns."""
     if U.lo == U.hi:
         raise DimensionError("a recursion order needs at least two sites")
-    return _columns(U.values[:-1])
+    return kit.read(U.values[:-1])
 
 
-def _order_columns(data: AknsData, u, inv, first: SmallMatrix, depth: int, parts, op) -> tuple:
-    """The float order loop on U's transitions ``u``: ``first``, ``depth`` more orders, each
-    ``solve_two_point`` on the right-hand side of the one before (``parts`` and ``op`` of
+def _order_columns(kit, u, inv, first: SmallMatrix, depth: int, parts, op) -> tuple:
+    """The order loop on U's transitions ``u``: ``first``, ``depth`` more orders, each the
+    two-point solve of the right-hand side of the one before (``parts`` and ``op`` of
     ``_DRESSING_RHS`` or ``_DIRECT_RHS``), and the ``(s, D)`` columns of orders < depth."""
-    m = data.m
-    orders, kept = [[(x,) * (len(u[0]) + 1) for x in chain.from_iterable(first.rows)]], []
+    orders, kept = [[c * (len(u[0]) + 1) for c in kit.read([first])]], []
     for _ in range(depth):
-        kept.append(parts(orders[-1], u, m, inv))
-        orders.append([solve_two_point(data.a[i // m], data.a[i % m], list(map(op, d, s)),
-                                       data.direction(i // m + 1, i % m + 1), scalars.FLOAT)
-                       for i, (s, d) in enumerate(zip(*kept[-1]))])
+        kept.append(parts(kit, orders[-1], u, inv))
+        s, d = kept[-1]
+        orders.append(kit.solve(kit.combine(d, s, op)))
     return orders, kept
 
 
-def _solve_columns(data: AknsData, U: LatticeFn, first: SmallMatrix, depth: int, parts, op) -> list:
-    """Orders 1..depth of ``_order_columns`` on U."""
+def _solve_lattices(data: AknsData, U: LatticeFn, first: SmallMatrix, depth: int,
+                    rhs) -> list:
+    """Orders 1..depth of ``_order_columns`` on U, as lattices on U's sites."""
     if depth < 1:
         return []
-    return _order_columns(data, _transition_columns(U), _inverse_step(U), first, depth,
-                          parts, op)[0][1:]
+    kit = _kit(data)
+    orders = _order_columns(kit, _transition_columns(kit, U), _inverse_step(U), first, depth,
+                            *rhs)[0]
+    return [LatticeFn.from_values(U.lo, kit.build(c), step=U.step) for c in orders[1:]]
 
 
-def _scalings(x, a: tuple) -> list:
-    """Per entry column of x, those of ``x(n+1) A`` and of ``A x(n)``, A = diag(a).
-
-    Entry (r, k) is ``0 + x1_rk a_k`` and ``0 + a_r x_rk``: the scalings of
-    ``matrices._diag_product``.
-    """
-    m = len(a)
-    return [(map(add, repeat(0), map(mul, c[1:], repeat(a[i % m]))),
-             map(add, repeat(0), map(mul, repeat(a[i // m]), c))) for i, c in enumerate(x)]
-
-
-def _z_columns(x, a: tuple) -> list:
+def _z_columns(kit, x) -> list:
     """The columns of the z-term ``(x(n+1) A) - (A x(n))``."""
-    return [list(map(sub, right, left)) for right, left in _scalings(x, a)]
+    return kit.combine(*kit.scalings(x), sub)
 
 
-def _lax_degree(pq, dx, z) -> list:
+def _lax_degree(kit, pq, dx, z) -> list:
     """One coefficient of [P, L]_D on entry columns: ``((p - q) - D) - z``."""
-    return [list(map(sub, map(sub, sc, dc), zc)) for sc, dc, zc in zip(pq, dx, z)]
+    return kit.combine(kit.combine(pq, dx, sub), z, sub)
 
 
-def _top_degree(z) -> list:
+def _top_degree(kit, z) -> list:
     """The top coefficient of [P, L]_D on entry columns: the zero minus the z-term."""
-    return [[0.0 - y for y in zc] for zc in z]
+    return kit.combine(kit.zero(len(z[0])), z, sub)
 
 
-def _bracket_degree(x, xp, u, m: int, inv, a: tuple) -> list:
+def _bracket_degree(kit, x, xp, u, inv) -> list:
     """Degree d of [P, L]_D from the columns x of P_d and xp of P_(d-1).
 
     ``((p - q) - D) - z`` with z the z-term of xp; on the top degree (x None)
-    ``0.0 - z``.
+    the zero minus z.
     """
-    z = _z_columns(xp, a)
-    return _top_degree(z) if x is None else _lax_degree(*_lax_columns(x, u, m, inv), z)
+    z = _z_columns(kit, xp)
+    return _top_degree(kit, z) if x is None else _lax_degree(kit, *_lax_columns(kit, x, u, inv), z)
 
 
-def _defect_degree(x, xp, u, m: int, inv, a: tuple) -> list:
+def _defect_degree(kit, x, xp, u, inv) -> list:
     """Degree d of (T') from the columns x of W_d and xp of W_(d-1).
 
     ``((D + (U x)) - (0 + a_r xp)) + (0 + xp(n+1) a_k)``, the operations of
     ``(rhs_d - A xp) + xp(n+1) A``; on the top degree (x None) ``rhs_d`` is
     the zero.
     """
-    v = repeat(repeat(0.0)) if x is None else \
-        [map(add, d, q) for q, d in zip(*_dressing_parts(x, u, m, inv))]
-    return [list(map(add, map(sub, vc, left), right))
-            for vc, (right, left) in zip(v, _scalings(xp, a))]
+    right, left = kit.scalings(xp)
+    if x is None:
+        v = kit.zero(len(xp[0]))
+    else:
+        q, d = _dressing_parts(kit, x, u, inv)
+        v = kit.combine(d, q, add)
+    return kit.combine(kit.combine(v, left, sub), right, add)
 
 
 def _series_columns(cs: list, us: list, data: AknsData, inv, degree) -> list:
-    """The float series pass: ``degree`` at each transition of the series ``cs``, U(n) = ``us[n]``.
+    """The series pass: ``degree`` at each transition of the series ``cs``, U(n) = ``us[n]``.
 
     ``degree`` is ``_bracket_degree`` or ``_defect_degree``:
-    ``degree(x, xp, u, m, inv, a)`` forms degree d from the columns of
+    ``degree(kit, x, xp, u, inv)`` forms degree d from the columns of
     coefficient d (None on the top degree) and d - 1, which below a fully
     known band is the zero matrix.  The series share one band, and each
     coefficient is read into entry columns once.  Bands as in ``_site_band``.
     """
+    kit = _kit(data)
     c0 = cs[0]
     first, vlo = _site_band(c0)
-    m = c0.m
-    u = _columns(us)
-    xs = [[(0.0,) * len(cs)] * (m * m),
-          *(_columns([c.coeffs[i] for c in cs]) for i in range(len(c0.coeffs))), None]
-    degrees = [degree(xs[i], xs[i - 1], u, m, inv, data.a)
-               for i in range(first - c0.lo + 1, len(xs))]
-    build = partial(SmallMatrix._floats, m)
-    per_site = zip(*[_site_matrices(cols, m, build) for cols in degrees])
-    return [MatSeries(m, c.mode, first, c0.hi + 1, coeffs, vlo)
+    u = kit.read(us)
+    xs = [kit.zero(len(cs)),
+          *(kit.read([c.coeffs[i] for c in cs]) for i in range(len(c0.coeffs))), None]
+    degrees = [degree(kit, xs[i], xs[i - 1], u, inv) for i in range(first - c0.lo + 1, len(xs))]
+    per_site = zip(*map(kit.build, degrees))
+    return [MatSeries(kit.m, c.mode, first, c0.hi + 1, coeffs, vlo)
             for c, coeffs in zip(cs, per_site)]
 
 
@@ -788,33 +767,22 @@ def flow_field(data: AknsData, U: LatticeFn, k: int, alpha: int, *,
     must vanish (up to ``tol``; exactly in rational mode), and a nan among them
     is refused as well.  The full degree-0 coefficient is returned; its
     diagonal, measured by ``diagonal_drift``, is the discrete gauge drift
-    Delta of R_{(k+1),pp}.  Float mode refuses what ``resolvent_direct``,
+    Delta of R_{(k+1),pp}.  It refuses what ``resolvent_direct``,
     ``projector_b`` and ``commutator_with_l`` refuse, in their order, and runs
-    ``_flow_pass``; rational mode builds B and ``commutator_with_l``.
+    ``_flow_pass``.
     """
     _check_instance(data, U)
-    if data.mode == scalars.FLOAT:
-        data.projector(alpha)  # refuses an alpha outside 1..m
-        _check_flow_order(k)
-        if U.lo == U.hi and k == 0:  # no order to solve: the commutator has no site
-            raise DimensionError("operand ranges do not overlap")
-        degree0 = _flow_pass(data, _transition_columns(U), _inverse_step(U), k, alpha, tol)
-        return _float_lattices(U, [degree0])[0]
-    comm = commutator_with_l(projector_b(resolvent_direct(data, U, alpha, k), k, "plus"),
-                             data, U)
-    _check_positive_degrees(site_max(comm, lambda s: scalars.max_of(
-        (s.get(d).max_abs() for d in range(max(1, s.lo), s.hi + 1)), s.mode)), tol)
-    return LatticeFn.from_values(U.lo, [comm.at(n).get(0) for n in comm.sites()], step=U.step)
-
-
-def _check_positive_degrees(pos, tol) -> None:
-    if not pos <= tol:  # a nan fails it too
-        raise ConsistencyError(f"positive z-degrees of the flow commutator do not vanish "
-                               f"(residual {pos})")
+    data.projector(alpha)  # refuses an alpha outside 1..m
+    _check_flow_order(k)
+    if U.lo == U.hi and k == 0:  # no order to solve: the commutator has no site
+        raise DimensionError("operand ranges do not overlap")
+    kit = _kit(data)
+    degree0 = _flow_pass(data, _transition_columns(kit, U), _inverse_step(U), k, alpha, tol)
+    return LatticeFn.from_values(U.lo, kit.build(degree0), step=U.step)
 
 
 def _flow_pass(data: AknsData, u: list, inv, k: int, alpha: int, tol) -> list:
-    """The float flow field's degree-0 entry columns from U's columns ``u`` at its transitions.
+    """The flow field's degree-0 entry columns from U's columns ``u`` at its transitions.
 
     B_d = R_(k-d), d = 0..k, from ``_order_columns``.  Degree d >= 1 of
     [B, L]_D is ``((p - q) - D) - z(R_(k-d+1))``, and its ``p - q`` and ``D``
@@ -823,17 +791,20 @@ def _flow_pass(data: AknsData, u: list, inv, k: int, alpha: int, tol) -> list:
     The top degree k + 1 is ``_top_degree`` of R_(0).  A positive degree
     above ``tol`` is refused.
     """
-    e, a = data.projector(alpha), data.a
-    orders, lax = _order_columns(data, u, inv, e, k, *_DIRECT_RHS)
-    positive = [_lax_degree(pq, dx, _z_columns(orders[j + 1], a))
+    kit = _kit(data)
+    e = data.projector(alpha)
+    orders, lax = _order_columns(kit, u, inv, e, k, *_DIRECT_RHS)
+    positive = [_lax_degree(kit, pq, dx, _z_columns(kit, orders[j + 1]))
                 for j, (pq, dx) in enumerate(lax)]
     # R_(0) = e and the zero are the same at every site: their z-terms are
     # formed on one transition
-    positive.append(_top_degree(_z_columns([(x, x) for x in chain.from_iterable(e.rows)], a)))
-    _check_positive_degrees(scalars.max_of(
-        map(abs, chain.from_iterable(chain.from_iterable(positive))), scalars.FLOAT), tol)
-    z0 = [repeat(z) for (z,) in _z_columns([(0.0, 0.0)] * (data.m * data.m), a)]
-    return _lax_degree(*_lax_columns(orders[-1], u, data.m, inv), z0)
+    positive.append(_top_degree(kit, _z_columns(kit, [c * 2 for c in kit.read([e])])))
+    pos = scalars.max_of(chain.from_iterable(map(kit.magnitudes, positive)), data.mode)
+    if not pos <= tol:  # a nan fails it too
+        raise ConsistencyError(f"positive z-degrees of the flow commutator do not vanish "
+                               f"(residual {pos})")
+    z0 = [repeat(z) for (z,) in _z_columns(kit, kit.zero(2))]
+    return _lax_degree(kit, *_lax_columns(kit, orders[-1], u, inv), z0)
 
 
 def diagonal_drift(f: LatticeFn):

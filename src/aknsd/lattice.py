@@ -9,9 +9,10 @@ only ever depends on stored data.  Edge effects therefore can never
 masquerade as identity violations -- assertions simply have no site to bind
 to once the shift budget (the halo built into the window) is spent.
 
-Every value and both tails of a lattice share one dimension ``m`` and the
-lattice's ``mode``; a lattice that breaks this is refused when it is built,
-so no operation on its values checks them again.
+Every value and both tails of a lattice share one type (all matrices or all
+series), one dimension ``m`` and the lattice's ``mode``; a lattice that
+breaks this is refused when it is built, so no operation on its values
+checks them again.
 
 The positive step ``eps`` deforms the difference operator; ``eps == 1``
 recovers the plain forward difference bit for bit.
@@ -69,8 +70,10 @@ class LatticeFn:
             raise DimensionError("value count does not match range")
         if self.step is not None and not self.step > 0:
             raise DimensionError("step must be positive")
-        m = self.values[0].m
+        kind, m = type(self.values[0]), self.values[0].m
         for v in (*self.values, self.left_tail, self.right_tail):
+            if type(v) is not kind:
+                raise DimensionError(f"a {type(v).__name__} in a lattice of {kind.__name__} values")
             if v.m != m:
                 raise DimensionError(f"lattice values of dimensions {m} and {v.m}")
             if v.mode != self.mode:

@@ -16,12 +16,14 @@ unreduced, and the finished sum is swept.  ``from_terms`` sums integer terms
 such terms, and ``sum_of_rank_one`` sums scaled outer products in one
 integer product.
 ``rows`` and ``get`` hand out ``Fraction`` entries in lowest terms, and fill a
-cache to do it; ``numerators``, ``product_term``, ``diag_term``,
-``from_terms`` and ``from_lowest_terms`` are the integer view for exact
-kernels outside this module.  A float matrix stores its rows of doubles
-directly; the fused float kernels of ``hierarchy`` and ``dynamics`` read
-them with ``rows``, form products with ``_product`` and wrap each result
-with ``_floats``.
+cache to do it; ``numerators``, ``product_term``, ``from_terms`` and
+``from_lowest_terms`` are the integer view for exact code outside this
+module, and ``over_lcm`` is the one rule that makes lowest-terms entries
+canonical without a sweep.  A float matrix stores its rows of doubles
+directly.  The column kernels of ``hierarchy`` and ``dynamics`` read a
+matrix with ``rows`` (float) or ``numerators`` (rational), form products on
+the columns as ``_product`` forms them, and wrap each result with
+``_floats``, or ``_exact`` with its one gcd sweep.
 
 Both modes form a product with the one row-times-column helper
 ``_product``: on the integer numerators, or on the doubles, where it sums in
@@ -77,6 +79,18 @@ def _lcm_scales(dens: list) -> tuple:
     """
     den = lcm(*dens)
     return den, [den // d for d in dens]
+
+
+def over_lcm(pairs) -> tuple:
+    """A sequence of lowest-terms pairs ``(p, q)``, q > 0, as numerators over the
+    lcm of the q's.
+
+    Returns ``(numerators, lcm)``, already canonical: a prime of the lcm
+    divides some q to its full power, and that entry's ``p * (lcm // q)``
+    not at all.  So no gcd sweep is needed.
+    """
+    den = lcm(*[q for _, q in pairs])
+    return [p * (den // q) for p, q in pairs], den
 
 
 def _fraction(x) -> Fraction:
@@ -146,15 +160,10 @@ class SmallMatrix:
 
     @classmethod
     def from_lowest_terms(cls, entries) -> "SmallMatrix":
-        """Rational matrix from rows of ``(p, q)`` pairs, each in lowest terms, q > 0.
-
-        The numerators over the lcm of the q's are already canonical: a prime
-        of the lcm divides some q to its full power, and that entry's
-        ``p * (lcm // q)`` not at all.  So no gcd sweep is run.
-        """
-        den = lcm(*[q for row in entries for _, q in row])
-        return cls._canonical(len(entries), tuple(
-            [tuple([p * (den // q) for p, q in row]) for row in entries]), den)
+        """Rational matrix from rows of ``(p, q)`` pairs, each in lowest terms, q > 0,
+        made canonical by ``over_lcm`` without a gcd sweep."""
+        num, den = over_lcm([*chain.from_iterable(entries)])
+        return cls._canonical(len(entries), tuple(zip(*[iter(num)] * len(entries))), den)
 
     @classmethod
     def from_terms(cls, terms, m: int) -> "SmallMatrix":
@@ -313,27 +322,19 @@ class SmallMatrix:
         self._compat(other)
         return _product(self._num, other._num), self._den * other._den
 
-    def diag_term(self, diag: "SmallMatrix", *, left: bool) -> tuple:
-        """``diag @ self`` (``left``) or ``self @ diag`` as an unreduced term.
-
-        ``diag`` is a rational diagonal matrix; its off-diagonal entries are
-        not read.
-        """
-        self._compat(diag)
-        d = tuple(diag._num[i][i] for i in range(self.m))
-        return _diag_product(d, self._num, left), self._den * diag._den
-
     def mul_diag(self, diag: "SmallMatrix", *, left: bool) -> "SmallMatrix":
         """``diag @ self`` (``left``) or ``self @ diag`` for a diagonal ``diag``.
 
         A row or column scaling (``_diag_product``); the off-diagonal entries
         of ``diag`` are not read.
         """
-        if self._den is not None:
-            return SmallMatrix._exact(self.m, *self.diag_term(diag, left=left))
         self._compat(diag)
-        d = tuple(diag._rows[i][i] for i in range(self.m))
-        return SmallMatrix._floats(self.m, _diag_product(d, self._rows, left))
+        if self._den is None:
+            d = tuple(diag._rows[i][i] for i in range(self.m))
+            return SmallMatrix._floats(self.m, _diag_product(d, self._rows, left))
+        d = tuple(diag._num[i][i] for i in range(self.m))
+        return SmallMatrix._exact(self.m, _diag_product(d, self._num, left),
+                                  self._den * diag._den)
 
     @staticmethod
     def sum_of_products(pairs, m: int, mode: str) -> "SmallMatrix":

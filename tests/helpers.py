@@ -225,20 +225,22 @@ def ref_commutator_floats(c, c1, u, a_mat, inv):
     return MatSeries(m, c.mode, first, c.hi + 1, tuple(coeffs), vlo)
 
 
-def ref_solve_order_floats(data, rhs, lo, step):
-    """One float recursion order from its right-hand-side matrices, entry by entry.
+def ref_solve_order(data, rhs, lo, step):
+    """One recursion order from its right-hand-side matrices, entry by entry.
 
-    The float branch of ``hierarchy._solve_order`` before the float solves
-    moved to entry columns.
+    ``solve_two_point`` on each entry's list of doubles, or of ``Fraction``s
+    in rational mode.  In float mode this is the per-site solve that the
+    float order loop ran before the solves moved to entry columns.
     """
     if not rhs:
         raise DimensionError("a recursion order needs at least two sites")
-    m = data.m
+    m, mode = data.m, data.mode
     pairs = [(i, j) for i in range(m) for j in range(m)]
     parts = [r.rows for r in rhs]
     cols = [solve_two_point(data.a[i], data.a[j], [rows[i][j] for rows in parts],
-                            data.direction(i + 1, j + 1), scalars.FLOAT) for i, j in pairs]
-    build = partial(SmallMatrix._floats, m)
+                            data.direction(i + 1, j + 1), mode) for i, j in pairs]
+    build = partial(SmallMatrix._floats, m) if mode == scalars.FLOAT else \
+        partial(SmallMatrix, m, mode)
     return LatticeFn.from_values(lo, _site_matrices(cols, m, build), step=step)
 
 
@@ -249,7 +251,7 @@ def ref_solve_orders_floats(data, U, first, rhs_site, depth):
     for _ in range(depth):
         x = orders[-1]
         rhs = [rhs_site(x.at(n), x.at(n + 1), U.at(n), inv) for n in range(U.lo, U.hi)]
-        orders.append(ref_solve_order_floats(data, rhs, U.lo, U.step))
+        orders.append(ref_solve_order(data, rhs, U.lo, U.step))
     return orders
 
 
@@ -261,8 +263,9 @@ def ref_dressing_rhs_floats(x, x1, u, inv):
 def ref_template_floats(c, c1, u, a_mat, inv, rhs):
     """Float ``(rhs_d - A c_(d-1)) + c1_(d-1) A`` at one site by ring operations.
 
-    rhs_d is ``rhs(c_d, c1_d, u, inv)``, the zero matrix above the band; the
-    float branch of ``hierarchy._template``.
+    rhs_d is ``rhs(c_d, c1_d, u, inv)``, the zero matrix above the band: the
+    per-site float kernel of the dressing defect before it moved to entry
+    columns.
     """
     first, vlo = _site_band(c)
     zero = SmallMatrix.zero(c.m, c.mode)  # rhs_d above the band
@@ -283,7 +286,7 @@ def ref_defect_floats(c, c1, u, a_mat, inv):
 def ref_sitewise(P, data, U, kernel):
     """``kernel(P(n), P(n+1), U(n), a_mat, inv)`` at each site, and on the tails.
 
-    ``hierarchy._sitewise`` as it ran a per-site kernel, sites on
+    ``hierarchy._sitewise`` before it ran on entry columns, sites on
     ``[max(P.lo, U.lo), min(P.hi - 1, U.hi)]``.
     """
     P._compat(U)

@@ -1,20 +1,25 @@
 """A lattice is checked once, when it is built, and a potential against its instance.
 
-Every value and both tails of a ``LatticeFn`` share one dimension and the
-lattice's mode; a potential has the instance's dimension and mode; a state's
-potential lives on its window's stored sites.  Each case below breaks one of
-these and is refused with a ``DimensionError`` or a ``ModeError``, which the
-command line maps to exit status 2 like every input error.  Before these
-checks each case was accepted or, for a rational potential of a float
-instance, escaped as an ``AttributeError``.
+Every value and both tails of a ``LatticeFn`` share one type, one dimension
+and the lattice's mode; a potential has the instance's dimension and mode; a
+state's potential lives on its window's stored sites, and each dressing
+order on the potential's sites, in its mode, dimension and step.  Each case
+below breaks one of these and is refused with a ``DimensionError`` or a
+``ModeError``, which the command line maps to exit status 2 like every input
+error.  Before these checks each case was accepted, failed only later (a
+float order in a rational state, when the dressing series was first read),
+or escaped as an ``AttributeError`` (a rational potential of a float
+instance; series values with matrix tails in the commutator).
 """
+
+from fractions import Fraction
 
 import pytest
 
 from aknsd import scalars
 from aknsd.errors import DimensionError, ModeError
-from aknsd.hierarchy import (HierarchyState, commutator_with_l, flow_field, resolvent_direct,
-                             solve_dressing)
+from aknsd.hierarchy import (Dressing, HierarchyState, commutator_with_l, flow_field,
+                             resolvent_direct, solve_dressing)
 from aknsd.instances import desk_data
 from aknsd.lattice import LatticeFn, Window
 from aknsd.matrices import SmallMatrix
@@ -35,6 +40,18 @@ def _potential(mode, *, last=None, tail=None):
     if last is not None:
         vals[-1] = last
     return LatticeFn(-3, 3, tuple(vals), zero, zero if tail is None else tail, None, mode)
+
+
+def _state_with_order(order, U=None, window=WINDOW):
+    """A rational m = 2 state of ``U`` (default ``_potential``) whose one dressing order
+    is ``order``."""
+    data = desk_data(2)
+    return HierarchyState(data, _potential(RAT) if U is None else U, window,
+                          Dressing(1, (order,), data.conventions()))
+
+
+def _order(mode=RAT, lo=-3, hi=3, m=2, step=None):
+    return LatticeFn.from_values(lo, [SmallMatrix.zero(m, mode)] * (hi - lo + 1), step=step)
 
 
 _OPS = {
@@ -69,6 +86,16 @@ def _cases():
         _potential(FLOAT).map(MatSeries.constant), desk_data(2, RAT), _potential(FLOAT))
     yield "state-window-beyond-the-potential", lambda: HierarchyState.solve(
         desk_data(2), _potential(RAT), Window(-10, 10, 4), DEPTH)
+    yield "from_values-series-values", lambda: LatticeFn.from_values(
+        0, [MatSeries.zero(2, FLOAT)])
+    yield "series-values-matrix-tail", lambda: LatticeFn(
+        0, 0, (MatSeries.zero(2, FLOAT),), MatSeries.zero(2, FLOAT), SmallMatrix.zero(2, FLOAT),
+        None, FLOAT)
+    yield "state-float-order-rational-potential", lambda: _state_with_order(_order(FLOAT))
+    yield "state-order-off-the-potential's-sites", lambda: _state_with_order(
+        _order(lo=-5, hi=-4), U=_order(lo=0, hi=2), window=Window(1, 1, 1))
+    yield "state-3x3-order", lambda: _state_with_order(_order(m=3))
+    yield "state-order-of-another-step", lambda: _state_with_order(_order(step=Fraction(1, 2)))
 
 
 _CASES = dict(_cases())

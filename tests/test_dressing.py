@@ -1,6 +1,7 @@
 """Dressing solver tests, including the dense-linear-solve oracle."""
 
 from fractions import Fraction
+from math import gcd
 import random
 
 from hypothesis import given, settings, strategies as st
@@ -10,8 +11,8 @@ from aknsd.errors import ConsistencyError, InstanceError
 from aknsd.hierarchy import (
     AknsData,
     HierarchyState,
+    _kit,
     _solve_exact,
-    _solve_order,
     dressing_residual,
     solve_two_point,
 )
@@ -96,8 +97,16 @@ def order_problems(draw):
 @settings(max_examples=100, deadline=None)
 @given(order_problems())
 def test_integer_order_solve_matches_the_fraction_recursion(problem):
+    # the exact order loop's solve on integer columns: canonical or unreduced
+    # right-hand sides give the same canonical columns
     data, rhs, lo, hi, step = problem
-    got = _solve_order(data, [[r.numerators()] for r in rhs], lo, step)
+    kit = _kit(data)
+    cols = kit.read(rhs)
+    solved = kit.solve(cols)
+    assert kit.solve([[6 * x for x in c] for c in cols]) == solved
+    for *num, den in zip(*solved):
+        assert den > 0 and gcd(den, *num) == 1
+    got = LatticeFn.from_values(lo, kit.build(solved), step=step)
     assert (got.lo, got.hi, got.step, got.mode) == (lo, hi, step, RAT)
     for n in got.sites():
         assert_canonical(got.at(n))

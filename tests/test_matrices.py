@@ -160,7 +160,6 @@ def test_exact_diagonal_scaling_and_terms(ops, d):
         got = c.mul_diag(a, left=left)
         assert got == want
         assert_canonical(got)
-        assert SmallMatrix.from_terms([c.diag_term(a, left=left)], m) == want
     # a negative denominator subtracts its term; no terms give the shared zero
     num, den = c.numerators()
     assert SmallMatrix.from_terms([c.product_term(a), (num, -den)], m) == c @ a - c

@@ -1,15 +1,17 @@
 """The site kernels against the whole-lattice compositions they replace.
 
 ``resolvent_dressed``, ``_dressing_defect``, ``solve_dressing`` and
-``resolvent_direct`` build each site from the values at n and n + 1: per
-site in rational mode, on entry columns in float mode.  The references in
-``helpers`` compose the same objects from series products, shifts and
-``zip_with`` lambdas.  Both must give the same bands and, in float mode, the
-same doubles down to the sign of a zero.  The rational commutator is held to
-the ring operations, and the fused float kernels (the series pass with the
-commutator and the defect kernel, the direct right-hand side) to the ring
-operations they fuse, bit for bit, non-finite entries included (a nan stays
-a nan).  The float ``solve_dressing``, ``_dressing_defect``, ``flow_field``,
+``resolvent_direct`` build each site from the values at n and n + 1: on
+entry columns in both modes (``resolvent_dressed`` per site).  The
+references in ``helpers`` compose the same objects from series products,
+shifts and ``zip_with`` lambdas, and solve each order entry by entry with
+``solve_two_point`` on ``Fraction``s or doubles.  Both must give the same
+bands and, in float mode, the same doubles down to the sign of a zero.  The
+exact column passes (the series pass with the commutator and the defect
+kernel, both right-hand sides) are held to the ring operations, and the
+fused float kernels to the ring operations they fuse, bit for bit,
+non-finite entries included (a nan stays a nan).  The float
+``solve_dressing``, ``_dressing_defect``, ``flow_field``,
 ``resolvent_direct``, ``commutator_with_l`` and ``dynamics.rk4_step`` are
 held to the per-site kernels they replaced, refusals included, on every
 potential that fits the instance; a value of another dimension or mode is
@@ -37,18 +39,12 @@ from aknsd.hierarchy import (
     _DIRECT_RHS,
     _DRESSING_RHS,
     _bracket_degree,
-    _columns,
-    _commutator_site,
     _defect_degree,
-    _defect_site,
-    _direct_rhs_site,
     _dressing_defect,
-    _dressing_rhs_site,
     _inverse_step,
+    _kit,
     _resolvent_site,
     _series_columns,
-    _site_matrices,
-    _solve_order,
     commutator_with_l,
     dressing_residual,
     flow_field,
@@ -78,7 +74,7 @@ from helpers import (
     ref_resolvent_direct_floats,
     ref_rk4_step,
     ref_solve_dressing_floats,
-    ref_solve_order_floats,
+    ref_solve_order,
     right_mul,
 )
 
@@ -141,32 +137,16 @@ class _Draw:
                          tuple(self.matrix() for _ in range(lo, hi + 1)), valid_lo)
 
 
-def _column_rhs(r, u, m, inv, rhs=_DIRECT_RHS):
-    """A float right-hand side of the order loop from entry columns, one matrix per transition.
+def _column_rhs(data, r, u, inv, rhs=_DIRECT_RHS):
+    """A right-hand side of the order loop from entry columns, one matrix per transition.
 
     ``rhs`` is ``_DIRECT_RHS`` (``Delta r - ((Lambda r) U - U r)``) or
     ``_DRESSING_RHS`` (``Delta r + U r``); ``r`` holds one more site than ``u``.
     """
+    kit = _kit(data)
     parts, op = rhs
-    s, dx = parts(_columns(r), _columns(u), m, inv)
-    return _site_matrices([list(map(op, d, c)) for c, d in zip(s, dx)], m,
-                          partial(SmallMatrix._floats, m))
-
-
-def _solve_from(data, vals, lo, step):
-    """One order solved from right-hand-side matrices: rational ones as one term each,
-    float ones entry by entry with ``solve_two_point``."""
-    if vals and vals[0].mode == FLOAT:
-        return ref_solve_order_floats(data, list(vals), lo, step)
-    return _solve_order(data, [[v.numerators()] for v in vals], lo, step)
-
-
-def _at_one_site(site, kernel, c, c1, u, data, inv):
-    """A ``_sitewise`` kernel at one site: the rational site kernel, or the float
-    series pass on one transition."""
-    if c.mode == FLOAT:
-        return _series_columns([c, c1], [u], data, inv, kernel)[0]
-    return site(c, c1, u, a_mat=data.matrix, inv=inv)
+    s, dx = parts(kit, kit.read(r), kit.read(u), inv)
+    return kit.build(kit.combine(dx, s, op))
 
 
 def _data(draw, m, mode):
@@ -234,12 +214,7 @@ def test_direct_rhs_kernel_matches_the_zip_with_composition(state):
     rnd_r = state.dressing.ws[0]  # any matrix lattice on U's range will do
     inv = _inverse_step(U)
     want = ref_direct_rhs(rnd_r, U)
-    if U.mode == FLOAT:
-        got = _column_rhs([rnd_r.at(n) for n in U.sites()], U.values[:-1], state.data.m, inv)
-    else:
-        got = [SmallMatrix.from_terms(_direct_rhs_site(rnd_r.at(n), rnd_r.at(n + 1), U.at(n),
-                                                       inv), state.data.m)
-               for n in range(U.lo, U.hi)]
+    got = _column_rhs(state.data, [rnd_r.at(n) for n in U.sites()], U.values[:-1], inv)
     assert (want.lo, want.hi) == (U.lo, U.hi - 1)
     for n, v in zip(want.sites(), got):
         _assert_same(v, want.at(n))
@@ -247,8 +222,8 @@ def test_direct_rhs_kernel_matches_the_zip_with_composition(state):
     for alpha in range(1, state.data.m + 1):
         orders = [U.constant(state.data.projector(alpha))]
         for _ in range(state.depth):
-            orders.append(_solve_from(state.data, ref_direct_rhs(orders[-1], U).values,
-                                      U.lo, U.step))
+            orders.append(ref_solve_order(state.data, ref_direct_rhs(orders[-1], U).values,
+                                          U.lo, U.step))
         series = resolvent_direct(state.data, U, alpha, state.depth).series
         for n in series.sites():
             assert [repr(c.rows) for c in series.at(n).coeffs] == \
@@ -271,15 +246,10 @@ def test_dressing_solve_matches_the_whole_lattice_rhs(state):
     for got in solve_dressing(data, U, state.depth).ws:
         rhs = ref_dressing_rhs(w, U)
         assert (rhs.lo, rhs.hi) == (U.lo, U.hi - 1)
-        if U.mode == FLOAT:
-            sites = _column_rhs([w.at(n) for n in U.sites()], U.values[:-1], data.m, inv,
-                                _DRESSING_RHS)
-        else:
-            sites = [SmallMatrix.from_terms(_dressing_rhs_site(w.at(n), w.at(n + 1), U.at(n),
-                                                               inv), data.m)
-                     for n in rhs.sites()]
+        sites = _column_rhs(data, [w.at(n) for n in U.sites()], U.values[:-1], inv,
+                            _DRESSING_RHS)
         assert [_entries(v) for v in sites] == [_entries(v) for v in rhs.values]
-        want = _solve_from(data, rhs.values, U.lo, U.step)
+        want = ref_solve_order(data, rhs.values, U.lo, U.step)
         assert (got.lo, got.hi, got.step, got.mode) == (want.lo, want.hi, want.step, want.mode)
         assert [_entries(v) for v in got.values] == [_entries(v) for v in want.values]
         w = got
@@ -315,8 +285,8 @@ def test_site_kernels_on_any_band(case):
     diff = c1 - c if inv is None else (c1 - c).scale(inv)
     want = ((diff + left_mul(u, c)) - left_mul(a_mat, c).shift_degree(1)) + \
         right_mul(c1, a_mat).shift_degree(1)
-    _assert_same(_at_one_site(_defect_site, _defect_degree, c, c1, u, data, inv), want)
-    got = _at_one_site(_commutator_site, _bracket_degree, c, c1, u, data, inv)
+    _assert_same(_series_columns([c, c1], [u], data, inv, _defect_degree)[0], want)
+    got = _series_columns([c, c1], [u], data, inv, _bracket_degree)[0]
     first = c.lo if c.valid_lo is None else c.valid_lo + 1
     assert (got.lo, got.hi, got.valid_lo) == \
         (first, c.hi + 1, None if c.valid_lo is None else first)
@@ -324,23 +294,38 @@ def test_site_kernels_on_any_band(case):
         [_entries(x) for x in ref_commutator_site(c, c1, u, a_mat, inv)]
 
 
+def _coefficients(*lattices):
+    """Every coefficient of series lattices, at their sites and in their tails."""
+    return [c for f in lattices for s in (*f.values, f.left_tail, f.right_tail)
+            for c in s.coeffs]
+
+
 def test_site_kernels_fill_no_fraction_row_cache(tmp_path):
-    # rows hands out Fractions and caches them on the matrix; the kernels and
+    # rows hands out Fractions and caches them on the matrix; the passes and
     # the state writer read the integer numerators only, so the solved
     # coefficients stay lean
     data = desk_data(3)
     U = random_potential(DESK_WINDOW, data, random.Random(5))
     state = HierarchyState.solve(data, U, DESK_WINDOW, DESK_DEPTH)
-    coeffs = [c for f in (state.hat, state.hat_inverse)
-              for s in (*f.values, f.left_tail, f.right_tail) for c in s.coeffs]
-    lean = [c for c in coeffs if c._rows is None]
-    assert len(lean) > len(coeffs) // 2  # all but the built-in identities and zeros
-    for alpha in range(1, data.m + 1):
-        resolvent_dressed(state, alpha)
-        resolvent_direct(data, U, alpha, DESK_DEPTH)
+    # the dressing's snapshot is taken before any resolvent is formed from it
+    hat = _coefficients(state.hat, state.hat_inverse)
+    lean_hat = [c for c in hat if c._rows is None]
+    assert len(lean_hat) > len(hat) // 2  # all but the built-in identities and zeros
+    resolvents = [f(alpha).series for alpha in range(1, data.m + 1)
+                  for f in (state.resolvent,
+                            partial(resolvent_direct, data, U, depth=DESK_DEPTH))]
+    assert all(c._rows is None for c in lean_hat)
+    res = _coefficients(*resolvents)
+    lean_res = [c for c in res if c._rows is None]
+    assert len(lean_res) > len(res) // 2
     assert dressing_residual(state) == 0
+    fields = [flow_field(data, U, k, alpha) for k in range(3) for alpha in range(1, data.m + 1)]
+    brackets = [commutator_with_l(r, data, U) for r in resolvents]
     save_state(state, str(tmp_path / "state.json"))
-    assert all(c._rows is None for c in lean)
+    assert all(c._rows is None for c in lean_hat + lean_res)
+    # and what the passes built is lean too
+    assert all(v._rows is None for f in fields for v in f.values)
+    assert all(c._rows is None for c in _coefficients(*brackets))
 
 
 def _bits(mat):
@@ -377,9 +362,9 @@ def test_fused_float_kernels_match_the_ring_operations_bit_for_bit(case):
     assert (got.lo, got.hi, got.valid_lo) == (want.lo, want.hi, want.valid_lo)
     assert [_bits(x) for x in got.coeffs] == [_bits(x) for x in want.coeffs]
     for x, x1 in zip(c.coeffs, c1.coeffs):
-        assert [_bits(v) for v in _column_rhs([x, x1], [u], c.m, inv)] == \
+        assert [_bits(v) for v in _column_rhs(data, [x, x1], [u], inv)] == \
             [_bits(ref_direct_rhs_site(x, x1, u, inv))]
-        assert [_bits(v) for v in _column_rhs([x, x1], [u], c.m, inv, _DRESSING_RHS)] == \
+        assert [_bits(v) for v in _column_rhs(data, [x, x1], [u], inv, _DRESSING_RHS)] == \
             [_bits(ref_dressing_rhs_floats(x, x1, u, inv))]
 
 
@@ -460,7 +445,9 @@ def column_case(draw):
     (``_flow_index``), a series lattice and a random dressing.
 
     The dressing solve and defect read the instance, or in some examples the
-    same A in rational mode, which a float potential does not fit.
+    same A in rational mode, which a float potential does not fit.  The
+    dressing is in the potential's mode, as ``HierarchyState`` requires, and
+    a rational potential keeps the float instance, which it does not fit.
     """
     m = draw(st.integers(2, 3))
     rnd = _Draw(draw, m, FLOAT, _WILD if draw(st.booleans()) else None)
@@ -479,7 +466,9 @@ def column_case(draw):
     P = LatticeFn(plo, phi, tuple(rnd.series(*band) for _ in range(plo, phi + 1)), *tails,
                   step, FLOAT)
     tol = draw(st.sampled_from([0, 1e-8, math.inf]))
-    ws = tuple(rnd.lattice(lo, hi, step) for _ in range(draw(st.integers(1, 3))))
+    if U.mode != FLOAT:
+        rnd, dressing_data = _Draw(draw, m, RAT), data
+    ws = tuple(rnd.lattice(lo, hi, U.step) for _ in range(draw(st.integers(1, 3))))
     state = HierarchyState(dressing_data, U, Window(lo, hi, 0),
                            Dressing(len(ws), ws, dressing_data.conventions()))
     return data, U, k, alpha, P, tol, state

@@ -35,8 +35,9 @@ def test_every_traced_target_resolves_and_is_wrapped():
                                      window, 2)
         dynamics.rk4_evolve(state, dynamics.FlowIndex(1, 1), 0.1, 1)
         # the rational solve, defect, direct resolvent and commutator: the
-        # order loop and the site template must not bypass the traced names;
-        # the float flow field no longer calls the direct resolvent
+        # order loop and the series pass must not bypass the traced names;
+        # the flow field calls neither the direct resolvent nor the
+        # commutator, in either mode
         data = desk_data(2)
         state = HierarchyState.solve(data, vacuum_potential(window, 2), window, 2)
         hierarchy.dressing_residual(state)
