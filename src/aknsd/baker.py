@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 from . import scalars
 from .dynamics import FlowIndex, rk4_step
-from .errors import ConsistencyError, InstanceError, ModeError, ValidityError
+from .errors import ConsistencyError, InstanceError, ValidityError
 from .hierarchy import AknsData, HierarchyState, projector_b
 from .lattice import LatticeFn, inner_product, delta_apply, shift_apply
 from .matrices import SmallMatrix
@@ -164,9 +164,10 @@ def _hat_derivative_analytic(state: HierarchyState, k: int, alpha: int) -> Latti
 
 
 def _stepped_states(state: HierarchyState, flow: FlowIndex, fd_step: float) -> list:
-    """The states one RK4 step of +fd_step and of -fd_step along ``flow`` away."""
-    if state.mode != scalars.FLOAT:
-        raise ModeError("the finite-difference path requires float mode")
+    """The states one RK4 step of +fd_step and of -fd_step along ``flow`` away.
+
+    Float mode only: ``rk4_step`` refuses a rational potential.
+    """
     return [
         HierarchyState.solve(state.data, rk4_step(state.data, state.U, sign * fd_step, flow),
                              state.window, state.depth, validate=False)

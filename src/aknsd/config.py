@@ -308,10 +308,9 @@ def parse_config(text: str) -> ExperimentConfig:
         extra = sorted(set(pot) - _POTENTIAL_KEYS)
         for key in extra:
             problems.append(f"unknown potential key {key!r}")
-        if window_ok:  # building the potential in both modes checks its fields
+        if window_ok:  # building the potential checks its fields
             try:
-                for pmode in scalars.MODES:
-                    _potential(pot, window, AknsData(m, a, pmode), seed or 0)
+                _potential(pot, window, AknsData(m, a), seed or 0)
             except InstanceError:
                 pass  # 'm' or 'a' is invalid, and reported above
             except ConfigError as exc:

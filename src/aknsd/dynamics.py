@@ -15,6 +15,10 @@ runs all four stages on the potential's entry columns (``hierarchy``'s float
 column primitives), bit for bit the ring operations of the per-site stages,
 and builds one lattice at the end; a potential that is no longer finite is
 refused.
+
+The continuum scan checks its step sizes once, at its door
+(``check_scan_steps``): at least three, each one half of the one before, so
+that it always measures an order.
 """
 
 from __future__ import annotations
@@ -253,12 +257,17 @@ class ScanReport:
 
 
 def check_scan_steps(eps_list) -> list:
-    """The scan's step sizes as floats, refused unless each one halves the one before.
+    """The scan's step sizes as floats: at least three, each one half of the one before.
 
-    Consecutive fields are compared on common x-points, so the steps must be
-    strictly decreasing and halved.
+    This is the scan's one door.  A Cauchy order compares the differences of
+    the fields at consecutive step sizes, so fewer than three step sizes
+    measure none; consecutive fields are compared on common x-points, so the
+    steps must be strictly decreasing and halved.
     """
     eps_list = [float(e) for e in eps_list]
+    if len(eps_list) < 3:
+        raise InstanceError(f"the scan needs at least 3 step sizes to measure a Cauchy "
+                            f"order; got {len(eps_list)}")
     if any(e2 >= e1 for e1, e2 in zip(eps_list, eps_list[1:])):
         raise InstanceError("step sizes must be strictly decreasing")
     if any(abs(e1 / e2 - 2.0) > 1e-12 for e1, e2 in zip(eps_list, eps_list[1:])):

@@ -33,6 +33,12 @@ Each public operation (``solve_dressing``, ``resolvent_direct``,
 (``_check_instance``).  A lattice checked its own values and tails when it
 was built, so no kernel checks an operand again.
 
+A ``HierarchyState`` is checked once, when it is built (its door,
+``__post_init__``).  Every way to a state (``HierarchyState.solve``,
+``persist.state_from_json``, a state assembled by hand) passes it, so every
+state that exists is consistent and survives a save and a load byte for
+byte.
+
 Every Lax kernel runs on entry columns, one list per matrix entry over the
 sites, in both modes and through the same compositions:
 
@@ -279,9 +285,11 @@ def solve_dressing(data: AknsData, U: LatticeFn, depth: int) -> Dressing:
 class HierarchyState:
     """A potential together with its solved dressing at a given depth.
 
-    The potential lives on the window's stored sites, and nowhere else; each
-    dressing order lives on the potential's sites, in its mode, dimension and
-    step.
+    A state is checked once, when it is built (its door): the potential
+    lives on the window's stored sites, and nowhere else, and fits the
+    instance (``_check_instance``); the depth is in 1..halo, the shifts the
+    window stores; each dressing order lives on the potential's sites, in
+    its mode, dimension and step.
     """
 
     data: AknsData
@@ -295,6 +303,10 @@ class HierarchyState:
         if (self.U.lo, self.U.hi) != (self.window.stored_lo, self.window.stored_hi):
             raise DimensionError(f"the potential's sites {self.U.lo}..{self.U.hi} are not the "
                                  f"window's stored sites")
+        _check_instance(self.data, self.U)
+        if not 1 <= self.depth <= self.window.halo:
+            raise InstanceError(f"dressing depth {self.depth} outside 1..{self.window.halo} "
+                                f"(the window halo)")
         for k, w in enumerate(self.dressing.ws, start=1):
             w._compat(self.U)
             if (w.lo, w.hi) != (self.U.lo, self.U.hi):
@@ -316,10 +328,6 @@ class HierarchyState:
     @staticmethod
     def solve(data: AknsData, U: LatticeFn, window: Window, depth: int,
               *, validate: bool = True) -> "HierarchyState":
-        if depth > window.halo:
-            raise InstanceError(
-                f"depth {depth} exceeds window halo {window.halo}"
-            )
         if validate:
             validate_potential(U)
         return HierarchyState(data, U, window, solve_dressing(data, U, depth))

@@ -127,7 +127,11 @@ def state_to_json(state: HierarchyState) -> dict:
 
 
 def state_from_json(doc) -> HierarchyState:
-    """Check what arrives from outside; derive m, the sites, depth and tails."""
+    """Check what arrives from outside; derive m, the sites, depth and tails.
+
+    The state's own door (``HierarchyState``) checks the depth against the
+    halo; its refusal, like every other, is a ``SchemaError``.
+    """
     try:
         if not isinstance(doc, dict) or doc.get("version") != STATE_VERSION:
             raise ValueError(f"this program reads state version {STATE_VERSION} only")
@@ -154,14 +158,11 @@ def state_from_json(doc) -> HierarchyState:
                 lo, [_value_from_json(v, data.m, mode) for v in vals], step=step)
 
         u = lattice(doc["u"], "'u'")
-        orders = _list(doc["dressing"], "'dressing'")
-        if not 1 <= len(orders) <= window.halo:
-            raise ValueError(f"dressing depth {len(orders)} outside 1..{window.halo} "
-                             f"(the window halo)")
-        ws = tuple(lattice(w, f"dressing order {k}") for k, w in enumerate(orders, start=1))
+        ws = tuple(lattice(w, f"dressing order {k}")
+                   for k, w in enumerate(_list(doc["dressing"], "'dressing'"), start=1))
+        return HierarchyState(data, u, window, Dressing(len(ws), ws, data.conventions()))
     except (TypeError, ValueError, ZeroDivisionError, OverflowError, AknsdError) as exc:
         raise SchemaError(f"invalid state document: {exc}") from None
-    return HierarchyState(data, u, window, Dressing(len(ws), ws, data.conventions()))
 
 
 def save_state(state: HierarchyState, path: str) -> None:

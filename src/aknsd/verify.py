@@ -36,7 +36,7 @@ from .dynamics import (
     observed_order,
     rk4_step,
 )
-from .errors import AknsdError, ConfigError
+from .errors import AknsdError
 from .hierarchy import (
     Dressing,
     HierarchyState,
@@ -117,23 +117,8 @@ def config_hash(config: ExperimentConfig) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
-def _check_step_sizes(config: ExperimentConfig) -> None:
-    """Refuse step sizes the limit checks cannot use, before any suite runs.
-
-    A Cauchy order compares two differences of fields at consecutive step
-    sizes, so fewer than three step sizes measure none; and the scan's own
-    rules (``check_scan_steps``) hold.
-    """
-    if len(config.eps_list) < 3:
-        raise ConfigError(
-            f"the limit checks need at least 3 step sizes in 'eps_list' to measure "
-            f"a Cauchy order; got {len(config.eps_list)}")
-    check_scan_steps(config.eps_list)
-
-
 def limit_scan(config: ExperimentConfig) -> ScanReport:
     """The desk continuum scan: first-order flows of a Gaussian bump, float mode."""
-    _check_step_sizes(config)
     return continuum_scan(config.data(scalars.FLOAT), gaussian_bump_profile(config.m),
                           list(config.eps_list), x_span=4.0,
                           halo=min(config.window.halo, 6))
@@ -384,8 +369,8 @@ def run_verify_suite(config: ExperimentConfig, suite: str = "all") -> Verificati
         raise AknsdError(f"unknown suite {suite!r}; expected one of {SUITES}")
     report = VerificationReport(suite, config_hash(config), config.seed, config.mode)
     names = [s for s in SUITES if s != "all"] if suite == "all" else [suite]
-    if "limit" in names:
-        _check_step_sizes(config)
+    if "limit" in names:  # refuse the scan's step sizes before any suite runs
+        check_scan_steps(config.eps_list)
     for name in names:
         _SUITE_FNS[name](config, report)
     return report

@@ -12,7 +12,7 @@ from aknsd.baker import (
     bilinear_l_capacity,
     bilinear_residual,
 )
-from aknsd.errors import InstanceError, ValidityError
+from aknsd.errors import InstanceError, ModeError, ValidityError
 from aknsd.hierarchy import Dressing, HierarchyState
 from aknsd.instances import (
     DESK_WINDOW,
@@ -173,6 +173,14 @@ def test_numeric_path_with_delta():
     state = float_state(seed=9)
     check = bilinear_residual(state, 3, 1, ((0, 2),), path="numeric", fd_step=5e-5)
     assert check <= 1e-6
+
+
+@pytest.mark.parametrize("word,path", [(((1, 1),), "numeric"),
+                                       (((1, 1), (1, 2)), "mixed")])
+def test_finite_difference_paths_refuse_a_rational_state(word, path):
+    # the RK4 step is the one place that states the float-only rule
+    with pytest.raises(ModeError, match="^time evolution requires float mode$"):
+        bilinear_residual(rational_state(), 2, 0, word, path=path, fd_step=1e-4)
 
 
 def test_length_two_mixed_path():

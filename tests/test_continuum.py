@@ -43,19 +43,21 @@ def test_vacuum_scan_reports_zero():
     def zero_profile(x):
         return SmallMatrix.zero(2, FLOAT)
 
-    report = continuum_scan(data, zero_profile, [0.5, 0.25],
+    report = continuum_scan(data, zero_profile, [0.5, 0.25, 0.125],
                             x_span=2.0, halo=4)
-    assert report.cauchy_norms == [0.0]
-    assert report.dx_residual_norms == [0.0, 0.0]
+    assert report.cauchy_norms == [0.0, 0.0]
+    assert report.dx_residual_norms == [0.0, 0.0, 0.0]
+    assert report.cauchy_orders == [math.inf] and report.dx_orders == [math.inf, math.inf]
+    assert report.flags == [] and report.passed
 
 
 def test_eps_list_validation():
     data = desk_data(2, FLOAT)
     profile = gaussian_bump_profile(2)
-    with pytest.raises(InstanceError):
-        continuum_scan(data, profile, [0.25, 0.5])
-    with pytest.raises(InstanceError):
-        continuum_scan(data, profile, [0.5, 0.3])
+    with pytest.raises(InstanceError, match="strictly decreasing"):
+        continuum_scan(data, profile, [0.25, 0.5, 1.0])
+    with pytest.raises(InstanceError, match="halved steps"):
+        continuum_scan(data, profile, [0.5, 0.3, 0.15])
 
 
 def test_gaussian_bump_scan_first_order():
@@ -84,9 +86,10 @@ def test_scan_maxima_keep_a_nan(monkeypatch):
         return LatticeFn(f.lo, f.hi, vals, f.left_tail, f.right_tail, f.step, f.mode)
 
     monkeypatch.setattr(dynamics, "flow_field", field_with_nan)
-    report = continuum_scan(desk_data(2, FLOAT), gaussian_bump_profile(2), [0.5, 0.25],
+    report = continuum_scan(desk_data(2, FLOAT), gaussian_bump_profile(2), [0.5, 0.25, 0.125],
                             x_span=2.0, halo=4)
-    assert math.isnan(report.cauchy_norms_max[0])
+    assert len(report.cauchy_norms_max) == 2 and len(report.dx_residual_norms_max) == 3
+    assert all(math.isnan(x) for x in report.cauchy_norms_max)
     assert all(math.isnan(x) for x in report.dx_residual_norms_max)
 
 

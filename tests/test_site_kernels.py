@@ -16,7 +16,9 @@ non-finite entries included (a nan stays a nan).  The float
 held to the per-site kernels they replaced, refusals included, on every
 potential that fits the instance; a value of another dimension or mode is
 refused when its lattice is built, and a potential of the other mode by
-``hierarchy._check_instance``.
+``hierarchy._check_instance`` and by the door of a state.  A state's halo
+covers its depth, so the shapes no state has (one transition, or a deep
+dressing on few sites) go to the kernels themselves.
 """
 
 from fractions import Fraction
@@ -43,8 +45,10 @@ from aknsd.hierarchy import (
     _dressing_defect,
     _inverse_step,
     _kit,
+    _orders_to_series,
     _resolvent_site,
     _series_columns,
+    _sitewise,
     commutator_with_l,
     dressing_residual,
     flow_field,
@@ -73,6 +77,7 @@ from helpers import (
     ref_flow_field_floats,
     ref_resolvent_direct_floats,
     ref_rk4_step,
+    ref_sitewise,
     ref_solve_dressing_floats,
     ref_solve_order,
     right_mul,
@@ -161,15 +166,23 @@ def _step(draw, mode):
 
 @st.composite
 def state_case(draw):
-    """A state whose dressing is solved, solved and then bumped, or random."""
+    """A state whose dressing is solved, solved and then bumped, or random, and a
+    range of two to five of its sites (the cut).
+
+    The state's window has a halo that covers its depth, so it stores at
+    least 2 * depth + 1 sites.  The cut reaches the shapes no state has, a
+    single transition or a deep dressing on few sites, through the kernels
+    themselves.
+    """
     m = draw(st.integers(2, 3))
     mode = draw(st.sampled_from([RAT, FLOAT]))
     rnd = _Draw(draw, m, mode)
     data = _data(draw, m, mode)
     step = _step(draw, mode)
     depth = draw(st.integers(1, 3))
-    lo = draw(st.integers(-3, 0))
-    hi = lo + draw(st.integers(1, 4))
+    n_min = draw(st.integers(-3, 0))
+    window = Window(n_min, n_min + draw(st.integers(0, 1)), draw(st.integers(depth, 3)))
+    lo, hi = window.stored_lo, window.stored_hi
     U = rnd.lattice(lo, hi, step)
     kind = draw(st.sampled_from(["solved", "bumped", "random"]))
     if kind == "random":
@@ -185,12 +198,16 @@ def state_case(draw):
                      for site, v in zip(w.sites(), w.values))
         ws = ws[:k] + (LatticeFn(lo, hi, vals, w.left_tail, w.right_tail, step, mode),) + \
             ws[k + 1:]
-    return HierarchyState(data, U, Window(lo, hi, 0), Dressing(depth, ws, data.conventions()))
+    transitions = draw(st.integers(1, min(4, hi - lo)))
+    cut_lo = draw(st.integers(lo, hi - transitions))
+    return (HierarchyState(data, U, window, Dressing(depth, ws, data.conventions())),
+            (cut_lo, cut_lo + transitions))
 
 
 @given(state_case())
 @settings(max_examples=150, deadline=None)
-def test_dressed_resolvent_kernel_matches_two_series_products(state):
+def test_dressed_resolvent_kernel_matches_two_series_products(case):
+    state, _ = case
     for alpha in range(1, state.data.m + 1):
         got = resolvent_dressed(state, alpha).series
         want = ref_dressed_resolvent(state, alpha)
@@ -201,17 +218,23 @@ def test_dressed_resolvent_kernel_matches_two_series_products(state):
 
 @given(state_case())
 @settings(max_examples=150, deadline=None)
-def test_defect_kernel_matches_the_whole_lattice_sums(state):
+def test_defect_kernel_matches_the_whole_lattice_sums(case):
     # the tails differ by design: the reference leaves the z-terms' tails
     # unmapped, while the kernel applies (T') to the tails as well
-    _assert_same_sites(_dressing_defect(state), ref_dressing_defect(state))
+    state, (a, b) = case
+    want = ref_dressing_defect(state)
+    _assert_same_sites(_dressing_defect(state), want)
+    # and on the cut, down to one transition, through the kernel itself
+    _assert_same_sites(_sitewise(state.hat.restrict(a, b), state.data, state.U.restrict(a, b),
+                                 _defect_degree), want.restrict(a, b - 1))
 
 
 @given(state_case())
 @settings(max_examples=150, deadline=None)
-def test_direct_rhs_kernel_matches_the_zip_with_composition(state):
-    U = state.U
-    rnd_r = state.dressing.ws[0]  # any matrix lattice on U's range will do
+def test_direct_rhs_kernel_matches_the_zip_with_composition(case):
+    state, (a, b) = case
+    U = state.U.restrict(a, b)
+    rnd_r = state.dressing.ws[0].restrict(a, b)  # any matrix lattice on U's range will do
     inv = _inverse_step(U)
     want = ref_direct_rhs(rnd_r, U)
     got = _column_rhs(state.data, [rnd_r.at(n) for n in U.sites()], U.values[:-1], inv)
@@ -237,10 +260,11 @@ def _entries(mat):
 
 @given(state_case())
 @settings(max_examples=150, deadline=None)
-def test_dressing_solve_matches_the_whole_lattice_rhs(state):
-    # every solved order: its right-hand side per site, and the order solved
-    # from the whole-lattice right-hand side
-    data, U = state.data, state.U
+def test_dressing_solve_matches_the_whole_lattice_rhs(case):
+    # every solved order of the cut: its right-hand side per site, and the
+    # order solved from the whole-lattice right-hand side
+    state, (a, b) = case
+    data, U = state.data, state.U.restrict(a, b)
     inv = _inverse_step(U)
     w = U.constant(SmallMatrix.identity(data.m, U.mode))
     for got in solve_dressing(data, U, state.depth).ws:
@@ -444,10 +468,12 @@ def column_case(draw):
     """A float instance, a potential (``_potential``), a flow index
     (``_flow_index``), a series lattice and a random dressing.
 
-    The dressing solve and defect read the instance, or in some examples the
-    same A in rational mode, which a float potential does not fit.  The
-    dressing is in the potential's mode, as ``HierarchyState`` requires, and
-    a rational potential keeps the float instance, which it does not fit.
+    The dressing is in the potential's mode and is read with the instance,
+    or in some examples with the same A in rational mode, which a float
+    potential does not fit; a rational potential keeps the float instance,
+    which it does not fit.  Where the potential stores 2 * depth + 1 sites
+    or more, the dressing comes with a window whose halo covers its depth,
+    on which it can be a state; elsewhere the window is None.
     """
     m = draw(st.integers(2, 3))
     rnd = _Draw(draw, m, FLOAT, _WILD if draw(st.booleans()) else None)
@@ -469,37 +495,59 @@ def column_case(draw):
     if U.mode != FLOAT:
         rnd, dressing_data = _Draw(draw, m, RAT), data
     ws = tuple(rnd.lattice(lo, hi, U.step) for _ in range(draw(st.integers(1, 3))))
-    state = HierarchyState(dressing_data, U, Window(lo, hi, 0),
-                           Dressing(len(ws), ws, dressing_data.conventions()))
-    return data, U, k, alpha, P, tol, state
+    window = None
+    if hi - lo >= 2 * len(ws):
+        halo = draw(st.integers(len(ws), (hi - lo) // 2))
+        window = Window(lo + halo, hi - halo, halo)
+    return data, U, k, alpha, P, tol, (dressing_data, ws, window)
+
+
+def _hat(U, ws):
+    """I + sum_k w_k z^-k per site, as ``HierarchyState.hat`` forms it."""
+    return _orders_to_series([U.constant(SmallMatrix.identity(U.m, U.mode)), *ws], U.m)
+
+
+def _defects(data, U, ws, window):
+    """The outcomes of the dressing defect of the orders ``ws`` and of its per-site
+    reference: of the state on ``window``, or without a window, of the kernel."""
+    if window is not None:
+        state = HierarchyState(data, U, window, Dressing(len(ws), ws, data.conventions()))
+        return _outcome(_dressing_defect, state), _outcome(ref_dressing_defect_floats, state)
+    hat = _hat(U, ws)
+    return (_outcome(_sitewise, hat, data, U, _defect_degree),
+            _outcome(ref_sitewise, hat, data, U, ref_defect_floats))
 
 
 @given(column_case())
 @settings(max_examples=400, deadline=None)
 def test_float_column_passes_match_the_per_site_kernels(case):
-    data, U, k, alpha, P, tol, state = case
-    if U.mode != FLOAT:  # a rational potential does not fit the float instance
+    data, U, k, alpha, P, tol, (dressing_data, ws, window) = case
+    if U.mode != FLOAT or dressing_data.mode != FLOAT:
+        # a potential does not fit an instance of the other mode: the door of a
+        # state and the dressing defect refuse it
+        if window is not None:
+            with pytest.raises(ModeError):
+                HierarchyState(dressing_data, U, window,
+                               Dressing(len(ws), ws, dressing_data.conventions()))
+        with pytest.raises(ModeError):
+            _sitewise(_hat(U, ws), dressing_data, U, _defect_degree)
+    if U.mode != FLOAT:  # and every float pass refuses a rational potential
         for call in (partial(flow_field, data, U, k, alpha, tol=tol),
                      partial(resolvent_direct, data, U, alpha, k),
-                     partial(commutator_with_l, P, data, U), partial(_dressing_defect, state)):
+                     partial(commutator_with_l, P, data, U)):
             with pytest.raises(ModeError):
                 call()
         return
-    if state.data.mode != FLOAT:  # nor does a float one the rational instance
+    if dressing_data.mode != FLOAT:
         with pytest.raises(ModeError):
-            _dressing_defect(state)
-        with pytest.raises(ModeError):
-            solve_dressing(state.data, U, state.depth)
+            solve_dressing(dressing_data, U, len(ws))
     else:
-        _same_outcome(_outcome(_dressing_defect, state),
-                      _outcome(ref_dressing_defect_floats, state))
-        for depth in (k, state.depth):
-            solved = _outcome(solve_dressing, state.data, U, depth)
-            _same_outcome(solved, _outcome(ref_solve_dressing_floats, state.data, U, depth))
+        _same_outcome(*_defects(data, U, ws, window))
+        for depth in (k, len(ws)):
+            solved = _outcome(solve_dressing, data, U, depth)
+            _same_outcome(solved, _outcome(ref_solve_dressing_floats, data, U, depth))
         if isinstance(solved, Dressing):  # and the defect of the solved dressing
-            solved = HierarchyState(state.data, U, state.window, solved)
-            _same_outcome(_outcome(_dressing_defect, solved),
-                          _outcome(ref_dressing_defect_floats, solved))
+            _same_outcome(*_defects(data, U, solved.ws, window))
     _same_outcome(_outcome(flow_field, data, U, k, alpha, tol=tol),
                   _outcome(ref_flow_field_floats, data, U, k, alpha, tol=tol))
     _same_outcome(_outcome(resolvent_direct, data, U, alpha, k),
