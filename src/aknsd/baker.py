@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import scalars
 from .dynamics import FlowIndex, rk4_step
@@ -156,21 +157,32 @@ def baker_from_tau(tau_d: TauExpSum, companions: dict, n: int, data: AknsData,
 # -- bilinear residue verifier ---------------------------------------------------------
 
 
-def _hat_derivative_analytic(state: HierarchyState, k: int, alpha: int) -> LatticeFn:
-    """d/dt_{k alpha} of the dressing series: -Bbar_{k alpha} * w_hat."""
-    resolvent = state.resolvent(alpha)
-    bbar = projector_b(resolvent, k, "minus")
-    return bbar.zip_with(state.hat, lambda b, w: -series_mul(b, w))
+class _Region(HierarchyState):
+    """A state seen on the sites [n_min, n_max + 1], all that a bilinear residual reads.
+
+    The same instance, potential, window and dressing, with the dressing
+    series cut to these sites, so the inverse and the resolvents a residual
+    forms from it are formed there only; the difference form reads
+    Y(n + 1), hence the one site past n_max.  Every product of the
+    expression is site-local, so each value is the state's own at its site
+    (docs/derivations.md section 5).  A region lives for one call of
+    ``bilinear_residual`` or ``bilinear_residuals``.
+    """
+
+    @cached_property
+    def hat(self) -> LatticeFn:
+        return HierarchyState.hat.func(self).restrict(self.window.n_min, self.window.n_max + 1)
 
 
 def _stepped_states(state: HierarchyState, flow: FlowIndex, fd_step: float) -> list:
-    """The states one RK4 step of +fd_step and of -fd_step along ``flow`` away.
+    """The states one RK4 step of +fd_step and of -fd_step along ``flow`` away,
+    of the class of ``state`` (a ``_Region`` gives regions).
 
     Float mode only: ``rk4_step`` refuses a rational potential.
     """
     return [
-        HierarchyState.solve(state.data, rk4_step(state.data, state.U, sign * fd_step, flow),
-                             state.window, state.depth, validate=False)
+        type(state).solve(state.data, rk4_step(state.data, state.U, sign * fd_step, flow),
+                          state.window, state.depth, validate=False)
         for sign in (1.0, -1.0)
     ]
 
@@ -240,15 +252,17 @@ def _word_factor(state: HierarchyState, word: tuple, path: str,
 
     if len(word) == 1:
         (k, alpha), = word
-        if path == "analytic":
-            d_hat = _hat_derivative_analytic(state, k, alpha)
-        elif path == "numeric":
-            d_hat = _hat_derivative_numeric(state, k, alpha, fd_step)
-        else:
-            raise ValueError(f"unknown path {path!r} for length-1 words")
         # d(W g) g^{-1} = dW + W z^k E_alpha
-        zke = MatSeries.monomial(state.data.projector(alpha), k)
-        return d_hat.zip_with(state.hat, lambda d, w: d + series_mul(w, zke))
+        if path == "analytic":
+            # dW = -Bbar_{k alpha} W, so Y = W z^k E_alpha - Bbar W
+            bbar = projector_b(state.resolvent(alpha), k, "minus")
+            zke = MatSeries.monomial(state.data.projector(alpha), k)
+            return state.hat.zip_with(bbar, lambda w, b: series_mul(w, zke) - series_mul(b, w))
+        if path == "numeric":
+            d_hat = _hat_derivative_numeric(state, k, alpha, fd_step)
+            zke = MatSeries.monomial(state.data.projector(alpha), k)
+            return d_hat.zip_with(state.hat, lambda d, w: d + series_mul(w, zke))
+        raise ValueError(f"unknown path {path!r} for length-1 words")
 
     if len(word) != 2:
         raise InstanceError("derivative words are limited to length 2")
@@ -276,23 +290,37 @@ def _word_factor(state: HierarchyState, word: tuple, path: str,
     raise ValueError(f"unknown path {path!r} for length-2 words")
 
 
-def bilinear_expression(state: HierarchyState, m_delta: int, word: tuple, *,
-                        path: str = "analytic", fd_step: float = 1e-5) -> LatticeFn:
-    """The cancellation-reduced series (Delta^m d^word w) w^{-1} per site."""
+def _check_difference_power(m_delta: int) -> None:
     if m_delta not in (0, 1):
         raise InstanceError("the difference power must be 0 or 1")
-    y = _word_factor(state, word, path, fd_step)
+
+
+def _expression(state: HierarchyState, y: LatticeFn, m_delta: int) -> LatticeFn:
+    """(Delta^m d^word w) w^{-1} from the word factor ``y``, on the sites where
+    ``y`` (at n, and at n + 1 for the difference form) and ``hat_inverse`` are.
+
+    With w = Y g and g(n+1) = (1 + eps z A) g(n), the difference form reduces
+    to [Y(n+1) (1 + eps z A) - Y(n)] w_hat(n)^{-1} / eps; the unit step skips
+    the division, the same value bit for bit.
+    """
     if m_delta == 0:
         return y.zip_with(state.hat_inverse, series_mul)
-    # with w = Y g and g(n+1) = (1 + eps z A) g(n), (Delta w)(n) w(n)^{-1}
-    # reduces to [Y(n+1) (1 + eps z A) - Y(n)] w_hat(n)^{-1} / eps
     mid = _step_polynomial(state)
-    eps_inv = scalars.one(state.mode) / state.step
     lam_y = shift_apply(y, 1)
     diff = lam_y.zip_with(y.restrict(lam_y.lo, lam_y.hi),
                           lambda yn1, yn: series_mul(yn1, mid) - yn)
-    return diff.zip_with(state.hat_inverse,
-                         lambda d, wi: series_mul(d, wi).scale(eps_inv))
+    expr = diff.zip_with(state.hat_inverse, series_mul)
+    if state.step == 1:
+        return expr
+    eps_inv = scalars.one(state.mode) / state.step
+    return expr.map(lambda s: s.scale(eps_inv))
+
+
+def bilinear_expression(state: HierarchyState, m_delta: int, word: tuple, *,
+                        path: str = "analytic", fd_step: float = 1e-5) -> LatticeFn:
+    """The cancellation-reduced series (Delta^m d^word w) w^{-1} per site."""
+    _check_difference_power(m_delta)
+    return _expression(state, _word_factor(state, word, path, fd_step), m_delta)
 
 
 def bilinear_l_capacity(depth: int, word: tuple, m_delta: int) -> int:
@@ -319,21 +347,64 @@ def bilinear_residual(state: HierarchyState, l_max: int, m_delta: int,
     maximum absolute coefficient over all valid negative degrees (the sharper
     no-negative-powers claim), both over the window's region of interest.
     The expression's validity band is the depth budget: an l_max whose
-    residue lies below it is refused.
+    residue lies below it is refused.  The expression is formed on the region
+    only (``_Region``).
     """
-    expr = bilinear_expression(state, m_delta, word, path=path, fd_step=fd_step)
-    expr = expr.restrict(state.window.n_min, state.window.n_max)
-    sites = [expr.at(n) for n in expr.sites()]
-    for s in sites:
+    _check_difference_power(m_delta)
+    return _word_residuals(_region(state), word, [(m_delta, l_max)], path, fd_step)[0]
+
+
+def bilinear_residuals(state: HierarchyState, grid: dict) -> list:
+    """``bilinear_residual`` on the analytic path of every cell of ``grid``.
+
+    ``grid`` maps each word to its ``(m_delta, l_max)`` cells; the values
+    come word by word, in the cells' order.  One region serves every cell, so
+    w_hat^{-1} and each resolvent are formed once, and each word factor Y is
+    formed once, for all the cells of its word.
+    """
+    for cells in grid.values():
+        for m_delta, _ in cells:
+            _check_difference_power(m_delta)
+    region = _region(state)
+    return [v for word, cells in grid.items()
+            for v in _word_residuals(region, word, cells, "analytic", None)]
+
+
+def _region(state: HierarchyState) -> _Region:
+    return _Region(state.data, state.U, state.window, state.dressing)
+
+
+def _word_residuals(region: _Region, word: tuple, cells: list, path: str,
+                    fd_step) -> list:
+    """The residual of each ``(m_delta, l_max)`` cell of one word, from one Y.
+
+    Y, formed on [n_min, n_max + 1], is cut to [n_min, n_max] for the plain
+    form, so each expression is formed on the region of interest only.
+    """
+    y = _word_factor(region, word, path, fd_step)
+    lo, hi = region.window.n_min, region.window.n_max
+    return [_residue_mass(_expression(region, y.restrict(lo, hi + m_delta), m_delta),
+                          l_max, region.mode)
+            for m_delta, l_max in cells]
+
+
+def _residue_mass(expr: LatticeFn, l_max: int, mode: str):
+    """The residues through l_max plus the negative-degree mass, over the sites of ``expr``.
+
+    The residue degrees -1 .. -1 - l_max are negative degrees, so each
+    coefficient's magnitude is read once, for both maxima.
+    """
+    for s in expr.values:
         if not s.valid_at(-1 - l_max):
             raise ValidityError(
                 f"depth budget exceeded: residues need degree {-1 - l_max}, "
                 f"valid band starts at {s.valid_lo}"
             )
-    res_max = scalars.max_of((s.get(-1 - l).max_abs() for s in sites
-                              for l in range(l_max + 1)), state.mode)
-    neg_max = scalars.max_of((s.get(d).max_abs() for s in sites
-                              for d in range(min(s.valid_degrees().start, 0), 0)), state.mode)
+    # per site, the magnitudes of degrees -1, -2, ... down to the band's start
+    mags = [[s.get(d).max_abs() for d in range(-1, min(s.valid_degrees().start, 0) - 1, -1)]
+            for s in expr.values]
+    res_max = scalars.max_of((v for site in mags for v in site[:l_max + 1]), mode)
+    neg_max = scalars.max_of((v for site in mags for v in site), mode)
     return res_max + neg_max
 
 

@@ -68,6 +68,12 @@ class Trajectory:
         return self.snapshots[-1][1]
 
 
+def _check_float(u: LatticeFn) -> None:
+    """Time evolution is float only: refuse a potential of another mode."""
+    if u.mode != scalars.FLOAT:
+        raise ModeError("time evolution requires float mode")
+
+
 def rk4_step(data: AknsData, u: LatticeFn, h, flow: FlowIndex) -> LatticeFn:
     """One classical 4-stage step of dU/dt = flow_field(U) from the float potential ``u``.
 
@@ -80,8 +86,7 @@ def rk4_step(data: AknsData, u: LatticeFn, h, flow: FlowIndex) -> LatticeFn:
     ``s = float(c)``, the operations of ``a + b.scale(c)``.  So the frozen
     entries are computed, not kept: ``-0.0 + 0.0`` is ``0.0``.
     """
-    if u.mode != scalars.FLOAT:
-        raise ModeError("time evolution requires float mode")
+    _check_float(u)
     f1 = flow_field(data, u, flow.k, flow.alpha, tol=CONSISTENCY_TOL)
 
     def axpy(x, c, f):
@@ -123,8 +128,7 @@ def integrate(data: AknsData, u: LatticeFn, window: Window, flow: FlowIndex,
     ``LEAK_WARN`` of the norm over ``window``'s interior and an error beyond
     ``LEAK_HARD``.
     """
-    if u.mode != scalars.FLOAT:
-        raise ModeError("time evolution requires float mode")
+    _check_float(u)
     if not h > 0:
         raise InstanceError("step size must be positive")
     traj = Trajectory(flow, float(h), steps, [(0.0, u)])

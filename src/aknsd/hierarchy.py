@@ -281,6 +281,12 @@ def solve_dressing(data: AknsData, U: LatticeFn, depth: int) -> Dressing:
 # -- solved state --------------------------------------------------------------------
 
 
+def _check_depth(depth: int, window: Window) -> None:
+    """A dressing depth is in 1..halo: the shifts the window stores."""
+    if not 1 <= depth <= window.halo:
+        raise InstanceError(f"dressing depth {depth} outside 1..{window.halo} (the window halo)")
+
+
 @dataclass
 class HierarchyState:
     """A potential together with its solved dressing at a given depth.
@@ -304,9 +310,7 @@ class HierarchyState:
             raise DimensionError(f"the potential's sites {self.U.lo}..{self.U.hi} are not the "
                                  f"window's stored sites")
         _check_instance(self.data, self.U)
-        if not 1 <= self.depth <= self.window.halo:
-            raise InstanceError(f"dressing depth {self.depth} outside 1..{self.window.halo} "
-                                f"(the window halo)")
+        _check_depth(self.depth, self.window)
         for k, w in enumerate(self.dressing.ws, start=1):
             w._compat(self.U)
             if (w.lo, w.hi) != (self.U.lo, self.U.hi):
@@ -325,12 +329,15 @@ class HierarchyState:
     def step(self):
         return self.U.eps()
 
-    @staticmethod
-    def solve(data: AknsData, U: LatticeFn, window: Window, depth: int,
+    @classmethod
+    def solve(cls, data: AknsData, U: LatticeFn, window: Window, depth: int,
               *, validate: bool = True) -> "HierarchyState":
+        """The state of ``U`` solved at ``depth``; a depth the door would refuse is
+        refused, with the door's text, before the solve."""
         if validate:
             validate_potential(U)
-        return HierarchyState(data, U, window, solve_dressing(data, U, depth))
+        _check_depth(depth, window)
+        return cls(data, U, window, solve_dressing(data, U, depth))
 
     @cached_property
     def hat(self) -> LatticeFn:
@@ -562,7 +569,7 @@ class _FloatColumns(_Columns):
 class _ExactColumns(_Columns):
     """The rational column primitives, on numerator columns over a denominator column.
 
-    A sum is formed as ``SmallMatrix.from_terms`` forms one: its terms are
+    A sum is formed as ``matrices._block_sum`` forms one: its terms are
     scaled to the per-site lcm of their denominators and summed unreduced.  A
     solved order returns to canonical columns (``solve``), and a built matrix
     gets the one gcd sweep.

@@ -9,17 +9,16 @@ A rational matrix is stored as integer numerator rows over one positive
 common denominator, kept canonical: the gcd of every numerator and the
 denominator is 1, so equal matrices have equal fields.  The ring operations
 work on Python ints (entries outgrow 64 bits) and make each result canonical
-with one gcd sweep.  A sum of several terms is made canonical once: its
-terms are scaled to the lcm of their denominators (``_lcm_scales``), summed
-unreduced, and the finished sum is swept.  ``from_terms`` sums integer terms
-(numerator rows over a denominator), ``sum_of_products`` sums products as
-such terms, and ``sum_of_rank_one`` sums scaled outer products in one
-integer product.
+with one gcd sweep.  A sum of products is one integer block product
+(``_block_sum``): the left factors are set side by side, the right ones,
+each scaled to the lcm of the term denominators, are stacked, and the
+unreduced product is swept once.
+``sum_of_products`` sums full products so, and ``sum_of_rank_one`` the
+outer products of one column and one row.
 ``rows`` and ``get`` hand out ``Fraction`` entries in lowest terms, and fill a
-cache to do it; ``numerators``, ``product_term``, ``from_terms`` and
-``from_lowest_terms`` are the integer view for exact code outside this
-module, and ``over_lcm`` is the one rule that makes lowest-terms entries
-canonical without a sweep.  A float matrix stores its rows of doubles
+cache to do it; ``numerators`` and ``from_lowest_terms`` are the integer view
+for exact code outside this module, and ``over_lcm`` is the one rule that
+makes lowest-terms entries canonical without a sweep.  A float matrix stores its rows of doubles
 directly.  The column kernels of ``hierarchy`` and ``dynamics`` read a
 matrix with ``rows`` (float) or ``numerators`` (rational), form products on
 the columns as ``_product`` forms them, and wrap each result with
@@ -70,15 +69,28 @@ def _diag_product(d: tuple, rows: tuple, left: bool) -> tuple:
     return tuple([tuple([0 + x * s for x, s in zip(row, d)]) for row in rows])
 
 
-def _lcm_scales(dens: list) -> tuple:
-    """The lcm of nonzero denominators and the factor that takes each one to it.
+def _block_sum(m: int, lefts: list, rights: list, dens: list):
+    """The rational sum of ``lefts[p] @ rights[p] / dens[p]`` as one integer product.
 
-    A sum of terms ``num / d`` is ``sum(num * factor) / lcm``; summed
-    unreduced, it needs one gcd sweep at the end.  A negative ``d`` has a
-    negative factor, so its term is subtracted.
+    ``lefts[p]`` is m x j integer rows and ``rights[p]`` j x m, for any j
+    per term, and ``dens[p] > 0``.  Each right block is scaled by
+    ``f_p = lcm / dens[p]``, the lcm of all the denominators; the left blocks
+    side by side times the scaled right blocks stacked,
+    ``[L_1 | ... | L_P] [f_1 R_1; ...; f_P R_P]``, is the unreduced sum over
+    the lcm, swept once.  One term is one ``_product``.  The long rows and
+    columns are lists: a tuple of fewer than 20 items is kept on its size's
+    free list when it is freed, and block rows of every length would keep
+    one such list per length.
     """
+    if len(dens) == 1:
+        return SmallMatrix._exact(m, _product(lefts[0], rights[0]), dens[0])
     den = lcm(*dens)
-    return den, [den // d for d in dens]
+    right = [row if f == 1 else [f * x for x in row]
+             for block, f in zip(rights, [den // d for d in dens]) for row in block]
+    cols = [[*col] for col in zip(*right)]
+    left = [[*chain.from_iterable(rows)] for rows in zip(*lefts)]
+    return SmallMatrix._exact(m, tuple([tuple([sum(map(mul, row, col)) for col in cols])
+                                        for row in left]), den)
 
 
 def over_lcm(pairs) -> tuple:
@@ -164,27 +176,6 @@ class SmallMatrix:
         made canonical by ``over_lcm`` without a gcd sweep."""
         num, den = over_lcm([*chain.from_iterable(entries)])
         return cls._canonical(len(entries), tuple(zip(*[iter(num)] * len(entries))), den)
-
-    @classmethod
-    def from_terms(cls, terms, m: int) -> "SmallMatrix":
-        """The rational sum of integer terms ``(numerator rows, denominator)``.
-
-        Each term is ``rows / den`` for a nonzero ``den``, not necessarily
-        reduced; a negative ``den`` subtracts it.  The numerators are scaled to
-        the lcm of the denominators and summed unreduced, and the finished sum
-        gets the one gcd sweep; a single term over a positive denominator is
-        swept as it is.  No terms give the shared zero.
-        """
-        terms = list(terms)
-        if not terms:
-            return cls.zero(m, scalars.RATIONAL)
-        if len(terms) == 1 and terms[0][1] > 0:
-            return cls._exact(m, *terms[0])
-        den, scales = _lcm_scales([d for _, d in terms])
-        flat = tuple(map(sum, zip(*(
-            chain.from_iterable(num) if f == 1 else [f * x for x in chain.from_iterable(num)]
-            for (num, _), f in zip(terms, scales)))))
-        return cls._exact(m, tuple(flat[r * m:(r + 1) * m] for r in range(m)), den)
 
     @staticmethod
     @cache  # immutable, and at most one per (m, mode): share it
@@ -315,12 +306,8 @@ class SmallMatrix:
         self._compat(other)
         if self._den is None:
             return SmallMatrix._floats(self.m, _product(self._rows, other._rows))
-        return SmallMatrix._exact(self.m, *self.product_term(other))
-
-    def product_term(self, other: "SmallMatrix") -> tuple:
-        """``self @ other`` of two rational matrices as an unreduced ``from_terms`` term."""
-        self._compat(other)
-        return _product(self._num, other._num), self._den * other._den
+        return SmallMatrix._exact(self.m, _product(self._num, other._num),
+                                  self._den * other._den)
 
     def mul_diag(self, diag: "SmallMatrix", *, left: bool) -> "SmallMatrix":
         """``diag @ self`` (``left``) or ``self @ diag`` for a diagonal ``diag``.
@@ -340,9 +327,10 @@ class SmallMatrix:
     def sum_of_products(pairs, m: int, mode: str) -> "SmallMatrix":
         """The sum of ``a @ b`` over the ``(a, b)`` pairs; zero for no pairs.
 
-        Rational: the products are ``from_terms`` terms, so the sum is swept
-        once.  Float: ``acc + (a @ b)`` from a zero ``acc``, in pair order,
-        exactly as a loop of ring operations adds them.
+        Rational: one integer block product (``_block_sum``) of the a's side
+        by side and the b's stacked, swept once.  Float: ``acc + (a @ b)``
+        from a zero ``acc``, in pair order, exactly as a loop of ring
+        operations adds them.
         """
         zero = SmallMatrix.zero(m, mode)
         if mode == scalars.FLOAT:
@@ -350,11 +338,14 @@ class SmallMatrix:
             for a, b in pairs:
                 acc = acc + (a @ b)
             return acc
-        terms = []
+        lefts, rights, dens = [], [], []
         for a, b in pairs:
             zero._compat(a)
-            terms.append(a.product_term(b))
-        return SmallMatrix.from_terms(terms, m)
+            a._compat(b)
+            lefts.append(a._num)
+            rights.append(b._num)
+            dens.append(a._den * b._den)
+        return _block_sum(m, lefts, rights, dens) if dens else zero
 
     @staticmethod
     def sum_of_rank_one(pairs, k: int, m: int, mode: str) -> "SmallMatrix":
@@ -364,12 +355,11 @@ class SmallMatrix:
         and row k of ``b``, so the sum is the product of the m x P matrix of
         the columns and the P x m matrix of the rows: m*m products per pair,
         where ``(a @ E) @ b`` forms two full products.  A pair whose column or
-        row is zero adds nothing and is skipped.  Rational: each column is
-        scaled to the lcm of the pair denominators (``_lcm_scales``) and the
-        integer product is swept once.  Float: each entry sums its products
-        from the integer 0 in pair order; for finite entries that is bit for
-        bit ``sum_of_products`` over the pairs ``(a @ E, b)`` (see
-        docs/derivations.md section 3).
+        row is zero adds nothing and is skipped.  Rational: the block product
+        of ``_block_sum``, one column and one row a pair.  Float: each entry
+        sums its products from the integer 0 in pair order; for finite entries
+        that is bit for bit ``sum_of_products`` over the pairs ``(a @ E, b)``
+        (see docs/derivations.md section 3).
         """
         zero = SmallMatrix.zero(m, mode)
         exact = mode == scalars.RATIONAL
@@ -388,9 +378,7 @@ class SmallMatrix:
             return zero
         if not exact:
             return SmallMatrix._floats(m, _product(tuple(zip(*cols)), rows))
-        den, scales = _lcm_scales(dens)
-        cols = [col if f == 1 else [f * x for x in col] for col, f in zip(cols, scales)]
-        return SmallMatrix._exact(m, _product(tuple(zip(*cols)), rows), den)
+        return _block_sum(m, [tuple(zip(col)) for col in cols], [(row,) for row in rows], dens)
 
     def transpose(self) -> "SmallMatrix":
         if self._den is None:

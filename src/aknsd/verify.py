@@ -21,6 +21,7 @@ from .baker import (
     bilinear_expression,
     bilinear_l_capacity,
     bilinear_residual,
+    bilinear_residuals,
 )
 from .config import ExperimentConfig
 from .dynamics import (
@@ -128,16 +129,16 @@ def bilinear_analytic_grid(state: HierarchyState) -> list:
     """Values of the analytic bilinear cells whose capacity is at least 0.
 
     The cells are difference power 0 and 1 times the words () and
-    ((k, alpha),) with k = 0, 1, each checked through l <= min(6, capacity).
+    ((k, alpha),) with k = 0, 1, each checked through l <= min(6, capacity),
+    word by word (``bilinear_residuals``).
     """
-    values = []
-    for m_delta in (0, 1):
-        for word in [()] + [((k, alpha),) for k in (0, 1)
-                            for alpha in range(1, state.data.m + 1)]:
-            cap = bilinear_l_capacity(state.depth, word, m_delta)
-            if cap >= 0:
-                values.append(bilinear_residual(state, min(6, cap), m_delta, word))
-    return values
+    grid = {}
+    for word in [()] + [((k, alpha),) for k in (0, 1) for alpha in range(1, state.data.m + 1)]:
+        cells = [(m_delta, min(6, cap)) for m_delta in (0, 1)
+                 if (cap := bilinear_l_capacity(state.depth, word, m_delta)) >= 0]
+        if cells:
+            grid[word] = cells
+    return bilinear_residuals(state, grid)
 
 
 def _rand_series(rng, m, lo, hi, mode):

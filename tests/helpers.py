@@ -2,7 +2,7 @@
 
 from fractions import Fraction
 from functools import partial
-from math import gcd
+from math import gcd, lcm
 import os
 from pathlib import Path
 import random
@@ -10,7 +10,7 @@ import subprocess
 import sys
 
 from aknsd import scalars
-from aknsd.baker import TauExpSum, baker_from_tau
+from aknsd.baker import TauExpSum, baker_from_tau, bilinear_expression
 from aknsd.dynamics import CONSISTENCY_TOL
 from aknsd.errors import ConsistencyError, DimensionError, InstanceError, ModeError
 from aknsd.hierarchy import (
@@ -379,6 +379,42 @@ def assert_canonical(mat):
     num, den = mat.numerators()
     assert den > 0
     assert gcd(den, *(x for row in num for x in row)) == 1
+
+
+def product_term(a, b):
+    """``a @ b`` of two rational matrices as an unreduced term ``(numerator rows, den)``."""
+    (an, ad), (bn, bd) = a.numerators(), b.numerators()
+    return _product(an, bn), ad * bd
+
+
+def from_terms(terms, m):
+    """The rational sum of integer terms ``(numerator rows, den)``, term by term.
+
+    The pairwise rule the block product replaced: each term's numerators are
+    scaled to the lcm of the denominators and summed, and the sum is swept
+    once; a negative ``den`` subtracts its term; no terms give the shared zero.
+    """
+    terms = list(terms)
+    if not terms:
+        return SmallMatrix.zero(m, RAT)
+    den = lcm(*(d for _, d in terms))
+    flat = [sum(x) for x in zip(*([(den // d) * x for row in num for x in row]
+                                  for num, d in terms))]
+    return SmallMatrix._exact(m, tuple(tuple(flat[r * m:(r + 1) * m]) for r in range(m)), den)
+
+
+def ref_bilinear_residual(state, l_max, m_delta, word):
+    """The analytic bilinear residual as it was first formed: the expression on every
+    stored site (``bilinear_expression``), cut to the region of interest after,
+    then the residues through l_max plus the negative-degree mass."""
+    expr = bilinear_expression(state, m_delta, word).restrict(state.window.n_min,
+                                                               state.window.n_max)
+    sites = [expr.at(n) for n in expr.sites()]
+    res_max = scalars.max_of((s.get(-1 - l).max_abs() for s in sites
+                              for l in range(l_max + 1)), state.mode)
+    neg_max = scalars.max_of((s.get(d).max_abs() for s in sites
+                              for d in range(min(s.valid_degrees().start, 0), 0)), state.mode)
+    return res_max + neg_max
 
 
 def mat(rows, mode=RAT):

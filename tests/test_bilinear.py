@@ -1,8 +1,10 @@
 """Bilinear residue verifier and adjoint checks."""
 
+from fractions import Fraction
 import math
 import random
 
+from hypothesis import given, settings, strategies as st
 import pytest
 
 from aknsd import baker, scalars
@@ -11,6 +13,7 @@ from aknsd.baker import (
     bilinear_expression,
     bilinear_l_capacity,
     bilinear_residual,
+    bilinear_residuals,
 )
 from aknsd.errors import InstanceError, ModeError, ValidityError
 from aknsd.hierarchy import Dressing, HierarchyState
@@ -23,7 +26,8 @@ from aknsd.instances import (
 )
 from aknsd.lattice import LatticeFn, Window
 from aknsd.matrices import SmallMatrix
-from helpers import RAT, rand_matrix
+from aknsd.verify import bilinear_analytic_grid
+from helpers import RAT, rand_matrix, ref_bilinear_residual
 
 FLOAT = scalars.FLOAT
 DEPTH = 6
@@ -194,6 +198,83 @@ def test_length_two_mixed_path():
     check = bilinear_residual(state, 2, 0, ((1, 1), (1, 2)), path="mixed",
                               fd_step=2e-4)
     assert 0 < check <= 1e-6
+
+
+
+# -- the region of interest ----------------------------------------------------------
+
+
+def _bumped(state, k_ord, site, bump):
+    """``state`` with ``bump`` added to dressing order ``k_ord + 1`` at ``site``."""
+    w = state.dressing.ws[k_ord]
+    vals = tuple(v + bump if n == site else v for n, v in zip(w.sites(), w.values))
+    ws = list(state.dressing.ws)
+    ws[k_ord] = LatticeFn(w.lo, w.hi, vals, w.left_tail, w.right_tail, w.step, w.mode)
+    return HierarchyState(state.data, state.U, state.window,
+                          Dressing(state.depth, tuple(ws), state.dressing.conventions))
+
+
+def _analytic_grid(state):
+    """Every analytic cell with room for a residue: the verifier's words and one
+    length-2 word, difference powers 0 and 1, each through l <= min(3, capacity)."""
+    words = [()] + [((k, a),) for k in (0, 1) for a in range(1, state.data.m + 1)]
+    grid = {}
+    for word in words + [((1, 1), (0, 2))]:
+        cells = [(m_delta, min(3, cap)) for m_delta in (0, 1)
+                 if (cap := bilinear_l_capacity(state.depth, word, m_delta)) >= 0]
+        if cells:
+            grid[word] = cells
+    return grid
+
+
+@st.composite
+def region_states(draw):
+    """A random rational state: m = 2 or 3, step 1 or 1/2, depth 2..8 on a window of
+    one to three sites whose halo is the depth; one in two has one dressing order
+    bumped at one stored site, most often at n_max + 1."""
+    m = draw(st.integers(2, 3))
+    depth = draw(st.integers(2, 8))
+    n_min = draw(st.integers(-1, 0))
+    window = Window(n_min, n_min + draw(st.integers(0, 2)), depth)
+    data = desk_data(m)
+    u = random_potential(window, data, random.Random(draw(st.integers(0, 10 ** 6))), span=1)
+    step = draw(st.sampled_from([None, Fraction(1, 2)]))
+    u = LatticeFn(u.lo, u.hi, u.values, u.left_tail, u.right_tail, step, u.mode)
+    state = HierarchyState.solve(data, u, window, depth)
+    if draw(st.booleans()):
+        site = draw(st.sampled_from([window.n_max + 1, window.n_max + 1, window.n_min,
+                                     window.stored_lo, window.stored_hi]))
+        bump = SmallMatrix.unit(m, 1, 2, RAT, draw(st.sampled_from([1, Fraction(-1, 3)])))
+        state = _bumped(state, draw(st.integers(0, depth - 1)), site, bump)
+    return state
+
+
+@given(region_states())
+@settings(max_examples=30, deadline=None)
+def test_the_region_residual_is_the_full_site_residual_cut_to_the_region(state):
+    # every product of the expression is site-local, so forming it on the
+    # region of interest alone, with one word factor per word, gives the
+    # value of the full-site expression cut to the region afterwards
+    grid = _analytic_grid(state)
+    want = [ref_bilinear_residual(state, l_max, m_delta, word)
+            for word, cells in grid.items() for m_delta, l_max in cells]
+    assert bilinear_residuals(state, grid) == want
+    assert [bilinear_residual(state, l_max, m_delta, word)
+            for word, cells in grid.items() for m_delta, l_max in cells] == want
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_a_bump_at_n_max_plus_one_is_seen_by_the_difference_form_only(m):
+    # the difference form at n_max reads Y(n_max + 1), a site past the region
+    # of interest; the plain form Y(n) w_hat(n)^{-1} reads none
+    state = rational_state(m=m, seed=31)
+    n = state.window.n_max + 1
+    bad = _bumped(state, 0, n, SmallMatrix.unit(m, 1, 2, RAT))
+    for m_delta in (0, 1):
+        value = bilinear_residual(bad, 2, m_delta, ())
+        assert value == ref_bilinear_residual(bad, 2, m_delta, ())
+        assert (value > 0) == (m_delta == 1)
+    assert max(bilinear_analytic_grid(bad)) > 0
 
 
 # -- adjoint -----------------------------------------------------------------------

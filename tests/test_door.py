@@ -28,7 +28,7 @@ import json
 from hypothesis import given, settings, strategies as st
 import pytest
 
-from aknsd import scalars
+from aknsd import hierarchy, scalars
 from aknsd.dynamics import continuum_scan, gaussian_bump_profile
 from aknsd.errors import DimensionError, InstanceError, ModeError, SchemaError
 from aknsd.hierarchy import (AknsData, Dressing, HierarchyState, commutator_with_l, flow_field,
@@ -152,6 +152,9 @@ _STATE_DOOR = {
     "solve-depth-above-the-halo": (
         InstanceError, "dressing depth 3 outside 1..2 (the window halo)",
         lambda: HierarchyState.solve(desk_data(2), _potential(RAT), WINDOW, 3)),
+    "solve-depth-0": (
+        InstanceError, "dressing depth 0 outside 1..2 (the window halo)",
+        lambda: HierarchyState.solve(desk_data(2), _potential(RAT), WINDOW, 0)),
 }
 
 
@@ -161,6 +164,16 @@ def test_the_state_door_refuses(case):
     with pytest.raises(error) as refused:
         build()
     assert str(refused.value) == message
+
+
+@pytest.mark.parametrize("depth", [0, 3])
+def test_solve_refuses_a_depth_outside_the_halo_before_it_solves(depth, monkeypatch):
+    def solve_dressing(*args):
+        raise AssertionError("solved a dressing the door refuses")
+
+    monkeypatch.setattr(hierarchy, "solve_dressing", solve_dressing)
+    with pytest.raises(InstanceError, match="outside 1..2 \\(the window halo\\)$"):
+        HierarchyState.solve(desk_data(2), _potential(RAT), WINDOW, depth)
 
 
 def test_a_document_whose_halo_is_below_its_depth_keeps_its_message():

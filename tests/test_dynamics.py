@@ -146,6 +146,15 @@ def test_rk4_step_refuses_a_rational_lattice():
             rk4_step(data, u, 0.1, FlowIndex(1, 1))
 
 
+@pytest.mark.parametrize("h, steps", [(0.1, 3), (0.0, 3), (0.1, 0)])
+def test_integrate_refuses_a_rational_lattice_before_its_step(h, steps):
+    # the float-only rule comes first, before the step size and the step count
+    window = Window(-2, 2, 2)
+    u = random_potential(window, desk_data(2), random.Random(4), span=1)
+    with pytest.raises(ModeError, match="^time evolution requires float mode$"):
+        integrate(desk_data(2, FLOAT), u, window, FlowIndex(1, 1), h, steps)
+
+
 def test_an_error_grown_from_zero_fails_every_order_check():
     # a zero coarse error that grows is no convergence: -inf, not inf
     assert observed_order(0.0, 1e-3) == -math.inf
