@@ -175,14 +175,13 @@ class _Region(HierarchyState):
 
 
 def _stepped_states(state: HierarchyState, flow: FlowIndex, fd_step: float) -> list:
-    """The states one RK4 step of +fd_step and of -fd_step along ``flow`` away,
-    of the class of ``state`` (a ``_Region`` gives regions).
+    """The states one RK4 step of +fd_step and of -fd_step along ``flow`` away.
 
     Float mode only: ``rk4_step`` refuses a rational potential.
     """
     return [
-        type(state).solve(state.data, rk4_step(state.data, state.U, sign * fd_step, flow),
-                          state.window, state.depth, validate=False)
+        HierarchyState.solve(state.data, rk4_step(state.data, state.U, sign * fd_step, flow),
+                             state.window, state.depth, validate=False)
         for sign in (1.0, -1.0)
     ]
 
@@ -300,8 +299,7 @@ def _expression(state: HierarchyState, y: LatticeFn, m_delta: int) -> LatticeFn:
     ``y`` (at n, and at n + 1 for the difference form) and ``hat_inverse`` are.
 
     With w = Y g and g(n+1) = (1 + eps z A) g(n), the difference form reduces
-    to [Y(n+1) (1 + eps z A) - Y(n)] w_hat(n)^{-1} / eps; the unit step skips
-    the division, the same value bit for bit.
+    to [Y(n+1) (1 + eps z A) - Y(n)] w_hat(n)^{-1} / eps.
     """
     if m_delta == 0:
         return y.zip_with(state.hat_inverse, series_mul)
@@ -309,11 +307,9 @@ def _expression(state: HierarchyState, y: LatticeFn, m_delta: int) -> LatticeFn:
     lam_y = shift_apply(y, 1)
     diff = lam_y.zip_with(y.restrict(lam_y.lo, lam_y.hi),
                           lambda yn1, yn: series_mul(yn1, mid) - yn)
-    expr = diff.zip_with(state.hat_inverse, series_mul)
-    if state.step == 1:
-        return expr
     eps_inv = scalars.one(state.mode) / state.step
-    return expr.map(lambda s: s.scale(eps_inv))
+    return diff.zip_with(state.hat_inverse,
+                         lambda d, wi: series_mul(d, wi).scale(eps_inv))
 
 
 def bilinear_expression(state: HierarchyState, m_delta: int, word: tuple, *,

@@ -329,15 +329,15 @@ class HierarchyState:
     def step(self):
         return self.U.eps()
 
-    @classmethod
-    def solve(cls, data: AknsData, U: LatticeFn, window: Window, depth: int,
+    @staticmethod
+    def solve(data: AknsData, U: LatticeFn, window: Window, depth: int,
               *, validate: bool = True) -> "HierarchyState":
         """The state of ``U`` solved at ``depth``; a depth the door would refuse is
         refused, with the door's text, before the solve."""
         if validate:
             validate_potential(U)
         _check_depth(depth, window)
-        return cls(data, U, window, solve_dressing(data, U, depth))
+        return HierarchyState(data, U, window, solve_dressing(data, U, depth))
 
     @cached_property
     def hat(self) -> LatticeFn:

@@ -69,28 +69,20 @@ def _diag_product(d: tuple, rows: tuple, left: bool) -> tuple:
     return tuple([tuple([0 + x * s for x, s in zip(row, d)]) for row in rows])
 
 
-def _block_sum(m: int, lefts: list, rights: list, dens: list):
-    """The rational sum of ``lefts[p] @ rights[p] / dens[p]`` as one integer product.
+def _block_sum(m: int, left, right, dens: list):
+    """The rational sum over j of column j of ``left`` times row j of ``right``,
+    over ``dens[j]``, as one integer product.
 
-    ``lefts[p]`` is m x j integer rows and ``rights[p]`` j x m, for any j
-    per term, and ``dens[p] > 0``.  Each right block is scaled by
-    ``f_p = lcm / dens[p]``, the lcm of all the denominators; the left blocks
-    side by side times the scaled right blocks stacked,
-    ``[L_1 | ... | L_P] [f_1 R_1; ...; f_P R_P]``, is the unreduced sum over
-    the lcm, swept once.  One term is one ``_product``.  The long rows and
-    columns are lists: a tuple of fewer than 20 items is kept on its size's
-    free list when it is freed, and block rows of every length would keep
-    one such list per length.
+    ``left`` is m rows of J integers, ``right`` J rows of m integers, and
+    ``dens[j] > 0`` is the denominator of term j.  Row j of ``right`` is
+    scaled by ``lcm / dens[j]``, the lcm of all the denominators, and
+    ``left @ right`` is the unreduced sum over the lcm, swept once.  A sum of
+    full products ``a_p @ b_p`` is the block product
+    ``[a_1 | ... | a_P] [f_1 b_1; ...; f_P b_P]``, with m terms a product.
     """
-    if len(dens) == 1:
-        return SmallMatrix._exact(m, _product(lefts[0], rights[0]), dens[0])
     den = lcm(*dens)
-    right = [row if f == 1 else [f * x for x in row]
-             for block, f in zip(rights, [den // d for d in dens]) for row in block]
-    cols = [[*col] for col in zip(*right)]
-    left = [[*chain.from_iterable(rows)] for rows in zip(*lefts)]
-    return SmallMatrix._exact(m, tuple([tuple([sum(map(mul, row, col)) for col in cols])
-                                        for row in left]), den)
+    right = [row if d == den else [(den // d) * x for x in row] for row, d in zip(right, dens)]
+    return SmallMatrix._exact(m, _product(left, right), den)
 
 
 def over_lcm(pairs) -> tuple:
@@ -328,7 +320,7 @@ class SmallMatrix:
         """The sum of ``a @ b`` over the ``(a, b)`` pairs; zero for no pairs.
 
         Rational: one integer block product (``_block_sum``) of the a's side
-        by side and the b's stacked, swept once.  Float: ``acc + (a @ b)``
+        by side and the b's rows stacked, swept once.  Float: ``acc + (a @ b)``
         from a zero ``acc``, in pair order, exactly as a loop of ring
         operations adds them.
         """
@@ -338,14 +330,17 @@ class SmallMatrix:
             for a, b in pairs:
                 acc = acc + (a @ b)
             return acc
-        lefts, rights, dens = [], [], []
+        lefts, right, dens = [], [], []
         for a, b in pairs:
             zero._compat(a)
             a._compat(b)
             lefts.append(a._num)
-            rights.append(b._num)
-            dens.append(a._den * b._den)
-        return _block_sum(m, lefts, rights, dens) if dens else zero
+            right.extend(b._num)
+            dens.extend([a._den * b._den] * m)
+        if not dens:
+            return zero
+        left = lefts[0] if len(lefts) == 1 else [[*chain.from_iterable(r)] for r in zip(*lefts)]
+        return _block_sum(m, left, right, dens)
 
     @staticmethod
     def sum_of_rank_one(pairs, k: int, m: int, mode: str) -> "SmallMatrix":
@@ -355,8 +350,8 @@ class SmallMatrix:
         and row k of ``b``, so the sum is the product of the m x P matrix of
         the columns and the P x m matrix of the rows: m*m products per pair,
         where ``(a @ E) @ b`` forms two full products.  A pair whose column or
-        row is zero adds nothing and is skipped.  Rational: the block product
-        of ``_block_sum``, one column and one row a pair.  Float: each entry
+        row is zero adds nothing and is skipped.  Rational: ``_block_sum`` of
+        the columns and the rows.  Float: each entry
         sums its products from the integer 0 in pair order; for finite entries
         that is bit for bit ``sum_of_products`` over the pairs ``(a @ E, b)``
         (see docs/derivations.md section 3).
@@ -378,7 +373,7 @@ class SmallMatrix:
             return zero
         if not exact:
             return SmallMatrix._floats(m, _product(tuple(zip(*cols)), rows))
-        return _block_sum(m, [tuple(zip(col)) for col in cols], [(row,) for row in rows], dens)
+        return _block_sum(m, tuple(zip(*cols)), rows, dens)
 
     def transpose(self) -> "SmallMatrix":
         if self._den is None:

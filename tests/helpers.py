@@ -10,7 +10,7 @@ import subprocess
 import sys
 
 from aknsd import scalars
-from aknsd.baker import TauExpSum, baker_from_tau, bilinear_expression
+from aknsd.baker import TauExpSum, _step_polynomial, _word_factor, baker_from_tau
 from aknsd.dynamics import CONSISTENCY_TOL
 from aknsd.errors import ConsistencyError, DimensionError, InstanceError, ModeError
 from aknsd.hierarchy import (
@@ -404,11 +404,35 @@ def from_terms(terms, m):
 
 
 def ref_bilinear_residual(state, l_max, m_delta, word):
-    """The analytic bilinear residual as it was first formed: the expression on every
-    stored site (``bilinear_expression``), cut to the region of interest after,
-    then the residues through l_max plus the negative-degree mass."""
-    expr = bilinear_expression(state, m_delta, word).restrict(state.window.n_min,
-                                                               state.window.n_max)
+    """The analytic bilinear residual formed on every stored site and cut to the
+    region of interest after, then the residues through l_max plus the
+    negative-degree mass.
+
+    The length-1 word factor is formed in two passes, ``d = -Bbar W`` and then
+    ``d + W z^k E_alpha``, and the difference form is always scaled by
+    ``1 / eps``; a length-2 word takes ``baker._word_factor``.
+    """
+    if len(word) == 1:
+        (k, alpha), = word
+        bbar = projector_b(state.resolvent(alpha), k, "minus")
+        d_hat = bbar.zip_with(state.hat, lambda b, w: -series_mul(b, w))
+        zke = MatSeries.monomial(state.data.projector(alpha), k)
+        y = d_hat.zip_with(state.hat, lambda d, w: d + series_mul(w, zke))
+    elif word:
+        y = _word_factor(state, word, "analytic", None)
+    else:
+        y = state.hat
+    if m_delta == 0:
+        expr = y.zip_with(state.hat_inverse, series_mul)
+    else:
+        mid = _step_polynomial(state)
+        eps_inv = scalars.one(state.mode) / state.step
+        lam_y = shift_apply(y, 1)
+        diff = lam_y.zip_with(y.restrict(lam_y.lo, lam_y.hi),
+                              lambda yn1, yn: series_mul(yn1, mid) - yn)
+        expr = diff.zip_with(state.hat_inverse,
+                             lambda d, wi: series_mul(d, wi).scale(eps_inv))
+    expr = expr.restrict(state.window.n_min, state.window.n_max)
     sites = [expr.at(n) for n in expr.sites()]
     res_max = scalars.max_of((s.get(-1 - l).max_abs() for s in sites
                               for l in range(l_max + 1)), state.mode)
