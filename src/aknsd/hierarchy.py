@@ -67,9 +67,12 @@ each entry's recursion reads integer pairs with one gcd per step
 ``matrices.over_lcm``.  The two classes share only the instance and the
 recursions (``_Columns``).
 
-``_resolvent_site`` builds degree d of ``w_hat E_alpha w_hat^{-1}`` at one
-site as the sum of the rank-one products (column alpha of w_i)(row alpha of
-winv_j), i + j = d (both modes).
+The dressing's inverse and the dressed resolvents run on the same columns,
+one order at a time from the orders of ``hat`` (``_order``):
+``hat_inverse`` is v_0 = I, v_j = -(w_1 v_(j-1) + ... + w_j v_0)
+(``_inverse_orders``), and degree -d of ``w_hat E_alpha w_hat^{-1}`` is the
+sum of the rank-one products (column alpha of w_i)(row alpha of v_(d-i)),
+i = d..0 (``resolvent_dressed``).
 
 See docs/derivations.md sections 1 to 4.
 """
@@ -78,9 +81,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, partial
+from functools import cached_property, partial, reduce
 from itertools import accumulate, chain, repeat
-from math import gcd, lcm
+from math import copysign, gcd, lcm
 from operator import add, floordiv, mul, sub
 
 from . import scalars
@@ -90,9 +93,7 @@ from .matrices import SmallMatrix, over_lcm
 from .series import (
     MatSeries,
     _check_knows_a_degree,
-    product_band,
     series_diff_max,
-    series_inverse,
     series_mul,  # noqa: F401  (perfbench/test_perfbench.py reads hierarchy.series_mul)
     series_project,
 )
@@ -347,7 +348,9 @@ class HierarchyState:
 
     @cached_property
     def hat_inverse(self) -> LatticeFn:
-        return self.hat.map(lambda s: series_inverse(s, self.depth), map_tails=False)
+        """w_hat^{-1} per site, on the sites of ``hat`` (``_inverse_orders``)."""
+        return _orders_to_series(_inverse_orders(_kit(self.data), self.hat, self.depth),
+                                 self.data.m)
 
     def resolvent(self, alpha: int):
         if alpha not in self._resolvents:
@@ -381,25 +384,24 @@ class Resolvent:
 
 
 def resolvent_dressed(state: HierarchyState, alpha: int) -> Resolvent:
-    """R_alpha = w_hat E_alpha w_hat^{-1}, computed sitewise (``_resolvent_site``)."""
-    state.data.projector(alpha)  # refuses an alpha outside 1..m
-    return Resolvent(state.hat.zip_with(state.hat_inverse,
-                                        partial(_resolvent_site, k=alpha - 1)))
+    """R_alpha = w_hat E_alpha w_hat^{-1} on entry columns, on the sites of ``state.hat``.
 
-
-def _resolvent_site(w: MatSeries, wi: MatSeries, k: int) -> MatSeries:
-    """``w E wi`` at one site, E the projector on the 0-based index k.
-
-    Degree d sums the rank-one products (column k of w_i)(row k of wi_j) over
-    i + j = d.  E is a fully known degree-0 factor, so ``w E`` has the band
-    and validity of ``w``, and the result those of the product ``w wi``.
+    Degree -d is the sum of (column alpha of w_i)(row alpha of v_(d-i)) over
+    i = d..0, w and v the orders of ``hat`` and ``hat_inverse``: each a
+    product of an m x 1 and a 1 x m coefficient (``products``), summed in
+    that order.
     """
-    lo, hi, vlo = product_band(w, wi)
-    coeffs = tuple(SmallMatrix.sum_of_rank_one(
-        ((w.coeffs[i - w.lo], wi.coeffs[d - i - wi.lo])
-         for i in range(max(w.lo, d - wi.hi), min(w.hi, d - wi.lo) + 1)),
-        k, w.m, w.mode) for d in range(lo, hi + 1))
-    return MatSeries(w.m, w.mode, lo, hi, coeffs, vlo)
+    state.data.projector(alpha)  # refuses an alpha outside 1..m
+    kit, m, k, depth = _kit(state.data), state.data.m, alpha - 1, state.depth
+    hat, inv = state.hat, state.hat_inverse
+    cols = [_pick(kit.read(_order(hat, i)), slice(k, m * m, m), m) for i in range(depth + 1)]
+    rows = [_pick(kit.read(_order(inv, j)), slice(k * m, k * m + m), m)
+            for j in range(depth + 1)]
+    lattice = partial(LatticeFn.from_values, hat.lo, step=hat.step)
+    orders = [lattice(kit.build(_sum(kit, (kit.products(cols[i], rows[d - i])
+                                           for i in range(d, -1, -1)))))
+              for d in range(depth + 1)]
+    return Resolvent(_orders_to_series(orders, m))
 
 
 def resolvent_direct(data: AknsData, U: LatticeFn, alpha: int, depth: int) -> Resolvent:
@@ -466,9 +468,9 @@ def _sitewise(P: LatticeFn, data: AknsData, U: LatticeFn, degree) -> LatticeFn:
 
 
 def _inverse_step(f: LatticeFn):
-    """1 / eps of a lattice, or None for the unit step (no division at all)."""
-    eps = f.eps()
-    return None if eps == 1 else scalars.one(f.mode) / eps
+    """1 / eps of a lattice, in its mode.  The unit step gives 1, and scaling by 1
+    changes no value (x * 1.0 is x in IEEE, down to a zero's sign)."""
+    return scalars.one(f.mode) / f.eps()
 
 
 def _site_band(c: MatSeries) -> tuple:
@@ -494,19 +496,17 @@ def _site_band(c: MatSeries) -> tuple:
 # ``_ExactColumns`` (docs/derivations.md section 4).
 
 
-def _site_matrices(cols, m: int, build) -> list:
-    """One matrix per site from m*m entry columns: ``build`` of the site's rows."""
-    return [build(tuple(zip(*[iter(site)] * m))) for site in zip(*cols)]
-
-
 def _products(a, b, m: int) -> list:
     """The columns of the products ``a(n) b(n)``, over the sites of the shorter columns.
 
-    An entry is the ``sum`` of its m terms from the integer 0, as in
-    ``matrices._product``: of doubles, or of integer numerators.
+    ``a`` holds the entry columns of m x J matrices and ``b`` of J x m ones,
+    row-major, J = m or 1 (a column times a row).  An entry is the ``sum`` of
+    its J terms from the integer 0, as in ``matrices._product``: of doubles,
+    or of integer numerators.
     """
-    ms = range(m)
-    return [list(map(sum, zip(*[map(mul, a[r * m + j], b[j * m + k]) for j in ms])))
+    n = len(b) // m
+    js, ms = range(n), range(m)
+    return [list(map(sum, zip(*[map(mul, a[r * n + j], b[j * m + k]) for j in js])))
             for r in ms for k in ms]
 
 
@@ -532,7 +532,11 @@ class _FloatColumns(_Columns):
         return list(zip(*[tuple(chain.from_iterable(x.rows)) for x in mats]))
 
     def build(self, x) -> list:
-        return _site_matrices(x, self.m, partial(SmallMatrix._floats, self.m))
+        """One matrix per site; the sites whose entries are all +0.0 share one zero
+        matrix (a -0.0 keeps its site a matrix of its own)."""
+        m, zero = self.m, SmallMatrix.zero(self.m, scalars.FLOAT)
+        return [zero if not any(site) and min(map(copysign, repeat(1.0), site)) > 0
+                else SmallMatrix._floats(m, tuple(zip(*[iter(site)] * m))) for site in zip(*x)]
 
     def zero(self, n: int) -> list:
         return [(0.0,) * n] * (self.m * self.m)
@@ -569,8 +573,8 @@ class _FloatColumns(_Columns):
 class _ExactColumns(_Columns):
     """The rational column primitives, on numerator columns over a denominator column.
 
-    A sum is formed as ``matrices._block_sum`` forms one: its terms are
-    scaled to the per-site lcm of their denominators and summed unreduced.  A
+    A sum is formed as ``SmallMatrix.sum_of_products`` forms one: its terms
+    are scaled to the per-site lcm of their denominators and summed unreduced.  A
     solved order returns to canonical columns (``solve``), and a built matrix
     gets the one gcd sweep.
     """
@@ -580,9 +584,12 @@ class _ExactColumns(_Columns):
                           for num, den in map(SmallMatrix.numerators, mats)]))
 
     def build(self, x) -> list:
+        """One canonical matrix per site; the sites whose numerators are all zero
+        share one zero matrix, a lean one: its ``rows`` are not formed."""
         m = self.m
+        zero = SmallMatrix._canonical(m, ((0,) * m,) * m, 1)
         return [SmallMatrix._exact(m, tuple(zip(*[iter(site)] * m)), site[-1])
-                for site in zip(*x)]
+                if any(site[:-1]) else zero for site in zip(*x)]
 
     def zero(self, n: int) -> list:
         return [*[(0,) * n] * (self.m * self.m), (1,) * n]
@@ -598,7 +605,7 @@ class _ExactColumns(_Columns):
         return [*([p * v for v in c] for c in x[:-1]), [q * d for d in x[-1]]]
 
     def products(self, x, y) -> list:
-        return [*_products(x, y, self.m), list(map(mul, x[-1], y[-1]))]
+        return [*_products(x[:-1], y[:-1], self.m), list(map(mul, x[-1], y[-1]))]
 
     def scalings(self, x) -> tuple:
         """The columns of ``x(n+1) A`` and of ``A x(n)``, A = diag(a) = diag(d) / q in
@@ -628,10 +635,43 @@ def _kit(data: AknsData) -> _Columns:
     return (_FloatColumns if data.mode == scalars.FLOAT else _ExactColumns)(data)
 
 
+def _sum(kit, terms):
+    """The sum of coefficients' columns, added in the order of ``terms``."""
+    return reduce(partial(kit.combine, op=add), terms)
+
+
+def _order(f: LatticeFn, k: int) -> list:
+    """The coefficient of z^-k at each site of a lattice of series whose band ends at 0."""
+    return [s.coeffs[-1 - k] for s in f.values]
+
+
+def _pick(x, entries: slice, m: int) -> list:
+    """The entry columns ``x[entries]`` of a coefficient and its denominator column,
+    if it has one: its column (an m x 1 coefficient) or its row (1 x m)."""
+    return [*x[entries], *x[m * m:]]
+
+
+def _inverse_orders(kit, hat: LatticeFn, depth: int) -> list:
+    """The orders v_0..v_depth of the inverse of ``hat`` as lattices on its sites.
+
+    v_0 = w_0 = I, and v_j is ``-1`` times ``w_1 v_(j-1) + ... + w_j v_0``,
+    summed in that order.  Each order is built as it is formed, and the next
+    orders read its canonical columns.
+    """
+    lattice = partial(LatticeFn.from_values, hat.lo, step=hat.step)
+    w = [kit.read(_order(hat, i)) for i in range(1, depth + 1)]
+    orders = [lattice(_order(hat, 0))]
+    v = [kit.read(orders[0].values)]
+    for j in range(1, depth + 1):
+        acc = _sum(kit, (kit.products(w[i - 1], v[j - i]) for i in range(1, j + 1)))
+        orders.append(lattice(kit.build(kit.scale(acc, -1))))
+        v.append(kit.read(orders[-1].values))
+    return orders
+
+
 def _delta_columns(kit, x, inv) -> list:
-    """The columns of ``Delta x``: ``x(n+1) - x(n)``, times ``inv`` for a deformed step."""
-    dx = kit.combine([c[1:] for c in x], x, sub)
-    return dx if inv is None else kit.scale(dx, inv)
+    """The columns of ``Delta x``: ``x(n+1) - x(n)``, times ``inv`` = 1 / eps."""
+    return kit.scale(kit.combine([c[1:] for c in x], x, sub), inv)
 
 
 def _lax_columns(kit, x, u, inv) -> tuple:

@@ -15,7 +15,8 @@ breaks this is refused when it is built, so no operation on its values
 checks them again.
 
 The positive step ``eps`` deforms the difference operator; ``eps == 1``
-recovers the plain forward difference bit for bit.
+recovers the plain forward difference bit for bit, because scaling by
+``1 / eps == 1`` changes no value.
 """
 
 from __future__ import annotations
@@ -179,7 +180,8 @@ def shift_apply(f: LatticeFn, j: int) -> LatticeFn:
 def delta_apply(f: LatticeFn, kind: str = "forward") -> LatticeFn:
     """Deformed forward difference (f(n+1)-f(n))/eps or its dual (f(n-1)-f(n))/eps.
 
-    Step 1 skips the division, so it is the plain difference bit for bit.
+    The difference is scaled by ``1 / eps``; at step 1 that is 1, and the
+    result is the plain difference bit for bit.
     """
     if kind == "forward":
         shifted = shift_apply(f, 1)
@@ -188,11 +190,8 @@ def delta_apply(f: LatticeFn, kind: str = "forward") -> LatticeFn:
     else:
         raise ValueError(f"unknown difference kind {kind!r}")
     diff = shifted.zip_with(f.restrict(shifted.lo, shifted.hi), lambda a, b: a - b)
-    eps = f.eps()
-    if eps != 1:
-        inv = scalars.one(f.mode) / eps
-        diff = diff.map(lambda v: v.scale(inv))
-    return diff
+    inv = scalars.one(f.mode) / f.eps()
+    return diff.map(lambda v: v.scale(inv))
 
 
 def site_max(f: LatticeFn, norm=lambda v: v.max_abs(), sites=None):

@@ -10,11 +10,9 @@ common denominator, kept canonical: the gcd of every numerator and the
 denominator is 1, so equal matrices have equal fields.  The ring operations
 work on Python ints (entries outgrow 64 bits) and make each result canonical
 with one gcd sweep.  A sum of products is one integer block product
-(``_block_sum``): the left factors are set side by side, the right ones,
-each scaled to the lcm of the term denominators, are stacked, and the
+(``sum_of_products``): the left factors are set side by side, the right
+ones, each scaled to the lcm of the term denominators, are stacked, and the
 unreduced product is swept once.
-``sum_of_products`` sums full products so, and ``sum_of_rank_one`` the
-outer products of one column and one row.
 ``rows`` and ``get`` hand out ``Fraction`` entries in lowest terms, and fill a
 cache to do it; ``numerators`` and ``from_lowest_terms`` are the integer view
 for exact code outside this module, and ``over_lcm`` is the one rule that
@@ -67,22 +65,6 @@ def _diag_product(d: tuple, rows: tuple, left: bool) -> tuple:
     if left:
         return tuple([tuple([0 + s * x for x in row]) for s, row in zip(d, rows)])
     return tuple([tuple([0 + x * s for x, s in zip(row, d)]) for row in rows])
-
-
-def _block_sum(m: int, left, right, dens: list):
-    """The rational sum over j of column j of ``left`` times row j of ``right``,
-    over ``dens[j]``, as one integer product.
-
-    ``left`` is m rows of J integers, ``right`` J rows of m integers, and
-    ``dens[j] > 0`` is the denominator of term j.  Row j of ``right`` is
-    scaled by ``lcm / dens[j]``, the lcm of all the denominators, and
-    ``left @ right`` is the unreduced sum over the lcm, swept once.  A sum of
-    full products ``a_p @ b_p`` is the block product
-    ``[a_1 | ... | a_P] [f_1 b_1; ...; f_P b_P]``, with m terms a product.
-    """
-    den = lcm(*dens)
-    right = [row if d == den else [(den // d) * x for x in row] for row, d in zip(right, dens)]
-    return SmallMatrix._exact(m, _product(left, right), den)
 
 
 def over_lcm(pairs) -> tuple:
@@ -319,10 +301,11 @@ class SmallMatrix:
     def sum_of_products(pairs, m: int, mode: str) -> "SmallMatrix":
         """The sum of ``a @ b`` over the ``(a, b)`` pairs; zero for no pairs.
 
-        Rational: one integer block product (``_block_sum``) of the a's side
-        by side and the b's rows stacked, swept once.  Float: ``acc + (a @ b)``
-        from a zero ``acc``, in pair order, exactly as a loop of ring
-        operations adds them.
+        Rational: one integer block product ``[a_1 | ... | a_P] [f_1 b_1; ...;
+        f_P b_P]``, each ``b_p`` scaled by ``f_p = lcm / (den a_p den b_p)``,
+        the lcm of all the term denominators: the unreduced sum over the lcm,
+        swept once.  Float: ``acc + (a @ b)`` from a zero ``acc``, in pair
+        order, exactly as a loop of ring operations adds them.
         """
         zero = SmallMatrix.zero(m, mode)
         if mode == scalars.FLOAT:
@@ -340,40 +323,10 @@ class SmallMatrix:
         if not dens:
             return zero
         left = lefts[0] if len(lefts) == 1 else [[*chain.from_iterable(r)] for r in zip(*lefts)]
-        return _block_sum(m, left, right, dens)
-
-    @staticmethod
-    def sum_of_rank_one(pairs, k: int, m: int, mode: str) -> "SmallMatrix":
-        """The sum of ``a @ E @ b`` over the ``(a, b)`` pairs, E the projector on index k.
-
-        ``k`` is 0-based.  Each term is the outer product of column k of ``a``
-        and row k of ``b``, so the sum is the product of the m x P matrix of
-        the columns and the P x m matrix of the rows: m*m products per pair,
-        where ``(a @ E) @ b`` forms two full products.  A pair whose column or
-        row is zero adds nothing and is skipped.  Rational: ``_block_sum`` of
-        the columns and the rows.  Float: each entry
-        sums its products from the integer 0 in pair order; for finite entries
-        that is bit for bit ``sum_of_products`` over the pairs ``(a @ E, b)``
-        (see docs/derivations.md section 3).
-        """
-        zero = SmallMatrix.zero(m, mode)
-        exact = mode == scalars.RATIONAL
-        cols, rows, dens = [], [], []
-        for a, b in pairs:
-            zero._compat(a)
-            a._compat(b)
-            av, bv = (a._num, b._num) if exact else (a._rows, b._rows)
-            col, row = tuple([r[k] for r in av]), bv[k]
-            if any(col) and any(row):
-                cols.append(col)
-                rows.append(row)
-                if exact:
-                    dens.append(a._den * b._den)
-        if not cols:
-            return zero
-        if not exact:
-            return SmallMatrix._floats(m, _product(tuple(zip(*cols)), rows))
-        return _block_sum(m, tuple(zip(*cols)), rows, dens)
+        den = lcm(*dens)
+        right = [row if d == den else [(den // d) * x for x in row]
+                 for row, d in zip(right, dens)]
+        return SmallMatrix._exact(m, _product(left, right), den)
 
     def transpose(self) -> "SmallMatrix":
         if self._den is None:

@@ -187,13 +187,13 @@ def _suite_algebra(config: ExperimentConfig, report: VerificationReport) -> None
     zero = SmallMatrix.zero(m, mode)
 
     def compact(margin=3):
-        vals = []
-        for n in range(window.stored_lo, window.stored_hi + 1):
-            if abs(n) <= margin and rng.random() < 0.8:
-                vals.append(random_matrix(rng, m, mode))
-            else:
-                vals.append(zero)
-        return LatticeFn.from_values(window.stored_lo, vals)
+        # values strictly inside the stored range only, so summation by parts
+        # leaves no boundary term; the site is tested before the draw
+        lo, hi = window.stored_lo, window.stored_hi
+        return LatticeFn.from_values(lo, [random_matrix(rng, m, mode)
+                                          if abs(n) <= margin and lo < n < hi
+                                          and rng.random() < 0.8 else zero
+                                          for n in range(lo, hi + 1)])
 
     f, g = compact(), compact()
     prod = f.zip_with(g, lambda x, y: x @ y)
@@ -276,10 +276,11 @@ def _suite_bilinear(config: ExperimentConfig, report: VerificationReport) -> Non
     zero = SmallMatrix.zero(m, mode)
 
     def compact():
-        vals = []
-        for n in range(config.window.stored_lo, config.window.stored_hi + 1):
-            vals.append(random_matrix(rng, m, mode) if abs(n) <= 3 else zero)
-        return LatticeFn.from_values(config.window.stored_lo, vals)
+        # as the algebra suite's: strictly inside the stored range, tested first
+        lo, hi = config.window.stored_lo, config.window.stored_hi
+        return LatticeFn.from_values(lo, [random_matrix(rng, m, mode)
+                                          if abs(n) <= 3 and lo < n < hi else zero
+                                          for n in range(lo, hi + 1)])
 
     pairing, kernel = adjoint_check(state, compact(), compact())
     report.add("adjoint_pairing", pairing, tol)

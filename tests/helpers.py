@@ -20,7 +20,6 @@ from aknsd.hierarchy import (
     _inverse_step,
     _orders_to_series,
     _site_band,
-    _site_matrices,
     flow_field,
     projector_b,
     solve_two_point,
@@ -223,6 +222,11 @@ def ref_commutator_floats(c, c1, u, a_mat, inv):
         0.0 - ((0 + bp * ak) - (0 + ar * ep)) for ep, bp, ak in zip(xpr, x1pr, a)])
         for xpr, x1pr, ar in zip(xs[-1], x1s[-1], a)])))
     return MatSeries(m, c.mode, first, c.hi + 1, tuple(coeffs), vlo)
+
+
+def _site_matrices(cols, m, build):
+    """One matrix per site from m*m entry columns: ``build`` of the site's rows."""
+    return [build(tuple(zip(*[iter(site)] * m))) for site in zip(*cols)]
 
 
 def ref_solve_order(data, rhs, lo, step):

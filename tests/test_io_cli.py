@@ -662,6 +662,22 @@ def test_verify_bilinear_runs_at_every_accepted_depth(tmp_path, desk, depth, flo
     assert [c["check"] for c in checks if not c["pass"]] == failing
 
 
+@pytest.mark.parametrize("suite", ["algebra", "bilinear"])
+def test_verify_draws_no_value_on_a_stored_edge(tmp_path, suite):
+    # stored sites -4..3: the suites' compactly supported test functions draw
+    # at |n| <= 3, and a value on the last stored site would leave a boundary
+    # term that difference_adjointness and adjoint_pairing assume away
+    doc = json.loads((CONFIGS / "desk_m2.json").read_text())
+    doc.update(window={"n_min": -1, "n_max": 0, "halo": 3}, depth=2, flows=[[0, 1]])
+    config, out = tmp_path / "c.json", tmp_path / "report.json"
+    config.write_text(json.dumps(doc))
+    code = cli.main(["verify", "--suite", suite, "--config", str(config), "--out", str(out)])
+    checks = json.loads(out.read_text())["checks"]
+    assert [c["check"] for c in checks if not c["pass"]] == []
+    assert code == 0
+    assert all(c["residual"] == "0" for c in checks if c["require"] == "le")
+
+
 def test_cli_input_error_exit_code(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

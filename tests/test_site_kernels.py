@@ -1,11 +1,12 @@
 """The site kernels against the whole-lattice compositions they replace.
 
 ``resolvent_dressed``, ``_dressing_defect``, ``solve_dressing`` and
-``resolvent_direct`` build each site from the values at n and n + 1: on
-entry columns in both modes (``resolvent_dressed`` per site).  The
-references in ``helpers`` compose the same objects from series products,
-shifts and ``zip_with`` lambdas, and solve each order entry by entry with
-``solve_two_point`` on ``Fraction``s or doubles.  Both must give the same
+``resolvent_direct`` build each site from the values at n and n + 1, and
+``hat_inverse`` from the orders at n: on entry columns in both modes.  The
+references in ``helpers`` compose the same objects from series products
+(``series_inverse`` per site for ``hat_inverse``), shifts and ``zip_with``
+lambdas, and solve each order entry by entry with ``solve_two_point`` on
+``Fraction``s or doubles.  Both must give the same
 bands and, in float mode, the same doubles down to the sign of a zero.  The
 exact column passes (the series pass with the commutator and the defect
 kernel, both right-hand sides) are held to the ring operations, and the
@@ -31,7 +32,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from aknsd import scalars
-from aknsd.errors import AknsdError, DimensionError, ModeError, ValidityError
+from aknsd.baker import _region
+from aknsd.errors import AknsdError, DimensionError, ModeError
 from aknsd.dynamics import FlowIndex, rk4_step
 from aknsd.hierarchy import (
     AknsData,
@@ -46,7 +48,6 @@ from aknsd.hierarchy import (
     _inverse_step,
     _kit,
     _orders_to_series,
-    _resolvent_site,
     _series_columns,
     _sitewise,
     commutator_with_l,
@@ -60,7 +61,7 @@ from aknsd.instances import DESK_DEPTH, DESK_WINDOW, desk_data, random_potential
 from aknsd.lattice import LatticeFn, Window
 from aknsd.matrices import SmallMatrix
 from aknsd.persist import save_state
-from aknsd.series import MatSeries, series_mul
+from aknsd.series import MatSeries, series_inverse
 from helpers import (
     RAT,
     left_mul,
@@ -109,6 +110,13 @@ def _assert_same_sites(got, want):
     assert (got.lo, got.hi, got.step, got.mode) == (want.lo, want.hi, want.step, want.mode)
     for n in got.sites():
         _assert_same(got.at(n), want.at(n))
+
+
+def _assert_same_lattice(got, want):
+    """Same sites, values and tails, entry by entry by repr."""
+    _assert_same_sites(got, want)
+    _assert_same(got.left_tail, want.left_tail)
+    _assert_same(got.right_tail, want.right_tail)
 
 
 class _Draw:
@@ -209,11 +217,53 @@ def state_case(draw):
 def test_dressed_resolvent_kernel_matches_two_series_products(case):
     state, _ = case
     for alpha in range(1, state.data.m + 1):
-        got = resolvent_dressed(state, alpha).series
-        want = ref_dressed_resolvent(state, alpha)
-        _assert_same_sites(got, want)
-        _assert_same(got.left_tail, want.left_tail)
-        _assert_same(got.right_tail, want.right_tail)
+        _assert_same_lattice(resolvent_dressed(state, alpha).series,
+                             ref_dressed_resolvent(state, alpha))
+
+
+@st.composite
+def deep_state(draw):
+    """A state of depth 1..8 on steps 1 and 1/2, its dressing solved or random,
+    with a region of one to three sites, in both modes at m = 2 and 3.
+
+    The entries come from a seeded ``random.Random``, so a deep state fits in
+    Hypothesis's buffer.
+    """
+    m = draw(st.integers(2, 3))
+    mode = draw(st.sampled_from([RAT, FLOAT]))
+    data = _data(draw, m, mode)
+    step = draw(st.sampled_from([None, scalars.as_scalar(Fraction(1, 2), mode)]))
+    depth = draw(st.integers(1, 8))
+    n_min = draw(st.integers(-2, 0))
+    window = Window(n_min, n_min + draw(st.integers(0, 2)), depth)
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+
+    def lattice():
+        return LatticeFn.from_values(window.stored_lo, [
+            SmallMatrix(m, mode, [[rng.choice(_ENTRIES[mode]) for _ in range(m)]
+                                  for _ in range(m)])
+            for _ in range(window.stored_lo, window.stored_hi + 1)], step=step)
+
+    U = lattice()
+    if draw(st.booleans()):
+        ws = solve_dressing(data, U, depth).ws
+    else:
+        ws = tuple(lattice() for _ in range(depth))
+    return HierarchyState(data, U, window, Dressing(depth, ws, data.conventions()))
+
+
+@given(deep_state())
+@settings(max_examples=150, deadline=None)
+def test_column_inverse_and_resolvents_match_the_per_site_products(state):
+    # on the state and on the region a bilinear residual reads: w_hat^{-1}
+    # against series_inverse per site, and each R_alpha against two series
+    # products per site, down to the sign of a zero
+    for s in (state, _region(state)):
+        _assert_same_lattice(s.hat_inverse, s.hat.map(lambda w: series_inverse(w, s.depth),
+                                                      map_tails=False))
+        for alpha in range(1, s.data.m + 1):
+            _assert_same_lattice(resolvent_dressed(s, alpha).series,
+                                 ref_dressed_resolvent(s, alpha))
 
 
 @given(state_case())
@@ -286,27 +336,17 @@ def site_case(draw):
     mode = draw(st.sampled_from([RAT, FLOAT]))
     rnd = _Draw(draw, m, mode)
     band = rnd.band()
-    return (rnd.series(*band), rnd.series(*band), rnd.series(*rnd.band()), rnd.matrix(),
-            _data(draw, m, mode), _step(draw, mode))
+    return rnd.series(*band), rnd.series(*band), rnd.matrix(), _data(draw, m, mode), \
+        _step(draw, mode)
 
 
 @given(site_case())
 @settings(max_examples=300, deadline=None)
 def test_site_kernels_on_any_band(case):
-    c, c1, other, u, data, step = case
+    c, c1, u, data, step = case
     a_mat = data.matrix
-    for k in range(c.m):
-        e_k = MatSeries.constant(data.projector(k + 1))
-        for w, wi in ((c, other), (other, c)):
-            try:
-                want = series_mul(series_mul(w, e_k), wi)
-            except ValidityError:
-                with pytest.raises(ValidityError):
-                    _resolvent_site(w, wi, k)
-                continue
-            _assert_same(_resolvent_site(w, wi, k), want)
-    inv = None if step is None else scalars.one(c.mode) / step
-    diff = c1 - c if inv is None else (c1 - c).scale(inv)
+    inv = scalars.one(c.mode) if step is None else scalars.one(c.mode) / step
+    diff = (c1 - c).scale(inv)
     want = ((diff + left_mul(u, c)) - left_mul(a_mat, c).shift_degree(1)) + \
         right_mul(c1, a_mat).shift_degree(1)
     _assert_same(_series_columns([c, c1], [u], data, inv, _defect_degree)[0], want)
@@ -376,7 +416,7 @@ def fused_case(draw):
 def test_fused_float_kernels_match_the_ring_operations_bit_for_bit(case):
     c, c1, u, data, step = case
     a_mat = data.matrix
-    inv = None if step is None else 1.0 / step
+    inv = 1.0 if step is None else 1.0 / step
     got = _series_columns([c, c1], [u], data, inv, _bracket_degree)[0]
     want = ref_commutator_site(c, c1, u, a_mat, inv)
     assert got.hi == c.hi + 1 and len(got.coeffs) == len(want)
