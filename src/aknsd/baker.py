@@ -27,7 +27,7 @@ from . import scalars
 from .dynamics import FlowIndex, rk4_step
 from .errors import ConsistencyError, InstanceError, ValidityError
 from .hierarchy import AknsData, HierarchyState, projector_b
-from .lattice import LatticeFn, inner_product, delta_apply, shift_apply
+from .lattice import LatticeFn, inner_product, delta_apply, inverse_step, shift_apply
 from .matrices import SmallMatrix
 from .series import MatSeries, series_mul, series_project
 
@@ -190,8 +190,13 @@ def _hat_derivative_numeric(state: HierarchyState, k: int, alpha: int,
                             fd_step: float) -> LatticeFn:
     """Centered difference of the re-solved dressing along the (k, alpha) flow."""
     plus, minus = _stepped_states(state, FlowIndex(k, alpha), fd_step)
+    return _centered(plus.hat, minus.hat, fd_step)
+
+
+def _centered(plus: LatticeFn, minus: LatticeFn, fd_step: float) -> LatticeFn:
+    """The centered difference (plus - minus) / (2 fd_step), site by site."""
     inv = 1.0 / (2.0 * fd_step)
-    return plus.hat.zip_with(minus.hat, lambda a, b: (a - b).scale(inv))
+    return plus.zip_with(minus, lambda a, b: (a - b).scale(inv))
 
 
 def _displacement_polynomial(state: HierarchyState, k: int, alpha: int,
@@ -230,8 +235,7 @@ def _mixed_word_factor(state: HierarchyState, k1: int, alpha1: int,
         leg = b.zip_with(solved.hat, series_mul).map(
             lambda s: series_mul(s, disp), map_tails=False)
         legs.append(leg)
-    inv = 1.0 / (2.0 * fd_step)
-    return legs[0].zip_with(legs[1], lambda a, b: (a - b).scale(inv))
+    return _centered(*legs, fd_step)
 
 
 def _step_polynomial(state: HierarchyState) -> MatSeries:
@@ -252,14 +256,13 @@ def _word_factor(state: HierarchyState, word: tuple, path: str,
     if len(word) == 1:
         (k, alpha), = word
         # d(W g) g^{-1} = dW + W z^k E_alpha
+        zke = MatSeries.monomial(state.data.projector(alpha), k)
         if path == "analytic":
             # dW = -Bbar_{k alpha} W, so Y = W z^k E_alpha - Bbar W
             bbar = projector_b(state.resolvent(alpha), k, "minus")
-            zke = MatSeries.monomial(state.data.projector(alpha), k)
             return state.hat.zip_with(bbar, lambda w, b: series_mul(w, zke) - series_mul(b, w))
         if path == "numeric":
             d_hat = _hat_derivative_numeric(state, k, alpha, fd_step)
-            zke = MatSeries.monomial(state.data.projector(alpha), k)
             return d_hat.zip_with(state.hat, lambda d, w: d + series_mul(w, zke))
         raise ValueError(f"unknown path {path!r} for length-1 words")
 
@@ -289,25 +292,23 @@ def _word_factor(state: HierarchyState, word: tuple, path: str,
     raise ValueError(f"unknown path {path!r} for length-2 words")
 
 
-def _check_difference_power(m_delta: int) -> None:
-    if m_delta not in (0, 1):
-        raise InstanceError("the difference power must be 0 or 1")
-
-
 def _expression(state: HierarchyState, y: LatticeFn, m_delta: int) -> LatticeFn:
     """(Delta^m d^word w) w^{-1} from the word factor ``y``, on the sites where
     ``y`` (at n, and at n + 1 for the difference form) and ``hat_inverse`` are.
 
-    With w = Y g and g(n+1) = (1 + eps z A) g(n), the difference form reduces
-    to [Y(n+1) (1 + eps z A) - Y(n)] w_hat(n)^{-1} / eps.
+    Every bilinear cell goes through here, so here the difference power m is
+    checked to be 0 or 1.  With w = Y g and g(n+1) = (1 + eps z A) g(n), the
+    difference form reduces to [Y(n+1) (1 + eps z A) - Y(n)] w_hat(n)^{-1} / eps.
     """
+    if m_delta not in (0, 1):
+        raise InstanceError("the difference power must be 0 or 1")
     if m_delta == 0:
         return y.zip_with(state.hat_inverse, series_mul)
     mid = _step_polynomial(state)
     lam_y = shift_apply(y, 1)
     diff = lam_y.zip_with(y.restrict(lam_y.lo, lam_y.hi),
                           lambda yn1, yn: series_mul(yn1, mid) - yn)
-    eps_inv = scalars.one(state.mode) / state.step
+    eps_inv = inverse_step(state.U)
     return diff.zip_with(state.hat_inverse,
                          lambda d, wi: series_mul(d, wi).scale(eps_inv))
 
@@ -315,7 +316,6 @@ def _expression(state: HierarchyState, y: LatticeFn, m_delta: int) -> LatticeFn:
 def bilinear_expression(state: HierarchyState, m_delta: int, word: tuple, *,
                         path: str = "analytic", fd_step: float = 1e-5) -> LatticeFn:
     """The cancellation-reduced series (Delta^m d^word w) w^{-1} per site."""
-    _check_difference_power(m_delta)
     return _expression(state, _word_factor(state, word, path, fd_step), m_delta)
 
 
@@ -346,7 +346,6 @@ def bilinear_residual(state: HierarchyState, l_max: int, m_delta: int,
     residue lies below it is refused.  The expression is formed on the region
     only (``_Region``).
     """
-    _check_difference_power(m_delta)
     return _word_residuals(_region(state), word, [(m_delta, l_max)], path, fd_step)[0]
 
 
@@ -358,9 +357,6 @@ def bilinear_residuals(state: HierarchyState, grid: dict) -> list:
     w_hat^{-1} and each resolvent are formed once, and each word factor Y is
     formed once, for all the cells of its word.
     """
-    for cells in grid.values():
-        for m_delta, _ in cells:
-            _check_difference_power(m_delta)
     region = _region(state)
     return [v for word, cells in grid.items()
             for v in _word_residuals(region, word, cells, "analytic", None)]

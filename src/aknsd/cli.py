@@ -87,7 +87,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def command(name, handler, help):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(handler=handler)
         p.add_argument("--config", default=None, help="path to the JSON config")
         p.add_argument("--out", default=None, help="output path")
         p.add_argument("--format", choices=FORMATS, default=None)
@@ -95,34 +97,20 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--tol", type=float, default=None)
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--verbose", action="store_true", default=None)
+        return p
 
-    p = sub.add_parser("dress", help="solve the dressing and report its residual")
-    common(p)
-    p.add_argument("--state", default=None,
-                   help="verify an existing state document instead of solving")
-
-    p = sub.add_parser("resolvent", help="build a resolvent both ways and compare")
-    common(p)
-    p.add_argument("--alpha", type=int, default=1)
-
-    p = sub.add_parser("flow", help="evaluate one hierarchy flow field")
-    common(p)
+    command("dress", cmd_dress, "solve the dressing and report its residual").add_argument(
+        "--state", default=None, help="verify an existing state document instead of solving")
+    command("resolvent", cmd_resolvent, "build a resolvent both ways and compare").add_argument(
+        "--alpha", type=int, default=1)
+    p = command("flow", cmd_flow, "evaluate one hierarchy flow field")
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--alpha", type=int, default=None)
-
-    p = sub.add_parser("evolve", help="integrate the potential along a flow")
-    common(p)
-
-    p = sub.add_parser("verify", help="run a verification suite")
-    common(p)
-    p.add_argument("--suite", choices=SUITES, default="all")
-
-    p = sub.add_parser("limit", help="run the small-step continuum scan")
-    common(p)
-
-    p = sub.add_parser("tau", help="tau-function demo: candidate and consistency")
-    common(p)
-
+    command("evolve", cmd_evolve, "integrate the potential along a flow")
+    command("verify", cmd_verify, "run a verification suite").add_argument(
+        "--suite", choices=SUITES, default="all")
+    command("limit", cmd_limit, "run the small-step continuum scan")
+    command("tau", cmd_tau, "tau-function demo: candidate and consistency")
     return parser
 
 
@@ -264,23 +252,12 @@ def cmd_tau(args) -> int:
     return EXIT_OK if worst == 0 and consistent else EXIT_CHECK_FAILED
 
 
-_COMMANDS = {
-    "dress": cmd_dress,
-    "resolvent": cmd_resolvent,
-    "flow": cmd_flow,
-    "evolve": cmd_evolve,
-    "verify": cmd_verify,
-    "limit": cmd_limit,
-    "tau": cmd_tau,
-}
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         _apply_env(args)
-        return _COMMANDS[args.command](args)
+        return args.handler(args)
     except (ConfigError, SchemaError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR

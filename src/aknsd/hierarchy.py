@@ -56,9 +56,10 @@ sites, in both modes and through the same compositions:
 
 What differs by mode is one layer of column primitives, ``_FloatColumns``
 and ``_ExactColumns`` (``_kit`` picks one from the instance): reading and
-building matrices, the zero, sums and differences, products, the A
-scalings (A is diagonal, so its products are row and column scalings) and
-the two-point solve.  The float primitives keep the operation order of the
+building matrices, the zero, sums and differences, the deformed
+difference Delta x (one pass in float mode), products, the A scalings
+(A is diagonal, so its products are row and column scalings) and the
+two-point solve.  The float primitives keep the operation order of the
 ring operations they replace, so float results are the same bit for bit.
 A rational coefficient is integer numerator columns over one denominator
 column, summed unreduced over the per-site lcm of its terms' denominators;
@@ -88,7 +89,7 @@ from operator import add, floordiv, mul, sub
 
 from . import scalars
 from .errors import ConsistencyError, DimensionError, InstanceError, ModeError, ValidityError
-from .lattice import LatticeFn, Window, site_max
+from .lattice import LatticeFn, Window, inverse_step, site_max
 from .matrices import SmallMatrix, over_lcm
 from .series import (
     MatSeries,
@@ -460,17 +461,11 @@ def _sitewise(P: LatticeFn, data: AknsData, U: LatticeFn, degree) -> LatticeFn:
         raise DimensionError("operand ranges do not overlap")
     if len({(s.lo, s.hi, s.valid_lo) for s in P.values}) != 1:
         raise DimensionError("a site kernel needs one band across P's sites")
-    run = partial(_series_columns, data=data, inv=_inverse_step(P), degree=degree)
+    run = partial(_series_columns, data=data, inv=inverse_step(P), degree=degree)
     vals = run([P.at(n) for n in range(lo, hi + 2)], [U.at(n) for n in range(lo, hi + 1)])
     tails = [run([t, t], [u])[0]
              for t, u in ((P.left_tail, U.left_tail), (P.right_tail, U.right_tail))]
     return LatticeFn(lo, hi, tuple(vals), *tails, P.step, P.mode)
-
-
-def _inverse_step(f: LatticeFn):
-    """1 / eps of a lattice, in its mode.  The unit step gives 1, and scaling by 1
-    changes no value (x * 1.0 is x in IEEE, down to a zero's sign)."""
-    return scalars.one(f.mode) / f.eps()
 
 
 def _site_band(c: MatSeries) -> tuple:
@@ -548,6 +543,11 @@ class _FloatColumns(_Columns):
     def scale(self, x, s) -> list:
         return [[s * d for d in c] for c in x]
 
+    def delta(self, x, inv) -> list:
+        """The columns of ``Delta x``: ``inv * (x(n+1) - x(n))`` per entry in one pass,
+        the doubles of ``scale(combine(..., sub), inv)``."""
+        return [[inv * (b - a) for a, b in zip(c, c[1:])] for c in x]
+
     def products(self, x, y) -> list:
         return _products(x, y, self.m)
 
@@ -603,6 +603,10 @@ class _ExactColumns(_Columns):
     def scale(self, x, s) -> list:
         p, q = s.numerator, s.denominator
         return [*([p * v for v in c] for c in x[:-1]), [q * d for d in x[-1]]]
+
+    def delta(self, x, inv) -> list:
+        """The columns of ``Delta x``: ``x(n+1) - x(n)``, times ``inv`` = 1 / eps."""
+        return self.scale(self.combine([c[1:] for c in x], x, sub), inv)
 
     def products(self, x, y) -> list:
         return [*_products(x[:-1], y[:-1], self.m), list(map(mul, x[-1], y[-1]))]
@@ -669,11 +673,6 @@ def _inverse_orders(kit, hat: LatticeFn, depth: int) -> list:
     return orders
 
 
-def _delta_columns(kit, x, inv) -> list:
-    """The columns of ``Delta x``: ``x(n+1) - x(n)``, times ``inv`` = 1 / eps."""
-    return kit.scale(kit.combine([c[1:] for c in x], x, sub), inv)
-
-
 def _lax_columns(kit, x, u, inv) -> tuple:
     """The columns of ``(x(n+1) U(n)) - (U(n) x(n))`` and of ``Delta x``.
 
@@ -681,7 +680,7 @@ def _lax_columns(kit, x, u, inv) -> tuple:
     transitions 0..L-1, and both results are at the transitions.
     """
     pq = kit.combine(kit.products([c[1:] for c in x], u), kit.products(u, x), sub)
-    return pq, _delta_columns(kit, x, inv)
+    return pq, kit.delta(x, inv)
 
 
 def _dressing_parts(kit, x, u, inv) -> tuple:
@@ -690,7 +689,7 @@ def _dressing_parts(kit, x, u, inv) -> tuple:
     ``Delta x + U x`` is their sum ``D + (U x)``, the ring operations'
     ``Delta x + (u @ x)`` in that order.
     """
-    return kit.products(u, x), _delta_columns(kit, x, inv)
+    return kit.products(u, x), kit.delta(x, inv)
 
 
 # The right-hand sides of the order loop ``_order_columns``, as (parts, op):
@@ -726,7 +725,7 @@ def _solve_lattices(data: AknsData, U: LatticeFn, first: SmallMatrix, depth: int
     if depth < 1:
         return []
     kit = _kit(data)
-    orders = _order_columns(kit, _transition_columns(kit, U), _inverse_step(U), first, depth,
+    orders = _order_columns(kit, _transition_columns(kit, U), inverse_step(U), first, depth,
                             *rhs)[0]
     return [LatticeFn.from_values(U.lo, kit.build(c), step=U.step) for c in orders[1:]]
 
@@ -832,7 +831,7 @@ def flow_field(data: AknsData, U: LatticeFn, k: int, alpha: int, *,
     if U.lo == U.hi and k == 0:  # no order to solve: the commutator has no site
         raise DimensionError("operand ranges do not overlap")
     kit = _kit(data)
-    degree0 = _flow_pass(data, _transition_columns(kit, U), _inverse_step(U), k, alpha, tol)
+    degree0 = _flow_pass(data, _transition_columns(kit, U), inverse_step(U), k, alpha, tol)
     return LatticeFn.from_values(U.lo, kit.build(degree0), step=U.step)
 
 

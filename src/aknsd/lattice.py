@@ -177,6 +177,15 @@ def shift_apply(f: LatticeFn, j: int) -> LatticeFn:
     return LatticeFn(lo, hi, vals, f.left_tail, f.right_tail, f.step, f.mode)
 
 
+def inverse_step(f: LatticeFn):
+    """1 / eps of a lattice, in its mode: the one scaling of every difference.
+
+    The unit step gives 1, and scaling by 1 changes no value (x * 1.0 is x in
+    IEEE, down to a zero's sign).
+    """
+    return scalars.one(f.mode) / f.eps()
+
+
 def delta_apply(f: LatticeFn, kind: str = "forward") -> LatticeFn:
     """Deformed forward difference (f(n+1)-f(n))/eps or its dual (f(n-1)-f(n))/eps.
 
@@ -189,9 +198,8 @@ def delta_apply(f: LatticeFn, kind: str = "forward") -> LatticeFn:
         shifted = shift_apply(f, -1)
     else:
         raise ValueError(f"unknown difference kind {kind!r}")
-    diff = shifted.zip_with(f.restrict(shifted.lo, shifted.hi), lambda a, b: a - b)
-    inv = scalars.one(f.mode) / f.eps()
-    return diff.map(lambda v: v.scale(inv))
+    inv = inverse_step(f)
+    return shifted.zip_with(f.restrict(shifted.lo, shifted.hi), lambda a, b: (a - b).scale(inv))
 
 
 def site_max(f: LatticeFn, norm=lambda v: v.max_abs(), sites=None):

@@ -154,15 +154,11 @@ class SmallMatrix:
     @staticmethod
     @cache  # immutable, and at most one per (m, mode): share it
     def zero(m: int, mode: str) -> "SmallMatrix":
-        z = scalars.zero(mode)
-        return SmallMatrix(m, mode, tuple((z,) * m for _ in range(m)))
+        return SmallMatrix.diag((0,) * m, mode)
 
     @staticmethod
     def identity(m: int, mode: str) -> "SmallMatrix":
-        z, o = scalars.zero(mode), scalars.one(mode)
-        return SmallMatrix(
-            m, mode, tuple(tuple(o if i == j else z for j in range(m)) for i in range(m))
-        )
+        return SmallMatrix.diag((1,) * m, mode)
 
     @staticmethod
     def diag(entries, mode: str) -> "SmallMatrix":

@@ -78,13 +78,12 @@ class MatSeries:
 
     @staticmethod
     def zero(m: int, mode: str, lo: int = 0, hi: int = 0) -> "MatSeries":
-        z = SmallMatrix.zero(m, mode)
-        return MatSeries(m, mode, lo, hi, tuple(z for _ in range(hi - lo + 1)), None)
+        return MatSeries.from_coeffs({}, m, mode, lo=lo, hi=hi)
 
     @staticmethod
     def constant(mat: SmallMatrix) -> "MatSeries":
         """Promote a matrix to the exact degree-0 series."""
-        return MatSeries(mat.m, mat.mode, 0, 0, (mat,), None)
+        return MatSeries.monomial(mat, 0)
 
     @staticmethod
     def monomial(mat: SmallMatrix, degree: int) -> "MatSeries":

@@ -17,7 +17,6 @@ from aknsd.hierarchy import (
     Dressing,
     HierarchyState,
     Resolvent,
-    _inverse_step,
     _orders_to_series,
     _site_band,
     flow_field,
@@ -25,7 +24,7 @@ from aknsd.hierarchy import (
     solve_two_point,
 )
 from aknsd.instances import DESK_DEPTH, DESK_WINDOW
-from aknsd.lattice import LatticeFn, delta_apply, shift_apply, site_max
+from aknsd.lattice import LatticeFn, delta_apply, inverse_step, shift_apply, site_max
 from aknsd.matrices import SmallMatrix, _product
 from aknsd.series import MatSeries, series_mul
 
@@ -250,7 +249,7 @@ def ref_solve_order(data, rhs, lo, step):
 
 def ref_solve_orders_floats(data, U, first, rhs_site, depth):
     """The float order loop site by site: ``rhs_site(x(n), x(n + 1), U(n), inv)`` each step."""
-    inv = _inverse_step(U)
+    inv = inverse_step(U)
     orders = [first]
     for _ in range(depth):
         x = orders[-1]
@@ -299,7 +298,7 @@ def ref_sitewise(P, data, U, kernel):
         raise DimensionError("operand ranges do not overlap")
     if len({(s.lo, s.hi, s.valid_lo) for s in P.values}) != 1:
         raise DimensionError("a site kernel needs one band across P's sites")
-    a_mat, inv = data.matrix, _inverse_step(P)
+    a_mat, inv = data.matrix, inverse_step(P)
     vals = tuple(kernel(P.at(n), P.at(n + 1), U.at(n), a_mat, inv) for n in range(lo, hi + 1))
     return LatticeFn(lo, hi, vals,
                      kernel(P.left_tail, P.left_tail, U.left_tail, a_mat, inv),

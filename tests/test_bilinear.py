@@ -112,6 +112,16 @@ def test_words_longer_than_two_refused():
         bilinear_expression(state, 0, ((0, 1), (0, 2), (0, 1)))
 
 
+@pytest.mark.parametrize("m_delta", [-1, 2])
+def test_a_difference_power_other_than_0_or_1_is_refused(m_delta):
+    state = rational_state(depth=3)
+    for run in (lambda: bilinear_expression(state, m_delta, ()),
+                lambda: bilinear_residual(state, 0, m_delta, ((0, 1),)),
+                lambda: bilinear_residuals(state, {(): [(0, 0), (m_delta, 0)]})):
+        with pytest.raises(InstanceError, match="the difference power must be 0 or 1"):
+            run()
+
+
 @pytest.mark.parametrize("m", [2, 3])
 def test_l_capacity_is_the_band_of_the_expression(m):
     # the closed form must equal -1 minus the lowest valid degree on every

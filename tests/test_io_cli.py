@@ -678,6 +678,100 @@ def test_verify_draws_no_value_on_a_stored_edge(tmp_path, suite):
     assert all(c["residual"] == "0" for c in checks if c["require"] == "le")
 
 
+@pytest.mark.filterwarnings("ignore:boundary leakage")
+def test_a_refused_dynamics_run_fails_one_check_and_keeps_the_report(tmp_path):
+    # the commutativity run of this regime leaks past the hard limit at its
+    # first step; the refusal is one failing check, and every other suite's
+    # checks are still written
+    doc = {"m": 2, "a": ["1/2", "-4"], "window": {"n_min": -1, "n_max": -1, "halo": 4},
+           "depth": 2, "flows": [], "h": 0.01, "steps": 2, "seed": 10, "mode": "rational",
+           "potential": {"type": "vacuum"}}
+    config, out = tmp_path / "c.json", tmp_path / "report.json"
+    config.write_text(json.dumps(doc))
+    assert cli.main(["verify", "--config", str(config), "--out", str(out)]) == 1
+    checks = json.loads(out.read_text())["checks"]
+    assert [c for c in checks if c["check"] == "dynamics_run_refused"] == [{
+        "check": "dynamics_run_refused",
+        "parameters": {"error": "boundary leakage 0.09900498337500001 exceeds hard limit "
+                                "at step 1"},
+        "residual": "1.0", "threshold": "0.0", "require": "le", "pass": False}]
+    assert [c["check"] for c in checks if not c["pass"]] == [
+        "dynamics_run_refused", "continuum_dx_relation_order"]
+    names = [c["check"] for c in checks]
+    assert {"series_mul_associative", "cross_solver_equality", "adjoint_pairing",
+            "rk4_vs_euler_order", "continuum_cauchy_order"} <= set(names)
+    assert "commutativity_defect" not in names
+
+
+@st.composite
+def accepted_config(draw):
+    """A small config that ``parse_config`` accepts, over the keys the commands read."""
+    m = draw(st.sampled_from([2, 3]))
+    n_min = draw(st.integers(-3, 1))
+    window = {"n_min": n_min, "n_max": n_min + draw(st.integers(0, 2)),
+              "halo": draw(st.integers(1, 4))}
+    depth = draw(st.integers(1, min(window["halo"], 4)))
+    flow = st.tuples(st.integers(0, max(depth - 2, 0)), st.integers(1, m)).map(list)
+    lo, hi = n_min - window["halo"], window["n_max"] + window["halo"]
+    potentials = [{"type": "vacuum"},
+                  {"type": "impulse", "site": max(lo, min(0, hi)), "value": "3/2"}]
+    if lo <= 0 <= hi:  # a random potential lives on sites -span..span
+        potentials.append({"type": "random", "span": min(-lo, hi, 2), "amplitude": "1/2"})
+    potential = draw(st.sampled_from(potentials))
+    return {
+        "m": m,
+        "a": draw(st.lists(st.sampled_from(["1", "-1", "2", "1/2", "-4", "3/2", "-2/3"]),
+                           min_size=m, max_size=m, unique=True)),
+        "window": window,
+        "depth": depth,
+        "mode": draw(st.sampled_from(["rational", "float"])),
+        "flows": draw(st.lists(flow, max_size=2)) if depth >= 2 else [],
+        "h": draw(st.sampled_from([0.01, 0.1])),
+        "steps": draw(st.integers(1, 3)),
+        "eps_list": ["1/2", "1/4", "1/8"],
+        "tol": draw(st.sampled_from([0, 1e-9])),
+        "seed": draw(st.integers(0, 99)),
+        "potential": potential,
+    }
+
+
+@given(doc=accepted_config())
+@settings(max_examples=50, deadline=None)
+@pytest.mark.filterwarnings("ignore:boundary leakage")
+def test_every_accepted_config_runs_every_command_to_a_contract_code(doc):
+    # each command ends with 0, 1 or 2 and raises nothing; verify writes its
+    # report whenever it ends with 0 or 1, and in rational mode every algebra
+    # and resolvent identity of the report reads exactly 0
+    config = parse_config(json.dumps(doc))
+    spans = {}
+
+    def spanned(name, fn):
+        def run(c, report):
+            start = len(report.checks)
+            fn(c, report)
+            spans[name] = range(start, len(report.checks))
+        return run
+
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.dict(verify._SUITE_FNS, {name: spanned(name, fn)
+                                                for name, fn in verify._SUITE_FNS.items()}), \
+            contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        path = Path(tmp) / "c.json"
+        path.write_text(json.dumps(doc))
+        codes = {}
+        for command in ("dress", "resolvent", "flow", "evolve", "verify", "tau"):
+            out = Path(tmp) / f"{command}.out"
+            codes[command] = cli.main([command, "--config", str(path), "--out", str(out)])
+        verified = Path(tmp) / "verify.out"
+        report = json.loads(verified.read_text()) if verified.exists() else None
+    assert set(codes.values()) <= {0, 1, 2}, codes
+    assert (report is not None) == (codes["verify"] in (0, 1)), codes
+    if report is not None and config.mode == scalars.RATIONAL:
+        exact = [report["checks"][i] for name in ("algebra", "resolvent") for i in spans[name]]
+        assert [c for c in exact if c["residual"] != "0"] == []
+
+
 def test_cli_input_error_exit_code(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

@@ -45,7 +45,6 @@ from aknsd.hierarchy import (
     _bracket_degree,
     _defect_degree,
     _dressing_defect,
-    _inverse_step,
     _kit,
     _orders_to_series,
     _series_columns,
@@ -58,7 +57,7 @@ from aknsd.hierarchy import (
     solve_dressing,
 )
 from aknsd.instances import DESK_DEPTH, DESK_WINDOW, desk_data, random_potential
-from aknsd.lattice import LatticeFn, Window
+from aknsd.lattice import LatticeFn, Window, inverse_step
 from aknsd.matrices import SmallMatrix
 from aknsd.persist import save_state
 from aknsd.series import MatSeries, series_inverse
@@ -285,7 +284,7 @@ def test_direct_rhs_kernel_matches_the_zip_with_composition(case):
     state, (a, b) = case
     U = state.U.restrict(a, b)
     rnd_r = state.dressing.ws[0].restrict(a, b)  # any matrix lattice on U's range will do
-    inv = _inverse_step(U)
+    inv = inverse_step(U)
     want = ref_direct_rhs(rnd_r, U)
     got = _column_rhs(state.data, [rnd_r.at(n) for n in U.sites()], U.values[:-1], inv)
     assert (want.lo, want.hi) == (U.lo, U.hi - 1)
@@ -315,7 +314,7 @@ def test_dressing_solve_matches_the_whole_lattice_rhs(case):
     # order solved from the whole-lattice right-hand side
     state, (a, b) = case
     data, U = state.data, state.U.restrict(a, b)
-    inv = _inverse_step(U)
+    inv = inverse_step(U)
     w = U.constant(SmallMatrix.identity(data.m, U.mode))
     for got in solve_dressing(data, U, state.depth).ws:
         rhs = ref_dressing_rhs(w, U)
