@@ -9,7 +9,10 @@ before any series arithmetic, so only ``w_hat``-shaped series, projections
 reductions are spelled out in docs/derivations.md).  In rational mode the
 checks are exact; the finite-difference paths replace one analytic
 derivative by a centered difference and converge at second order in the
-differencing step.
+differencing step.  Every series of a bilinear cell and of the dual kernel
+is a lattice of series on entry columns (``columns._ColumnSeries``): each
+product is formed for all the sites at once and multiplied out, and the
+region a residual reads is a cut of the dressing's columns (``_Region``).
 
 Tau functions are finite sums of exponentials ``exp(+-xi_g(x))`` carried by
 their Miwa points ``(g, x, +-1)`` and taken at t = 0: the discrete time shift
@@ -20,16 +23,17 @@ multiplies a term by ``(1 + a_g x)^(+-n)`` and the Miwa shift by
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 from . import scalars
 from .dynamics import FlowIndex, rk4_step
 from .errors import ConsistencyError, InstanceError, ValidityError
-from .hierarchy import AknsData, HierarchyState, projector_b
-from .lattice import LatticeFn, inner_product, delta_apply, inverse_step, shift_apply
+from .columns import _ColumnSeries, _kit
+from .hierarchy import AknsData, HierarchyState, _dressed_series, _inverse_series
+from .lattice import LatticeFn, inner_product, delta_apply, inverse_step
 from .matrices import SmallMatrix
-from .series import MatSeries, series_mul, series_project
+from .series import MatSeries, series_mul  # noqa: F401  (perfbench reads baker.series_mul)
 
 
 # -- tau functions as sums over Miwa points -----------------------------------------
@@ -157,21 +161,45 @@ def baker_from_tau(tau_d: TauExpSum, companions: dict, n: int, data: AknsData,
 # -- bilinear residue verifier ---------------------------------------------------------
 
 
-class _Region(HierarchyState):
-    """A state seen on the sites [n_min, n_max + 1], all that a bilinear residual reads.
+class _Region:
+    """A state's dressing on the sites [lo, hi] on entry columns, with its inverse and
+    resolvents formed there only.
 
-    The same instance, potential, window and dressing, with the dressing
-    series cut to these sites, so the inverse and the resolvents a residual
-    forms from it are formed there only; the difference form reads
-    Y(n + 1), hence the one site past n_max.  Every product of the
+    The dressing series is cut to these sites before anything is formed from
+    it; the cut of all the state's sites is the state's own inverse and
+    resolvents, formed once per state.  Every product of a bilinear
     expression is site-local, so each value is the state's own at its site
-    (docs/derivations.md section 5).  A region lives for one call of
-    ``bilinear_residual`` or ``bilinear_residuals``.
+    (docs/derivations.md section 5).  A region lives for one call.
     """
 
+    def __init__(self, state: HierarchyState, lo: int, hi: int):
+        self.state, self.kit = state, _kit(state.data)
+        self._hat = state.hat.restrict(lo, hi)
+        self._whole = (self._hat.lo, self._hat.hi) == (state.hat.lo, state.hat.hi)
+        self.hat = _ColumnSeries.read(self.kit, self._hat)
+        self._resolvents = {}
+
     @cached_property
-    def hat(self) -> LatticeFn:
-        return HierarchyState.hat.func(self).restrict(self.window.n_min, self.window.n_max + 1)
+    def _inverse(self) -> LatticeFn:
+        if self._whole:
+            return self.state.hat_inverse
+        return _inverse_series(self.kit, self._hat, self.state.depth)
+
+    @cached_property
+    def hat_inverse(self) -> _ColumnSeries:
+        return _ColumnSeries.read(self.kit, self._inverse)
+
+    def resolvent(self, alpha: int) -> _ColumnSeries:
+        if alpha not in self._resolvents:
+            self.state.data.projector(alpha)  # refuses an alpha outside 1..m
+            r = self.state.resolvent(alpha).series if self._whole else \
+                _dressed_series(self.kit, self._hat, self._inverse, alpha, self.state.depth)
+            self._resolvents[alpha] = _ColumnSeries.read(self.kit, r)
+        return self._resolvents[alpha]
+
+    def cut(self, state: HierarchyState) -> "_Region":
+        """Another state of the same window on this region's sites."""
+        return _Region(state, self.hat.n_lo, self.hat.n_hi)
 
 
 def _stepped_states(state: HierarchyState, flow: FlowIndex, fd_step: float) -> list:
@@ -186,17 +214,9 @@ def _stepped_states(state: HierarchyState, flow: FlowIndex, fd_step: float) -> l
     ]
 
 
-def _hat_derivative_numeric(state: HierarchyState, k: int, alpha: int,
-                            fd_step: float) -> LatticeFn:
-    """Centered difference of the re-solved dressing along the (k, alpha) flow."""
-    plus, minus = _stepped_states(state, FlowIndex(k, alpha), fd_step)
-    return _centered(plus.hat, minus.hat, fd_step)
-
-
-def _centered(plus: LatticeFn, minus: LatticeFn, fd_step: float) -> LatticeFn:
+def _centered(plus: _ColumnSeries, minus: _ColumnSeries, fd_step: float) -> _ColumnSeries:
     """The centered difference (plus - minus) / (2 fd_step), site by site."""
-    inv = 1.0 / (2.0 * fd_step)
-    return plus.zip_with(minus, lambda a, b: (a - b).scale(inv))
+    return (plus - minus).scale(1.0 / (2.0 * fd_step))
 
 
 def _displacement_polynomial(state: HierarchyState, k: int, alpha: int,
@@ -218,23 +238,23 @@ def _displacement_polynomial(state: HierarchyState, k: int, alpha: int,
     return MatSeries.from_coeffs(coeffs, state.data.m, state.mode)
 
 
-def _mixed_word_factor(state: HierarchyState, k1: int, alpha1: int,
-                       k2: int, alpha2: int, fd_step: float) -> LatticeFn:
+def _mixed_word_factor(region: _Region, k1: int, alpha1: int,
+                       k2: int, alpha2: int, fd_step: float) -> _ColumnSeries:
     """(d_1 d_2 w) g^{-1} with the outer derivative taken numerically.
 
     d_2 w = B_2 w analytically; the centered difference of B_2(t) w(t) along
     the (k1, alpha1) flow is taken with g(t +- delta) g(t)^{-1} kept as the
     displacement polynomial, whose tail stays below the O(delta^2)
-    differencing error, so only evolved dressing factors remain.
+    differencing error, so only evolved dressing factors remain.  The
+    displacement multiplies the sites only; the tails are B_2 w's.
     """
-    stepped = _stepped_states(state, FlowIndex(k1, alpha1), fd_step)
+    state = region.state
     legs = []
-    for sign, solved in zip((1.0, -1.0), stepped):
-        b = projector_b(solved.resolvent(alpha2), k2, "plus")
-        disp = _displacement_polynomial(state, k1, alpha1, sign * fd_step)
-        leg = b.zip_with(solved.hat, series_mul).map(
-            lambda s: series_mul(s, disp), map_tails=False)
-        legs.append(leg)
+    for sign, solved in zip((1.0, -1.0), _stepped_states(state, FlowIndex(k1, alpha1), fd_step)):
+        cut = region.cut(solved)
+        leg = cut.resolvent(alpha2).project("plus", k2) * cut.hat
+        disp = leg.constant(_displacement_polynomial(state, k1, alpha1, sign * fd_step))
+        legs.append(replace(leg * disp, tails=leg.tails))
     return _centered(*legs, fd_step)
 
 
@@ -247,23 +267,23 @@ def _step_polynomial(state: HierarchyState) -> MatSeries:
     )
 
 
-def _word_factor(state: HierarchyState, word: tuple, path: str,
-                 fd_step: float) -> LatticeFn:
-    """The dressing-shaped series Y = (d^word w) g^{-1} per site."""
+def _word_factor(region: _Region, word: tuple, path: str, fd_step) -> _ColumnSeries:
+    """The dressing-shaped series Y = (d^word w) g^{-1} on the region's sites."""
+    hat = region.hat
     if len(word) == 0:
-        return state.hat
+        return hat
 
     if len(word) == 1:
         (k, alpha), = word
         # d(W g) g^{-1} = dW + W z^k E_alpha
-        zke = MatSeries.monomial(state.data.projector(alpha), k)
+        zke = hat.constant(MatSeries.monomial(region.state.data.projector(alpha), k))
         if path == "analytic":
             # dW = -Bbar_{k alpha} W, so Y = W z^k E_alpha - Bbar W
-            bbar = projector_b(state.resolvent(alpha), k, "minus")
-            return state.hat.zip_with(bbar, lambda w, b: series_mul(w, zke) - series_mul(b, w))
+            return hat * zke - region.resolvent(alpha).project("minus", k) * hat
         if path == "numeric":
-            d_hat = _hat_derivative_numeric(state, k, alpha, fd_step)
-            return d_hat.zip_with(state.hat, lambda d, w: d + series_mul(w, zke))
+            # the centered difference of the re-solved dressing along the flow
+            plus, minus = _stepped_states(region.state, FlowIndex(k, alpha), fd_step)
+            return _centered(region.cut(plus).hat, region.cut(minus).hat, fd_step) + hat * zke
         raise ValueError(f"unknown path {path!r} for length-1 words")
 
     if len(word) != 2:
@@ -273,28 +293,19 @@ def _word_factor(state: HierarchyState, word: tuple, path: str,
         # d_1 d_2 w = f w with f = (z^k2 [B_1, R_2])_+ + B_2 B_1, all of it
         # assembled from series products; f w w^{-1} stays free of negative
         # powers exactly when the hierarchy relations hold
-        b2 = projector_b(state.resolvent(a2), k2, "plus")
-        b1 = projector_b(state.resolvent(a1), k1, "plus")
-        r2 = state.resolvent(a2).series
-
-        def bracket(bb, rr):
-            return series_mul(bb, rr) - series_mul(rr, bb)
-
-        comm = b1.zip_with(r2, bracket)
-        db2 = comm.map(
-            lambda s: series_project(s.shift_degree(k2), "plus"), map_tails=False
-        )
-        f = db2.zip_with(b1.zip_with(b2, lambda x, y: series_mul(y, x)),
-                         lambda a, b: a + b)
-        return f.zip_with(state.hat, series_mul)
+        r2 = region.resolvent(a2)
+        b2 = r2.project("plus", k2)
+        b1 = region.resolvent(a1).project("plus", k1)
+        f = (b1 * r2 - r2 * b1).project("plus", k2) + b2 * b1
+        return f * hat
     if path == "mixed":
-        return _mixed_word_factor(state, k1, a1, k2, a2, fd_step)
+        return _mixed_word_factor(region, k1, a1, k2, a2, fd_step)
     raise ValueError(f"unknown path {path!r} for length-2 words")
 
 
-def _expression(state: HierarchyState, y: LatticeFn, m_delta: int) -> LatticeFn:
+def _expression(region: _Region, y: _ColumnSeries, m_delta: int) -> _ColumnSeries:
     """(Delta^m d^word w) w^{-1} from the word factor ``y``, on the sites where
-    ``y`` (at n, and at n + 1 for the difference form) and ``hat_inverse`` are.
+    ``y`` (at n, and at n + 1 for the difference form) and the inverse are.
 
     Every bilinear cell goes through here, so here the difference power m is
     checked to be 0 or 1.  With w = Y g and g(n+1) = (1 + eps z A) g(n), the
@@ -303,20 +314,23 @@ def _expression(state: HierarchyState, y: LatticeFn, m_delta: int) -> LatticeFn:
     if m_delta not in (0, 1):
         raise InstanceError("the difference power must be 0 or 1")
     if m_delta == 0:
-        return y.zip_with(state.hat_inverse, series_mul)
-    mid = _step_polynomial(state)
-    lam_y = shift_apply(y, 1)
-    diff = lam_y.zip_with(y.restrict(lam_y.lo, lam_y.hi),
-                          lambda yn1, yn: series_mul(yn1, mid) - yn)
-    eps_inv = inverse_step(state.U)
-    return diff.zip_with(state.hat_inverse,
-                         lambda d, wi: series_mul(d, wi).scale(eps_inv))
+        return y * region.hat_inverse
+    lam_y = y.shift(1)
+    diff = lam_y * lam_y.constant(_step_polynomial(region.state)) - y
+    return (diff * region.hat_inverse).scale(inverse_step(region.state.U))
+
+
+def _expression_columns(state: HierarchyState, m_delta: int, word: tuple, *,
+                        path: str = "analytic", fd_step: float = 1e-5) -> _ColumnSeries:
+    """``bilinear_expression`` on entry columns, on every site of the dressing."""
+    region = _Region(state, state.hat.lo, state.hat.hi)
+    return _expression(region, _word_factor(region, word, path, fd_step), m_delta)
 
 
 def bilinear_expression(state: HierarchyState, m_delta: int, word: tuple, *,
                         path: str = "analytic", fd_step: float = 1e-5) -> LatticeFn:
     """The cancellation-reduced series (Delta^m d^word w) w^{-1} per site."""
-    return _expression(state, _word_factor(state, word, path, fd_step), m_delta)
+    return _expression_columns(state, m_delta, word, path=path, fd_step=fd_step).lattice()
 
 
 def bilinear_l_capacity(depth: int, word: tuple, m_delta: int) -> int:
@@ -344,7 +358,7 @@ def bilinear_residual(state: HierarchyState, l_max: int, m_delta: int,
     no-negative-powers claim), both over the window's region of interest.
     The expression's validity band is the depth budget: an l_max whose
     residue lies below it is refused.  The expression is formed on the region
-    only (``_Region``).
+    only (``_region``).
     """
     return _word_residuals(_region(state), word, [(m_delta, l_max)], path, fd_step)[0]
 
@@ -363,7 +377,9 @@ def bilinear_residuals(state: HierarchyState, grid: dict) -> list:
 
 
 def _region(state: HierarchyState) -> _Region:
-    return _Region(state.data, state.U, state.window, state.dressing)
+    """The sites [n_min, n_max + 1], all that a bilinear residual reads: the
+    difference form reads Y(n + 1), hence the one site past n_max."""
+    return _Region(state, state.window.n_min, state.window.n_max + 1)
 
 
 def _word_residuals(region: _Region, word: tuple, cells: list, path: str,
@@ -374,30 +390,25 @@ def _word_residuals(region: _Region, word: tuple, cells: list, path: str,
     form, so each expression is formed on the region of interest only.
     """
     y = _word_factor(region, word, path, fd_step)
-    lo, hi = region.window.n_min, region.window.n_max
-    return [_residue_mass(_expression(region, y.restrict(lo, hi + m_delta), m_delta),
-                          l_max, region.mode)
+    lo, hi = region.state.window.n_min, region.state.window.n_max
+    return [_residue_mass(_expression(region, y.restrict(lo, hi + m_delta), m_delta), l_max)
             for m_delta, l_max in cells]
 
 
-def _residue_mass(expr: LatticeFn, l_max: int, mode: str):
+def _residue_mass(expr: _ColumnSeries, l_max: int):
     """The residues through l_max plus the negative-degree mass, over the sites of ``expr``.
 
     The residue degrees -1 .. -1 - l_max are negative degrees, so each
-    coefficient's magnitude is read once, for both maxima.
+    degree's magnitude is read once, for both maxima.
     """
-    for s in expr.values:
-        if not s.valid_at(-1 - l_max):
-            raise ValidityError(
-                f"depth budget exceeded: residues need degree {-1 - l_max}, "
-                f"valid band starts at {s.valid_lo}"
-            )
-    # per site, the magnitudes of degrees -1, -2, ... down to the band's start
-    mags = [[s.get(d).max_abs() for d in range(-1, min(s.valid_degrees().start, 0) - 1, -1)]
-            for s in expr.values]
-    res_max = scalars.max_of((v for site in mags for v in site[:l_max + 1]), mode)
-    neg_max = scalars.max_of((v for site in mags for v in site), mode)
-    return res_max + neg_max
+    if not expr.valid_at(-1 - l_max):
+        raise ValidityError(
+            f"depth budget exceeded: residues need degree {-1 - l_max}, "
+            f"valid band starts at {expr.valid_lo}"
+        )
+    # the magnitudes of degrees -1, -2, ... down to the band's start
+    mags = [expr.magnitude(d) for d in range(-1, min(expr.valid_degrees().start, 0) - 1, -1)]
+    return scalars.max_of(mags[:l_max + 1], expr.mode) + scalars.max_of(mags, expr.mode)
 
 
 # -- adjoint / dual checks ----------------------------------------------------------
@@ -429,15 +440,11 @@ def adjoint_check(state: HierarchyState, f: LatticeFn, g: LatticeFn):
     pair1 = inner_product(lf1, g) - inner_product(f, rg1)
     pairing_residual = scalars.max_of(map(scalars.scalar_abs, (pair0, pair1)), state.mode)
 
-    eps = state.step
-    left = _step_polynomial(state)
-    lam_inv = shift_apply(state.hat_inverse, 1)
-
-    def kernel(n):
-        right = left - MatSeries.constant(u.at(n).scale(eps))
-        return series_mul(left, state.hat_inverse.at(n)) - \
-            series_mul(lam_inv.at(n), right)
-
-    kernel_residual = scalars.max_of(
-        (kernel(n).max_abs() for n in lam_inv.sites()), state.mode)
-    return pairing_residual, kernel_residual
+    # the kernel on entry columns, at the sites of the shifted inverse
+    kit = _kit(state.data)
+    inv = _ColumnSeries.read(kit, state.hat_inverse)
+    lam_inv = inv.shift(1)
+    left = inv.constant(_step_polynomial(state))
+    eps_u = _ColumnSeries.read(kit, u.map(MatSeries.constant)).scale(state.step)
+    kernel = left * inv - lam_inv * (lam_inv.constant(_step_polynomial(state)) - eps_u)
+    return pairing_residual, kernel.max_abs()

@@ -11,8 +11,8 @@ Support growth is handled by window padding plus a leakage monitor rather
 than adaptive windows; a stage's field is one site narrower than the stored
 range, and the missing edge value is frozen at zero (it feeds back into no
 interior site of the recursions).  Time stepping is float only.  ``rk4_step``
-runs all four stages on the potential's entry columns (``hierarchy``'s float
-column primitives), bit for bit the ring operations of the per-site stages,
+runs all four stages on the potential's entry columns (the float column
+primitives of ``columns``), bit for bit the ring operations of the per-site stages,
 and builds one lattice at the end; a potential that is no longer finite is
 refused.
 
@@ -30,7 +30,8 @@ from typing import NamedTuple
 
 from . import scalars
 from .errors import ConsistencyError, InstanceError, ModeError
-from .hierarchy import AknsData, HierarchyState, _FloatColumns, _flow_pass, flow_field
+from .columns import _FloatColumns
+from .hierarchy import AknsData, HierarchyState, _flow_pass, flow_field
 from .lattice import LatticeFn, Window, delta_apply, inverse_step, site_max
 from .matrices import SmallMatrix
 

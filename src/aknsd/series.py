@@ -30,8 +30,20 @@ from .errors import DimensionError, SingularError, ValidityError
 from .matrices import SmallMatrix
 
 
+class Banded:
+    """The band ``[lo, hi]`` and ``valid_lo`` read as the module docstring reads them:
+    shared by a series and by a lattice of series with one band at every site."""
+
+    def valid_at(self, degree: int) -> bool:
+        return degree > self.hi or self.valid_lo is None or degree >= self.valid_lo
+
+    def valid_degrees(self):
+        """Degrees in the stored band that carry guaranteed-exact coefficients."""
+        return range(self.lo if self.valid_lo is None else self.valid_lo, self.hi + 1)
+
+
 @dataclass(frozen=True)
-class MatSeries:
+class MatSeries(Banded):
     """Laurent series with SmallMatrix coefficients on the band [lo, hi]."""
 
     m: int
@@ -91,9 +103,6 @@ class MatSeries:
 
     # -- access ---------------------------------------------------------------
 
-    def valid_at(self, degree: int) -> bool:
-        return degree > self.hi or self.valid_lo is None or degree >= self.valid_lo
-
     def get(self, degree: int) -> SmallMatrix:
         """Coefficient at ``degree``; zero outside the band, error below validity."""
         if not self.valid_at(degree):
@@ -103,10 +112,6 @@ class MatSeries:
         if degree > self.hi or degree < self.lo:
             return SmallMatrix.zero(self.m, self.mode)
         return self.coeffs[degree - self.lo]
-
-    def valid_degrees(self):
-        """Degrees in the stored band that carry guaranteed-exact coefficients."""
-        return range(self.lo if self.valid_lo is None else self.valid_lo, self.hi + 1)
 
     def _compat(self, other: "MatSeries") -> None:
         if self.m != other.m:
@@ -169,19 +174,29 @@ def _check_knows_a_degree(valid_lo: int, hi: int) -> None:
                             f"{valid_lo}, above its top degree {hi}")
 
 
-def _combine(a: MatSeries, b: MatSeries, sign: int) -> MatSeries:
-    a._compat(b)
+def sum_band(a: Banded, b: Banded) -> tuple:
+    """``(lo, hi, valid_lo)`` of the sum or difference of ``a`` and ``b``.
+
+    Validity is the worse of the operands', and the band starts there; two
+    fully known operands give a fully known result on the union of their bands.
+    """
     hi = max(a.hi, b.hi)
     known = [s.valid_lo for s in (a, b) if s.valid_lo is not None]
     vlo = max(known + [min(a.lo, b.lo)]) if known else None
     lo = min(a.lo, b.lo) if vlo is None else vlo
     _check_knows_a_degree(lo, hi)
+    return lo, hi, vlo
+
+
+def _combine(a: MatSeries, b: MatSeries, sign: int) -> MatSeries:
+    a._compat(b)
+    lo, hi, vlo = sum_band(a, b)
     coeffs = tuple(a.get(d) + b.get(d) if sign > 0 else a.get(d) - b.get(d)
                    for d in range(lo, hi + 1))
     return MatSeries(a.m, a.mode, lo, hi, coeffs, vlo)
 
 
-def product_band(a: MatSeries, b: MatSeries) -> tuple:
+def product_band(a: Banded, b: Banded) -> tuple:
     """``(lo, hi, valid_lo)`` of the Cauchy product of ``a`` and ``b``.
 
     The product is exact from ``max(valid_lo_a + hi_b, valid_lo_b + hi_a)``
@@ -189,7 +204,6 @@ def product_band(a: MatSeries, b: MatSeries) -> tuple:
     factors give a fully known product.  A product that would know no degree
     is refused.
     """
-    a._compat(b)
     hi = a.hi + b.hi
     lo_true = a.lo + b.lo
     cands = [x.valid_lo + y.hi for x, y in ((a, b), (b, a)) if x.valid_lo is not None]
@@ -201,6 +215,7 @@ def product_band(a: MatSeries, b: MatSeries) -> tuple:
 
 def series_mul(a: MatSeries, b: MatSeries) -> MatSeries:
     """Cauchy product with sound validity bookkeeping."""
+    a._compat(b)
     band_lo, hi, vlo = product_band(a, b)
     a_nz = [not c.is_zero() for c in a.coeffs]
     b_nz = [not c.is_zero() for c in b.coeffs]
@@ -252,19 +267,26 @@ def series_project(a: MatSeries, part: str):
     ``plus``  -> degrees >= 0 unchanged (an exact polynomial);
     ``minus`` -> a - plus(a), carrying a's validity below zero.
     """
+    lo, hi, vlo = project_band(a, part)
+    return MatSeries(a.m, a.mode, lo, hi, tuple(a.get(d) for d in range(lo, hi + 1)), vlo)
+
+
+def project_band(a: Banded, part: str) -> tuple:
+    """``(lo, hi, valid_lo)`` of a projection of ``a``; its coefficients are ``a``'s.
+
+    ``plus`` is ``[0, max(hi, 0)]``, fully known; ``minus`` runs from the
+    validity start to -1 with ``a``'s validity, or is the known zero at -1
+    when ``a`` is fully known and has no degree below 0.
+    """
     if part == "plus":
         if not a.valid_at(0):
             raise ValidityError("plus-projection needs degree 0 inside the valid band")
-        hi = max(a.hi, 0)
-        return MatSeries(a.m, a.mode, 0, hi, tuple(a.get(d) for d in range(0, hi + 1)), None)
+        return 0, max(a.hi, 0), None
     if part == "minus":
         if not a.valid_at(-1):
             raise ValidityError("minus-projection needs degree -1 inside the valid band")
         lo = a.valid_degrees().start
-        if lo > -1:
-            return MatSeries.zero(a.m, a.mode, -1, -1)
-        return MatSeries(a.m, a.mode, lo, -1,
-                         tuple(a.get(d) for d in range(lo, 0)), a.valid_lo)
+        return (-1, -1, None) if lo > -1 else (lo, -1, a.valid_lo)
     raise ValueError(f"unknown projection {part!r}")
 
 

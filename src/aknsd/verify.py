@@ -17,12 +17,13 @@ from dataclasses import dataclass, field
 
 from . import __version__, scalars
 from .baker import (
+    _expression_columns,
     adjoint_check,
-    bilinear_expression,
     bilinear_l_capacity,
     bilinear_residual,
     bilinear_residuals,
 )
+from .columns import _ColumnSeries, _kit
 from .config import ExperimentConfig
 from .dynamics import (
     CONSISTENCY_TOL,
@@ -226,13 +227,11 @@ def _suite_resolvent(config: ExperimentConfig, report: VerificationReport) -> No
     comm = [site_max(commutator_with_l(r, state.data, state.U)) for r in resolvents]
     report.add("resolvent_commutator", scalars.max_of(comm, mode), tol)
 
-    zero = MatSeries.zero(m, mode)
-    alg = []
-    for a_idx, ra in enumerate(resolvents):
-        for b_idx, rb in enumerate(resolvents):
-            prod = ra.zip_with(rb, series_mul)
-            alg.extend(series_diff_max(prod.at(n), rb.at(n) if a_idx == b_idx else zero)
-                       for n in prod.sites())
+    # R_a R_b - delta_ab R_b, every product multiplied out on entry columns
+    columns = [_ColumnSeries.read(_kit(state.data), r) for r in resolvents]
+    zero = columns[0].constant(MatSeries.zero(m, mode))
+    alg = [(ra * rb - (rb if a_idx == b_idx else zero)).max_abs()
+           for a_idx, ra in enumerate(columns) for b_idx, rb in enumerate(columns)]
     report.add("resolvent_product_algebra", scalars.max_of(alg, mode), tol)
 
     total = resolvents[0]
@@ -265,13 +264,11 @@ def _suite_bilinear(config: ExperimentConfig, report: VerificationReport) -> Non
     report.add("bilinear_analytic_grid", scalars.max_of(values, mode), tol,
                {"cells": len(values)})
 
-    expr = bilinear_expression(state, 1, ())
-    a_mat = state.data.matrix
-    worst = scalars.max_of(
-        (v for n in expr.sites()
-         for v in ((expr.at(n).get(1) - a_mat).max_abs(),
-                   (expr.at(n).get(0) + state.U.at(n)).max_abs())),
-        mode)
+    # (D_eps w) w^{-1} = z A - U: degree 1 against A, degree 0 against -U
+    expr = _expression_columns(state, 1, ())
+    a_term = expr.constant(MatSeries.monomial(state.data.matrix, 1))
+    u_term = _ColumnSeries.read(expr.kit, state.U.map(MatSeries.constant))
+    worst = scalars.max_of(((expr - a_term).magnitude(1), (expr + u_term).magnitude(0)), mode)
     report.add("difference_transfer_is_za_minus_u", worst, tol)
 
     pairing, kernel = adjoint_check(state, *(_compact(rng, config, lambda: True)

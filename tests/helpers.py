@@ -10,7 +10,8 @@ import subprocess
 import sys
 
 from aknsd import scalars
-from aknsd.baker import TauExpSum, _step_polynomial, _word_factor, baker_from_tau
+from aknsd.baker import TauExpSum, _step_polynomial, baker_from_tau
+from aknsd.columns import solve_two_point
 from aknsd.dynamics import CONSISTENCY_TOL
 from aknsd.errors import ConsistencyError, DimensionError, InstanceError, ModeError
 from aknsd.hierarchy import (
@@ -21,12 +22,11 @@ from aknsd.hierarchy import (
     _site_band,
     flow_field,
     projector_b,
-    solve_two_point,
 )
 from aknsd.instances import DESK_DEPTH, DESK_WINDOW
 from aknsd.lattice import LatticeFn, delta_apply, inverse_step, shift_apply, site_max
 from aknsd.matrices import SmallMatrix, _product
-from aknsd.series import MatSeries, series_mul
+from aknsd.series import MatSeries, series_mul, series_project
 
 RAT = "rational"
 
@@ -412,8 +412,9 @@ def ref_bilinear_residual(state, l_max, m_delta, word):
     negative-degree mass.
 
     The length-1 word factor is formed in two passes, ``d = -Bbar W`` and then
-    ``d + W z^k E_alpha``, and the difference form is always scaled by
-    ``1 / eps``; a length-2 word takes ``baker._word_factor``.
+    ``d + W z^k E_alpha``; a length-2 word's is ``f W`` with
+    ``f = (z^k2 [B_1, R_2])_+ + B_2 B_1`` formed site by site; the difference
+    form is always scaled by ``1 / eps``.
     """
     if len(word) == 1:
         (k, alpha), = word
@@ -422,7 +423,19 @@ def ref_bilinear_residual(state, l_max, m_delta, word):
         zke = MatSeries.monomial(state.data.projector(alpha), k)
         y = d_hat.zip_with(state.hat, lambda d, w: d + series_mul(w, zke))
     elif word:
-        y = _word_factor(state, word, "analytic", None)
+        (k1, a1), (k2, a2) = word
+        b1, b2, r2 = (state.resolvent(a).series.values for a in (a1, a2, a2))
+
+        def f_times_w(b1, r2, b2, w):
+            b1 = series_project(b1.shift_degree(k1), "plus")
+            b2 = series_project(b2.shift_degree(k2), "plus")
+            bracket = series_mul(b1, r2) - series_mul(r2, b1)
+            f = series_project(bracket.shift_degree(k2), "plus") + series_mul(b2, b1)
+            return series_mul(f, w)
+
+        y = LatticeFn(state.hat.lo, state.hat.hi,
+                      tuple(map(f_times_w, b1, r2, b2, state.hat.values)),
+                      state.hat.left_tail, state.hat.right_tail, state.hat.step, state.mode)
     else:
         y = state.hat
     if m_delta == 0:

@@ -8,14 +8,8 @@ from hypothesis import given, settings, strategies as st
 import pytest
 
 from aknsd.errors import ConsistencyError, InstanceError
-from aknsd.hierarchy import (
-    AknsData,
-    HierarchyState,
-    _kit,
-    _solve_exact,
-    dressing_residual,
-    solve_two_point,
-)
+from aknsd.columns import _kit, _solve_exact, solve_two_point
+from aknsd.hierarchy import AknsData, HierarchyState, dressing_residual
 from aknsd.instances import (
     DESK_WINDOW,
     desk_data,
