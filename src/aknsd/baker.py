@@ -12,7 +12,8 @@ derivative by a centered difference and converge at second order in the
 differencing step.  Every series of a bilinear cell and of the dual kernel
 is a lattice of series on entry columns (``columns._ColumnSeries``): each
 product is formed for all the sites at once and multiplied out, and the
-region a residual reads is a cut of the dressing's columns (``_Region``).
+region a residual reads is a cut of the state's dressing columns
+(``columns._DressingColumns``, ``_region``), passed beside the state.
 
 Tau functions are finite sums of exponentials ``exp(+-xi_g(x))`` carried by
 their Miwa points ``(g, x, +-1)`` and taken at t = 0: the discrete time shift
@@ -24,13 +25,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property
 
 from . import scalars
 from .dynamics import FlowIndex, rk4_step
 from .errors import ConsistencyError, InstanceError, ValidityError
-from .columns import _ColumnSeries, _kit
-from .hierarchy import AknsData, HierarchyState, _dressed_series, _inverse_series
+from .columns import _ColumnSeries, _DressingColumns
+from .hierarchy import AknsData, HierarchyState
 from .lattice import LatticeFn, inner_product, delta_apply, inverse_step
 from .matrices import SmallMatrix
 from .series import MatSeries, series_mul  # noqa: F401  (perfbench reads baker.series_mul)
@@ -161,57 +161,17 @@ def baker_from_tau(tau_d: TauExpSum, companions: dict, n: int, data: AknsData,
 # -- bilinear residue verifier ---------------------------------------------------------
 
 
-class _Region:
-    """A state's dressing on the sites [lo, hi] on entry columns, with its inverse and
-    resolvents formed there only.
-
-    The dressing series is cut to these sites before anything is formed from
-    it; the cut of all the state's sites is the state's own inverse and
-    resolvents, formed once per state.  Every product of a bilinear
-    expression is site-local, so each value is the state's own at its site
-    (docs/derivations.md section 5).  A region lives for one call.
-    """
-
-    def __init__(self, state: HierarchyState, lo: int, hi: int):
-        self.state, self.kit = state, _kit(state.data)
-        self._hat = state.hat.restrict(lo, hi)
-        self._whole = (self._hat.lo, self._hat.hi) == (state.hat.lo, state.hat.hi)
-        self.hat = _ColumnSeries.read(self.kit, self._hat)
-        self._resolvents = {}
-
-    @cached_property
-    def _inverse(self) -> LatticeFn:
-        if self._whole:
-            return self.state.hat_inverse
-        return _inverse_series(self.kit, self._hat, self.state.depth)
-
-    @cached_property
-    def hat_inverse(self) -> _ColumnSeries:
-        return _ColumnSeries.read(self.kit, self._inverse)
-
-    def resolvent(self, alpha: int) -> _ColumnSeries:
-        if alpha not in self._resolvents:
-            self.state.data.projector(alpha)  # refuses an alpha outside 1..m
-            r = self.state.resolvent(alpha).series if self._whole else \
-                _dressed_series(self.kit, self._hat, self._inverse, alpha, self.state.depth)
-            self._resolvents[alpha] = _ColumnSeries.read(self.kit, r)
-        return self._resolvents[alpha]
-
-    def cut(self, state: HierarchyState) -> "_Region":
-        """Another state of the same window on this region's sites."""
-        return _Region(state, self.hat.n_lo, self.hat.n_hi)
-
-
-def _stepped_states(state: HierarchyState, flow: FlowIndex, fd_step: float) -> list:
-    """The states one RK4 step of +fd_step and of -fd_step along ``flow`` away.
+def _stepped_regions(state: HierarchyState, region: _DressingColumns, flow: FlowIndex,
+                     fd_step: float) -> list:
+    """The dressings one RK4 step of +fd_step and of -fd_step along ``flow`` away, cut
+    to the sites of ``region``.
 
     Float mode only: ``rk4_step`` refuses a rational potential.
     """
-    return [
-        HierarchyState.solve(state.data, rk4_step(state.data, state.U, sign * fd_step, flow),
-                             state.window, state.depth, validate=False)
-        for sign in (1.0, -1.0)
-    ]
+    states = (HierarchyState.solve(state.data, rk4_step(state.data, state.U, sign * fd_step, flow),
+                                   state.window, state.depth, validate=False)
+              for sign in (1.0, -1.0))
+    return [s._columns.cut(region.hat.n_lo, region.hat.n_hi) for s in states]
 
 
 def _centered(plus: _ColumnSeries, minus: _ColumnSeries, fd_step: float) -> _ColumnSeries:
@@ -238,7 +198,7 @@ def _displacement_polynomial(state: HierarchyState, k: int, alpha: int,
     return MatSeries.from_coeffs(coeffs, state.data.m, state.mode)
 
 
-def _mixed_word_factor(region: _Region, k1: int, alpha1: int,
+def _mixed_word_factor(state: HierarchyState, region: _DressingColumns, k1: int, alpha1: int,
                        k2: int, alpha2: int, fd_step: float) -> _ColumnSeries:
     """(d_1 d_2 w) g^{-1} with the outer derivative taken numerically.
 
@@ -248,10 +208,9 @@ def _mixed_word_factor(region: _Region, k1: int, alpha1: int,
     differencing error, so only evolved dressing factors remain.  The
     displacement multiplies the sites only; the tails are B_2 w's.
     """
-    state = region.state
     legs = []
-    for sign, solved in zip((1.0, -1.0), _stepped_states(state, FlowIndex(k1, alpha1), fd_step)):
-        cut = region.cut(solved)
+    for sign, cut in zip((1.0, -1.0),
+                         _stepped_regions(state, region, FlowIndex(k1, alpha1), fd_step)):
         leg = cut.resolvent(alpha2).project("plus", k2) * cut.hat
         disp = leg.constant(_displacement_polynomial(state, k1, alpha1, sign * fd_step))
         legs.append(replace(leg * disp, tails=leg.tails))
@@ -267,7 +226,8 @@ def _step_polynomial(state: HierarchyState) -> MatSeries:
     )
 
 
-def _word_factor(region: _Region, word: tuple, path: str, fd_step) -> _ColumnSeries:
+def _word_factor(state: HierarchyState, region: _DressingColumns, word: tuple, path: str,
+                 fd_step) -> _ColumnSeries:
     """The dressing-shaped series Y = (d^word w) g^{-1} on the region's sites."""
     hat = region.hat
     if len(word) == 0:
@@ -276,14 +236,14 @@ def _word_factor(region: _Region, word: tuple, path: str, fd_step) -> _ColumnSer
     if len(word) == 1:
         (k, alpha), = word
         # d(W g) g^{-1} = dW + W z^k E_alpha
-        zke = hat.constant(MatSeries.monomial(region.state.data.projector(alpha), k))
+        zke = hat.constant(MatSeries.monomial(state.data.projector(alpha), k))
         if path == "analytic":
             # dW = -Bbar_{k alpha} W, so Y = W z^k E_alpha - Bbar W
             return hat * zke - region.resolvent(alpha).project("minus", k) * hat
         if path == "numeric":
             # the centered difference of the re-solved dressing along the flow
-            plus, minus = _stepped_states(region.state, FlowIndex(k, alpha), fd_step)
-            return _centered(region.cut(plus).hat, region.cut(minus).hat, fd_step) + hat * zke
+            plus, minus = _stepped_regions(state, region, FlowIndex(k, alpha), fd_step)
+            return _centered(plus.hat, minus.hat, fd_step) + hat * zke
         raise ValueError(f"unknown path {path!r} for length-1 words")
 
     if len(word) != 2:
@@ -299,11 +259,12 @@ def _word_factor(region: _Region, word: tuple, path: str, fd_step) -> _ColumnSer
         f = (b1 * r2 - r2 * b1).project("plus", k2) + b2 * b1
         return f * hat
     if path == "mixed":
-        return _mixed_word_factor(region, k1, a1, k2, a2, fd_step)
+        return _mixed_word_factor(state, region, k1, a1, k2, a2, fd_step)
     raise ValueError(f"unknown path {path!r} for length-2 words")
 
 
-def _expression(region: _Region, y: _ColumnSeries, m_delta: int) -> _ColumnSeries:
+def _expression(state: HierarchyState, region: _DressingColumns, y: _ColumnSeries,
+                m_delta: int) -> _ColumnSeries:
     """(Delta^m d^word w) w^{-1} from the word factor ``y``, on the sites where
     ``y`` (at n, and at n + 1 for the difference form) and the inverse are.
 
@@ -316,15 +277,15 @@ def _expression(region: _Region, y: _ColumnSeries, m_delta: int) -> _ColumnSerie
     if m_delta == 0:
         return y * region.hat_inverse
     lam_y = y.shift(1)
-    diff = lam_y * lam_y.constant(_step_polynomial(region.state)) - y
-    return (diff * region.hat_inverse).scale(inverse_step(region.state.U))
+    diff = lam_y * lam_y.constant(_step_polynomial(state)) - y
+    return (diff * region.hat_inverse).scale(inverse_step(state.U))
 
 
 def _expression_columns(state: HierarchyState, m_delta: int, word: tuple, *,
                         path: str = "analytic", fd_step: float = 1e-5) -> _ColumnSeries:
     """``bilinear_expression`` on entry columns, on every site of the dressing."""
-    region = _Region(state, state.hat.lo, state.hat.hi)
-    return _expression(region, _word_factor(region, word, path, fd_step), m_delta)
+    region = state._columns
+    return _expression(state, region, _word_factor(state, region, word, path, fd_step), m_delta)
 
 
 def bilinear_expression(state: HierarchyState, m_delta: int, word: tuple, *,
@@ -360,7 +321,7 @@ def bilinear_residual(state: HierarchyState, l_max: int, m_delta: int,
     residue lies below it is refused.  The expression is formed on the region
     only (``_region``).
     """
-    return _word_residuals(_region(state), word, [(m_delta, l_max)], path, fd_step)[0]
+    return _word_residuals(state, _region(state), word, [(m_delta, l_max)], path, fd_step)[0]
 
 
 def bilinear_residuals(state: HierarchyState, grid: dict) -> list:
@@ -373,25 +334,28 @@ def bilinear_residuals(state: HierarchyState, grid: dict) -> list:
     """
     region = _region(state)
     return [v for word, cells in grid.items()
-            for v in _word_residuals(region, word, cells, "analytic", None)]
+            for v in _word_residuals(state, region, word, cells, "analytic", None)]
 
 
-def _region(state: HierarchyState) -> _Region:
-    """The sites [n_min, n_max + 1], all that a bilinear residual reads: the
-    difference form reads Y(n + 1), hence the one site past n_max."""
-    return _Region(state, state.window.n_min, state.window.n_max + 1)
+def _region(state: HierarchyState) -> _DressingColumns:
+    """The state's dressing columns cut to the sites [n_min, n_max + 1], all that a
+    bilinear residual reads: the difference form reads Y(n + 1), hence the one site
+    past n_max.  Every product there is site-local, so each value is the state's own
+    at its site (docs/derivations.md section 5)."""
+    return state._columns.cut(state.window.n_min, state.window.n_max + 1)
 
 
-def _word_residuals(region: _Region, word: tuple, cells: list, path: str,
-                    fd_step) -> list:
+def _word_residuals(state: HierarchyState, region: _DressingColumns, word: tuple, cells: list,
+                    path: str, fd_step) -> list:
     """The residual of each ``(m_delta, l_max)`` cell of one word, from one Y.
 
     Y, formed on [n_min, n_max + 1], is cut to [n_min, n_max] for the plain
     form, so each expression is formed on the region of interest only.
     """
-    y = _word_factor(region, word, path, fd_step)
-    lo, hi = region.state.window.n_min, region.state.window.n_max
-    return [_residue_mass(_expression(region, y.restrict(lo, hi + m_delta), m_delta), l_max)
+    y = _word_factor(state, region, word, path, fd_step)
+    lo, hi = state.window.n_min, state.window.n_max
+    return [_residue_mass(_expression(state, region, y.restrict(lo, hi + m_delta), m_delta),
+                          l_max)
             for m_delta, l_max in cells]
 
 
@@ -441,10 +405,9 @@ def adjoint_check(state: HierarchyState, f: LatticeFn, g: LatticeFn):
     pairing_residual = scalars.max_of(map(scalars.scalar_abs, (pair0, pair1)), state.mode)
 
     # the kernel on entry columns, at the sites of the shifted inverse
-    kit = _kit(state.data)
-    inv = _ColumnSeries.read(kit, state.hat_inverse)
+    inv = state._columns.hat_inverse
     lam_inv = inv.shift(1)
     left = inv.constant(_step_polynomial(state))
-    eps_u = _ColumnSeries.read(kit, u.map(MatSeries.constant)).scale(state.step)
+    eps_u = _ColumnSeries.read(inv.kit, u.map(MatSeries.constant)).scale(state.step)
     kernel = left * inv - lam_inv * (lam_inv.constant(_step_polynomial(state)) - eps_u)
     return pairing_residual, kernel.max_abs()

@@ -19,24 +19,28 @@ A rational coefficient is integer numerator columns over one denominator
 column, summed unreduced over the per-site lcm of its terms' denominators;
 each entry's recursion reads integer pairs with one gcd per step
 (``_solve_exact``), and a solved order is made canonical by
-``matrices.over_lcm``.  The two classes share only the instance and the
-recursions (``_Columns``).  The exact products and sums skip the numerator
-columns that are all zero, which drops terms that are exactly 0; the float
-ones cannot, because ``0.0 * inf`` is nan.
+``matrices.over_lcm``; any other order is made canonical by ``canonical``,
+each site over the gcd of its denominator and numerators, which moves no
+rational.  The two classes share only the instance, the constant columns
+and the recursions (``_Columns``).  The exact products and sums skip the
+numerator columns that are all zero, which drops terms that are exactly 0;
+the float ones cannot, because ``0.0 * inf`` is nan.
 
 ``_ColumnSeries`` is a lattice of series whose sites share one band, one
 list of entry columns per degree, with the operations of ``MatSeries`` at
 every site: the verifier multiplies its series out on it rather than site
-by site.
+by site.  ``_DressingColumns`` holds a state's dressing w_hat on it and
+forms w_hat^{-1} and the resolvents R_alpha there, one order at a time; a
+cut of its sites is the bilinear verifier's region.
 
-See docs/derivations.md sections 4 and 5.
+See docs/derivations.md sections 3 to 5.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import partial, reduce
+from functools import cached_property, partial, reduce
 from itertools import accumulate, chain, repeat
 from math import copysign, gcd, lcm
 from operator import add, floordiv, mul, sub
@@ -135,11 +139,15 @@ def _products(a, b, m: int, sparse: bool) -> list:
 
 
 class _Columns:
-    """What the column primitives of both modes share: the instance and the
-    two-point recursion of each entry column."""
+    """What the column primitives of both modes share: the instance, constant
+    columns and the two-point recursion of each entry column."""
 
     def __init__(self, data: AknsData):
         self.data, self.m = data, data.m
+
+    def constant(self, x: SmallMatrix, n: int) -> list:
+        """The columns of the matrix ``x`` at ``n`` sites."""
+        return [c * n for c in self.read([x])]
 
     def recursions(self) -> list:
         """Per entry column, the ``(a_i, a_j, direction)`` of its two-point recursion."""
@@ -171,6 +179,10 @@ class _FloatColumns(_Columns):
 
     def scale(self, x, s) -> list:
         return [[s * d for d in c] for c in x]
+
+    def canonical(self, x) -> list:
+        """A double has one form: ``x`` itself."""
+        return x
 
     def delta(self, x, inv) -> list:
         """The columns of ``Delta x``: ``inv * (x(n+1) - x(n))`` per entry in one pass,
@@ -248,6 +260,12 @@ class _ExactColumns(_Columns):
     def scale(self, x, s) -> list:
         p, q = s.numerator, s.denominator
         return [*([p * v for v in c] for c in x[:-1]), [q * d for d in x[-1]]]
+
+    def canonical(self, x) -> list:
+        """Each site over the gcd of its denominator and numerators: the columns that
+        ``build`` and ``read`` give, without forming a matrix.  No rational moves."""
+        g = list(map(gcd, x[-1], *x[:-1]))
+        return x if g.count(1) == len(g) else [list(map(floordiv, c, g)) for c in x]
 
     def delta(self, x, inv) -> list:
         """The columns of ``Delta x``: ``x(n+1) - x(n)``, times ``inv`` = 1 / eps."""
@@ -335,6 +353,14 @@ class _ColumnSeries(Banded):
         return _ColumnSeries(kit, f.lo, f.hi, f.step, lo, hi, vlo, coeffs,
                              (f.left_tail, f.right_tail))
 
+    @staticmethod
+    def from_orders(kit, n_lo: int, step, orders: list) -> "_ColumnSeries":
+        """The series sum_k orders[k] z^-k at the sites n_lo.., valid through its depth,
+        with zero tails; ``orders[k]`` holds the columns of order k."""
+        depth, zero = len(orders) - 1, MatSeries.zero(kit.m, kit.data.mode)
+        return _ColumnSeries(kit, n_lo, n_lo + len(orders[0][0]) - 1, step, -depth, 0, -depth,
+                             tuple(orders[::-1]), (zero, zero))
+
     @property
     def mode(self) -> str:
         return self.kit.data.mode
@@ -349,8 +375,8 @@ class _ColumnSeries(Banded):
     def constant(self, s: MatSeries) -> "_ColumnSeries":
         """``s`` at every site of this lattice and in both tails."""
         n = self.n_hi - self.n_lo + 1
-        return self._with((s.lo, s.hi, s.valid_lo),
-                          ([c * n for c in self.kit.read([x])] for x in s.coeffs), (s, s))
+        return self._with((s.lo, s.hi, s.valid_lo), (self.kit.constant(x, n) for x in s.coeffs),
+                          (s, s))
 
     def coef(self, d: int) -> list:
         """The columns of degree ``d``: zero outside the band, refused below validity."""
@@ -442,6 +468,66 @@ class _ColumnSeries(Banded):
     def max_abs(self):
         """The largest entry magnitude over the valid degrees and the sites."""
         return scalars.max_of(map(self.magnitude, self.valid_degrees()), self.mode)
+
+
+# -- the dressing's series on entry columns ------------------------------------------------
+
+
+class _DressingColumns:
+    """A dressing w_hat on entry columns, with w_hat^{-1} and each resolvent
+    R_alpha = w_hat E_alpha w_hat^{-1} formed on first use and kept.
+
+    Each order of the inverse and of a resolvent is made canonical
+    (``canonical``) as it is formed, so the next orders read small integers.
+    ``cut`` gives the holder of some of the sites; every value there is the
+    one here, because each order is site-local.  A holder keeps no state, so
+    a state that keeps its holder forms no reference cycle.
+    """
+
+    def __init__(self, hat: _ColumnSeries):
+        self.hat, self.kit = hat, hat.kit
+        self._resolvents = {}
+
+    @staticmethod
+    def read(kit, U: LatticeFn, ws) -> "_DressingColumns":
+        """I + sum_k w_k z^-k on U's sites, from the solved orders ``ws``."""
+        ident = kit.constant(SmallMatrix.identity(kit.m, U.mode), U.hi - U.lo + 1)
+        return _DressingColumns(_ColumnSeries.from_orders(
+            kit, U.lo, U.step, [ident, *(kit.read(w.values) for w in ws)]))
+
+    def _series(self, orders: list) -> _ColumnSeries:
+        return _ColumnSeries.from_orders(self.kit, self.hat.n_lo, self.hat.step, orders)
+
+    @cached_property
+    def hat_inverse(self) -> _ColumnSeries:
+        """v_0 = I, and v_j is ``-1`` times ``w_1 v_(j-1) + ... + w_j v_0``, summed in
+        that order."""
+        kit, w = self.kit, self.hat.coef
+        v = [w(0)]
+        for j in range(1, 1 - self.hat.lo):
+            acc = _sum(kit, (kit.products(w(-i), v[j - i]) for i in range(1, j + 1)))
+            v.append(kit.canonical(kit.scale(acc, -1)))
+        return self._series(v)
+
+    def resolvent(self, alpha: int) -> _ColumnSeries:
+        """Degree -d of R_alpha: the sum of (column alpha of w_i)(row alpha of v_(d-i))
+        over i = d..0, each a product of an m x 1 and a 1 x m coefficient."""
+        if alpha not in self._resolvents:
+            self.kit.data.projector(alpha)  # refuses an alpha outside 1..m
+            kit, m, k, depth = self.kit, self.kit.m, alpha - 1, -self.hat.lo
+            cols = [_pick(self.hat.coef(-i), slice(k, m * m, m), m) for i in range(depth + 1)]
+            rows = [_pick(self.hat_inverse.coef(-j), slice(k * m, k * m + m), m)
+                    for j in range(depth + 1)]
+            self._resolvents[alpha] = self._series([
+                kit.canonical(_sum(kit, (kit.products(cols[i], rows[d - i])
+                                         for i in range(d, -1, -1))))
+                for d in range(depth + 1)])
+        return self._resolvents[alpha]
+
+    def cut(self, lo: int, hi: int) -> "_DressingColumns":
+        """The holder of the sites of [lo, hi] this one has; of all of them, this one."""
+        hat = self.hat.restrict(lo, hi)
+        return self if hat is self.hat else _DressingColumns(hat)
 
 
 def _check_flow_order(k: int) -> None:

@@ -27,11 +27,12 @@ the dressing residual vanishes identically in rational mode, and the direct
 resolvent recursion reuses the identical kernel so both constructions agree
 entry for entry.
 
-Each public operation (``solve_dressing``, ``resolvent_direct``,
-``_sitewise`` behind ``commutator_with_l`` and the dressing defect,
-``flow_field``) checks once that U has the instance's dimension and mode
-(``_check_instance``).  A lattice checked its own values and tails when it
-was built, so no kernel checks an operand again.
+Each public operation on a potential (``solve_dressing``,
+``resolvent_direct``, ``commutator_with_l``, ``flow_field``) checks once
+that U has the instance's dimension and mode (``_check_instance``); the
+dressing defect reads a state, whose door checked it.  A lattice checked
+its own values and tails when it was built, so no kernel checks an operand
+again.
 
 A ``HierarchyState`` is checked once, when it is built (its door,
 ``__post_init__``).  Every way to a state (``HierarchyState.solve``,
@@ -46,7 +47,8 @@ sites, in both modes and through the same compositions:
   columns of a right-hand side, ``_DRESSING_RHS`` (``D + U x``) for
   ``solve_dressing`` and ``_DIRECT_RHS`` (``D - (p - q)``) for
   ``resolvent_direct`` and the flow field;
-* ``_series_columns`` is the one series pass, degree by degree with a
+* ``_series_columns`` is the one series pass, on a lattice of series on
+  entry columns (``columns._ColumnSeries``), degree by degree with a
   per-degree kernel: ``_bracket_degree`` (``((p - q) - D) - z``) for
   ``commutator_with_l`` and ``_defect_degree`` (``(rhs_d - A x') + x1' A``)
   for the dressing defect;
@@ -59,27 +61,26 @@ What differs by mode is one layer of column primitives, the kits of
 operation order of the ring operations they replace, so float results are
 the same bit for bit.
 
-The dressing's inverse and the dressed resolvents run on the same columns,
-one order at a time from the orders of ``hat`` (``_order``):
-``hat_inverse`` is v_0 = I, v_j = -(w_1 v_(j-1) + ... + w_j v_0)
-(``_inverse_series``), and degree -d of ``w_hat E_alpha w_hat^{-1}`` is the
-sum of the rank-one products (column alpha of w_i)(row alpha of v_(d-i)),
-i = d..0 (``resolvent_dressed``).  ``cross_solver_difference`` compares
-the two resolvents as lattices of series on entry columns
-(``columns._ColumnSeries``).
+The dressing's series stay on entry columns from the solve to the checks:
+a state reads its solved orders into columns once (``HierarchyState._columns``,
+a ``columns._DressingColumns``), which forms w_hat^{-1} and each R_alpha
+there on first use and keeps them.  ``hat``, ``hat_inverse``,
+``resolvent_dressed`` and ``resolvent_direct`` build a lattice of series
+only to return one; the dressing defect, ``cross_solver_difference`` and
+the verifier read the columns.
 
 See docs/derivations.md sections 1 to 4.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property, partial
 from itertools import chain
 from operator import add, sub
 
 from . import scalars
-from .columns import _ColumnSeries, _check_flow_order, _kit, _pick, _sum
+from .columns import _ColumnSeries, _DressingColumns, _check_flow_order, _kit
 from .errors import ConsistencyError, DimensionError, InstanceError, ModeError
 from .lattice import LatticeFn, Window, inverse_step, site_max
 from .matrices import SmallMatrix
@@ -174,20 +175,6 @@ def make_potential(window: Window, entries: dict, m: int,
     return validate_potential(LatticeFn.from_values(window.stored_lo, vals))
 
 
-# -- orders as series --------------------------------------------------------------
-
-
-def _orders_to_series(orders: list, m: int) -> LatticeFn:
-    """Per site, the series sum_k orders[k](n) z^-k, valid through its depth."""
-    first = orders[0]
-    depth = len(orders) - 1
-    top_down = orders[::-1]
-    vals = tuple(MatSeries(m, first.mode, -depth, 0, tuple(f.at(n) for f in top_down), -depth)
-                 for n in first.sites())
-    zero = MatSeries.zero(m, first.mode)
-    return LatticeFn(first.lo, first.hi, vals, zero, zero, first.step, first.mode)
-
-
 # -- dressing ----------------------------------------------------------------------
 
 
@@ -209,13 +196,15 @@ class Dressing:
 def solve_dressing(data: AknsData, U: LatticeFn, depth: int) -> Dressing:
     """Order-by-order solve of Delta w_k + U w_k = A w_{k+1} - (Lambda w_{k+1}) A.
 
-    The order loop on entry columns (``_solve_lattices`` with ``_DRESSING_RHS``).
+    The order loop on entry columns (``_solve_columns`` with ``_DRESSING_RHS``).
     """
     _check_instance(data, U)
     if depth < 1:
         raise InstanceError("dressing depth must be >= 1")
-    ws = _solve_lattices(data, U, SmallMatrix.identity(data.m, U.mode), depth, _DRESSING_RHS)
-    return Dressing(depth, tuple(ws), data.conventions())
+    kit = _kit(data)
+    orders = _solve_columns(kit, U, SmallMatrix.identity(data.m, U.mode), depth, _DRESSING_RHS)
+    return Dressing(depth, tuple(LatticeFn.from_values(U.lo, kit.build(c), step=U.step)
+                                 for c in orders[1:]), data.conventions())
 
 
 # -- solved state --------------------------------------------------------------------
@@ -236,14 +225,16 @@ class HierarchyState:
     instance (``_check_instance``); the depth is in 1..halo, the shifts the
     window stores; each dressing order lives on the potential's sites, in
     its mode, dimension and step.
+
+    The dressing's series live on entry columns (``_columns``, read from the
+    solved orders once); ``hat``, ``hat_inverse`` and ``resolvent`` build
+    lattices of series from them.
     """
 
     data: AknsData
     U: LatticeFn
     window: Window
     dressing: Dressing
-    # resolvent_dressed per alpha, filled by ``resolvent``
-    _resolvents: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if (self.U.lo, self.U.hi) != (self.window.stored_lo, self.window.stored_hi):
@@ -280,20 +271,22 @@ class HierarchyState:
         return HierarchyState(data, U, window, solve_dressing(data, U, depth))
 
     @cached_property
+    def _columns(self) -> _DressingColumns:
+        """w_hat on entry columns, with its inverse and resolvents formed there."""
+        return _DressingColumns.read(_kit(self.data), self.U, self.dressing.ws)
+
+    @cached_property
     def hat(self) -> LatticeFn:
         """The dressing series I + sum_k w_k z^-k as a series-valued function."""
-        ident = self.U.constant(SmallMatrix.identity(self.data.m, self.mode))
-        return _orders_to_series([ident, *self.dressing.ws], self.data.m)
+        return self._columns.hat.lattice()
 
     @cached_property
     def hat_inverse(self) -> LatticeFn:
-        """w_hat^{-1} per site, on the sites of ``hat`` (``_inverse_series``)."""
-        return _inverse_series(_kit(self.data), self.hat, self.depth)
+        """w_hat^{-1} per site, on the sites of ``hat``."""
+        return self._columns.hat_inverse.lattice()
 
     def resolvent(self, alpha: int):
-        if alpha not in self._resolvents:
-            self._resolvents[alpha] = resolvent_dressed(self, alpha)
-        return self._resolvents[alpha]
+        return resolvent_dressed(self, alpha)
 
 
 def dressing_residual(state: HierarchyState):
@@ -308,7 +301,7 @@ def dressing_residual(state: HierarchyState):
 
 def _dressing_defect(state: HierarchyState) -> LatticeFn:
     """Delta w_hat + U w_hat - z A w_hat + z (Lambda w_hat) A: (T') by ``_sitewise``."""
-    return _sitewise(state.hat, state.data, state.U, _defect_degree)
+    return _sitewise(state._columns.hat, state.U, _defect_degree)
 
 
 # -- resolvents ----------------------------------------------------------------------
@@ -322,30 +315,9 @@ class Resolvent:
 
 
 def resolvent_dressed(state: HierarchyState, alpha: int) -> Resolvent:
-    """R_alpha = w_hat E_alpha w_hat^{-1} on entry columns, on the sites of ``state.hat``.
-
-    Degree -d is the sum of (column alpha of w_i)(row alpha of v_(d-i)) over
-    i = d..0, w and v the orders of ``hat`` and ``hat_inverse``: each a
-    product of an m x 1 and a 1 x m coefficient (``products``), summed in
-    that order.
-    """
-    state.data.projector(alpha)  # refuses an alpha outside 1..m
-    return Resolvent(_dressed_series(_kit(state.data), state.hat, state.hat_inverse, alpha,
-                                     state.depth))
-
-
-def _dressed_series(kit, hat: LatticeFn, inv: LatticeFn, alpha: int, depth: int) -> LatticeFn:
-    """``w_hat E_alpha w_hat^{-1}`` on the sites of ``hat``, from ``hat`` and its inverse
-    ``inv`` (``resolvent_dressed``)."""
-    m, k = kit.m, alpha - 1
-    cols = [_pick(kit.read(_order(hat, i)), slice(k, m * m, m), m) for i in range(depth + 1)]
-    rows = [_pick(kit.read(_order(inv, j)), slice(k * m, k * m + m), m)
-            for j in range(depth + 1)]
-    lattice = partial(LatticeFn.from_values, hat.lo, step=hat.step)
-    orders = [lattice(kit.build(_sum(kit, (kit.products(cols[i], rows[d - i])
-                                           for i in range(d, -1, -1)))))
-              for d in range(depth + 1)]
-    return _orders_to_series(orders, m)
+    """R_alpha = w_hat E_alpha w_hat^{-1} on the sites of ``state.hat``, formed on entry
+    columns (``columns._DressingColumns.resolvent``)."""
+    return Resolvent(state._columns.resolvent(alpha).lattice())
 
 
 def resolvent_direct(data: AknsData, U: LatticeFn, alpha: int, depth: int) -> Resolvent:
@@ -354,22 +326,24 @@ def resolvent_direct(data: AknsData, U: LatticeFn, alpha: int, depth: int) -> Re
     Shares the recursion kernel (direction policy, zero integration
     constants) with the dressing solver, so the result is comparable entry
     for entry with the dressed construction: the order loop on entry columns
-    (``_solve_lattices`` with ``_DIRECT_RHS``), one whole-lattice pass per
+    (``_solve_columns`` with ``_DIRECT_RHS``), one whole-lattice pass per
     order.
     """
     _check_instance(data, U)
-    e = data.projector(alpha)
-    orders = [U.constant(e), *_solve_lattices(data, U, e, depth, _DIRECT_RHS)]
-    return Resolvent(_orders_to_series(orders, data.m))
+    return Resolvent(_direct_columns(data, U, alpha, depth).lattice())
+
+
+def _direct_columns(data: AknsData, U: LatticeFn, alpha: int, depth: int) -> _ColumnSeries:
+    kit = _kit(data)
+    orders = _solve_columns(kit, U, data.projector(alpha), depth, _DIRECT_RHS)
+    return _ColumnSeries.from_orders(kit, U.lo, U.step, orders)
 
 
 def cross_solver_difference(state: HierarchyState, alpha: int):
     """Max-abs entry of R_alpha dressed minus R_alpha direct, over sites and orders,
     on entry columns."""
-    kit = _kit(state.data)
-    dressed = _ColumnSeries.read(kit, state.resolvent(alpha).series)
-    direct = resolvent_direct(state.data, state.U, alpha, state.depth).series
-    return (dressed - _ColumnSeries.read(kit, direct)).max_abs()
+    dressed = state._columns.resolvent(alpha)
+    return (dressed - _direct_columns(state.data, state.U, alpha, state.depth)).max_abs()
 
 
 # -- discrete commutators --------------------------------------------------------------
@@ -384,30 +358,29 @@ def commutator_with_l(P: LatticeFn, data: AknsData, U: LatticeFn) -> LatticeFn:
     and U(n), and the tails are the same kernel on the tails (``_sitewise``,
     the entry-column pass with ``_bracket_degree``).  The sites run over
     ``[max(P.lo, U.lo), min(P.hi - 1, U.hi)]``.  P's site series must share
-    one band and validity start.
-    """
-    return _sitewise(P, data, U, _bracket_degree)
-
-
-def _sitewise(P: LatticeFn, data: AknsData, U: LatticeFn, degree) -> LatticeFn:
-    """A site kernel of P and U on ``[max(P.lo, U.lo), min(P.hi - 1, U.hi)]``.
-
-    One pass over all sites on entry columns, ``_series_columns`` with the
-    per-degree kernel ``degree``; the tails are the same pass on one
-    transition of the tails.
+    one band and validity start (``_ColumnSeries.read``).
     """
     _check_instance(data, U)
     P._compat(U)
-    lo, hi = max(P.lo, U.lo), min(P.hi - 1, U.hi)
+    return _sitewise(_ColumnSeries.read(_kit(data), P), U, _bracket_degree)
+
+
+def _sitewise(P: _ColumnSeries, U: LatticeFn, degree) -> LatticeFn:
+    """A site kernel of P and U on ``[max(P.n_lo, U.lo), min(P.n_hi - 1, U.hi)]``.
+
+    One pass over all sites on entry columns, ``_series_columns`` with the
+    per-degree kernel ``degree``; the tails are the same pass on one
+    transition of the tails, each in its own band.
+    """
+    lo, hi = max(P.n_lo, U.lo), min(P.n_hi - 1, U.hi)
     if lo > hi:
         raise DimensionError("operand ranges do not overlap")
-    if len({(s.lo, s.hi, s.valid_lo) for s in P.values}) != 1:
-        raise DimensionError("a site kernel needs one band across P's sites")
-    run = partial(_series_columns, data=data, inv=inverse_step(P), degree=degree)
-    vals = run([P.at(n) for n in range(lo, hi + 2)], [U.at(n) for n in range(lo, hi + 1)])
-    tails = [run([t, t], [u])[0]
-             for t, u in ((P.left_tail, U.left_tail), (P.right_tail, U.right_tail))]
-    return LatticeFn(lo, hi, tuple(vals), *tails, P.step, P.mode)
+    kit, two = P.kit, P.restrict(lo, lo + 1)
+    run = partial(_series_columns, inv=inverse_step(U), degree=degree)
+    tails = [run(two.constant(t), kit.read([u])).lattice().values[0]
+             for t, u in zip(P.tails, (U.left_tail, U.right_tail))]
+    vals = run(P.restrict(lo, hi + 1), kit.read(U.values[lo - U.lo:hi - U.lo + 1]))
+    return replace(vals, tails=tuple(tails)).lattice()
 
 
 def _site_band(c: MatSeries) -> tuple:
@@ -422,29 +395,6 @@ def _site_band(c: MatSeries) -> tuple:
 
 
 # -- Lax kernels on entry columns -------------------------------------------------
-
-
-def _order(f: LatticeFn, k: int) -> list:
-    """The coefficient of z^-k at each site of a lattice of series whose band ends at 0."""
-    return [s.coeffs[-1 - k] for s in f.values]
-
-
-def _inverse_series(kit, hat: LatticeFn, depth: int) -> LatticeFn:
-    """The inverse of ``hat`` on its sites, from its orders v_0..v_depth.
-
-    v_0 = w_0 = I, and v_j is ``-1`` times ``w_1 v_(j-1) + ... + w_j v_0``,
-    summed in that order.  Each order is built as it is formed, and the next
-    orders read its canonical columns.
-    """
-    lattice = partial(LatticeFn.from_values, hat.lo, step=hat.step)
-    w = [kit.read(_order(hat, i)) for i in range(1, depth + 1)]
-    orders = [lattice(_order(hat, 0))]
-    v = [kit.read(orders[0].values)]
-    for j in range(1, depth + 1):
-        acc = _sum(kit, (kit.products(w[i - 1], v[j - i]) for i in range(1, j + 1)))
-        orders.append(lattice(kit.build(kit.scale(acc, -1))))
-        v.append(kit.read(orders[-1].values))
-    return _orders_to_series(orders, kit.m)
 
 
 def _lax_columns(kit, x, u, inv) -> tuple:
@@ -485,7 +435,7 @@ def _order_columns(kit, u, inv, first: SmallMatrix, depth: int, parts, op) -> tu
     """The order loop on U's transitions ``u``: ``first``, ``depth`` more orders, each the
     two-point solve of the right-hand side of the one before (``parts`` and ``op`` of
     ``_DRESSING_RHS`` or ``_DIRECT_RHS``), and the ``(s, D)`` columns of orders < depth."""
-    orders, kept = [[c * (len(u[0]) + 1) for c in kit.read([first])]], []
+    orders, kept = [kit.constant(first, len(u[0]) + 1)], []
     for _ in range(depth):
         kept.append(parts(kit, orders[-1], u, inv))
         s, d = kept[-1]
@@ -493,15 +443,13 @@ def _order_columns(kit, u, inv, first: SmallMatrix, depth: int, parts, op) -> tu
     return orders, kept
 
 
-def _solve_lattices(data: AknsData, U: LatticeFn, first: SmallMatrix, depth: int,
-                    rhs) -> list:
-    """Orders 1..depth of ``_order_columns`` on U, as lattices on U's sites."""
+def _solve_columns(kit, U: LatticeFn, first: SmallMatrix, depth: int, rhs) -> list:
+    """Orders 0..depth of ``_order_columns`` on U's sites; below depth 1 only ``first``,
+    which needs no transition."""
     if depth < 1:
-        return []
-    kit = _kit(data)
-    orders = _order_columns(kit, _transition_columns(kit, U), inverse_step(U), first, depth,
-                            *rhs)[0]
-    return [LatticeFn.from_values(U.lo, kit.build(c), step=U.step) for c in orders[1:]]
+        return [kit.constant(first, U.hi - U.lo + 1)]
+    return _order_columns(kit, _transition_columns(kit, U), inverse_step(U), first, depth,
+                          *rhs)[0]
 
 
 def _z_columns(kit, x) -> list:
@@ -545,25 +493,21 @@ def _defect_degree(kit, x, xp, u, inv) -> list:
     return kit.combine(kit.combine(v, left, sub), right, add)
 
 
-def _series_columns(cs: list, us: list, data: AknsData, inv, degree) -> list:
-    """The series pass: ``degree`` at each transition of the series ``cs``, U(n) = ``us[n]``.
+def _series_columns(p: _ColumnSeries, u: list, inv, degree) -> _ColumnSeries:
+    """The series pass: ``degree`` at each transition of ``p``, U's columns there ``u``.
 
     ``degree`` is ``_bracket_degree`` or ``_defect_degree``:
     ``degree(kit, x, xp, u, inv)`` forms degree d from the columns of
     coefficient d (None on the top degree) and d - 1, which below a fully
-    known band is the zero matrix.  The series share one band, and each
-    coefficient is read into entry columns once.  Bands as in ``_site_band``.
+    known band is the zero matrix.  The result lives on the transitions
+    ``p.n_lo..p.n_hi - 1`` and keeps p's tails; bands as in ``_site_band``.
     """
-    kit = _kit(data)
-    c0 = cs[0]
-    first, vlo = _site_band(c0)
-    u = kit.read(us)
-    xs = [kit.zero(len(cs)),
-          *(kit.read([c.coeffs[i] for c in cs]) for i in range(len(c0.coeffs))), None]
-    degrees = [degree(kit, xs[i], xs[i - 1], u, inv) for i in range(first - c0.lo + 1, len(xs))]
-    per_site = zip(*map(kit.build, degrees))
-    return [MatSeries(kit.m, c.mode, first, c0.hi + 1, coeffs, vlo)
-            for c, coeffs in zip(cs, per_site)]
+    kit = p.kit
+    first, vlo = _site_band(p)
+    xs = [kit.zero(p.n_hi - p.n_lo + 1), *p.coeffs, None]
+    degrees = [degree(kit, xs[i], xs[i - 1], u, inv) for i in range(first - p.lo + 1, len(xs))]
+    return replace(p, n_hi=p.n_hi - 1, lo=first, hi=p.hi + 1, valid_lo=vlo,
+                   coeffs=tuple(degrees))
 
 
 # -- projections and the hierarchy flow field ----------------------------------------------
@@ -621,7 +565,7 @@ def _flow_pass(data: AknsData, u: list, inv, k: int, alpha: int, tol) -> list:
                 for j, (pq, dx) in enumerate(lax)]
     # R_(0) = e and the zero are the same at every site: their z-terms are
     # formed on one transition
-    positive.append(_top_degree(kit, _z_columns(kit, [c * 2 for c in kit.read([e])])))
+    positive.append(_top_degree(kit, _z_columns(kit, kit.constant(e, 2))))
     pos = scalars.max_of(chain.from_iterable(map(kit.magnitudes, positive)), data.mode)
     if not pos <= tol:  # a nan fails it too
         raise ConsistencyError(f"positive z-degrees of the flow commutator do not vanish "

@@ -23,7 +23,7 @@ from .baker import (
     bilinear_residual,
     bilinear_residuals,
 )
-from .columns import _ColumnSeries, _kit
+from .columns import _ColumnSeries
 from .config import ExperimentConfig
 from .dynamics import (
     CONSISTENCY_TOL,
@@ -228,7 +228,7 @@ def _suite_resolvent(config: ExperimentConfig, report: VerificationReport) -> No
     report.add("resolvent_commutator", scalars.max_of(comm, mode), tol)
 
     # R_a R_b - delta_ab R_b, every product multiplied out on entry columns
-    columns = [_ColumnSeries.read(_kit(state.data), r) for r in resolvents]
+    columns = [state._columns.resolvent(alpha) for alpha in range(1, m + 1)]
     zero = columns[0].constant(MatSeries.zero(m, mode))
     alg = [(ra * rb - (rb if a_idx == b_idx else zero)).max_abs()
            for a_idx, ra in enumerate(columns) for b_idx, rb in enumerate(columns)]

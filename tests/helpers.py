@@ -18,7 +18,6 @@ from aknsd.hierarchy import (
     Dressing,
     HierarchyState,
     Resolvent,
-    _orders_to_series,
     _site_band,
     flow_field,
     projector_b,
@@ -221,6 +220,18 @@ def ref_commutator_floats(c, c1, u, a_mat, inv):
         0.0 - ((0 + bp * ak) - (0 + ar * ep)) for ep, bp, ak in zip(xpr, x1pr, a)])
         for xpr, x1pr, ar in zip(xs[-1], x1s[-1], a)])))
     return MatSeries(m, c.mode, first, c.hi + 1, tuple(coeffs), vlo)
+
+
+def _orders_to_series(orders: list, m: int) -> LatticeFn:
+    """Per site, the series sum_k orders[k](n) z^-k, valid through its depth, with zero
+    tails: the references' own assembler of lattices of matrices into a lattice of series."""
+    first = orders[0]
+    depth = len(orders) - 1
+    top_down = orders[::-1]
+    vals = tuple(MatSeries(m, first.mode, -depth, 0, tuple(f.at(n) for f in top_down), -depth)
+                 for n in first.sites())
+    zero = MatSeries.zero(m, first.mode)
+    return LatticeFn(first.lo, first.hi, vals, zero, zero, first.step, first.mode)
 
 
 def _site_matrices(cols, m, build):

@@ -1,8 +1,10 @@
 """Bilinear residue verifier and adjoint checks."""
 
 from fractions import Fraction
+import gc
 import math
 import random
+import weakref
 
 from hypothesis import given, settings, strategies as st
 import pytest
@@ -16,7 +18,12 @@ from aknsd.baker import (
     bilinear_residuals,
 )
 from aknsd.errors import InstanceError, ModeError, ValidityError
-from aknsd.hierarchy import Dressing, HierarchyState
+from aknsd.hierarchy import (
+    Dressing,
+    HierarchyState,
+    cross_solver_difference,
+    dressing_residual,
+)
 from aknsd.instances import (
     DESK_WINDOW,
     desk_data,
@@ -285,6 +292,27 @@ def test_a_bump_at_n_max_plus_one_is_seen_by_the_difference_form_only(m):
         assert value == ref_bilinear_residual(bad, 2, m_delta, ())
         assert (value > 0) == (m_delta == 1)
     assert max(bilinear_analytic_grid(bad)) > 0
+
+
+def test_a_state_is_freed_at_its_last_reference():
+    # nothing a state keeps (its dressing on entry columns, w_hat^{-1}, the
+    # resolvents) and nothing formed from it (a region cut, the lattices and
+    # values kept below) points back at it, so with the cycle collector off
+    # the state goes at its last reference
+    state = rational_state(m=2, seed=5, depth=3)
+    kept = [state.hat_inverse, *(state.resolvent(a) for a in (1, 2)), dressing_residual(state),
+            cross_solver_difference(state, 1), bilinear_analytic_grid(state)]
+    region = baker._region(state)
+    kept += [region.hat_inverse, *(region.resolvent(a) for a in (1, 2))]
+    ref = weakref.ref(state)
+    gc.collect()
+    gc.disable()
+    try:
+        del state, region
+        assert ref() is None
+    finally:
+        gc.enable()
+    assert kept
 
 
 # -- adjoint -----------------------------------------------------------------------

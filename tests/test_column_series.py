@@ -202,3 +202,16 @@ def test_sparse_exact_kernels_equal_the_dense_ones_after_a_canonical_build(case)
     for p, q in ((z, w), (w, z), (z, kit.zero(len(w[0]))), (kit.zero(len(z[0])), w)):
         for op in (add, sub):
             assert kit.build(kit.combine(p, q, op)) == kit.build(_dense_combine(p, q, op))
+
+
+@given(exact_columns())
+@settings(max_examples=200, deadline=None)
+def test_canonical_columns_are_the_built_ones(case):
+    # each site over the gcd of its denominator and numerators: the columns a
+    # build and a read give, with no matrix formed; a double has one form
+    data, x, y, z, w = case
+    kit = _kit(data)
+    for c in (z, w, kit.products(x, y), kit.combine(z, w, add), kit.zero(len(z[0]))):
+        assert [list(v) for v in kit.canonical(c)] == [list(v) for v in kit.read(kit.build(c))]
+    floats = [[0.5, -0.0, 3.0]] * (data.m * data.m)
+    assert _kit(AknsData(data.m, (1.0, -1.0, 2.0)[:data.m], FLOAT)).canonical(floats) is floats

@@ -717,6 +717,12 @@ def accepted_config(draw):
                   {"type": "impulse", "site": max(lo, min(0, hi)), "value": "3/2"}]
     if lo <= 0 <= hi:  # a random potential lives on sites -span..span
         potentials.append({"type": "random", "span": min(-lo, hi, 2), "amplitude": "1/2"})
+    # off-diagonal rational entries at a stored edge site and at one more stored site
+    entry = st.sampled_from(["0", "1", "-1/2", "3/2", "-2", "2/3"])
+    sites = {draw(st.sampled_from([lo, hi])), draw(st.integers(lo, hi))}
+    potentials.append({"type": "explicit", "sites": {
+        str(n): [["0" if i == j else draw(entry) for j in range(m)] for i in range(m)]
+        for n in sorted(sites)}})
     potential = draw(st.sampled_from(potentials))
     return {
         "m": m,
