@@ -13,7 +13,10 @@ differencing step.  Every series of a bilinear cell and of the dual kernel
 is a lattice of series on entry columns (``columns._ColumnSeries``): each
 product is formed for all the sites at once and multiplied out, and the
 region a residual reads is a cut of the state's dressing columns
-(``columns._DressingColumns``, ``_region``), passed beside the state.
+(``columns._DressingColumns``, ``_region``), passed beside the state.  The
+transfer check ``difference_transfer_residual`` and the dual kernel of
+``adjoint_check`` reduce those columns too, with U read as degree-0 series
+(``_ColumnSeries.of_matrices``).
 
 Tau functions are finite sums of exponentials ``exp(+-xi_g(x))`` carried by
 their Miwa points ``(g, x, +-1)`` and taken at t = 0: the discrete time shift
@@ -294,6 +297,16 @@ def bilinear_expression(state: HierarchyState, m_delta: int, word: tuple, *,
     return _expression_columns(state, m_delta, word, path=path, fd_step=fd_step).lattice()
 
 
+def difference_transfer_residual(state: HierarchyState):
+    """Max-abs entry of (D_eps w) w^{-1} - (z A - U), on every site of the dressing and
+    on entry columns: its degree 1 against A, its degree 0 against -U."""
+    expr = _expression_columns(state, 1, ())
+    a_term = expr.constant(MatSeries.monomial(state.data.matrix, 1))
+    u_term = _ColumnSeries.of_matrices(expr.kit, state.U)
+    return scalars.max_of(((expr - a_term).magnitude(1), (expr + u_term).magnitude(0)),
+                          state.mode)
+
+
 def bilinear_l_capacity(depth: int, word: tuple, m_delta: int) -> int:
     """Largest l whose residue the expression band supports at this depth.
 
@@ -408,6 +421,6 @@ def adjoint_check(state: HierarchyState, f: LatticeFn, g: LatticeFn):
     inv = state._columns.hat_inverse
     lam_inv = inv.shift(1)
     left = inv.constant(_step_polynomial(state))
-    eps_u = _ColumnSeries.read(inv.kit, u.map(MatSeries.constant)).scale(state.step)
+    eps_u = _ColumnSeries.of_matrices(inv.kit, u).scale(state.step)
     kernel = left * inv - lam_inv * (lam_inv.constant(_step_polynomial(state)) - eps_u)
     return pairing_residual, kernel.max_abs()

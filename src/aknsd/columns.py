@@ -214,13 +214,12 @@ class _FloatColumns(_Columns):
 class _ExactColumns(_Columns):
     """The rational column primitives, on numerator columns over a denominator column.
 
-    A sum is formed as ``SmallMatrix.sum_of_products`` forms one: its terms
-    are scaled to the per-site lcm of their denominators and summed unreduced.  A
-    solved order returns to canonical columns (``solve``), and a built matrix
-    gets the one gcd sweep.  Any positive denominator column is a valid
-    result, so ``products`` and ``combine`` skip the numerator columns that
-    are all zero: such a term is exactly 0.  They test lists and tuples
-    only, never a lazy column.
+    A sum is formed unreduced: its terms are scaled to the per-site lcm of
+    their denominators and summed.  A solved order returns to canonical
+    columns (``solve``), and a built matrix gets the one gcd sweep.  Any
+    positive denominator column is a valid result, so ``products`` and
+    ``combine`` skip the numerator columns that are all zero: such a term is
+    exactly 0.  They test lists and tuples only, never a lazy column.
     """
 
     def read(self, mats) -> list:
@@ -352,6 +351,13 @@ class _ColumnSeries(Banded):
         coeffs = tuple(kit.read([s.coeffs[i] for s in f.values]) for i in range(hi - lo + 1))
         return _ColumnSeries(kit, f.lo, f.hi, f.step, lo, hi, vlo, coeffs,
                              (f.left_tail, f.right_tail))
+
+    @staticmethod
+    def of_matrices(kit, f: LatticeFn) -> "_ColumnSeries":
+        """A lattice of matrices as the fully known degree-0 series at each site and
+        in both tails."""
+        return _ColumnSeries(kit, f.lo, f.hi, f.step, 0, 0, None, (kit.read(f.values),),
+                             (MatSeries.constant(f.left_tail), MatSeries.constant(f.right_tail)))
 
     @staticmethod
     def from_orders(kit, n_lo: int, step, orders: list) -> "_ColumnSeries":

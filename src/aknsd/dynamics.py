@@ -261,17 +261,21 @@ class ScanReport:
 
 
 def check_scan_steps(eps_list) -> list:
-    """The scan's step sizes as floats: at least three, each one half of the one before.
+    """The scan's step sizes as floats: at least three, each positive and finite and
+    one half of the one before.
 
     This is the scan's one door.  A Cauchy order compares the differences of
     the fields at consecutive step sizes, so fewer than three step sizes
     measure none; consecutive fields are compared on common x-points, so the
-    steps must be strictly decreasing and halved.
+    steps must be strictly decreasing and halved.  A step of 0, below 0, inf
+    or nan samples no window: it is refused before any ratio is taken.
     """
     eps_list = [float(e) for e in eps_list]
     if len(eps_list) < 3:
         raise InstanceError(f"the scan needs at least 3 step sizes to measure a Cauchy "
                             f"order; got {len(eps_list)}")
+    if not all(0 < e < math.inf for e in eps_list):  # a nan fails it too
+        raise InstanceError(f"step sizes must be positive and finite; got {eps_list}")
     if any(e2 >= e1 for e1, e2 in zip(eps_list, eps_list[1:])):
         raise InstanceError("step sizes must be strictly decreasing")
     if any(abs(e1 / e2 - 2.0) > 1e-12 for e1, e2 in zip(eps_list, eps_list[1:])):

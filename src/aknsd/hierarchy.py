@@ -66,8 +66,11 @@ a state reads its solved orders into columns once (``HierarchyState._columns``,
 a ``columns._DressingColumns``), which forms w_hat^{-1} and each R_alpha
 there on first use and keeps them.  ``hat``, ``hat_inverse``,
 ``resolvent_dressed`` and ``resolvent_direct`` build a lattice of series
-only to return one; the dressing defect, ``cross_solver_difference`` and
-the verifier read the columns.
+only to return one.  The residuals that the verifier checks reduce the
+columns directly: ``dressing_residual`` and ``commutator_residual`` (the
+series pass over the state's transitions, no tail formed),
+``product_algebra_residual``, ``sum_identity_residual`` and
+``cross_solver_difference``.
 
 See docs/derivations.md sections 1 to 4.
 """
@@ -75,7 +78,7 @@ See docs/derivations.md sections 1 to 4.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import cached_property, partial
+from functools import cached_property, partial, reduce
 from itertools import chain
 from operator import add, sub
 
@@ -294,14 +297,10 @@ def dressing_residual(state: HierarchyState):
 
     This is the multiplication-operator part of the difference between the
     two sides of the dressing relation; it vanishes exactly in rational mode
-    at every site where the recursion was enforced.
+    at every site where the recursion was enforced.  (T') over the state's
+    transitions on entry columns (``_transition_residual``).
     """
-    return site_max(_dressing_defect(state))
-
-
-def _dressing_defect(state: HierarchyState) -> LatticeFn:
-    """Delta w_hat + U w_hat - z A w_hat + z (Lambda w_hat) A: (T') by ``_sitewise``."""
-    return _sitewise(state._columns.hat, state.U, _defect_degree)
+    return _transition_residual(state, state._columns.hat, _defect_degree)
 
 
 # -- resolvents ----------------------------------------------------------------------
@@ -344,6 +343,41 @@ def cross_solver_difference(state: HierarchyState, alpha: int):
     on entry columns."""
     dressed = state._columns.resolvent(alpha)
     return (dressed - _direct_columns(state.data, state.U, alpha, state.depth)).max_abs()
+
+
+def commutator_residual(state: HierarchyState, alpha: int):
+    """Max-abs coefficient of [R_alpha, L]_D over the state's transitions, on entry
+    columns: ``commutator_with_l`` of R_alpha, reduced."""
+    return _transition_residual(state, state._columns.resolvent(alpha), _bracket_degree)
+
+
+def product_algebra_residual(state: HierarchyState):
+    """Max-abs entry of R_a R_b - delta_ab R_b over a, b = 1..m, the sites and the orders,
+    on entry columns."""
+    rs = _resolvents(state)
+    zero = rs[0].constant(MatSeries.zero(state.data.m, state.mode))
+    return scalars.max_of(((ra * rb - (rb if a == b else zero)).max_abs()
+                           for a, ra in enumerate(rs) for b, rb in enumerate(rs)), state.mode)
+
+
+def sum_identity_residual(state: HierarchyState):
+    """Max-abs entry of R_1 + ... + R_m - I over the sites and the orders, on entry
+    columns; the resolvents are added in the order of alpha."""
+    rs = _resolvents(state)
+    ident = rs[0].constant(MatSeries.constant(SmallMatrix.identity(state.data.m, state.mode)))
+    return (reduce(add, rs) - ident).max_abs()
+
+
+def _resolvents(state: HierarchyState) -> list:
+    """R_1..R_m of the state's dressing on entry columns."""
+    return [state._columns.resolvent(alpha) for alpha in range(1, state.data.m + 1)]
+
+
+def _transition_residual(state: HierarchyState, P: _ColumnSeries, degree):
+    """Max-abs coefficient of the site kernel ``degree`` of P, a series on the state's
+    sites, over the state's transitions (``_series_columns``; no tail is formed)."""
+    U = state.U
+    return _series_columns(P, _transition_columns(P.kit, U), inverse_step(U), degree).max_abs()
 
 
 # -- discrete commutators --------------------------------------------------------------

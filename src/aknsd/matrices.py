@@ -7,20 +7,18 @@ concurrent tasks.
 
 A rational matrix is stored as integer numerator rows over one positive
 common denominator, kept canonical: the gcd of every numerator and the
-denominator is 1, so equal matrices have equal fields.  The ring operations
-work on Python ints (entries outgrow 64 bits) and make each result canonical
-with one gcd sweep.  A sum of products is one integer block product
-(``sum_of_products``): the left factors are set side by side, the right
-ones, each scaled to the lcm of the term denominators, are stacked, and the
-unreduced product is swept once.
-``rows`` and ``get`` hand out ``Fraction`` entries in lowest terms, and fill a
-cache to do it; ``numerators`` and ``from_lowest_terms`` are the integer view
-for exact code outside this module, and ``over_lcm`` is the one rule that
-makes lowest-terms entries canonical without a sweep.  A float matrix stores its rows of doubles
-directly.  The column kernels of ``hierarchy`` and ``dynamics`` read a
-matrix with ``rows`` (float) or ``numerators`` (rational), form products on
-the columns as ``_product`` forms them, and wrap each result with
-``_floats``, or ``_exact`` with its one gcd sweep.
+denominator is 1, so equal matrices have equal fields, whatever unreduced
+form the sums that made them passed through.  The ring operations work on
+Python ints (entries outgrow 64 bits) and make each result canonical with
+one gcd sweep.  ``rows`` and ``get`` hand out ``Fraction`` entries in
+lowest terms, and fill a cache to do it; ``numerators`` and
+``from_lowest_terms`` are the integer view for exact code outside this
+module, and ``over_lcm`` is the one rule that makes lowest-terms entries
+canonical without a sweep.  A float matrix stores its rows of doubles
+directly.  The column kernels of ``columns`` read a matrix with ``rows``
+(float) or ``numerators`` (rational), form products on the columns as
+``_product`` forms them, and wrap each result with ``_floats``, or
+``_exact`` with its one gcd sweep.
 
 Both modes form a product with the one row-times-column helper
 ``_product``: on the integer numerators, or on the doubles, where it sums in
@@ -292,37 +290,6 @@ class SmallMatrix:
         d = tuple(diag._num[i][i] for i in range(self.m))
         return SmallMatrix._exact(self.m, _diag_product(d, self._num, left),
                                   self._den * diag._den)
-
-    @staticmethod
-    def sum_of_products(pairs, m: int, mode: str) -> "SmallMatrix":
-        """The sum of ``a @ b`` over the ``(a, b)`` pairs; zero for no pairs.
-
-        Rational: one integer block product ``[a_1 | ... | a_P] [f_1 b_1; ...;
-        f_P b_P]``, each ``b_p`` scaled by ``f_p = lcm / (den a_p den b_p)``,
-        the lcm of all the term denominators: the unreduced sum over the lcm,
-        swept once.  Float: ``acc + (a @ b)`` from a zero ``acc``, in pair
-        order, exactly as a loop of ring operations adds them.
-        """
-        zero = SmallMatrix.zero(m, mode)
-        if mode == scalars.FLOAT:
-            acc = zero
-            for a, b in pairs:
-                acc = acc + (a @ b)
-            return acc
-        lefts, right, dens = [], [], []
-        for a, b in pairs:
-            zero._compat(a)
-            a._compat(b)
-            lefts.append(a._num)
-            right.extend(b._num)
-            dens.extend([a._den * b._den] * m)
-        if not dens:
-            return zero
-        left = lefts[0] if len(lefts) == 1 else [[*chain.from_iterable(r)] for r in zip(*lefts)]
-        den = lcm(*dens)
-        right = [row if d == den else [(den // d) * x for x in row]
-                 for row, d in zip(right, dens)]
-        return SmallMatrix._exact(m, _product(left, right), den)
 
     def transpose(self) -> "SmallMatrix":
         if self._den is None:

@@ -213,6 +213,16 @@ def product_band(a: Banded, b: Banded) -> tuple:
     return band_lo, hi, vlo
 
 
+def _product_sum(pairs, m: int, mode: str) -> SmallMatrix:
+    """The sum of ``x @ y`` over the ``(x, y)`` pairs: ``acc + (x @ y)`` from the zero,
+    in pair order.  A rational matrix is stored canonically, so any order of the
+    exact sums gives the same matrix."""
+    acc = SmallMatrix.zero(m, mode)
+    for x, y in pairs:
+        acc = acc + (x @ y)
+    return acc
+
+
 def series_mul(a: MatSeries, b: MatSeries) -> MatSeries:
     """Cauchy product with sound validity bookkeeping."""
     a._compat(b)
@@ -225,8 +235,7 @@ def series_mul(a: MatSeries, b: MatSeries) -> MatSeries:
             if a_nz[i - a.lo] and b_nz[d - i - b.lo]:
                 yield a.coeffs[i - a.lo], b.coeffs[d - i - b.lo]
 
-    coeffs = tuple(SmallMatrix.sum_of_products(pairs(d), a.m, a.mode)
-                   for d in range(band_lo, hi + 1))
+    coeffs = tuple(_product_sum(pairs(d), a.m, a.mode) for d in range(band_lo, hi + 1))
     return MatSeries(a.m, a.mode, band_lo, hi, coeffs, vlo)
 
 
@@ -254,8 +263,7 @@ def series_inverse(a: MatSeries, depth: int) -> MatSeries:
     # the nonzero coefficients h-1 .. h-depth, all valid since depth <= avail
     below = [(i, c) for i in range(1, depth + 1) if not (c := a.get(h - i)).is_zero()]
     for j in range(1, depth + 1):
-        acc = SmallMatrix.sum_of_products(
-            ((c, out[j - i]) for i, c in below if i <= j), a.m, a.mode)
+        acc = _product_sum(((c, out[j - i]) for i, c in below if i <= j), a.m, a.mode)
         out[j] = -(top_inv @ acc)
     coeffs = tuple(out[j] for j in range(depth, -1, -1))
     return MatSeries(a.m, a.mode, -h - depth, -h, coeffs, -h - depth)

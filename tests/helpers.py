@@ -2,7 +2,7 @@
 
 from fractions import Fraction
 from functools import partial
-from math import gcd, lcm
+from math import gcd
 import os
 from pathlib import Path
 import random
@@ -393,28 +393,6 @@ def assert_canonical(mat):
     num, den = mat.numerators()
     assert den > 0
     assert gcd(den, *(x for row in num for x in row)) == 1
-
-
-def product_term(a, b):
-    """``a @ b`` of two rational matrices as an unreduced term ``(numerator rows, den)``."""
-    (an, ad), (bn, bd) = a.numerators(), b.numerators()
-    return _product(an, bn), ad * bd
-
-
-def from_terms(terms, m):
-    """The rational sum of integer terms ``(numerator rows, den)``, term by term.
-
-    The pairwise rule the block product replaced: each term's numerators are
-    scaled to the lcm of the denominators and summed, and the sum is swept
-    once; a negative ``den`` subtracts its term; no terms give the shared zero.
-    """
-    terms = list(terms)
-    if not terms:
-        return SmallMatrix.zero(m, RAT)
-    den = lcm(*(d for _, d in terms))
-    flat = [sum(x) for x in zip(*([(den // d) * x for row in num for x in row]
-                                  for num, d in terms))]
-    return SmallMatrix._exact(m, tuple(tuple(flat[r * m:(r + 1) * m]) for r in range(m)), den)
 
 
 def ref_bilinear_residual(state, l_max, m_delta, word):

@@ -20,10 +20,12 @@ rational instance with a float state was saved as a float document with
 rational ``a``, and a depth above the halo was saved and then refused on
 loading.  So every state the door accepts survives a save and a load byte
 for byte.  A scan's door, ``dynamics.check_scan_steps``, refuses fewer than
-three step sizes, which measure no Cauchy order.
+three step sizes, which measure no Cauchy order, and a step size that is
+not positive and finite.
 """
 from fractions import Fraction
 import json
+import math
 
 from hypothesis import given, settings, strategies as st
 import pytest
@@ -242,4 +244,13 @@ def test_a_state_is_refused_at_its_door_or_survives_a_save_and_a_load(parts):
 def test_the_scan_door_refuses_fewer_than_three_step_sizes(eps_list):
     # two step sizes give one Cauchy difference and no order to pass or fail
     with pytest.raises(InstanceError, match=f"at least 3 step sizes .*; got {len(eps_list)}$"):
+        continuum_scan(desk_data(2, FLOAT), gaussian_bump_profile(2), eps_list)
+
+
+@pytest.mark.parametrize("eps_list", [[1.0, 0.5, 0.0], [math.nan] * 3, [math.inf] * 3],
+                         ids=["zero", "nan", "inf"])
+def test_the_scan_door_refuses_a_step_that_is_not_positive_and_finite(eps_list):
+    # a zero step divided its neighbour's ratio check by zero, and a nan one passed
+    # every check, so the scan failed later converting a nan to an integer
+    with pytest.raises(InstanceError, match="positive and finite"):
         continuum_scan(desk_data(2, FLOAT), gaussian_bump_profile(2), eps_list)

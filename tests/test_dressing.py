@@ -178,9 +178,9 @@ def test_perturbed_dressing_has_localized_residual():
         state.dressing.conventions,
     )
     bad = HierarchyState(data, U, DESK_WINDOW, tampered)
-    from aknsd.hierarchy import _dressing_defect
+    from aknsd.hierarchy import _defect_degree, _sitewise
 
-    defect = _dressing_defect(bad)
+    defect = _sitewise(bad._columns.hat, bad.U, _defect_degree)
     nonzero_sites = [n for n in defect.sites() if not defect.at(n).is_zero()]
     assert nonzero_sites
     assert all(abs(n - site) <= 1 for n in nonzero_sites)

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 from aknsd import scalars
 from aknsd.errors import DimensionError, ModeError, SingularError
 from aknsd.matrices import SmallMatrix
-from helpers import RAT, assert_canonical, from_terms, product_term, ref_inverse, ref_matmul
+from helpers import RAT, assert_canonical, ref_inverse, ref_matmul
 
 small = st.one_of(st.just(Fraction(0)),
                   st.fractions(min_value=-4, max_value=4, max_denominator=6))
@@ -88,71 +88,6 @@ def test_equal_matrices_have_equal_fields_and_hashes(ops):
                                 for r in a]) == ma
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.integers(1, 4).flatmap(
-    lambda m: st.tuples(st.just(m), st.lists(st.tuples(entries(m), entries(m)), max_size=3))))
-def test_sum_of_products_matches_the_fraction_reference(case):
-    m, pairs = case
-    got = SmallMatrix.sum_of_products(
-        ((SmallMatrix(m, RAT, a), SmallMatrix(m, RAT, b)) for a, b in pairs), m, RAT)
-    want = [[Fraction(0)] * m for _ in range(m)]
-    for a, b in pairs:
-        want = [[x + y for x, y in zip(r, q)] for r, q in zip(want, ref_matmul(a, b))]
-    assert_matches(got, want)
-    if not pairs:
-        assert got is SmallMatrix.zero(m, RAT)
-
-
-def assert_block_sum_is_the_pairwise_sum(pairs, m):
-    """The block ``sum_of_products`` has the numerators and denominator of the
-    term-by-term ``from_terms`` sum of the same products."""
-    mats = [(SmallMatrix.from_rows(a, RAT), SmallMatrix.from_rows(b, RAT)) for a, b in pairs]
-    got = SmallMatrix.sum_of_products(iter(mats), m, RAT)
-    want = from_terms([product_term(a, b) for a, b in mats], m)
-    assert got.numerators() == want.numerators()
-    assert_canonical(got)
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.integers(1, 4).flatmap(
-    lambda m: st.tuples(st.just(m), st.lists(st.tuples(entries(m), entries(m)), max_size=6))))
-def test_block_sum_of_products_is_the_pairwise_sum(case):
-    m, pairs = case
-    assert_block_sum_is_the_pairwise_sum(pairs, m)
-
-
-F = Fraction
-_BLOCK_CASES = {
-    "no-pairs": [],
-    "one-pair": [([[1, F(1, 2)], [0, 3]], [[F(2, 3), 0], [1, 1]])],
-    "zero-factors": [([[0, 0], [0, 0]], [[1, 2], [3, 4]]),
-                     ([[F(1, 3), 1], [0, 0]], [[0, 0], [0, 0]]),
-                     ([[1, 0], [0, 1]], [[F(5, 7), 0], [0, 1]])],
-    "mixed-denominators": [([[F(1, 2), 0], [0, F(1, 3)]], [[F(1, 5), 1], [0, F(1, 7)]]),
-                           ([[F(3, 4), F(1, 6)], [1, 0]], [[F(2, 9), 0], [F(1, 8), 1]])],
-    "negative-entries": [([[-1, F(-1, 2)], [F(3, 2), -4]], [[F(-2, 3), 1], [-1, F(-5, 6)]]),
-                         ([[F(1, 2), -1], [0, F(-1, 4)]], [[-1, 0], [F(1, 2), F(-1, 3)]])],
-    "cancel-to-zero": [([[1, F(1, 2)], [0, 1]], [[1, 0], [0, 1]]),
-                       ([[-1, F(-1, 2)], [0, -1]], [[1, 0], [0, 1]])],
-}
-
-
-@pytest.mark.parametrize("case", list(_BLOCK_CASES))
-def test_block_sum_of_products_cases(case):
-    assert_block_sum_is_the_pairwise_sum(_BLOCK_CASES[case], 2)
-
-
-@settings(max_examples=50, deadline=None)
-@given(st.lists(st.tuples(entries(2), entries(2)), max_size=4))
-def test_float_sum_of_products_adds_in_pair_order(pairs):
-    mats = [(SmallMatrix.from_rows(a, "float"), SmallMatrix.from_rows(b, "float"))
-            for a, b in pairs]
-    acc = SmallMatrix.zero(2, "float")
-    for a, b in mats:
-        acc = acc + (a @ b)
-    assert SmallMatrix.sum_of_products(iter(mats), 2, "float").rows == acc.rows
-
-
 doubles = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(allow_nan=False))
 
 
@@ -199,11 +134,6 @@ def test_exact_diagonal_scaling_and_terms(ops, d):
         got = c.mul_diag(a, left=left)
         assert got == want
         assert_canonical(got)
-    # the pairwise reference of the block sum: a negative denominator
-    # subtracts its term; no terms give the shared zero
-    num, den = c.numerators()
-    assert from_terms([product_term(c, a), (num, -den)], m) == c @ a - c
-    assert from_terms([], m) is SmallMatrix.zero(m, RAT)
 
 
 @settings(max_examples=100, deadline=None)
@@ -228,10 +158,7 @@ def test_singular_matrix_raises():
 def test_mixed_modes_raise():
     a = SmallMatrix.identity(2, RAT)
     b = SmallMatrix.identity(2, "float")
-    for op in (lambda: a + b, lambda: a - b, lambda: a @ b, lambda: b @ a,
-               lambda: SmallMatrix.sum_of_products([(a, a), (b, b)], 2, RAT),
-               lambda: SmallMatrix.sum_of_products([(b, b)], 2, RAT),
-               b.numerators):
+    for op in (lambda: a + b, lambda: a - b, lambda: a @ b, lambda: b @ a, b.numerators):
         with pytest.raises(ModeError):
             op()
     assert a != b

@@ -1,14 +1,30 @@
-"""Resolvent identities: commutator vanishing, algebra relations, cross-solver."""
+"""Resolvent identities: commutator vanishing, algebra relations, cross-solver.
 
+The verifier's residuals reduce the state's entry columns
+(``commutator_residual``, ``product_algebra_residual``,
+``sum_identity_residual``, ``dressing_residual`` and
+``baker.difference_transfer_residual``); each is held to the same identity
+formed on the public lattices of series, value for value in both modes.
+"""
+
+import json
+from pathlib import Path
 import random
 
 import pytest
 
+from aknsd.baker import bilinear_expression, difference_transfer_residual
+from aknsd.config import parse_config
 from aknsd.hierarchy import (
+    Dressing,
     HierarchyState,
+    commutator_residual,
     commutator_with_l,
+    dressing_residual,
+    product_algebra_residual,
     resolvent_direct,
     resolvent_dressed,
+    sum_identity_residual,
 )
 from aknsd.instances import (
     DESK_WINDOW,
@@ -17,9 +33,13 @@ from aknsd.instances import (
     random_potential,
     vacuum_potential,
 )
+from aknsd.lattice import LatticeFn, site_max
+from aknsd import scalars
 from aknsd.matrices import SmallMatrix
-from aknsd.series import MatSeries, series_mul
-from helpers import RAT
+from aknsd.series import MatSeries, series_diff_max, series_mul
+from helpers import RAT, ref_dressing_defect
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 DEPTH = 5
@@ -137,3 +157,87 @@ def test_linearity_of_resolvent_combinations():
     )
     comm = commutator_with_l(combo, state.data, state.U)
     assert max_abs_lattice_series(comm) == 0
+
+
+# -- the verifier's residuals on entry columns -----------------------------------------
+
+
+def _desk_state(name, mode):
+    doc = json.loads((CONFIGS / f"{name}.json").read_text())
+    return parse_config(json.dumps({**doc, "mode": mode})).solve()
+
+
+def _public_residuals(state):
+    """Each residual formed on the public lattices of series, site by site."""
+    data, U, m, mode = state.data, state.U, state.data.m, state.mode
+    rs = [resolvent_dressed(state, a).series for a in range(1, m + 1)]
+    zero = MatSeries.zero(m, mode)
+    algebra = [site_max(ra.zip_with(rb, lambda x, y, d=(a == b): series_mul(x, y) -
+                                    (y if d else zero)))
+               for a, ra in enumerate(rs) for b, rb in enumerate(rs)]
+    total = rs[0]
+    for r in rs[1:]:
+        total = total.zip_with(r, lambda x, y: x + y)
+    ident = MatSeries.constant(SmallMatrix.identity(m, mode))
+    expr = bilinear_expression(state, 1, ())
+    transfer = [v for n in expr.sites()
+                for v in ((expr.at(n).get(1) - data.matrix).max_abs(),
+                          (expr.at(n).get(0) + U.at(n)).max_abs())]
+    return {
+        "commutator": [site_max(commutator_with_l(r, data, U)) for r in rs],
+        "product_algebra": scalars.max_of(algebra, mode),
+        "sum_identity": site_max(total, lambda s: series_diff_max(s, ident)),
+        "dressing": site_max(ref_dressing_defect(state)),
+        "transfer": scalars.max_of(transfer, mode),
+    }
+
+
+def _column_residuals(state):
+    return {
+        "commutator": [commutator_residual(state, a) for a in range(1, state.data.m + 1)],
+        "product_algebra": product_algebra_residual(state),
+        "sum_identity": sum_identity_residual(state),
+        "dressing": dressing_residual(state),
+        "transfer": difference_transfer_residual(state),
+    }
+
+
+@pytest.mark.parametrize("mode", ["rational", "float"])
+@pytest.mark.parametrize("name", ["desk_m2", "desk_m3"])
+def test_column_residuals_are_their_public_lattice_forms(name, mode):
+    state = _desk_state(name, mode)
+    got, want = _column_residuals(state), _public_residuals(state)
+    assert repr(got) == repr(want)
+    if mode == "rational":
+        assert all(v == 0 for v in got["commutator"])
+        assert all(got[k] == 0 for k in got if k != "commutator")
+
+
+def _bumped_order(state, k, site):
+    """The state with unit (1, 2) added to dressing order k + 1 at ``site``."""
+    w = state.dressing.ws[k]
+    bump = SmallMatrix.unit(state.data.m, 1, 2, state.mode)
+    vals = tuple(v + bump if n == site else v for n, v in zip(w.sites(), w.values))
+    ws = list(state.dressing.ws)
+    ws[k] = LatticeFn(w.lo, w.hi, vals, w.left_tail, w.right_tail, w.step, w.mode)
+    return HierarchyState(state.data, state.U, state.window,
+                          Dressing(state.depth, tuple(ws), state.dressing.conventions))
+
+
+@pytest.mark.parametrize("name", ["desk_m2", "desk_m3"])
+def test_column_residuals_see_a_bumped_dressing(name):
+    state = _desk_state(name, RAT)
+    bad = _bumped_order(state, 0, 0)
+    got, want = _column_residuals(bad), _public_residuals(bad)
+    assert got == want
+    assert max(got["commutator"]) > 0
+    assert got["dressing"] > 0 and got["transfer"] > 0
+    # R_a R_b = delta_ab R_b and the sum rule hold for any invertible w_hat, so a
+    # bumped order leaves them exact; a bumped inverse breaks both
+    assert got["product_algebra"] == got["sum_identity"] == 0
+    bad = _desk_state(name, RAT)
+    inv = bad._columns.hat_inverse
+    bad._columns.hat_inverse = inv + inv.constant(
+        MatSeries.monomial(SmallMatrix.unit(bad.data.m, 1, 2, RAT), -1))
+    assert product_algebra_residual(bad) > 0
+    assert sum_identity_residual(bad) > 0

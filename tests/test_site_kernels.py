@@ -1,6 +1,6 @@
 """The site kernels against the whole-lattice compositions they replace.
 
-``resolvent_dressed``, ``_dressing_defect``, ``solve_dressing`` and
+``resolvent_dressed``, the dressing defect, ``solve_dressing`` and
 ``resolvent_direct`` build each site from the values at n and n + 1, and
 ``hat_inverse`` from the orders at n: on entry columns in both modes.  The
 references in ``helpers`` compose the same objects from series products
@@ -12,7 +12,7 @@ exact column passes (the series pass with the commutator and the defect
 kernel, both right-hand sides) are held to the ring operations, and the
 fused float kernels to the ring operations they fuse, bit for bit,
 non-finite entries included (a nan stays a nan).  The float
-``solve_dressing``, ``_dressing_defect``, ``flow_field``,
+``solve_dressing``, the dressing defect, ``flow_field``,
 ``resolvent_direct``, ``commutator_with_l`` and ``dynamics.rk4_step`` are
 held to the per-site kernels they replaced, refusals included, on every
 potential that fits the instance; a value of another dimension or mode is
@@ -46,7 +46,6 @@ from aknsd.hierarchy import (
     _DRESSING_RHS,
     _bracket_degree,
     _defect_degree,
-    _dressing_defect,
     _kit,
     _series_columns,
     _sitewise,
@@ -111,6 +110,11 @@ def _assert_same_sites(got, want):
     assert (got.lo, got.hi, got.step, got.mode) == (want.lo, want.hi, want.step, want.mode)
     for n in got.sites():
         _assert_same(got.at(n), want.at(n))
+
+
+def _defect(state):
+    """Delta w_hat + U w_hat - z A w_hat + z (Lambda w_hat) A of a state, tails included."""
+    return _sitewise(state._columns.hat, state.U, _defect_degree)
 
 
 def _assert_same_lattice(got, want):
@@ -285,7 +289,7 @@ def test_defect_kernel_matches_the_whole_lattice_sums(case):
     # unmapped, while the kernel applies (T') to the tails as well
     state, (a, b) = case
     want = ref_dressing_defect(state)
-    _assert_same_sites(_dressing_defect(state), want)
+    _assert_same_sites(_defect(state), want)
     # and on the cut, down to one transition, through the kernel itself
     _assert_same_sites(_sitewise(state._columns.hat.restrict(a, b), state.U.restrict(a, b),
                                  _defect_degree), want.restrict(a, b - 1))
@@ -586,7 +590,7 @@ def _defects(data, U, ws, window):
     reference: of the state on ``window``, or without a window, of the kernel."""
     if window is not None:
         state = HierarchyState(data, U, window, Dressing(len(ws), ws, data.conventions()))
-        return _outcome(_dressing_defect, state), _outcome(ref_dressing_defect_floats, state)
+        return _outcome(_defect, state), _outcome(ref_dressing_defect_floats, state)
     hat = _hat(U, ws)
     return (_outcome(_sitewise, _ColumnSeries.read(_kit(data), hat), U, _defect_degree),
             _outcome(ref_sitewise, hat, data, U, ref_defect_floats))
