@@ -27,7 +27,7 @@ multiplies a term by ``(1 + a_g x)^(+-n)`` and the Miwa shift by
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from . import scalars
 from .dynamics import FlowIndex, rk4_step
@@ -208,15 +208,14 @@ def _mixed_word_factor(state: HierarchyState, region: _DressingColumns, k1: int,
     d_2 w = B_2 w analytically; the centered difference of B_2(t) w(t) along
     the (k1, alpha1) flow is taken with g(t +- delta) g(t)^{-1} kept as the
     displacement polynomial, whose tail stays below the O(delta^2)
-    differencing error, so only evolved dressing factors remain.  The
-    displacement multiplies the sites only; the tails are B_2 w's.
+    differencing error, so only evolved dressing factors remain.
     """
     legs = []
     for sign, cut in zip((1.0, -1.0),
                          _stepped_regions(state, region, FlowIndex(k1, alpha1), fd_step)):
         leg = cut.resolvent(alpha2).project("plus", k2) * cut.hat
         disp = leg.constant(_displacement_polynomial(state, k1, alpha1, sign * fd_step))
-        legs.append(replace(leg * disp, tails=leg.tails))
+        legs.append(leg * disp)
     return _centered(*legs, fd_step)
 
 

@@ -27,11 +27,11 @@ numerator columns that are all zero, which drops terms that are exactly 0;
 the float ones cannot, because ``0.0 * inf`` is nan.
 
 ``_ColumnSeries`` is a lattice of series whose sites share one band, one
-list of entry columns per degree, with the operations of ``MatSeries`` at
-every site: the verifier multiplies its series out on it rather than site
-by site.  ``_DressingColumns`` holds a state's dressing w_hat on it and
-forms w_hat^{-1} and the resolvents R_alpha there, one order at a time; a
-cut of its sites is the bilinear verifier's region.
+list of entry columns per degree and no tail, with the operations of
+``MatSeries`` at every site: the verifier multiplies its series out on it
+rather than site by site.  ``_DressingColumns`` holds a state's dressing
+w_hat on it and forms w_hat^{-1} and the resolvents R_alpha there, one
+order at a time; a cut of its sites is the bilinear verifier's region.
 
 See docs/derivations.md sections 3 to 5.
 """
@@ -49,7 +49,7 @@ from . import scalars
 from .errors import DimensionError, ValidityError
 from .lattice import LatticeFn
 from .matrices import SmallMatrix, over_lcm
-from .series import Banded, MatSeries, product_band, project_band, series_mul, sum_band
+from .series import Banded, MatSeries, product_band, project_band, sum_band
 
 
 # -- the two-point recursion --------------------------------------------------------
@@ -321,14 +321,13 @@ class _ColumnSeries(Banded):
 
     The series at the sites ``n_lo..n_hi`` share one band ``(lo, hi,
     valid_lo)``; ``coeffs`` holds, per degree lo..hi, the kit's columns of
-    that coefficient over the sites, and ``tails`` the two tails as series.
-    Each operation is the ``MatSeries`` one at every site and on the tails, by
-    the same band rules (``product_band``, ``sum_band``, ``project_band``),
-    and a binary one runs on the sites both operands have, as
-    ``LatticeFn.zip_with`` does.  The Cauchy product sums each degree's pairs
-    in ``series_mul``'s order, ascending degree of the left factor: the same
-    rationals, and for finite entries the same doubles (docs/derivations.md
-    section 5).
+    that coefficient over the sites.  It holds the sites only: no tail.
+    Each operation is the ``MatSeries`` one at every site, by the same band
+    rules (``product_band``, ``sum_band``, ``project_band``), and a binary
+    one runs on the sites both operands have, as ``LatticeFn.zip_with``
+    does.  The Cauchy product sums each degree's pairs in ``series_mul``'s
+    order, ascending degree of the left factor: the same rationals, and for
+    finite entries the same doubles (docs/derivations.md section 5).
     """
 
     kit: _Columns
@@ -339,7 +338,6 @@ class _ColumnSeries(Banded):
     hi: int
     valid_lo: int | None
     coeffs: tuple
-    tails: tuple
 
     @staticmethod
     def read(kit, f: LatticeFn) -> "_ColumnSeries":
@@ -349,40 +347,37 @@ class _ColumnSeries(Banded):
             raise DimensionError("a lattice of series on columns needs one band across its sites")
         (lo, hi, vlo), = bands
         coeffs = tuple(kit.read([s.coeffs[i] for s in f.values]) for i in range(hi - lo + 1))
-        return _ColumnSeries(kit, f.lo, f.hi, f.step, lo, hi, vlo, coeffs,
-                             (f.left_tail, f.right_tail))
+        return _ColumnSeries(kit, f.lo, f.hi, f.step, lo, hi, vlo, coeffs)
 
     @staticmethod
     def of_matrices(kit, f: LatticeFn) -> "_ColumnSeries":
-        """A lattice of matrices as the fully known degree-0 series at each site and
-        in both tails."""
-        return _ColumnSeries(kit, f.lo, f.hi, f.step, 0, 0, None, (kit.read(f.values),),
-                             (MatSeries.constant(f.left_tail), MatSeries.constant(f.right_tail)))
+        """A lattice of matrices as the fully known degree-0 series at each site."""
+        return _ColumnSeries(kit, f.lo, f.hi, f.step, 0, 0, None, (kit.read(f.values),))
 
     @staticmethod
     def from_orders(kit, n_lo: int, step, orders: list) -> "_ColumnSeries":
-        """The series sum_k orders[k] z^-k at the sites n_lo.., valid through its depth,
-        with zero tails; ``orders[k]`` holds the columns of order k."""
-        depth, zero = len(orders) - 1, MatSeries.zero(kit.m, kit.data.mode)
+        """The series sum_k orders[k] z^-k at the sites n_lo.., valid through its depth;
+        ``orders[k]`` holds the columns of order k."""
+        depth = len(orders) - 1
         return _ColumnSeries(kit, n_lo, n_lo + len(orders[0][0]) - 1, step, -depth, 0, -depth,
-                             tuple(orders[::-1]), (zero, zero))
+                             tuple(orders[::-1]))
 
     @property
     def mode(self) -> str:
         return self.kit.data.mode
 
     def lattice(self) -> LatticeFn:
-        """The lattice of series, each coefficient built by the kit."""
+        """The lattice of series, each coefficient built by the kit, with zero tails."""
         m, mode = self.kit.m, self.mode
         vals = tuple(MatSeries(m, mode, self.lo, self.hi, coeffs, self.valid_lo)
                      for coeffs in zip(*map(self.kit.build, self.coeffs)))
-        return LatticeFn(self.n_lo, self.n_hi, vals, *self.tails, self.step, mode)
+        zero = MatSeries.zero(m, mode)
+        return LatticeFn(self.n_lo, self.n_hi, vals, zero, zero, self.step, mode)
 
     def constant(self, s: MatSeries) -> "_ColumnSeries":
-        """``s`` at every site of this lattice and in both tails."""
+        """``s`` at every site of this lattice."""
         n = self.n_hi - self.n_lo + 1
-        return self._with((s.lo, s.hi, s.valid_lo), (self.kit.constant(x, n) for x in s.coeffs),
-                          (s, s))
+        return self._with((s.lo, s.hi, s.valid_lo), (self.kit.constant(x, n) for x in s.coeffs))
 
     def coef(self, d: int) -> list:
         """The columns of degree ``d``: zero outside the band, refused below validity."""
@@ -392,9 +387,9 @@ class _ColumnSeries(Banded):
             return self.coeffs[d - self.lo]
         return self.kit.zero(self.n_hi - self.n_lo + 1)
 
-    def _with(self, band: tuple, coeffs, tails) -> "_ColumnSeries":
+    def _with(self, band: tuple, coeffs) -> "_ColumnSeries":
         lo, hi, vlo = band
-        return replace(self, lo=lo, hi=hi, valid_lo=vlo, coeffs=tuple(coeffs), tails=tuple(tails))
+        return replace(self, lo=lo, hi=hi, valid_lo=vlo, coeffs=tuple(coeffs))
 
     # -- sites -------------------------------------------------------------------
 
@@ -432,7 +427,7 @@ class _ColumnSeries(Banded):
         a, b = self._pair(other)
         lo, hi, vlo = sum_band(a, b)
         return a._with((lo, hi, vlo), (self.kit.combine(a.coef(d), b.coef(d), op)
-                                       for d in range(lo, hi + 1)), map(op, a.tails, b.tails))
+                                       for d in range(lo, hi + 1)))
 
     def __add__(self, other: "_ColumnSeries") -> "_ColumnSeries":
         return self._combine(other, add)
@@ -450,22 +445,20 @@ class _ColumnSeries(Banded):
             return _sum(kit, (kit.products(a.coeffs[i - a.lo], b.coeffs[d - i - b.lo])
                               for i in range(max(a.lo, d - b.hi), min(a.hi, d - b.lo) + 1)))
 
-        return a._with((lo, hi, vlo), map(degree, range(lo, hi + 1)),
-                       map(series_mul, a.tails, b.tails))
+        return a._with((lo, hi, vlo), map(degree, range(lo, hi + 1)))
 
     def scale(self, s) -> "_ColumnSeries":
         return self._with((self.lo, self.hi, self.valid_lo),
-                          (self.kit.scale(x, s) for x in self.coeffs),
-                          (t.scale(s) for t in self.tails))
+                          (self.kit.scale(x, s) for x in self.coeffs))
 
     def project(self, part: str, k: int = 0) -> "_ColumnSeries":
         """The projection ``part`` of z^k times the series at every site, k >= 0 a flow
-        order; the tails are kept, as ``projector_b`` keeps them."""
+        order."""
         _check_flow_order(k)
         z = replace(self, lo=self.lo + k, hi=self.hi + k,
                     valid_lo=None if self.valid_lo is None else self.valid_lo + k)
         lo, hi, vlo = project_band(z, part)
-        return z._with((lo, hi, vlo), map(z.coef, range(lo, hi + 1)), self.tails)
+        return z._with((lo, hi, vlo), map(z.coef, range(lo, hi + 1)))
 
     def magnitude(self, d: int):
         """The largest entry magnitude of degree ``d`` over the sites."""

@@ -51,7 +51,8 @@ sites, in both modes and through the same compositions:
   entry columns (``columns._ColumnSeries``), degree by degree with a
   per-degree kernel: ``_bracket_degree`` (``((p - q) - D) - z``) for
   ``commutator_with_l`` and ``_defect_degree`` (``(rhs_d - A x') + x1' A``)
-  for the dressing defect;
+  for the dressing defect; ``_transition_pass`` runs it on the transitions
+  that P and U share;
 * ``flow_field`` is one whole-lattice pass from U to the field (``_flow_pass``,
   which ``dynamics.rk4_step`` also runs on its stage columns); it reuses each
   order's ``(p - q, D)`` columns for the positive degrees of [B, L]_D.
@@ -68,7 +69,7 @@ there on first use and keeps them.  ``hat``, ``hat_inverse``,
 ``resolvent_dressed`` and ``resolvent_direct`` build a lattice of series
 only to return one.  The residuals that the verifier checks reduce the
 columns directly: ``dressing_residual`` and ``commutator_residual`` (the
-series pass over the state's transitions, no tail formed),
+series pass over the state's transitions, ``_transition_pass``),
 ``product_algebra_residual``, ``sum_identity_residual`` and
 ``cross_solver_difference``.
 
@@ -78,8 +79,9 @@ See docs/derivations.md sections 1 to 4.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import cached_property, partial, reduce
+from functools import cached_property, reduce
 from itertools import chain
+from math import inf
 from operator import add, sub
 
 from . import scalars
@@ -97,7 +99,7 @@ from .series import (
 
 @dataclass(frozen=True)
 class AknsData:
-    """Diagonal part A = diag(a_1..a_m); entries pairwise distinct, nonzero."""
+    """Diagonal part A = diag(a_1..a_m); entries finite, pairwise distinct, nonzero."""
 
     m: int
     a: tuple
@@ -108,6 +110,8 @@ class AknsData:
             raise InstanceError(f"instance dimension {self.m} outside 2..8")
         if len(self.a) != self.m:
             raise InstanceError("need exactly m diagonal entries")
+        if not all(abs(x) < inf for x in self.a):  # nan fails; a big Fraction does not overflow
+            raise InstanceError("diagonal entries must be finite")
         if any(x == 0 for x in self.a):
             raise InstanceError("diagonal entries must be nonzero")
         if len({x for x in self.a}) != self.m:
@@ -230,8 +234,8 @@ class HierarchyState:
     its mode, dimension and step.
 
     The dressing's series live on entry columns (``_columns``, read from the
-    solved orders once); ``hat``, ``hat_inverse`` and ``resolvent`` build
-    lattices of series from them.
+    solved orders once); ``hat``, ``hat_inverse`` and ``resolvent_dressed``
+    build lattices of series from them.
     """
 
     data: AknsData
@@ -288,9 +292,6 @@ class HierarchyState:
         """w_hat^{-1} per site, on the sites of ``hat``."""
         return self._columns.hat_inverse.lattice()
 
-    def resolvent(self, alpha: int):
-        return resolvent_dressed(self, alpha)
-
 
 def dressing_residual(state: HierarchyState):
     """Max-abs coefficient of Delta w_hat + U w_hat - z A w_hat + z (Lambda w_hat) A.
@@ -298,9 +299,9 @@ def dressing_residual(state: HierarchyState):
     This is the multiplication-operator part of the difference between the
     two sides of the dressing relation; it vanishes exactly in rational mode
     at every site where the recursion was enforced.  (T') over the state's
-    transitions on entry columns (``_transition_residual``).
+    transitions on entry columns (``_transition_pass``).
     """
-    return _transition_residual(state, state._columns.hat, _defect_degree)
+    return _transition_pass(state._columns.hat, state.U, _defect_degree).max_abs()
 
 
 # -- resolvents ----------------------------------------------------------------------
@@ -348,7 +349,7 @@ def cross_solver_difference(state: HierarchyState, alpha: int):
 def commutator_residual(state: HierarchyState, alpha: int):
     """Max-abs coefficient of [R_alpha, L]_D over the state's transitions, on entry
     columns: ``commutator_with_l`` of R_alpha, reduced."""
-    return _transition_residual(state, state._columns.resolvent(alpha), _bracket_degree)
+    return _transition_pass(state._columns.resolvent(alpha), state.U, _bracket_degree).max_abs()
 
 
 def product_algebra_residual(state: HierarchyState):
@@ -373,13 +374,6 @@ def _resolvents(state: HierarchyState) -> list:
     return [state._columns.resolvent(alpha) for alpha in range(1, state.data.m + 1)]
 
 
-def _transition_residual(state: HierarchyState, P: _ColumnSeries, degree):
-    """Max-abs coefficient of the site kernel ``degree`` of P, a series on the state's
-    sites, over the state's transitions (``_series_columns``; no tail is formed)."""
-    U = state.U
-    return _series_columns(P, _transition_columns(P.kit, U), inverse_step(U), degree).max_abs()
-
-
 # -- discrete commutators --------------------------------------------------------------
 
 
@@ -389,32 +383,35 @@ def commutator_with_l(P: LatticeFn, data: AknsData, U: LatticeFn) -> LatticeFn:
     Expanded form: -Delta P - z ((Lambda P) A - A P) + (Lambda P) U - U P,
     with the deformed difference ``(P(n+1) - P(n)) / eps`` when the lattice
     carries a step.  Each site is built degree by degree from P(n), P(n+1)
-    and U(n), and the tails are the same kernel on the tails (``_sitewise``,
-    the entry-column pass with ``_bracket_degree``).  The sites run over
-    ``[max(P.lo, U.lo), min(P.hi - 1, U.hi)]``.  P's site series must share
-    one band and validity start (``_ColumnSeries.read``).
+    and U(n) (``_transition_pass`` with ``_bracket_degree``), on
+    ``[max(P.lo, U.lo), min(P.hi - 1, U.hi)]``, and each tail is the same
+    pass on one transition of P's tail and U's, in the tail's own band.
+    P's site series must share one band and validity start
+    (``_ColumnSeries.read``).
     """
     _check_instance(data, U)
     P._compat(U)
-    return _sitewise(_ColumnSeries.read(_kit(data), P), U, _bracket_degree)
+    kit = _kit(data)
+    sites = _transition_pass(_ColumnSeries.read(kit, P), U, _bracket_degree).lattice()
+
+    def tail(t, u):
+        """The pass on one transition of P's tail t and U's tail u."""
+        two = _ColumnSeries.read(kit, LatticeFn(0, 1, (t, t), t, t, P.step, P.mode))
+        one = LatticeFn(0, 0, (u,), u, u, U.step, U.mode)
+        return _transition_pass(two, one, _bracket_degree).lattice().values[0]
+
+    return replace(sites, left_tail=tail(P.left_tail, U.left_tail),
+                   right_tail=tail(P.right_tail, U.right_tail))
 
 
-def _sitewise(P: _ColumnSeries, U: LatticeFn, degree) -> LatticeFn:
-    """A site kernel of P and U on ``[max(P.n_lo, U.lo), min(P.n_hi - 1, U.hi)]``.
-
-    One pass over all sites on entry columns, ``_series_columns`` with the
-    per-degree kernel ``degree``; the tails are the same pass on one
-    transition of the tails, each in its own band.
-    """
+def _transition_pass(P: _ColumnSeries, U: LatticeFn, degree) -> _ColumnSeries:
+    """The site kernel ``degree`` of P and U at the transitions they share,
+    ``[max(P.n_lo, U.lo), min(P.n_hi - 1, U.hi)]``: ``_series_columns`` on the overlap."""
     lo, hi = max(P.n_lo, U.lo), min(P.n_hi - 1, U.hi)
     if lo > hi:
         raise DimensionError("operand ranges do not overlap")
-    kit, two = P.kit, P.restrict(lo, lo + 1)
-    run = partial(_series_columns, inv=inverse_step(U), degree=degree)
-    tails = [run(two.constant(t), kit.read([u])).lattice().values[0]
-             for t, u in zip(P.tails, (U.left_tail, U.right_tail))]
-    vals = run(P.restrict(lo, hi + 1), kit.read(U.values[lo - U.lo:hi - U.lo + 1]))
-    return replace(vals, tails=tuple(tails)).lattice()
+    return _series_columns(P.restrict(lo, hi + 1), P.kit.read(U.values[lo - U.lo:hi - U.lo + 1]),
+                           inverse_step(U), degree)
 
 
 def _site_band(c: MatSeries) -> tuple:
@@ -534,7 +531,7 @@ def _series_columns(p: _ColumnSeries, u: list, inv, degree) -> _ColumnSeries:
     ``degree(kit, x, xp, u, inv)`` forms degree d from the columns of
     coefficient d (None on the top degree) and d - 1, which below a fully
     known band is the zero matrix.  The result lives on the transitions
-    ``p.n_lo..p.n_hi - 1`` and keeps p's tails; bands as in ``_site_band``.
+    ``p.n_lo..p.n_hi - 1``; bands as in ``_site_band``.
     """
     kit = p.kit
     first, vlo = _site_band(p)

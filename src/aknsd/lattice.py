@@ -22,6 +22,7 @@ recovers the plain forward difference bit for bit, because scaling by
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import inf
 from typing import Callable
 
 from . import scalars
@@ -69,8 +70,8 @@ class LatticeFn:
             raise DimensionError(f"empty lattice range [{self.lo}, {self.hi}]")
         if len(self.values) != self.hi - self.lo + 1:
             raise DimensionError("value count does not match range")
-        if self.step is not None and not self.step > 0:
-            raise DimensionError("step must be positive")
+        if self.step is not None and not 0 < self.step < inf:  # a nan fails it too
+            raise DimensionError("step must be positive and finite")
         kind, m = type(self.values[0]), self.values[0].m
         for v in (*self.values, self.left_tail, self.right_tail):
             if type(v) is not kind:

@@ -1,6 +1,7 @@
 """Shared builders and brute-force oracles for the test suite."""
 
 from fractions import Fraction
+from dataclasses import replace
 from functools import partial
 from math import gcd
 import os
@@ -21,6 +22,7 @@ from aknsd.hierarchy import (
     _site_band,
     flow_field,
     projector_b,
+    resolvent_dressed,
 )
 from aknsd.instances import DESK_DEPTH, DESK_WINDOW
 from aknsd.lattice import LatticeFn, delta_apply, inverse_step, shift_apply, site_max
@@ -298,9 +300,9 @@ def ref_defect_floats(c, c1, u, a_mat, inv):
 
 
 def ref_sitewise(P, data, U, kernel):
-    """``kernel(P(n), P(n+1), U(n), a_mat, inv)`` at each site, and on the tails.
+    """``kernel(P(n), P(n+1), U(n), a_mat, inv)`` at each site, with zero tails.
 
-    ``hierarchy._sitewise`` before it ran on entry columns, sites on
+    ``hierarchy._transition_pass`` site by site, on
     ``[max(P.lo, U.lo), min(P.hi - 1, U.hi)]``.
     """
     P._compat(U)
@@ -311,10 +313,8 @@ def ref_sitewise(P, data, U, kernel):
         raise DimensionError("a site kernel needs one band across P's sites")
     a_mat, inv = data.matrix, inverse_step(P)
     vals = tuple(kernel(P.at(n), P.at(n + 1), U.at(n), a_mat, inv) for n in range(lo, hi + 1))
-    return LatticeFn(lo, hi, vals,
-                     kernel(P.left_tail, P.left_tail, U.left_tail, a_mat, inv),
-                     kernel(P.right_tail, P.right_tail, U.right_tail, a_mat, inv),
-                     P.step, P.mode)
+    zero = MatSeries.zero(P.m, P.mode)
+    return LatticeFn(lo, hi, vals, zero, zero, P.step, P.mode)
 
 
 def ref_solve_dressing_floats(data, U, depth):
@@ -327,7 +327,7 @@ def ref_solve_dressing_floats(data, U, depth):
 
 
 def ref_dressing_defect_floats(state):
-    """The float dressing defect site by site, tails included, with ``ref_defect_floats``."""
+    """The float dressing defect site by site, with ``ref_defect_floats``."""
     return ref_sitewise(state.hat, state.data, state.U, ref_defect_floats)
 
 
@@ -339,8 +339,13 @@ def ref_resolvent_direct_floats(data, U, alpha, depth):
 
 
 def ref_commutator_with_l_floats(P, data, U):
-    """The float [P, L]_D site by site, tails included, with ``ref_commutator_floats``."""
-    return ref_sitewise(P, data, U, ref_commutator_floats)
+    """The float [P, L]_D site by site with ``ref_commutator_floats``; each tail is the
+    kernel on P's tail and U's."""
+    sites = ref_sitewise(P, data, U, ref_commutator_floats)
+    a_mat, inv = data.matrix, inverse_step(P)
+    left, right = (ref_commutator_floats(p, p, u, a_mat, inv)
+                   for p, u in ((P.left_tail, U.left_tail), (P.right_tail, U.right_tail)))
+    return replace(sites, left_tail=left, right_tail=right)
 
 
 def ref_flow_field_floats(data, U, k, alpha, tol=0):
@@ -407,13 +412,13 @@ def ref_bilinear_residual(state, l_max, m_delta, word):
     """
     if len(word) == 1:
         (k, alpha), = word
-        bbar = projector_b(state.resolvent(alpha), k, "minus")
+        bbar = projector_b(resolvent_dressed(state, alpha), k, "minus")
         d_hat = bbar.zip_with(state.hat, lambda b, w: -series_mul(b, w))
         zke = MatSeries.monomial(state.data.projector(alpha), k)
         y = d_hat.zip_with(state.hat, lambda d, w: d + series_mul(w, zke))
     elif word:
         (k1, a1), (k2, a2) = word
-        b1, b2, r2 = (state.resolvent(a).series.values for a in (a1, a2, a2))
+        b1, b2, r2 = (resolvent_dressed(state, a).series.values for a in (a1, a2, a2))
 
         def f_times_w(b1, r2, b2, w):
             b1 = series_project(b1.shift_degree(k1), "plus")

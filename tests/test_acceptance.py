@@ -35,6 +35,7 @@ from aknsd.hierarchy import (
     dressing_residual,
     flow_field,
     resolvent_direct,
+    resolvent_dressed,
 )
 from aknsd.instances import (
     DESK_DEPTH,
@@ -97,7 +98,7 @@ def test_criterion_2_resolvent_identities():
             data = desk_data(m)
             rng = random.Random(SEED + 10 + m)
             state = desk_state(m, random_potential(DESK_WINDOW, data, rng))
-            resolvents = {a: state.resolvent(a) for a in range(1, m + 1)}
+            resolvents = {a: resolvent_dressed(state, a) for a in range(1, m + 1)}
             for alpha, r in resolvents.items():
                 comm = commutator_with_l(r.series, state.data, state.U)
                 assert all(comm.at(n).max_abs() == 0 for n in comm.sites()), alpha
@@ -134,7 +135,7 @@ def test_criterion_3_cross_solver_oracle():
                       random_potential(DESK_WINDOW, data, rng)):
                 state = desk_state(m, u)
                 for alpha in range(1, m + 1):
-                    dressed = state.resolvent(alpha).series
+                    dressed = resolvent_dressed(state, alpha).series
                     direct = resolvent_direct(data, u, alpha, DESK_DEPTH).series
                     for n in dressed.sites():
                         for d in range(-DESK_DEPTH, 1):
@@ -239,7 +240,7 @@ def test_criterion_6_verifier_power():
                                  Dressing(DESK_DEPTH, tuple(ws),
                                           base.dressing.conventions))
             bilinear = bilinear_residual(bad, 3, 1, ())
-            comm = commutator_with_l(bad.resolvent(1).series, data, base.U)
+            comm = commutator_with_l(resolvent_dressed(bad, 1).series, data, base.U)
             comm_norm = max(comm.at(n).max_abs() for n in comm.sites())
             assert bilinear > 0 and comm_norm > 0, (k_ord, site)
             detected += 1

@@ -6,7 +6,7 @@ import math
 import random
 import weakref
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 import pytest
 
 from aknsd import baker, scalars
@@ -23,6 +23,7 @@ from aknsd.hierarchy import (
     HierarchyState,
     cross_solver_difference,
     dressing_residual,
+    resolvent_dressed,
 )
 from aknsd.instances import (
     DESK_WINDOW,
@@ -266,7 +267,17 @@ def region_states(draw):
     return state
 
 
+def _bumped_small_state():
+    """w_1 bumped at n_max + 1 on a one-site window of depth 2: some cell's largest
+    residue is its last one, l = l_max, which the random draws do not always give."""
+    window, data = Window(0, 0, 2), desk_data(2)
+    u = random_potential(window, data, random.Random(1), span=1)
+    return _bumped(HierarchyState.solve(data, u, window, 2), 0, window.n_max + 1,
+                   SmallMatrix.unit(2, 1, 2, RAT))
+
+
 @given(region_states())
+@example(_bumped_small_state())
 @settings(max_examples=30, deadline=None)
 def test_the_region_residual_is_the_full_site_residual_cut_to_the_region(state):
     # every product of the expression is site-local, so forming it on the
@@ -300,8 +311,9 @@ def test_a_state_is_freed_at_its_last_reference():
     # values kept below) points back at it, so with the cycle collector off
     # the state goes at its last reference
     state = rational_state(m=2, seed=5, depth=3)
-    kept = [state.hat_inverse, *(state.resolvent(a) for a in (1, 2)), dressing_residual(state),
-            cross_solver_difference(state, 1), bilinear_analytic_grid(state)]
+    kept = [state.hat_inverse, *(resolvent_dressed(state, a) for a in (1, 2)),
+            dressing_residual(state), cross_solver_difference(state, 1),
+            bilinear_analytic_grid(state)]
     region = baker._region(state)
     kept += [region.hat_inverse, *(region.resolvent(a) for a in (1, 2))]
     ref = weakref.ref(state)

@@ -2,10 +2,11 @@
 and the sparse exact kernels against the dense ones.
 
 ``columns._ColumnSeries`` holds a lattice of series whose sites share one
-band as one list of entry columns per degree.  Each of its operations must
-give, at every site and in the tails, what the ``MatSeries`` operation gives
+band as one list of entry columns per degree, and no tail.  Each of its
+operations must give, at every site, what the ``MatSeries`` operation gives
 there: the same band and validity, the same rationals, and for finite
-entries the same doubles down to the sign of a zero.  The draws force entry
+entries the same doubles down to the sign of a zero; a refusal is the same
+error with the same message.  The draws force entry
 columns that are zero at every site, so the exact kit's sparse path (a term
 with an all-zero factor column dropped, an all-zero operand giving the
 other) runs on every kind of operand.
@@ -49,9 +50,8 @@ def _series_repr(s):
 
 
 def _lattice_repr(f):
-    """Sites, step and every value and tail by repr, so a float's signed zero counts."""
-    return (f.lo, f.hi, f.step, f.mode, [_series_repr(s) for s in f.values],
-            _series_repr(f.left_tail), _series_repr(f.right_tail))
+    """Sites, step and every value by repr, so a float's signed zero counts."""
+    return (f.lo, f.hi, f.step, f.mode, [_series_repr(s) for s in f.values])
 
 
 def _same(got, want):
@@ -93,12 +93,9 @@ class _Lattices:
         valid_lo = draw(st.none() | st.integers(lo, hi))
         dead = draw(st.sets(st.integers(0, self.m * self.m - 1)))
         hollow = draw(st.sets(st.integers(lo, hi)))
-        tails = []
-        for _ in range(2):
-            t_lo = draw(st.integers(-2, 1))
-            tails.append(self.series(t_lo, t_lo + draw(st.integers(0, 2)), None))
         values = tuple(self.series(lo, hi, valid_lo, dead, hollow) for _ in range(n_lo, n_hi + 1))
-        return LatticeFn(n_lo, n_hi, values, *tails, None, self.mode)
+        zero = MatSeries.zero(self.m, self.mode)
+        return LatticeFn(n_lo, n_hi, values, zero, zero, None, self.mode)
 
 
 @st.composite

@@ -178,9 +178,9 @@ def test_perturbed_dressing_has_localized_residual():
         state.dressing.conventions,
     )
     bad = HierarchyState(data, U, DESK_WINDOW, tampered)
-    from aknsd.hierarchy import _defect_degree, _sitewise
+    from aknsd.hierarchy import _defect_degree, _transition_pass
 
-    defect = _sitewise(bad._columns.hat, bad.U, _defect_degree)
+    defect = _transition_pass(bad._columns.hat, bad.U, _defect_degree).lattice()
     nonzero_sites = [n for n in defect.sites() if not defect.at(n).is_zero()]
     assert nonzero_sites
     assert all(abs(n - site) <= 1 for n in nonzero_sites)

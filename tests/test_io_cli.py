@@ -481,6 +481,30 @@ def test_dress_fails_a_float_state_with_a_nan(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "dressing residual: nan"
 
 
+@pytest.mark.parametrize("key, value, reason", [
+    ("a", ["inf", "-1"], "diagonal entries must be finite"),
+    ("a", ["nan", "-1"], "diagonal entries must be finite"),
+    ("step", "inf", "step must be positive and finite"),
+], ids=["a-inf", "a-nan", "step-inf"])
+def test_dress_refuses_a_float_state_with_a_non_finite_a_or_step(tmp_path, capsys, key, value,
+                                                                   reason):
+    # an input error, exit 2, as the config door gives: not a nan residual
+    # (or a residual on an infinite step) failing the check with exit 1
+    config = tmp_path / "c.json"
+    config.write_text(MINIMAL)
+    state = tmp_path / "state.json"
+    args = ["dress", "--config", str(config), "--mode", "float"]
+    assert cli.main(args + ["--out", str(state)]) == 0
+    doc = json.loads(state.read_text())
+    doc[key] = value
+    state.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert cli.main(args + ["--state", str(state)]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith(f"error: invalid state document: {reason}")
+
+
 def test_trajectory_csv_roundtrip(tmp_path):
     data = desk_data(2, scalars.FLOAT)
     u = impulse_potential(DESK_WINDOW, 2, scalars.FLOAT, value=0.2)

@@ -74,7 +74,7 @@ def test_vacuum_resolvent_is_projector():
 def test_commutator_with_l_annihilates_resolvent(m):
     state = solved(m, seed=m)
     for alpha in range(1, m + 1):
-        r = state.resolvent(alpha)
+        r = resolvent_dressed(state, alpha)
         comm = commutator_with_l(r.series, state.data, state.U)
         # valid through depth-1 orders below the top degree z^1
         assert max_abs_lattice_series(comm) == 0
@@ -83,7 +83,7 @@ def test_commutator_with_l_annihilates_resolvent(m):
 def test_resolvent_zero_order_everywhere():
     state = solved(3, seed=9)
     for alpha in (1, 2, 3):
-        r = state.resolvent(alpha)
+        r = resolvent_dressed(state, alpha)
         for n in r.series.sites():
             assert r.series.at(n).get(0) == state.data.projector(alpha)
 
@@ -91,7 +91,7 @@ def test_resolvent_zero_order_everywhere():
 @pytest.mark.parametrize("m", [2, 3])
 def test_resolvent_product_algebra(m):
     state = solved(m, seed=m + 10)
-    rs = {a: state.resolvent(a).series for a in range(1, m + 1)}
+    rs = {a: resolvent_dressed(state, a).series for a in range(1, m + 1)}
     for a in range(1, m + 1):
         for b in range(1, m + 1):
             prod = rs[a].zip_with(rs[b], series_mul)
@@ -106,9 +106,9 @@ def test_resolvent_product_algebra(m):
 @pytest.mark.parametrize("m", [2, 3])
 def test_resolvents_sum_to_identity(m):
     state = solved(m, seed=m + 20)
-    total = state.resolvent(1).series
+    total = resolvent_dressed(state, 1).series
     for a in range(2, m + 1):
-        total = total + state.resolvent(a).series
+        total = total + resolvent_dressed(state, a).series
     ident = SmallMatrix.identity(m, RAT)
     for n in total.sites():
         s = total.at(n)
@@ -145,8 +145,8 @@ def test_cross_solver_equality_impulse():
 def test_linearity_of_resolvent_combinations():
     # c(z) R1 + f(z) R2 is annihilated by the commutator with L
     state = solved(2, seed=77)
-    r1 = state.resolvent(1).series
-    r2 = state.resolvent(2).series
+    r1 = resolvent_dressed(state, 1).series
+    r2 = resolvent_dressed(state, 2).series
     ident = SmallMatrix.identity(2, RAT)
     c = MatSeries.from_coeffs({0: ident.scale(2), -1: ident.scale(-1),
                                -2: ident.scale(3)}, 2, RAT)

@@ -48,7 +48,7 @@ from aknsd.hierarchy import (
     _defect_degree,
     _kit,
     _series_columns,
-    _sitewise,
+    _transition_pass,
     commutator_with_l,
     dressing_residual,
     flow_field,
@@ -112,9 +112,15 @@ def _assert_same_sites(got, want):
         _assert_same(got.at(n), want.at(n))
 
 
+def _defect_pass(P, U):
+    """The merged pass with the defect kernel, as a lattice of series (zero tails)."""
+    return _transition_pass(P, U, _defect_degree).lattice()
+
+
 def _defect(state):
-    """Delta w_hat + U w_hat - z A w_hat + z (Lambda w_hat) A of a state, tails included."""
-    return _sitewise(state._columns.hat, state.U, _defect_degree)
+    """Delta w_hat + U w_hat - z A w_hat + z (Lambda w_hat) A of a state, on its
+    transitions."""
+    return _defect_pass(state._columns.hat, state.U)
 
 
 def _assert_same_lattice(got, want):
@@ -285,14 +291,14 @@ def test_column_inverse_and_resolvents_match_the_per_site_products(state):
 @given(state_case())
 @settings(max_examples=150, deadline=None)
 def test_defect_kernel_matches_the_whole_lattice_sums(case):
-    # the tails differ by design: the reference leaves the z-terms' tails
-    # unmapped, while the kernel applies (T') to the tails as well
+    # the sites only: the pass forms no tail, and the reference leaves the
+    # z-terms' tails unmapped
     state, (a, b) = case
     want = ref_dressing_defect(state)
     _assert_same_sites(_defect(state), want)
     # and on the cut, down to one transition, through the kernel itself
-    _assert_same_sites(_sitewise(state._columns.hat.restrict(a, b), state.U.restrict(a, b),
-                                 _defect_degree), want.restrict(a, b - 1))
+    _assert_same_sites(_defect_pass(state._columns.hat.restrict(a, b), state.U.restrict(a, b)),
+                       want.restrict(a, b - 1))
 
 
 @given(state_case())
@@ -399,7 +405,7 @@ def test_site_kernels_fill_no_fraction_row_cache(tmp_path):
     lean_hat = [c for c in hat if c._rows is None]
     assert len(lean_hat) > len(hat) // 2  # all but the built-in identities and zeros
     resolvents = [f(alpha).series for alpha in range(1, data.m + 1)
-                  for f in (state.resolvent,
+                  for f in (partial(resolvent_dressed, state),
                             partial(resolvent_direct, data, U, depth=DESK_DEPTH))]
     assert all(c._rows is None for c in lean_hat)
     res = _coefficients(*resolvents)
@@ -434,7 +440,17 @@ def fused_case(draw):
     return rnd.series(*band), rnd.series(*band), rnd.matrix(), _data(draw, m, FLOAT), step
 
 
+def _inf_facing_zeros():
+    """An inf entry in P and a U of zeros: each product term inf * 0.0 is nan, so a
+    float kernel that dropped the terms with an all-zero factor column would read 0."""
+    inf_series = MatSeries(2, FLOAT, 0, 0, (SmallMatrix(2, FLOAT, ((math.inf, 0.0), (0.0, 1.0))),),
+                           None)
+    return (inf_series, inf_series, SmallMatrix.zero(2, FLOAT),
+            AknsData(2, (1.0, -1.0), FLOAT), None)
+
+
 @given(fused_case())
+@example(_inf_facing_zeros())
 @settings(max_examples=400, deadline=None)
 def test_fused_float_kernels_match_the_ring_operations_bit_for_bit(case):
     c, c1, u, data, step = case
@@ -592,7 +608,7 @@ def _defects(data, U, ws, window):
         state = HierarchyState(data, U, window, Dressing(len(ws), ws, data.conventions()))
         return _outcome(_defect, state), _outcome(ref_dressing_defect_floats, state)
     hat = _hat(U, ws)
-    return (_outcome(_sitewise, _ColumnSeries.read(_kit(data), hat), U, _defect_degree),
+    return (_outcome(_defect_pass, _ColumnSeries.read(_kit(data), hat), U),
             _outcome(ref_sitewise, hat, data, U, ref_defect_floats))
 
 
