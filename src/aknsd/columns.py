@@ -11,10 +11,14 @@ and counting sites with ``len(x[0])``, read the same in both modes.
 What differs by mode is one layer of column primitives, ``_FloatColumns``
 and ``_ExactColumns`` (``_kit`` picks one from the instance): reading and
 building matrices, the zero, sums and differences, the deformed
-difference Delta x (one pass in float mode), products, the A scalings
-(A is diagonal, so its products are row and column scalings) and the
-two-point solve.  The float primitives keep the operation order of the
-ring operations they replace, so float results are the same bit for bit.
+difference Delta x (one pass in float mode), products, the diagonal
+scalings and the two-point solve.  A product with a diagonal matrix is a
+row or column scaling (``_scaled``): by A (``scalings``), and by the
+constant diagonal first order of an order loop (``diagonal_product``), which
+in float mode is the product bit for bit only when U is finite, so a U with
+an inf or a nan takes the products.  The float primitives keep the
+operation order of the ring operations they replace, so float results are
+the same bit for bit.
 A rational coefficient is integer numerator columns over one denominator
 column, summed unreduced over the per-site lcm of its terms' denominators;
 each entry's recursion reads integer pairs with one gcd per step
@@ -42,7 +46,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property, partial, reduce
 from itertools import accumulate, chain, repeat
-from math import copysign, gcd, lcm
+from math import copysign, gcd, isfinite, lcm
 from operator import add, floordiv, mul, sub
 
 from . import scalars
@@ -140,7 +144,8 @@ def _products(a, b, m: int, sparse: bool) -> list:
 
 class _Columns:
     """What the column primitives of both modes share: the instance, constant
-    columns and the two-point recursion of each entry column."""
+    columns, the factors of the diagonal scalings and the two-point recursion
+    of each entry column."""
 
     def __init__(self, data: AknsData):
         self.data, self.m = data, data.m
@@ -148,6 +153,12 @@ class _Columns:
     def constant(self, x: SmallMatrix, n: int) -> list:
         """The columns of the matrix ``x`` at ``n`` sites."""
         return [c * n for c in self.read([x])]
+
+    def _factors(self, d, left: bool) -> list:
+        """Per entry column (r, k), the factor of ``diag(d) x`` (``left``: d_r) or of
+        ``x diag(d)`` (d_k)."""
+        m = self.m
+        return [d[i // m] if left else d[i % m] for i in range(m * m)]
 
     def recursions(self) -> list:
         """Per entry column, the ``(a_i, a_j, direction)`` of its two-point recursion."""
@@ -192,15 +203,36 @@ class _FloatColumns(_Columns):
     def products(self, x, y) -> list:
         return _products(x, y, self.m, False)
 
-    def scalings(self, x) -> tuple:
-        """The columns of ``x(n+1) A`` and of ``A x(n)``, A = diag(a), as iterators.
+    def _scaled(self, d, x, left: bool) -> list:
+        """The columns of ``diag(d) x(n)`` (``left``) or ``x(n) diag(d)``.
 
-        Entry (r, k) is ``0 + x1_rk a_k`` and ``0 + a_r x_rk``: the scalings of
+        Entry (r, k) is ``0 + d_r x_rk`` or ``0 + x_rk d_k``: the scalings of
         ``matrices._diag_product``.
         """
-        m, a = self.m, self.data.a
-        return ([map(add, repeat(0), map(mul, c[1:], repeat(a[i % m]))) for i, c in enumerate(x)],
-                [map(add, repeat(0), map(mul, repeat(a[i // m]), c)) for i, c in enumerate(x)])
+        if left:
+            return [[0 + s * v for v in c] for s, c in zip(self._factors(d, True), x)]
+        return [[0 + v * s for v in c] for s, c in zip(self._factors(d, False), x)]
+
+    def scalings(self, x) -> tuple:
+        """The columns of ``x(n+1) A`` and of ``A x(n)``, A = diag(a)."""
+        a = self.data.a
+        return self._scaled(a, [c[1:] for c in x], False), self._scaled(a, x, True)
+
+    def diagonal_product(self, x: SmallMatrix, u, left: bool) -> list:
+        """The columns of ``x U(n)`` (``left``) or ``U(n) x`` from U's columns ``u``, for a
+        finite diagonal ``x`` at every site: the products ``products`` forms.
+
+        When every column of ``u`` has a finite sum, so every entry of U is
+        finite, they are its row or column scalings (``_scaled``) bit for bit:
+        each other term of a product entry is +-0.0, and ``0 + (-0.0)`` is
+        ``0.0`` (docs/derivations.md section 4).  Otherwise the products
+        themselves are formed, whose ``0.0 * inf`` is nan; a column of finite
+        entries whose sum overflows takes them too.
+        """
+        if all(isfinite(sum(c)) for c in u):
+            return self._scaled([x.rows[i][i] for i in range(self.m)], u, left)
+        c = self.constant(x, len(u[0]))
+        return self.products(c, u) if left else self.products(u, c)
 
     def solve(self, rhs) -> list:
         """``solve_two_point`` on each entry column of a right-hand side."""
@@ -273,15 +305,28 @@ class _ExactColumns(_Columns):
     def products(self, x, y) -> list:
         return [*_products(x[:-1], y[:-1], self.m, True), list(map(mul, x[-1], y[-1]))]
 
+    def _scaled(self, d, x, left: bool) -> list:
+        """The numerator columns of ``diag(d) x(n)`` (``left``) or ``x(n) diag(d)``, d
+        integers: d_r or d_k times a numerator (``_diag_product``'s ``0 +`` adds
+        nothing to an integer)."""
+        return [[s * v for v in c] for s, c in zip(self._factors(d, left), x)]
+
     def scalings(self, x) -> tuple:
         """The columns of ``x(n+1) A`` and of ``A x(n)``, A = diag(a) = diag(d) / q in
-        lowest terms: d_k or d_r times a numerator, q times the site's denominator."""
-        m, a = self.m, self.data.a
+        lowest terms: the scalings by d, over q times the site's denominator."""
+        a = self.data.a
         q = lcm(*(f.denominator for f in a))
         d = [f.numerator * (q // f.denominator) for f in a]
         den = [q * v for v in x[-1]]
-        return ([*([d[i % m] * v for v in c[1:]] for i, c in enumerate(x[:-1])), den[1:]],
-                [*([d[i // m] * v for v in c] for i, c in enumerate(x[:-1])), den])
+        return ([*self._scaled(d, [c[1:] for c in x[:-1]], False), den[1:]],
+                [*self._scaled(d, x[:-1], True), den])
+
+    def diagonal_product(self, x: SmallMatrix, u, left: bool) -> list:
+        """The columns of ``x U(n)`` (``left``) or ``U(n) x`` from U's columns ``u``, for a
+        diagonal ``x`` at every site: its row or column scalings (``_scaled``)."""
+        num, den = x.numerators()
+        return [*self._scaled([num[i][i] for i in range(self.m)], u[:-1], left),
+                [den * v for v in u[-1]]]
 
     def solve(self, rhs) -> list:
         """``_solve_exact`` on each entry, then canonical columns: each site's

@@ -46,7 +46,10 @@ sites, in both modes and through the same compositions:
 * ``_order_columns`` is the one order loop: the two-point solve on the
   columns of a right-hand side, ``_DRESSING_RHS`` (``D + U x``) for
   ``solve_dressing`` and ``_DIRECT_RHS`` (``D - (p - q)``) for
-  ``resolvent_direct`` and the flow field;
+  ``resolvent_direct`` and the flow field.  Its first order, I or E_alpha,
+  is diagonal and the same at every site: its products with U are row and
+  column scalings (``kit.diagonal_product``) and its Delta is formed on one
+  transition;
 * ``_series_columns`` is the one series pass, on a lattice of series on
   entry columns (``columns._ColumnSeries``), degree by degree with a
   per-degree kernel: ``_bracket_degree`` (``((p - q) - D) - z``) for
@@ -83,6 +86,7 @@ from functools import cached_property, reduce
 from itertools import chain
 from math import inf
 from operator import add, sub
+from typing import Callable, NamedTuple
 
 from . import scalars
 from .columns import _ColumnSeries, _DressingColumns, _check_flow_order, _kit
@@ -447,12 +451,30 @@ def _dressing_parts(kit, x, u, inv) -> tuple:
     return kit.products(u, x), kit.delta(x, inv)
 
 
-# The right-hand sides of the order loop ``_order_columns``, as (parts, op):
-# the order after x solves ``op(D, s)`` entry by entry with
-# ``(s, D) = parts(kit, x, U, inv)``: ``Delta x + U x`` and
-# ``Delta x - ((Lambda x) U - U x)``.
-_DRESSING_RHS = (_dressing_parts, add)
-_DIRECT_RHS = (_lax_columns, sub)
+def _dressing_first(kit, x: SmallMatrix, u) -> list:
+    """``U x`` of ``_dressing_parts`` for a constant diagonal ``x``: a column scaling."""
+    return kit.diagonal_product(x, u, False)
+
+
+def _lax_first(kit, x: SmallMatrix, u) -> list:
+    """``x U - U x`` of ``_lax_columns`` for a constant diagonal ``x``: a row scaling
+    minus a column scaling."""
+    return kit.combine(kit.diagonal_product(x, u, True), kit.diagonal_product(x, u, False), sub)
+
+
+class _Rhs(NamedTuple):
+    """A right-hand side of the order loop ``_order_columns``: the order after x solves
+    ``op(D, s)`` entry by entry with ``(s, D) = parts(kit, x, U, inv)``, or with
+    ``s = first(kit, x, U)`` when x is the constant diagonal first order."""
+
+    parts: Callable
+    first: Callable
+    op: Callable
+
+
+# ``Delta x + U x`` and ``Delta x - ((Lambda x) U - U x)``
+_DRESSING_RHS = _Rhs(_dressing_parts, _dressing_first, add)
+_DIRECT_RHS = _Rhs(_lax_columns, _lax_first, sub)
 
 
 def _transition_columns(kit, U: LatticeFn) -> list:
@@ -462,25 +484,41 @@ def _transition_columns(kit, U: LatticeFn) -> list:
     return kit.read(U.values[:-1])
 
 
-def _order_columns(kit, u, inv, first: SmallMatrix, depth: int, parts, op) -> tuple:
+def _repeated(x, n: int) -> list:
+    """Columns formed on one transition, at ``n`` transitions: a constant's.  Tuples,
+    because a lazy column would be consumed by the exact kit's zero test."""
+    return [(v,) * n for (v,) in x]
+
+
+def _order_columns(kit, u, inv, first: SmallMatrix, depth: int, rhs: _Rhs,
+                   last: bool = False) -> tuple:
     """The order loop on U's transitions ``u``: ``first``, ``depth`` more orders, each the
-    two-point solve of the right-hand side of the one before (``parts`` and ``op`` of
-    ``_DRESSING_RHS`` or ``_DIRECT_RHS``), and the ``(s, D)`` columns of orders < depth."""
-    orders, kept = [kit.constant(first, len(u[0]) + 1)], []
-    for _ in range(depth):
-        kept.append(parts(kit, orders[-1], u, inv))
+    two-point solve of the right-hand side of the one before (``_DRESSING_RHS`` or
+    ``_DIRECT_RHS``), and the ``(s, D)`` columns of the orders < depth, and of order
+    ``depth`` too when ``last``.
+
+    ``first`` is diagonal and the same at every site: its products with U are
+    row and column scalings (``rhs.first``), and its Delta is formed on one
+    transition.
+    """
+    n = len(u[0])
+    orders = [kit.constant(first, n + 1)]
+    kept = [(rhs.first(kit, first, u), _repeated(kit.delta(kit.constant(first, 2), inv), n))]
+    for j in range(depth):
         s, d = kept[-1]
-        orders.append(kit.solve(kit.combine(d, s, op)))
+        orders.append(kit.solve(kit.combine(d, s, rhs.op)))
+        if last or j < depth - 1:
+            kept.append(rhs.parts(kit, orders[-1], u, inv))
     return orders, kept
 
 
-def _solve_columns(kit, U: LatticeFn, first: SmallMatrix, depth: int, rhs) -> list:
+def _solve_columns(kit, U: LatticeFn, first: SmallMatrix, depth: int, rhs: _Rhs) -> list:
     """Orders 0..depth of ``_order_columns`` on U's sites; below depth 1 only ``first``,
     which needs no transition."""
     if depth < 1:
         return [kit.constant(first, U.hi - U.lo + 1)]
     return _order_columns(kit, _transition_columns(kit, U), inverse_step(U), first, depth,
-                          *rhs)[0]
+                          rhs)[0]
 
 
 def _z_columns(kit, x) -> list:
@@ -585,15 +623,16 @@ def _flow_pass(data: AknsData, u: list, inv, k: int, alpha: int, tol) -> list:
     B_d = R_(k-d), d = 0..k, from ``_order_columns``.  Degree d >= 1 of
     [B, L]_D is ``((p - q) - D) - z(R_(k-d+1))``, and its ``p - q`` and ``D``
     are those of R_(k-d) that the right-hand side of order k - d + 1 formed;
-    only degree 0 forms new ones, of R_(k), with the zero matrix's z-term.
+    degree 0 reads those of R_(k), which the loop forms last (``last``; at
+    k = 0 they are the first order's scalings), with the zero matrix's z-term.
     The top degree k + 1 is ``_top_degree`` of R_(0).  A positive degree
     above ``tol`` is refused.
     """
     kit = _kit(data)
     e = data.projector(alpha)
-    orders, lax = _order_columns(kit, u, inv, e, k, *_DIRECT_RHS)
-    positive = [_lax_degree(kit, pq, dx, _z_columns(kit, orders[j + 1]))
-                for j, (pq, dx) in enumerate(lax)]
+    orders, lax = _order_columns(kit, u, inv, e, k, _DIRECT_RHS, last=True)
+    positive = [_lax_degree(kit, pq, dx, _z_columns(kit, x))
+                for (pq, dx), x in zip(lax, orders[1:])]
     # R_(0) = e and the zero are the same at every site: their z-terms are
     # formed on one transition
     positive.append(_top_degree(kit, _z_columns(kit, kit.constant(e, 2))))
@@ -601,9 +640,7 @@ def _flow_pass(data: AknsData, u: list, inv, k: int, alpha: int, tol) -> list:
     if not pos <= tol:  # a nan fails it too
         raise ConsistencyError(f"positive z-degrees of the flow commutator do not vanish "
                                f"(residual {pos})")
-    # materialised: a lazy column would be consumed by the exact kit's zero test
-    z0 = [(z,) * len(u[0]) for (z,) in _z_columns(kit, kit.zero(2))]
-    return _lax_degree(kit, *_lax_columns(kit, orders[-1], u, inv), z0)
+    return _lax_degree(kit, *lax[-1], _repeated(_z_columns(kit, kit.zero(2)), len(u[0])))
 
 
 def diagonal_drift(f: LatticeFn):

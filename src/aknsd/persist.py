@@ -130,7 +130,8 @@ def state_from_json(doc) -> HierarchyState:
     """Check what arrives from outside; derive m, the sites, depth and tails.
 
     The state's own door (``HierarchyState``) checks the depth against the
-    halo; its refusal, like every other, is a ``SchemaError``.
+    halo, and a lattice's door the step (positive and finite); each refusal,
+    like every other, is a ``SchemaError``.
     """
     try:
         if not isinstance(doc, dict) or doc.get("version") != STATE_VERSION:
@@ -146,8 +147,6 @@ def state_from_json(doc) -> HierarchyState:
             raise ValueError("; ".join(problems))
         window = Window(*bounds)
         step = _scalar(doc["step"], mode)
-        if not step > 0:
-            raise ValueError(f"step must be positive, not {doc['step']!r}")
         step = None if step == 1 else step  # None: the unit step every builder uses
         lo, hi = window.stored_lo, window.stored_hi
 
@@ -186,12 +185,11 @@ TRAJECTORY_COLUMNS = ("step", "time", "n", "i", "j", "value")
 def trajectory_rows(trajectory):
     """Deterministic row order: by step, then site, then entry indices."""
     for step, (t, u) in enumerate(trajectory.snapshots):
-        for n in u.sites():
-            v = u.at(n)
-            for i in range(1, v.m + 1):
-                for j in range(1, v.m + 1):
-                    yield (step, scalars.format_scalar(t), n, i, j,
-                           scalars.format_scalar(v.get(i, j)))
+        time = scalars.format_scalar(t)
+        for n, v in zip(u.sites(), u.values):
+            for i, row in enumerate(v.rows, start=1):
+                for j, x in enumerate(row, start=1):
+                    yield step, time, n, i, j, scalars.format_scalar(x)
 
 
 def export_trajectory_csv(trajectory, path: str) -> None:

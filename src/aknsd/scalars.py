@@ -70,6 +70,8 @@ def format_scalar(value: Scalar) -> str:
     Rationals become "p/q" in lowest terms ("p" when q == 1); floats use
     ``repr``, which round-trips bit-for-bit in Python 3.
     """
+    if isinstance(value, float):  # first: the check against the Fraction ABC is slower
+        return repr(value)
     if isinstance(value, Fraction):
         return str(value)
     return repr(float(value))

@@ -485,11 +485,14 @@ def test_dress_fails_a_float_state_with_a_nan(tmp_path, capsys):
     ("a", ["inf", "-1"], "diagonal entries must be finite"),
     ("a", ["nan", "-1"], "diagonal entries must be finite"),
     ("step", "inf", "step must be positive and finite"),
-], ids=["a-inf", "a-nan", "step-inf"])
+    ("step", "0", "step must be positive and finite"),
+    ("step", "-1", "step must be positive and finite"),
+], ids=["a-inf", "a-nan", "step-inf", "step-0", "step-negative"])
 def test_dress_refuses_a_float_state_with_a_non_finite_a_or_step(tmp_path, capsys, key, value,
                                                                    reason):
     # an input error, exit 2, as the config door gives: not a nan residual
-    # (or a residual on an infinite step) failing the check with exit 1
+    # (or a residual on an infinite step) failing the check with exit 1; a
+    # step of 0 or below is refused by the same door, the lattice's
     config = tmp_path / "c.json"
     config.write_text(MINIMAL)
     state = tmp_path / "state.json"

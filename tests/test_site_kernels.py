@@ -168,9 +168,8 @@ def _column_rhs(data, r, u, inv, rhs=_DIRECT_RHS):
     ``_DRESSING_RHS`` (``Delta r + U r``); ``r`` holds one more site than ``u``.
     """
     kit = _kit(data)
-    parts, op = rhs
-    s, dx = parts(kit, kit.read(r), kit.read(u), inv)
-    return kit.build(kit.combine(dx, s, op))
+    s, dx = rhs.parts(kit, kit.read(r), kit.read(u), inv)
+    return kit.build(kit.combine(dx, s, rhs.op))
 
 
 def _data(draw, m, mode):
@@ -486,6 +485,51 @@ def test_float_scalings_are_the_diagonal_products_bit_for_bit(case):
         [_bits(x.mul_diag(data.matrix, left=False))]
 
 
+# U's entries for the first order's examples: -0.0 in row 1 and column 1, where
+# E_1 keeps U's entries; 1e308 twice in one column, whose sum overflows though
+# every entry is finite; an inf facing E_1's zeros, where a product term is nan
+_NEGATIVE_ZEROS = (((-0.0, -0.0), (-0.0, 0.5)), ((-0.0, 0.25), (-1.0, -0.0)),
+                   ((-0.0, -0.0), (-0.0, -2.25)), ((0.1, -0.0), (-0.0, 3.0)))
+_OVERFLOW = (((0.0, 1e308), (-0.5, 0.0)), ((0.0, 1e308), (0.25, 0.0)),
+             ((0.0, 0.5), (-1.0, 0.0)), ((0.0, -0.0), (0.1, 0.0)))
+_INF = (((0.0, 0.5), (math.inf, -0.0)), ((0.0, 0.25), (-1.0, 0.0)))
+
+
+def _diagonal_example(rows, left):
+    """U's values ``rows`` at m = 2 with E_1 on the side ``left``."""
+    data = AknsData(2, (1.0, -1.0), FLOAT)
+    return data, [SmallMatrix(2, FLOAT, r) for r in rows], data.projector(1), left
+
+
+@st.composite
+def diagonal_case(draw):
+    """A float instance, U's values at one to four transitions (signed zeros, and in
+    some examples inf and nan), a diagonal matrix x (the identity, a projector
+    E_alpha or A) and the side of x."""
+    m = draw(st.integers(2, 3))
+    data = _data(draw, m, FLOAT)
+    rnd = _Draw(draw, m, FLOAT, _WILD if draw(st.booleans()) else None)
+    u = [rnd.matrix() for _ in range(draw(st.integers(1, 4)))]
+    x = draw(st.sampled_from([SmallMatrix.identity(m, FLOAT), data.projector(1),
+                              data.projector(m), data.matrix]))
+    return data, u, x, draw(st.booleans())
+
+
+@given(diagonal_case())
+@example(_diagonal_example(_NEGATIVE_ZEROS, True))
+@example(_diagonal_example(_NEGATIVE_ZEROS, False))
+@example(_diagonal_example(_OVERFLOW, False))
+@example(_diagonal_example(_INF, False))
+@settings(max_examples=300, deadline=None)
+def test_float_diagonal_products_are_the_ring_products_bit_for_bit(case):
+    # the first order's products: row or column scalings when U is finite
+    # (0 + d_r u_rk, so a -0.0 reads +0.0), the products themselves otherwise
+    data, u, x, left = case
+    kit = _kit(data)
+    got = kit.build(kit.diagonal_product(x, kit.read(u), left))
+    assert [_bits(v) for v in got] == [_bits(x @ v if left else v @ x) for v in u]
+
+
 def _outcome(fn, *args, **kwargs):
     """The result of a call, or the type and message of the error it raised."""
     try:
@@ -612,7 +656,21 @@ def _defects(data, U, ws, window):
             _outcome(ref_sitewise, hat, data, U, ref_defect_floats))
 
 
+def _first_order_example(rows, k):
+    """A case of ``column_case`` at m = 2, alpha = 1, tol = inf, whose potential holds
+    ``rows`` at four sites, with one dressing order (U itself) on a window."""
+    data = AknsData(2, (1.0, -1.0), FLOAT)
+    U = LatticeFn.from_values(0, [SmallMatrix(2, FLOAT, r) for r in rows])
+    series = MatSeries(2, FLOAT, -1, 0, (U.values[1], U.values[3]), None)
+    zero = MatSeries.zero(2, FLOAT)
+    P = LatticeFn(0, 2, (series,) * 3, zero, zero, None, FLOAT)
+    return data, U, k, 1, P, math.inf, (data, (U,), Window(1, 2, 1))
+
+
 @given(column_case())
+@example(_first_order_example(_NEGATIVE_ZEROS, 0))
+@example(_first_order_example(_NEGATIVE_ZEROS, 1))
+@example(_first_order_example(_OVERFLOW, 1))
 @settings(max_examples=400, deadline=None)
 def test_float_column_passes_match_the_per_site_kernels(case):
     data, U, k, alpha, P, tol, (dressing_data, ws, window) = case

@@ -4,9 +4,11 @@ Each item, ``cli.main(["verify", "--config", C, "--suite", S, "--out", F])``
 for one desk config and suite, runs in a process of its own: twice untraced
 as a warm-up, then three times under ``tracemalloc``.  Its peak is the
 smallest of the three peaks above the traced memory at the run's start, in
-KiB.  An item run after other items in the same process would read what
-they left behind (free lists, caches), so each is measured alone.  Prints
-one JSON line: the peak of each item and the code it ran.
+KiB.  A ``gc.collect()`` before each traced run clears the cyclic garbage
+that the runs before it left, so the peak does not depend on when the cycle
+collector happens to run.  An item run after other items in the same process
+would read what they left behind (free lists, caches), so each is measured
+alone.  Prints one JSON line: the peak of each item and the code it ran.
 
     python tools/verify_peaks.py                      # this checkout's src
     python tools/verify_peaks.py --src OTHER/src      # another checkout
@@ -16,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import gc
 import io
 import json
 import subprocess
@@ -49,6 +52,7 @@ def item_peak(src: str, config: str, suite: str) -> float:
         tracemalloc.start()
         peaks = []
         for _ in range(3):
+            gc.collect()
             tracemalloc.reset_peak()
             base = tracemalloc.get_traced_memory()[0]
             run()
